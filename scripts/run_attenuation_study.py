@@ -45,7 +45,7 @@ def main():
                        np.zeros((1, 3)), np.array([0]))
     frames, _ = synthesize_frames(bubble, MotionSpec("linear"), grid,
                                   args.nt, args.dt, p)
-    frames_to = apply_to_filter(frames, p, t)
+    frames_to = apply_to_filter(frames, t)
     mid = args.nt // 2
     span = (mid - 5, mid + 5)
     win = 2.0 * p.sigma_r

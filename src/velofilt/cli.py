@@ -182,7 +182,6 @@ CONFIG_SCHEMA = {
                                "items": {"type": "number"}},
                 "lateral_to_angle_deg": _NONNEG,
                 "boundary": {"enum": ["pad", "periodic"]},
-                "use_to": {"type": "boolean"},
             },
         },
         "detector": {
@@ -453,10 +452,8 @@ def _stage_filter(cfg: dict, out: Path, workers: int) -> list[Path]:
                           "first or pass --out of a synth run)")
     frames = _load_stack(base)
     bank = _bank_from(cfg, p)
-    use_to = cfg["filter_bank"].get("use_to", False)
     manifest = save_bank_outputs(
-        frames, bank, out / f"{prefix}_filtered",
-        psf_params=p, to_params=to if use_to else None,
+        frames, bank, out / f"{prefix}_filtered", to_params=to,
         boundary=cfg["filter_bank"].get("boundary", "pad"), workers=workers)
     arts = [manifest]
     with open(manifest) as fh:
@@ -476,10 +473,8 @@ def _stage_localize(cfg: dict, out: Path, workers: int) -> list[Path]:
     frames = _load_stack(base)
     bank = _bank_from(cfg, p)
     dcfg, fine_factor, det_mode = _detector_from(cfg)
-    use_to = cfg["filter_bank"].get("use_to", False)
     result = run_pipeline(frames, bank, p, cfg=dcfg, mode=det_mode,
-                          to_params=to if use_to else None,
-                          fine_factor=fine_factor,
+                          to_params=to, fine_factor=fine_factor,
                           boundary=cfg["filter_bank"].get("boundary", "pad"),
                           workers=workers)
     return [save_localizations_csv(result.per_frame,
@@ -745,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("localize", "filter bank + matched-filter localization"),
             ("accumulate", "bin localizations into super-resolved maps"),
             ("metrics", "score localizations against ground truth"),
-            ("pipeline", "synth, localize, accumulate, metrics in sequence")):
+            ("pipeline", "synth, filter, localize, accumulate, metrics in "
+                         "sequence")):
         add_common(sub.add_parser(name, help=help_text))
 
     th = sub.add_parser("theory", help="emit closed-form tables as CSV")

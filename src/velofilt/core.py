@@ -1,4 +1,4 @@
-"""Grids, frame stacks, spectra and the shared FFT/window conventions.
+"""Grids, frame stacks, file formats and the shared FFT/window conventions.
 
 Coordinates are millimetres in the image plane (x lateral, z axial) and
 seconds in time. A frame stack is a movie of 2D frames sampled on a regular
@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 LAYOUT = "t-major,z-row-major,x-fastest"
-
-# Hard cap on FFT sizes; 128^3 is guaranteed by contract, this guard only
-# rejects sizes that would overflow memory or the int32 indexing of some
-# FFT backends.
-_MAX_FFT_ELEMENTS = 2**28
 
 
 @dataclass(frozen=True)
@@ -104,16 +98,6 @@ class FrameStack:
         return FrameStack(self.grid, self.nt, self.dt, self.data.copy())
 
 
-@dataclass
-class Spectrum3D:
-    """Unnormalized forward 3D DFT of a FrameStack (axes Omega, kz, kx)."""
-
-    grid: Grid2D
-    nt: int
-    dt: float
-    values: np.ndarray
-
-
 def kx_lattice(grid: Grid2D, centered: bool = False) -> np.ndarray:
     """Lateral angular frequencies, rad/mm, DFT order unless centered."""
     k = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
@@ -130,32 +114,6 @@ def omega_lattice(nt: int, dt: float, centered: bool = False) -> np.ndarray:
     """Temporal angular frequencies, rad/s."""
     w = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
     return np.fft.fftshift(w) if centered else w
-
-
-def fft3(frames: FrameStack, workers: int = 1) -> Spectrum3D:
-    """Forward 3D DFT with kernel e^{-i(k.r + Omega t)}, unnormalized.
-
-    Bit-reproducible for a fixed `workers` count (pocketfft is deterministic;
-    the worker split only partitions independent 1D transforms).
-    """
-    if frames.data.size > _MAX_FFT_ELEMENTS:
-        raise ValueError("frame stack too large for in-memory FFT")
-    values = scipy.fft.fftn(frames.data, axes=(0, 1, 2), workers=workers)
-    return Spectrum3D(frames.grid, frames.nt, frames.dt, values)
-
-
-def ifft3(spectrum: Spectrum3D, workers: int = 1) -> FrameStack:
-    """Inverse 3D DFT (carries the 1/N normalization); returns real part."""
-    if spectrum.values.size > _MAX_FFT_ELEMENTS:
-        raise ValueError("spectrum too large for in-memory FFT")
-    values = scipy.fft.ifftn(spectrum.values, axes=(0, 1, 2), workers=workers)
-    return FrameStack(spectrum.grid, spectrum.nt, spectrum.dt,
-                      np.real(values))
-
-
-def ifft3_complex(spectrum: Spectrum3D, workers: int = 1) -> np.ndarray:
-    """Inverse 3D DFT keeping the complex values (round-trip checks)."""
-    return scipy.fft.ifftn(spectrum.values, axes=(0, 1, 2), workers=workers)
 
 
 @dataclass(frozen=True)
@@ -227,7 +185,8 @@ def save_frame_stack(stack: FrameStack, base: str | Path) -> tuple[Path, Path]:
 
 
 def load_frame_stack(base: str | Path) -> FrameStack:
-    """Read a stack written by save_frame_stack; validates header and size."""
+    """Read a stack written by save_frame_stack; validates header, size and
+    that every sample is finite."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     raw_path = base.with_suffix(".f32")
@@ -246,6 +205,10 @@ def load_frame_stack(base: str | Path) -> FrameStack:
         raise ValueError(
             f"raw payload has {raw.size} samples, header implies {nx * nz * nt}")
     data = raw.astype(np.float64).reshape(nt, nz, nx)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        t, z, x = (int(i) for i in bad[0])
+        raise ValueError(f"non-finite sample at (t, z, x) = ({t}, {z}, {x})")
     return FrameStack(grid=grid, nt=nt, dt=header["dt_s"], data=data)
 
 

@@ -279,6 +279,31 @@ def _merge_frame(cands: Sequence[Localization], radius: float
     return kept
 
 
+def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
+                  cfg: DetectorConfig, template: np.ndarray, peak: float,
+                  envelope: bool,
+                  v_tag: tuple[float, float] | None = None
+                  ) -> list[list[Localization]]:
+    """Matched filter and detect on every frame of a (nt, nz, nx) stack.
+
+    envelope strips the axial carrier first (magnitude of the analytic
+    signal along z), as the post-mode chain does.
+    """
+    if envelope:
+        data = np.abs(scipy.signal.hilbert(data, axis=1))
+    out: list[list[Localization]] = []
+    for t in range(data.shape[0]):
+        corr = matched_filter_map(data[t], grid, p, template=template)
+        out.append(detect(corr, grid, cfg, peak, t_index=t, v_tag=v_tag,
+                          wavelength=p.wavelength))
+    return out
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("pre", "post"):
+        raise ValueError(f"unsupported detection mode {mode!r}")
+
+
 def localize_frames(frames: FrameStack, p: PsfParams,
                     cfg: DetectorConfig | None = None, mode: str = "pre"
                     ) -> list[list[Localization]]:
@@ -287,22 +312,11 @@ def localize_frames(frames: FrameStack, p: PsfParams,
     The baseline the filter bank is compared against: same template,
     threshold, and refinement, applied to the raw stack.
     """
-    if cfg is None:
-        cfg = DetectorConfig()
-    if mode not in ("pre", "post"):
-        raise ValueError(f"unsupported detection mode {mode!r}")
-    grid = frames.grid
-    template = psf_template(grid, p, mode=mode)
-    peak = template_autocorr_peak(template, grid)
-    data = frames.data
-    if mode == "post":
-        data = np.abs(scipy.signal.hilbert(data, axis=1))
-    out: list[list[Localization]] = []
-    for t in range(frames.nt):
-        corr = matched_filter_map(data[t], grid, p, template=template)
-        out.append(detect(corr, grid, cfg, peak, t_index=t,
-                          wavelength=p.wavelength))
-    return out
+    _check_mode(mode)
+    template = psf_template(frames.grid, p, mode=mode)
+    peak = template_autocorr_peak(template, frames.grid)
+    return _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
+                         template, peak, envelope=mode == "post")
 
 
 def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
@@ -312,44 +326,34 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
     """Velocity-filter bank -> matched filter -> detect -> merge -> maps.
 
     Each bank member's detections carry its v_f as the velocity estimate.
-    Duplicates across members (same frame, within lambda/4) keep the higher
-    score. Accumulation and the max-speed velocity map live on a grid
-    fine_factor times finer than the frame grid.
+    Members the bank routes through the TO prefilter are matched against
+    the TO template with no envelope step. Duplicates across members (same
+    frame, within lambda/4) keep the higher score. Accumulation and the
+    max-speed velocity map live on a grid fine_factor times finer than the
+    frame grid.
     """
-    if cfg is None:
-        cfg = DetectorConfig()
-    if mode not in ("pre", "post"):
-        raise ValueError(f"unsupported detection mode {mode!r}")
+    _check_mode(mode)
+    cfg = cfg or DetectorConfig()
     grid = frames.grid
-    base_template = psf_template(grid, p, mode=mode)
-    base_peak = template_autocorr_peak(base_template, grid)
-    to_template = None
-    to_peak = 0.0
+    # (template, autocorrelation peak, envelope step) keyed by used_to
+    template = psf_template(grid, p, mode=mode)
+    chains = {False: (template, template_autocorr_peak(template, grid),
+                      mode == "post")}
     if to_params is not None:
-        to_template = psf_template(grid, p, mode="to", to=to_params)
-        to_peak = template_autocorr_peak(to_template, grid)
+        template = psf_template(grid, p, mode="to", to=to_params)
+        chains[True] = (template, template_autocorr_peak(template, grid),
+                        False)
     frame_locs: list[list[Localization]] = [[] for _ in range(frames.nt)]
 
-    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack) -> int:
-        used_to = (to_params is not None and fspec.speed > 0.0
-                   and fspec.angle_from_lateral_deg
-                   <= bank.lateral_to_angle_deg)
-        template = to_template if used_to else base_template
-        peak = to_peak if used_to else base_peak
-        data = out.data
-        if mode == "post" and not used_to:
-            data = np.abs(scipy.signal.hilbert(data, axis=1))
-        n = 0
-        for t in range(out.nt):
-            corr = matched_filter_map(data[t], grid, p, template=template)
-            locs = detect(corr, grid, cfg, peak, t_index=t, v_tag=fspec.v_f,
-                          wavelength=p.wavelength)
-            frame_locs[t].extend(locs)
-            n += len(locs)
-        return n
+    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack,
+             used_to: bool) -> None:
+        per_frame = _detect_stack(out.data, grid, p, cfg, *chains[used_to],
+                                  v_tag=fspec.v_f)
+        for cands, locs in zip(frame_locs, per_frame):
+            cands.extend(locs)
 
-    run_filter_bank(frames, bank, psf_params=p, to_params=to_params,
-                    sink=sink, boundary=boundary, workers=workers)
+    run_filter_bank(frames, bank, to_params=to_params, sink=sink,
+                    boundary=boundary, workers=workers)
     merged = [_merge_frame(cands, p.wavelength / 4.0) for cands in frame_locs]
     fine = make_fine_grid(grid, fine_factor)
     acc = accumulate(merged, fine)

@@ -205,28 +205,3 @@ def measure_attenuation(before: FrameStack, after: FrameStack, pos,
         ratios.append(num / den)
     return float(np.mean(ratios))
 
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of whichever metrics a run computed (None = not evaluated)."""
-
-    le: float | None = None
-    iou: float | None = None
-    fve: float | None = None
-    attenuation: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.iou is not None and not 0.0 <= self.iou <= 1.0:
-            raise ValueError("iou out of range")
-        for name in ("le", "fve"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in ("le", "iou", "fve", "attenuation"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val if math.isfinite(val) else "inf"
-        return out

@@ -84,15 +84,6 @@ def flow_speed(vessel, rho3) -> np.ndarray:
     return np.where(np.abs(rho3) <= vessel.radius_r, np.maximum(prof, 0.0), 0.0)
 
 
-@dataclass(frozen=True)
-class Bubble:
-    """Single scatterer: 3D position/velocity (mm, mm/s) and an id."""
-
-    pos: np.ndarray
-    vel: np.ndarray
-    id: int
-
-
 @dataclass
 class BubbleSet:
     """Vectorized bubble collection: pos/vel are (n, 3) arrays."""
@@ -115,10 +106,6 @@ class BubbleSet:
 
     def copy(self) -> "BubbleSet":
         return BubbleSet(self.pos.copy(), self.vel.copy(), self.ids.copy())
-
-    def bubbles(self) -> list[Bubble]:
-        return [Bubble(self.pos[i].copy(), self.vel[i].copy(), int(self.ids[i]))
-                for i in range(len(self))]
 
 
 def empty_bubbles() -> BubbleSet:

@@ -205,24 +205,6 @@ def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
 # ---------------------------------------------------------------------------
 # Observable bubble densities across a parabolic-flow vessel.
 
-@dataclass(frozen=True)
-class DensityQuery:
-    """One (offset, speed) evaluation point tied to a vessel profile."""
-
-    rho: float
-    v: float
-    vessel: object
-
-    def apparent(self) -> float:
-        return float(apparent_density(self.rho, self.vessel))
-
-    def joint(self) -> float:
-        return float(joint_density(self.v, self.rho, self.vessel))
-
-    def filtered(self, v_f: float, delta_v: float) -> float:
-        return float(filtered_density(self.rho, v_f, delta_v, self.vessel))
-
-
 def apparent_density(rho, vessel) -> np.ndarray:
     """Projected 2D bubble density (per mm^2) at in-plane offset rho.
 

@@ -27,7 +27,11 @@ import scipy.fft
 
 from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
                    kz_lattice, omega_lattice, save_frame_stack)
-from .psf import PsfParams, ToParams, to_transfer
+from .psf import ToParams, to_transfer
+
+# Hard cap on the padded stack a 3D FFT runs on; it rejects sizes that would
+# exhaust memory or overflow the int32 indexing of some FFT backends.
+_MAX_FFT_ELEMENTS = 2**28
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,6 @@ class VelocityFilterSpec:
         if self.speed == 0.0:
             return 0.0
         return math.degrees(math.atan2(abs(self.v_f[1]), abs(self.v_f[0])))
-
-
-@dataclass(frozen=True, eq=False)
-class TransferFunction3D:
-    """H sampled on the DFT lattice of a (nt, nz, nx) stack."""
-
-    gain: np.ndarray
-    grid: Grid2D
-    nt: int
-    dt: float
-    spec: VelocityFilterSpec
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,8 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
 
 
 def build_filter(grid: Grid2D, nt: int, dt: float,
-                 spec: VelocityFilterSpec) -> TransferFunction3D:
-    """Evaluate H on the DFT lattice; gain is exactly 1 where Omega = -k.v_f."""
+                 spec: VelocityFilterSpec) -> np.ndarray:
+    """Gain H on the (nt, nz, nx) DFT lattice; exactly 1 where Omega = -k.v_f."""
     if nt < 1:
         raise ValueError("nt must be >= 1")
     kx = kx_lattice(grid)
@@ -120,8 +113,7 @@ def build_filter(grid: Grid2D, nt: int, dt: float,
     vfx, vfz = spec.v_f
     doppler = (om[:, None, None] + kx[None, None, :] * vfx
                + kz[None, :, None] * vfz)
-    gain = np.exp(-0.5 * (spec.sigma_t * doppler) ** 2)
-    return TransferFunction3D(gain=gain, grid=grid, nt=nt, dt=dt, spec=spec)
+    return np.exp(-0.5 * (spec.sigma_t * doppler) ** 2)
 
 
 def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
@@ -134,18 +126,24 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
 
     boundary "pad" zero-extends time by ceil(4 sigma_t / dt) frames per side
     and trims afterwards; "periodic" filters the raw stack circularly (all
-    axes), appropriate only for statistically stationary content.
+    axes), appropriate only for statistically stationary content. A padded
+    stack of more than _MAX_FFT_ELEMENTS samples is rejected before anything
+    is allocated.
     """
     if boundary not in ("pad", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
     pad = _pad_frames(spec, frames) if boundary == "pad" else 0
+    shape = (frames.nt + 2 * pad, frames.grid.nz, frames.grid.nx)
+    if math.prod(shape) > _MAX_FFT_ELEMENTS:
+        raise ValueError(f"padded stack {shape} exceeds the in-memory FFT "
+                         f"limit of {_MAX_FFT_ELEMENTS} samples")
     data = frames.data
     if pad:
         zeros = np.zeros((pad, frames.grid.nz, frames.grid.nx))
         data = np.concatenate([zeros, data, zeros], axis=0)
-    tf = build_filter(frames.grid, data.shape[0], frames.dt, spec)
+    gain = build_filter(frames.grid, shape[0], frames.dt, spec)
     spec_hat = scipy.fft.fftn(data, axes=(0, 1, 2), workers=workers)
-    out = scipy.fft.ifftn(spec_hat * tf.gain, axes=(0, 1, 2),
+    out = scipy.fft.ifftn(spec_hat * gain, axes=(0, 1, 2),
                           workers=workers).real
     if pad:
         out = out[pad:pad + frames.nt]
@@ -190,8 +188,7 @@ def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
                       data=np.ascontiguousarray(out))
 
 
-def apply_to_filter(frames: FrameStack, p: PsfParams,
-                    t: ToParams) -> FrameStack:
+def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     """Impose transverse oscillations by lateral k-space filtering.
 
     The gain depends on k_x only, so each frame is filtered along its rows;
@@ -207,38 +204,34 @@ def apply_to_filter(frames: FrameStack, p: PsfParams,
 
 
 def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
-                    psf_params: PsfParams | None = None,
                     to_params: ToParams | None = None,
-                    sink: Callable[[int, VelocityFilterSpec, FrameStack], object]
-                    | None = None,
+                    sink: Callable[[int, VelocityFilterSpec, FrameStack, bool],
+                                   object] | None = None,
                     boundary: str = "pad", workers: int = 1) -> list:
     """Run every filter in the bank over the same input.
 
     When to_params is given, filters selecting near-lateral directions
     (within bank.lateral_to_angle_deg of the x axis, and nonzero speed) see
     the TO-filtered stack instead of the raw one. With a sink, each output
-    is handed over as soon as it is ready and only the sink's return value
-    is kept, bounding memory to one stack at a time.
+    is handed over as sink(i, spec, out, used_to) as soon as it is ready and
+    only the sink's return value is kept, bounding memory to one stack at a
+    time; used_to tells whether that output came from the TO-filtered stack.
     """
     to_stack: FrameStack | None = None
     results: list = []
     for i, fspec in enumerate(bank.filters):
-        use_to = (to_params is not None and fspec.speed > 0.0
-                  and fspec.angle_from_lateral_deg <= bank.lateral_to_angle_deg)
-        if use_to:
-            if psf_params is None:
-                raise ValueError("TO pre-filtering needs psf_params")
-            if to_stack is None:
-                to_stack = apply_to_filter(frames, psf_params, to_params)
-            src = to_stack
-        else:
-            src = frames
+        used_to = (to_params is not None and fspec.speed > 0.0
+                   and fspec.angle_from_lateral_deg
+                   <= bank.lateral_to_angle_deg)
+        if used_to and to_stack is None:
+            to_stack = apply_to_filter(frames, to_params)
+        src = to_stack if used_to else frames
         out = apply_filter_fft(src, fspec, boundary=boundary, workers=workers)
         if sink is None:
             results.append(out)
         else:
             try:
-                results.append(sink(i, fspec, out))
+                results.append(sink(i, fspec, out, used_to))
             except OSError as exc:
                 raise OSError(f"filter bank sink failed on filter {i}: {exc}"
                               ) from exc
@@ -247,7 +240,6 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
 
 def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
                       out_dir: str | Path,
-                      psf_params: PsfParams | None = None,
                       to_params: ToParams | None = None,
                       boundary: str = "pad", workers: int = 1) -> Path:
     """run_filter_bank with a directory sink; returns the manifest path."""
@@ -255,7 +247,8 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
 
-    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack) -> Path:
+    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack,
+             used_to: bool) -> None:
         base = out_dir / f"filtered_{i:03d}"
         header, _ = save_frame_stack(out, base)
         entries.append({
@@ -263,15 +256,12 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
             "v_f_mm_s": [fspec.v_f[0], fspec.v_f[1]],
             "sigma_t_s": fspec.sigma_t,
             "window": fspec.window,
-            "to_prefilter": bool(
-                to_params is not None and fspec.speed > 0.0
-                and fspec.angle_from_lateral_deg <= bank.lateral_to_angle_deg),
+            "to_prefilter": used_to,
             "frames": header.name,
         })
-        return base
 
-    run_filter_bank(frames, bank, psf_params=psf_params, to_params=to_params,
-                    sink=sink, boundary=boundary, workers=workers)
+    run_filter_bank(frames, bank, to_params=to_params, sink=sink,
+                    boundary=boundary, workers=workers)
     manifest = out_dir / "bank_manifest.json"
     with open(manifest, "w") as fh:
         json.dump({"version": 1, "n_filters": len(bank),

@@ -213,7 +213,7 @@ def test_criterion_05_attenuation_anisotropy_and_to_gain():
     plain_out = apply_filter_fft(frames, spec_to, boundary="periodic")
     a_plain = measure_attenuation(frames, plain_out, (0.0, 0.0),
                                   window_radius=0.12)
-    to_stack = apply_to_filter(frames, P, to)
+    to_stack = apply_to_filter(frames, to)
     to_out = apply_filter_fft(to_stack, spec_to, boundary="periodic")
     a_to = measure_attenuation(to_stack, to_out, (0.0, 0.0),
                                window_radius=0.12)
@@ -462,7 +462,7 @@ def test_criterion_12_to_closed_form_matches_fft():
     grid = make_grid(129, 65, 0.05, 0.05)
     pre = render_psf(P, grid, mode="pre")
     stack = FrameStack(grid=grid, nt=1, dt=1.0, data=pre[None])
-    via_fft = apply_to_filter(stack, P, to).data[0]
+    via_fft = apply_to_filter(stack, to).data[0]
     closed = render_psf(P, grid, mode="to", to=to)
     err = float(np.max(np.abs(via_fft - closed)) / np.max(np.abs(closed)))
     assert err <= 1e-3

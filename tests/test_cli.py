@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -171,6 +173,31 @@ def test_exit_data_error_on_corrupt_stack(tmp_path, capsys):
     (out / "t_frames.f32").write_bytes(raw[: len(raw) // 2])
     assert main(["filter", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_exit_data_error_on_non_finite_stack(tmp_path, capsys):
+    # a NaN spreads over the whole stack through the 3D FFT and used to give
+    # an "ok" localize run with a header-only CSV
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    raw = np.fromfile(out / "t_frames.f32", dtype="<f4")
+    raw[(3 * 48 + 5) * 48 + 7] = np.nan
+    raw.tofile(out / "t_frames.f32")
+    assert main(["localize", "--config", str(cfg_path), "--out",
+                 str(out)]) == 3
+    assert "(t, z, x) = (3, 5, 7)" in capsys.readouterr().err
+    assert not (out / "t_locs.csv").exists()
+
+
+def test_exit_numeric_on_oversized_fft(tmp_path, capsys):
+    cfg = base_cfg()
+    cfg["filter_bank"]["sigma_t_s"] = 1e18
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
+    assert main(["filter", "--config", str(cfg_path), "--out", out]) == 4
+    assert "exceeds the in-memory FFT limit" in capsys.readouterr().err
 
 
 def test_exit_data_error_on_empty_localizations(tmp_path, capsys):
@@ -438,6 +465,47 @@ def test_threads_env_default(monkeypatch):
     monkeypatch.delenv("VELOFILT_THREADS")
     args = cli.build_parser().parse_args(["synth", "--config", "x.json"])
     assert args.threads == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines(text: str) -> list[list[str]]:
+    """argv of every `velofilt ...` line in the README's sh blocks and of
+    every inline `velofilt ...` code span, comments dropped."""
+    lines = [ln for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for ln in block.splitlines()]
+    lines += [" ".join(span.split())
+              for span in re.findall(r"`(velofilt [^`]*)`", text)]
+    return [shlex.split(ln, comments=True)[1:] for ln in lines
+            if ln.startswith("velofilt ")]
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    parser = cli.build_parser()
+    argvs = _readme_command_lines(text)
+    assert len(argvs) >= 8
+    for argv in argvs:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {argv}")
+        # argparse accepts unique prefixes; the README must spell flags out
+        for tok in argv:
+            if tok.startswith("--"):
+                assert _dest(tok) in vars(args), (tok, argv)
+    # flags named on their own in the command-line prose exist too
+    known = (set(vars(parser.parse_args(["theory"])))
+             | set(vars(parser.parse_args(["pipeline", "--config", "c"]))))
+    section = text.split("## Command line")[1].split("\n## ")[0]
+    flags = re.findall(r"`(--[\w-]+)`", section)
+    assert len(flags) >= 8
+    assert [f for f in flags if _dest(f) not in known] == []
 
 
 def _console_script_entry(name: str) -> str:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velofilt.core import (FrameStack, Grid2D, fft3, gaussian_window, ifft3,
-                           kx_lattice, kz_lattice, load_frame_stack,
-                           make_grid, omega_lattice, save_frame_stack,
-                           write_pgm)
+from velofilt.core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
+                           kz_lattice, load_frame_stack, make_grid,
+                           omega_lattice, save_frame_stack, write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -62,16 +61,6 @@ def test_fft_lattices_match_numpy():
     assert np.allclose(kz_lattice(g), 2 * np.pi * np.fft.fftfreq(6, 0.1))
     assert np.allclose(omega_lattice(10, 0.02),
                        2 * np.pi * np.fft.fftfreq(10, 0.02))
-
-
-def test_fft3_roundtrip_and_parseval():
-    stack = small_stack()
-    spec = fft3(stack)
-    back = ifft3(spec)
-    assert np.allclose(back.data, stack.data, atol=1e-12)
-    n = stack.data.size
-    assert np.sum(np.abs(spec.values) ** 2) / n == pytest.approx(
-        np.sum(stack.data**2), rel=1e-12)
 
 
 def test_gaussian_window_normalized_and_symmetric():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,8 @@ from velofilt.localize import (AccumulatedMap, DetectorConfig, Localization,
                                matched_filter_map, psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
-from velofilt.psf import PsfParams, autocorr_theory, render_psf
-from velofilt.vfilter import make_bank
+from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
+from velofilt.vfilter import apply_filter_fft, apply_to_filter, make_bank
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
 GRID = make_grid(65, 65, 0.05, 0.05)
@@ -299,3 +300,46 @@ def test_velocity_map_speed_consistent_with_components(seed):
             for _ in range(25)]
     vmap = velocity_map_from_locs(locs, fine)
     assert np.allclose(vmap.speed, np.hypot(vmap.vx, vmap.vz), atol=1e-12)
+
+
+def _two_mover_stack(nt=10, dt=0.01):
+    """A lateral and an axial mover at 1 mm/s, rendered analytically."""
+    t0 = (nt - 1) / 2 * dt
+    data = np.stack([
+        render_psf(P, GRID, center=(k * dt - t0, -0.6))
+        + render_psf(P, GRID, center=(0.5, 0.4 + (k * dt - t0)))
+        for k in range(nt)])
+    return FrameStack(grid=GRID, nt=nt, dt=dt, data=data)
+
+
+@pytest.mark.parametrize("angle, routed", [(0.0, True),
+                                           (math.pi / 2, False)])
+def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
+    # a lateral filter sees the TO-prefiltered stack and the TO template with
+    # no envelope step; any other filter keeps the post-mode envelope chain
+    frames = _two_mover_stack()
+    to = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=P.sigma_r)
+    bank = make_bank([1.0], [angle], sigma_t=0.02)
+    fspec = bank.filters[0]
+    cfg = DetectorConfig()
+    res = run_pipeline(frames, bank, P, cfg=cfg, mode="post", to_params=to)
+
+    if routed:
+        data = apply_filter_fft(apply_to_filter(frames, to), fspec).data
+        tpl = psf_template(GRID, P, mode="to", to=to)
+    else:
+        data = apply_filter_fft(frames, fspec).data
+        data = np.abs(scipy.signal.hilbert(data, axis=1))
+        tpl = psf_template(GRID, P, mode="post")
+    peak = template_autocorr_peak(tpl, GRID)
+    want = [detect(matched_filter_map(data[t], GRID, P, template=tpl), GRID,
+                   cfg, peak, t_index=t, v_tag=fspec.v_f,
+                   wavelength=P.wavelength)
+            for t in range(frames.nt)]
+
+    def key(loc):
+        return (loc.t_index, loc.pos, loc.score)
+
+    assert sum(map(len, want)) >= frames.nt
+    for got_t, want_t in zip(res.per_frame, want):
+        assert sorted(got_t, key=key) == sorted(want_t, key=key)

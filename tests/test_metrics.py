@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from velofilt.core import FrameStack, make_grid
-from velofilt.metrics import (LeParams, MetricReport, default_le_params, fve,
-                              iou, localization_error,
-                              localization_error_frames, measure_attenuation)
+from velofilt.metrics import (LeParams, default_le_params, fve, iou,
+                              localization_error, localization_error_frames,
+                              measure_attenuation)
 from velofilt.psf import PsfParams, render_psf
 
 LE = default_le_params(0.3)            # sigma_par 0.09, sigma_perp 0.045
@@ -245,15 +245,3 @@ def test_measure_attenuation_validation():
     short = FrameStack(grid=after.grid, nt=2, dt=0.01, data=after.data[:2])
     with pytest.raises(ValueError):
         measure_attenuation(before, short, (0.0, 0.0), 0.2)
-
-
-def test_metric_report_validation_and_dict():
-    with pytest.raises(ValueError):
-        MetricReport(iou=1.5)
-    with pytest.raises(ValueError):
-        MetricReport(le=-0.1)
-    rep = MetricReport(le=0.5, iou=0.9, attenuation=math.inf)
-    d = rep.to_dict()
-    assert d["le"] == 0.5
-    assert d["attenuation"] == "inf"
-    assert "fve" not in d

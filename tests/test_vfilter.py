@@ -53,20 +53,20 @@ def test_spec_validation_and_geometry():
 def test_build_filter_gain_bounds_and_ridge():
     frames = noise_stack()
     spec = VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.05)
-    tf = build_filter(frames.grid, frames.nt, frames.dt, spec)
-    assert tf.gain.shape == frames.data.shape
-    assert np.all(tf.gain <= 1.0) and np.all(tf.gain > 0.0)
-    assert tf.gain[0, 0, 0] == 1.0  # DC(k=0, Omega=0) always passes
+    gain = build_filter(frames.grid, frames.nt, frames.dt, spec)
+    assert gain.shape == frames.data.shape
+    assert np.all(gain <= 1.0) and np.all(gain > 0.0)
+    assert gain[0, 0, 0] == 1.0  # DC(k=0, Omega=0) always passes
     with pytest.raises(ValueError):
         build_filter(frames.grid, 0, frames.dt, spec)
 
 
 def test_zero_velocity_gain_is_purely_temporal():
     frames = noise_stack()
-    tf = build_filter(frames.grid, frames.nt, frames.dt,
-                      VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.05))
+    gain = build_filter(frames.grid, frames.nt, frames.dt,
+                        VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.05))
     # no spatial dependence at all
-    assert np.allclose(tf.gain, tf.gain[:, :1, :1])
+    assert np.allclose(gain, gain[:, :1, :1])
 
 
 def test_fft_path_matches_plain_dft_reference():
@@ -101,6 +101,16 @@ def test_boundary_validation():
         apply_filter_fft(frames, VelocityFilterSpec(v_f=(0.0, 0.0),
                                                     sigma_t=0.05),
                          boundary="mirror")
+
+
+def test_fft_size_checked_before_allocation():
+    # 4e18 pad frames per side: the guard must fire before the zero pad,
+    # whose allocation numpy would refuse with a different error
+    frames = noise_stack(nt=1, nz=4, nx=4, dt=1e-18)
+    spec = VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=1.0)
+    with pytest.raises(ValueError,
+                       match=r"padded stack \(\d+, 4, 4\) exceeds .* 268435456"):
+        apply_filter_fft(frames, spec)
 
 
 def test_static_content_passes_zero_velocity_filter():
@@ -168,7 +178,7 @@ def test_to_prefilter_reproduces_to_psf():
     img = render_psf(P, grid, mode="pre")
     frames = FrameStack(grid=grid, nt=2, dt=0.01,
                         data=np.repeat(img[None], 2, axis=0))
-    out = apply_to_filter(frames, P, T)
+    out = apply_to_filter(frames, T)
     want = render_psf(P, grid, mode="to", to=T)
     assert np.allclose(out.data[0], want, atol=1e-6 * P.g_e_peak)
 
@@ -207,34 +217,26 @@ def test_run_filter_bank_to_routing():
     frames = noise_stack(nt=8, nz=16, nx=16)
     bank = make_bank([1.0], [0.0, math.pi / 2], 0.05,
                      lateral_to_angle_deg=10.0)
-    outs = run_filter_bank(frames, bank, psf_params=P, to_params=T)
+    outs = run_filter_bank(frames, bank, to_params=T)
     lat_spec, ax_spec = bank.filters
-    to_frames = apply_to_filter(frames, P, T)
+    to_frames = apply_to_filter(frames, T)
     want_lat = apply_filter_fft(to_frames, lat_spec)
     want_ax = apply_filter_fft(frames, ax_spec)
     assert np.allclose(outs[0].data, want_lat.data, atol=1e-12)
     assert np.allclose(outs[1].data, want_ax.data, atol=1e-12)
 
 
-def test_run_filter_bank_to_needs_psf():
-    frames = noise_stack(nt=4, nz=6, nx=6)
-    bank = make_bank([1.0], [0.0], 0.02)
-    with pytest.raises(ValueError):
-        run_filter_bank(frames, bank, to_params=T)
-
-
 def test_save_bank_outputs_roundtrip(tmp_path):
     frames = noise_stack(nt=6, nz=8, nx=8)
     bank = make_bank([0.5], [0.0, math.pi / 2], 0.03)
-    manifest_path = save_bank_outputs(frames, bank, tmp_path,
-                                      psf_params=P, to_params=T)
+    manifest_path = save_bank_outputs(frames, bank, tmp_path, to_params=T)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["n_filters"] == 2
     assert [e["index"] for e in manifest["outputs"]] == [0, 1]
     assert manifest["outputs"][0]["to_prefilter"] is True
     assert manifest["outputs"][1]["to_prefilter"] is False
     # stored stacks match a fresh in-memory run at float32 precision
-    outs = run_filter_bank(frames, bank, psf_params=P, to_params=T)
+    outs = run_filter_bank(frames, bank, to_params=T)
     for entry, want in zip(manifest["outputs"], outs):
         got = load_frame_stack(tmp_path / f"filtered_{entry['index']:03d}")
         assert np.allclose(got.data, want.data, atol=1e-6)
