@@ -557,11 +557,12 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
     n_truth = sum(f.shape[0] for f in gt.point_frames)
     if n_truth:
         truth_frames = [f[:, 1:3] for f in gt.point_frames]
-        est_frames = [np.empty((0, 2)) for _ in gt.point_frames]
+        est_pos: list[list[tuple]] = [[] for _ in gt.point_frames]
         for loc in locs:
-            if 0 <= loc.t_index < len(est_frames):
-                est_frames[loc.t_index] = np.vstack(
-                    [est_frames[loc.t_index], loc.pos])
+            if 0 <= loc.t_index < len(est_pos):
+                est_pos[loc.t_index].append(loc.pos)
+        est_frames = [np.array(pos, dtype=np.float64).reshape(-1, 2)
+                      for pos in est_pos]
         le_par = LeParams(sigma_par=sig_par, sigma_perp=sig_perp, theta=theta)
         factor = max(1, math.ceil(grid.dx / (sig_perp / 4.0)))
         le_grid = make_fine_grid(grid, factor)

@@ -184,6 +184,14 @@ def save_frame_stack(stack: FrameStack, base: str | Path) -> tuple[Path, Path]:
     return json_path, raw_path
 
 
+def check_finite(data: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite (t, z, x) of a stack."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        t, z, x = (int(i) for i in bad[0])
+        raise ValueError(f"non-finite sample at (t, z, x) = ({t}, {z}, {x})")
+
+
 def load_frame_stack(base: str | Path) -> FrameStack:
     """Read a stack written by save_frame_stack; validates header, size and
     that every sample is finite."""
@@ -205,10 +213,7 @@ def load_frame_stack(base: str | Path) -> FrameStack:
         raise ValueError(
             f"raw payload has {raw.size} samples, header implies {nx * nz * nt}")
     data = raw.astype(np.float64).reshape(nt, nz, nx)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        t, z, x = (int(i) for i in bad[0])
-        raise ValueError(f"non-finite sample at (t, z, x) = ({t}, {z}, {x})")
+    check_finite(data)
     return FrameStack(grid=grid, nt=nt, dt=header["dt_s"], data=data)
 
 

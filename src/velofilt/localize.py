@@ -24,10 +24,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.ndimage
-import scipy.signal
 
-from .core import FrameStack, Grid2D, make_grid
+from .core import FrameStack, Grid2D, check_finite, make_grid
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, VelocityFilterSpec, run_filter_bank
 
@@ -103,7 +103,15 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D, p: PsfParams,
         template = psf_template(grid, p, mode=mode, to=to)
     if template.shape[0] > frame.shape[0] or template.shape[1] > frame.shape[1]:
         raise ValueError("template larger than frame")
-    corr = scipy.signal.fftconvolve(frame, template[::-1, ::-1], mode="same")
+    # full linear correlation on a real-FFT-friendly padded shape, then the
+    # centred frame-sized window (the arithmetic of fftconvolve mode="same")
+    full = [n + m - 1 for n, m in zip(frame.shape, template.shape)]
+    fshape = [scipy.fft.next_fast_len(n, real=True) for n in full]
+    spec = (scipy.fft.rfftn(frame, fshape)
+            * scipy.fft.rfftn(template[::-1, ::-1], fshape))
+    corr = scipy.fft.irfftn(spec, fshape)
+    z0, x0 = ((f - n) // 2 for f, n in zip(full, frame.shape))
+    corr = corr[z0:z0 + frame.shape[0], x0:x0 + frame.shape[1]]
     return corr * (grid.dx * grid.dz)
 
 
@@ -279,6 +287,17 @@ def _merge_frame(cands: Sequence[Localization], radius: float
     return kept
 
 
+def _envelope_z(data: np.ndarray) -> np.ndarray:
+    """Magnitude of the analytic signal along axis 1 (z): keep the DC bin
+    (and the Nyquist bin for even nz), double the positive frequencies and
+    zero the negative ones."""
+    n = data.shape[1]
+    spec = scipy.fft.fft(data, axis=1)
+    spec[:, 1:(n + 1) // 2] *= 2.0
+    spec[:, n // 2 + 1:] = 0.0
+    return np.abs(scipy.fft.ifft(spec, axis=1))
+
+
 def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
                   cfg: DetectorConfig, template: np.ndarray, peak: float,
                   envelope: bool,
@@ -290,7 +309,7 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
     signal along z), as the post-mode chain does.
     """
     if envelope:
-        data = np.abs(scipy.signal.hilbert(data, axis=1))
+        data = _envelope_z(data)
     out: list[list[Localization]] = []
     for t in range(data.shape[0]):
         corr = matched_filter_map(data[t], grid, p, template=template)
@@ -313,6 +332,7 @@ def localize_frames(frames: FrameStack, p: PsfParams,
     threshold, and refinement, applied to the raw stack.
     """
     _check_mode(mode)
+    check_finite(frames.data)
     template = psf_template(frames.grid, p, mode=mode)
     peak = template_autocorr_peak(template, frames.grid)
     return _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
@@ -330,9 +350,11 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
     the TO template with no envelope step. Duplicates across members (same
     frame, within lambda/4) keep the higher score. Accumulation and the
     max-speed velocity map live on a grid fine_factor times finer than the
-    frame grid.
+    frame grid. A stack with a non-finite sample is rejected before any
+    filtering.
     """
     _check_mode(mode)
+    check_finite(frames.data)
     cfg = cfg or DetectorConfig()
     grid = frames.grid
     # (template, autocorrelation peak, envelope step) keyed by used_to

@@ -451,6 +451,21 @@ def test_theory_acq_time_bound(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Parser plumbing.
 
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal pulls in scipy.stats and scipy.interpolate, about 1 s of
+    # every command's start-up; the package computes without it
+    src_root = str(Path(velofilt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_root, env.get("PYTHONPATH")]))
+    code = ("import sys, velofilt.cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from velofilt.core import FrameStack, make_grid
 from velofilt.localize import (AccumulatedMap, DetectorConfig, Localization,
-                               accumulate, detect, load_localizations_csv,
-                               localize_frames, make_fine_grid,
-                               matched_filter_map, psf_template, run_pipeline,
+                               _envelope_z, accumulate, detect,
+                               load_localizations_csv, localize_frames,
+                               make_fine_grid, matched_filter_map,
+                               psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
@@ -343,3 +344,40 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
     assert sum(map(len, want)) >= frames.nt
     for got_t, want_t in zip(res.per_frame, want):
         assert sorted(got_t, key=key) == sorted(want_t, key=key)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (63, 65), (50, 41)])
+def test_matched_filter_map_matches_fftconvolve(shape):
+    # an asymmetric template catches a flipped or shifted correlation
+    rng = np.random.default_rng(sum(shape))
+    frame = rng.normal(size=shape)
+    grid = make_grid(shape[1], shape[0], 0.05, 0.07)
+    for tshape in [(7, 5), (4, 6), (9, 9)]:
+        tpl = rng.normal(size=tshape)
+        got = matched_filter_map(frame, grid, P, template=tpl)
+        want = scipy.signal.fftconvolve(frame, tpl[::-1, ::-1],
+                                        mode="same") * (grid.dx * grid.dz)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nz", [32, 33])
+def test_envelope_matches_hilbert(nz):
+    data = np.random.default_rng(nz).normal(size=(4, nz, 12))
+    assert np.array_equal(_envelope_z(data),
+                          np.abs(scipy.signal.hilbert(data, axis=1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stack_rejected_before_filtering(bad, monkeypatch):
+    frames = _two_mover_stack()
+    frames.data[4, 6, 2] = bad
+    bank = make_bank([1.0], [0.0], sigma_t=0.02)
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("filter bank ran on a non-finite stack")
+
+    monkeypatch.setattr("velofilt.localize.run_filter_bank", no_bank)
+    with pytest.raises(ValueError, match=r"\(t, z, x\) = \(4, 6, 2\)"):
+        run_pipeline(frames, bank, P)
+    with pytest.raises(ValueError, match=r"\(t, z, x\) = \(4, 6, 2\)"):
+        localize_frames(frames, P)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import localization_error_raster
 
 from velofilt.core import FrameStack, make_grid
 from velofilt.metrics import (LeParams, default_le_params, fve, iou,
@@ -115,6 +116,36 @@ def test_le_frames_overrides_bubble_count():
     want = 2.0 * (1.0 + math.exp(-quad / 4.0))
     assert localization_error_frames(truth, est, LE, LE_GRID) == \
         pytest.approx(want, rel=0.01)
+
+
+def test_le_matches_spatial_raster_oracle():
+    # the cases alternate between flow angles and between grids, so a kernel
+    # spectrum cached under the wrong key is caught; grid_b's FFT width is
+    # even, so its half-spectrum has a Nyquist column
+    grid_b = make_grid(56, 61, 0.01, 0.0095)
+    cases = [(LE, LE_GRID),
+             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), LE_GRID),
+             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), grid_b),
+             (LeParams(0.08, 0.044, theta=-1.1), grid_b)]
+    rng = np.random.default_rng(20)
+    for _ in range(2):
+        for le, grid in cases:
+            x_end = grid.x0 + grid.dx * (grid.nx - 1)
+            z_end = grid.z0 + grid.dz * (grid.nz - 1)
+            # on the last sample, half a pixel past it, and well outside
+            edge = np.array([[x_end, 0.0], [0.0, z_end],
+                             [x_end + grid.dx / 2, 0.1],
+                             [-0.1, z_end + grid.dz / 2],
+                             [grid.x0 - grid.dx / 2, grid.z0], [0.5, -0.5]])
+            truth = rng.uniform(-0.25, 0.25, size=(rng.integers(1, 12), 2))
+            est = truth + rng.normal(scale=0.01, size=truth.shape)
+            for t_pts, e_pts in [(truth, est),
+                                 (truth, np.vstack([est, edge])),
+                                 (np.vstack([truth, edge[:2]]), est[1:]),
+                                 (truth, np.empty((0, 2)))]:
+                want = localization_error_raster(t_pts, e_pts, le, grid)
+                got = localization_error(t_pts, e_pts, le, grid)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_iou_identities():
