@@ -71,7 +71,7 @@ def main():
     t0 = time.time()
     res = run_pipeline(frames, bank, p,
                        cfg=DetectorConfig(threshold_fraction=args.threshold),
-                       mode="post", fine_factor=1)
+                       mode="post")
     checkpoints = [int(k * args.nt) for k in (0.25, 0.5, 0.75, 1.0)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

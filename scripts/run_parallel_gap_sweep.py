@@ -31,7 +31,7 @@ import numpy as np
 from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
                                run_pipeline, segment_support)
-from velofilt.metrics import (default_le_params, iou,
+from velofilt.metrics import (default_le_params, iou, le_grid,
                              localization_error_frames)
 from velofilt.phantom import (BubbleSet, MotionSpec, VesselSpec,
                               default_vessel_length, sample_bubbles,
@@ -57,10 +57,7 @@ def frame_le(per_frame, gt, le, grid):
     truth = [f[:, 1:3] for f in gt.point_frames]
     est = [np.array([loc.pos for loc in fr]).reshape(-1, 2)
            for fr in per_frame]
-    factor = max(1, math.ceil(grid.dx / (le.sigma_perp / 4.0)))
-    from velofilt.localize import make_fine_grid
-    return localization_error_frames(truth, est, le,
-                                     make_fine_grid(grid, factor),
+    return localization_error_frames(truth, est, le, le_grid(grid, le),
                                      frame_step=4)
 
 
@@ -103,8 +100,7 @@ def main():
         frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid,
                                        args.nt, args.dt, p, vessels=vessels)
         truth = gt.support_mask
-        res = run_pipeline(frames, bank, p, cfg=cfg, mode="post",
-                           fine_factor=1)
+        res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
         raw = localize_frames(frames, p, cfg=cfg, mode="post")
         i_vf = iou(segment_support(accumulate(res.per_frame, grid)), truth)
         i_raw = iou(segment_support(accumulate(raw, grid)), truth)

@@ -91,8 +91,7 @@ def main():
                                        noise_std=args.noise, rng=rng)
         truth = gt.support_mask
         t0 = time.time()
-        res = run_pipeline(frames, bank, p, cfg=cfg, mode="post",
-                           fine_factor=1)
+        res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
         raw = localize_frames(frames, p, cfg=cfg, mode="post")
         curves[f"vf_{label}"] = iou_curve(res.per_frame, truth, grid,
                                           checkpoints)

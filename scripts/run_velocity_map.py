@@ -64,7 +64,7 @@ def main():
     frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid,
                                    args.nt, args.dt, p, vessels=[vessel])
     t0 = time.time()
-    res = run_pipeline(frames, bank, p, cfg=DetectorConfig(), fine_factor=1)
+    res = run_pipeline(frames, bank, p, cfg=DetectorConfig())
     locs = [loc for fr in res.per_frame for loc in fr]
     vmap = velocity_map_from_locs(locs, grid)
 

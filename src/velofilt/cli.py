@@ -4,9 +4,9 @@ One JSON config describes an experiment end to end: PSF, grid, phantom,
 motion, filter bank, detector, metrics. Subcommands run single stages
 (`synth`, `filter`, `localize`, `accumulate`, `metrics`) against a working
 directory, `pipeline` chains them, and `theory` emits closed-form tables
-without any simulation. Every run appends to a manifest recording the
-config hash, seed, per-stage wall time, and artifact checksums; identical
-(config, seed, version) runs reproduce identical checksums.
+without any simulation. Every run appends to a manifest recording each
+stage's wall time, seed and config hash, and the artifact checksums;
+identical (config, seed, version) runs reproduce identical checksums.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -21,18 +21,20 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from . import __version__
-from .core import (FrameStack, Grid2D, load_frame_stack, make_grid,
-                   save_frame_stack, write_pgm)
+from .core import (FrameStack, Grid2D, load_frame_stack, make_fine_grid,
+                   make_grid, save_frame_stack, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
-                       make_fine_grid, run_pipeline, save_localizations_csv,
-                       segment_support, velocity_map_from_locs)
-from .metrics import LeParams, fve, iou, localization_error_frames
+                       run_pipeline, save_localizations_csv, segment_support,
+                       velocity_map_from_locs)
+from .metrics import (default_le_params, fve, iou, le_grid,
+                      localization_error_frames)
 from .phantom import (BubbleSet, CircularBandSpec, MotionSpec, VesselSpec,
                       circular_support_mask, circular_velocity_map,
                       default_vessel_length, empty_bubbles, from_plane,
@@ -43,8 +45,8 @@ from .psf import PsfParams, ToParams
 from .theory import (AcqBoundInput, acquisition_time_bound, apparent_density,
                      attenuation_pre, filtered_density, make_noise_spec,
                      nrf_bound, to_attenuation, velocity_bandwidth)
-from .vfilter import (FilterBankSpec, VelocityFilterSpec, make_bank,
-                      save_bank_outputs, tile_speeds)
+from .vfilter import (FilterBankSpec, make_bank, save_bank_outputs,
+                      tile_speeds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -253,36 +255,30 @@ def _grid_from(cfg: dict) -> Grid2D:
     return make_grid(g["nx"], g["nz"], g["dx_mm"], g["dz_mm"])
 
 
-def _build_phantom(cfg: dict, rng: np.random.Generator):
-    """Returns (bubbles, motion, vessels, band).
+def _phantom_geometry(cfg: dict
+                      ) -> tuple[list[VesselSpec], CircularBandSpec | None]:
+    """Vessels, with their lengths resolved, and orbit band of the phantom;
+    grid_bubbles has neither.
 
     Domain constraints the schema cannot express (e.g. orbit radius vs
     band radius) surface as ConfigError, not a numeric failure.
     """
     try:
-        return _build_phantom_inner(cfg, rng)
+        return _phantom_geometry_inner(cfg)
     except ValueError as exc:
         raise ConfigError(f"phantom: {exc}") from exc
 
 
-def _build_phantom_inner(cfg: dict, rng: np.random.Generator):
+def _phantom_geometry_inner(cfg: dict):
     ph = cfg["phantom"]
     kind = ph["kind"]
     if kind == "grid_bubbles":
-        pos = np.asarray(ph["positions_mm"], dtype=np.float64)
-        vel = np.asarray(ph["velocities_mm_s"], dtype=np.float64)
-        if pos.shape != vel.shape:
-            raise ConfigError("positions_mm and velocities_mm_s differ "
-                              "in length")
-        bubbles = from_plane(pos, vel) if pos.size else empty_bubbles()
-        return bubbles, MotionSpec("linear"), [], None
+        return [], None
     if kind == "circular":
-        band = CircularBandSpec(orbit_radius=ph["orbit_radius_mm"],
-                                radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
-                                c_mb=ph["c_mb_per_mm3"],
-                                spin=ph.get("spin", 1))
-        bubbles = sample_circular_bubbles(band, rng)
-        return bubbles, MotionSpec("circular", center=band.center), [], band
+        return [], CircularBandSpec(orbit_radius=ph["orbit_radius_mm"],
+                                    radius_r=ph["radius_mm"],
+                                    v0=ph["v0_mm_s"], c_mb=ph["c_mb_per_mm3"],
+                                    spin=ph.get("spin", 1))
     length = ph.get("length_mm")
     if kind == "crossing_vessels":
         vessels = [
@@ -318,25 +314,43 @@ def _build_phantom_inner(cfg: dict, rng: np.random.Generator):
                               length=length)]
     else:  # pragma: no cover - schema forbids
         raise ConfigError(f"unknown phantom kind {kind!r}")
-    grid = _grid_from(cfg)
-    p = _psf_from(cfg)
-    parts = []
-    next_id = 0
-    resolved = []
-    for v in vessels:
-        myl = v.length if v.length is not None else default_vessel_length(
-            v, grid, p)
-        v = VesselSpec(radius_r=v.radius_r, v0=v.v0, c_mb=v.c_mb,
-                       axis_angle_rad=v.axis_angle_rad, center=v.center,
-                       length=myl)
-        resolved.append(v)
-        part = sample_bubbles(v, rng, id_start=next_id)
-        next_id += len(part)
-        parts.append(part)
+    if length is None:
+        grid = _grid_from(cfg)
+        p = _psf_from(cfg)
+        vessels = [replace(v, length=default_vessel_length(v, grid, p))
+                   for v in vessels]
+    return vessels, None
+
+
+def _build_phantom(cfg: dict, rng: np.random.Generator):
+    """Returns (bubbles, motion, vessels, band), drawing the bubbles from
+    rng vessel by vessel."""
+    vessels, band = _phantom_geometry(cfg)
+    ph = cfg["phantom"]
+    if ph["kind"] == "grid_bubbles":
+        pos = np.asarray(ph["positions_mm"], dtype=np.float64)
+        vel = np.asarray(ph["velocities_mm_s"], dtype=np.float64)
+        if pos.shape != vel.shape:
+            raise ConfigError("positions_mm and velocities_mm_s differ "
+                              "in length")
+        bubbles = from_plane(pos, vel) if pos.size else empty_bubbles()
+        return bubbles, MotionSpec("linear"), [], None
+    try:
+        if band is not None:
+            return (sample_circular_bubbles(band, rng),
+                    MotionSpec("circular", center=band.center), [], band)
+        parts = []
+        next_id = 0
+        for v in vessels:
+            part = sample_bubbles(v, rng, id_start=next_id)
+            next_id += len(part)
+            parts.append(part)
+    except ValueError as exc:
+        raise ConfigError(f"phantom: {exc}") from exc
     bubbles = BubbleSet(np.vstack([q.pos for q in parts]),
                         np.vstack([q.vel for q in parts]),
                         np.concatenate([q.ids for q in parts]))
-    return bubbles, MotionSpec("linear"), resolved, None
+    return bubbles, MotionSpec("linear"), vessels, None
 
 
 def _bank_from(cfg: dict, p: PsfParams) -> FilterBankSpec:
@@ -344,7 +358,8 @@ def _bank_from(cfg: dict, p: PsfParams) -> FilterBankSpec:
     sigma_t = fb["sigma_t_s"]
     angles = [math.radians(a) for a in fb["angles_deg"]]
     speeds = fb.get("speeds_mm_s", "auto")
-    lat = fb.get("lateral_to_angle_deg", 10.0)
+    lat = fb.get("lateral_to_angle_deg",
+                 FilterBankSpec.lateral_to_angle_deg)
     if speeds == "auto":
         v_max = fb.get("v_max_mm_s")
         if v_max is None:
@@ -354,21 +369,20 @@ def _bank_from(cfg: dict, p: PsfParams) -> FilterBankSpec:
         for a in angles:
             th = abs(a) % math.pi
             pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
-            for s in tile_speeds(v_max, pb.delta_v):
-                filters.append(VelocityFilterSpec(
-                    v_f=(s * math.cos(a), s * math.sin(a)), sigma_t=sigma_t))
+            filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
+                                 sigma_t).filters
         return FilterBankSpec(filters=tuple(filters),
                               lateral_to_angle_deg=lat)
     return make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
 
 
-def _detector_from(cfg: dict) -> tuple[DetectorConfig, int, str]:
+def _detector_from(cfg: dict) -> tuple[DetectorConfig, str]:
     det = cfg.get("detector", {})
     dcfg = DetectorConfig(
         threshold_fraction=det.get("threshold_fraction", 0.5),
         min_separation=det.get("min_separation_mm"),
         subpixel=det.get("subpixel", True))
-    return dcfg, det.get("fine_factor", 4), det.get("mode", "pre")
+    return dcfg, det.get("mode", "pre")
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +416,10 @@ def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
         with open(man_path) as fh:
             manifest = json.load(fh)
     else:
-        manifest = {"tool_version": __version__, "seed": seed,
-                    "config_sha256": _config_hash(cfg), "stages": {},
-                    "artifacts": {}}
-    manifest["stages"][stage] = {"wall_s": round(wall_s, 3)}
+        manifest = {"tool_version": __version__, "stages": {}, "artifacts": {}}
+    run = {"seed": seed, "config_sha256": _config_hash(cfg)}
+    manifest.update(run)
+    manifest["stages"][stage] = {"wall_s": round(wall_s, 3), **run}
     for art in artifacts:
         manifest["artifacts"][str(art.relative_to(out))] = _sha256_file(art)
     _atomic_write_json(manifest, man_path)
@@ -452,15 +466,9 @@ def _stage_filter(cfg: dict, out: Path, workers: int) -> list[Path]:
                           "first or pass --out of a synth run)")
     frames = _load_stack(base)
     bank = _bank_from(cfg, p)
-    manifest = save_bank_outputs(
+    return save_bank_outputs(
         frames, bank, out / f"{prefix}_filtered", to_params=to,
         boundary=cfg["filter_bank"].get("boundary", "pad"), workers=workers)
-    arts = [manifest]
-    with open(manifest) as fh:
-        for entry in json.load(fh)["outputs"]:
-            stem = out / f"{prefix}_filtered" / entry["frames"]
-            arts += [stem, stem.with_suffix(".f32")]
-    return arts
 
 
 def _stage_localize(cfg: dict, out: Path, workers: int) -> list[Path]:
@@ -472,9 +480,9 @@ def _stage_localize(cfg: dict, out: Path, workers: int) -> list[Path]:
         raise ConfigError(f"missing input stack {base}.json")
     frames = _load_stack(base)
     bank = _bank_from(cfg, p)
-    dcfg, fine_factor, det_mode = _detector_from(cfg)
+    dcfg, det_mode = _detector_from(cfg)
     result = run_pipeline(frames, bank, p, cfg=dcfg, mode=det_mode,
-                          to_params=to, fine_factor=fine_factor,
+                          to_params=to,
                           boundary=cfg["filter_bank"].get("boundary", "pad"),
                           workers=workers)
     return [save_localizations_csv(result.per_frame,
@@ -488,8 +496,7 @@ def _stage_accumulate(cfg: dict, out: Path) -> list[Path]:
         raise ConfigError(f"missing localizations {locs_path}")
     locs = load_localizations_csv(locs_path)
     grid = _grid_from(cfg)
-    _, fine_factor, _ = _detector_from(cfg)
-    fine = make_fine_grid(grid, fine_factor)
+    fine = make_fine_grid(grid, cfg.get("detector", {}).get("fine_factor", 4))
     acc = accumulate(locs, fine)
     vmap = velocity_map_from_locs(locs, fine)
     mask = segment_support(acc)
@@ -508,9 +515,7 @@ def _stage_accumulate(cfg: dict, out: Path) -> list[Path]:
 
 def _truth_geometry(cfg: dict, fine: Grid2D):
     """Support mask and velocity map implied by the phantom geometry."""
-    ph = cfg["phantom"]
-    rng = np.random.default_rng(0)   # geometry only; sampling not used
-    _, _, vessels, band = _build_phantom(cfg, rng)
+    vessels, band = _phantom_geometry(cfg)
     if band is not None:
         return (circular_support_mask(band, fine),
                 circular_velocity_map(band, fine))
@@ -551,9 +556,6 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
             report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
                                                     fastest_q=q)
 
-    sig_par = mcfg.get("le_sigma_par_mm", 0.3 * p.wavelength)
-    sig_perp = mcfg.get("le_sigma_perp_mm", 0.15 * p.wavelength)
-    theta = math.radians(mcfg.get("flow_angle_deg", 0.0))
     n_truth = sum(f.shape[0] for f in gt.point_frames)
     if n_truth:
         truth_frames = [f[:, 1:3] for f in gt.point_frames]
@@ -563,11 +565,13 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
                 est_pos[loc.t_index].append(loc.pos)
         est_frames = [np.array(pos, dtype=np.float64).reshape(-1, 2)
                       for pos in est_pos]
-        le_par = LeParams(sigma_par=sig_par, sigma_perp=sig_perp, theta=theta)
-        factor = max(1, math.ceil(grid.dx / (sig_perp / 4.0)))
-        le_grid = make_fine_grid(grid, factor)
+        le_par = default_le_params(
+            p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
+        le_par = replace(
+            le_par, sigma_par=mcfg.get("le_sigma_par_mm", le_par.sigma_par),
+            sigma_perp=mcfg.get("le_sigma_perp_mm", le_par.sigma_perp))
         report["le"] = localization_error_frames(truth_frames, est_frames,
-                                                 le_par, le_grid)
+                                                 le_par, le_grid(grid, le_par))
     report["n_localizations"] = len(locs)
     report["n_truth_points"] = int(n_truth)
 

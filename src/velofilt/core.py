@@ -72,6 +72,17 @@ def make_grid(nx: int, nz: int, dx: float, dz: float,
     return Grid2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=x0, z0=z0)
 
 
+def make_fine_grid(grid: Grid2D, factor: int = 4) -> Grid2D:
+    """Subdivide each pixel factor x factor, covering the same extent."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    dxf = grid.dx / factor
+    dzf = grid.dz / factor
+    return Grid2D(nx=grid.nx * factor, nz=grid.nz * factor, dx=dxf, dz=dzf,
+                  x0=grid.x0 - grid.dx / 2.0 + dxf / 2.0,
+                  z0=grid.z0 - grid.dz / 2.0 + dzf / 2.0)
+
+
 @dataclass
 class FrameStack:
     """Movie of frames on a Grid2D; data has shape (nt, nz, nx), t-major."""

@@ -29,7 +29,7 @@ import scipy.ndimage
 
 from .core import FrameStack, Grid2D, check_finite, make_grid
 from .psf import PsfParams, ToParams, render_psf
-from .vfilter import FilterBankSpec, VelocityFilterSpec, run_filter_bank
+from .vfilter import FilterBankSpec, run_filter_bank
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,14 @@ def template_autocorr_peak(template: np.ndarray, grid: Grid2D) -> float:
     return float(np.sum(template**2) * grid.dx * grid.dz)
 
 
-def matched_filter_map(frame: np.ndarray, grid: Grid2D, p: PsfParams,
-                       mode: str = "pre", to: ToParams | None = None,
-                       template: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlate one frame with the PSF template (zero-padded edges).
+def matched_filter_map(frame: np.ndarray, grid: Grid2D,
+                       template: np.ndarray) -> np.ndarray:
+    """Cross-correlate one frame with a template (zero-padded edges).
 
     Scaled by the pixel area so values approximate the continuous
     correlation integral and compare directly against the closed-form
     autocorrelation peak.
     """
-    if template is None:
-        template = psf_template(grid, p, mode=mode, to=to)
     if template.shape[0] > frame.shape[0] or template.shape[1] > frame.shape[1]:
         raise ValueError("template larger than frame")
     # full linear correlation on a real-FFT-friendly padded shape, then the
@@ -193,17 +190,6 @@ class VelocityMap:
     vz: np.ndarray
 
 
-def make_fine_grid(grid: Grid2D, factor: int = 4) -> Grid2D:
-    """Subdivide each pixel factor x factor, covering the same extent."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    dxf = grid.dx / factor
-    dzf = grid.dz / factor
-    return Grid2D(nx=grid.nx * factor, nz=grid.nz * factor, dx=dxf, dz=dzf,
-                  x0=grid.x0 - grid.dx / 2.0 + dxf / 2.0,
-                  z0=grid.z0 - grid.dz / 2.0 + dzf / 2.0)
-
-
 def _flatten(locs: Iterable) -> list[Localization]:
     flat: list[Localization] = []
     for item in locs:
@@ -265,13 +251,11 @@ def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: filter bank -> detect -> merge -> accumulate.
+# Full pipeline: filter bank -> detect -> merge.
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     per_frame: list[list[Localization]]
-    acc: AccumulatedMap
-    vmap: VelocityMap
 
 
 def _merge_frame(cands: Sequence[Localization], radius: float
@@ -312,7 +296,7 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
         data = _envelope_z(data)
     out: list[list[Localization]] = []
     for t in range(data.shape[0]):
-        corr = matched_filter_map(data[t], grid, p, template=template)
+        corr = matched_filter_map(data[t], grid, template)
         out.append(detect(corr, grid, cfg, peak, t_index=t, v_tag=v_tag,
                           wavelength=p.wavelength))
     return out
@@ -341,17 +325,15 @@ def localize_frames(frames: FrameStack, p: PsfParams,
 
 def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
                  cfg: DetectorConfig | None = None, mode: str = "pre",
-                 to_params: ToParams | None = None, fine_factor: int = 4,
+                 to_params: ToParams | None = None,
                  boundary: str = "pad", workers: int = 1) -> PipelineResult:
-    """Velocity-filter bank -> matched filter -> detect -> merge -> maps.
+    """Velocity-filter bank -> matched filter -> detect -> merge.
 
     Each bank member's detections carry its v_f as the velocity estimate.
     Members the bank routes through the TO prefilter are matched against
     the TO template with no envelope step. Duplicates across members (same
-    frame, within lambda/4) keep the higher score. Accumulation and the
-    max-speed velocity map live on a grid fine_factor times finer than the
-    frame grid. A stack with a non-finite sample is rejected before any
-    filtering.
+    frame, within lambda/4) keep the higher score. A stack with a
+    non-finite sample is rejected before any filtering.
     """
     _check_mode(mode)
     check_finite(frames.data)
@@ -366,21 +348,15 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
         chains[True] = (template, template_autocorr_peak(template, grid),
                         False)
     frame_locs: list[list[Localization]] = [[] for _ in range(frames.nt)]
-
-    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack,
-             used_to: bool) -> None:
+    for _, fspec, out, used_to in run_filter_bank(
+            frames, bank, to_params=to_params, boundary=boundary,
+            workers=workers):
         per_frame = _detect_stack(out.data, grid, p, cfg, *chains[used_to],
                                   v_tag=fspec.v_f)
         for cands, locs in zip(frame_locs, per_frame):
             cands.extend(locs)
-
-    run_filter_bank(frames, bank, to_params=to_params, sink=sink,
-                    boundary=boundary, workers=workers)
-    merged = [_merge_frame(cands, p.wavelength / 4.0) for cands in frame_locs]
-    fine = make_fine_grid(grid, fine_factor)
-    acc = accumulate(merged, fine)
-    vmap = velocity_map_from_locs(merged, fine)
-    return PipelineResult(per_frame=merged, acc=acc, vmap=vmap)
+    return PipelineResult(per_frame=[_merge_frame(cands, p.wavelength / 4.0)
+                                     for cands in frame_locs])
 
 
 # ---------------------------------------------------------------------------

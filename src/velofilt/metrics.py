@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
-from .core import FrameStack, Grid2D
+from .core import FrameStack, Grid2D, make_fine_grid
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,16 @@ def default_le_params(wavelength: float, theta: float = 0.0,
                       n_bubbles_t: int = 1) -> LeParams:
     return LeParams(sigma_par=0.3 * wavelength, sigma_perp=0.15 * wavelength,
                     theta=theta, n_bubbles_t=n_bubbles_t)
+
+
+def le_grid(grid: Grid2D, le: LeParams) -> Grid2D:
+    """grid subdivided by ceil(max(dx, dz) / (sigma_perp/4)), so both
+    spacings are sigma_perp/4 or finer, as localization_error requires."""
+    coarse = max(grid.dx, grid.dz)
+    factor = max(1, math.ceil(coarse / (le.sigma_perp / 4.0)))
+    if coarse / factor > le.sigma_perp / 4.0:   # the ceil rounded down
+        factor += 1
+    return make_fine_grid(grid, factor)
 
 
 def _splat_difference(est: np.ndarray, truth: np.ndarray, grid: Grid2D,
@@ -133,7 +143,7 @@ def localization_error(truth_points, est_points, le: LeParams,
     if le.n_bubbles_t <= 0:
         raise ValueError("n_bubbles_t must be positive")
     if grid.dx > le.sigma_perp / 4.0 or grid.dz > le.sigma_perp / 4.0:
-        raise ValueError("evaluation grid too coarse: need dx <= sigma_perp/4")
+        raise ValueError("evaluation grid too coarse: dx or dz > sigma_perp/4")
     truth_points = np.asarray(truth_points, dtype=np.float64).reshape(-1, 2)
     est_points = np.asarray(est_points, dtype=np.float64).reshape(-1, 2)
     fshape, power = _le_kernel_power(le.sigma_par, le.sigma_perp, le.theta,

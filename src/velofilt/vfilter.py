@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.fft
@@ -78,7 +78,8 @@ class FilterBankSpec:
 
 
 def make_bank(speeds: Sequence[float], angles_rad: Sequence[float],
-              sigma_t: float, lateral_to_angle_deg: float = 10.0
+              sigma_t: float,
+              lateral_to_angle_deg: float = FilterBankSpec.lateral_to_angle_deg
               ) -> FilterBankSpec:
     """Speed x direction grid of filters sharing one window width."""
     filters = tuple(
@@ -205,20 +206,19 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
 
 def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
                     to_params: ToParams | None = None,
-                    sink: Callable[[int, VelocityFilterSpec, FrameStack, bool],
-                                   object] | None = None,
-                    boundary: str = "pad", workers: int = 1) -> list:
-    """Run every filter in the bank over the same input.
+                    boundary: str = "pad", workers: int = 1
+                    ) -> Iterator[tuple[int, VelocityFilterSpec, FrameStack,
+                                        bool]]:
+    """Run every filter in the bank over the same input, one at a time.
 
-    When to_params is given, filters selecting near-lateral directions
-    (within bank.lateral_to_angle_deg of the x axis, and nonzero speed) see
-    the TO-filtered stack instead of the raw one. With a sink, each output
-    is handed over as sink(i, spec, out, used_to) as soon as it is ready and
-    only the sink's return value is kept, bounding memory to one stack at a
-    time; used_to tells whether that output came from the TO-filtered stack.
+    Yields (i, spec, out, used_to) in bank order, each output as soon as it
+    is ready; the generator keeps no reference to an output, so memory is
+    bounded by what the caller keeps. When to_params is given, filters
+    selecting near-lateral directions (within bank.lateral_to_angle_deg of
+    the x axis, and nonzero speed) see the TO-filtered stack instead of the
+    raw one; used_to tells whether out came from it.
     """
     to_stack: FrameStack | None = None
-    results: list = []
     for i, fspec in enumerate(bank.filters):
         used_to = (to_params is not None and fspec.speed > 0.0
                    and fspec.angle_from_lateral_deg
@@ -226,31 +226,30 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
         if used_to and to_stack is None:
             to_stack = apply_to_filter(frames, to_params)
         src = to_stack if used_to else frames
-        out = apply_filter_fft(src, fspec, boundary=boundary, workers=workers)
-        if sink is None:
-            results.append(out)
-        else:
-            try:
-                results.append(sink(i, fspec, out, used_to))
-            except OSError as exc:
-                raise OSError(f"filter bank sink failed on filter {i}: {exc}"
-                              ) from exc
-    return results
+        yield i, fspec, apply_filter_fft(src, fspec, boundary=boundary,
+                                         workers=workers), used_to
 
 
 def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
                       out_dir: str | Path,
                       to_params: ToParams | None = None,
-                      boundary: str = "pad", workers: int = 1) -> Path:
-    """run_filter_bank with a directory sink; returns the manifest path."""
+                      boundary: str = "pad", workers: int = 1) -> list[Path]:
+    """Write each bank output as filtered_<i> plus bank_manifest.json.
+
+    Returns every path written, the manifest last.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths: list[Path] = []
     entries: list[dict] = []
-
-    def sink(i: int, fspec: VelocityFilterSpec, out: FrameStack,
-             used_to: bool) -> None:
-        base = out_dir / f"filtered_{i:03d}"
-        header, _ = save_frame_stack(out, base)
+    for i, fspec, out, used_to in run_filter_bank(
+            frames, bank, to_params=to_params, boundary=boundary,
+            workers=workers):
+        try:
+            header, data = save_frame_stack(out, out_dir / f"filtered_{i:03d}")
+        except OSError as exc:
+            raise OSError(f"writing filter {i} output failed: {exc}") from exc
+        paths += [header, data]
         entries.append({
             "index": i,
             "v_f_mm_s": [fspec.v_f[0], fspec.v_f[1]],
@@ -259,13 +258,11 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
             "to_prefilter": used_to,
             "frames": header.name,
         })
-
-    run_filter_bank(frames, bank, to_params=to_params, sink=sink,
-                    boundary=boundary, workers=workers)
     manifest = out_dir / "bank_manifest.json"
     with open(manifest, "w") as fh:
         json.dump({"version": 1, "n_filters": len(bank),
                    "lateral_to_angle_deg": bank.lateral_to_angle_deg,
                    "outputs": entries}, fh, indent=2)
         fh.write("\n")
-    return manifest
+    paths.append(manifest)
+    return paths

@@ -366,8 +366,7 @@ def test_criterion_09_filtering_beats_concentration_tradeoff():
     cfg = DetectorConfig(threshold_fraction=0.4)
 
     frames_hi, truth = _crossing_setup(c_high, grid, nt, dt, 1.5, seed=7)
-    res = run_pipeline(frames_hi, bank, P, cfg=cfg, mode="post",
-                       fine_factor=1)
+    res = run_pipeline(frames_hi, bank, P, cfg=cfg, mode="post")
     iou_vf = iou(segment_support(accumulate(res.per_frame, grid)), truth)
     raw_hi = localize_frames(frames_hi, P, cfg=cfg, mode="post")
     iou_raw = iou(segment_support(accumulate(raw_hi, grid)), truth)
@@ -407,7 +406,7 @@ def test_criterion_10_velocity_map_parabola():
     bubbles = sample_bubbles(vessel, rng)
     frames, _ = synthesize_frames(bubbles, MotionSpec("linear"), grid, nt,
                                   dt, P, vessels=[vessel])
-    res = run_pipeline(frames, bank, P, cfg=DetectorConfig(), fine_factor=1)
+    res = run_pipeline(frames, bank, P, cfg=DetectorConfig())
     locs = [loc for fr in res.per_frame for loc in fr]
     vmap = velocity_map_from_locs(locs, grid)
     _, t_vx, t_vz = ground_truth_velocity_map([vessel], grid)
@@ -492,7 +491,7 @@ def test_criterion_13_circular_flow_tolerance():
                                   grid, nt, dt, P)
     res = run_pipeline(frames, bank, P,
                        cfg=DetectorConfig(threshold_fraction=0.35),
-                       mode="post", fine_factor=1)
+                       mode="post")
     truth = circular_support_mask(band, grid)
     val = iou(segment_support(accumulate(res.per_frame, grid)), truth)
     assert val >= 0.7

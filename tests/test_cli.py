@@ -326,6 +326,20 @@ def test_pipeline_metrics_with_vessel_geometry(tmp_path):
                                     "n_localizations"}
 
 
+def test_metrics_on_anisotropic_grid(tmp_path):
+    # the LE raster must be fine enough along the coarser axis (dz here)
+    cfg = load_config(Path(cli.__file__).parent / "configs" / "phantom_e.json")
+    cfg["grid"] = {"nx": 48, "nz": 24, "dx_mm": 0.05, "dz_mm": 0.1}
+    cfg["motion"]["nt"] = 40
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    with open(out / "phantom_e_metrics.json") as fh:
+        report = json.load(fh)
+    assert math.isfinite(report["le"])
+
+
 def test_same_seed_runs_are_bit_identical(tmp_path):
     cfg = base_cfg()
     cfg["noise"] = {"std": 0.2}          # exercises the rng path too
@@ -349,6 +363,29 @@ def test_same_seed_runs_are_bit_identical(tmp_path):
     assert other["seed"] == 6
     assert other["artifacts"]["t_frames.f32"] != \
         manifests[0]["t_frames.f32"]
+
+
+def test_manifest_records_seed_of_each_invocation(tmp_path):
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+
+    def manifest():
+        with open(out / "manifest.json") as fh:
+            return json.load(fh)
+
+    for seed in ("1", "2"):
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", seed]) == 0
+    assert manifest()["seed"] == 2
+    assert manifest()["stages"]["synth"]["seed"] == 2
+
+    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
+                 "--seed", "3"]) == 0
+    m = manifest()
+    assert m["seed"] == 3
+    assert m["stages"]["synth"]["seed"] == 2
+    assert m["stages"]["filter"]["seed"] == 3
+    assert m["stages"]["filter"]["config_sha256"] == m["config_sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +558,19 @@ def test_readme_command_lines_parse():
     flags = re.findall(r"`(--[\w-]+)`", section)
     assert len(flags) >= 8
     assert [f for f in flags if _dest(f) not in known] == []
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    block = re.search(r"Typical flow:\n\n```python\n(.*?)```", text,
+                      re.S).group(1)
+    # the README acquires 300 frames; 40 exercise the same calls quickly
+    assert "nt=300" in block
+    namespace: dict = {}
+    exec(block.replace("nt=300", "nt=40"), namespace)
+    assert len(namespace["res"].per_frame) == 40
+    assert namespace["density"].total > 0
+    assert namespace["mask"].any()
 
 
 def _console_script_entry(name: str) -> str:

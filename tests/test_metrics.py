@@ -8,8 +8,8 @@ from oracles import localization_error_raster
 
 from velofilt.core import FrameStack, make_grid
 from velofilt.metrics import (LeParams, default_le_params, fve, iou,
-                              localization_error, localization_error_frames,
-                              measure_attenuation)
+                              le_grid, localization_error,
+                              localization_error_frames, measure_attenuation)
 from velofilt.psf import PsfParams, render_psf
 
 LE = default_le_params(0.3)            # sigma_par 0.09, sigma_perp 0.045
@@ -89,6 +89,18 @@ def test_le_validation():
     with pytest.raises(ValueError):
         localization_error([[0.0, 0.0]], [[0.0, 0.0]],
                            LeParams(0.09, 0.045, n_bubbles_t=0), LE_GRID)
+
+
+@pytest.mark.parametrize("dx, dz, factor", [(0.05, 0.05, 5), (0.05, 0.1, 9),
+                                            (0.1, 0.05, 9), (0.01, 0.01, 1),
+                                            # 33 sigma_perp/4 in decimal,
+                                            # just over it in binary
+                                            (0.37125, 0.37125, 34)])
+def test_le_grid_subdivides_the_coarser_axis(dx, dz, factor):
+    grid = make_grid(12, 8, dx, dz)
+    fine = le_grid(grid, LE)
+    assert (fine.nx, fine.nz) == (12 * factor, 8 * factor)
+    localization_error([[0.0, 0.0]], [[0.01, 0.02]], LE, fine)
 
 
 def test_le_frames_mean_and_skipping():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dft_filter_reference
-from velofilt.core import FrameStack, load_frame_stack, make_grid
+from velofilt.core import (FrameStack, load_frame_stack, make_grid,
+                           save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf
 from velofilt.theory import attenuation_pre
 from velofilt.vfilter import (FilterBankSpec, VelocityFilterSpec,
@@ -217,29 +218,47 @@ def test_run_filter_bank_to_routing():
     frames = noise_stack(nt=8, nz=16, nx=16)
     bank = make_bank([1.0], [0.0, math.pi / 2], 0.05,
                      lateral_to_angle_deg=10.0)
-    outs = run_filter_bank(frames, bank, to_params=T)
+    outs = [(out, used_to) for _, _, out, used_to
+            in run_filter_bank(frames, bank, to_params=T)]
     lat_spec, ax_spec = bank.filters
     to_frames = apply_to_filter(frames, T)
     want_lat = apply_filter_fft(to_frames, lat_spec)
     want_ax = apply_filter_fft(frames, ax_spec)
-    assert np.allclose(outs[0].data, want_lat.data, atol=1e-12)
-    assert np.allclose(outs[1].data, want_ax.data, atol=1e-12)
+    assert np.allclose(outs[0][0].data, want_lat.data, atol=1e-12)
+    assert np.allclose(outs[1][0].data, want_ax.data, atol=1e-12)
+    assert [used_to for _, used_to in outs] == [True, False]
 
 
 def test_save_bank_outputs_roundtrip(tmp_path):
     frames = noise_stack(nt=6, nz=8, nx=8)
     bank = make_bank([0.5], [0.0, math.pi / 2], 0.03)
-    manifest_path = save_bank_outputs(frames, bank, tmp_path, to_params=T)
-    manifest = json.loads(manifest_path.read_text())
+    paths = save_bank_outputs(frames, bank, tmp_path, to_params=T)
+    # every file written is returned, the manifest last
+    assert sorted(paths) == sorted(tmp_path.iterdir())
+    assert paths[-1] == tmp_path / "bank_manifest.json"
+    manifest = json.loads(paths[-1].read_text())
     assert manifest["n_filters"] == 2
     assert [e["index"] for e in manifest["outputs"]] == [0, 1]
     assert manifest["outputs"][0]["to_prefilter"] is True
     assert manifest["outputs"][1]["to_prefilter"] is False
     # stored stacks match a fresh in-memory run at float32 precision
     outs = run_filter_bank(frames, bank, to_params=T)
-    for entry, want in zip(manifest["outputs"], outs):
+    for entry, (_, _, want, _) in zip(manifest["outputs"], outs):
         got = load_frame_stack(tmp_path / f"filtered_{entry['index']:03d}")
         assert np.allclose(got.data, want.data, atol=1e-6)
+
+
+def test_save_bank_outputs_names_the_failed_filter(tmp_path, monkeypatch):
+    frames = noise_stack(nt=6, nz=8, nx=8)
+    bank = make_bank([0.5], [0.0, math.pi / 2], 0.03)
+    def save_once(stack, base):
+        if base.name == "filtered_001":
+            raise OSError("disk full")
+        return save_frame_stack(stack, base)
+
+    monkeypatch.setattr("velofilt.vfilter.save_frame_stack", save_once)
+    with pytest.raises(OSError, match="filter 1 .*disk full"):
+        save_bank_outputs(frames, bank, tmp_path)
 
 
 @settings(max_examples=20, deadline=None)
