@@ -112,20 +112,29 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     return corr * (grid.dx * grid.dz)
 
 
+# Least-squares fit of c + bx u + bz w + cxx u^2 + czz w^2 + cxz u w to a
+# 3x3 patch (u = column - 1, w = row - 1, row-major): the coefficients are
+# the raveled patch times this pseudo-inverse of the fixed 9x6 design, whose
+# entries are exact multiples of 1/36.
+_QUAD_FIT = np.array([
+    [-4, 8, -4, 8, 20, 8, -4, 8, -4],
+    [-6, 0, 6, -6, 0, 6, -6, 0, 6],
+    [-6, -6, -6, 0, 0, 0, 6, 6, 6],
+    [6, -12, 6, 6, -12, 6, 6, -12, 6],
+    [6, 6, 6, -12, -12, -12, 6, 6, 6],
+    [9, 0, -9, 0, 0, 0, -9, 0, 9]]) / 36.0
+
+
 def _quadratic_offset(patch: np.ndarray) -> tuple[float, float]:
     """Stationary point of the LS quadratic through a 3x3 patch, in pixels."""
-    u = np.array([-1.0, 0.0, 1.0])
-    ux = np.tile(u, 3)
-    uz = np.repeat(u, 3)
-    a = np.column_stack([np.ones(9), ux, uz, ux**2, uz**2, ux * uz])
-    coef, *_ = np.linalg.lstsq(a, patch.ravel(), rcond=None)
-    _, bx, bz, cxx, czz, cxz = coef
-    hess = np.array([[2.0 * cxx, cxz], [cxz, 2.0 * czz]])
-    det = np.linalg.det(hess)
+    _, bx, bz, cxx, czz, cxz = (_QUAD_FIT @ patch.ravel()).tolist()
+    # solve [[2 cxx, cxz], [cxz, 2 czz]] (dx, dz) = -(bx, bz) in closed form
+    det = 4.0 * cxx * czz - cxz * cxz
     if det <= 0:
         return 0.0, 0.0
-    dx, dz = np.linalg.solve(hess, [-bx, -bz])
-    return float(np.clip(dx, -0.5, 0.5)), float(np.clip(dz, -0.5, 0.5))
+    dx = (cxz * bz - 2.0 * czz * bx) / det
+    dz = (cxz * bx - 2.0 * cxx * bz) / det
+    return min(max(dx, -0.5), 0.5), min(max(dz, -0.5), 0.5)
 
 
 def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,

@@ -7,7 +7,17 @@ traced out by anything translating at v_f. Two equivalent applications are
 provided: the production 3D-FFT path and a direct shift-and-sum path
 (temporal average along the selected trajectory) used as a cross-check.
 
-Both paths zero-extend in time; apply_filter_fft pads by 4 sigma_t worth of
+The FFT path works on real FFTs. A bank takes one rfftn of each padded
+source stack it needs (raw or TO-prefiltered, per temporal pad) and shares
+that half spectrum between its filters; each filter then costs one gain
+multiply on the (nt, nz, nx//2+1) half lattice and one irfftn.
+apply_filter_fft is the one-filter case of the same code. On an even axis
+the Nyquist bin is its own mirror, and there H is not even, so the gain on
+the Nyquist planes is the mean of H at the bin and at its mirrored bin:
+the Hermitian part of H, which is exactly what taking the real part of a
+complex inverse FFT would keep.
+
+Both paths zero-extend in time; the FFT path pads by 4 sigma_t worth of
 frames before the FFT and trims after, so trajectories do not wrap. The
 spatial axes stay periodic: keep moving targets clear of the lateral edges
 by v_f * 4 sigma_t or accept wrap-around (boundary="periodic" skips the
@@ -103,18 +113,46 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
     return (2.0 * np.arange(n) + 1.0) * delta_v
 
 
+def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
+          spec: VelocityFilterSpec) -> np.ndarray:
+    vfx, vfz = spec.v_f
+    # exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one buffer
+    gain = (om[:, None, None] + kx[None, None, :] * vfx
+            + kz[None, :, None] * vfz)
+    gain *= spec.sigma_t
+    np.square(gain, out=gain)
+    gain *= -0.5
+    return np.exp(gain, out=gain)
+
+
 def build_filter(grid: Grid2D, nt: int, dt: float,
                  spec: VelocityFilterSpec) -> np.ndarray:
-    """Gain H on the (nt, nz, nx) DFT lattice; exactly 1 where Omega = -k.v_f."""
+    """Gain on the rfftn half lattice (nt, nz, nx//2+1) of an (nt, nz, nx)
+    stack; exactly 1 where Omega = -k.v_f.
+
+    Off the Nyquist planes this is H. On the Nyquist plane of an even axis
+    it is the mean of H at the bin and at its mirrored bin (every even
+    axis's Nyquist frequency negated), which makes the gain Hermitian, so
+    the filtered stack is real.
+    """
     if nt < 1:
         raise ValueError("nt must be >= 1")
-    kx = kx_lattice(grid)
-    kz = kz_lattice(grid)
-    om = omega_lattice(nt, dt)
-    vfx, vfz = spec.v_f
-    doppler = (om[:, None, None] + kx[None, None, :] * vfx
-               + kz[None, :, None] * vfz)
-    return np.exp(-0.5 * (spec.sigma_t * doppler) ** 2)
+    sizes = (nt, grid.nz, grid.nx)
+    axes = (omega_lattice(nt, dt), kz_lattice(grid),
+            kx_lattice(grid)[:grid.nx // 2 + 1])
+    mirror = tuple(a.copy() for a in axes)
+    for m, n in zip(mirror, sizes):
+        if n % 2 == 0:
+            m[n // 2] = -m[n // 2]
+    gain = _gain(*axes, spec)
+    for ax, n in enumerate(sizes):
+        if n % 2 == 0:
+            plane = [slice(None)] * 3
+            plane[ax] = slice(n // 2, n // 2 + 1)
+            gain[tuple(plane)] = 0.5 * (
+                _gain(*(a[p] for a, p in zip(axes, plane)), spec)
+                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec))
+    return gain
 
 
 def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
@@ -123,7 +161,8 @@ def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
 
 def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
                      boundary: str = "pad", workers: int = 1) -> FrameStack:
-    """Filter a stack through the 3D FFT path.
+    """Filter a stack through the 3D FFT path: run_filter_bank with a
+    one-filter bank.
 
     boundary "pad" zero-extends time by ceil(4 sigma_t / dt) frames per side
     and trims afterwards; "periodic" filters the raw stack circularly (all
@@ -131,25 +170,9 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
     stack of more than _MAX_FFT_ELEMENTS samples is rejected before anything
     is allocated.
     """
-    if boundary not in ("pad", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    pad = _pad_frames(spec, frames) if boundary == "pad" else 0
-    shape = (frames.nt + 2 * pad, frames.grid.nz, frames.grid.nx)
-    if math.prod(shape) > _MAX_FFT_ELEMENTS:
-        raise ValueError(f"padded stack {shape} exceeds the in-memory FFT "
-                         f"limit of {_MAX_FFT_ELEMENTS} samples")
-    data = frames.data
-    if pad:
-        zeros = np.zeros((pad, frames.grid.nz, frames.grid.nx))
-        data = np.concatenate([zeros, data, zeros], axis=0)
-    gain = build_filter(frames.grid, shape[0], frames.dt, spec)
-    spec_hat = scipy.fft.fftn(data, axes=(0, 1, 2), workers=workers)
-    out = scipy.fft.ifftn(spec_hat * gain, axes=(0, 1, 2),
-                          workers=workers).real
-    if pad:
-        out = out[pad:pad + frames.nt]
-    return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt,
-                      data=np.ascontiguousarray(out))
+    [(_, _, out, _)] = run_filter_bank(frames, FilterBankSpec(filters=(spec,)),
+                                       boundary=boundary, workers=workers)
+    return out
 
 
 def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
@@ -192,16 +215,16 @@ def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
 def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     """Impose transverse oscillations by lateral k-space filtering.
 
-    The gain depends on k_x only, so each frame is filtered along its rows;
-    the lateral axis is treated as periodic (PSFs decay well inside the
-    grid, making wrap-around negligible at the tested sizes).
+    The gain depends on k_x only, so each frame is filtered along its rows
+    with real FFTs (the gain is even in k_x); the lateral axis is treated as
+    periodic (PSFs decay well inside the grid, making wrap-around negligible
+    at the tested sizes).
     """
-    kx = kx_lattice(frames.grid)
-    gain = to_transfer(t, kx)
-    row_hat = scipy.fft.fft(frames.data, axis=2)
-    out = scipy.fft.ifft(row_hat * gain[None, None, :], axis=2).real
-    return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt,
-                      data=np.ascontiguousarray(out))
+    nx = frames.grid.nx
+    gain = to_transfer(t, kx_lattice(frames.grid)[:nx // 2 + 1])
+    row_hat = scipy.fft.rfft(frames.data, axis=2)
+    out = scipy.fft.irfft(row_hat * gain[None, None, :], n=nx, axis=2)
+    return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
 def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
@@ -217,17 +240,48 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     selecting near-lateral directions (within bank.lateral_to_angle_deg of
     the x axis, and nonzero speed) see the TO-filtered stack instead of the
     raw one; used_to tells whether out came from it.
+
+    boundary is as in apply_filter_fft. The bank takes one rfftn per
+    (source stack, temporal pad) pair it needs and keeps those half spectra
+    until it is done; each filter then costs one gain multiply and one
+    irfftn. The 2 * pad zero frames go after the stack, which on the
+    circular time lattice is the symmetric pad shifted by pad frames. The
+    largest padded stack is checked against _MAX_FFT_ELEMENTS before
+    anything is allocated.
     """
-    to_stack: FrameStack | None = None
-    for i, fspec in enumerate(bank.filters):
+    if boundary not in ("pad", "periodic"):
+        raise ValueError(f"unknown boundary {boundary!r}")
+    grid = frames.grid
+    pads = [_pad_frames(f, frames) if boundary == "pad" else 0
+            for f in bank.filters]
+    largest = (frames.nt + 2 * max(pads), grid.nz, grid.nx)
+    if math.prod(largest) > _MAX_FFT_ELEMENTS:
+        raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
+                         f"limit of {_MAX_FFT_ELEMENTS} samples")
+    sources = {False: frames}
+    spectra: dict[tuple[bool, int], np.ndarray] = {}
+    # filtered spectrum, reused while the padded shape stays the same
+    work = np.empty(0, dtype=complex)
+    for i, (fspec, pad) in enumerate(zip(bank.filters, pads)):
         used_to = (to_params is not None and fspec.speed > 0.0
                    and fspec.angle_from_lateral_deg
                    <= bank.lateral_to_angle_deg)
-        if used_to and to_stack is None:
-            to_stack = apply_to_filter(frames, to_params)
-        src = to_stack if used_to else frames
-        yield i, fspec, apply_filter_fft(src, fspec, boundary=boundary,
-                                         workers=workers), used_to
+        if used_to not in sources:
+            sources[used_to] = apply_to_filter(frames, to_params)
+        shape = (frames.nt + 2 * pad, grid.nz, grid.nx)
+        if (used_to, pad) not in spectra:
+            spectra[used_to, pad] = scipy.fft.rfftn(
+                sources[used_to].data, s=shape, axes=(0, 1, 2),
+                workers=workers)
+        spectrum = spectra[used_to, pad]
+        if work.shape != spectrum.shape:
+            work = np.empty_like(spectrum)
+        np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec),
+                    out=work)
+        out = scipy.fft.irfftn(work, s=shape, axes=(0, 1, 2),
+                               workers=workers, overwrite_x=True)
+        yield i, fspec, FrameStack(grid=grid, nt=frames.nt, dt=frames.dt,
+                                   data=out[:frames.nt].copy()), used_to
 
 
 def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,

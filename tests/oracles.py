@@ -63,6 +63,22 @@ def dft_filter_reference(data, grid, dt, v_f, sigma_t):
     return np.fft.ifftn(spec * gain).real
 
 
+def quadratic_offset_lstsq(patch):
+    """Stationary point of the LS quadratic through a 3x3 patch, in pixels,
+    by a general least-squares solve and a general 2x2 solve; (0, 0) when
+    the Hessian is not definite, clipped to half a pixel."""
+    u = np.array([-1.0, 0.0, 1.0])
+    ux, uz = np.tile(u, 3), np.repeat(u, 3)
+    a = np.column_stack([np.ones(9), ux, uz, ux**2, uz**2, ux * uz])
+    coef, *_ = np.linalg.lstsq(a, np.ravel(patch), rcond=None)
+    _, bx, bz, cxx, czz, cxz = coef
+    hess = np.array([[2.0 * cxx, cxz], [cxz, 2.0 * czz]])
+    if np.linalg.det(hess) <= 0:
+        return 0.0, 0.0
+    dx, dz = np.linalg.solve(hess, [-bx, -bz])
+    return float(np.clip(dx, -0.5, 0.5)), float(np.clip(dz, -0.5, 0.5))
+
+
 def projected_density_ref(rho, vessel):
     """Chord length through the cylinder cross-section times concentration."""
     rho = np.asarray(rho, dtype=np.float64)

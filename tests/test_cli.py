@@ -193,11 +193,15 @@ def test_exit_data_error_on_non_finite_stack(tmp_path, capsys):
 def test_exit_numeric_on_oversized_fft(tmp_path, capsys):
     cfg = base_cfg()
     cfg["filter_bank"]["sigma_t_s"] = 1e18
+    # filter 1 (1 mm/s along x) is routed through the TO prefilter
+    cfg["to"] = {"lambda_x_mm": 0.6, "sigma_x_mm": 0.3}
     cfg_path = write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
     assert main(["filter", "--config", str(cfg_path), "--out", out]) == 4
     assert "exceeds the in-memory FFT limit" in capsys.readouterr().err
+    # the bank is rejected before its first output is written
+    assert not list((tmp_path / "out" / "t_filtered").glob("filtered_*"))
 
 
 def test_exit_data_error_on_empty_localizations(tmp_path, capsys):

@@ -6,11 +6,13 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quadratic_offset_lstsq
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (AccumulatedMap, DetectorConfig, Localization,
-                               _envelope_z, accumulate, detect,
-                               load_localizations_csv, localize_frames,
-                               matched_filter_map, psf_template, run_pipeline,
+                               _QUAD_FIT, _envelope_z, _quadratic_offset,
+                               accumulate, detect, load_localizations_csv,
+                               localize_frames, matched_filter_map,
+                               psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
@@ -74,6 +76,30 @@ def test_detect_subpixel_accuracy():
     assert locs[0].pos[0] == pytest.approx(truth[0], abs=2e-3)
     assert locs[0].pos[1] == pytest.approx(truth[1], abs=2e-3)
     assert locs[0].score > 0.9 * peak
+
+
+def test_quadratic_offset_matches_lstsq_fit():
+    rng = np.random.default_rng(11)
+    u = np.array([-1.0, 0.0, 1.0])
+    x, z = np.meshgrid(u, u)
+    ux, uz = x.ravel(), z.ravel()
+    design = np.column_stack([np.ones(9), ux, uz, ux**2, uz**2, ux * uz])
+    assert np.allclose(_QUAD_FIT, np.linalg.pinv(design), rtol=0,
+                       atol=1e-14)
+    for _ in range(500):
+        # a peaked quadratic with a known stationary point, plus noise ...
+        x0, z0 = rng.uniform(-0.45, 0.45, size=2)
+        ax, az = rng.uniform(0.2, 3.0, size=2)
+        peak = -(ax * (x - x0) ** 2 + az * (z - z0) ** 2)
+        got = _quadratic_offset(peak)
+        assert got == pytest.approx((x0, z0), abs=1e-12)
+        noisy = peak + 0.05 * rng.normal(size=(3, 3))
+        assert _quadratic_offset(noisy) == pytest.approx(
+            quadratic_offset_lstsq(noisy), abs=1e-12)
+        # ... and arbitrary patches: saddles, minima, clipped offsets
+        patch = rng.normal(size=(3, 3))
+        assert _quadratic_offset(patch) == pytest.approx(
+            quadratic_offset_lstsq(patch), abs=1e-12)
 
 
 def test_detect_without_subpixel_snaps_to_grid():

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dft_filter_reference
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
-from velofilt.psf import PsfParams, ToParams, render_psf
+from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
 from velofilt.theory import attenuation_pre
 from velofilt.vfilter import (FilterBankSpec, VelocityFilterSpec,
                               apply_filter_direct, apply_filter_fft,
@@ -55,7 +56,8 @@ def test_build_filter_gain_bounds_and_ridge():
     frames = noise_stack()
     spec = VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.05)
     gain = build_filter(frames.grid, frames.nt, frames.dt, spec)
-    assert gain.shape == frames.data.shape
+    # rfftn half lattice of the (16, 12, 10) stack
+    assert gain.shape == (frames.nt, frames.grid.nz, frames.grid.nx // 2 + 1)
     assert np.all(gain <= 1.0) and np.all(gain > 0.0)
     assert gain[0, 0, 0] == 1.0  # DC(k=0, Omega=0) always passes
     with pytest.raises(ValueError):
@@ -114,6 +116,24 @@ def test_fft_size_checked_before_allocation():
         apply_filter_fft(frames, spec)
 
 
+def test_bank_size_checked_before_allocation(monkeypatch):
+    # the first filter's pad fits, the second's does not: the bank must
+    # raise before the TO prefilter, any spectrum or any output
+    frames = noise_stack(nt=1, nz=4, nx=4, dt=1e-18)
+    bank = FilterBankSpec(filters=(
+        VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=1e-18),
+        VelocityFilterSpec(v_f=(0.0, 1.0), sigma_t=1.0)))
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr("velofilt.vfilter.apply_to_filter", no_alloc)
+    monkeypatch.setattr("scipy.fft.rfftn", no_alloc)
+    with pytest.raises(ValueError,
+                       match=r"padded stack \(\d+, 4, 4\) exceeds .* 268435456"):
+        next(run_filter_bank(frames, bank, to_params=T))
+
+
 def test_static_content_passes_zero_velocity_filter():
     grid = make_grid(31, 31, 0.05, 0.05)
     img = render_psf(P, grid, mode="pre")
@@ -159,8 +179,8 @@ def test_moving_bubble_matched_filter_preserves_peak():
 
 
 def test_double_filtering_widens_the_window():
-    # odd sizes: on even axes the Nyquist bin cannot flip sign, the real()
-    # projection symmetrizes the gain there and composition only holds for
+    # odd sizes: on even axes the Nyquist bin cannot flip sign, the gain is
+    # the mean of H and its mirror there, and composition only holds for
     # content clear of the Nyquist planes
     frames = noise_stack(nt=15, nz=9, nx=9)
     spec1 = VelocityFilterSpec(v_f=(0.5, 0.2), sigma_t=0.03)
@@ -227,6 +247,73 @@ def test_run_filter_bank_to_routing():
     assert np.allclose(outs[0][0].data, want_lat.data, atol=1e-12)
     assert np.allclose(outs[1][0].data, want_ax.data, atol=1e-12)
     assert [used_to for _, used_to in outs] == [True, False]
+
+
+def to_reference(data, grid, t):
+    """TO prefilter by a complex DFT along x, keeping the real part."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    return np.fft.ifft(np.fft.fft(data, axis=2) * to_transfer(t, kx),
+                       axis=2).real
+
+
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+@pytest.mark.parametrize("nt, nz, nx", [(12, 8, 10), (13, 9, 7), (12, 9, 8),
+                                        (11, 8, 9)])
+def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
+    # padded nt is nt + 2 ceil(4 sigma_t / dt): same parity as nt; two
+    # window widths give the bank two pads, filter 0 is TO-routed
+    frames = noise_stack(nt=nt, nz=nz, nx=nx, seed=nt * nz * nx)
+    filters = (VelocityFilterSpec(v_f=(0.9, 0.05), sigma_t=0.02),
+               VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.02),
+               VelocityFilterSpec(v_f=(-0.3, 0.8), sigma_t=0.035),
+               VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.035))
+    bank = FilterBankSpec(filters=filters)
+    to_data = to_reference(frames.data, frames.grid, T)
+
+    def reference(data, spec):
+        pad = math.ceil(4.0 * spec.sigma_t / frames.dt)
+        if boundary == "periodic":
+            pad = 0
+        data = np.pad(data, ((pad, pad), (0, 0), (0, 0)))
+        out = dft_filter_reference(data, frames.grid, frames.dt, spec.v_f,
+                                   spec.sigma_t)
+        return out[pad:pad + nt]
+
+    outs = list(run_filter_bank(frames, bank, to_params=T,
+                                boundary=boundary))
+    assert [used_to for *_, used_to in outs] == [True, False, False, False]
+    for (_, spec, out, used_to) in outs:
+        src = to_data if used_to else frames.data
+        assert out.data.shape == (nt, nz, nx)
+        assert np.allclose(out.data, reference(src, spec), rtol=0,
+                           atol=1e-12)
+    for spec in filters:
+        single = apply_filter_fft(frames, spec, boundary=boundary)
+        assert np.allclose(single.data, reference(frames.data, spec),
+                           rtol=0, atol=1e-12)
+    assert np.allclose(apply_to_filter(frames, T).data, to_data, rtol=0,
+                       atol=1e-12)
+
+
+def test_bank_shares_one_forward_transform_per_source(monkeypatch):
+    frames = noise_stack(nt=8, nz=16, nx=16)
+    bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05,
+                     lateral_to_angle_deg=10.0)
+    calls = []
+    rfftn = scipy.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.fft.rfftn", counted)
+    routed = [used_to for *_, used_to in run_filter_bank(frames, bank,
+                                                          to_params=T)]
+    assert routed.count(True) == 2  # headings 0 and 180 degrees
+    assert len(calls) == 2  # one raw, one TO
+    calls.clear()
+    assert len(list(run_filter_bank(frames, bank))) == 12
+    assert len(calls) == 1
 
 
 def test_save_bank_outputs_roundtrip(tmp_path):
