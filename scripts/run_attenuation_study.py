@@ -13,7 +13,6 @@ dv_mm_s, direction, gamma_pred, gamma_meas, gamma_to_pred, gamma_to_meas.
 
 import argparse
 import csv
-import math
 import time
 from pathlib import Path
 

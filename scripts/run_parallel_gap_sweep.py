@@ -44,12 +44,10 @@ def parallel_vessels(radius, v0, c_mb, gap, grid, p):
     out = []
     for sign in (1.0, -1.0):
         angle = 0.0 if sign > 0 else math.pi  # flip direction, not speed
-        base = VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
-                          axis_angle_rad=angle)
         out.append(VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
                               axis_angle_rad=angle,
                               center=(0.0, sign * gap / 2.0),
-                              length=default_vessel_length(base, grid, p)))
+                              length=default_vessel_length(grid, p)))
     return out
 
 

@@ -26,15 +26,10 @@ from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec, tile_speeds
 
 
 def crossing_vessels(radius, v0, c_mb, grid, p):
-    out = []
-    for ang in (45.0, -45.0):
-        v = VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
-                       axis_angle_rad=math.radians(ang))
-        length = default_vessel_length(v, grid, p)
-        out.append(VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
-                              axis_angle_rad=math.radians(ang),
-                              length=length))
-    return out
+    length = default_vessel_length(grid, p)
+    return [VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
+                       axis_angle_rad=math.radians(ang), length=length)
+            for ang in (45.0, -45.0)]
 
 
 def speed_bank(p, sigma_t, v0, angles_deg):

@@ -46,11 +46,9 @@ def main():
     p = PsfParams(sigma_r=0.3, wavelength=0.3)
     grid = make_grid(96, 96, 0.05, 0.05)
     angle = math.pi / 2  # axial flow: the passband is narrowest there
-    base = VesselSpec(radius_r=args.radius, v0=args.v0, c_mb=args.c_mb,
-                      axis_angle_rad=angle)
     vessel = VesselSpec(radius_r=args.radius, v0=args.v0, c_mb=args.c_mb,
                         axis_angle_rad=angle,
-                        length=default_vessel_length(base, grid, p))
+                        length=default_vessel_length(grid, p))
 
     pb = velocity_bandwidth(p, args.sigma_t, theta=angle)
     speeds = tile_speeds(args.v0, pb.delta_v)

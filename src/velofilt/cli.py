@@ -21,7 +21,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import jsonschema
@@ -33,7 +34,7 @@ from .core import (FrameStack, Grid2D, load_frame_stack, make_fine_grid,
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        run_pipeline, save_localizations_csv, segment_support,
                        velocity_map_from_locs)
-from .metrics import (default_le_params, fve, iou, le_grid,
+from .metrics import (LeParams, default_le_params, fve, iou, le_grid,
                       localization_error_frames)
 from .phantom import (BubbleSet, CircularBandSpec, MotionSpec, VesselSpec,
                       circular_support_mask, circular_velocity_map,
@@ -236,68 +237,129 @@ def load_config(path: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Config -> domain objects.
+# Config -> domain objects, built once per command.
 
-def _psf_from(cfg: dict) -> PsfParams:
-    return PsfParams(sigma_r=cfg["psf"]["sigma_r_mm"],
-                     wavelength=cfg["psf"]["wavelength_mm"])
+@dataclass(frozen=True)
+class _Resolved:
+    """The domain objects of one config, shared by every stage it runs.
 
-
-def _to_from(cfg: dict, p: PsfParams) -> ToParams | None:
-    if "to" not in cfg:
-        return None
-    return ToParams(lambda_x=cfg["to"]["lambda_x_mm"],
-                    sigma_x=cfg["to"]["sigma_x_mm"], sigma_r=p.sigma_r)
-
-
-def _grid_from(cfg: dict) -> Grid2D:
-    g = cfg["grid"]
-    return make_grid(g["nx"], g["nz"], g["dx_mm"], g["dz_mm"])
-
-
-def _phantom_geometry(cfg: dict
-                      ) -> tuple[list[VesselSpec], CircularBandSpec | None]:
-    """Vessels, with their lengths resolved, and orbit band of the phantom;
-    grid_bubbles has neither.
-
-    Domain constraints the schema cannot express (e.g. orbit radius vs
-    band radius) surface as ConfigError, not a numeric failure.
+    `points` holds a grid_bubbles phantom; the other kinds are drawn per
+    seed from `vessels` (lengths resolved) or `band`.
     """
+
+    psf: PsfParams
+    to: ToParams | None
+    grid: Grid2D
+    fine: Grid2D
+    nt: int
+    dt: float
+    noise_std: float
+    points: BubbleSet | None
+    vessels: tuple[VesselSpec, ...]
+    band: CircularBandSpec | None
+    motion: MotionSpec
+    bank: FilterBankSpec
+    boundary: str
+    detector: DetectorConfig
+    mode: str
+    le: LeParams
+    fastest_q: float | None
+    prefix: str
+    save_pgm: bool
+
+
+@contextmanager
+def _section(name: str):
+    """Report a ValueError raised while building `name` as a ConfigError."""
     try:
-        return _phantom_geometry_inner(cfg)
+        yield
     except ValueError as exc:
-        raise ConfigError(f"phantom: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _phantom_geometry_inner(cfg: dict):
-    ph = cfg["phantom"]
+def _resolve(cfg: dict) -> _Resolved:
+    """Build every domain object of a schema-valid config.
+
+    Domain constraints the schema cannot express (e.g. orbit radius vs band
+    radius, LE widths out of order) surface here as ConfigError naming the
+    config section, before any stage runs.
+    """
+    with _section("psf"):
+        p = PsfParams(sigma_r=cfg["psf"]["sigma_r_mm"],
+                      wavelength=cfg["psf"]["wavelength_mm"])
+    with _section("to"):
+        to = (ToParams(lambda_x=cfg["to"]["lambda_x_mm"],
+                       sigma_x=cfg["to"]["sigma_x_mm"], sigma_r=p.sigma_r)
+              if "to" in cfg else None)
+    with _section("grid"):
+        g = cfg["grid"]
+        grid = make_grid(g["nx"], g["nz"], g["dx_mm"], g["dz_mm"])
+    det = cfg.get("detector", {})
+    with _section("detector"):
+        fine = make_fine_grid(grid, det.get("fine_factor", 4))
+        detector = DetectorConfig(
+            threshold_fraction=det.get("threshold_fraction", 0.5),
+            min_separation=det.get("min_separation_mm"),
+            subpixel=det.get("subpixel", True))
+    with _section("phantom"):
+        points, vessels, band = _phantom(cfg["phantom"], grid, p)
+    fb = cfg["filter_bank"]
+    with _section("filter_bank"):
+        bank = _bank(fb, p)
+    mcfg = cfg.get("metrics", {})
+    with _section("metrics"):
+        le = default_le_params(
+            p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
+        le = replace(le,
+                     sigma_par=mcfg.get("le_sigma_par_mm", le.sigma_par),
+                     sigma_perp=mcfg.get("le_sigma_perp_mm", le.sigma_perp))
+    outputs = cfg.get("outputs", {})
+    return _Resolved(
+        psf=p, to=to, grid=grid, fine=fine,
+        nt=cfg["motion"]["nt"], dt=cfg["motion"]["dt_s"],
+        noise_std=cfg.get("noise", {}).get("std", 0.0),
+        points=points, vessels=vessels, band=band,
+        motion=(MotionSpec("circular", center=band.center) if band
+                else MotionSpec("linear")),
+        bank=bank, boundary=fb.get("boundary", "pad"),
+        detector=detector, mode=det.get("mode", "pre"),
+        le=le, fastest_q=mcfg.get("fastest_q"),
+        prefix=outputs.get("prefix", "run"),
+        save_pgm=outputs.get("save_pgm", False))
+
+
+def _phantom(ph: dict, grid: Grid2D, p: PsfParams
+             ) -> tuple[BubbleSet | None, tuple[VesselSpec, ...],
+                        CircularBandSpec | None]:
+    """(points, vessels, band) of the phantom section; each kind sets one."""
     kind = ph["kind"]
     if kind == "grid_bubbles":
-        return [], None
+        pos = np.asarray(ph["positions_mm"], dtype=np.float64)
+        vel = np.asarray(ph["velocities_mm_s"], dtype=np.float64)
+        if pos.shape != vel.shape:
+            raise ValueError("positions_mm and velocities_mm_s differ in "
+                             "length")
+        points = from_plane(pos, vel) if pos.size else empty_bubbles()
+        return points, (), None
     if kind == "circular":
-        return [], CircularBandSpec(orbit_radius=ph["orbit_radius_mm"],
-                                    radius_r=ph["radius_mm"],
-                                    v0=ph["v0_mm_s"], c_mb=ph["c_mb_per_mm3"],
-                                    spin=ph.get("spin", 1))
-    length = ph.get("length_mm")
+        return None, (), CircularBandSpec(
+            orbit_radius=ph["orbit_radius_mm"], radius_r=ph["radius_mm"],
+            v0=ph["v0_mm_s"], c_mb=ph["c_mb_per_mm3"], spin=ph.get("spin", 1))
+    length = ph.get("length_mm", default_vessel_length(grid, p))
     if kind == "crossing_vessels":
-        vessels = [
-            VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
-                       c_mb=ph["c_mb_high_per_mm3"],
-                       axis_angle_rad=math.radians(ph["angles_deg"][0]),
-                       length=length),
-            VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
-                       c_mb=ph["c_mb_low_per_mm3"],
-                       axis_angle_rad=math.radians(ph["angles_deg"][1]),
-                       length=length),
-        ]
+        vessels = tuple(
+            VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"], c_mb=c_mb,
+                       axis_angle_rad=math.radians(angle), length=length)
+            for c_mb, angle in zip((ph["c_mb_high_per_mm3"],
+                                    ph["c_mb_low_per_mm3"]),
+                                   ph["angles_deg"]))
     elif kind == "parallel_vessels":
         angle = math.radians(ph["angle_deg"])
         gap = ph["gap_mm"]
         perp = (-math.sin(angle), math.cos(angle))
         second = angle + (math.pi if ph.get("opposite_directions", True)
                           else 0.0)
-        vessels = [
+        vessels = (
             VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
                        c_mb=ph["c_mb_per_mm3"], axis_angle_rad=angle,
                        center=(-perp[0] * gap / 2, -perp[1] * gap / 2),
@@ -306,83 +368,50 @@ def _phantom_geometry_inner(cfg: dict):
                        c_mb=ph["c_mb_per_mm3"], axis_angle_rad=second,
                        center=(perp[0] * gap / 2, perp[1] * gap / 2),
                        length=length),
-        ]
-    elif kind == "single_vessel":
-        vessels = [VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
+        )
+    else:  # single_vessel
+        vessels = (VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"],
                               c_mb=ph["c_mb_per_mm3"],
                               axis_angle_rad=math.radians(ph["angle_deg"]),
-                              length=length)]
-    else:  # pragma: no cover - schema forbids
-        raise ConfigError(f"unknown phantom kind {kind!r}")
-    if length is None:
-        grid = _grid_from(cfg)
-        p = _psf_from(cfg)
-        vessels = [replace(v, length=default_vessel_length(v, grid, p))
-                   for v in vessels]
-    return vessels, None
+                              length=length),)
+    return None, vessels, None
 
 
-def _build_phantom(cfg: dict, rng: np.random.Generator):
-    """Returns (bubbles, motion, vessels, band), drawing the bubbles from
-    rng vessel by vessel."""
-    vessels, band = _phantom_geometry(cfg)
-    ph = cfg["phantom"]
-    if ph["kind"] == "grid_bubbles":
-        pos = np.asarray(ph["positions_mm"], dtype=np.float64)
-        vel = np.asarray(ph["velocities_mm_s"], dtype=np.float64)
-        if pos.shape != vel.shape:
-            raise ConfigError("positions_mm and velocities_mm_s differ "
-                              "in length")
-        bubbles = from_plane(pos, vel) if pos.size else empty_bubbles()
-        return bubbles, MotionSpec("linear"), [], None
-    try:
-        if band is not None:
-            return (sample_circular_bubbles(band, rng),
-                    MotionSpec("circular", center=band.center), [], band)
-        parts = []
-        next_id = 0
-        for v in vessels:
-            part = sample_bubbles(v, rng, id_start=next_id)
-            next_id += len(part)
-            parts.append(part)
-    except ValueError as exc:
-        raise ConfigError(f"phantom: {exc}") from exc
-    bubbles = BubbleSet(np.vstack([q.pos for q in parts]),
-                        np.vstack([q.vel for q in parts]),
-                        np.concatenate([q.ids for q in parts]))
-    return bubbles, MotionSpec("linear"), vessels, None
-
-
-def _bank_from(cfg: dict, p: PsfParams) -> FilterBankSpec:
-    fb = cfg["filter_bank"]
+def _bank(fb: dict, p: PsfParams) -> FilterBankSpec:
     sigma_t = fb["sigma_t_s"]
     angles = [math.radians(a) for a in fb["angles_deg"]]
     speeds = fb.get("speeds_mm_s", "auto")
     lat = fb.get("lateral_to_angle_deg",
                  FilterBankSpec.lateral_to_angle_deg)
-    if speeds == "auto":
-        v_max = fb.get("v_max_mm_s")
-        if v_max is None:
-            raise ConfigError("filter_bank.speeds_mm_s='auto' needs "
-                              "v_max_mm_s")
-        filters = []
-        for a in angles:
-            th = abs(a) % math.pi
-            pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
-            filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
-                                 sigma_t).filters
-        return FilterBankSpec(filters=tuple(filters),
-                              lateral_to_angle_deg=lat)
-    return make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
+    if speeds != "auto":
+        return make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
+    v_max = fb.get("v_max_mm_s")
+    if v_max is None:
+        raise ValueError("speeds_mm_s='auto' needs v_max_mm_s")
+    filters = []
+    for a in angles:
+        th = abs(a) % math.pi
+        pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
+        filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
+                             sigma_t).filters
+    return FilterBankSpec(filters=tuple(filters), lateral_to_angle_deg=lat)
 
 
-def _detector_from(cfg: dict) -> tuple[DetectorConfig, str]:
-    det = cfg.get("detector", {})
-    dcfg = DetectorConfig(
-        threshold_fraction=det.get("threshold_fraction", 0.5),
-        min_separation=det.get("min_separation_mm"),
-        subpixel=det.get("subpixel", True))
-    return dcfg, det.get("mode", "pre")
+def _draw_bubbles(r: _Resolved, rng: np.random.Generator) -> BubbleSet:
+    """The phantom's bubbles, drawn from rng vessel by vessel."""
+    if r.points is not None:
+        return r.points
+    if r.band is not None:
+        return sample_circular_bubbles(r.band, rng)
+    parts = []
+    next_id = 0
+    for v in r.vessels:
+        part = sample_bubbles(v, rng, id_start=next_id)
+        next_id += len(part)
+        parts.append(part)
+    return BubbleSet(np.vstack([q.pos for q in parts]),
+                     np.vstack([q.vel for q in parts]),
+                     np.concatenate([q.ids for q in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,107 +457,73 @@ def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
 # ---------------------------------------------------------------------------
 # Stage implementations. Each returns the list of artifact paths it wrote.
 
-def _stage_synth(cfg: dict, out: Path, seed: int,
-                 workers: int) -> list[Path]:
-    p = _psf_from(cfg)
-    grid = _grid_from(cfg)
+def _stage_synth(r: _Resolved, out: Path, seed: int) -> list[Path]:
     rng = np.random.default_rng(seed)
-    bubbles, motion, vessels, band = _build_phantom(cfg, rng)
-    mo = cfg["motion"]
-    noise_std = cfg.get("noise", {}).get("std", 0.0)
+    # a draw can still fail on the section's values, e.g. a Poisson mean
+    # too large for numpy
+    with _section("phantom"):
+        bubbles = _draw_bubbles(r, rng)
     frames, gt = synthesize_frames(
-        bubbles, motion, grid, mo["nt"], mo["dt_s"], p, mode="pre",
-        noise_std=noise_std, rng=rng if noise_std > 0 else None,
-        vessels=vessels or None, band=band)
-    prefix = cfg.get("outputs", {}).get("prefix", "run")
-    arts = list(save_frame_stack(frames, out / f"{prefix}_frames"))
-    arts.append(save_truth_csv(gt, out / f"{prefix}_truth.csv"))
-    if cfg.get("outputs", {}).get("save_pgm", False):
+        bubbles, r.motion, r.grid, r.nt, r.dt, r.psf, mode="pre",
+        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None,
+        vessels=r.vessels or None)
+    arts = list(save_frame_stack(frames, out / f"{r.prefix}_frames"))
+    arts.append(save_truth_csv(gt, out / f"{r.prefix}_truth.csv"))
+    if r.save_pgm:
         arts.append(write_pgm(np.abs(frames.data).max(axis=0),
-                              out / f"{prefix}_preview.pgm"))
+                              out / f"{r.prefix}_preview.pgm"))
     return arts
 
 
-def _load_stack(base: Path) -> FrameStack:
+def _load_frames(r: _Resolved, out: Path) -> FrameStack:
+    base = out / f"{r.prefix}_frames"
+    if not base.with_suffix(".json").exists():
+        raise ConfigError(f"missing input stack {base}.json (run synth "
+                          "first or pass --out of a synth run)")
     try:
         return load_frame_stack(base)
     except ValueError as exc:
         raise DataError(f"bad frame stack {base}: {exc}") from exc
 
 
-def _stage_filter(cfg: dict, out: Path, workers: int) -> list[Path]:
-    p = _psf_from(cfg)
-    to = _to_from(cfg, p)
-    prefix = cfg.get("outputs", {}).get("prefix", "run")
-    base = out / f"{prefix}_frames"
-    if not base.with_suffix(".json").exists():
-        raise ConfigError(f"missing input stack {base}.json (run synth "
-                          "first or pass --out of a synth run)")
-    frames = _load_stack(base)
-    bank = _bank_from(cfg, p)
+def _stage_filter(r: _Resolved, out: Path, workers: int) -> list[Path]:
     return save_bank_outputs(
-        frames, bank, out / f"{prefix}_filtered", to_params=to,
-        boundary=cfg["filter_bank"].get("boundary", "pad"), workers=workers)
+        _load_frames(r, out), r.bank, out / f"{r.prefix}_filtered",
+        to_params=r.to, boundary=r.boundary, workers=workers)
 
 
-def _stage_localize(cfg: dict, out: Path, workers: int) -> list[Path]:
-    p = _psf_from(cfg)
-    to = _to_from(cfg, p)
-    prefix = cfg.get("outputs", {}).get("prefix", "run")
-    base = out / f"{prefix}_frames"
-    if not base.with_suffix(".json").exists():
-        raise ConfigError(f"missing input stack {base}.json")
-    frames = _load_stack(base)
-    bank = _bank_from(cfg, p)
-    dcfg, det_mode = _detector_from(cfg)
-    result = run_pipeline(frames, bank, p, cfg=dcfg, mode=det_mode,
-                          to_params=to,
-                          boundary=cfg["filter_bank"].get("boundary", "pad"),
-                          workers=workers)
+def _stage_localize(r: _Resolved, out: Path, workers: int) -> list[Path]:
+    result = run_pipeline(_load_frames(r, out), r.bank, r.psf,
+                          cfg=r.detector, mode=r.mode, to_params=r.to,
+                          boundary=r.boundary, workers=workers)
     return [save_localizations_csv(result.per_frame,
-                                   out / f"{prefix}_locs.csv")]
+                                   out / f"{r.prefix}_locs.csv")]
 
 
-def _stage_accumulate(cfg: dict, out: Path) -> list[Path]:
-    prefix = cfg.get("outputs", {}).get("prefix", "run")
-    locs_path = out / f"{prefix}_locs.csv"
+def _stage_accumulate(r: _Resolved, out: Path) -> list[Path]:
+    locs_path = out / f"{r.prefix}_locs.csv"
     if not locs_path.exists():
         raise ConfigError(f"missing localizations {locs_path}")
     locs = load_localizations_csv(locs_path)
-    grid = _grid_from(cfg)
-    fine = make_fine_grid(grid, cfg.get("detector", {}).get("fine_factor", 4))
-    acc = accumulate(locs, fine)
-    vmap = velocity_map_from_locs(locs, fine)
+    acc = accumulate(locs, r.fine)
+    vmap = velocity_map_from_locs(locs, r.fine)
     mask = segment_support(acc)
-    acc_stack = FrameStack(grid=fine, nt=1, dt=1.0,
+    acc_stack = FrameStack(grid=r.fine, nt=1, dt=1.0,
                            data=acc.counts.astype(np.float64)[None])
-    arts = list(save_frame_stack(acc_stack, out / f"{prefix}_accum"))
-    vel_stack = FrameStack(grid=fine, nt=3, dt=1.0,
+    arts = list(save_frame_stack(acc_stack, out / f"{r.prefix}_accum"))
+    vel_stack = FrameStack(grid=r.fine, nt=3, dt=1.0,
                            data=np.stack([vmap.speed, vmap.vx, vmap.vz]))
-    arts += save_frame_stack(vel_stack, out / f"{prefix}_velmap")
+    arts += save_frame_stack(vel_stack, out / f"{r.prefix}_velmap")
     arts.append(write_pgm(acc.counts.astype(np.float64),
-                          out / f"{prefix}_accum.pgm"))
+                          out / f"{r.prefix}_accum.pgm"))
     arts.append(write_pgm(mask.astype(np.float64),
-                          out / f"{prefix}_support.pgm"))
+                          out / f"{r.prefix}_support.pgm"))
     return arts
 
 
-def _truth_geometry(cfg: dict, fine: Grid2D):
-    """Support mask and velocity map implied by the phantom geometry."""
-    vessels, band = _phantom_geometry(cfg)
-    if band is not None:
-        return (circular_support_mask(band, fine),
-                circular_velocity_map(band, fine))
-    if vessels:
-        return (vessel_support_mask(vessels, fine),
-                ground_truth_velocity_map(vessels, fine))
-    return None, None
-
-
-def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
-    prefix = cfg.get("outputs", {}).get("prefix", "run")
-    locs_path = out / f"{prefix}_locs.csv"
-    truth_path = out / f"{prefix}_truth.csv"
+def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
+    locs_path = out / f"{r.prefix}_locs.csv"
+    truth_path = out / f"{r.prefix}_truth.csv"
     if not locs_path.exists() or not truth_path.exists():
         raise ConfigError("metrics needs localizations and truth "
                           f"({locs_path.name}, {truth_path.name})")
@@ -536,14 +531,19 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
     if not locs:
         raise DataError("no localizations to score")
     gt = load_truth_csv(truth_path)
-    p = _psf_from(cfg)
-    grid = _grid_from(cfg)
-    mcfg = cfg.get("metrics", {})
+    grid = r.grid
 
     # map metrics are scored at the frame grid; the detector's fine grid is
     # for rendering and stays in the accumulate artifacts
     report: dict = {}
-    truth_mask, truth_vmap = _truth_geometry(cfg, grid)
+    if r.band is not None:
+        truth_mask = circular_support_mask(r.band, grid)
+        truth_vmap = circular_velocity_map(r.band, grid)
+    elif r.vessels:
+        truth_mask = vessel_support_mask(r.vessels, grid)
+        truth_vmap = ground_truth_velocity_map(r.vessels, grid)
+    else:
+        truth_mask = truth_vmap = None
     acc = accumulate(locs, grid)
     if truth_mask is not None:
         report["iou"] = iou(segment_support(acc), truth_mask)
@@ -551,7 +551,7 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
         est = velocity_map_from_locs(locs, grid)
         _, tvx, tvz = truth_vmap
         report["fve_mm_s"] = fve(tvx, tvz, est.vx, est.vz)
-        q = mcfg.get("fastest_q")
+        q = r.fastest_q
         if q:
             report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
                                                     fastest_q=q)
@@ -565,17 +565,12 @@ def _stage_metrics(cfg: dict, out: Path, fmt: str) -> list[Path]:
                 est_pos[loc.t_index].append(loc.pos)
         est_frames = [np.array(pos, dtype=np.float64).reshape(-1, 2)
                       for pos in est_pos]
-        le_par = default_le_params(
-            p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
-        le_par = replace(
-            le_par, sigma_par=mcfg.get("le_sigma_par_mm", le_par.sigma_par),
-            sigma_perp=mcfg.get("le_sigma_perp_mm", le_par.sigma_perp))
         report["le"] = localization_error_frames(truth_frames, est_frames,
-                                                 le_par, le_grid(grid, le_par))
+                                                 r.le, le_grid(grid, r.le))
     report["n_localizations"] = len(locs)
     report["n_truth_points"] = int(n_truth)
 
-    out_path = out / f"{prefix}_metrics.{fmt}"
+    out_path = out / f"{r.prefix}_metrics.{fmt}"
     if fmt == "json":
         _atomic_write_json(report, out_path)
     else:
@@ -689,30 +684,26 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Wiring.
 
-_STAGE_RUNNERS = ("synth", "filter", "localize", "accumulate", "metrics",
-                  "pipeline")
+# Stage name -> call, in pipeline order. Each call looks its stage function
+# up at call time, so a wrapper set on the module attribute sees it.
+_STAGES = {
+    "synth": lambda r, out, seed, a: _stage_synth(r, out, seed),
+    "filter": lambda r, out, seed, a: _stage_filter(r, out, a.threads),
+    "localize": lambda r, out, seed, a: _stage_localize(r, out, a.threads),
+    "accumulate": lambda r, out, seed, a: _stage_accumulate(r, out),
+    "metrics": lambda r, out, seed, a: _stage_metrics(r, out, a.format),
+}
 
 
 def _run_stage_command(cmd: str, args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    r = _resolve(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = args.threads
-    stages = (("synth", "filter", "localize", "accumulate", "metrics")
-              if cmd == "pipeline" else (cmd,))
-    for stage in stages:
+    for stage in (_STAGES if cmd == "pipeline" else (cmd,)):
         t0 = time.perf_counter()
-        if stage == "synth":
-            arts = _stage_synth(cfg, out, seed, workers)
-        elif stage == "filter":
-            arts = _stage_filter(cfg, out, workers)
-        elif stage == "localize":
-            arts = _stage_localize(cfg, out, workers)
-        elif stage == "accumulate":
-            arts = _stage_accumulate(cfg, out)
-        elif stage == "metrics":
-            arts = _stage_metrics(cfg, out, args.format)
+        arts = _STAGES[stage](r, out, seed, args)
         wall = time.perf_counter() - t0
         _update_manifest(out, cfg, seed, stage, wall, arts)
         print(f"[{stage}] ok ({wall:.2f} s, {len(arts)} artifacts)")

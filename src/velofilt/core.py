@@ -55,21 +55,15 @@ class Grid2D:
         return (self.nx * self.dx, self.nz * self.dz)
 
 
-def make_grid(nx: int, nz: int, dx: float, dz: float,
-              center_origin: bool = True) -> Grid2D:
-    """Build a grid, optionally centred so the origin is mid-extent.
+def make_grid(nx: int, nz: int, dx: float, dz: float) -> Grid2D:
+    """Build a grid centred so the origin is mid-extent.
 
-    With center_origin the first sample sits at -dx*(nx-1)/2 so that for odd
-    n the origin is an exact sample and for even n it falls halfway between
-    the two central samples.
+    The first sample sits at -dx*(nx-1)/2 so that for odd n the origin is an
+    exact sample and for even n it falls halfway between the two central
+    samples.
     """
-    if center_origin:
-        x0 = -dx * (nx - 1) / 2.0
-        z0 = -dz * (nz - 1) / 2.0
-    else:
-        x0 = 0.0
-        z0 = 0.0
-    return Grid2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=x0, z0=z0)
+    return Grid2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=-dx * (nx - 1) / 2.0,
+                  z0=-dz * (nz - 1) / 2.0)
 
 
 def make_fine_grid(grid: Grid2D, factor: int = 4) -> Grid2D:
@@ -109,22 +103,19 @@ class FrameStack:
         return FrameStack(self.grid, self.nt, self.dt, self.data.copy())
 
 
-def kx_lattice(grid: Grid2D, centered: bool = False) -> np.ndarray:
-    """Lateral angular frequencies, rad/mm, DFT order unless centered."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
-    return np.fft.fftshift(k) if centered else k
+def kx_lattice(grid: Grid2D) -> np.ndarray:
+    """Lateral angular frequencies, rad/mm, in DFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
 
 
-def kz_lattice(grid: Grid2D, centered: bool = False) -> np.ndarray:
-    """Axial angular frequencies, rad/mm."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.nz, d=grid.dz)
-    return np.fft.fftshift(k) if centered else k
+def kz_lattice(grid: Grid2D) -> np.ndarray:
+    """Axial angular frequencies, rad/mm, in DFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.nz, d=grid.dz)
 
 
-def omega_lattice(nt: int, dt: float, centered: bool = False) -> np.ndarray:
-    """Temporal angular frequencies, rad/s."""
-    w = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
-    return np.fft.fftshift(w) if centered else w
+def omega_lattice(nt: int, dt: float) -> np.ndarray:
+    """Temporal angular frequencies, rad/s, in DFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
 
 
 @dataclass(frozen=True)

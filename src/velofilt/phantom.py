@@ -139,8 +139,7 @@ def _disk_samples(n: int, radius: float, rng: np.random.Generator) -> np.ndarray
     return out
 
 
-def default_vessel_length(vessel: VesselSpec, grid: Grid2D,
-                          p: PsfParams) -> float:
+def default_vessel_length(grid: Grid2D, p: PsfParams) -> float:
     """Grid diagonal plus a 4 sigma_r PSF margin on both ends."""
     wx, wz = grid.extent_mm
     return math.hypot(wx, wz) + 8.0 * p.sigma_r
@@ -424,8 +423,7 @@ def synthesize_frames(bubbles: BubbleSet, motion: MotionSpec, grid: Grid2D,
                       nt: int, dt: float, p: PsfParams, mode: str = "pre",
                       to: ToParams | None = None, noise_std: float = 0.0,
                       rng: np.random.Generator | None = None,
-                      vessels: Sequence[VesselSpec] | None = None,
-                      band: CircularBandSpec | None = None
+                      vessels: Sequence[VesselSpec] | None = None
                       ) -> tuple[FrameStack, GroundTruth]:
     """Advance bubbles over nt frames and render each frame.
 
@@ -444,7 +442,7 @@ def synthesize_frames(bubbles: BubbleSet, motion: MotionSpec, grid: Grid2D,
     lengths: list[float] = []
     if vessels:
         lengths = [v.length if v.length is not None
-                   else default_vessel_length(v, grid, p) for v in vessels]
+                   else default_vessel_length(grid, p) for v in vessels]
     state = bubbles.copy()
     for t in range(nt):
         data[t] = render_frame(state, grid, p, mode=mode, to=to)
@@ -462,9 +460,6 @@ def synthesize_frames(bubbles: BubbleSet, motion: MotionSpec, grid: Grid2D,
     if vessels:
         gt.support_mask = vessel_support_mask(vessels, grid)
         gt.velocity_map = ground_truth_velocity_map(vessels, grid)
-    elif band is not None:
-        gt.support_mask = circular_support_mask(band, grid)
-        gt.velocity_map = circular_velocity_map(band, grid)
     stack = FrameStack(grid=grid, nt=nt, dt=dt, data=data)
     return stack, gt
 

@@ -329,14 +329,10 @@ def test_criterion_08_density_identities():
 
 def _crossing_setup(c_mb, grid, nt, dt, noise_std, seed):
     rng = np.random.default_rng(seed)
-    vessels = []
-    for ang in (45.0, -45.0):
-        base = VesselSpec(radius_r=0.1, v0=1.0, c_mb=c_mb,
-                          axis_angle_rad=math.radians(ang))
-        vessels.append(VesselSpec(radius_r=0.1, v0=1.0, c_mb=c_mb,
-                                  axis_angle_rad=math.radians(ang),
-                                  length=default_vessel_length(base, grid,
-                                                               P)))
+    vessels = [VesselSpec(radius_r=0.1, v0=1.0, c_mb=c_mb,
+                          axis_angle_rad=math.radians(ang),
+                          length=default_vessel_length(grid, P))
+               for ang in (45.0, -45.0)]
     parts = [sample_bubbles(v, rng, id_start=1000 * i)
              for i, v in enumerate(vessels)]
     bubbles = BubbleSet(np.vstack([q.pos for q in parts]),
@@ -392,11 +388,9 @@ def test_criterion_10_velocity_map_parabola():
     grid = make_grid(96, 96, 0.05, 0.05)
     nt, dt, sigma_t, v0, radius = 300, 0.02, 0.5, 1.0, 0.45
     angle = math.pi / 2.0
-    base = VesselSpec(radius_r=radius, v0=v0, c_mb=12.0,
-                      axis_angle_rad=angle)
     vessel = VesselSpec(radius_r=radius, v0=v0, c_mb=12.0,
                         axis_angle_rad=angle,
-                        length=default_vessel_length(base, grid, P))
+                        length=default_vessel_length(grid, P))
     pb = velocity_bandwidth(P, sigma_t, theta=angle)
     bank = FilterBankSpec(filters=tuple(
         VelocityFilterSpec(v_f=(0.0, s), sigma_t=sigma_t)

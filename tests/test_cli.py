@@ -74,16 +74,22 @@ def read_table(path: Path):
 # ---------------------------------------------------------------------------
 # Config loading and validation.
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def test_bundled_configs_load_and_build():
     cfg_dir = Path(cli.__file__).parent / "configs"
     paths = sorted(cfg_dir.glob("*.json"))
     assert len(paths) >= 5
+    # the benchmark's workload configs are read, never written
+    workloads = sorted((REPO / "perfbench" / "workloads").glob("*.json"))
+    assert len(workloads) == 3
     rng = np.random.default_rng(0)
-    for path in paths:
-        cfg = load_config(path)
-        # the phantom section must also survive domain construction
-        bubbles, motion, vessels, band = cli._build_phantom(cfg, rng)
-        assert bubbles.pos.shape[1] == 3
+    for path in paths + workloads:
+        # every section must also survive domain construction
+        r = cli._resolve(load_config(path))
+        assert len(r.bank) >= 1
+        assert cli._draw_bubbles(r, rng).pos.shape[1] == 3
 
 
 def test_load_config_missing_file(tmp_path):
@@ -161,8 +167,33 @@ def test_exit_config_auto_speeds_need_vmax(tmp_path):
     cfg["filter_bank"]["speeds_mm_s"] = "auto"   # no v_max_mm_s given
     cfg_path = write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
-    assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
+    # the whole config is built before any stage, so synth rejects it too
+    assert main(["synth", "--config", str(cfg_path), "--out", out]) == 2
     assert main(["filter", "--config", str(cfg_path), "--out", out]) == 2
+
+
+def test_config_errors_exit_2_before_any_write(tmp_path, capsys):
+    # each error is one the schema cannot see; the LE widths one used to
+    # run four stages and then exit 4 from metrics
+    le = base_cfg()
+    le["metrics"] = {"le_sigma_par_mm": 0.02, "le_sigma_perp_mm": 0.05}
+    auto = base_cfg()
+    auto["filter_bank"]["speeds_mm_s"] = "auto"    # no v_max_mm_s given
+    orbit = base_cfg()
+    orbit["phantom"] = {"kind": "circular", "orbit_radius_mm": 0.3,
+                        "radius_mm": 0.3, "v0_mm_s": 1.0,
+                        "c_mb_per_mm3": 5.0}
+    for k, (section, cfg) in enumerate([("metrics", le),
+                                        ("filter_bank", auto),
+                                        ("phantom", orbit)]):
+        cfg_path = write_cfg(tmp_path, cfg, f"c{k}.json")
+        for command in ("synth", "pipeline"):
+            out = tmp_path / f"out{k}-{command}"
+            assert main([command, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2, (section, command)
+            assert f"config error: {section}:" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+            assert not out.exists()
 
 
 def test_exit_data_error_on_corrupt_stack(tmp_path, capsys):
@@ -523,7 +554,7 @@ def test_threads_env_default(monkeypatch):
     assert args.threads == 1
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = REPO / "README.md"
 
 
 def _readme_command_lines(text: str) -> list[list[str]]:

@@ -1,0 +1,56 @@
+"""Unused-import check over the package and the study scripts.
+
+No linter is among the test dependencies, so this reads each module's
+syntax tree: every name an import binds must be read somewhere in the
+module, or be listed in its `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = (sorted((ROOT / "src" / "velofilt").glob("*.py"))
+           + sorted((ROOT / "scripts").glob("*.py")))
+
+
+def unused_imports(source: str) -> list[str]:
+    """'name (line n)' for each imported name the module never reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_checker_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import os.path\n"
+              "from json import dumps as d, loads\n"
+              "__all__ = ['loads']\n"
+              "x: d = os.path.sep\n")
+    assert unused_imports(source) == ["math (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

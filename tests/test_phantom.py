@@ -310,7 +310,7 @@ def test_synthesize_with_vessels_attaches_truth_maps():
     grid = make_grid(33, 33, 0.05, 0.05)
     v = VesselSpec(radius_r=0.2, v0=1.0, c_mb=30.0)
     rng = np.random.default_rng(4)
-    b = sample_bubbles(v, rng, length=default_vessel_length(v, grid, P))
+    b = sample_bubbles(v, rng, length=default_vessel_length(grid, P))
     stack, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
                                   nt=4, dt=0.02, p=P, vessels=[v])
     assert gt.support_mask is not None
@@ -334,7 +334,6 @@ def test_truth_csv_roundtrip(tmp_path):
 
 def test_default_vessel_length_covers_grid():
     grid = make_grid(41, 21, 0.05, 0.05)
-    v = VesselSpec(radius_r=0.1, v0=1.0, c_mb=1.0)
     wx, wz = grid.extent_mm
-    assert default_vessel_length(v, grid, P) == pytest.approx(
+    assert default_vessel_length(grid, P) == pytest.approx(
         math.hypot(wx, wz) + 8 * P.sigma_r)
