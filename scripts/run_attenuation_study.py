@@ -20,7 +20,7 @@ import numpy as np
 
 from velofilt.core import make_grid
 from velofilt.metrics import measure_attenuation
-from velofilt.phantom import BubbleSet, MotionSpec, synthesize_frames
+from velofilt.phantom import BubbleSet, synthesize_frames
 from velofilt.psf import PsfParams, ToParams
 from velofilt.theory import attenuation_pre, to_attenuation
 from velofilt.vfilter import (VelocityFilterSpec, apply_filter_fft,
@@ -42,8 +42,7 @@ def main():
     grid = make_grid(64, 64, 0.05, 0.05)
     bubble = BubbleSet(np.array([[0.0, 0.0, 0.0]]),
                        np.zeros((1, 3)), np.array([0]))
-    frames, _ = synthesize_frames(bubble, MotionSpec("linear"), grid,
-                                  args.nt, args.dt, p)
+    frames, _ = synthesize_frames(bubble, (), grid, args.nt, args.dt, p)
     frames_to = apply_to_filter(frames, t)
     mid = args.nt // 2
     span = (mid - 5, mid + 5)

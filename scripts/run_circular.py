@@ -22,9 +22,8 @@ from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, accumulate, run_pipeline,
                                segment_support)
 from velofilt.metrics import iou
-from velofilt.phantom import (CircularBandSpec, MotionSpec,
-                              circular_support_mask, sample_circular_bubbles,
-                              synthesize_frames)
+from velofilt.phantom import (CircularBandSpec, sample_circular_bubbles,
+                              synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams
 from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec
 
@@ -63,10 +62,8 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     bubbles = sample_circular_bubbles(band, rng)
-    frames, _ = synthesize_frames(bubbles, MotionSpec("circular",
-                                                      center=band.center),
-                                  grid, args.nt, args.dt, p)
-    truth = circular_support_mask(band, grid)
+    frames, _ = synthesize_frames(bubbles, band, grid, args.nt, args.dt, p)
+    truth = truth_maps(band, grid)[0]
 
     t0 = time.time()
     res = run_pipeline(frames, bank, p,

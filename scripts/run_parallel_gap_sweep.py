@@ -33,9 +33,9 @@ from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
                                run_pipeline, segment_support)
 from velofilt.metrics import (default_le_params, iou, le_grid,
                              localization_error_frames)
-from velofilt.phantom import (BubbleSet, MotionSpec, VesselSpec,
+from velofilt.phantom import (VesselSpec, concat_bubbles,
                               default_vessel_length, sample_bubbles,
-                              synthesize_frames)
+                              synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams
 from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec
 
@@ -51,8 +51,8 @@ def parallel_vessels(radius, v0, c_mb, gap, grid, p):
     return out
 
 
-def frame_le(per_frame, gt, le, grid):
-    truth = [f[:, 1:3] for f in gt.point_frames]
+def frame_le(per_frame, point_frames, le, grid):
+    truth = [f[:, 1:3] for f in point_frames]
     est = [np.array([loc.pos for loc in fr]).reshape(-1, 2)
            for fr in per_frame]
     return localization_error_frames(truth, est, le, le_grid(grid, le),
@@ -90,20 +90,17 @@ def main():
         vessels = parallel_vessels(args.radius, args.v0, args.c_mb, gap,
                                    grid, p)
         rng = np.random.default_rng(args.seed)
-        parts = [sample_bubbles(v, rng, id_start=1000 * i)
-                 for i, v in enumerate(vessels)]
-        bubbles = BubbleSet(np.vstack([q.pos for q in parts]),
-                            np.vstack([q.vel for q in parts]),
-                            np.concatenate([q.ids for q in parts]))
-        frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid,
-                                       args.nt, args.dt, p, vessels=vessels)
-        truth = gt.support_mask
+        bubbles = concat_bubbles([sample_bubbles(v, rng, id_start=1000 * i)
+                                  for i, v in enumerate(vessels)])
+        frames, point_frames = synthesize_frames(bubbles, vessels, grid,
+                                                 args.nt, args.dt, p)
+        truth = truth_maps(vessels, grid)[0]
         res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
         raw = localize_frames(frames, p, cfg=cfg, mode="post")
         i_vf = iou(segment_support(accumulate(res.per_frame, grid)), truth)
         i_raw = iou(segment_support(accumulate(raw, grid)), truth)
-        le_vf = frame_le(res.per_frame, gt, le, grid)
-        le_raw = frame_le(raw, gt, le, grid)
+        le_vf = frame_le(res.per_frame, point_frames, le, grid)
+        le_raw = frame_le(raw, point_frames, le, grid)
         rows.append((gap, i_vf, i_raw, le_vf, le_raw))
         print(f"gap={gap:.2f}: iou vf={i_vf:.3f} raw={i_raw:.3f}  "
               f"le vf={le_vf:.3f} raw={le_raw:.3f} [{time.time() - t0:.0f}s]")

@@ -18,8 +18,9 @@ from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
                                run_pipeline, segment_support)
 from velofilt.metrics import iou
-from velofilt.phantom import (MotionSpec, VesselSpec, sample_bubbles,
-                              synthesize_frames, default_vessel_length)
+from velofilt.phantom import (VesselSpec, concat_bubbles,
+                              default_vessel_length, sample_bubbles,
+                              synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
 from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec, tile_speeds
@@ -74,17 +75,12 @@ def main():
     for label, c_mb in (("high", args.c_high), ("low", args.c_high / 6.0)):
         rng = np.random.default_rng(args.seed)
         vessels = crossing_vessels(args.radius, args.v0, c_mb, grid, p)
-        parts = [sample_bubbles(v, rng, id_start=1000 * i)
-                 for i, v in enumerate(vessels)]
-        bubbles = parts[0]
-        for q in parts[1:]:
-            bubbles = type(bubbles)(np.vstack([bubbles.pos, q.pos]),
-                                    np.vstack([bubbles.vel, q.vel]),
-                                    np.concatenate([bubbles.ids, q.ids]))
-        frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid,
-                                       args.nt, args.dt, p, vessels=vessels,
-                                       noise_std=args.noise, rng=rng)
-        truth = gt.support_mask
+        bubbles = concat_bubbles([sample_bubbles(v, rng, id_start=1000 * i)
+                                  for i, v in enumerate(vessels)])
+        frames, _ = synthesize_frames(bubbles, vessels, grid, args.nt,
+                                      args.dt, p, noise_std=args.noise,
+                                      rng=rng)
+        truth = truth_maps(vessels, grid)[0]
         t0 = time.time()
         res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
         raw = localize_frames(frames, p, cfg=cfg, mode="post")

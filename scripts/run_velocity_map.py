@@ -23,9 +23,8 @@ from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, run_pipeline,
                                velocity_map_from_locs)
 from velofilt.metrics import fve
-from velofilt.phantom import (MotionSpec, VesselSpec, sample_bubbles,
-                              synthesize_frames, default_vessel_length,
-                              ground_truth_velocity_map)
+from velofilt.phantom import (VesselSpec, default_vessel_length,
+                              sample_bubbles, synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
 from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec, tile_speeds
@@ -59,14 +58,14 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     bubbles = sample_bubbles(vessel, rng)
-    frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid,
-                                   args.nt, args.dt, p, vessels=[vessel])
+    frames, _ = synthesize_frames(bubbles, [vessel], grid, args.nt, args.dt,
+                                  p)
     t0 = time.time()
     res = run_pipeline(frames, bank, p, cfg=DetectorConfig())
     locs = [loc for fr in res.per_frame for loc in fr]
     vmap = velocity_map_from_locs(locs, grid)
 
-    t_speed, t_vx, t_vz = ground_truth_velocity_map([vessel], grid)
+    _, t_speed, t_vx, t_vz = truth_maps([vessel], grid)
     full = fve(t_vx, t_vz, vmap.vx, vmap.vz)
     fast = fve(t_vx, t_vz, vmap.vx, vmap.vz, fastest_q=0.05)
     print(f"n_locs={len(locs)} fve={full:.4f} mm/s "

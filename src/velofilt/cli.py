@@ -36,12 +36,11 @@ from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        velocity_map_from_locs)
 from .metrics import (LeParams, default_le_params, fve, iou, le_grid,
                       localization_error_frames)
-from .phantom import (BubbleSet, CircularBandSpec, MotionSpec, VesselSpec,
-                      circular_support_mask, circular_velocity_map,
-                      default_vessel_length, empty_bubbles, from_plane,
-                      ground_truth_velocity_map, load_truth_csv,
-                      sample_bubbles, sample_circular_bubbles, save_truth_csv,
-                      synthesize_frames, vessel_support_mask)
+from .phantom import (BubbleSet, CircularBandSpec, Flow, VesselSpec,
+                      concat_bubbles, default_vessel_length, empty_bubbles,
+                      from_plane, load_truth_csv, sample_bubbles,
+                      sample_circular_bubbles, save_truth_csv,
+                      synthesize_frames, truth_maps)
 from .psf import PsfParams, ToParams
 from .theory import (AcqBoundInput, acquisition_time_bound, apparent_density,
                      attenuation_pre, filtered_density, make_noise_spec,
@@ -243,8 +242,9 @@ def load_config(path: str | Path) -> dict:
 class _Resolved:
     """The domain objects of one config, shared by every stage it runs.
 
-    `points` holds a grid_bubbles phantom; the other kinds are drawn per
-    seed from `vessels` (lengths resolved) or `band`.
+    `flow` is the phantom's band, or its vessels with lengths resolved; it
+    is empty for grid_bubbles, whose fixed bubbles are in `points`. The
+    other kinds draw their bubbles per seed from the flow.
     """
 
     psf: PsfParams
@@ -255,9 +255,7 @@ class _Resolved:
     dt: float
     noise_std: float
     points: BubbleSet | None
-    vessels: tuple[VesselSpec, ...]
-    band: CircularBandSpec | None
-    motion: MotionSpec
+    flow: Flow
     bank: FilterBankSpec
     boundary: str
     detector: DetectorConfig
@@ -296,13 +294,12 @@ def _resolve(cfg: dict) -> _Resolved:
         grid = make_grid(g["nx"], g["nz"], g["dx_mm"], g["dz_mm"])
     det = cfg.get("detector", {})
     with _section("detector"):
-        fine = make_fine_grid(grid, det.get("fine_factor", 4))
-        detector = DetectorConfig(
-            threshold_fraction=det.get("threshold_fraction", 0.5),
-            min_separation=det.get("min_separation_mm"),
-            subpixel=det.get("subpixel", True))
+        fine = make_fine_grid(grid, **_given(det, factor="fine_factor"))
+        detector = DetectorConfig(**_given(
+            det, threshold_fraction="threshold_fraction",
+            min_separation="min_separation_mm", subpixel="subpixel"))
     with _section("phantom"):
-        points, vessels, band = _phantom(cfg["phantom"], grid, p)
+        points, flow = _phantom(cfg["phantom"], grid, p)
     fb = cfg["filter_bank"]
     with _section("filter_bank"):
         bank = _bank(fb, p)
@@ -310,17 +307,14 @@ def _resolve(cfg: dict) -> _Resolved:
     with _section("metrics"):
         le = default_le_params(
             p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
-        le = replace(le,
-                     sigma_par=mcfg.get("le_sigma_par_mm", le.sigma_par),
-                     sigma_perp=mcfg.get("le_sigma_perp_mm", le.sigma_perp))
+        le = replace(le, **_given(mcfg, sigma_par="le_sigma_par_mm",
+                                  sigma_perp="le_sigma_perp_mm"))
     outputs = cfg.get("outputs", {})
     return _Resolved(
         psf=p, to=to, grid=grid, fine=fine,
         nt=cfg["motion"]["nt"], dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
-        points=points, vessels=vessels, band=band,
-        motion=(MotionSpec("circular", center=band.center) if band
-                else MotionSpec("linear")),
+        points=points, flow=flow,
         bank=bank, boundary=fb.get("boundary", "pad"),
         detector=detector, mode=det.get("mode", "pre"),
         le=le, fastest_q=mcfg.get("fastest_q"),
@@ -328,10 +322,16 @@ def _resolve(cfg: dict) -> _Resolved:
         save_pgm=outputs.get("save_pgm", False))
 
 
+def _given(section: dict, **keys: str) -> dict:
+    """{param: section[key]} for each key the section sets; the callee's
+    defaults fill in the rest."""
+    return {param: section[key] for param, key in keys.items()
+            if key in section}
+
+
 def _phantom(ph: dict, grid: Grid2D, p: PsfParams
-             ) -> tuple[BubbleSet | None, tuple[VesselSpec, ...],
-                        CircularBandSpec | None]:
-    """(points, vessels, band) of the phantom section; each kind sets one."""
+             ) -> tuple[BubbleSet | None, Flow]:
+    """(points, flow) of the phantom section; points only for grid_bubbles."""
     kind = ph["kind"]
     if kind == "grid_bubbles":
         pos = np.asarray(ph["positions_mm"], dtype=np.float64)
@@ -340,9 +340,9 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
             raise ValueError("positions_mm and velocities_mm_s differ in "
                              "length")
         points = from_plane(pos, vel) if pos.size else empty_bubbles()
-        return points, (), None
+        return points, ()
     if kind == "circular":
-        return None, (), CircularBandSpec(
+        return None, CircularBandSpec(
             orbit_radius=ph["orbit_radius_mm"], radius_r=ph["radius_mm"],
             v0=ph["v0_mm_s"], c_mb=ph["c_mb_per_mm3"], spin=ph.get("spin", 1))
     length = ph.get("length_mm", default_vessel_length(grid, p))
@@ -374,7 +374,7 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
                               c_mb=ph["c_mb_per_mm3"],
                               axis_angle_rad=math.radians(ph["angle_deg"]),
                               length=length),)
-    return None, vessels, None
+    return None, vessels
 
 
 def _bank(fb: dict, p: PsfParams) -> FilterBankSpec:
@@ -401,17 +401,15 @@ def _draw_bubbles(r: _Resolved, rng: np.random.Generator) -> BubbleSet:
     """The phantom's bubbles, drawn from rng vessel by vessel."""
     if r.points is not None:
         return r.points
-    if r.band is not None:
-        return sample_circular_bubbles(r.band, rng)
+    if isinstance(r.flow, CircularBandSpec):
+        return sample_circular_bubbles(r.flow, rng)
     parts = []
     next_id = 0
-    for v in r.vessels:
+    for v in r.flow:
         part = sample_bubbles(v, rng, id_start=next_id)
         next_id += len(part)
         parts.append(part)
-    return BubbleSet(np.vstack([q.pos for q in parts]),
-                     np.vstack([q.vel for q in parts]),
-                     np.concatenate([q.ids for q in parts]))
+    return concat_bubbles(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +461,11 @@ def _stage_synth(r: _Resolved, out: Path, seed: int) -> list[Path]:
     # too large for numpy
     with _section("phantom"):
         bubbles = _draw_bubbles(r, rng)
-    frames, gt = synthesize_frames(
-        bubbles, r.motion, r.grid, r.nt, r.dt, r.psf, mode="pre",
-        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None,
-        vessels=r.vessels or None)
+    frames, point_frames = synthesize_frames(
+        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, mode="pre",
+        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
     arts = list(save_frame_stack(frames, out / f"{r.prefix}_frames"))
-    arts.append(save_truth_csv(gt, out / f"{r.prefix}_truth.csv"))
+    arts.append(save_truth_csv(point_frames, out / f"{r.prefix}_truth.csv"))
     if r.save_pgm:
         arts.append(write_pgm(np.abs(frames.data).max(axis=0),
                               out / f"{r.prefix}_preview.pgm"))
@@ -530,36 +527,28 @@ def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
     locs = load_localizations_csv(locs_path)
     if not locs:
         raise DataError("no localizations to score")
-    gt = load_truth_csv(truth_path)
+    point_frames = load_truth_csv(truth_path)
     grid = r.grid
 
     # map metrics are scored at the frame grid; the detector's fine grid is
-    # for rendering and stays in the accumulate artifacts
+    # for rendering and stays in the accumulate artifacts. Grid bubbles have
+    # no flow, hence no truth maps.
     report: dict = {}
-    if r.band is not None:
-        truth_mask = circular_support_mask(r.band, grid)
-        truth_vmap = circular_velocity_map(r.band, grid)
-    elif r.vessels:
-        truth_mask = vessel_support_mask(r.vessels, grid)
-        truth_vmap = ground_truth_velocity_map(r.vessels, grid)
-    else:
-        truth_mask = truth_vmap = None
-    acc = accumulate(locs, grid)
-    if truth_mask is not None:
-        report["iou"] = iou(segment_support(acc), truth_mask)
-    if truth_vmap is not None:
+    if r.flow:
+        truth_mask, _, tvx, tvz = truth_maps(r.flow, grid)
+        report["iou"] = iou(segment_support(accumulate(locs, grid)),
+                            truth_mask)
         est = velocity_map_from_locs(locs, grid)
-        _, tvx, tvz = truth_vmap
         report["fve_mm_s"] = fve(tvx, tvz, est.vx, est.vz)
         q = r.fastest_q
         if q:
             report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
                                                     fastest_q=q)
 
-    n_truth = sum(f.shape[0] for f in gt.point_frames)
+    n_truth = sum(f.shape[0] for f in point_frames)
     if n_truth:
-        truth_frames = [f[:, 1:3] for f in gt.point_frames]
-        est_pos: list[list[tuple]] = [[] for _ in gt.point_frames]
+        truth_frames = [f[:, 1:3] for f in point_frames]
+        est_pos: list[list[tuple]] = [[] for _ in point_frames]
         for loc in locs:
             if 0 <= loc.t_index < len(est_pos):
                 est_pos[loc.t_index].append(loc.pos)

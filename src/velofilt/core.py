@@ -50,6 +50,12 @@ class Grid2D:
         """(X, Z) arrays of shape (nz, nx)."""
         return np.meshgrid(self.x_coords(), self.z_coords())
 
+    def contains(self, x, z):
+        """Whether (x, z) lies within the sampled span, edge samples included."""
+        x_end = self.x0 + self.dx * (self.nx - 1)
+        z_end = self.z0 + self.dz * (self.nz - 1)
+        return (x >= self.x0) & (x <= x_end) & (z >= self.z0) & (z <= z_end)
+
     @property
     def extent_mm(self) -> tuple[float, float]:
         return (self.nx * self.dx, self.nz * self.dz)

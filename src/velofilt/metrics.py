@@ -244,9 +244,7 @@ def measure_attenuation(before: FrameStack, after: FrameStack, pos,
     ratios = []
     for t in range(lo, hi):
         px, pz = pos[t]
-        x_end = grid.x0 + grid.dx * (grid.nx - 1)
-        z_end = grid.z0 + grid.dz * (grid.nz - 1)
-        if not (grid.x0 <= px <= x_end and grid.z0 <= pz <= z_end):
+        if not grid.contains(px, pz):
             raise ValueError(f"bubble position outside grid at frame {t}")
         win = (X - px) ** 2 + (Z - pz) ** 2 <= window_radius**2
         num = float(np.max(np.abs(before.data[t][win])))

@@ -8,13 +8,18 @@ a vessel is proportional to sqrt(R^2 - rho^2).
 
 A circular band phantom puts the same cross-sectional profile on a ring:
 bubbles orbit a common in-plane center at constant speed.
+
+A phantom's flow is either such a band or a sequence of straight vessels
+(empty for free bubbles moving in straight lines). It is the one input that
+decides how `synthesize_frames` moves and respawns the bubbles and what
+`truth_maps` rasterizes as the truth support and velocity map.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -77,6 +82,10 @@ class CircularBandSpec:
             raise ValueError("spin must be +1 or -1")
 
 
+# A band, or straight vessels (none: free straight-line motion).
+Flow = CircularBandSpec | Sequence[VesselSpec]
+
+
 def flow_speed(vessel, rho3) -> np.ndarray:
     """Parabolic speed profile at 3D distance rho3 from the axis; 0 outside."""
     rho3 = np.asarray(rho3, dtype=np.float64)
@@ -110,6 +119,13 @@ class BubbleSet:
 
 def empty_bubbles() -> BubbleSet:
     return BubbleSet(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
+def concat_bubbles(parts: Sequence[BubbleSet]) -> BubbleSet:
+    """One set holding the bubbles of every part, in order."""
+    return BubbleSet(np.vstack([q.pos for q in parts]),
+                     np.vstack([q.vel for q in parts]),
+                     np.concatenate([q.ids for q in parts]))
 
 
 def from_plane(positions_xz, velocities_xz, ids=None) -> BubbleSet:
@@ -194,32 +210,22 @@ def sample_circular_bubbles(band: CircularBandSpec, rng: np.random.Generator,
     return BubbleSet(pos, vel, id_start + np.arange(n))
 
 
-@dataclass(frozen=True)
-class MotionSpec:
-    """How bubbles advance between frames: straight lines or circular orbits."""
-
-    kind: str = "linear"
-    center: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "circular"):
-            raise ValueError(f"unknown motion kind {self.kind!r}")
-
-
-def advance(bubbles: BubbleSet, motion: MotionSpec, dt: float) -> BubbleSet:
+def advance(bubbles: BubbleSet, dt: float,
+            center: tuple[float, float] | None = None) -> BubbleSet:
     """One time step; returns a new BubbleSet.
 
-    Circular motion rotates position and velocity about motion.center in the
-    image plane by omega*dt with omega = tangential speed / in-plane radius,
-    which preserves speed and orbit radius exactly up to rounding.
+    With center None bubbles move in straight lines. Otherwise they orbit
+    center: position and velocity rotate about it in the image plane by
+    omega*dt with omega = tangential speed / in-plane radius, which preserves
+    speed and orbit radius exactly up to rounding.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     out = bubbles.copy()
-    if motion.kind == "linear" or len(bubbles) == 0:
+    if center is None or len(bubbles) == 0:
         out.pos = out.pos + out.vel * dt
         return out
-    cx, cz = motion.center
+    cx, cz = center
     rx = out.pos[:, 0] - cx
     rz = out.pos[:, 2] - cz
     radius = np.hypot(rx, rz)
@@ -259,116 +265,79 @@ def respawn_axial(bubbles: BubbleSet, vessel: VesselSpec,
 
 
 # ---------------------------------------------------------------------------
-# Ground truth containers and rasterized truth maps.
+# Ground truth: per-frame points on disk, rasterized maps from the flow.
 
-@dataclass
-class GroundTruth:
-    """Per-frame truth points plus rasterized vessel truth.
-
-    point_frames[t] is an (n_t, 5) array with columns
-    (id, x_mm, z_mm, vx_mm_s, vz_mm_s), restricted to bubbles whose image
-    position falls inside the grid extent at that frame.
-    """
-
-    point_frames: list[np.ndarray] = field(default_factory=list)
-    support_mask: np.ndarray | None = None
-    velocity_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    n_bubbles: int = 0
-
-
-def save_truth_csv(gt: GroundTruth, path: str | Path) -> Path:
+def save_truth_csv(point_frames: Sequence[np.ndarray],
+                   path: str | Path) -> Path:
+    """Write per-frame truth rows (id, x_mm, z_mm, vx_mm_s, vz_mm_s)."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_index", "id", "x_mm", "z_mm", "vx_mm_s", "vz_mm_s"])
-        for t, pts in enumerate(gt.point_frames):
+        for t, pts in enumerate(point_frames):
             for row in pts:
                 writer.writerow([t, int(row[0]), f"{row[1]:.9g}", f"{row[2]:.9g}",
                                  f"{row[3]:.9g}", f"{row[4]:.9g}"])
     return path
 
 
-def load_truth_csv(path: str | Path) -> GroundTruth:
+def load_truth_csv(path: str | Path) -> list[np.ndarray]:
+    """Per-frame (n_t, 5) truth arrays, as save_truth_csv wrote them."""
     frames: dict[int, list[list[float]]] = {}
-    ids = set()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            t = int(row["t_index"])
-            ids.add(int(row["id"]))
-            frames.setdefault(t, []).append(
+            frames.setdefault(int(row["t_index"]), []).append(
                 [float(row["id"]), float(row["x_mm"]), float(row["z_mm"]),
                  float(row["vx_mm_s"]), float(row["vz_mm_s"])])
     nt = max(frames) + 1 if frames else 0
-    point_frames = [np.array(frames.get(t, np.empty((0, 5)))).reshape(-1, 5)
-                    for t in range(nt)]
-    return GroundTruth(point_frames=point_frames, n_bubbles=len(ids))
+    return [np.array(frames.get(t, np.empty((0, 5)))).reshape(-1, 5)
+            for t in range(nt)]
 
 
-def vessel_support_mask(vessels: Sequence[VesselSpec], grid: Grid2D) -> np.ndarray:
-    """Pixels whose in-plane distance to any vessel axis is <= its radius."""
-    X, Z = grid.meshgrid()
-    mask = np.zeros((grid.nz, grid.nx), dtype=bool)
-    for v in vessels:
-        dx = X - v.center[0]
-        dz = Z - v.center[1]
-        perp = -math.sin(v.axis_angle_rad) * dx + math.cos(v.axis_angle_rad) * dz
-        inside = np.abs(perp) <= v.radius_r
-        if v.length is not None:
-            along = math.cos(v.axis_angle_rad) * dx + math.sin(v.axis_angle_rad) * dz
-            inside &= np.abs(along) <= v.length / 2.0
-        mask |= inside
-    return mask
+def truth_maps(flow: Flow, grid: Grid2D
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Truth support mask and peak-speed velocity map of a flow on grid.
 
-
-def circular_support_mask(band: CircularBandSpec, grid: Grid2D) -> np.ndarray:
-    X, Z = grid.meshgrid()
-    r = np.hypot(X - band.center[0], Z - band.center[1])
-    return np.abs(r - band.orbit_radius) <= band.radius_r
-
-
-def ground_truth_velocity_map(vessels: Sequence[VesselSpec], grid: Grid2D
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel peak observable speed and its direction for straight vessels.
-
+    The mask holds the pixels inside the band's ring or within any vessel's
+    radius of its axis (and, for a vessel of set length, within its segment).
     The projection of the parabolic profile puts speeds [0, vmax(rho)] at
     in-plane offset rho; the map records vmax(rho) (the value a max-speed
-    accumulation rule estimates). Crossing vessels combine by max speed.
-    Returns (speed, vx, vz) arrays of shape (nz, nx).
+    accumulation rule estimates) along the local flow direction. Crossing
+    vessels combine by max speed. Returns (mask, speed, vx, vz), each of
+    shape (nz, nx).
     """
     X, Z = grid.meshgrid()
+    if isinstance(flow, CircularBandSpec):
+        rx = X - flow.center[0]
+        rz = Z - flow.center[1]
+        r = np.hypot(rx, rz)
+        rho = r - flow.orbit_radius
+        mask = np.abs(rho) <= flow.radius_r
+        speed = np.where(mask, flow.v0 * (1.0 - (rho / flow.radius_r) ** 2),
+                         0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tx = np.where(r > 0, -rz / r, 0.0) * flow.spin
+            tz = np.where(r > 0, rx / r, 0.0) * flow.spin
+        return mask, speed, speed * tx, speed * tz
+    mask = np.zeros((grid.nz, grid.nx), dtype=bool)
     speed = np.zeros((grid.nz, grid.nx))
     vx = np.zeros_like(speed)
     vz = np.zeros_like(speed)
-    for v in vessels:
+    for v in flow:
+        cos, sin = math.cos(v.axis_angle_rad), math.sin(v.axis_angle_rad)
         dx = X - v.center[0]
         dz = Z - v.center[1]
-        perp = -math.sin(v.axis_angle_rad) * dx + math.cos(v.axis_angle_rad) * dz
-        vmax = np.where(np.abs(perp) <= v.radius_r,
-                        v.v0 * (1.0 - (perp / v.radius_r) ** 2), 0.0)
+        perp = -sin * dx + cos * dz
+        inside = np.abs(perp) <= v.radius_r
         if v.length is not None:
-            along = math.cos(v.axis_angle_rad) * dx + math.sin(v.axis_angle_rad) * dz
-            vmax = np.where(np.abs(along) <= v.length / 2.0, vmax, 0.0)
+            inside &= np.abs(cos * dx + sin * dz) <= v.length / 2.0
+        mask |= inside
+        vmax = np.where(inside, v.v0 * (1.0 - (perp / v.radius_r) ** 2), 0.0)
         take = vmax > speed
         speed[take] = vmax[take]
-        vx[take] = vmax[take] * math.cos(v.axis_angle_rad)
-        vz[take] = vmax[take] * math.sin(v.axis_angle_rad)
-    return speed, vx, vz
-
-
-def circular_velocity_map(band: CircularBandSpec, grid: Grid2D
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Peak-speed map for the circular band, tangential directions."""
-    X, Z = grid.meshgrid()
-    rx = X - band.center[0]
-    rz = Z - band.center[1]
-    r = np.hypot(rx, rz)
-    rho = r - band.orbit_radius
-    inside = np.abs(rho) <= band.radius_r
-    speed = np.where(inside, band.v0 * (1.0 - (rho / band.radius_r) ** 2), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tx = np.where(r > 0, -rz / r, 0.0) * band.spin
-        tz = np.where(r > 0, rx / r, 0.0) * band.spin
-    return speed, speed * tx, speed * tz
+        vx[take] = vmax[take] * cos
+        vz[take] = vmax[take] * sin
+    return mask, speed, vx, vz
 
 
 # ---------------------------------------------------------------------------
@@ -411,57 +380,51 @@ def render_frame(bubbles: BubbleSet, grid: Grid2D, p: PsfParams,
     return frame
 
 
-def _in_grid(bubbles: BubbleSet, grid: Grid2D) -> np.ndarray:
-    x = bubbles.pos[:, 0]
-    z = bubbles.pos[:, 2]
-    x_end = grid.x0 + grid.dx * (grid.nx - 1)
-    z_end = grid.z0 + grid.dz * (grid.nz - 1)
-    return ((x >= grid.x0) & (x <= x_end) & (z >= grid.z0) & (z <= z_end))
-
-
-def synthesize_frames(bubbles: BubbleSet, motion: MotionSpec, grid: Grid2D,
+def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
                       nt: int, dt: float, p: PsfParams, mode: str = "pre",
                       to: ToParams | None = None, noise_std: float = 0.0,
-                      rng: np.random.Generator | None = None,
-                      vessels: Sequence[VesselSpec] | None = None
-                      ) -> tuple[FrameStack, GroundTruth]:
+                      rng: np.random.Generator | None = None
+                      ) -> tuple[FrameStack, list[np.ndarray]]:
     """Advance bubbles over nt frames and render each frame.
 
-    Bubble positions are taken at frame times t = 0, dt, ..., (nt-1)dt.
-    When straight `vessels` are given, bubbles leaving the simulated segment
-    respawn at the inlet (the per-vessel test uses the nearest axis), and the
-    truth container gets the support mask and peak-speed velocity map.
+    Bubble positions are taken at frame times t = 0, dt, ..., (nt-1)dt. The
+    flow sets the motion: a band makes the bubbles orbit its center;
+    vessels move them in straight lines, and a bubble leaving its simulated
+    segment respawns at the inlet (the per-vessel test uses the nearest
+    axis); an empty flow moves them in straight lines without respawn.
     White Gaussian noise of standard deviation noise_std is added per sample.
+
+    Returns the stack and the per-frame truth points: point_frames[t] is an
+    (n_t, 5) array with columns (id, x_mm, z_mm, vx_mm_s, vz_mm_s), holding
+    the bubbles whose image position falls inside the grid at that frame.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     if noise_std > 0 and rng is None:
         raise ValueError("noise requires an rng for reproducibility")
+    if isinstance(flow, CircularBandSpec):
+        center, vessels = flow.center, ()
+    else:
+        center, vessels = None, tuple(flow)
+    lengths = [v.length if v.length is not None
+               else default_vessel_length(grid, p) for v in vessels]
     data = np.empty((nt, grid.nz, grid.nx))
-    gt = GroundTruth(n_bubbles=len(bubbles))
-    lengths: list[float] = []
-    if vessels:
-        lengths = [v.length if v.length is not None
-                   else default_vessel_length(grid, p) for v in vessels]
+    point_frames = []
     state = bubbles.copy()
     for t in range(nt):
         data[t] = render_frame(state, grid, p, mode=mode, to=to)
-        keep = _in_grid(state, grid)
-        pts = np.column_stack([state.ids[keep].astype(np.float64),
-                               state.pos[keep, 0], state.pos[keep, 2],
-                               state.vel[keep, 0], state.vel[keep, 2]])
-        gt.point_frames.append(pts)
+        keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
+        point_frames.append(np.column_stack([
+            state.ids[keep].astype(np.float64),
+            state.pos[keep, 0], state.pos[keep, 2],
+            state.vel[keep, 0], state.vel[keep, 2]]))
         if t + 1 < nt:
-            state = advance(state, motion, dt)
-            if vessels and motion.kind == "linear":
+            state = advance(state, dt, center)
+            if vessels:
                 state = _respawn_nearest(state, vessels, lengths)
     if noise_std > 0:
         data += rng.normal(0.0, noise_std, size=data.shape)
-    if vessels:
-        gt.support_mask = vessel_support_mask(vessels, grid)
-        gt.velocity_map = ground_truth_velocity_map(vessels, grid)
-    stack = FrameStack(grid=grid, nt=nt, dt=dt, data=data)
-    return stack, gt
+    return FrameStack(grid=grid, nt=nt, dt=dt, data=data), point_frames
 
 
 def _respawn_nearest(bubbles: BubbleSet, vessels: Sequence[VesselSpec],

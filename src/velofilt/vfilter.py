@@ -50,13 +50,10 @@ class VelocityFilterSpec:
 
     v_f: tuple[float, float]
     sigma_t: float
-    window: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.sigma_t <= 0:
             raise ValueError("sigma_t must be positive")
-        if self.window != "gaussian":
-            raise ValueError(f"unsupported window kind {self.window!r}")
 
     @property
     def speed(self) -> float:
@@ -308,7 +305,7 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
             "index": i,
             "v_f_mm_s": [fspec.v_f[0], fspec.v_f[1]],
             "sigma_t_s": fspec.sigma_t,
-            "window": fspec.window,
+            "window": "gaussian",
             "to_prefilter": used_to,
             "frames": header.name,
         })

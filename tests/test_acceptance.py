@@ -23,12 +23,10 @@ from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
                                velocity_map_from_locs)
 from velofilt.metrics import (default_le_params, fve, iou,
                               localization_error, measure_attenuation)
-from velofilt.phantom import (BubbleSet, CircularBandSpec, MotionSpec,
-                              VesselSpec, circular_support_mask,
+from velofilt.phantom import (CircularBandSpec, VesselSpec, concat_bubbles,
                               default_vessel_length, from_plane,
-                              ground_truth_velocity_map,
                               sample_bubbles, sample_circular_bubbles,
-                              synthesize_frames)
+                              synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams, ToParams, render_psf
 from velofilt.theory import (apparent_density, attenuation_pre,
                              filtered_density, joint_density, make_noise_spec,
@@ -52,7 +50,7 @@ def _moving_bubble(grid, v, nt, dt, p=P):
     tmid = 0.5 * nt * dt
     start = (-v[0] * tmid, -v[1] * tmid)
     bub = from_plane(np.array([start]), np.array([v], dtype=np.float64))
-    frames, _ = synthesize_frames(bub, MotionSpec("linear"), grid, nt, dt, p)
+    frames, _ = synthesize_frames(bub, (), grid, nt, dt, p)
     track = np.array([[start[0] + v[0] * t * dt, start[1] + v[1] * t * dt]
                       for t in range(nt)])
     return frames, track
@@ -207,8 +205,7 @@ def test_criterion_05_attenuation_anisotropy_and_to_gain():
     sigma_t_to = 1.5
     grid_to = make_grid(192, 96, 0.05, 0.05)  # TO envelope is wide laterally
     bub = from_plane(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))
-    frames, _ = synthesize_frames(bub, MotionSpec("linear"), grid_to, 8,
-                                  0.05, P)
+    frames, _ = synthesize_frames(bub, (), grid_to, 8, 0.05, P)
     spec_to = VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=sigma_t_to)
     plain_out = apply_filter_fft(frames, spec_to, boundary="periodic")
     a_plain = measure_attenuation(frames, plain_out, (0.0, 0.0),
@@ -333,15 +330,11 @@ def _crossing_setup(c_mb, grid, nt, dt, noise_std, seed):
                           axis_angle_rad=math.radians(ang),
                           length=default_vessel_length(grid, P))
                for ang in (45.0, -45.0)]
-    parts = [sample_bubbles(v, rng, id_start=1000 * i)
-             for i, v in enumerate(vessels)]
-    bubbles = BubbleSet(np.vstack([q.pos for q in parts]),
-                        np.vstack([q.vel for q in parts]),
-                        np.concatenate([q.ids for q in parts]))
-    frames, gt = synthesize_frames(bubbles, MotionSpec("linear"), grid, nt,
-                                   dt, P, vessels=vessels,
-                                   noise_std=noise_std, rng=rng)
-    return frames, gt.support_mask
+    bubbles = concat_bubbles([sample_bubbles(v, rng, id_start=1000 * i)
+                              for i, v in enumerate(vessels)])
+    frames, _ = synthesize_frames(bubbles, vessels, grid, nt, dt, P,
+                                  noise_std=noise_std, rng=rng)
+    return frames, truth_maps(vessels, grid)[0]
 
 
 def test_criterion_09_filtering_beats_concentration_tradeoff():
@@ -398,12 +391,11 @@ def test_criterion_10_velocity_map_parabola():
 
     rng = np.random.default_rng(17)
     bubbles = sample_bubbles(vessel, rng)
-    frames, _ = synthesize_frames(bubbles, MotionSpec("linear"), grid, nt,
-                                  dt, P, vessels=[vessel])
+    frames, _ = synthesize_frames(bubbles, [vessel], grid, nt, dt, P)
     res = run_pipeline(frames, bank, P, cfg=DetectorConfig())
     locs = [loc for fr in res.per_frame for loc in fr]
     vmap = velocity_map_from_locs(locs, grid)
-    _, t_vx, t_vz = ground_truth_velocity_map([vessel], grid)
+    _, _, t_vx, t_vz = truth_maps([vessel], grid)
 
     fast = fve(t_vx, t_vz, vmap.vx, vmap.vz, fastest_q=0.05)
     assert fast <= 0.15 * v0
@@ -480,13 +472,11 @@ def test_criterion_13_circular_flow_tolerance():
 
     rng = np.random.default_rng(23)
     bubbles = sample_circular_bubbles(band, rng)
-    frames, _ = synthesize_frames(bubbles,
-                                  MotionSpec("circular", center=band.center),
-                                  grid, nt, dt, P)
+    frames, _ = synthesize_frames(bubbles, band, grid, nt, dt, P)
     res = run_pipeline(frames, bank, P,
                        cfg=DetectorConfig(threshold_fraction=0.35),
                        mode="post")
-    truth = circular_support_mask(band, grid)
+    truth = truth_maps(band, grid)[0]
     val = iou(segment_support(accumulate(res.per_frame, grid)), truth)
     assert val >= 0.7
     _finish(13, t0, 300.0, f"annulus IoU {val:.3f} after "

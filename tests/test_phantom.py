@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from velofilt.core import make_grid
-from velofilt.phantom import (BubbleSet, CircularBandSpec, MotionSpec,
-                              VesselSpec, advance, circular_support_mask,
-                              circular_velocity_map, default_vessel_length,
-                              empty_bubbles, flow_speed, from_plane,
-                              ground_truth_velocity_map, load_truth_csv,
+from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
+                              advance, default_vessel_length, empty_bubbles,
+                              flow_speed, from_plane, load_truth_csv,
                               render_frame, respawn_axial, sample_bubbles,
                               sample_circular_bubbles, save_truth_csv,
-                              synthesize_frames, vessel_support_mask)
+                              synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams, ToParams, render_psf
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
@@ -127,40 +125,34 @@ def test_sample_circular_bubbles_torus_and_tangential():
 
 def test_advance_linear():
     b = from_plane([(0.0, 0.0)], [(2.0, -1.0)])
-    out = advance(b, MotionSpec(kind="linear"), 0.25)
+    out = advance(b, 0.25)
     assert np.allclose(out.pos[0], [0.5, 0.0, -0.25])
     assert np.allclose(out.vel, b.vel)
     with pytest.raises(ValueError):
-        advance(b, MotionSpec(kind="linear"), 0.0)
+        advance(b, 0.0)
 
 
 def test_advance_circular_preserves_invariants():
-    motion = MotionSpec(kind="circular", center=(0.0, 0.0))
     b = from_plane([(1.0, 0.0)], [(0.0, 0.5)])
     state = b
     for _ in range(100):
-        state = advance(state, motion, 0.05)
+        state = advance(state, 0.05, center=(0.0, 0.0))
     assert np.hypot(state.pos[0, 0], state.pos[0, 2]) == pytest.approx(
         1.0, abs=1e-12)
     assert np.linalg.norm(state.vel[0]) == pytest.approx(0.5, abs=1e-12)
     # velocity stays tangential
     assert abs(np.dot(state.pos[0], state.vel[0])) < 1e-12
     with pytest.raises(ValueError):
-        advance(from_plane([(0.0, 0.0)], [(0.0, 1.0)]), motion, 0.1)
+        advance(from_plane([(0.0, 0.0)], [(0.0, 1.0)]), 0.1,
+                center=(0.0, 0.0))
 
 
 def test_advance_circular_small_step_is_linear():
-    motion = MotionSpec(kind="circular", center=(0.0, 0.0))
     b = from_plane([(1.0, 0.0)], [(0.0, 1.0)])
     dt = 1e-6
-    circ = advance(b, motion, dt)
-    lin = advance(b, MotionSpec(kind="linear"), dt)
+    circ = advance(b, dt, center=(0.0, 0.0))
+    lin = advance(b, dt)
     assert np.allclose(circ.pos, lin.pos, atol=1e-11)
-
-
-def test_motion_spec_validation():
-    with pytest.raises(ValueError):
-        MotionSpec(kind="ballistic")
 
 
 def test_respawn_axial_wraps_with_offset_preserved():
@@ -187,7 +179,7 @@ def test_respawn_keeps_bubbles_in_segment(seed, angle, steps):
     length = 2.0
     b = sample_bubbles(v, rng, length=length)
     for _ in range(steps):
-        b = advance(b, MotionSpec(kind="linear"), 0.05)
+        b = advance(b, 0.05)
         b = respawn_axial(b, v, length)
     if len(b):
         s = (b.pos - np.array([0.0, 0.0, 0.0])) @ v.axis_dir
@@ -215,12 +207,12 @@ def test_render_frame_matches_psf_sum():
 def test_support_mask_straight_vessel():
     grid = make_grid(41, 41, 0.05, 0.05)
     v = VesselSpec(radius_r=0.22, v0=1.0, c_mb=1.0)   # lateral through origin
-    mask = vessel_support_mask([v], grid)
+    mask = truth_maps([v], grid)[0]
     Z = grid.meshgrid()[1]
     assert np.array_equal(mask, np.abs(Z) <= 0.22)
     # length clipping cuts the ends
     v2 = VesselSpec(radius_r=0.22, v0=1.0, c_mb=1.0, length=1.0)
-    mask2 = vessel_support_mask([v2], grid)
+    mask2 = truth_maps([v2], grid)[0]
     X = grid.meshgrid()[0]
     assert np.array_equal(mask2, (np.abs(Z) <= 0.22) & (np.abs(X) <= 0.5))
 
@@ -228,11 +220,10 @@ def test_support_mask_straight_vessel():
 def test_circular_masks_and_maps():
     grid = make_grid(81, 81, 0.05, 0.05)
     band = CircularBandSpec(orbit_radius=1.2, radius_r=0.3, v0=2.0, c_mb=1.0)
-    mask = circular_support_mask(band, grid)
+    mask, speed, vx, vz = truth_maps(band, grid)
     X, Z = grid.meshgrid()
     assert np.array_equal(mask,
                           np.abs(np.hypot(X, Z) - 1.2) <= 0.3)
-    speed, vx, vz = circular_velocity_map(band, grid)
     assert np.all(speed[~mask] == 0.0)
     # peak speed on the orbit circle itself
     iz = grid.nz // 2
@@ -243,12 +234,14 @@ def test_circular_masks_and_maps():
     assert np.max(np.abs(dot)) < 1e-9
 
 
-def test_ground_truth_velocity_map_crossing_vessels():
+def test_truth_maps_crossing_vessels():
     grid = make_grid(61, 61, 0.05, 0.05)
     fast = VesselSpec(radius_r=0.3, v0=2.0, c_mb=1.0)
     slow = VesselSpec(radius_r=0.3, v0=1.0, c_mb=1.0,
                       axis_angle_rad=math.pi / 2)
-    speed, vx, vz = ground_truth_velocity_map([fast, slow], grid)
+    mask, speed, vx, vz = truth_maps([fast, slow], grid)
+    assert np.array_equal(mask, truth_maps([fast], grid)[0]
+                          | truth_maps([slow], grid)[0])
     iz, ix = grid.nz // 2, grid.nx // 2
     # at the crossing the faster vessel wins
     assert speed[iz, ix] == pytest.approx(2.0)
@@ -263,22 +256,20 @@ def test_ground_truth_velocity_map_crossing_vessels():
 def test_synthesize_static_bubble_equals_rendered_psf():
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(0.12, -0.08)], [(0.0, 0.0)])
-    stack, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
-                                  nt=3, dt=0.01, p=P)
+    stack, truth = synthesize_frames(b, (), grid, nt=3, dt=0.01, p=P)
     want = render_psf(P, grid, mode="pre", center=(0.12, -0.08))
     for t in range(3):
         assert np.allclose(stack.data[t], want, atol=1e-12)
-    assert len(gt.point_frames) == 3
-    assert gt.point_frames[0].shape == (1, 5)
-    assert gt.point_frames[0][0, 1] == pytest.approx(0.12)
+    assert len(truth) == 3
+    assert truth[0].shape == (1, 5)
+    assert truth[0][0, 1] == pytest.approx(0.12)
 
 
 def test_synthesize_moving_bubble_truth_tracks_position():
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(-0.3, 0.0)], [(2.0, 1.0)])
-    stack, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
-                                  nt=5, dt=0.05, p=P)
-    for t, pts in enumerate(gt.point_frames):
+    stack, truth = synthesize_frames(b, (), grid, nt=5, dt=0.05, p=P)
+    for t, pts in enumerate(truth):
         assert pts[0, 1] == pytest.approx(-0.3 + 2.0 * t * 0.05)
         assert pts[0, 2] == pytest.approx(1.0 * t * 0.05)
         assert pts[0, 3] == pytest.approx(2.0)
@@ -287,48 +278,60 @@ def test_synthesize_moving_bubble_truth_tracks_position():
 def test_synthesize_truth_drops_out_of_grid_points():
     grid = make_grid(21, 21, 0.05, 0.05)   # extent +-0.5
     b = from_plane([(0.45, 0.0)], [(3.0, 0.0)])
-    stack, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
-                                  nt=4, dt=0.05, p=P)
-    assert gt.point_frames[0].shape[0] == 1
-    assert gt.point_frames[1].shape[0] == 0   # at x = 0.6, outside
+    stack, truth = synthesize_frames(b, (), grid, nt=4, dt=0.05, p=P)
+    assert truth[0].shape[0] == 1
+    assert truth[1].shape[0] == 0   # at x = 0.6, outside
 
 
 def test_synthesize_zero_bubbles_and_validation():
     grid = make_grid(17, 17, 0.05, 0.05)
-    stack, gt = synthesize_frames(empty_bubbles(), MotionSpec(), grid,
-                                  nt=2, dt=0.01, p=P)
+    stack, _ = synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
+                                 p=P)
     assert np.all(stack.data == 0.0)
     with pytest.raises(ValueError):
-        synthesize_frames(empty_bubbles(), MotionSpec(), grid, nt=2, dt=0.01,
+        synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
                           p=P, noise_std=-1.0)
     with pytest.raises(ValueError):
-        synthesize_frames(empty_bubbles(), MotionSpec(), grid, nt=2, dt=0.01,
+        synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
                           p=P, noise_std=0.5)   # noise needs an rng
 
 
-def test_synthesize_with_vessels_attaches_truth_maps():
-    grid = make_grid(33, 33, 0.05, 0.05)
-    v = VesselSpec(radius_r=0.2, v0=1.0, c_mb=30.0)
-    rng = np.random.default_rng(4)
-    b = sample_bubbles(v, rng, length=default_vessel_length(grid, P))
-    stack, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
-                                  nt=4, dt=0.02, p=P, vessels=[v])
-    assert gt.support_mask is not None
-    assert gt.velocity_map is not None
-    assert gt.support_mask.shape == (grid.nz, grid.nx)
-    assert gt.velocity_map[0].max() == pytest.approx(1.0)
+def test_synthesize_flow_sets_respawn_and_orbit():
+    grid = make_grid(49, 49, 0.05, 0.05)   # extent +-1.2
+    # each bubble leaves its own vessel's segment after one step and
+    # respawns at that vessel's inlet, offset across the axis kept
+    lateral = VesselSpec(radius_r=0.1, v0=1.0, c_mb=1.0, length=1.0)
+    axial = VesselSpec(radius_r=0.1, v0=1.0, c_mb=1.0,
+                       axis_angle_rad=math.pi / 2, center=(0.3, 0.0),
+                       length=1.0)
+    b = from_plane([(0.45, 0.02), (0.3, 0.45)], [(1.0, 0.0), (0.0, 1.0)])
+    _, truth = synthesize_frames(b, [lateral, axial], grid, nt=2, dt=0.1,
+                                 p=P)
+    assert truth[1][:, 1:3] == pytest.approx(
+        np.array([[-0.45, 0.02], [0.3, -0.45]]))
+    _, free = synthesize_frames(b, (), grid, nt=2, dt=0.1, p=P)
+    assert free[1][:, 1:3] == pytest.approx(
+        np.array([[0.55, 0.02], [0.3, 0.55]]))
+    # a band keeps its bubbles on their orbit about its center
+    band = CircularBandSpec(orbit_radius=0.9, radius_r=0.2, v0=1.0, c_mb=1.0,
+                            center=(0.1, -0.1))
+    b = from_plane([(1.0, -0.1)], [(0.0, 1.0)])
+    _, truth = synthesize_frames(b, band, grid, nt=20, dt=0.05, p=P)
+    pts = np.vstack(truth)
+    radius = np.hypot(pts[:, 1] - 0.1, pts[:, 2] + 0.1)
+    assert radius == pytest.approx(np.full(20, 0.9), abs=1e-12)
+    assert pts[-1, 2] > 0.5                  # the bubble did move
 
 
 def test_truth_csv_roundtrip(tmp_path):
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(0.1, 0.2), (-0.3, 0.0)], [(1.0, 0.5), (0.0, -2.0)])
-    _, gt = synthesize_frames(b, MotionSpec(kind="linear"), grid,
-                              nt=3, dt=0.02, p=P)
-    path = save_truth_csv(gt, tmp_path / "truth.csv")
+    _, truth = synthesize_frames(b, (), grid, nt=3, dt=0.02, p=P)
+    path = save_truth_csv(truth, tmp_path / "truth.csv")
     back = load_truth_csv(path)
-    assert len(back.point_frames) == 3
-    assert back.n_bubbles == 2
-    for a, c in zip(gt.point_frames, back.point_frames):
+    assert len(back) == 3
+    assert {int(i) for f in back for i in f[:, 0]} == {0, 1}
+    for a, c in zip(truth, back):
         assert np.allclose(a, c, rtol=1e-8)
 
 

@@ -1,8 +1,8 @@
 """Smoke tests for the study drivers in scripts/.
 
-Every script must import against the current library, and the two quick
-ones must run end to end on a short acquisition. The others take from
-several seconds to half a minute at --nt 24 and are left to manual runs.
+Every script must import against the current library, and every one that
+runs within seconds at --nt 24 must run end to end on that short
+acquisition. run_parallel_gap_sweep runs one gap of its sweep.
 """
 
 import csv
@@ -17,6 +17,7 @@ import pytest
 import velofilt
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+EXTRA_ARGS = {"run_parallel_gap_sweep": ["--gaps", "0.4"]}
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")),
@@ -29,7 +30,8 @@ def test_script_imports(path):
 
 
 @pytest.mark.parametrize("name", ["run_velocity_map",
-                                  "run_attenuation_study"])
+                                  "run_attenuation_study", "run_circular",
+                                  "run_parallel_gap_sweep", "run_phantom_c"])
 def test_script_runs_short(name, tmp_path):
     src_root = str(Path(velofilt.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -38,7 +40,7 @@ def test_script_runs_short(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / f"{name}.py"), "--nt", "24",
-         "--out", str(out)],
+         "--out", str(out), *EXTRA_ARGS.get(name, [])],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:

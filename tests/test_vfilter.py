@@ -42,8 +42,6 @@ def moving_bubble_stack(v_b, nt=64, n=65, dt=0.01, mode="pre"):
 def test_spec_validation_and_geometry():
     with pytest.raises(ValueError):
         VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.0)
-    with pytest.raises(ValueError):
-        VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.1, window="hann")
     s = VelocityFilterSpec(v_f=(3.0, 4.0), sigma_t=0.1)
     assert s.speed == pytest.approx(5.0)
     assert VelocityFilterSpec(v_f=(1.0, 1.0), sigma_t=0.1
