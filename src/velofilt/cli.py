@@ -244,7 +244,9 @@ class _Resolved:
 
     `flow` is the phantom's band, or its vessels with lengths resolved; it
     is empty for grid_bubbles, whose fixed bubbles are in `points`. The
-    other kinds draw their bubbles per seed from the flow.
+    other kinds draw their bubbles per seed from the flow. `filter_kw` and
+    `localize_kw` hold only the bank and detection options the config
+    sets, so the library's defaults apply to the rest.
     """
 
     psf: PsfParams
@@ -257,9 +259,9 @@ class _Resolved:
     points: BubbleSet | None
     flow: Flow
     bank: FilterBankSpec
-    boundary: str
+    filter_kw: dict
     detector: DetectorConfig
-    mode: str
+    localize_kw: dict
     le: LeParams
     fastest_q: float | None
     prefix: str
@@ -310,13 +312,15 @@ def _resolve(cfg: dict) -> _Resolved:
         le = replace(le, **_given(mcfg, sigma_par="le_sigma_par_mm",
                                   sigma_perp="le_sigma_perp_mm"))
     outputs = cfg.get("outputs", {})
+    filter_kw = _given(fb, boundary="boundary")
+    localize_kw = {**filter_kw, **_given(det, mode="mode")}
     return _Resolved(
         psf=p, to=to, grid=grid, fine=fine,
         nt=cfg["motion"]["nt"], dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
         points=points, flow=flow,
-        bank=bank, boundary=fb.get("boundary", "pad"),
-        detector=detector, mode=det.get("mode", "pre"),
+        bank=bank, filter_kw=filter_kw,
+        detector=detector, localize_kw=localize_kw,
         le=le, fastest_q=mcfg.get("fastest_q"),
         prefix=outputs.get("prefix", "run"),
         save_pgm=outputs.get("save_pgm", False))
@@ -486,13 +490,13 @@ def _load_frames(r: _Resolved, out: Path) -> FrameStack:
 def _stage_filter(r: _Resolved, out: Path, workers: int) -> list[Path]:
     return save_bank_outputs(
         _load_frames(r, out), r.bank, out / f"{r.prefix}_filtered",
-        to_params=r.to, boundary=r.boundary, workers=workers)
+        to_params=r.to, workers=workers, **r.filter_kw)
 
 
 def _stage_localize(r: _Resolved, out: Path, workers: int) -> list[Path]:
     result = run_pipeline(_load_frames(r, out), r.bank, r.psf,
-                          cfg=r.detector, mode=r.mode, to_params=r.to,
-                          boundary=r.boundary, workers=workers)
+                          cfg=r.detector, to_params=r.to, workers=workers,
+                          **r.localize_kw)
     return [save_localizations_csv(result.per_frame,
                                    out / f"{r.prefix}_locs.csv")]
 
@@ -715,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="runs/out", help="working directory")
         sp.add_argument("--threads", type=int,
                         default=int(os.environ.get("VELOFILT_THREADS", "1")),
-                        help="FFT worker threads (env VELOFILT_THREADS)")
+                        help="worker threads of the filter bank's 3D FFTs "
+                             "(env VELOFILT_THREADS)")
         sp.add_argument("--format", choices=("csv", "json"), default="json",
                         help="metrics report format")
 

@@ -1,8 +1,9 @@
 """Matched-filter localization and super-resolved accumulation.
 
 Detection correlates each (velocity-filtered) frame against the clean PSF
-template, thresholds at a fraction of the template autocorrelation peak, and
-refines maxima to sub-pixel positions with a 3x3 quadratic fit. Because a
+template, thresholds at a fraction of the template autocorrelation peak,
+keeps the pixels above threshold that no 3x3 neighbour exceeds, and refines
+them to sub-pixel positions with a 3x3 quadratic fit. Because a
 velocity filter attenuates mismatched bubbles below the threshold, each
 detection inherits the selecting filter velocity as its velocity estimate;
 no tracking pass is involved.
@@ -13,19 +14,24 @@ peak further, which helps rejection); mode "post" strips the axial carrier
 first (magnitude of the analytic signal along z) and correlates against the
 envelope template, trading some velocity rejection for artifact-free
 positions when the response is distorted (e.g. accelerating flow).
+
+The 3x3 local maximum and the disk closing of the support mask are done in
+numpy. scipy.fft is imported inside the functions that transform, so
+importing this module (and the CLI) loads no scipy; the template's
+spectrum is cached, so each frame costs one forward and one inverse real
+FFT.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage
 
 from .core import FrameStack, Grid2D, check_finite, make_grid
 from .psf import PsfParams, ToParams, render_psf
@@ -90,22 +96,37 @@ def template_autocorr_peak(template: np.ndarray, grid: Grid2D) -> float:
     return float(np.sum(template**2) * grid.dx * grid.dz)
 
 
+@functools.lru_cache(maxsize=8)
+def _template_spectrum(data: bytes, dtype: str, shape: tuple[int, int],
+                       fshape: tuple[int, int]) -> np.ndarray:
+    """Read-only half spectrum of the flipped template, zero-padded to
+    fshape; keyed by the template's bytes so each frame reuses it."""
+    import scipy.fft
+    template = np.frombuffer(data, dtype=dtype).reshape(shape)
+    spec = scipy.fft.rfftn(template[::-1, ::-1], fshape)
+    spec.flags.writeable = False
+    return spec
+
+
 def matched_filter_map(frame: np.ndarray, grid: Grid2D,
                        template: np.ndarray) -> np.ndarray:
     """Cross-correlate one frame with a template (zero-padded edges).
 
     Scaled by the pixel area so values approximate the continuous
     correlation integral and compare directly against the closed-form
-    autocorrelation peak.
+    autocorrelation peak. The template's spectrum is cached across calls
+    (see _template_spectrum), so a frame costs one rfftn and one irfftn.
     """
+    import scipy.fft
     if template.shape[0] > frame.shape[0] or template.shape[1] > frame.shape[1]:
         raise ValueError("template larger than frame")
     # full linear correlation on a real-FFT-friendly padded shape, then the
     # centred frame-sized window (the arithmetic of fftconvolve mode="same")
     full = [n + m - 1 for n, m in zip(frame.shape, template.shape)]
-    fshape = [scipy.fft.next_fast_len(n, real=True) for n in full]
+    fshape = tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
     spec = (scipy.fft.rfftn(frame, fshape)
-            * scipy.fft.rfftn(template[::-1, ::-1], fshape))
+            * _template_spectrum(template.tobytes(), template.dtype.str,
+                                 template.shape, fshape))
     corr = scipy.fft.irfftn(spec, fshape)
     z0, x0 = ((f - n) // 2 for f, n in zip(full, frame.shape))
     corr = corr[z0:z0 + frame.shape[0], x0:x0 + frame.shape[1]]
@@ -137,6 +158,19 @@ def _quadratic_offset(patch: np.ndarray) -> tuple[float, float]:
     return min(max(dx, -0.5), 0.5), min(max(dz, -0.5), 0.5)
 
 
+def _max_3x3(a: np.ndarray) -> np.ndarray:
+    """Maximum over each pixel's 3x3 neighbourhood, the neighbourhood
+    clamped at the edges: a running max of three along x, then along z.
+    A pixel equal to it is a local maximum (every pixel of a plateau is)."""
+    rows = a.copy()
+    np.maximum(rows[:, 1:], a[:, :-1], out=rows[:, 1:])
+    np.maximum(rows[:, :-1], a[:, 1:], out=rows[:, :-1])
+    out = rows.copy()
+    np.maximum(out[1:], rows[:-1], out=out[1:])
+    np.maximum(out[:-1], rows[1:], out=out[:-1])
+    return out
+
+
 def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
            autocorr_peak: float, t_index: int = 0,
            v_tag: tuple[float, float] | None = None,
@@ -150,7 +184,7 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
             raise ValueError("min_separation unset: pass wavelength")
         min_sep = 1.05 * wavelength
     thresh = cfg.threshold_fraction * autocorr_peak
-    is_max = corr == scipy.ndimage.maximum_filter(corr, size=3, mode="nearest")
+    is_max = corr == _max_3x3(corr)
     cand = np.argwhere(is_max & (corr > thresh))
     if cand.size == 0:
         return []
@@ -255,8 +289,20 @@ def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
         return mask
     r = closing_radius_px
     yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
-    disk = (xx**2 + yy**2) <= r**2
-    return scipy.ndimage.binary_closing(mask, structure=disk)
+    offsets = np.argwhere((xx**2 + yy**2) <= r**2)
+    nz, nx = mask.shape
+    padded = np.zeros((nz + 2 * r, nx + 2 * r), dtype=bool)
+
+    def sweep(src: np.ndarray, combine, start: bool) -> np.ndarray:
+        # combine src over every disk offset, reading False outside the mask
+        padded[r:r + nz, r:r + nx] = src
+        acc = np.full(src.shape, start)
+        for dz, dx in offsets:
+            combine(acc, padded[dz:dz + nz, dx:dx + nx], out=acc)
+        return acc
+
+    # closing = dilation, then erosion; the disk is symmetric
+    return sweep(sweep(mask, np.logical_or, False), np.logical_and, True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +330,7 @@ def _envelope_z(data: np.ndarray) -> np.ndarray:
     """Magnitude of the analytic signal along axis 1 (z): keep the DC bin
     (and the Nyquist bin for even nz), double the positive frequencies and
     zero the negative ones."""
+    import scipy.fft
     n = data.shape[1]
     spec = scipy.fft.fft(data, axis=1)
     spec[:, 1:(n + 1) // 2] *= 2.0

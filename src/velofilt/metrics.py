@@ -11,6 +11,7 @@ The blur is never formed in space: by Parseval, the norm of the full linear
 convolution on the zero-padded raster is a weighted sum over the product of
 the two spectra, and the kernel's weighted power spectrum is cached per
 (blur widths, flow angle, grid), so each frame costs one real FFT.
+scipy.fft is imported by the functions that transform, not with the module.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from .core import FrameStack, Grid2D, make_fine_grid
 
@@ -115,6 +115,7 @@ def _le_kernel_power(sigma_par: float, sigma_perp: float, theta: float,
     stand for a conjugate pair and 1 for column 0 and an even-length
     Nyquist column, so sum_k w_k |D_k|^2 |K_k|^2 / N = ||K * d||^2.
     """
+    import scipy.fft
     kernel = _le_kernel(LeParams(sigma_par, sigma_perp, theta), grid)
     full = (grid.nz + kernel.shape[0] - 1, grid.nx + kernel.shape[1] - 1)
     fshape = tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
@@ -140,6 +141,7 @@ def localization_error(truth_points, est_points, le: LeParams,
     the kernel spectrum cached across calls (see _le_kernel_power), so a
     call costs one real FFT of the padded raster.
     """
+    import scipy.fft
     if le.n_bubbles_t <= 0:
         raise ValueError("n_bubbles_t must be positive")
     if grid.dx > le.sigma_perp / 4.0 or grid.dz > le.sigma_perp / 4.0:

@@ -17,7 +17,6 @@ decides how `synthesize_frames` moves and respawns the bubbles and what
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,29 +268,29 @@ def respawn_axial(bubbles: BubbleSet, vessel: VesselSpec,
 
 def save_truth_csv(point_frames: Sequence[np.ndarray],
                    path: str | Path) -> Path:
-    """Write per-frame truth rows (id, x_mm, z_mm, vx_mm_s, vz_mm_s)."""
+    """Write per-frame truth rows (id, x_mm, z_mm, vx_mm_s, vz_mm_s) as CSV
+    with CRLF line ends, formatting each frame's rows in one operation."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index", "id", "x_mm", "z_mm", "vx_mm_s", "vz_mm_s"])
+        fh.write("t_index,id,x_mm,z_mm,vx_mm_s,vz_mm_s\r\n")
         for t, pts in enumerate(point_frames):
-            for row in pts:
-                writer.writerow([t, int(row[0]), f"{row[1]:.9g}", f"{row[2]:.9g}",
-                                 f"{row[3]:.9g}", f"{row[4]:.9g}"])
+            values = np.asarray(pts, dtype=np.float64).ravel().tolist()
+            row = f"{t},%d,%.9g,%.9g,%.9g,%.9g\r\n"
+            fh.write((row * (len(values) // 5)) % tuple(values))
     return path
 
 
 def load_truth_csv(path: str | Path) -> list[np.ndarray]:
     """Per-frame (n_t, 5) truth arrays, as save_truth_csv wrote them."""
-    frames: dict[int, list[list[float]]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            frames.setdefault(int(row["t_index"]), []).append(
-                [float(row["id"]), float(row["x_mm"]), float(row["z_mm"]),
-                 float(row["vx_mm_s"]), float(row["vz_mm_s"])])
-    nt = max(frames) + 1 if frames else 0
-    return [np.array(frames.get(t, np.empty((0, 5)))).reshape(-1, 5)
-            for t in range(nt)]
+    with open(path) as fh:
+        fh.readline()                   # header
+        lines = fh.readlines()
+    if not lines:
+        return []
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    t = rows[:, 0].astype(np.int64)
+    order = np.argsort(t, kind="stable")
+    return np.split(rows[order, 1:], np.cumsum(np.bincount(t))[:-1])
 
 
 def truth_maps(flow: Flow, grid: Grid2D

@@ -22,6 +22,9 @@ frames before the FFT and trims after, so trajectories do not wrap. The
 spatial axes stay periodic: keep moving targets clear of the lateral edges
 by v_f * 4 sigma_t or accept wrap-around (boundary="periodic" skips the
 temporal pad too, for stationary-statistics measurements).
+
+scipy.fft is imported inside the functions that transform, not with the
+module, so a process that never filters does not pay for its import.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
                    kz_lattice, omega_lattice, save_frame_stack)
@@ -187,6 +189,7 @@ def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
     win = gaussian_window(spec.sigma_t, frames.dt, trunc_sigmas=trunc_sigmas)
     if len(win) > 4 * frames.nt:
         raise ValueError("window truncation far exceeds the stack length")
+    import scipy.fft
     kx = kx_lattice(frames.grid)
     kz = kz_lattice(frames.grid)
     frames_hat = scipy.fft.fft2(frames.data, axes=(1, 2))
@@ -217,6 +220,7 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     periodic (PSFs decay well inside the grid, making wrap-around negligible
     at the tested sizes).
     """
+    import scipy.fft
     nx = frames.grid.nx
     gain = to_transfer(t, kx_lattice(frames.grid)[:nx // 2 + 1])
     row_hat = scipy.fft.rfft(frames.data, axis=2)
@@ -246,6 +250,7 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     largest padded stack is checked against _MAX_FFT_ELEMENTS before
     anything is allocated.
     """
+    import scipy.fft
     if boundary not in ("pad", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
     grid = frames.grid
@@ -275,10 +280,13 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
             work = np.empty_like(spectrum)
         np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec),
                     out=work)
-        out = scipy.fft.irfftn(work, s=shape, axes=(0, 1, 2),
-                               workers=workers, overwrite_x=True)
+        # trim and drop the padded inverse before yielding, so it is not
+        # held while the caller works on the output
+        data = scipy.fft.irfftn(work, s=shape, axes=(0, 1, 2),
+                                workers=workers, overwrite_x=True
+                                )[:frames.nt].copy()
         yield i, fspec, FrameStack(grid=grid, nt=frames.nt, dt=frames.dt,
-                                   data=out[:frames.nt].copy()), used_to
+                                   data=data), used_to
 
 
 def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,

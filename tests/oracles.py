@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import scipy.integrate
+import scipy.ndimage
 import scipy.signal
 
 from velofilt.psf import (eval_post_envelope, eval_pre_envelope, eval_to_psf)
@@ -124,6 +125,20 @@ def correlation_peak_ref(field, template, dx, dz):
     """Largest raw cross-correlation value between two sampled images."""
     corr = scipy.signal.fftconvolve(field, template[::-1, ::-1], mode="same")
     return float(corr.max()) * dx * dz
+
+
+def local_max_candidates(corr, thresh):
+    """(row, col) pixels above thresh that equal their 3x3 maximum, with
+    the neighbourhood clamped at the edges."""
+    peak = scipy.ndimage.maximum_filter(corr, size=3, mode="nearest")
+    return {tuple(ij) for ij in np.argwhere((corr == peak) & (corr > thresh))}
+
+
+def disk_closing(mask, radius):
+    """Morphological closing of a boolean mask by a disk of the radius."""
+    yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
+    return scipy.ndimage.binary_closing(
+        mask, structure=(xx**2 + yy**2) <= radius**2)
 
 
 def localization_error_raster(truth_points, est_points, le, grid):

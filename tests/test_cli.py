@@ -92,6 +92,18 @@ def test_bundled_configs_load_and_build():
         assert cli._draw_bubbles(r, rng).pos.shape[1] == 3
 
 
+def test_resolve_passes_only_the_bank_and_detection_keys_set(tmp_path):
+    # unset keys leave run_pipeline's and save_bank_outputs' defaults in force
+    r = cli._resolve(load_config(write_cfg(tmp_path, base_cfg())))
+    assert r.filter_kw == {} and r.localize_kw == {}
+    cfg = base_cfg()
+    cfg["filter_bank"]["boundary"] = "periodic"
+    cfg["detector"]["mode"] = "post"
+    r = cli._resolve(load_config(write_cfg(tmp_path, cfg)))
+    assert r.filter_kw == {"boundary": "periodic"}
+    assert r.localize_kw == {"boundary": "periodic", "mode": "post"}
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
@@ -523,19 +535,42 @@ def test_theory_acq_time_bound(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Parser plumbing.
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal pulls in scipy.stats and scipy.interpolate, about 1 s of
-    # every command's start-up; the package computes without it
+def _fresh_python(code: str) -> str:
+    """Stdout of code run in a new interpreter that imports this package."""
     src_root = str(Path(velofilt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_root, env.get("PYTHONPATH")]))
-    code = ("import sys, velofilt.cli; "
-            "print('scipy.signal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.fft alone costs about 0.3 s of start-up (scipy.signal, with
+    # scipy.stats and scipy.interpolate, about 1 s); the package imports
+    # scipy.fft only in the functions that transform
+    code = f"import sys, velofilt.cli; print({_SCIPY_LOADED})"
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("stage", ["synth", "accumulate"])
+def test_commands_without_transforms_load_no_scipy(tmp_path, stage):
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    if stage == "accumulate":
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["localize", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+    code = (f"import sys, velofilt.cli as c; "
+            f"rc = c.main({[stage, '--config', str(cfg), '--out', str(out)]}"
+            f"); print(rc, {_SCIPY_LOADED})")
+    assert _fresh_python(code).splitlines()[-1] == "0 []"
+    assert (out / "manifest.json").exists()
 
 
 def test_version_flag(capsys):

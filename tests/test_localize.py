@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import quadratic_offset_lstsq
+from oracles import disk_closing, local_max_candidates, quadratic_offset_lstsq
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (AccumulatedMap, DetectorConfig, Localization,
                                _QUAD_FIT, _envelope_z, _quadratic_offset,
+                               _template_spectrum,
                                accumulate, detect, load_localizations_csv,
                                localize_frames, matched_filter_map,
                                psf_template, run_pipeline,
@@ -151,6 +154,36 @@ def test_detect_two_bubbles():
     assert xs[1] == pytest.approx(0.7, abs=5e-3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(corr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                     max_side=9),
+                       elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0])),
+       peak=st.sampled_from([1.0, 2.0, 3.0, 5.0]))
+def test_detect_candidates_match_maximum_filter(corr, peak):
+    # few distinct levels make ties and plateaus common, and small shapes
+    # put most candidates on an edge; with no NMS radius to speak of and no
+    # refinement, every candidate comes back as one localization
+    grid = make_grid(corr.shape[1], corr.shape[0], 1.0, 1.0)
+    cfg = DetectorConfig(threshold_fraction=0.5, min_separation=1e-9,
+                         subpixel=False)
+    got = {(round((loc.pos[1] - grid.z0) / grid.dz),
+            round((loc.pos[0] - grid.x0) / grid.dx))
+           for loc in detect(corr, grid, cfg, peak)}
+    assert got == local_max_candidates(corr, 0.5 * peak)
+
+
+def test_detect_keeps_every_plateau_pixel():
+    corr = np.zeros((5, 6))
+    corr[0, :3] = 2.0       # plateau on the top edge
+    corr[3, 4] = corr[4, 5] = 1.5   # tied diagonal neighbours in a corner
+    grid = make_grid(6, 5, 1.0, 1.0)
+    cfg = DetectorConfig(min_separation=1e-9, subpixel=False)
+    got = {(round(loc.pos[1] - grid.z0), round(loc.pos[0] - grid.x0))
+           for loc in detect(corr, grid, cfg, 2.0)}
+    assert got == {(0, 0), (0, 1), (0, 2), (3, 4), (4, 5)}
+    assert got == local_max_candidates(corr, 1.0)
+
+
 def test_make_fine_grid_preserves_extent():
     fine = make_fine_grid(GRID, 4)
     assert fine.nx == 4 * GRID.nx and fine.nz == 4 * GRID.nz
@@ -227,6 +260,35 @@ def test_segment_support_closing():
     assert np.array_equal(segment_support(acc, closing_radius_px=0), occupied)
     empty = accumulate([], fine)
     assert not segment_support(empty).any()
+
+
+def _support(mask, radius):
+    grid = make_grid(mask.shape[1], mask.shape[0], 0.05, 0.05)
+    counts = mask.astype(np.int64)
+    return segment_support(AccumulatedMap(grid, counts, int(counts.sum())),
+                           closing_radius_px=radius)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_segment_support_matches_binary_closing_at_the_border(radius):
+    # blobs and gaps against every edge and corner: binary_closing erodes
+    # with zeros outside the mask, so closing can clear occupied edge pixels
+    mask = np.zeros((12, 15), dtype=bool)
+    mask[0, 2:9] = mask[1:4, 0] = mask[11, 10:] = mask[5:11, 14] = True
+    mask[4:8, 4:7] = True
+    mask[6, 5] = False
+    want = disk_closing(mask, radius)
+    assert np.array_equal(_support(mask, radius), want)
+    assert not np.array_equal(want, mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=16)),
+       radius=st.integers(1, 3))
+def test_segment_support_matches_binary_closing(mask, radius):
+    want = disk_closing(mask, radius) if mask.any() else mask
+    assert np.array_equal(_support(mask, radius), want)
 
 
 def test_localize_frames_on_static_stack():
@@ -379,6 +441,34 @@ def test_matched_filter_map_matches_fftconvolve(shape):
         want = scipy.signal.fftconvolve(frame, tpl[::-1, ::-1],
                                         mode="same") * (grid.dx * grid.dz)
         assert np.array_equal(got, want)
+
+
+def test_template_spectrum_taken_once_per_template(monkeypatch):
+    rng = np.random.default_rng(3)
+    grid = make_grid(40, 30, 0.05, 0.05)
+    frames = rng.normal(size=(3, 30, 40))
+    tpl_a, tpl_b = rng.normal(size=(2, 7, 5))
+    want = [scipy.signal.fftconvolve(f, t[::-1, ::-1], mode="same")
+            * (grid.dx * grid.dz) for t in (tpl_a, tpl_b) for f in frames]
+    _template_spectrum.cache_clear()
+    calls = []
+    rfftn = scipy.fft.rfftn
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return rfftn(x, *args, **kwargs)
+
+    monkeypatch.setattr("scipy.fft.rfftn", counted)
+    # a template of the same shape but other values gets its own spectrum
+    got = [matched_filter_map(f, grid, t) for t in (tpl_a, tpl_b)
+           for f in frames]
+    assert calls.count((7, 5)) == 2
+    assert calls.count((30, 40)) == 6
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    spec = _template_spectrum(tpl_a.tobytes(), tpl_a.dtype.str, tpl_a.shape,
+                              (36, 44))
+    assert not spec.flags.writeable
 
 
 @pytest.mark.parametrize("nz", [32, 33])

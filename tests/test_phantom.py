@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -333,6 +334,39 @@ def test_truth_csv_roundtrip(tmp_path):
     assert {int(i) for f in back for i in f[:, 0]} == {0, 1}
     for a, c in zip(truth, back):
         assert np.allclose(a, c, rtol=1e-8)
+
+
+def test_truth_csv_bytes_and_values(tmp_path):
+    # row-by-row csv.writer with "%.9g" fields is the reference format;
+    # values read back equal Python's parse of each field
+    rng = np.random.default_rng(4)
+    frames = [np.column_stack([np.arange(n), rng.normal(scale=s, size=(n, 4))])
+              for n, s in ((3, 1.0), (0, 1.0), (2, 1e-7), (4, 1e5))]
+    frames[2][0, 1:] = [-0.0, 1.0, np.pi, 2.0**-40]
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_index", "id", "x_mm", "z_mm", "vx_mm_s",
+                         "vz_mm_s"])
+        for t, pts in enumerate(frames):
+            for row in pts:
+                writer.writerow([t, int(row[0])]
+                                + [f"{v:.9g}" for v in row[1:]])
+    path = save_truth_csv(frames, tmp_path / "truth.csv")
+    assert path.read_bytes() == want.read_bytes()
+    back = load_truth_csv(path)
+    with open(want, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [len(f) for f in back] == [3, 0, 2, 4]
+    assert all(f.shape[1:] == (5,) and f.dtype == np.float64 for f in back)
+    parsed = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.array_equal(np.vstack(back), parsed)
+
+
+def test_truth_csv_without_points(tmp_path):
+    path = save_truth_csv([np.empty((0, 5))] * 3, tmp_path / "truth.csv")
+    assert path.read_bytes() == b"t_index,id,x_mm,z_mm,vx_mm_s,vz_mm_s\r\n"
+    assert load_truth_csv(path) == []
 
 
 def test_default_vessel_length_covers_grid():
