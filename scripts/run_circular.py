@@ -69,6 +69,7 @@ def main():
     res = run_pipeline(frames, bank, p,
                        cfg=DetectorConfig(threshold_fraction=args.threshold),
                        mode="post")
+    locs = np.concatenate(res.per_frame)
     checkpoints = [int(k * args.nt) for k in (0.25, 0.5, 0.75, 1.0)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -76,7 +77,7 @@ def main():
         w = csv.writer(fh)
         w.writerow(["t_s", "iou"])
         for nt in checkpoints:
-            acc = accumulate(res.per_frame[:nt], grid)
+            acc = accumulate(locs[locs["t"] < nt], grid)
             val = iou(segment_support(acc), truth)
             w.writerow([f"{nt * args.dt:.3g}", f"{val:.4f}"])
             print(f"t={nt * args.dt:5.1f} s  iou={val:.3f}")

@@ -30,7 +30,8 @@ import numpy as np
 
 from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
-                               run_pipeline, segment_support)
+                               positions_by_frame, run_pipeline,
+                               segment_support)
 from velofilt.metrics import (default_le_params, iou, le_grid,
                              localization_error_frames)
 from velofilt.phantom import (VesselSpec, concat_bubbles,
@@ -51,10 +52,9 @@ def parallel_vessels(radius, v0, c_mb, gap, grid, p):
     return out
 
 
-def frame_le(per_frame, point_frames, le, grid):
+def frame_le(locs, point_frames, le, grid):
     truth = [f[:, 1:3] for f in point_frames]
-    est = [np.array([loc.pos for loc in fr]).reshape(-1, 2)
-           for fr in per_frame]
+    est = positions_by_frame(locs, len(point_frames))
     return localization_error_frames(truth, est, le, le_grid(grid, le),
                                      frame_step=4)
 
@@ -95,11 +95,12 @@ def main():
         frames, point_frames = synthesize_frames(bubbles, vessels, grid,
                                                  args.nt, args.dt, p)
         truth = truth_maps(vessels, grid)[0]
-        res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
-        raw = localize_frames(frames, p, cfg=cfg, mode="post")
-        i_vf = iou(segment_support(accumulate(res.per_frame, grid)), truth)
+        vf = np.concatenate(run_pipeline(frames, bank, p, cfg=cfg,
+                                         mode="post").per_frame)
+        raw = np.concatenate(localize_frames(frames, p, cfg=cfg, mode="post"))
+        i_vf = iou(segment_support(accumulate(vf, grid)), truth)
         i_raw = iou(segment_support(accumulate(raw, grid)), truth)
-        le_vf = frame_le(res.per_frame, point_frames, le, grid)
+        le_vf = frame_le(vf, point_frames, le, grid)
         le_raw = frame_le(raw, point_frames, le, grid)
         rows.append((gap, i_vf, i_raw, le_vf, le_raw))
         print(f"gap={gap:.2f}: iou vf={i_vf:.3f} raw={i_raw:.3f}  "

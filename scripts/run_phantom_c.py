@@ -44,10 +44,10 @@ def speed_bank(p, sigma_t, v0, angles_deg):
     return FilterBankSpec(filters=tuple(filters))
 
 
-def iou_curve(per_frame, truth, grid, checkpoints):
+def iou_curve(locs, truth, grid, checkpoints):
     vals = []
     for nt in checkpoints:
-        acc = accumulate(per_frame[:nt], grid)
+        acc = accumulate(locs[locs["t"] < nt], grid)
         vals.append(iou(segment_support(acc), truth))
     return vals
 
@@ -83,9 +83,9 @@ def main():
         truth = truth_maps(vessels, grid)[0]
         t0 = time.time()
         res = run_pipeline(frames, bank, p, cfg=cfg, mode="post")
-        raw = localize_frames(frames, p, cfg=cfg, mode="post")
-        curves[f"vf_{label}"] = iou_curve(res.per_frame, truth, grid,
-                                          checkpoints)
+        raw = np.concatenate(localize_frames(frames, p, cfg=cfg, mode="post"))
+        curves[f"vf_{label}"] = iou_curve(np.concatenate(res.per_frame),
+                                          truth, grid, checkpoints)
         curves[f"raw_{label}"] = iou_curve(raw, truth, grid, checkpoints)
         print(f"c_mb={c_mb:.1f}: n_bubbles={len(bubbles)} "
               f"vf={curves[f'vf_{label}'][-1]:.3f} "

@@ -62,7 +62,7 @@ def main():
                                   p)
     t0 = time.time()
     res = run_pipeline(frames, bank, p, cfg=DetectorConfig())
-    locs = [loc for fr in res.per_frame for loc in fr]
+    locs = np.concatenate(res.per_frame)
     vmap = velocity_map_from_locs(locs, grid)
 
     _, t_speed, t_vx, t_vz = truth_maps([vessel], grid)

@@ -32,7 +32,8 @@ from . import __version__
 from .core import (FrameStack, Grid2D, load_frame_stack, make_fine_grid,
                    make_grid, save_frame_stack, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
-                       run_pipeline, save_localizations_csv, segment_support,
+                       positions_by_frame, run_pipeline,
+                       save_localizations_csv, segment_support,
                        velocity_map_from_locs)
 from .metrics import (LeParams, default_le_params, fve, iou, le_grid,
                       localization_error_frames)
@@ -497,7 +498,7 @@ def _stage_localize(r: _Resolved, out: Path, workers: int) -> list[Path]:
     result = run_pipeline(_load_frames(r, out), r.bank, r.psf,
                           cfg=r.detector, to_params=r.to, workers=workers,
                           **r.localize_kw)
-    return [save_localizations_csv(result.per_frame,
+    return [save_localizations_csv(np.concatenate(result.per_frame),
                                    out / f"{r.prefix}_locs.csv")]
 
 
@@ -529,7 +530,7 @@ def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
         raise ConfigError("metrics needs localizations and truth "
                           f"({locs_path.name}, {truth_path.name})")
     locs = load_localizations_csv(locs_path)
-    if not locs:
+    if len(locs) == 0:
         raise DataError("no localizations to score")
     point_frames = load_truth_csv(truth_path)
     grid = r.grid
@@ -552,12 +553,7 @@ def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
     n_truth = sum(f.shape[0] for f in point_frames)
     if n_truth:
         truth_frames = [f[:, 1:3] for f in point_frames]
-        est_pos: list[list[tuple]] = [[] for _ in point_frames]
-        for loc in locs:
-            if 0 <= loc.t_index < len(est_pos):
-                est_pos[loc.t_index].append(loc.pos)
-        est_frames = [np.array(pos, dtype=np.float64).reshape(-1, 2)
-                      for pos in est_pos]
+        est_frames = positions_by_frame(locs, len(point_frames))
         report["le"] = localization_error_frames(truth_frames, est_frames,
                                                  r.le, le_grid(grid, r.le))
     report["n_localizations"] = len(locs)
@@ -589,14 +585,34 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.ratio <= 0 or args.wavelength_mm <= 0 or args.sigma_r_mm <= 0:
         raise ConfigError("ratio, wavelength and sigma_r must be positive")
+    if args.steps < 1:
+        raise ConfigError("theory: --steps must be at least 1")
+    # every table is computed before the first write, so an input the
+    # closed forms reject is a config error with nothing written
+    with _section("theory"):
+        tables, notes = _theory_tables(args)
+    if not tables:
+        raise ConfigError("theory: pick at least one of --gamma --deltav "
+                          "--density --to-gamma --nrf --acq-time")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for note in notes:
+        print(note)
+    for name, header, rows in tables:
+        print(f"wrote {_write_csv(out / name, header, rows)}")
+    return EXIT_OK
+
+
+def _theory_tables(args: argparse.Namespace
+                   ) -> tuple[list[tuple[str, list[str], list]], list[str]]:
+    """(file name, header, rows) of each requested table, and the summary
+    lines to print."""
     p = PsfParams(sigma_r=args.sigma_r_mm, wavelength=args.wavelength_mm)
     sigma_t = p.sigma_r / args.ratio     # ratio = sigma_r/sigma_t in mm/s
-    wrote = []
-
+    tables = []
+    notes = []
     if args.gamma:
         span = args.span_mm_s
         vals = np.linspace(-span, span, args.steps)
@@ -605,18 +621,16 @@ def cmd_theory(args: argparse.Namespace) -> int:
             for dvx in vals:
                 rep = attenuation_pre(p, sigma_t, (dvx, dvz))
                 rows.append([float(dvx), float(dvz), rep.gamma, rep.kappa])
-        wrote.append(_write_csv(out / "gamma_grid.csv",
-                                ["dvx_mm_s", "dvz_mm_s", "gamma", "kappa"],
-                                rows))
+        tables.append(("gamma_grid.csv",
+                       ["dvx_mm_s", "dvz_mm_s", "gamma", "kappa"], rows))
     if args.deltav:
         rows = []
         for theta_deg in np.linspace(0.0, 90.0, args.steps):
             pb = velocity_bandwidth(p, sigma_t,
                                     theta=math.radians(float(theta_deg)))
             rows.append([float(theta_deg), pb.kappa_delta_v, pb.delta_v])
-        wrote.append(_write_csv(out / "deltav_vs_theta.csv",
-                                ["theta_deg", "kappa_delta_v", "delta_v_mm_s"],
-                                rows))
+        tables.append(("deltav_vs_theta.csv",
+                       ["theta_deg", "kappa_delta_v", "delta_v_mm_s"], rows))
     if args.density:
         vessel = VesselSpec(radius_r=args.vessel_radius_mm,
                             v0=args.v0_mm_s, c_mb=args.c_mb_per_mm3)
@@ -626,9 +640,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
         dvf = filtered_density(rho, args.v_f_mm_s, pb.delta_v, vessel)
         rows = [[float(r), float(a), float(b)]
                 for r, a, b in zip(rho, d2, dvf)]
-        wrote.append(_write_csv(out / "density_profiles.csv",
-                                ["rho_mm", "d2_per_mm2", "d_vf_per_mm2"],
-                                rows))
+        tables.append(("density_profiles.csv",
+                       ["rho_mm", "d2_per_mm2", "d_vf_per_mm2"], rows))
     if args.to_gamma:
         t = ToParams(lambda_x=args.lambda_x_mm, sigma_x=args.sigma_x_mm,
                      sigma_r=p.sigma_r)
@@ -640,38 +653,30 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 plain = attenuation_pre(p, sigma_t, (dvx, dvz)).gamma
                 rep = to_attenuation((dvx, dvz), p, t, sigma_t)
                 rows.append([float(dvx), float(dvz), plain, rep.gamma_bar])
-        wrote.append(_write_csv(out / "to_gamma_grid.csv",
-                                ["dvx_mm_s", "dvz_mm_s", "gamma",
-                                 "gamma_bar_to"], rows))
+        tables.append(("to_gamma_grid.csv",
+                       ["dvx_mm_s", "dvz_mm_s", "gamma", "gamma_bar_to"],
+                       rows))
     if args.nrf:
         spec = make_noise_spec(n0=1.0, k_g=2.0 * math.pi / p.wavelength,
                                v0_max=args.v0_max_mm_s,
                                frame_rate_f=args.frame_rate_hz)
         bound = nrf_bound(spec, args.nrf_sigma_t_s)
-        print(f"NRF >= {bound.flow_form:.6g} "
-              f"({bound.flow_form_db:.1f} dB) [flow form, rounds to "
-              f"{round(bound.flow_form)}]")
-        print(f"NRF >= {bound.frame_rate_form:.6g} "
-              f"({bound.frame_rate_form_db:.1f} dB) [frame-rate form]")
-        wrote.append(_write_csv(out / "nrf.csv",
-                                ["form", "bound", "bound_db"],
-                                [["flow", bound.flow_form,
-                                  bound.flow_form_db],
-                                 ["frame_rate", bound.frame_rate_form,
-                                  bound.frame_rate_form_db]]))
+        notes.append(f"NRF >= {bound.flow_form:.6g} "
+                     f"({bound.flow_form_db:.1f} dB) [flow form, rounds to "
+                     f"{round(bound.flow_form)}]")
+        notes.append(f"NRF >= {bound.frame_rate_form:.6g} "
+                     f"({bound.frame_rate_form_db:.1f} dB) [frame-rate form]")
+        tables.append(("nrf.csv", ["form", "bound", "bound_db"],
+                       [["flow", bound.flow_form, bound.flow_form_db],
+                        ["frame_rate", bound.frame_rate_form,
+                         bound.frame_rate_form_db]]))
     if args.acq_time:
         bound = acquisition_time_bound(AcqBoundInput(
             flow_rate_q=args.q_mm3_s, diameter_d=args.d_mm,
             c_mb=args.c_mb_per_mm3, i_pix=args.i_pix_mm))
-        print(f"T_acq >= {bound:.6g} s")
-        wrote.append(_write_csv(out / "acq_time.csv",
-                                ["t_acq_lower_s"], [[bound]]))
-    if not wrote:
-        raise ConfigError("theory: pick at least one of --gamma --deltav "
-                          "--density --to-gamma --nrf --acq-time")
-    for path in wrote:
-        print(f"wrote {path}")
-    return EXIT_OK
+        notes.append(f"T_acq >= {bound:.6g} s")
+        tables.append(("acq_time.csv", ["t_acq_lower_s"], [[bound]]))
+    return tables, notes
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +708,18 @@ def _run_stage_command(cmd: str, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _threads(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer (--threads or VELOFILT_THREADS), "
+            f"got {value!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="velofilt",
@@ -717,10 +734,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override config seed")
         sp.add_argument("--out", default="runs/out", help="working directory")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("VELOFILT_THREADS", "1")),
-                        help="worker threads of the filter bank's 3D FFTs "
-                             "(env VELOFILT_THREADS)")
+        # a string default goes through type at parse time, so a bad
+        # VELOFILT_THREADS fails like a bad --threads, and only when used
+        sp.add_argument("--threads", type=_threads,
+                        default=os.environ.get("VELOFILT_THREADS", "1"),
+                        help="worker threads of the filter bank's 3D FFTs, "
+                             "a positive integer (env VELOFILT_THREADS)")
         sp.add_argument("--format", choices=("csv", "json"), default="json",
                         help="metrics report format")
 

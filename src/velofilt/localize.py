@@ -20,16 +20,19 @@ numpy. scipy.fft is imported inside the functions that transform, so
 importing this module (and the CLI) loads no scipy; the template's
 spectrum is cached, so each frame costs one forward and one inverse real
 FFT.
+
+Localizations are rows of one table, a structured array of LOC_DTYPE: frame
+t, position x, z (mm), score, and the selecting filter velocity vx, vz
+(mm/s; NaN when untagged, as from localize_frames). Every step after
+detect works on whole tables.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,15 +40,9 @@ from .core import FrameStack, Grid2D, check_finite, make_grid
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
-
-@dataclass(frozen=True)
-class Localization:
-    """One detected bubble: frame index, sub-pixel position, score, v tag."""
-
-    t_index: int
-    pos: tuple[float, float]
-    score: float
-    v_tag: tuple[float, float] | None = None
+LOC_DTYPE = np.dtype([("t", np.int64), ("x", np.float64), ("z", np.float64),
+                      ("score", np.float64), ("vx", np.float64),
+                      ("vz", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,24 @@ def _max_3x3(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _suppress(x: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
+    """Greedy suppression in the given priority order: a point is kept
+    unless a kept point lies strictly within radius. Mask of kept points."""
+    keep = np.zeros(len(x), dtype=bool)
+    kept: list[tuple[float, float]] = []
+    for i, (xi, zi) in enumerate(zip(x.tolist(), z.tolist())):
+        if any((xi - kx) ** 2 + (zi - kz) ** 2 < radius**2
+               for kx, kz in kept):
+            continue
+        kept.append((xi, zi))
+        keep[i] = True
+    return keep
+
+
 def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
            autocorr_peak: float, t_index: int = 0,
            v_tag: tuple[float, float] | None = None,
-           wavelength: float | None = None) -> list[Localization]:
+           wavelength: float | None = None) -> np.ndarray:
     """Threshold, local-max, greedy NMS, then quadratic refinement."""
     if autocorr_peak <= 0:
         raise ValueError("autocorr_peak must be positive")
@@ -186,26 +197,25 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
     thresh = cfg.threshold_fraction * autocorr_peak
     is_max = corr == _max_3x3(corr)
     cand = np.argwhere(is_max & (corr > thresh))
-    if cand.size == 0:
-        return []
     scores = corr[cand[:, 0], cand[:, 1]]
+    # NMS priority: higher score, then row, then column
     order = np.lexsort((cand[:, 1], cand[:, 0], -scores))
-    kept_xy: list[tuple[float, float]] = []
-    out: list[Localization] = []
-    for idx in order:
-        iz, ix = cand[idx]
-        x = grid.x0 + ix * grid.dx
-        z = grid.z0 + iz * grid.dz
-        if any((x - kx) ** 2 + (z - kz) ** 2 < min_sep**2
-               for kx, kz in kept_xy):
-            continue
-        kept_xy.append((x, z))
-        if (cfg.subpixel and 0 < ix < grid.nx - 1 and 0 < iz < grid.nz - 1):
-            ox, oz = _quadratic_offset(corr[iz - 1:iz + 2, ix - 1:ix + 2])
-            x += ox * grid.dx
-            z += oz * grid.dz
-        out.append(Localization(t_index=t_index, pos=(x, z),
-                                score=float(scores[idx]), v_tag=v_tag))
+    iz, ix = cand[order].T
+    x = grid.x0 + ix * grid.dx
+    z = grid.z0 + iz * grid.dz
+    keep = _suppress(x, z, min_sep)
+    iz, ix, x, z = iz[keep], ix[keep], x[keep], z[keep]
+    if cfg.subpixel:
+        inner = (0 < ix) & (ix < grid.nx - 1) & (0 < iz) & (iz < grid.nz - 1)
+        for k in np.flatnonzero(inner):
+            ox, oz = _quadratic_offset(
+                corr[iz[k] - 1:iz[k] + 2, ix[k] - 1:ix[k] + 2])
+            x[k] += ox * grid.dx
+            z[k] += oz * grid.dz
+    out = np.empty(len(x), LOC_DTYPE)
+    out["t"], out["x"], out["z"] = t_index, x, z
+    out["score"] = scores[order][keep]
+    out["vx"], out["vz"] = (math.nan, math.nan) if v_tag is None else v_tag
     return out
 
 
@@ -233,52 +243,52 @@ class VelocityMap:
     vz: np.ndarray
 
 
-def _flatten(locs: Iterable) -> list[Localization]:
-    flat: list[Localization] = []
-    for item in locs:
-        if isinstance(item, Localization):
-            flat.append(item)
-        else:
-            flat.extend(item)
-    return flat
+def _pixel_index(locs: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Flat index of the pixel each row lands in, -1 outside the grid;
+    np.rint rounds half to even, as round() does."""
+    ix = np.rint((locs["x"] - grid.x0) / grid.dx)
+    iz = np.rint((locs["z"] - grid.z0) / grid.dz)
+    inside = (0 <= ix) & (ix < grid.nx) & (0 <= iz) & (iz < grid.nz)
+    return np.where(inside, iz * grid.nx + ix, -1).astype(np.int64)
 
 
-def _bin_index(loc: Localization, grid: Grid2D) -> tuple[int, int] | None:
-    ix = int(round((loc.pos[0] - grid.x0) / grid.dx))
-    iz = int(round((loc.pos[1] - grid.z0) / grid.dz))
-    if 0 <= ix < grid.nx and 0 <= iz < grid.nz:
-        return iz, ix
-    return None
-
-
-def accumulate(locs: Iterable, fine_grid: Grid2D) -> AccumulatedMap:
+def accumulate(locs: np.ndarray, fine_grid: Grid2D) -> AccumulatedMap:
     """Bin localizations into fine-grid pixels; order independent."""
-    counts = np.zeros((fine_grid.nz, fine_grid.nx), dtype=np.int64)
-    for loc in _flatten(locs):
-        hit = _bin_index(loc, fine_grid)
-        if hit is not None:
-            counts[hit] += 1
+    flat = _pixel_index(locs, fine_grid)
+    counts = np.bincount(flat[flat >= 0],
+                         minlength=fine_grid.nz * fine_grid.nx)
+    counts = counts.reshape(fine_grid.nz, fine_grid.nx)
     return AccumulatedMap(grid=fine_grid, counts=counts,
                           total=int(counts.sum()))
 
 
-def velocity_map_from_locs(locs: Iterable, fine_grid: Grid2D) -> VelocityMap:
-    """Max-speed assignment: each pixel keeps its fastest tagged detection."""
-    speed = np.zeros((fine_grid.nz, fine_grid.nx))
-    vx = np.zeros_like(speed)
-    vz = np.zeros_like(speed)
-    for loc in _flatten(locs):
-        if loc.v_tag is None:
-            continue
-        hit = _bin_index(loc, fine_grid)
-        if hit is None:
-            continue
-        s = math.hypot(loc.v_tag[0], loc.v_tag[1])
-        if s > speed[hit]:
-            speed[hit] = s
-            vx[hit] = loc.v_tag[0]
-            vz[hit] = loc.v_tag[1]
+def velocity_map_from_locs(locs: np.ndarray, fine_grid: Grid2D
+                           ) -> VelocityMap:
+    """Max-speed assignment: each pixel keeps its fastest tagged detection,
+    the first in table order among equally fast ones."""
+    flat = _pixel_index(locs, fine_grid)
+    # math.hypot, not np.hypot: the two can differ in the last bit, and that
+    # bit can decide between equally fast headings
+    speed = np.array(list(map(math.hypot, locs["vx"].tolist(),
+                              locs["vz"].tolist())), dtype=np.float64)
+    # rows that land and move (untagged rows have NaN speed), by pixel and
+    # fastest first; lexsort is stable, so table order breaks ties
+    rows = np.flatnonzero((flat >= 0) & (speed > 0))
+    rows = rows[np.lexsort((-speed[rows], flat[rows]))]
+    first = rows[np.diff(flat[rows], prepend=-1) != 0]
+    maps = np.zeros((3, fine_grid.nz * fine_grid.nx))
+    maps[:, flat[first]] = speed[first], locs["vx"][first], locs["vz"][first]
+    speed, vx, vz = maps.reshape(3, fine_grid.nz, fine_grid.nx)
     return VelocityMap(grid=fine_grid, speed=speed, vx=vx, vz=vz)
+
+
+def positions_by_frame(locs: np.ndarray, nt: int) -> list[np.ndarray]:
+    """(n_t, 2) arrays of (x, z) for frames 0..nt-1, rows in table order;
+    rows of other frames are dropped."""
+    locs = locs[(locs["t"] >= 0) & (locs["t"] < nt)]
+    locs = locs[np.argsort(locs["t"], kind="stable")]
+    xz = np.column_stack([locs["x"], locs["z"]])
+    return np.split(xz, np.cumsum(np.bincount(locs["t"], minlength=nt))[:-1])
 
 
 def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
@@ -310,20 +320,15 @@ def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    per_frame: list[list[Localization]]
+    """One localization table per frame."""
+
+    per_frame: list[np.ndarray]
 
 
-def _merge_frame(cands: Sequence[Localization], radius: float
-                 ) -> list[Localization]:
+def _merge_frame(cands: np.ndarray, radius: float) -> np.ndarray:
     """Cross-filter duplicate removal: keep the higher score within radius."""
-    order = sorted(cands, key=lambda L: (-L.score, L.pos))
-    kept: list[Localization] = []
-    for loc in order:
-        if any((loc.pos[0] - k.pos[0]) ** 2 + (loc.pos[1] - k.pos[1]) ** 2
-               < radius**2 for k in kept):
-            continue
-        kept.append(loc)
-    return kept
+    cands = cands[np.lexsort((cands["z"], cands["x"], -cands["score"]))]
+    return cands[_suppress(cands["x"], cands["z"], radius)]
 
 
 def _envelope_z(data: np.ndarray) -> np.ndarray:
@@ -342,7 +347,7 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
                   cfg: DetectorConfig, template: np.ndarray, peak: float,
                   envelope: bool,
                   v_tag: tuple[float, float] | None = None
-                  ) -> list[list[Localization]]:
+                  ) -> list[np.ndarray]:
     """Matched filter and detect on every frame of a (nt, nz, nx) stack.
 
     envelope strips the axial carrier first (magnitude of the analytic
@@ -350,12 +355,9 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
     """
     if envelope:
         data = _envelope_z(data)
-    out: list[list[Localization]] = []
-    for t in range(data.shape[0]):
-        corr = matched_filter_map(data[t], grid, template)
-        out.append(detect(corr, grid, cfg, peak, t_index=t, v_tag=v_tag,
-                          wavelength=p.wavelength))
-    return out
+    return [detect(matched_filter_map(data[t], grid, template), grid, cfg,
+                   peak, t_index=t, v_tag=v_tag, wavelength=p.wavelength)
+            for t in range(data.shape[0])]
 
 
 def _check_mode(mode: str) -> None:
@@ -365,7 +367,7 @@ def _check_mode(mode: str) -> None:
 
 def localize_frames(frames: FrameStack, p: PsfParams,
                     cfg: DetectorConfig | None = None, mode: str = "pre"
-                    ) -> list[list[Localization]]:
+                    ) -> list[np.ndarray]:
     """Detect on the frames as-is (no velocity filtering, no velocity tags).
 
     The baseline the filter bank is compared against: same template,
@@ -403,44 +405,43 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
         template = psf_template(grid, p, mode="to", to=to_params)
         chains[True] = (template, template_autocorr_peak(template, grid),
                         False)
-    frame_locs: list[list[Localization]] = [[] for _ in range(frames.nt)]
+    frame_locs: list[list[np.ndarray]] = [[] for _ in range(frames.nt)]
     for _, fspec, out, used_to in run_filter_bank(
             frames, bank, to_params=to_params, boundary=boundary,
             workers=workers):
         per_frame = _detect_stack(out.data, grid, p, cfg, *chains[used_to],
                                   v_tag=fspec.v_f)
         for cands, locs in zip(frame_locs, per_frame):
-            cands.extend(locs)
-    return PipelineResult(per_frame=[_merge_frame(cands, p.wavelength / 4.0)
-                                     for cands in frame_locs])
+            cands.append(locs)
+    return PipelineResult(per_frame=[
+        _merge_frame(np.concatenate(cands), p.wavelength / 4.0)
+        for cands in frame_locs])
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip.
 
-def save_localizations_csv(locs: Iterable, path: str | Path) -> Path:
+def save_localizations_csv(locs: np.ndarray, path: str | Path) -> Path:
+    """Write a localization table as CSV: CRLF line ends, "%.9g" fields,
+    and empty velocity fields for untagged rows."""
     path = Path(path)
+    values = np.column_stack([locs[name] for name in LOC_DTYPE.names])
+    rows = (("%d,%.9g,%.9g,%.9g,%.9g,%.9g\r\n" * len(locs))
+            % tuple(values.ravel().tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index", "x_mm", "z_mm", "score",
-                         "vf_x_mm_s", "vf_z_mm_s"])
-        for loc in _flatten(locs):
-            vfx = "" if loc.v_tag is None else f"{loc.v_tag[0]:.9g}"
-            vfz = "" if loc.v_tag is None else f"{loc.v_tag[1]:.9g}"
-            writer.writerow([loc.t_index, f"{loc.pos[0]:.9g}",
-                             f"{loc.pos[1]:.9g}", f"{loc.score:.9g}",
-                             vfx, vfz])
+        fh.write("t_index,x_mm,z_mm,score,vf_x_mm_s,vf_z_mm_s\r\n")
+        fh.write(rows.replace(",nan,nan\r\n", ",,\r\n"))
     return path
 
 
-def load_localizations_csv(path: str | Path) -> list[Localization]:
-    out: list[Localization] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tag = None
-            if row["vf_x_mm_s"] != "" and row["vf_z_mm_s"] != "":
-                tag = (float(row["vf_x_mm_s"]), float(row["vf_z_mm_s"]))
-            out.append(Localization(t_index=int(row["t_index"]),
-                                    pos=(float(row["x_mm"]), float(row["z_mm"])),
-                                    score=float(row["score"]), v_tag=tag))
-    return out
+def load_localizations_csv(path: str | Path) -> np.ndarray:
+    """The localization table save_localizations_csv wrote; empty velocity
+    fields read as NaN."""
+    with open(path) as fh:
+        fh.readline()                   # header
+        lines = fh.readlines()
+    if not lines:
+        return np.empty(0, LOC_DTYPE)
+    return np.loadtxt(lines, dtype=LOC_DTYPE, delimiter=",", ndmin=1,
+                      converters=dict.fromkeys((4, 5),
+                                               lambda f: float(f or "nan")))

@@ -170,3 +170,53 @@ def localization_error_raster(truth_points, est_points, le, grid):
     norm_sq = float(np.sum(blurred**2)) * grid.dx * grid.dz
     return 2.0 / (le.sigma_par * le.sigma_perp * math.pi
                   * le.n_bubbles_t) * norm_sq
+
+
+def _bin_index_loop(x, z, grid):
+    ix = int(round((x - grid.x0) / grid.dx))
+    iz = int(round((z - grid.z0) / grid.dz))
+    if 0 <= ix < grid.nx and 0 <= iz < grid.nz:
+        return iz, ix
+    return None
+
+
+def accumulate_loop(rows, grid):
+    """Fine-grid counts, binning one (t, x, z, score, vx, vz) row at a
+    time with round()."""
+    counts = np.zeros((grid.nz, grid.nx), dtype=np.int64)
+    for _, x, z, _, _, _ in rows:
+        hit = _bin_index_loop(x, z, grid)
+        if hit is not None:
+            counts[hit] += 1
+    return counts
+
+
+def velocity_map_loop(rows, grid):
+    """(speed, vx, vz) maps: in row order, a pixel takes a tagged row's
+    velocity when its speed beats the pixel's so far (NaN = untagged)."""
+    speed = np.zeros((grid.nz, grid.nx))
+    vx = np.zeros_like(speed)
+    vz = np.zeros_like(speed)
+    for _, x, z, _, tx, tz in rows:
+        if math.isnan(tx) or math.isnan(tz):
+            continue
+        hit = _bin_index_loop(x, z, grid)
+        if hit is None:
+            continue
+        s = math.hypot(tx, tz)
+        if s > speed[hit]:
+            speed[hit], vx[hit], vz[hit] = s, tx, tz
+    return speed, vx, vz
+
+
+def merge_frame_loop(rows, radius):
+    """Greedy duplicate removal over (t, x, z, score, vx, vz) rows sorted
+    by descending score, then position: a row is dropped when a kept row
+    lies strictly within radius."""
+    kept = []
+    for row in sorted(rows, key=lambda r: (-r[3], (r[1], r[2]))):
+        if any((row[1] - k[1]) ** 2 + (row[2] - k[2]) ** 2 < radius**2
+               for k in kept):
+            continue
+        kept.append(row)
+    return kept

@@ -356,14 +356,17 @@ def test_criterion_09_filtering_beats_concentration_tradeoff():
 
     frames_hi, truth = _crossing_setup(c_high, grid, nt, dt, 1.5, seed=7)
     res = run_pipeline(frames_hi, bank, P, cfg=cfg, mode="post")
-    iou_vf = iou(segment_support(accumulate(res.per_frame, grid)), truth)
-    raw_hi = localize_frames(frames_hi, P, cfg=cfg, mode="post")
+    iou_vf = iou(segment_support(accumulate(np.concatenate(res.per_frame),
+                                            grid)), truth)
+    raw_hi = np.concatenate(localize_frames(frames_hi, P, cfg=cfg,
+                                            mode="post"))
     iou_raw = iou(segment_support(accumulate(raw_hi, grid)), truth)
     del frames_hi
 
     frames_lo, truth_lo = _crossing_setup(c_high / 6.0, grid, nt, dt, 1.5,
                                           seed=7)
-    raw_lo = localize_frames(frames_lo, P, cfg=cfg, mode="post")
+    raw_lo = np.concatenate(localize_frames(frames_lo, P, cfg=cfg,
+                                            mode="post"))
     iou_raw_lo = iou(segment_support(accumulate(raw_lo, grid)), truth_lo)
 
     assert iou_vf >= 2.0 * iou_raw
@@ -393,8 +396,7 @@ def test_criterion_10_velocity_map_parabola():
     bubbles = sample_bubbles(vessel, rng)
     frames, _ = synthesize_frames(bubbles, [vessel], grid, nt, dt, P)
     res = run_pipeline(frames, bank, P, cfg=DetectorConfig())
-    locs = [loc for fr in res.per_frame for loc in fr]
-    vmap = velocity_map_from_locs(locs, grid)
+    vmap = velocity_map_from_locs(np.concatenate(res.per_frame), grid)
     _, _, t_vx, t_vz = truth_maps([vessel], grid)
 
     fast = fve(t_vx, t_vz, vmap.vx, vmap.vz, fastest_q=0.05)
@@ -477,7 +479,8 @@ def test_criterion_13_circular_flow_tolerance():
                        cfg=DetectorConfig(threshold_fraction=0.35),
                        mode="post")
     truth = truth_maps(band, grid)[0]
-    val = iou(segment_support(accumulate(res.per_frame, grid)), truth)
+    val = iou(segment_support(accumulate(np.concatenate(res.per_frame),
+                                         grid)), truth)
     assert val >= 0.7
     _finish(13, t0, 300.0, f"annulus IoU {val:.3f} after "
                            f"{nt * dt:.0f} s of orbiting flow")

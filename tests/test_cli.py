@@ -447,6 +447,23 @@ def test_theory_rejects_bad_ratio(tmp_path):
                  "--ratio", "-1.0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "--steps", "0"],
+    ["--deltav", "--steps", "-1"],
+    ["--density", "--vessel-radius-mm", "0"],
+    ["--to-gamma", "--lambda-x-mm", "-1"],
+    ["--nrf", "--frame-rate-hz", "0"],
+    ["--deltav", "--acq-time", "--d-mm", "0"],
+], ids=" ".join)
+def test_theory_bad_inputs_exit_2_before_any_write(tmp_path, capsys, argv):
+    # --steps 0 used to write a header-only table and exit 0; the domain
+    # checks of the closed forms used to exit 4
+    out = tmp_path / "theory"
+    assert main(["theory", "--out", str(out), *argv]) == 2
+    assert "config error: theory:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theory_deltav_table(tmp_path):
     assert main(["theory", "--out", str(tmp_path), "--deltav",
                  "--steps", "7"]) == 0
@@ -587,6 +604,28 @@ def test_threads_env_default(monkeypatch):
     monkeypatch.delenv("VELOFILT_THREADS")
     args = cli.build_parser().parse_args(["synth", "--config", "x.json"])
     assert args.threads == 1
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("-1", None),
+                                       (None, "abc"), (None, "0")])
+def test_threads_must_be_positive(tmp_path, monkeypatch, capsys, flag, env):
+    # 0 used to run synth and then fail in the filter stage, -1 reached
+    # scipy as "every core", and a bad VELOFILT_THREADS crashed the parser
+    if env is None:
+        monkeypatch.delenv("VELOFILT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VELOFILT_THREADS", env)
+    cli.build_parser()
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", str(write_cfg(tmp_path, base_cfg())),
+            "--out", str(out)] + (["--threads", flag] if flag else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+    # the environment value is read only by the commands that take it
+    assert main(["theory", "--out", str(tmp_path / "t"), "--acq-time"]) == 0
 
 
 README = REPO / "README.md"
