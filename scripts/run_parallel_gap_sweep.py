@@ -32,7 +32,7 @@ from velofilt.core import make_grid
 from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
                                positions_by_frame, run_pipeline,
                                segment_support)
-from velofilt.metrics import (default_le_params, iou, le_grid,
+from velofilt.metrics import (default_le_params, iou,
                              localization_error_frames)
 from velofilt.phantom import (VesselSpec, concat_bubbles,
                               default_vessel_length, sample_bubbles,
@@ -55,8 +55,7 @@ def parallel_vessels(radius, v0, c_mb, gap, grid, p):
 def frame_le(locs, point_frames, le, grid):
     truth = [f[:, 1:3] for f in point_frames]
     est = positions_by_frame(locs, len(point_frames))
-    return localization_error_frames(truth, est, le, le_grid(grid, le),
-                                     frame_step=4)
+    return localization_error_frames(truth, est, le, grid, frame_step=4)
 
 
 def main():

@@ -35,7 +35,7 @@ from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        positions_by_frame, run_pipeline,
                        save_localizations_csv, segment_support,
                        velocity_map_from_locs)
-from .metrics import (LeParams, default_le_params, fve, iou, le_grid,
+from .metrics import (LeParams, default_le_params, fve, iou,
                       localization_error_frames)
 from .phantom import (BubbleSet, CircularBandSpec, Flow, VesselSpec,
                       concat_bubbles, default_vessel_length, empty_bubbles,
@@ -488,6 +488,14 @@ def _load_frames(r: _Resolved, out: Path) -> FrameStack:
         raise DataError(f"bad frame stack {base}: {exc}") from exc
 
 
+def _load_csv(load, path: Path):
+    """load(path), with a malformed file reported as a data error."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _stage_filter(r: _Resolved, out: Path, workers: int) -> list[Path]:
     return save_bank_outputs(
         _load_frames(r, out), r.bank, out / f"{r.prefix}_filtered",
@@ -506,7 +514,7 @@ def _stage_accumulate(r: _Resolved, out: Path) -> list[Path]:
     locs_path = out / f"{r.prefix}_locs.csv"
     if not locs_path.exists():
         raise ConfigError(f"missing localizations {locs_path}")
-    locs = load_localizations_csv(locs_path)
+    locs = _load_csv(load_localizations_csv, locs_path)
     acc = accumulate(locs, r.fine)
     vmap = velocity_map_from_locs(locs, r.fine)
     mask = segment_support(acc)
@@ -529,10 +537,10 @@ def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
     if not locs_path.exists() or not truth_path.exists():
         raise ConfigError("metrics needs localizations and truth "
                           f"({locs_path.name}, {truth_path.name})")
-    locs = load_localizations_csv(locs_path)
+    locs = _load_csv(load_localizations_csv, locs_path)
     if len(locs) == 0:
         raise DataError("no localizations to score")
-    point_frames = load_truth_csv(truth_path)
+    point_frames = _load_csv(load_truth_csv, truth_path)
     grid = r.grid
 
     # map metrics are scored at the frame grid; the detector's fine grid is
@@ -555,7 +563,7 @@ def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
         truth_frames = [f[:, 1:3] for f in point_frames]
         est_frames = positions_by_frame(locs, len(point_frames))
         report["le"] = localization_error_frames(truth_frames, est_frames,
-                                                 r.le, le_grid(grid, r.le))
+                                                 r.le, grid)
     report["n_localizations"] = len(locs)
     report["n_truth_points"] = int(n_truth)
 

@@ -225,6 +225,46 @@ def load_frame_stack(base: str | Path) -> FrameStack:
     return FrameStack(grid=grid, nt=nt, dt=header["dt_s"], data=data)
 
 
+def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
+                  converters=None) -> np.ndarray:
+    """The rows under a CSV's header line as an (n, n_cols) float array.
+
+    Column 0 is a frame index and must be a non-negative integer; the
+    columns in finite must be finite. A row that breaks either rule, does
+    not parse or has another field count raises a ValueError that names
+    the file and the line.
+    """
+    with open(path) as fh:
+        fh.readline()                   # header
+        lines = fh.readlines()
+    if not lines:
+        return np.empty((0, n_cols))
+
+    def parse(text: list[str]) -> np.ndarray:
+        rows = np.loadtxt(text, delimiter=",", ndmin=2, comments=None,
+                          converters=converters)
+        if rows.shape[1] != n_cols:
+            raise ValueError(f"{rows.shape[1]} fields, expected {n_cols}")
+        t = rows[:, 0]
+        if not np.all((t >= 0) & (t == np.floor(t))):
+            raise ValueError("t_index is not a non-negative integer")
+        if not np.isfinite(rows[:, finite]).all():
+            raise ValueError("non-finite field")
+        return rows
+
+    try:
+        return parse(lines)
+    except ValueError:
+        # find the first bad line; the bulk parse gives no usable line number
+        for n, line in enumerate(lines, start=2):
+            try:
+                if line.strip():
+                    parse([line])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
+        raise
+
+
 def write_pgm(image: np.ndarray, path: str | Path) -> Path:
     """8-bit binary PGM (P5) preview, linear scale with the max at 255."""
     path = Path(path)

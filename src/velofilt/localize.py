@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrameStack, Grid2D, check_finite, make_grid
+from .core import FrameStack, Grid2D, check_finite, load_csv_rows, make_grid
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
@@ -436,12 +436,12 @@ def save_localizations_csv(locs: np.ndarray, path: str | Path) -> Path:
 
 def load_localizations_csv(path: str | Path) -> np.ndarray:
     """The localization table save_localizations_csv wrote; empty velocity
-    fields read as NaN."""
-    with open(path) as fh:
-        fh.readline()                   # header
-        lines = fh.readlines()
-    if not lines:
-        return np.empty(0, LOC_DTYPE)
-    return np.loadtxt(lines, dtype=LOC_DTYPE, delimiter=",", ndmin=1,
-                      converters=dict.fromkeys((4, 5),
-                                               lambda f: float(f or "nan")))
+    fields read as NaN. A malformed row, a negative t_index or a non-finite
+    x, z or score raises a ValueError naming the line (see load_csv_rows)."""
+    rows = load_csv_rows(path, len(LOC_DTYPE.names), finite=(0, 1, 2, 3),
+                         converters=dict.fromkeys(
+                             (4, 5), lambda f: float(f or "nan")))
+    locs = np.empty(len(rows), LOC_DTYPE)
+    for i, name in enumerate(LOC_DTYPE.names):
+        locs[name] = rows[:, i]
+    return locs

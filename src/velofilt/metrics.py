@@ -1,28 +1,29 @@
 """Evaluation metrics for localization and velocity mapping.
 
 The localization error (LE) compares truth and estimated point sets without
-any pairing step: both sets are rasterized as impulses, the difference is
+any pairing step: both sets are taken as point impulses, the difference is
 blurred with an anisotropic Gaussian aligned to the flow direction, and the
 squared L2 norm is scaled so a single bubble displaced by a small d scores
 ||A d||^2 with A = Sigma^{-1/2} R(theta). Perpendicular-to-flow errors are
 weighted more heavily than parallel ones via sigma_perp < sigma_par.
 
-The blur is never formed in space: by Parseval, the norm of the full linear
-convolution on the zero-padded raster is a weighted sum over the product of
-the two spectra, and the kernel's weighted power spectrum is cached per
-(blur widths, flow angle, grid), so each frame costs one real FFT.
-scipy.fft is imported by the functions that transform, not with the module.
+For point impulses that norm has a closed form, a sum over point pairs of a
+Gaussian in the whitened distance, so no raster or transform is formed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrameStack, Grid2D, make_fine_grid
+from .core import FrameStack, Grid2D
+
+# point pairs _gauss_sum takes at once: each temporary of a block holds at
+# most this many float64s (128 KiB), which bounds memory on dense frames
+# and keeps a block in cache
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,113 +59,55 @@ def default_le_params(wavelength: float, theta: float = 0.0,
                     theta=theta, n_bubbles_t=n_bubbles_t)
 
 
-def le_grid(grid: Grid2D, le: LeParams) -> Grid2D:
-    """grid subdivided by ceil(max(dx, dz) / (sigma_perp/4)), so both
-    spacings are sigma_perp/4 or finer, as localization_error requires."""
-    coarse = max(grid.dx, grid.dz)
-    factor = max(1, math.ceil(coarse / (le.sigma_perp / 4.0)))
-    if coarse / factor > le.sigma_perp / 4.0:   # the ceil rounded down
-        factor += 1
-    return make_fine_grid(grid, factor)
-
-
-def _splat_difference(est: np.ndarray, truth: np.ndarray, grid: Grid2D,
-                      shape: tuple[int, int]) -> np.ndarray:
-    """Unit impulses of est minus those of truth, deposited on grid with
-    bilinear sub-pixel weights and zero-padded to shape >= (nz, nx)."""
-    points = np.concatenate([est, truth])
-    sign = np.repeat([1.0, -1.0], [len(est), len(truth)])
-    fx = (points[:, 0] - grid.x0) / grid.dx
-    fz = (points[:, 1] - grid.z0) / grid.dz
-    ix = np.floor(fx).astype(int)
-    iz = np.floor(fz).astype(int)
-    wx = fx - ix
-    wz = fz - iz
-    index, weight = [], []
-    for dz_, dx_ in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w = sign * (wz if dz_ else 1.0 - wz) * (wx if dx_ else 1.0 - wx)
-        zz = iz + dz_
-        xx = ix + dx_
-        ok = (zz >= 0) & (zz < grid.nz) & (xx >= 0) & (xx < grid.nx)
-        index.append(zz[ok] * shape[1] + xx[ok])
-        weight.append(w[ok])
-    flat = np.bincount(np.concatenate(index), np.concatenate(weight),
-                       minlength=shape[0] * shape[1])
-    return flat.reshape(shape)
-
-
-def _le_kernel(le: LeParams, grid: Grid2D) -> np.ndarray:
-    """exp(-r^T M r / 2) sampled out to 4 sigma_par in both axes."""
-    hx = int(math.ceil(4.0 * le.sigma_par / grid.dx))
-    hz = int(math.ceil(4.0 * le.sigma_par / grid.dz))
-    x = np.arange(-hx, hx + 1) * grid.dx
-    z = np.arange(-hz, hz + 1) * grid.dz
-    X, Z = np.meshgrid(x, z)
-    m = le.m_matrix
-    quad = m[0, 0] * X**2 + 2.0 * m[0, 1] * X * Z + m[1, 1] * Z**2
-    return np.exp(-0.5 * quad)
-
-
-@functools.lru_cache(maxsize=8)
-def _le_kernel_power(sigma_par: float, sigma_perp: float, theta: float,
-                     grid: Grid2D) -> tuple[tuple[int, int], np.ndarray]:
-    """FFT shape and read-only weighted kernel power w_k |K_k|^2 dx dz / N.
-
-    The shape holds the full linear convolution of a grid-sized raster with
-    the kernel. On the real half-spectrum, w_k is 2 for the columns that
-    stand for a conjugate pair and 1 for column 0 and an even-length
-    Nyquist column, so sum_k w_k |D_k|^2 |K_k|^2 / N = ||K * d||^2.
-    """
-    import scipy.fft
-    kernel = _le_kernel(LeParams(sigma_par, sigma_perp, theta), grid)
-    full = (grid.nz + kernel.shape[0] - 1, grid.nx + kernel.shape[1] - 1)
-    fshape = tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
-    spec = scipy.fft.rfftn(kernel, fshape)
-    power = spec.real**2 + spec.imag**2
-    power[:, 1:(fshape[1] + 1) // 2] *= 2.0
-    power *= grid.dx * grid.dz / (fshape[0] * fshape[1])
-    power.flags.writeable = False
-    return fshape, power
+def _gauss_sum(u: np.ndarray, v: np.ndarray) -> float:
+    """sum_ij exp(-|u_i - v_j|^2 / 4), over row blocks of u so that a block
+    holds at most _PAIR_BLOCK pairs."""
+    rows = max(1, _PAIR_BLOCK // max(len(v), 1))
+    total = 0.0
+    for lo in range(0, len(u), rows):
+        block = u[lo:lo + rows]
+        q = np.square(block[:, 0, None] - v[:, 0])
+        q += np.square(block[:, 1, None] - v[:, 1])
+        q *= -0.25
+        total += float(np.exp(q, out=q).sum())
+    return total
 
 
 def localization_error(truth_points, est_points, le: LeParams,
                        grid: Grid2D) -> float:
     """Pairing-free localization error of an estimated point set.
 
-    Zero iff the rasterized sets coincide; a lone bubble displaced by d
-    scores (4/T)(1 - exp(-d^T M d / 4)) ~= ||A d||^2 / T, so small errors
-    are read in units of the blur widths. Mismatched counts are penalized
-    automatically (an unmatched point contributes 2/T).
+    Zero iff the sets coincide; a lone bubble displaced by d scores
+    (4/T)(1 - exp(-d^T M d / 4)) ~= ||A d||^2 / T, so small errors are read
+    in units of the blur widths. Mismatched counts are penalized
+    automatically (an unmatched point contributes 2/T). Points outside grid
+    are not scored.
 
-    Both sets are deposited bilinearly on grid; the squared norm of the
-    blurred difference is taken by Parseval on the zero-padded raster, with
-    the kernel spectrum cached across calls (see _le_kernel_power), so a
-    call costs one real FFT of the padded raster.
+    With K(r) = exp(-r^T M r / 2), the squared norm of K * (est impulses
+    - truth impulses) is pi sigma_par sigma_perp [S(t, t) + S(e, e)
+    - 2 S(t, e)], where S(a, b) sums exp(-D^T M D / 4) over the pairs of
+    points of a and b with difference D. As D^T M D = |A D|^2, S is
+    _gauss_sum of the whitened points A p.
     """
-    import scipy.fft
     if le.n_bubbles_t <= 0:
         raise ValueError("n_bubbles_t must be positive")
-    if grid.dx > le.sigma_perp / 4.0 or grid.dz > le.sigma_perp / 4.0:
-        raise ValueError("evaluation grid too coarse: dx or dz > sigma_perp/4")
-    truth_points = np.asarray(truth_points, dtype=np.float64).reshape(-1, 2)
-    est_points = np.asarray(est_points, dtype=np.float64).reshape(-1, 2)
-    fshape, power = _le_kernel_power(le.sigma_par, le.sigma_perp, le.theta,
-                                     grid)
-    spec = scipy.fft.rfftn(_splat_difference(est_points, truth_points, grid,
-                                             fshape))
-    # sum_k power_k |D_k|^2 without full-size temporaries
-    norm_sq = float(np.einsum("ij,ij,ij->", spec.real, spec.real, power)
-                    + np.einsum("ij,ij,ij->", spec.imag, spec.imag, power))
-    return 2.0 / (le.sigma_par * le.sigma_perp * math.pi
-                  * le.n_bubbles_t) * norm_sq
+    a_t = le.a_matrix.T
+
+    def whitened(points) -> np.ndarray:
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        return p[grid.contains(p[:, 0], p[:, 1])] @ a_t
+
+    u, v = whitened(truth_points), whitened(est_points)
+    pair_sum = _gauss_sum(u, u) + _gauss_sum(v, v) - 2.0 * _gauss_sum(u, v)
+    return 2.0 / le.n_bubbles_t * pair_sum
 
 
 def localization_error_frames(truth_frames, est_frames, le: LeParams,
                               grid: Grid2D, frame_step: int = 1) -> float:
     """Mean per-frame LE; frames with no truth points are skipped.
 
-    Pooling frames onto one raster would let kernels from different times
-    stack quadratically; the metric is only meaningful frame by frame.
+    Pooling frames into one point set would let kernels from different
+    times stack quadratically; the metric is only meaningful frame by frame.
     le.n_bubbles_t is overridden with each frame's truth count.
     """
     vals = []

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FrameStack, Grid2D
+from .core import FrameStack, Grid2D, load_csv_rows
 from .psf import PsfParams, ToParams
 
 
@@ -281,13 +281,12 @@ def save_truth_csv(point_frames: Sequence[np.ndarray],
 
 
 def load_truth_csv(path: str | Path) -> list[np.ndarray]:
-    """Per-frame (n_t, 5) truth arrays, as save_truth_csv wrote them."""
-    with open(path) as fh:
-        fh.readline()                   # header
-        lines = fh.readlines()
-    if not lines:
+    """Per-frame (n_t, 5) truth arrays, as save_truth_csv wrote them. A
+    malformed row, a negative t_index or a non-finite field raises a
+    ValueError naming the line (see load_csv_rows)."""
+    rows = load_csv_rows(path, 6, finite=tuple(range(6)))
+    if not len(rows):
         return []
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     t = rows[:, 0].astype(np.int64)
     order = np.argsort(t, kind="stable")
     return np.split(rows[order, 1:], np.cumsum(np.bincount(t))[:-1])

@@ -144,10 +144,12 @@ def disk_closing(mask, radius):
 def localization_error_raster(truth_points, est_points, le, grid):
     """LE by blurring the bilinear difference raster in space.
 
-    The spatial form of metrics.localization_error: deposit both sets with
-    bilinear weights, convolve the difference with the sampled kernel
-    exp(-r^T M r / 2) (4 sigma_par support, "full" output) and sum the
-    squares of the blurred raster.
+    A discretized form of metrics.localization_error's closed-form norm:
+    deposit both sets with bilinear weights, convolve the difference with
+    the sampled kernel exp(-r^T M r / 2) (4 sigma_par support, "full"
+    output) and sum the squares of the blurred raster. The deposit smooths
+    each point, so this reads low by a fraction that shrinks with the grid
+    spacing.
     """
     diff = np.zeros((grid.nz, grid.nx))
     for sign, pts in ((1.0, est_points), (-1.0, truth_points)):

@@ -268,6 +268,52 @@ def test_exit_data_error_on_empty_localizations(tmp_path, capsys):
     assert "no localizations" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def localized_run(tmp_path_factory):
+    """Config and output directory of a synth + localize run."""
+    root = tmp_path_factory.mktemp("localized")
+    cfg_path = write_cfg(root, base_cfg())
+    out = root / "out"
+    for stage in ("synth", "localize"):
+        assert main([stage, "--config", str(cfg_path), "--out",
+                     str(out)]) == 0
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("truth", 2, "nan"),                # x
+    ("truth", 0, "-1"),                 # t_index
+    ("truth", 4, "fast"),
+    ("truth", 5, None),                 # a 5-field row
+    ("locs", 1, "nan"),                 # x
+    ("locs", 0, "-1"),                  # t_index
+    ("locs", 3, "fast"),                # score
+    ("locs", 5, None),
+])
+def test_exit_data_error_on_malformed_csv(localized_run, tmp_path, capsys,
+                                          name, field, value):
+    # a NaN point lies outside every grid, so LE and the maps would drop it
+    # without a word; a bad row must stop the command instead
+    cfg_path, run = localized_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    path = out / f"t_{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[2].rstrip("\r\n").split(",")
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
+    lines[2] = ",".join(fields) + "\r\n"
+    path.write_text("".join(lines), newline="")
+    commands = ["accumulate", "metrics"] if name == "locs" else ["metrics"]
+    for command in commands:
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 3, command
+        assert f"{path} line 3:" in capsys.readouterr().err
+    assert not (out / "t_metrics.json").exists()
+
+
 def test_exit_numeric_and_io_mapping(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, base_cfg())
     out = str(tmp_path / "out")
@@ -374,7 +420,7 @@ def test_pipeline_metrics_with_vessel_geometry(tmp_path):
 
 
 def test_metrics_on_anisotropic_grid(tmp_path):
-    # the LE raster must be fine enough along the coarser axis (dz here)
+    # a grid twice as coarse along z as along x is scored end to end
     cfg = load_config(Path(cli.__file__).parent / "configs" / "phantom_e.json")
     cfg["grid"] = {"nx": 48, "nz": 24, "dx_mm": 0.05, "dz_mm": 0.1}
     cfg["motion"]["nt"] = 40
@@ -575,11 +621,11 @@ def test_cli_import_leaves_scipy_signal_out():
     assert _fresh_python(code) == "[]"
 
 
-@pytest.mark.parametrize("stage", ["synth", "accumulate"])
+@pytest.mark.parametrize("stage", ["synth", "accumulate", "metrics"])
 def test_commands_without_transforms_load_no_scipy(tmp_path, stage):
     cfg = write_cfg(tmp_path, base_cfg())
     out = tmp_path / "out"
-    if stage == "accumulate":
+    if stage != "synth":
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["localize", "--config", str(cfg), "--out",
                      str(out)]) == 0

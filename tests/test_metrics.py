@@ -8,8 +8,8 @@ from oracles import localization_error_raster
 
 from velofilt.core import FrameStack, make_grid
 from velofilt.metrics import (LeParams, default_le_params, fve, iou,
-                              le_grid, localization_error,
-                              localization_error_frames, measure_attenuation)
+                              localization_error, localization_error_frames,
+                              measure_attenuation)
 from velofilt.psf import PsfParams, render_psf
 
 LE = default_le_params(0.3)            # sigma_par 0.09, sigma_perp 0.045
@@ -47,9 +47,9 @@ def test_le_zero_for_identical_sets():
 
 
 def test_le_small_displacement_first_order_law():
-    for d in [(0.004, 0.0), (0.0, 0.003), (0.003, -0.003)]:
+    for d in [(0.004, 0.0), (0.0, 0.003), (0.003, -0.003), (0.05, 0.02)]:
         got = localization_error([[0.0, 0.0]], [list(d)], LE, LE_GRID)
-        assert got == pytest.approx(exact_le(d, LE), rel=0.05)
+        assert got == pytest.approx(exact_le(d, LE), rel=1e-12)
 
 
 def test_le_perpendicular_errors_cost_more():
@@ -60,16 +60,16 @@ def test_le_perpendicular_errors_cost_more():
     # rotating the flow direction swaps the roles
     le_rot = LeParams(sigma_par=0.09, sigma_perp=0.045, theta=math.pi / 2)
     par_rot = localization_error([[0.0, 0.0]], [[0.0, d]], le_rot, LE_GRID)
-    assert par_rot == pytest.approx(par, rel=0.05)
+    assert par_rot == pytest.approx(par, rel=1e-12)
 
 
 def test_le_count_mismatch_penalty():
     # a missed bubble costs 2/T, an unmatched spurious estimate another 2/T
     assert localization_error([[0.0, 0.0]], np.empty((0, 2)), LE,
-                              LE_GRID) == pytest.approx(2.0, rel=0.01)
+                              LE_GRID) == pytest.approx(2.0, rel=1e-12)
     big = make_grid(121, 41, 0.01, 0.01)
     far = localization_error([[-0.45, 0.0]], [[0.45, 0.0]], LE, big)
-    assert far == pytest.approx(4.0, rel=0.01)
+    assert far == pytest.approx(exact_le((0.9, 0.0), LE), rel=1e-12)
 
 
 def test_le_swap_symmetry_and_t_normalization():
@@ -83,24 +83,23 @@ def test_le_swap_symmetry_and_t_normalization():
 
 
 def test_le_validation():
-    coarse = make_grid(21, 21, 0.05, 0.05)
-    with pytest.raises(ValueError):
-        localization_error([[0.0, 0.0]], [[0.0, 0.0]], LE, coarse)
     with pytest.raises(ValueError):
         localization_error([[0.0, 0.0]], [[0.0, 0.0]],
                            LeParams(0.09, 0.045, n_bubbles_t=0), LE_GRID)
 
 
-@pytest.mark.parametrize("dx, dz, factor", [(0.05, 0.05, 5), (0.05, 0.1, 9),
-                                            (0.1, 0.05, 9), (0.01, 0.01, 1),
-                                            # 33 sigma_perp/4 in decimal,
-                                            # just over it in binary
-                                            (0.37125, 0.37125, 34)])
-def test_le_grid_subdivides_the_coarser_axis(dx, dz, factor):
-    grid = make_grid(12, 8, dx, dz)
-    fine = le_grid(grid, LE)
-    assert (fine.nx, fine.nz) == (12 * factor, 8 * factor)
-    localization_error([[0.0, 0.0]], [[0.01, 0.02]], LE, fine)
+def test_le_scores_only_points_inside_the_grid():
+    grid = make_grid(81, 81, 0.01, 0.01)        # samples span [-0.4, 0.4]
+    truth, est = [[0.0, 0.0]], [[0.003, -0.002]]
+    base = localization_error(truth, est, LE, grid)
+    # half a pixel past an edge, far outside, and not a number
+    outside = [[0.405, 0.0], [0.0, -0.405], [2.0, 2.0], [np.nan, 0.0]]
+    assert localization_error(truth + outside, est + outside[::-1], LE,
+                              grid) == base
+    assert localization_error(truth, est + outside, LE, grid) == base
+    # a corner sample is inside: an unmatched point there costs 2/T
+    corner = localization_error(truth, est + [[0.4, 0.4]], LE, grid)
+    assert corner == pytest.approx(base + 2.0, rel=1e-9)
 
 
 def test_le_frames_mean_and_skipping():
@@ -127,37 +126,42 @@ def test_le_frames_overrides_bubble_count():
     quad = float(np.array([0.2, 0.0]) @ LE.m_matrix @ np.array([0.2, 0.0]))
     want = 2.0 * (1.0 + math.exp(-quad / 4.0))
     assert localization_error_frames(truth, est, LE, LE_GRID) == \
-        pytest.approx(want, rel=0.01)
+        pytest.approx(want, rel=1e-12)
+
+
+# The raster oracle deposits each point bilinearly on the grid, which
+# smooths it and biases LE low by a fraction that shrinks with the spacing.
+# At spacing sigma_perp/9 the closed form must agree within this relative
+# tolerance; it is fixed here, before the runs, and not tuned to them.
+ORACLE_REL = 1e-2
 
 
 def test_le_matches_spatial_raster_oracle():
-    # the cases alternate between flow angles and between grids, so a kernel
-    # spectrum cached under the wrong key is caught; grid_b's FFT width is
-    # even, so its half-spectrum has a Nyquist column
-    grid_b = make_grid(56, 61, 0.01, 0.0095)
-    cases = [(LE, LE_GRID),
-             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), LE_GRID),
+    # both grids are at most sigma_perp/9 on each axis for every case
+    grid_a = make_grid(121, 121, 0.005, 0.005)
+    grid_b = make_grid(112, 131, 0.0048, 0.0045)
+    cases = [(LE, grid_a),
+             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), grid_a),
              (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), grid_b),
              (LeParams(0.08, 0.044, theta=-1.1), grid_b)]
     rng = np.random.default_rng(20)
-    for _ in range(2):
+    for _ in range(3):
         for le, grid in cases:
             x_end = grid.x0 + grid.dx * (grid.nx - 1)
             z_end = grid.z0 + grid.dz * (grid.nz - 1)
-            # on the last sample, half a pixel past it, and well outside
-            edge = np.array([[x_end, 0.0], [0.0, z_end],
-                             [x_end + grid.dx / 2, 0.1],
-                             [-0.1, z_end + grid.dz / 2],
-                             [grid.x0 - grid.dx / 2, grid.z0], [0.5, -0.5]])
+            # on the last samples, and well outside (scored by neither)
+            edge = np.array([[x_end, 0.0], [0.0, z_end], [0.5, -0.5],
+                             [-0.1, z_end + 0.3]])
             truth = rng.uniform(-0.25, 0.25, size=(rng.integers(1, 12), 2))
             est = truth + rng.normal(scale=0.01, size=truth.shape)
             for t_pts, e_pts in [(truth, est),
                                  (truth, np.vstack([est, edge])),
                                  (np.vstack([truth, edge[:2]]), est[1:]),
+                                 (truth, truth[::-1]),
                                  (truth, np.empty((0, 2)))]:
                 want = localization_error_raster(t_pts, e_pts, le, grid)
                 got = localization_error(t_pts, e_pts, le, grid)
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert got == pytest.approx(want, rel=ORACLE_REL, abs=1e-9)
 
 
 def test_iou_identities():
