@@ -5,8 +5,10 @@ motion, filter bank, detector, metrics. Subcommands run single stages
 (`synth`, `filter`, `localize`, `accumulate`, `metrics`) against a working
 directory, `pipeline` chains them, and `theory` emits closed-form tables
 without any simulation. Every run appends to a manifest recording each
-stage's wall time, seed and config hash, and the artifact checksums;
-identical (config, seed, version) runs reproduce identical checksums.
+stage's wall time, peak memory, seed and config hash, and the artifact
+checksums; identical (config, seed, version) runs reproduce identical
+checksums. A stage that reads the synth stack checks its header against
+the config first.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -441,6 +444,13 @@ def _atomic_write_json(payload: dict, path: Path) -> None:
     os.replace(tmp, path)
 
 
+def _peak_rss_mb() -> float:
+    """High-water mark of this process's resident memory so far, in MB;
+    ru_maxrss is in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
 def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
                      wall_s: float, artifacts: list[Path]) -> None:
     man_path = out / "manifest.json"
@@ -451,7 +461,9 @@ def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
         manifest = {"tool_version": __version__, "stages": {}, "artifacts": {}}
     run = {"seed": seed, "config_sha256": _config_hash(cfg)}
     manifest.update(run)
-    manifest["stages"][stage] = {"wall_s": round(wall_s, 3), **run}
+    manifest["stages"][stage] = {"wall_s": round(wall_s, 3),
+                                 "peak_rss_mb": round(_peak_rss_mb(), 1),
+                                 **run}
     for art in artifacts:
         manifest["artifacts"][str(art.relative_to(out))] = _sha256_file(art)
     _atomic_write_json(manifest, man_path)
@@ -478,14 +490,27 @@ def _stage_synth(r: _Resolved, out: Path, seed: int) -> list[Path]:
 
 
 def _load_frames(r: _Resolved, out: Path) -> FrameStack:
+    """The synth stack, checked against the config's grid and clock: a
+    stack from another config would run and score against the wrong
+    geometry."""
     base = out / f"{r.prefix}_frames"
     if not base.with_suffix(".json").exists():
         raise ConfigError(f"missing input stack {base}.json (run synth "
                           "first or pass --out of a synth run)")
     try:
-        return load_frame_stack(base)
+        frames = load_frame_stack(base)
     except ValueError as exc:
         raise DataError(f"bad frame stack {base}: {exc}") from exc
+    g, want = frames.grid, r.grid
+    for key, got, expected in (
+            ("nx", g.nx, want.nx), ("nz", g.nz, want.nz),
+            ("nt", frames.nt, r.nt), ("dx_mm", g.dx, want.dx),
+            ("dz_mm", g.dz, want.dz), ("x0_mm", g.x0, want.x0),
+            ("z0_mm", g.z0, want.z0), ("dt_s", frames.dt, r.dt)):
+        if not math.isclose(got, expected, rel_tol=1e-9):
+            raise DataError(f"frame stack {base} has {key} = {got!r}, the "
+                            f"config gives {expected!r}")
+    return frames
 
 
 def _load_csv(load, path: Path):

@@ -202,7 +202,7 @@ def check_finite(data: np.ndarray) -> None:
 
 def load_frame_stack(base: str | Path) -> FrameStack:
     """Read a stack written by save_frame_stack; validates header, size and
-    that every sample is finite."""
+    that every sample is finite. The data stay the float32 that was stored."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     raw_path = base.with_suffix(".f32")
@@ -220,7 +220,7 @@ def load_frame_stack(base: str | Path) -> FrameStack:
     if raw.size != nx * nz * nt:
         raise ValueError(
             f"raw payload has {raw.size} samples, header implies {nx * nz * nt}")
-    data = raw.astype(np.float64).reshape(nt, nz, nx)
+    data = raw.reshape(nt, nz, nx)
     check_finite(data)
     return FrameStack(grid=grid, nt=nt, dt=header["dt_s"], data=data)
 

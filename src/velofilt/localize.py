@@ -19,7 +19,10 @@ The 3x3 local maximum and the disk closing of the support mask are done in
 numpy. scipy.fft is imported inside the functions that transform, so
 importing this module (and the CLI) loads no scipy; the template's
 spectrum is cached, so each frame costs one forward and one inverse real
-FFT.
+FFT. The envelope and the correlation run in the stack's own precision
+(float32 on the CLI path, whose stacks come from .f32 files); the template
+is cast to the frame's dtype, and its cached spectrum is keyed by that
+dtype. Scores and positions are float64 in every case.
 
 Localizations are rows of one table, a structured array of LOC_DTYPE: frame
 t, position x, z (mm), score, and the selecting filter velocity vx, vz
@@ -121,6 +124,8 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     # centred frame-sized window (the arithmetic of fftconvolve mode="same")
     full = [n + m - 1 for n, m in zip(frame.shape, template.shape)]
     fshape = tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
+    # the template in the frame's precision: float32 for a float32 frame
+    template = template.astype(np.result_type(frame, np.float32), copy=False)
     spec = (scipy.fft.rfftn(frame, fshape)
             * _template_spectrum(template.tobytes(), template.dtype.str,
                                  template.shape, fshape))
@@ -340,7 +345,7 @@ def _envelope_z(data: np.ndarray) -> np.ndarray:
     spec = scipy.fft.fft(data, axis=1)
     spec[:, 1:(n + 1) // 2] *= 2.0
     spec[:, n // 2 + 1:] = 0.0
-    return np.abs(scipy.fft.ifft(spec, axis=1))
+    return np.abs(scipy.fft.ifft(spec, axis=1, overwrite_x=True))
 
 
 def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,

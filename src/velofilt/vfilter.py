@@ -23,6 +23,11 @@ spatial axes stay periodic: keep moving targets clear of the lateral edges
 by v_f * 4 sigma_t or accept wrap-around (boundary="periodic" skips the
 temporal pad too, for stationary-statistics measurements).
 
+The input's dtype sets the precision: a float32 stack (as the CLI reads
+from its .f32 files) gives complex64 spectra and float32 outputs, a float64
+stack complex128 and float64. The gains are computed in float64 and cast to
+the spectrum's precision in the multiply.
+
 scipy.fft is imported inside the functions that transform, not with the
 module, so a process that never filters does not pay for its import.
 """
@@ -224,7 +229,8 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     nx = frames.grid.nx
     gain = to_transfer(t, kx_lattice(frames.grid)[:nx // 2 + 1])
     row_hat = scipy.fft.rfft(frames.data, axis=2)
-    out = scipy.fft.irfft(row_hat * gain[None, None, :], n=nx, axis=2)
+    out = scipy.fft.irfft(
+        row_hat * gain.astype(row_hat.real.dtype, copy=False), n=nx, axis=2)
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
@@ -276,10 +282,12 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
                 sources[used_to].data, s=shape, axes=(0, 1, 2),
                 workers=workers)
         spectrum = spectra[used_to, pad]
-        if work.shape != spectrum.shape:
+        if work.shape != spectrum.shape or work.dtype != spectrum.dtype:
             work = np.empty_like(spectrum)
+        # the float64 gain is cast to the spectrum's precision chunk by chunk
+        # inside the multiply, and is not held through the inverse
         np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec),
-                    out=work)
+                    out=work, dtype=work.dtype)
         # trim and drop the padded inverse before yielding, so it is not
         # held while the caller works on the output
         data = scipy.fft.irfftn(work, s=shape, axes=(0, 1, 2),

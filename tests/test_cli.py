@@ -8,6 +8,7 @@ covered by the per-module tests.
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ import pytest
 import velofilt
 from velofilt import __version__, cli
 from velofilt.cli import CONFIG_SCHEMA, ConfigError, load_config, main
-from velofilt.core import load_frame_stack
+from velofilt.core import FrameStack, load_frame_stack, save_frame_stack
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
 
@@ -233,6 +234,34 @@ def test_exit_data_error_on_non_finite_stack(tmp_path, capsys):
     assert not (out / "t_locs.csv").exists()
 
 
+@pytest.mark.parametrize("key, edit", [
+    ("nx", {"nx": 40}), ("nz", {"nz": 40}), ("nt", {"nt": 8}),
+    ("dx_mm", {"dx": 0.1}), ("dz_mm", {"dz": 0.1}), ("x0_mm", {"x0": 1.0}),
+    ("z0_mm", {"z0": 1.0}), ("dt_s", {"dt": 0.02})])
+def test_exit_data_error_on_stack_config_mismatch(tmp_path, capsys, key,
+                                                  edit):
+    # a stack made for another grid or frame rate used to localize and
+    # score "ok" against the config's geometry, with wrong metrics
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    frames = load_frame_stack(out / "t_frames")
+    edit = dict(edit)
+    nt, dt = edit.pop("nt", frames.nt), edit.pop("dt", frames.dt)
+    grid = dataclasses.replace(frames.grid, **edit)
+    save_frame_stack(FrameStack(grid=grid, nt=nt, dt=dt,
+                                data=np.zeros((nt, grid.nz, grid.nx))),
+                     out / "t_frames")
+    written = sorted(out.iterdir())
+    for command in ("filter", "localize"):
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 3, command
+        assert f"has {key} = " in capsys.readouterr().err
+    assert sorted(out.iterdir()) == written
+    with open(out / "manifest.json") as fh:
+        assert set(json.load(fh)["stages"]) == {"synth"}
+
+
 def test_exit_numeric_on_oversized_fft(tmp_path, capsys):
     cfg = base_cfg()
     cfg["filter_bank"]["sigma_t_s"] = 1e18
@@ -389,6 +418,20 @@ def test_pipeline_artifacts_and_manifest(tmp_path):
     assert acc.data.sum() == report["n_localizations"]
     vel = load_frame_stack(out / "t_velmap")
     assert vel.nt == 3                    # speed, vx, vz planes
+
+
+def test_manifest_records_peak_memory_of_each_stage(tmp_path):
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert set(stages) == set(cli._STAGES)
+    peaks = [stages[name]["peak_rss_mb"] for name in cli._STAGES]
+    assert all(peak > 0 for peak in peaks)
+    # one process ran every stage, and its high-water mark never falls
+    assert peaks == sorted(peaks)
 
 
 def test_pipeline_metrics_with_vessel_geometry(tmp_path):

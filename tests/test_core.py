@@ -87,6 +87,11 @@ def test_frame_stack_roundtrip_exact(tmp_path):
     assert back.dt == stack.dt
 
 
+def test_load_keeps_the_stored_float32(tmp_path):
+    save_frame_stack(small_stack(), tmp_path / "demo")
+    assert load_frame_stack(tmp_path / "demo").data.dtype == np.float32
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     stack = small_stack()
     _, rpath = save_frame_stack(stack, tmp_path / "demo")

@@ -196,6 +196,19 @@ def test_detect_keeps_every_plateau_pixel():
     assert got == local_max_candidates(corr, 1.0)
 
 
+def test_detect_breaks_score_ties_by_row_then_column():
+    # the same two plateaus as above, each now within one NMS radius
+    corr = np.zeros((5, 6))
+    corr[0, :3] = 2.0
+    corr[3, 4] = corr[4, 5] = 1.5
+    grid = make_grid(6, 5, 1.0, 1.0)
+    cfg = DetectorConfig(min_separation=2.5, subpixel=False)
+    locs = detect(corr, grid, cfg, 2.0)
+    got = [(round(z - grid.z0), round(x - grid.x0))
+           for x, z in zip(locs["x"].tolist(), locs["z"].tolist())]
+    assert got == [(0, 0), (3, 4)]
+
+
 def test_make_fine_grid_preserves_extent():
     fine = make_fine_grid(GRID, 4)
     assert fine.nx == 4 * GRID.nx and fine.nz == 4 * GRID.nz
@@ -569,6 +582,49 @@ def test_template_spectrum_taken_once_per_template(monkeypatch):
     spec = _template_spectrum(tpl_a.tobytes(), tpl_a.dtype.str, tpl_a.shape,
                               (36, 44))
     assert not spec.flags.writeable
+
+
+# float32 outputs agree with the float64 run of the same input to this
+# fraction of the float64 output's largest magnitude; fixed before any run
+F32_RTOL = 1e-5
+
+
+def assert_f32_matches(got, want):
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= F32_RTOL * scale
+
+
+@pytest.mark.parametrize("nz", [32, 33])
+def test_envelope_runs_in_the_input_precision(nz):
+    data = np.random.default_rng(nz).normal(size=(4, nz, 12))
+    data32 = data.astype(np.float32)
+    assert_f32_matches(_envelope_z(data32),
+                       _envelope_z(data32.astype(np.float64)))
+
+
+def test_matched_filter_map_runs_in_the_frame_precision():
+    frame = render_psf(P, GRID, center=(0.12, -0.07)).astype(np.float32)
+    tpl = psf_template(GRID, P)
+    assert_f32_matches(matched_filter_map(frame, GRID, tpl),
+                       matched_filter_map(frame.astype(np.float64), GRID, tpl))
+
+
+def test_template_spectrum_taken_once_per_template_and_precision():
+    rng = np.random.default_rng(4)
+    grid = make_grid(40, 30, 0.05, 0.05)
+    frames = rng.normal(size=(3, 30, 40))
+    tpl = rng.normal(size=(7, 5))
+    _template_spectrum.cache_clear()
+    for dtype in (np.float32, np.float64, np.float32):
+        for f in frames:
+            matched_filter_map(f.astype(dtype), grid, tpl)
+    info = _template_spectrum.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
+    tpl32 = tpl.astype(np.float32)
+    spec = _template_spectrum(tpl32.tobytes(), tpl32.dtype.str, tpl32.shape,
+                              (36, 44))
+    assert spec.dtype == np.complex64
 
 
 @pytest.mark.parametrize("nz", [32, 33])

@@ -293,6 +293,33 @@ def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
                        atol=1e-12)
 
 
+# float32 outputs agree with the float64 run of the same input to this
+# fraction of the float64 output's largest magnitude; fixed before any run
+F32_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_bank_runs_in_the_input_precision(boundary):
+    # filter 0 is TO-routed, filter 1 sees the raw stack
+    frames = noise_stack(nt=14, nz=16, nx=12)
+    frames.data = frames.data.astype(np.float32)
+    wide = FrameStack(frames.grid, frames.nt, frames.dt,
+                      frames.data.astype(np.float64))
+    bank = make_bank([1.0], [0.0, math.pi / 2], 0.03)
+    outs = list(run_filter_bank(frames, bank, to_params=T,
+                                boundary=boundary))
+    wants = list(run_filter_bank(wide, bank, to_params=T,
+                                 boundary=boundary))
+    assert [o[3] for o in outs] == [w[3] for w in wants] == [True, False]
+    for (*_, out, _), (*_, want, _) in zip(outs, wants):
+        assert out.data.dtype == np.float32
+        assert want.data.dtype == np.float64
+        scale = np.abs(want.data).max()
+        assert np.abs(out.data - want.data).max() <= F32_RTOL * scale
+    assert apply_to_filter(frames, T).data.dtype == np.float32
+    assert apply_to_filter(wide, T).data.dtype == np.float64
+
+
 def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     frames = noise_stack(nt=8, nz=16, nx=16)
     bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05,
