@@ -19,6 +19,12 @@ import numpy as np
 
 LAYOUT = "t-major,z-row-major,x-fastest"
 
+# point pairs a pairwise computation takes at once (the LE's Gaussian sum,
+# the suppression's distance test): each temporary of a block holds at most
+# this many float64s (128 KiB), which bounds memory on dense frames and
+# keeps a block in cache
+PAIR_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Grid2D:

@@ -17,12 +17,16 @@ positions when the response is distorted (e.g. accelerating flow).
 
 The 3x3 local maximum and the disk closing of the support mask are done in
 numpy. scipy.fft is imported inside the functions that transform, so
-importing this module (and the CLI) loads no scipy; the template's
-spectrum is cached, so each frame costs one forward and one inverse real
-FFT. The envelope and the correlation run in the stack's own precision
-(float32 on the CLI path, whose stacks come from .f32 files); the template
-is cast to the frame's dtype, and its cached spectrum is keyed by that
-dtype. Scores and positions are float64 in every case.
+importing this module (and the CLI) loads no scipy. A stack is detected in
+blocks of a few frames (at most _CORR_BLOCK samples of the padded
+correlation): a block costs one forward and one inverse real FFT over its
+frames, one local-max pass, one candidate sort and one suppression pass,
+and the template's spectrum is cached across blocks. A block's output is
+byte for byte that of its frames detected one at a time. The envelope and
+the correlation run in the stack's own precision (float32 on the CLI
+path, whose stacks come from .f32 files); the template is cast to the
+frame's dtype, and its cached spectrum is keyed by that dtype. Scores and
+positions are float64 in every case.
 
 Localizations are rows of one table, a structured array of LOC_DTYPE: frame
 t, position x, z (mm), score, and the selecting filter velocity vx, vz
@@ -39,13 +43,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrameStack, Grid2D, check_finite, load_csv_rows, make_grid
+from .core import (PAIR_BLOCK, FrameStack, Grid2D, check_finite,
+                   load_csv_rows, make_grid)
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
 LOC_DTYPE = np.dtype([("t", np.int64), ("x", np.float64), ("z", np.float64),
                       ("score", np.float64), ("vx", np.float64),
                       ("vz", np.float64)])
+
+# samples of the padded correlation _detect_stack hands to one
+# matched_filter_map and detect call: a few 64x64 frames, whose transforms
+# stay in cache (a block of 64 such frames runs no faster than one frame)
+_CORR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,30 +118,43 @@ def _template_spectrum(data: bytes, dtype: str, shape: tuple[int, int],
     return spec
 
 
+def _padded_shape(frame_shape: tuple[int, int],
+                  template_shape: tuple[int, int]
+                  ) -> tuple[list[int], tuple[int, int]]:
+    """Full linear correlation size of a (nz, nx) frame and a template, and
+    the real-FFT-friendly shape it is computed on."""
+    import scipy.fft
+    full = [n + m - 1 for n, m in zip(frame_shape, template_shape)]
+    return full, tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
+
+
 def matched_filter_map(frame: np.ndarray, grid: Grid2D,
                        template: np.ndarray) -> np.ndarray:
-    """Cross-correlate one frame with a template (zero-padded edges).
+    """Cross-correlate a (..., nz, nx) frame or block of frames with a
+    template over the last two axes (zero-padded edges).
 
     Scaled by the pixel area so values approximate the continuous
     correlation integral and compare directly against the closed-form
     autocorrelation peak. The template's spectrum is cached across calls
-    (see _template_spectrum), so a frame costs one rfftn and one irfftn.
+    (see _template_spectrum), so a call costs one rfftn and one irfftn,
+    each over every frame it is given; each frame's bytes are those of the
+    call on that frame alone.
     """
     import scipy.fft
-    if template.shape[0] > frame.shape[0] or template.shape[1] > frame.shape[1]:
+    shape = frame.shape[-2:]
+    if template.shape[0] > shape[0] or template.shape[1] > shape[1]:
         raise ValueError("template larger than frame")
     # full linear correlation on a real-FFT-friendly padded shape, then the
     # centred frame-sized window (the arithmetic of fftconvolve mode="same")
-    full = [n + m - 1 for n, m in zip(frame.shape, template.shape)]
-    fshape = tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
+    full, fshape = _padded_shape(shape, template.shape)
     # the template in the frame's precision: float32 for a float32 frame
     template = template.astype(np.result_type(frame, np.float32), copy=False)
-    spec = (scipy.fft.rfftn(frame, fshape)
+    spec = (scipy.fft.rfftn(frame, fshape, axes=(-2, -1))
             * _template_spectrum(template.tobytes(), template.dtype.str,
                                  template.shape, fshape))
-    corr = scipy.fft.irfftn(spec, fshape)
-    z0, x0 = ((f - n) // 2 for f, n in zip(full, frame.shape))
-    corr = corr[z0:z0 + frame.shape[0], x0:x0 + frame.shape[1]]
+    corr = scipy.fft.irfftn(spec, fshape, axes=(-2, -1))
+    z0, x0 = ((f - n) // 2 for f, n in zip(full, shape))
+    corr = corr[..., z0:z0 + shape[0], x0:x0 + shape[1]]
     return corr * (grid.dx * grid.dz)
 
 
@@ -161,37 +184,75 @@ def _quadratic_offset(patch: np.ndarray) -> tuple[float, float]:
 
 
 def _max_3x3(a: np.ndarray) -> np.ndarray:
-    """Maximum over each pixel's 3x3 neighbourhood, the neighbourhood
-    clamped at the edges: a running max of three along x, then along z.
-    A pixel equal to it is a local maximum (every pixel of a plateau is)."""
+    """Maximum over each pixel's 3x3 neighbourhood in the last two axes,
+    the neighbourhood clamped at the edges: a running max of three along x,
+    then along z. A pixel equal to it is a local maximum (every pixel of a
+    plateau is)."""
     rows = a.copy()
-    np.maximum(rows[:, 1:], a[:, :-1], out=rows[:, 1:])
-    np.maximum(rows[:, :-1], a[:, 1:], out=rows[:, :-1])
+    np.maximum(rows[..., 1:], a[..., :-1], out=rows[..., 1:])
+    np.maximum(rows[..., :-1], a[..., 1:], out=rows[..., :-1])
     out = rows.copy()
-    np.maximum(out[1:], rows[:-1], out=out[1:])
-    np.maximum(out[:-1], rows[1:], out=out[:-1])
+    np.maximum(out[..., 1:, :], rows[..., :-1, :], out=out[..., 1:, :])
+    np.maximum(out[..., :-1, :], rows[..., 1:, :], out=out[..., :-1, :])
     return out
 
 
-def _suppress(x: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
+# relative margin around radius**2 within which _suppress decides a pair in
+# Python floats: there a square is pow(d, 2), which can round one ulp away
+# from numpy's d * d, so the two sums may differ by a few ulp
+_TIE_RTOL = 1e-12
+
+
+def _suppress(x: np.ndarray, z: np.ndarray, radius: float,
+              group: np.ndarray | None = None) -> np.ndarray:
     """Greedy suppression in the given priority order: a point is kept
-    unless a kept point lies strictly within radius. Mask of kept points."""
-    keep = np.zeros(len(x), dtype=bool)
-    kept: list[tuple[float, float]] = []
-    for i, (xi, zi) in enumerate(zip(x.tolist(), z.tolist())):
-        if any((xi - kx) ** 2 + (zi - kz) ** 2 < radius**2
-               for kx, kz in kept):
-            continue
-        kept.append((xi, zi))
-        keep[i] = True
-    return keep
+    unless a kept point of its group lies strictly within radius, i.e.
+    (x_i - x_j)**2 + (z_i - z_j)**2 < radius**2 in Python floats. Mask of
+    kept points. group (one group by default) must be sorted.
+
+    The close pairs of earlier points are found as arrays, in row blocks
+    of at most PAIR_BLOCK pairs whose columns start at the first point of
+    the block's first group; the greedy pass visits only those pairs."""
+    n = len(x)
+    group = np.zeros(n, dtype=np.intp) if group is None else group
+    first = np.searchsorted(group, group)
+    largest = int((np.searchsorted(group, group, "right") - first).max(
+        initial=1))
+    # a block spans rows * (rows + largest - 1) < PAIR_BLOCK pairs
+    rows = max(1, min(math.isqrt(PAIR_BLOCK) // 2,
+                      PAIR_BLOCK // (2 * largest)))
+    r2 = radius**2
+    lo_r2, hi_r2 = r2 * (1.0 - _TIE_RTOL), r2 * (1.0 + _TIE_RTOL)
+    keep = [True] * n
+    for lo in range(1, n, rows):
+        hi, c0 = min(lo + rows, n), first[lo]
+        d2 = np.square(x[lo:hi, None] - x[c0:hi])
+        d2 += np.square(z[lo:hi, None] - z[c0:hi])
+        near = ((d2 < hi_r2) & (group[lo:hi, None] == group[c0:hi])
+                & np.tri(hi - lo, hi - c0, lo - c0 - 1, dtype=bool))
+        i, j = np.nonzero(near)
+        # pairs by row, then column: keep[b] is final when (a, b) comes up
+        for a, b, d in zip((i + lo).tolist(), (j + c0).tolist(),
+                           d2[i, j].tolist()):
+            if keep[a] and keep[b] and (
+                    d < lo_r2 or (x[a].item() - x[b].item()) ** 2
+                    + (z[a].item() - z[b].item()) ** 2 < r2):
+                keep[a] = False
+    return np.array(keep, dtype=bool)
 
 
 def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
            autocorr_peak: float, t_index: int = 0,
            v_tag: tuple[float, float] | None = None,
            wavelength: float | None = None) -> np.ndarray:
-    """Threshold, local-max, greedy NMS, then quadratic refinement."""
+    """Threshold, local-max, greedy NMS, then quadratic refinement.
+
+    corr is one (nz, nx) correlation map or a block (nb, nz, nx) of them,
+    for frames t_index, t_index + 1, ... The table holds each frame's rows
+    in turn, in NMS priority order: higher score, then row, then column.
+    Suppression acts within a frame, so a block gives the rows of its
+    frames detected one at a time.
+    """
     if autocorr_peak <= 0:
         raise ValueError("autocorr_peak must be positive")
     min_sep = cfg.min_separation
@@ -200,26 +261,28 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
             raise ValueError("min_separation unset: pass wavelength")
         min_sep = 1.05 * wavelength
     thresh = cfg.threshold_fraction * autocorr_peak
+    corr = corr.reshape(-1, *corr.shape[-2:])
     is_max = corr == _max_3x3(corr)
     cand = np.argwhere(is_max & (corr > thresh))
-    scores = corr[cand[:, 0], cand[:, 1]]
-    # NMS priority: higher score, then row, then column
-    order = np.lexsort((cand[:, 1], cand[:, 0], -scores))
-    iz, ix = cand[order].T
+    scores = corr[tuple(cand.T)]
+    # by frame, then NMS priority: higher score, then row, then column
+    order = np.lexsort((cand[:, 2], cand[:, 1], -scores, cand[:, 0]))
+    ft, iz, ix = cand[order].T
+    scores = scores[order]
     x = grid.x0 + ix * grid.dx
     z = grid.z0 + iz * grid.dz
-    keep = _suppress(x, z, min_sep)
-    iz, ix, x, z = iz[keep], ix[keep], x[keep], z[keep]
+    keep = _suppress(x, z, min_sep, group=ft)
+    ft, iz, ix, x, z = ft[keep], iz[keep], ix[keep], x[keep], z[keep]
     if cfg.subpixel:
         inner = (0 < ix) & (ix < grid.nx - 1) & (0 < iz) & (iz < grid.nz - 1)
         for k in np.flatnonzero(inner):
             ox, oz = _quadratic_offset(
-                corr[iz[k] - 1:iz[k] + 2, ix[k] - 1:ix[k] + 2])
+                corr[ft[k], iz[k] - 1:iz[k] + 2, ix[k] - 1:ix[k] + 2])
             x[k] += ox * grid.dx
             z[k] += oz * grid.dz
     out = np.empty(len(x), LOC_DTYPE)
-    out["t"], out["x"], out["z"] = t_index, x, z
-    out["score"] = scores[order][keep]
+    out["t"], out["x"], out["z"] = t_index + ft, x, z
+    out["score"] = scores[keep]
     out["vx"], out["vz"] = (math.nan, math.nan) if v_tag is None else v_tag
     return out
 
@@ -287,13 +350,19 @@ def velocity_map_from_locs(locs: np.ndarray, fine_grid: Grid2D
     return VelocityMap(grid=fine_grid, speed=speed, vx=vx, vz=vz)
 
 
+def _by_frame(locs: np.ndarray, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of frames 0..nt-1, stably sorted by frame, and the indices
+    that split them into one run per frame (np.split)."""
+    locs = locs[(locs["t"] >= 0) & (locs["t"] < nt)]
+    locs = locs[np.argsort(locs["t"], kind="stable")]
+    return locs, np.cumsum(np.bincount(locs["t"], minlength=nt))[:-1]
+
+
 def positions_by_frame(locs: np.ndarray, nt: int) -> list[np.ndarray]:
     """(n_t, 2) arrays of (x, z) for frames 0..nt-1, rows in table order;
     rows of other frames are dropped."""
-    locs = locs[(locs["t"] >= 0) & (locs["t"] < nt)]
-    locs = locs[np.argsort(locs["t"], kind="stable")]
-    xz = np.column_stack([locs["x"], locs["z"]])
-    return np.split(xz, np.cumsum(np.bincount(locs["t"], minlength=nt))[:-1])
+    locs, cuts = _by_frame(locs, nt)
+    return np.split(np.column_stack([locs["x"], locs["z"]]), cuts)
 
 
 def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
@@ -352,17 +421,22 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
                   cfg: DetectorConfig, template: np.ndarray, peak: float,
                   envelope: bool,
                   v_tag: tuple[float, float] | None = None
-                  ) -> list[np.ndarray]:
-    """Matched filter and detect on every frame of a (nt, nz, nx) stack.
+                  ) -> np.ndarray:
+    """Matched filter and detect on every frame of a (nt, nz, nx) stack,
+    in blocks of frames of at most _CORR_BLOCK padded samples; one table,
+    rows by frame.
 
     envelope strips the axial carrier first (magnitude of the analytic
     signal along z), as the post-mode chain does.
     """
     if envelope:
         data = _envelope_z(data)
-    return [detect(matched_filter_map(data[t], grid, template), grid, cfg,
-                   peak, t_index=t, v_tag=v_tag, wavelength=p.wavelength)
-            for t in range(data.shape[0])]
+    _, fshape = _padded_shape(data.shape[1:], template.shape)
+    step = max(1, _CORR_BLOCK // math.prod(fshape))
+    return np.concatenate([
+        detect(matched_filter_map(data[t:t + step], grid, template), grid,
+               cfg, peak, t_index=t, v_tag=v_tag, wavelength=p.wavelength)
+        for t in range(0, data.shape[0], step)])
 
 
 def _check_mode(mode: str) -> None:
@@ -382,8 +456,9 @@ def localize_frames(frames: FrameStack, p: PsfParams,
     check_finite(frames.data)
     template = psf_template(frames.grid, p, mode=mode)
     peak = template_autocorr_peak(template, frames.grid)
-    return _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
+    locs = _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
                          template, peak, envelope=mode == "post")
+    return np.split(*_by_frame(locs, frames.nt))
 
 
 def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
@@ -410,17 +485,15 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
         template = psf_template(grid, p, mode="to", to=to_params)
         chains[True] = (template, template_autocorr_peak(template, grid),
                         False)
-    frame_locs: list[list[np.ndarray]] = [[] for _ in range(frames.nt)]
-    for _, fspec, out, used_to in run_filter_bank(
-            frames, bank, to_params=to_params, boundary=boundary,
-            workers=workers):
-        per_frame = _detect_stack(out.data, grid, p, cfg, *chains[used_to],
-                                  v_tag=fspec.v_f)
-        for cands, locs in zip(frame_locs, per_frame):
-            cands.append(locs)
+    tables = [_detect_stack(out.data, grid, p, cfg, *chains[used_to],
+                            v_tag=fspec.v_f)
+              for _, fspec, out, used_to in run_filter_bank(
+                  frames, bank, to_params=to_params, boundary=boundary,
+                  workers=workers)]
+    # each frame's candidates in bank order, as the merge's tie order
+    cands, cuts = _by_frame(np.concatenate(tables), frames.nt)
     return PipelineResult(per_frame=[
-        _merge_frame(np.concatenate(cands), p.wavelength / 4.0)
-        for cands in frame_locs])
+        _merge_frame(c, p.wavelength / 4.0) for c in np.split(cands, cuts)])
 
 
 # ---------------------------------------------------------------------------

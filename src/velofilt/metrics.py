@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrameStack, Grid2D
-
-# point pairs _gauss_sum takes at once: each temporary of a block holds at
-# most this many float64s (128 KiB), which bounds memory on dense frames
-# and keeps a block in cache
-_PAIR_BLOCK = 1 << 14
+from .core import PAIR_BLOCK, FrameStack, Grid2D
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,8 @@ def default_le_params(wavelength: float, theta: float = 0.0,
 
 def _gauss_sum(u: np.ndarray, v: np.ndarray) -> float:
     """sum_ij exp(-|u_i - v_j|^2 / 4), over row blocks of u so that a block
-    holds at most _PAIR_BLOCK pairs."""
-    rows = max(1, _PAIR_BLOCK // max(len(v), 1))
+    holds at most PAIR_BLOCK pairs."""
+    rows = max(1, PAIR_BLOCK // max(len(v), 1))
     total = 0.0
     for lo in range(0, len(u), rows):
         block = u[lo:lo + rows]

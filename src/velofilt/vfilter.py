@@ -26,7 +26,9 @@ temporal pad too, for stationary-statistics measurements).
 The input's dtype sets the precision: a float32 stack (as the CLI reads
 from its .f32 files) gives complex64 spectra and float32 outputs, a float64
 stack complex128 and float64. The gains are computed in float64 and cast to
-the spectrum's precision in the multiply.
+the spectrum's precision in the multiply. Where the exponent is so negative
+that exp returns exactly 0 (about half of a padded lattice), the gain is
+set to 0 without calling exp, whose underflow path is slow.
 
 scipy.fft is imported inside the functions that transform, not with the
 module, so a process that never filters does not pay for its import.
@@ -117,16 +119,24 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
     return (2.0 * np.arange(n) + 1.0) * delta_v
 
 
+# below this argument float64 exp is exactly 0: its result is under half
+# the smallest subnormal
+_EXP_FLOOR = math.log(np.finfo(np.float64).smallest_subnormal) - 1.0
+
+
 def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
           spec: VelocityFilterSpec) -> np.ndarray:
+    """exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one buffer;
+    below _EXP_FLOOR the entry is set to the 0 exp would return."""
     vfx, vfz = spec.v_f
-    # exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one buffer
     gain = (om[:, None, None] + kx[None, None, :] * vfx
             + kz[None, :, None] * vfz)
     gain *= spec.sigma_t
     np.square(gain, out=gain)
     gain *= -0.5
-    return np.exp(gain, out=gain)
+    dead = gain < _EXP_FLOOR
+    np.copyto(gain, 0.0, where=dead)
+    return np.exp(gain, out=gain, where=np.logical_not(dead, out=dead))
 
 
 def build_filter(grid: Grid2D, nt: int, dt: float,

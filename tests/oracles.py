@@ -222,3 +222,44 @@ def merge_frame_loop(rows, radius):
             continue
         kept.append(row)
     return kept
+
+
+def suppress_loop(x, z, radius):
+    """Greedy suppression one point at a time, in the given order: a point
+    is kept unless a kept point lies strictly within radius. Mask of kept
+    points."""
+    keep = np.zeros(len(x), dtype=bool)
+    kept = []
+    for i, (xi, zi) in enumerate(zip(x.tolist(), z.tolist())):
+        if any((xi - kx) ** 2 + (zi - kz) ** 2 < radius**2
+               for kx, kz in kept):
+            continue
+        kept.append((xi, zi))
+        keep[i] = True
+    return keep
+
+
+def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t):
+    """H = exp(-(sigma_t (Omega + kx vx + kz vz))^2 / 2) on the rfftn half
+    lattice of an (nt, nz, nx) stack, evaluated on the whole lattice at
+    once. On the Nyquist plane of each even axis it is the mean of H at the
+    bin and at the bin with every even axis's Nyquist frequency negated."""
+    def lattice(n, d):
+        return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
+
+    axes = [lattice(nt, dt), lattice(nz, dz), lattice(nx, dx)[:nx // 2 + 1]]
+    mirror = [a.copy() for a in axes]
+    nyquist = np.zeros((nt, nz, nx // 2 + 1), dtype=bool)
+    for ax, (m, n) in enumerate(zip(mirror, (nt, nz, nx))):
+        if n % 2 == 0:
+            m[n // 2] = -m[n // 2]
+            nyquist[(slice(None),) * ax + (n // 2,)] = True
+
+    def h(om, kz, kx):
+        doppler = (om[:, None, None] + kx[None, None, :] * v_f[0]
+                   + kz[None, :, None] * v_f[1])
+        return np.exp(-0.5 * (sigma_t * doppler) ** 2)
+
+    gain = h(*axes)
+    gain[nyquist] = (0.5 * (gain + h(*mirror)))[nyquist]
+    return gain

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
-                     velocity_map_loop)
+                     suppress_loop, velocity_map_loop)
+from velofilt import localize
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                _QUAD_FIT, _envelope_z, _merge_frame,
-                               _quadratic_offset, _template_spectrum,
+                               _padded_shape, _quadratic_offset, _suppress,
+                               _template_spectrum,
                                accumulate, detect, load_localizations_csv,
                                localize_frames, matched_filter_map,
                                positions_by_frame,
@@ -207,6 +210,106 @@ def test_detect_breaks_score_ties_by_row_then_column():
     got = [(round(z - grid.z0), round(x - grid.x0))
            for x, z in zip(locs["x"].tolist(), locs["z"].tolist())]
     assert got == [(0, 0), (3, 4)]
+
+
+def test_detect_ranks_tied_scores_by_row_before_column():
+    # one NMS radius covers both; the upper row wins though its column is
+    # to the right, in a block as in a lone frame
+    corr = np.zeros((2, 5, 6))
+    corr[1, 1, 4] = corr[1, 2, 0] = 2.0
+    grid = make_grid(6, 5, 1.0, 1.0)
+    cfg = DetectorConfig(min_separation=10.0, subpixel=False)
+    for got in (detect(corr, grid, cfg, 2.0), detect(corr[1], grid, cfg, 2.0,
+                                                     t_index=1)):
+        assert [(t, round(z - grid.z0), round(x - grid.x0)) for t, x, z
+                in got[["t", "x", "z"]].tolist()] == [(1, 1, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 4),
+                                              st.integers(3, 8),
+                                              st.integers(3, 8)),
+                        elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0])),
+       empty=st.integers(0, 3), copy=st.booleans(),
+       min_sep=st.sampled_from([1e-9, 1.0, 1.5, 2.5]),
+       subpixel=st.booleans(), dtype=st.sampled_from([np.float32,
+                                                      np.float64]))
+def test_detect_block_matches_frames(block, empty, copy, min_sep, subpixel,
+                                     dtype):
+    # few levels: exact score ties within a frame, plateaus and candidates
+    # on the border; a copied frame ties across frames, and a zero frame
+    # has no candidate at all
+    block[min(empty, len(block) - 1)] = 0.0
+    if copy and len(block) > 1:
+        block[-1] = block[0]
+    block = block.astype(dtype)
+    grid = make_grid(block.shape[2], block.shape[1], 0.1, 0.2)
+    cfg = DetectorConfig(min_separation=min_sep, subpixel=subpixel)
+    got = detect(block, grid, cfg, 2.0, t_index=5, v_tag=(1.0, -2.0))
+    want = np.concatenate([detect(f, grid, cfg, 2.0, t_index=5 + k,
+                                  v_tag=(1.0, -2.0))
+                           for k, f in enumerate(block)])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                    max_size=60),
+       spacing=st.sampled_from([0.1, 0.05, 0.25, 0.3]),
+       radius=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.75]))
+def test_suppress_matches_greedy_loop(pts, spacing, radius):
+    # lattice points in a random order, duplicates included; at spacings
+    # that binary floats do not hold, many pairs sit within an ulp of the
+    # radius
+    ij = np.array(pts, dtype=float).reshape(-1, 2)
+    x, z = ij[:, 0] * spacing, ij[:, 1] * spacing
+    assert np.array_equal(_suppress(x, z, radius), suppress_loop(x, z, radius))
+
+
+@pytest.mark.parametrize("pair_block", [1, 50, 2**14])
+@pytest.mark.parametrize("seed", range(3))
+def test_suppress_matches_greedy_loop_by_group(seed, pair_block,
+                                               monkeypatch):
+    # groups of very different sizes (one point, none in between, hundreds),
+    # cut into row blocks of every size down to one row
+    monkeypatch.setattr(localize, "PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(seed)
+    group = np.repeat([0, 2, 3, 7], [1, 400, 30, 300])
+    x, z = rng.uniform(0.0, 3.0, size=(2, len(group)))
+    x[::7] = x[1::7]    # duplicates
+    want = np.concatenate([suppress_loop(x[group == g], z[group == g], 0.2)
+                           for g in np.unique(group)])
+    assert np.array_equal(_suppress(x, z, 0.2, group=group), want)
+    assert np.array_equal(_suppress(x, z, 0.2), suppress_loop(x, z, 0.2))
+
+
+def test_suppress_decides_ties_as_python_floats():
+    # for this d, Python's d ** 2 (libm pow) and numpy's d * d can round to
+    # neighbouring floats; a point exactly one radius away is not strictly
+    # within it, whichever way the squares round
+    for d in (float.fromhex("0x1.e31cca2ac8b6bp+0"),
+              float.fromhex("0x1.731dc1c47773dp-2"), 0.3, 0.1 + 0.2):
+        x = np.array([0.0, d, 2.0 * d])
+        z = np.zeros(3)
+        assert _suppress(x, z, d).tolist() == [True, True, True]
+        assert _suppress(x, z, np.nextafter(d, 1e9)).tolist() == [
+            True, False, True]
+
+
+def test_suppress_memory_stays_bounded():
+    # 3000 candidates in one frame, most of them within the radius of many
+    # others: the pairwise test runs in row blocks, so its temporaries stay
+    # small however dense the frame
+    rng = np.random.default_rng(0)
+    x, z = rng.uniform(0.0, 1.0, size=(2, 3000))
+    tracemalloc.start()
+    try:
+        keep = _suppress(x, z, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(keep, suppress_loop(x, z, 0.2))
 
 
 def test_make_fine_grid_preserves_extent():
@@ -542,6 +645,24 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
         assert np.array_equal(np.sort(got_t), np.sort(want_t))
 
 
+@pytest.mark.parametrize("mode", ["pre", "post"])
+def test_block_size_leaves_detection_unchanged(mode, monkeypatch):
+    # one frame per block, an uneven split (4, 4, 2) and the whole stack in
+    # one block give the same bytes
+    frames = _two_mover_stack()
+    bank = make_bank([1.0], [0.0, math.pi / 2], sigma_t=0.02)
+    _, fshape = _padded_shape((GRID.nz, GRID.nx),
+                              psf_template(GRID, P, mode=mode).shape)
+    runs = []
+    for samples in (1, 4 * math.prod(fshape), 2**40):
+        monkeypatch.setattr(localize, "_CORR_BLOCK", samples)
+        res = run_pipeline(frames, bank, P, mode=mode)
+        raw = localize_frames(frames, P, mode=mode)
+        runs.append([f.tobytes() for f in res.per_frame + raw])
+    assert len(runs[0]) == 2 * frames.nt
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("shape", [(64, 64), (63, 65), (50, 41)])
 def test_matched_filter_map_matches_fftconvolve(shape):
     # an asymmetric template catches a flipped or shifted correlation
@@ -554,6 +675,16 @@ def test_matched_filter_map_matches_fftconvolve(shape):
         want = scipy.signal.fftconvolve(frame, tpl[::-1, ::-1],
                                         mode="same") * (grid.dx * grid.dz)
         assert np.array_equal(got, want)
+        # a block of frames: each slice is the call on that frame alone
+        frames = np.stack([frame, rng.normal(size=shape), frame[::-1]])
+        for dtype in (np.float32, np.float64):
+            block = frames.astype(dtype)
+            got = matched_filter_map(block, grid, tpl)
+            nested = matched_filter_map(block[None, 1:], grid, tpl)
+            assert got.dtype == dtype and nested.shape == (1, 2, *shape)
+            for k, f in enumerate(block):
+                assert np.array_equal(got[k], matched_filter_map(f, grid, tpl))
+            assert np.array_equal(nested[0], got[1:])
 
 
 def test_template_spectrum_taken_once_per_template(monkeypatch):

@@ -7,7 +7,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dft_filter_reference
+from oracles import dft_filter_reference, velocity_gain_ref
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
@@ -60,6 +60,27 @@ def test_build_filter_gain_bounds_and_ridge():
     assert gain[0, 0, 0] == 1.0  # DC(k=0, Omega=0) always passes
     with pytest.raises(ValueError):
         build_filter(frames.grid, 0, frames.dt, spec)
+
+
+@pytest.mark.parametrize("sizes", [(280, 64, 64), (33, 31, 17), (24, 30, 33)])
+@pytest.mark.parametrize("v_f, sigma_t, dt, underflow", [
+    ((5.0, 0.0), 2.0, 0.025, True),
+    ((3.0, -4.0), 2.0, 0.01, True),
+    ((0.0, 0.0), 2.0, 0.025, True),
+    ((0.7, -0.4), 1e-3, 0.025, False),
+    ((0.0, 0.0), 1e-3, 0.01, False)])
+def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
+                                            underflow):
+    # mostly underflowing lattices (exp's slow path, which build_filter
+    # skips) and lattices with none must give exp's own bytes
+    nt, nz, nx = sizes
+    grid = make_grid(nx, nz, 0.1, 0.05)
+    gain = build_filter(grid, nt, dt, VelocityFilterSpec(v_f=v_f,
+                                                         sigma_t=sigma_t))
+    want = velocity_gain_ref(nt, dt, nz, 0.05, nx, 0.1, v_f, sigma_t)
+    assert np.array_equal(gain, want)
+    zeros = np.mean(want == 0.0)
+    assert zeros > 0.5 if underflow else zeros == 0.0
 
 
 def test_zero_velocity_gain_is_purely_temporal():
