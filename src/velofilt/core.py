@@ -130,6 +130,33 @@ def omega_lattice(nt: int, dt: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
 
 
+def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
+                   axes: tuple[int, ...], keep: tuple[slice, ...],
+                   workers: int = 1) -> np.ndarray:
+    """scipy.fft.irfftn(spec, s, axes)[keep along axes], byte for byte,
+    without the whole inverse: one axis at a time (complex ifft passes, the
+    real irfft last), each output axis cut to its keep slice right after
+    its own pass, so later passes and the output only span what is kept.
+
+    The complex passes run in place, so spec is overwritten. Every pass is
+    unscaled (norm="forward") and the kept output is then multiplied once
+    by T(1 / prod(s)), rounded from long double: the factor pocketfft
+    applies in the last pass of irfftn. The result may be a view of a
+    larger array.
+    """
+    import scipy.fft
+    out = spec
+    for ax, n, k in zip(axes[:-1], s, keep):
+        out = scipy.fft.ifft(out, n, axis=ax, norm="forward",
+                             workers=workers, overwrite_x=True)
+        out = out[(slice(None),) * (ax % out.ndim) + (k,)]
+    out = scipy.fft.irfft(out, s[-1], axis=axes[-1], norm="forward",
+                          workers=workers)
+    out = out[(slice(None),) * (axes[-1] % out.ndim) + (keep[-1],)]
+    out *= out.dtype.type(np.longdouble(1) / math.prod(s))
+    return out
+
+
 @dataclass(frozen=True)
 class SampledWindow:
     """Symmetric temporal window sampled on the frame clock.

@@ -19,14 +19,15 @@ The 3x3 local maximum and the disk closing of the support mask are done in
 numpy. scipy.fft is imported inside the functions that transform, so
 importing this module (and the CLI) loads no scipy. A stack is detected in
 blocks of a few frames (at most _CORR_BLOCK samples of the padded
-correlation): a block costs one forward and one inverse real FFT over its
-frames, one local-max pass, one candidate sort and one suppression pass,
-and the template's spectrum is cached across blocks. A block's output is
-byte for byte that of its frames detected one at a time. The envelope and
-the correlation run in the stack's own precision (float32 on the CLI
-path, whose stacks come from .f32 files); the template is cast to the
-frame's dtype, and its cached spectrum is keyed by that dtype. Scores and
-positions are float64 in every case.
+correlation): a block costs one forward real FFT over its frames, an
+inverse whose x pass spans only the frame's nz rows (it keeps them right
+after its z pass), one local-max pass, one candidate sort and one
+suppression pass, and the template's spectrum is cached across blocks. A
+block's output is byte for byte that of its frames detected one at a
+time. The envelope and the correlation run in the stack's own precision
+(float32 on the CLI path, whose stacks come from .f32 files); the
+template is cast to the frame's dtype, and its cached spectrum is keyed by
+that dtype. Scores and positions are float64 in every case.
 
 Localizations are rows of one table, a structured array of LOC_DTYPE: frame
 t, position x, z (mm), score, and the selecting filter velocity vx, vz
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (PAIR_BLOCK, FrameStack, Grid2D, check_finite,
-                   load_csv_rows, make_grid)
+                   load_csv_rows, make_grid, trimmed_irfftn)
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
@@ -136,9 +137,12 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     Scaled by the pixel area so values approximate the continuous
     correlation integral and compare directly against the closed-form
     autocorrelation peak. The template's spectrum is cached across calls
-    (see _template_spectrum), so a call costs one rfftn and one irfftn,
-    each over every frame it is given; each frame's bytes are those of the
-    call on that frame alone.
+    (see _template_spectrum), so a call costs one rfftn over every frame it
+    is given and an inverse run one axis at a time (core.trimmed_irfftn):
+    the ifft along z, the cut to the centred nz rows, then the irfft along
+    x, cut to the centred nx columns. The output is byte for byte the
+    centred window of the whole irfftn, and each frame's bytes are those
+    of the call on that frame alone.
     """
     import scipy.fft
     shape = frame.shape[-2:]
@@ -152,9 +156,9 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     spec = (scipy.fft.rfftn(frame, fshape, axes=(-2, -1))
             * _template_spectrum(template.tobytes(), template.dtype.str,
                                  template.shape, fshape))
-    corr = scipy.fft.irfftn(spec, fshape, axes=(-2, -1))
     z0, x0 = ((f - n) // 2 for f, n in zip(full, shape))
-    corr = corr[..., z0:z0 + shape[0], x0:x0 + shape[1]]
+    corr = trimmed_irfftn(spec, fshape, (-2, -1),
+                          (slice(z0, z0 + shape[0]), slice(x0, x0 + shape[1])))
     return corr * (grid.dx * grid.dz)
 
 

@@ -10,12 +10,14 @@ provided: the production 3D-FFT path and a direct shift-and-sum path
 The FFT path works on real FFTs. A bank takes one rfftn of each padded
 source stack it needs (raw or TO-prefiltered, per temporal pad) and shares
 that half spectrum between its filters; each filter then costs one gain
-multiply on the (nt, nz, nx//2+1) half lattice and one irfftn.
-apply_filter_fft is the one-filter case of the same code. On an even axis
-the Nyquist bin is its own mirror, and there H is not even, so the gain on
-the Nyquist planes is the mean of H at the bin and at its mirrored bin:
-the Hermitian part of H, which is exactly what taking the real part of a
-complex inverse FFT would keep.
+multiply on the (nt_pad, nz, nx//2+1) half lattice and an inverse run one
+axis at a time (core.trimmed_irfftn): the ifft along t, the cut to the nt
+kept frames, then the (z, x) passes on those frames only, so the padded
+inverse is never formed. apply_filter_fft is the one-filter case of the
+same code. On an even axis the Nyquist bin is its own mirror, and there H
+is not even, so the gain on the Nyquist planes is the mean of H at the bin
+and at its mirrored bin: the Hermitian part of H, which is exactly what
+taking the real part of a complex inverse FFT would keep.
 
 Both paths zero-extend in time; the FFT path pads by 4 sigma_t worth of
 frames before the FFT and trims after, so trajectories do not wrap. The
@@ -27,8 +29,9 @@ The input's dtype sets the precision: a float32 stack (as the CLI reads
 from its .f32 files) gives complex64 spectra and float32 outputs, a float64
 stack complex128 and float64. The gains are computed in float64 and cast to
 the spectrum's precision in the multiply. Where the exponent is so negative
-that exp returns exactly 0 (about half of a padded lattice), the gain is
-set to 0 without calling exp, whose underflow path is slow.
+that exp, cast to the spectrum's precision, is exactly 0 (about half of a
+padded lattice in float64, four fifths in float32), the gain is set to 0
+without calling exp, whose underflow path is slow.
 
 scipy.fft is imported inside the functions that transform, not with the
 module, so a process that never filters does not pay for its import.
@@ -45,7 +48,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
-                   kz_lattice, omega_lattice, save_frame_stack)
+                   kz_lattice, omega_lattice, save_frame_stack,
+                   trimmed_irfftn)
 from .psf import ToParams, to_transfer
 
 # Hard cap on the padded stack a 3D FFT runs on; it rejects sizes that would
@@ -119,28 +123,32 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
     return (2.0 * np.arange(n) + 1.0) * delta_v
 
 
-# below this argument float64 exp is exactly 0: its result is under half
-# the smallest subnormal
-_EXP_FLOOR = math.log(np.finfo(np.float64).smallest_subnormal) - 1.0
+def _exp_floor(dtype) -> float:
+    """Exponent below which exp rounds to exactly 0 in dtype: -104.3 for
+    float32, -745.4 for float64. Below it exp is at most e^-1 times the
+    smallest subnormal of dtype, less than half of it. Float64 exp returns
+    0 there itself, so the float64 floor changes no byte of a gain; the
+    float32 floor skips only values that the cast to float32 makes 0."""
+    return float(np.log(np.finfo(dtype).smallest_subnormal)) - 1.0
 
 
 def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
-          spec: VelocityFilterSpec) -> np.ndarray:
-    """exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one buffer;
-    below _EXP_FLOOR the entry is set to the 0 exp would return."""
+          spec: VelocityFilterSpec, floor: float) -> np.ndarray:
+    """exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one float64
+    buffer; below floor the entry is set to 0 without calling exp."""
     vfx, vfz = spec.v_f
     gain = (om[:, None, None] + kx[None, None, :] * vfx
             + kz[None, :, None] * vfz)
     gain *= spec.sigma_t
     np.square(gain, out=gain)
     gain *= -0.5
-    dead = gain < _EXP_FLOOR
+    dead = gain < floor
     np.copyto(gain, 0.0, where=dead)
     return np.exp(gain, out=gain, where=np.logical_not(dead, out=dead))
 
 
-def build_filter(grid: Grid2D, nt: int, dt: float,
-                 spec: VelocityFilterSpec) -> np.ndarray:
+def build_filter(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
+                 dtype=np.float64) -> np.ndarray:
     """Gain on the rfftn half lattice (nt, nz, nx//2+1) of an (nt, nz, nx)
     stack; exactly 1 where Omega = -k.v_f.
 
@@ -148,9 +156,15 @@ def build_filter(grid: Grid2D, nt: int, dt: float,
     it is the mean of H at the bin and at its mirrored bin (every even
     axis's Nyquist frequency negated), which makes the gain Hermitian, so
     the filtered stack is real.
+
+    The gain is float64 whatever dtype is; dtype is the precision it will
+    be cast to, and entries that the cast would round to 0 are set to 0
+    without calling exp (see _exp_floor). Cast to dtype, the result is
+    that of the default float64 call.
     """
     if nt < 1:
         raise ValueError("nt must be >= 1")
+    floor = _exp_floor(dtype)
     sizes = (nt, grid.nz, grid.nx)
     axes = (omega_lattice(nt, dt), kz_lattice(grid),
             kx_lattice(grid)[:grid.nx // 2 + 1])
@@ -158,14 +172,14 @@ def build_filter(grid: Grid2D, nt: int, dt: float,
     for m, n in zip(mirror, sizes):
         if n % 2 == 0:
             m[n // 2] = -m[n // 2]
-    gain = _gain(*axes, spec)
+    gain = _gain(*axes, spec, floor)
     for ax, n in enumerate(sizes):
         if n % 2 == 0:
             plane = [slice(None)] * 3
             plane[ax] = slice(n // 2, n // 2 + 1)
             gain[tuple(plane)] = 0.5 * (
-                _gain(*(a[p] for a, p in zip(axes, plane)), spec)
-                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec))
+                _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
+                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec, floor))
     return gain
 
 
@@ -260,11 +274,14 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
 
     boundary is as in apply_filter_fft. The bank takes one rfftn per
     (source stack, temporal pad) pair it needs and keeps those half spectra
-    until it is done; each filter then costs one gain multiply and one
-    irfftn. The 2 * pad zero frames go after the stack, which on the
-    circular time lattice is the symmetric pad shifted by pad frames. The
-    largest padded stack is checked against _MAX_FFT_ELEMENTS before
-    anything is allocated.
+    until it is done. Each filter then costs one gain multiply into a work
+    buffer and an inverse run one axis at a time (core.trimmed_irfftn):
+    the ifft along t in place, the cut to the first nt frames, then the
+    (z, x) passes on those frames alone; the output is byte for byte the
+    trimmed whole irfftn. The 2 * pad zero frames go after the stack, which
+    on the circular time lattice is the symmetric pad shifted by pad
+    frames, so the kept frames are the first nt. The largest padded stack
+    is checked against _MAX_FFT_ELEMENTS before anything is allocated.
     """
     import scipy.fft
     if boundary not in ("pad", "periodic"):
@@ -296,13 +313,14 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
             work = np.empty_like(spectrum)
         # the float64 gain is cast to the spectrum's precision chunk by chunk
         # inside the multiply, and is not held through the inverse
-        np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec),
+        np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec,
+                                           work.real.dtype),
                     out=work, dtype=work.dtype)
-        # trim and drop the padded inverse before yielding, so it is not
-        # held while the caller works on the output
-        data = scipy.fft.irfftn(work, s=shape, axes=(0, 1, 2),
-                                workers=workers, overwrite_x=True
-                                )[:frames.nt].copy()
+        # the complex passes run in place in work, which the next filter
+        # refills; only the real pass allocates, and only the kept frames
+        data = trimmed_irfftn(work, shape, (0, 1, 2),
+                              (slice(frames.nt), slice(None), slice(None)),
+                              workers=workers)
         yield i, fspec, FrameStack(grid=grid, nt=frames.nt, dt=frames.dt,
                                    data=data), used_to
 

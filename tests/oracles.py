@@ -9,6 +9,7 @@ tautology.
 import math
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 import scipy.ndimage
 import scipy.signal
@@ -263,3 +264,11 @@ def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t):
     gain = h(*axes)
     gain[nyquist] = (0.5 * (gain + h(*mirror)))[nyquist]
     return gain
+
+
+def trimmed_irfftn_ref(spec, s, axes, keep):
+    """The whole inverse real FFT, then the kept window of each axis."""
+    index = [slice(None)] * spec.ndim
+    for ax, k in zip(axes, keep):
+        index[ax] = k
+    return scipy.fft.irfftn(spec, s, axes=axes)[tuple(index)]

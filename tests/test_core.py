@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import trimmed_irfftn_ref
 from velofilt.core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
                            kz_lattice, load_frame_stack, make_grid,
-                           omega_lattice, save_frame_stack, write_pgm)
+                           omega_lattice, save_frame_stack, trimmed_irfftn,
+                           write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -142,3 +145,38 @@ def test_window_mass_property(sigma_t, dt):
     w = gaussian_window(sigma_t, dt)
     assert w.weights.sum() * dt == pytest.approx(1.0, abs=1e-9)
     assert np.all(w.weights >= 0)
+
+
+# (real shape, transformed axes, kept slice per axis): 2 and 3 axes, even,
+# odd and prime lengths, kept windows at the start, in the middle and
+# empty trims (the bank's boundary="periodic" keeps every frame)
+TRIM_CASES = [
+    ((280, 16, 12), (0, 1, 2), (slice(120), slice(None), slice(None))),
+    ((283, 9, 7), (0, 1, 2), (slice(131), slice(None), slice(None))),
+    ((31, 61, 127), (0, 1, 2), (slice(3, 20), slice(5, 50), slice(7, 120))),
+    ((4, 257, 199), (-2, -1), (slice(40, 201), slice(33, 166))),
+    ((3, 90, 1009), (-2, -1), (slice(13, 77), slice(100, 900))),
+    ((2, 131, 64), (1, 2), (slice(None), slice(None))),
+    ((24, 30, 33), (0, 1, 2), (slice(None), slice(None), slice(None))),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axes, keep", TRIM_CASES)
+def test_trimmed_irfftn_matches_whole_inverse(shape, axes, keep, dtype):
+    rng = np.random.default_rng(sum(shape))
+    spec = scipy.fft.rfftn(rng.normal(size=shape).astype(dtype), axes=axes)
+    s = tuple(shape[a] for a in axes)
+    want = trimmed_irfftn_ref(spec, s, axes, keep)
+    got = trimmed_irfftn(spec, s, axes, keep)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+def test_trimmed_irfftn_with_two_workers():
+    rng = np.random.default_rng(5)
+    spec = scipy.fft.rfftn(rng.normal(size=(131, 24, 20)).astype(np.float32))
+    keep = (slice(40), slice(None), slice(None))
+    want = trimmed_irfftn_ref(spec, (131, 24, 20), (0, 1, 2), keep)
+    got = trimmed_irfftn(spec, (131, 24, 20), (0, 1, 2), keep, workers=2)
+    assert np.array_equal(got, want)

@@ -7,7 +7,8 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dft_filter_reference, velocity_gain_ref
+from oracles import (dft_filter_reference, trimmed_irfftn_ref,
+                     velocity_gain_ref)
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
@@ -62,13 +63,17 @@ def test_build_filter_gain_bounds_and_ridge():
         build_filter(frames.grid, 0, frames.dt, spec)
 
 
-@pytest.mark.parametrize("sizes", [(280, 64, 64), (33, 31, 17), (24, 30, 33)])
-@pytest.mark.parametrize("v_f, sigma_t, dt, underflow", [
+GAIN_SIZES = [(280, 64, 64), (33, 31, 17), (24, 30, 33)]
+GAIN_CASES = [
     ((5.0, 0.0), 2.0, 0.025, True),
     ((3.0, -4.0), 2.0, 0.01, True),
     ((0.0, 0.0), 2.0, 0.025, True),
     ((0.7, -0.4), 1e-3, 0.025, False),
-    ((0.0, 0.0), 1e-3, 0.01, False)])
+    ((0.0, 0.0), 1e-3, 0.01, False)]
+
+
+@pytest.mark.parametrize("sizes", GAIN_SIZES)
+@pytest.mark.parametrize("v_f, sigma_t, dt, underflow", GAIN_CASES)
 def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
                                             underflow):
     # mostly underflowing lattices (exp's slow path, which build_filter
@@ -81,6 +86,24 @@ def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
     assert np.array_equal(gain, want)
     zeros = np.mean(want == 0.0)
     assert zeros > 0.5 if underflow else zeros == 0.0
+
+
+@pytest.mark.parametrize("sizes", GAIN_SIZES)
+@pytest.mark.parametrize("v_f, sigma_t, dt, underflow", GAIN_CASES)
+def test_float32_floor_changes_no_float32_gain(sizes, v_f, sigma_t, dt,
+                                               underflow):
+    # the float32 floor skips exp where the float64 gain would round to 0
+    # in float32 anyway, so the multiply sees the same complex64 gain
+    nt, nz, nx = sizes
+    grid = make_grid(nx, nz, 0.1, 0.05)
+    spec = VelocityFilterSpec(v_f=v_f, sigma_t=sigma_t)
+    wide = build_filter(grid, nt, dt, spec)
+    narrow = build_filter(grid, nt, dt, spec, np.float32)
+    assert narrow.dtype == np.float64
+    assert np.array_equal(narrow.astype(np.complex64),
+                          wide.astype(np.complex64))
+    assert np.mean(narrow == 0.0) >= np.mean(wide == 0.0)
+    assert np.array_equal(build_filter(grid, nt, dt, spec, np.float64), wide)
 
 
 def test_zero_velocity_gain_is_purely_temporal():
@@ -360,6 +383,46 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     calls.clear()
     assert len(list(run_filter_bank(frames, bank))) == 12
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
+    # each output is byte for byte the first nt frames of the whole
+    # irfftn of the filtered padded spectrum (filter 0 is TO-routed)
+    frames = noise_stack(nt=14, nz=16, nx=11)
+    frames.data = frames.data.astype(dtype)
+    bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
+    for _, fspec, out, used_to in run_filter_bank(frames, bank, to_params=T,
+                                                  boundary=boundary):
+        source = apply_to_filter(frames, T) if used_to else frames
+        pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
+        shape = (frames.nt + 2 * pad * (boundary == "pad"), 16, 11)
+        spectrum = scipy.fft.rfftn(source.data, s=shape)
+        gain = build_filter(frames.grid, shape[0], frames.dt, fspec)
+        want = trimmed_irfftn_ref(
+            spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
+            (slice(frames.nt), slice(None), slice(None)))
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, want)
+
+
+def test_bank_outputs_do_not_alias_its_work_buffer():
+    # the complex passes run in place in a buffer the next filter refills:
+    # an output kept while the bank goes on must not change
+    frames = noise_stack(nt=10, nz=12, nx=12)
+    frames.data = frames.data.astype(np.float32)
+    bank = make_bank([0.5, 1.0], np.radians([0, 90, 200]), 0.03)
+    one_at_a_time = [out.data.copy()
+                     for *_, out, _ in run_filter_bank(frames, bank,
+                                                       to_params=T)]
+    kept = [out.data for *_, out, _ in run_filter_bank(frames, bank,
+                                                        to_params=T)]
+    assert len(kept) == len(one_at_a_time) == 6
+    for i, data in enumerate(kept):
+        assert not any(np.shares_memory(data, later)
+                       for later in kept[i + 1:])
+        assert np.array_equal(data, one_at_a_time[i])
 
 
 def test_save_bank_outputs_roundtrip(tmp_path):
