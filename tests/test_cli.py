@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -147,6 +148,44 @@ def test_load_config_checks_value_ranges(tmp_path):
     cfg["detector"]["threshold_fraction"] = 1.5
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, cfg))
+
+
+def test_config_schema_is_valid_under_its_metaschema():
+    # load_config skips this check on every command
+    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    validator.check_schema(CONFIG_SCHEMA)
+
+
+def _bad_configs():
+    cfg = base_cfg()
+    cfg["psf"]["sigma"] = 1.0
+    yield cfg
+    cfg = base_cfg()
+    del cfg["motion"]
+    yield cfg
+    cfg = base_cfg()
+    cfg["grid"]["nx"] = 2.5
+    yield cfg
+    cfg = base_cfg()                   # fits no phantom of the oneOf
+    cfg["phantom"] = {"kind": "single_vessel", "radius_mm": -1.0}
+    yield cfg
+    cfg = base_cfg()                   # a grid_bubbles phantom, one bad row
+    cfg["phantom"]["positions_mm"][1] = [0.4]
+    yield cfg
+    cfg = base_cfg()
+    cfg["filter_bank"]["speeds_mm_s"] = "fast"
+    yield cfg
+    yield []
+
+
+@pytest.mark.parametrize("cfg", list(_bad_configs()))
+def test_load_config_reports_what_jsonschema_validate_reports(tmp_path, cfg):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        load_config(write_cfg(tmp_path, cfg))
+    assert str(got.value) == (f"config invalid at {want.value.json_path}: "
+                              f"{want.value.message}")
 
 
 # ---------------------------------------------------------------------------

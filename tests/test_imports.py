@@ -1,4 +1,4 @@
-"""Unused-import check over the package and the study scripts.
+"""Unused-import check over the package, the study scripts and the tests.
 
 No linter is among the test dependencies, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
@@ -12,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = (sorted((ROOT / "src" / "velofilt").glob("*.py"))
-           + sorted((ROOT / "scripts").glob("*.py")))
+           + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

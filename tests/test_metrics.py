@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import localization_error_raster
+from oracles import localization_error_dense, localization_error_raster
 
 from velofilt.core import FrameStack, make_grid
-from velofilt.metrics import (LeParams, default_le_params, fve, iou,
-                              localization_error, localization_error_frames,
-                              measure_attenuation)
+from velofilt.metrics import (_REACH, LeParams, _gauss_sum, default_le_params,
+                              fve, iou, localization_error,
+                              localization_error_frames, measure_attenuation)
 from velofilt.psf import PsfParams, render_psf
 
 LE = default_le_params(0.3)            # sigma_par 0.09, sigma_perp 0.045
@@ -162,6 +162,86 @@ def test_le_matches_spatial_raster_oracle():
                 want = localization_error_raster(t_pts, e_pts, le, grid)
                 got = localization_error(t_pts, e_pts, le, grid)
                 assert got == pytest.approx(want, rel=ORACLE_REL, abs=1e-9)
+
+
+# The pair sum leaves out pairs more than _REACH apart along the flow,
+# each term below e^-37, and sums the rest in another order than the dense
+# oracle. On these sets both stay within a few float64 roundings of the
+# sums; the absolute floor covers LE near 0.
+DENSE_REL = 1e-12
+DENSE_ABS = 1e-12
+
+
+@st.composite
+def point_sets(draw):
+    """(truth, est, LeParams) on DENSE_GRID: spread points, clusters further
+    apart than _REACH along the flow, or points on a coarse lattice with
+    repeats, so that first whitened coordinates tie."""
+    n, m = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    theta = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    layout = draw(st.sampled_from(["spread", "clusters", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    le = LeParams(0.03, 0.015, theta=theta, n_bubbles_t=max(n, 1))
+    if layout == "spread":
+        pts = rng.uniform(-1.6, 1.6, size=(n + m, 2))
+    elif layout == "clusters":
+        flow = np.array([math.cos(theta), math.sin(theta)])
+        step = 1.5 * _REACH * le.sigma_par
+        centre = rng.integers(-2, 3, size=n + m)[:, None] * step * flow
+        pts = centre + rng.normal(scale=2 * le.sigma_perp, size=(n + m, 2))
+    else:
+        lattice = rng.integers(-8, 9, size=(40, 2)) * 0.05
+        pts = lattice[rng.integers(0, 40, size=n + m)]
+    truth, est = pts[:n], pts[n:]
+    if draw(st.booleans()):          # estimates near the truth: LE near 0
+        est = truth[rng.permutation(n)[:m]]
+        est = est + rng.normal(scale=draw(st.sampled_from([0.0, 1e-3])),
+                               size=est.shape)
+    return truth, est, le
+
+
+DENSE_GRID = make_grid(161, 161, 0.02, 0.02)
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets())
+def test_le_matches_dense_pair_sum(case):
+    truth, est, le = case
+    want = localization_error_dense(truth, est, le, DENSE_GRID)
+    got = localization_error(truth, est, le, DENSE_GRID)
+    assert got == pytest.approx(want, rel=DENSE_REL, abs=DENSE_ABS)
+
+
+def test_le_identical_sets_score_exactly_zero():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.5, 1.5, size=(500, 2))
+    le = LeParams(0.03, 0.015, theta=0.4, n_bubbles_t=500)
+    assert localization_error(pts, pts, le, DENSE_GRID) == 0.0
+    # distinct x: the sorted sets, and so the sums, are the same
+    assert localization_error(pts, pts[rng.permutation(500)], le,
+                              DENSE_GRID) == 0.0
+
+
+def test_gauss_sum_keeps_pairs_exactly_reach_apart():
+    # 200 x 100 pairs take two row blocks, so the columns are windowed
+    u = np.zeros((200, 2))
+    for gap, want in [(_REACH, 200 * 100 * math.exp(-_REACH**2 / 4)),
+                      (np.nextafter(_REACH, np.inf), 0.0)]:
+        v = np.full((100, 2), [gap, 0.0])
+        assert _gauss_sum(u, v) == pytest.approx(want, rel=1e-12)
+        assert _gauss_sum(v, u) == pytest.approx(want, rel=1e-12)
+
+
+def test_le_dense_frame_matches_dense_pair_sum():
+    # 4000 points on 64 x 64 pixels of 0.1 mm, one estimate per truth point
+    grid = make_grid(64, 64, 0.1, 0.1)
+    le = default_le_params(0.3, n_bubbles_t=4000)
+    rng = np.random.default_rng(11)
+    truth = rng.uniform(-3.15, 3.15, size=(4000, 2))
+    est = truth + rng.normal(scale=0.02, size=truth.shape)
+    want = localization_error_dense(truth, est, le, grid)
+    assert localization_error(truth, est, le, grid) == pytest.approx(
+        want, rel=DENSE_REL)
 
 
 def test_iou_identities():
