@@ -1,12 +1,19 @@
 """Smoke tests for the study drivers in scripts/.
 
-Every script must import against the current library, and every one that
-runs within seconds at --nt 24 must run end to end on that short
-acquisition. run_parallel_gap_sweep runs one gap of its sweep.
+Every script must import against the current library, and every study must
+run end to end on a short acquisition: --nt 24, or --nt 60 for
+run_parallel_gap_sweep, whose bank finds nothing in 24 frames; it runs one
+gap of its sweep. Each run's CSV is compared with its SHA-256 in
+tests/golden/scripts.json where numpy, scipy and the machine match the
+recorded ones (the rule of scripts/check_golden.py). A study whose output
+moves on purpose gets its entry replaced by the hash the failing test
+prints.
 """
 
 import csv
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,34 +23,65 @@ import pytest
 
 import velofilt
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-EXTRA_ARGS = {"run_parallel_gap_sweep": ["--gaps", "0.4"]}
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "scripts.json").read_text())
+ARGS = {"run_parallel_gap_sweep": ["--nt", "60", "--gaps", "0.4"]}
+STUDIES = ["run_velocity_map", "run_attenuation_study", "run_circular",
+           "run_parallel_gap_sweep", "run_phantom_c"]
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_golden = _load(SCRIPTS / "check_golden.py")
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_script_imports(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(_load(path).main)
 
 
-@pytest.mark.parametrize("name", ["run_velocity_map",
-                                  "run_attenuation_study", "run_circular",
-                                  "run_parallel_gap_sweep", "run_phantom_c"])
-def test_script_runs_short(name, tmp_path):
-    src_root = str(Path(velofilt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src_root, env.get("PYTHONPATH")]))
-    out = tmp_path / f"{name}.csv"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / f"{name}.py"), "--nt", "24",
-         "--out", str(out), *EXTRA_ARGS.get(name, [])],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    with open(out, newline="") as fh:
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """CSV path of a short run of a study, each study run once."""
+    done: dict[str, Path] = {}
+
+    def run(name: str) -> Path:
+        if name not in done:
+            src_root = str(Path(velofilt.__file__).resolve().parents[1])
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src_root, env.get("PYTHONPATH")]))
+            out = tmp_path_factory.mktemp(name) / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, str(SCRIPTS / f"{name}.py"), "--out",
+                 str(out), *ARGS.get(name, ["--nt", "24"])],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            done[name] = out
+        return done[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_script_runs_short(runs, name):
+    with open(runs(name), newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) > 1
     assert all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_script_csv_hash(runs, name):
+    reason = check_golden.hash_skip_reason(GOLDEN)
+    if reason:
+        pytest.skip(reason)
+    got = hashlib.sha256(runs(name).read_bytes()).hexdigest()
+    assert got == GOLDEN["csv_sha256"][name], f"{name} CSV sha256 {got}"
