@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Circular-flow tolerance study: IoU of the accumulated ring vs time.
 
-Bubbles orbit at constant speed, so their velocity direction rotates inside
-the filter window (centripetal acceleration v0^2/orbit_radius). A bank of
-one speed at several headings still accumulates the full annulus when the
-detector threshold absorbs the curvature-induced score loss; envelope
-("post") detection keeps the smeared responses artifact-free.
+Runs a circular config, by default the bundled phantom_f. Bubbles orbit at
+constant speed, so their velocity direction rotates inside the filter
+window (centripetal acceleration v0^2/orbit_radius). A bank of one speed
+at several headings still accumulates the full annulus when the detector
+threshold absorbs the curvature-induced score loss; envelope ("post")
+detection keeps the smeared responses artifact-free.
 
 Writes runs/circular_iou_vs_time.csv: t_s, iou.
 """
@@ -16,72 +17,55 @@ import math
 import time
 from pathlib import Path
 
-import numpy as np
-
-from velofilt.core import make_grid
-from velofilt.localize import (DetectorConfig, accumulate, run_pipeline,
-                               segment_support)
+import velofilt
+from velofilt.cli import (check_config, load_config, localize, resolve,
+                          synthesize)
+from velofilt.localize import accumulate, segment_support
 from velofilt.metrics import iou
-from velofilt.phantom import (CircularBandSpec, sample_circular_bubbles,
-                              synthesize_frames, truth_maps)
-from velofilt.psf import PsfParams
-from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec
+from velofilt.phantom import truth_maps
+
+CONFIG = Path(velofilt.__file__).parent / "configs" / "phantom_f.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=23)
-    ap.add_argument("--nt", type=int, default=600)
-    ap.add_argument("--dt", type=float, default=0.025)
-    ap.add_argument("--v0", type=float, default=1.0)
-    ap.add_argument("--orbit", type=float, default=2.0)
-    ap.add_argument("--radius", type=float, default=0.3)
-    ap.add_argument("--c-mb", type=float, default=8.0)
-    ap.add_argument("--sigma-t", type=float, default=0.5)
-    ap.add_argument("--n-angles", type=int, default=12)
-    ap.add_argument("--threshold", type=float, default=0.35)
+    ap.add_argument("--config", default=str(CONFIG))
+    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--out", default="runs/circular_iou_vs_time.csv")
     args = ap.parse_args()
 
-    p = PsfParams(sigma_r=0.3, wavelength=0.3)
-    grid = make_grid(128, 128, 0.05, 0.05)
-    band = CircularBandSpec(orbit_radius=args.orbit, radius_r=args.radius,
-                            v0=args.v0, c_mb=args.c_mb)
-    accel = args.v0**2 / args.orbit
+    cfg = load_config(args.config)
+    if args.nt is not None:
+        cfg["motion"]["nt"] = args.nt
+    check_config(cfg)
+    r = resolve(cfg)
+    band = r.flow
+    sigma_t = r.bank.filters[0].sigma_t
+    accel = band.v0**2 / band.orbit_radius
     print(f"centripetal acceleration = {accel:.3g} mm/s^2, "
-          f"direction rotates {math.degrees(4 * args.sigma_t * args.v0 / args.orbit):.0f} deg "
+          f"direction rotates "
+          f"{math.degrees(4 * sigma_t * band.v0 / band.orbit_radius):.0f} deg "
           f"per 4 sigma_t window")
 
-    filters = []
-    for k in range(args.n_angles):
-        a = 2.0 * math.pi * k / args.n_angles
-        filters.append(VelocityFilterSpec(
-            v_f=(args.v0 * math.cos(a), args.v0 * math.sin(a)),
-            sigma_t=args.sigma_t))
-    bank = FilterBankSpec(filters=tuple(filters))
-
-    rng = np.random.default_rng(args.seed)
-    bubbles = sample_circular_bubbles(band, rng)
-    frames, _ = synthesize_frames(bubbles, band, grid, args.nt, args.dt, p)
-    truth = truth_maps(band, grid)[0]
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    frames, _ = synthesize(r, seed)
+    truth = truth_maps(band, r.grid)[0]
 
     t0 = time.time()
-    res = run_pipeline(frames, bank, p,
-                       cfg=DetectorConfig(threshold_fraction=args.threshold),
-                       mode="post")
-    locs = np.concatenate(res.per_frame)
-    checkpoints = [int(k * args.nt) for k in (0.25, 0.5, 0.75, 1.0)]
+    locs = localize(r, frames)
+    checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "iou"])
         for nt in checkpoints:
-            acc = accumulate(locs[locs["t"] < nt], grid)
+            acc = accumulate(locs[locs["t"] < nt], r.grid)
             val = iou(segment_support(acc), truth)
-            w.writerow([f"{nt * args.dt:.3g}", f"{val:.4f}"])
-            print(f"t={nt * args.dt:5.1f} s  iou={val:.3f}")
-    print(f"n_bubbles={len(bubbles)} [{time.time() - t0:.0f}s]; wrote {out}")
+            w.writerow([f"{nt * r.dt:.3g}", f"{val:.4f}"])
+            print(f"t={nt * r.dt:5.1f} s  iou={val:.3f}")
+    print(f"n_locs={len(locs)} [{time.time() - t0:.0f}s]; wrote {out}")
 
 
 if __name__ == "__main__":

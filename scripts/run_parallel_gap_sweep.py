@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Parallel counter-flow vessels: resolution vs gap, with and without VF.
 
-Two thin vessels carry opposite lateral flows. Opposite directions separate
-the populations in velocity space, so the bank sees one stream per member
-while the raw chain blends both envelopes in the gap (worst when the gap is
-a carrier-wavelength multiple, where the pre-envelope signals add in
-phase). Two design constraints matter: bubbles must stay in view for the
-full filter window (v0 * 4 sigma_t within the grid width) and the line
-density must stay sparse, since a dense compensated counter-stream piles
-into a quasi-static stripe no velocity filter can reject.
+Runs a parallel_vessels config, by default
+scripts/configs/parallel_gap.json, once per center-to-center gap (the
+sweep sets phantom.gap_mm). Two thin vessels carry opposite lateral flows.
+Opposite directions separate the populations in velocity space, so the
+bank sees one stream per member while the raw chain blends both envelopes
+in the gap (worst when the gap is a carrier-wavelength multiple, where the
+pre-envelope signals add in phase). Two design constraints matter: bubbles
+must stay in view for the full filter window (v0 * 4 sigma_t within the
+grid width) and the line density must stay sparse, since a dense
+compensated counter-stream piles into a quasi-static stripe no velocity
+filter can reject.
 
-Reports IoU and the flow-aligned localization error per chain across a
-sweep of center-to-center gaps. The LE column penalizes count mismatch, so
-the multi-member bank pays for duplicate detections that the lambda/4
-cross-member merge keeps; read IoU for support recovery and LE for
-per-point cleanliness.
+Reports IoU and the flow-aligned localization error per chain: the
+config's bank, and as the raw baseline the same detector on the unfiltered
+frames. The LE column penalizes count mismatch, so the multi-member bank
+pays for duplicate detections that the lambda/4 cross-member merge keeps;
+read IoU for support recovery and LE for per-point cleanliness.
 
 Writes runs/parallel_gap_sweep.csv:
 gap_mm, iou_vf, iou_raw, le_vf, le_raw.
@@ -22,34 +25,16 @@ gap_mm, iou_vf, iou_raw, le_vf, le_raw.
 
 import argparse
 import csv
-import math
 import time
 from pathlib import Path
 
-import numpy as np
+from velofilt.cli import (check_config, load_config, localize, resolve,
+                          synthesize)
+from velofilt.localize import accumulate, positions_by_frame, segment_support
+from velofilt.metrics import iou, localization_error_frames
+from velofilt.phantom import truth_maps
 
-from velofilt.core import make_grid
-from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
-                               positions_by_frame, run_pipeline,
-                               segment_support)
-from velofilt.metrics import (default_le_params, iou,
-                             localization_error_frames)
-from velofilt.phantom import (VesselSpec, concat_bubbles,
-                              default_vessel_length, sample_bubbles,
-                              synthesize_frames, truth_maps)
-from velofilt.psf import PsfParams
-from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec
-
-
-def parallel_vessels(radius, v0, c_mb, gap, grid, p):
-    out = []
-    for sign in (1.0, -1.0):
-        angle = 0.0 if sign > 0 else math.pi  # flip direction, not speed
-        out.append(VesselSpec(radius_r=radius, v0=v0, c_mb=c_mb,
-                              axis_angle_rad=angle,
-                              center=(0.0, sign * gap / 2.0),
-                              length=default_vessel_length(grid, p)))
-    return out
+CONFIG = Path(__file__).resolve().parent / "configs" / "parallel_gap.json"
 
 
 def frame_le(locs, point_frames, le, grid):
@@ -60,47 +45,34 @@ def frame_le(locs, point_frames, le, grid):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--nt", type=int, default=400)
-    ap.add_argument("--dt", type=float, default=0.01)
-    ap.add_argument("--v0", type=float, default=2.0)
-    ap.add_argument("--radius", type=float, default=0.1)
-    ap.add_argument("--c-mb", type=float, default=10.0)
-    ap.add_argument("--sigma-t", type=float, default=0.5)
+    ap.add_argument("--config", default=str(CONFIG))
+    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--gaps", type=float, nargs="+",
-                    default=[0.2, 0.3, 0.4, 0.6, 0.8])
+                    default=[0.2, 0.3, 0.4, 0.6, 0.8],
+                    help="center-to-center gaps (mm) to run")
     ap.add_argument("--out", default="runs/parallel_gap_sweep.csv")
     args = ap.parse_args()
 
-    p = PsfParams(sigma_r=0.3, wavelength=0.3)
-    grid = make_grid(96, 96, 0.05, 0.05)
-    filters = []
-    for sign in (1.0, -1.0):
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            filters.append(VelocityFilterSpec(
-                v_f=(sign * frac * args.v0, 0.0), sigma_t=args.sigma_t))
-    bank = FilterBankSpec(filters=tuple(filters))
-    cfg = DetectorConfig(threshold_fraction=0.4)
-    le = default_le_params(p.wavelength, theta=0.0)
+    cfg = load_config(args.config)
+    if args.nt is not None:
+        cfg["motion"]["nt"] = args.nt
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
 
     rows = []
     for gap in args.gaps:
         t0 = time.time()
-        vessels = parallel_vessels(args.radius, args.v0, args.c_mb, gap,
-                                   grid, p)
-        rng = np.random.default_rng(args.seed)
-        bubbles = concat_bubbles([sample_bubbles(v, rng, id_start=1000 * i)
-                                  for i, v in enumerate(vessels)])
-        frames, point_frames = synthesize_frames(bubbles, vessels, grid,
-                                                 args.nt, args.dt, p)
-        truth = truth_maps(vessels, grid)[0]
-        vf = np.concatenate(run_pipeline(frames, bank, p, cfg=cfg,
-                                         mode="post").per_frame)
-        raw = np.concatenate(localize_frames(frames, p, cfg=cfg, mode="post"))
-        i_vf = iou(segment_support(accumulate(vf, grid)), truth)
-        i_raw = iou(segment_support(accumulate(raw, grid)), truth)
-        le_vf = frame_le(vf, point_frames, le, grid)
-        le_raw = frame_le(raw, point_frames, le, grid)
+        cfg["phantom"]["gap_mm"] = gap
+        check_config(cfg)
+        r = resolve(cfg)
+        frames, point_frames = synthesize(r, seed)
+        truth = truth_maps(r.flow, r.grid)[0]
+        vf = localize(r, frames)
+        raw = localize(r, frames, bank=False)
+        i_vf = iou(segment_support(accumulate(vf, r.grid)), truth)
+        i_raw = iou(segment_support(accumulate(raw, r.grid)), truth)
+        le_vf = frame_le(vf, point_frames, r.le, r.grid)
+        le_raw = frame_le(raw, point_frames, r.le, r.grid)
         rows.append((gap, i_vf, i_raw, le_vf, le_raw))
         print(f"gap={gap:.2f}: iou vf={i_vf:.3f} raw={i_raw:.3f}  "
               f"le vf={le_vf:.3f} raw={le_raw:.3f} [{time.time() - t0:.0f}s]")

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Single-vessel velocity map: recover the parabolic max-speed profile.
 
-An axial vessel (flow along z) is filtered with a bank of axial speeds
-tiled to the centerline speed; each detection inherits the speed of the
-filter that found it, and the per-pixel max-speed map is compared to the
-analytic parabola.
+Runs a single-vessel config, by default the bundled phantom_e: an axial
+vessel (flow along z) filtered with a bank of axial speeds tiled to the
+centerline speed. Each detection inherits the speed of the filter that
+found it, and the per-pixel max-speed map is compared to the analytic
+parabola.
 
 Writes runs/velocity_profile.csv with one row per lateral position:
 x_mm, v_true_mm_s, v_est_mm_s (median over the vessel's z extent).
@@ -19,58 +20,46 @@ from pathlib import Path
 
 import numpy as np
 
-from velofilt.core import make_grid
-from velofilt.localize import (DetectorConfig, run_pipeline,
-                               velocity_map_from_locs)
+import velofilt
+from velofilt.cli import (check_config, load_config, localize, resolve,
+                          synthesize)
+from velofilt.localize import velocity_map_from_locs
 from velofilt.metrics import fve
-from velofilt.phantom import (VesselSpec, default_vessel_length,
-                              sample_bubbles, synthesize_frames, truth_maps)
-from velofilt.psf import PsfParams
-from velofilt.theory import velocity_bandwidth
-from velofilt.vfilter import FilterBankSpec, VelocityFilterSpec, tile_speeds
+from velofilt.phantom import truth_maps
+
+CONFIG = Path(velofilt.__file__).parent / "configs" / "phantom_e.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--nt", type=int, default=300)
-    ap.add_argument("--dt", type=float, default=0.02)
-    ap.add_argument("--v0", type=float, default=1.0)
-    ap.add_argument("--radius", type=float, default=0.45)
-    ap.add_argument("--c-mb", type=float, default=12.0)
-    ap.add_argument("--sigma-t", type=float, default=0.5)
+    ap.add_argument("--config", default=str(CONFIG))
+    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--out", default="runs/velocity_profile.csv")
     args = ap.parse_args()
 
-    p = PsfParams(sigma_r=0.3, wavelength=0.3)
-    grid = make_grid(96, 96, 0.05, 0.05)
-    angle = math.pi / 2  # axial flow: the passband is narrowest there
-    vessel = VesselSpec(radius_r=args.radius, v0=args.v0, c_mb=args.c_mb,
-                        axis_angle_rad=angle,
-                        length=default_vessel_length(grid, p))
+    cfg = load_config(args.config)
+    if args.nt is not None:
+        cfg["motion"]["nt"] = args.nt
+    check_config(cfg)
+    r = resolve(cfg)
+    [vessel] = r.flow
+    grid = r.grid
+    speeds = [round(math.hypot(*f.v_f), 3) for f in r.bank.filters]
+    print(f"bank speeds (mm/s): {speeds}")
 
-    pb = velocity_bandwidth(p, args.sigma_t, theta=angle)
-    speeds = tile_speeds(args.v0, pb.delta_v)
-    bank = FilterBankSpec(filters=tuple(
-        VelocityFilterSpec(v_f=(0.0, s), sigma_t=args.sigma_t)
-        for s in speeds))
-    print(f"bank speeds (mm/s): {[round(float(s), 3) for s in speeds]}")
-
-    rng = np.random.default_rng(args.seed)
-    bubbles = sample_bubbles(vessel, rng)
-    frames, _ = synthesize_frames(bubbles, [vessel], grid, args.nt, args.dt,
-                                  p)
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    frames, _ = synthesize(r, seed)
     t0 = time.time()
-    res = run_pipeline(frames, bank, p, cfg=DetectorConfig())
-    locs = np.concatenate(res.per_frame)
+    locs = localize(r, frames)
     vmap = velocity_map_from_locs(locs, grid)
 
-    _, t_speed, t_vx, t_vz = truth_maps([vessel], grid)
+    _, t_speed, t_vx, t_vz = truth_maps(r.flow, grid)
     full = fve(t_vx, t_vz, vmap.vx, vmap.vz)
     fast = fve(t_vx, t_vz, vmap.vx, vmap.vz, fastest_q=0.05)
     print(f"n_locs={len(locs)} fve={full:.4f} mm/s "
           f"fve(fastest 5%)={fast:.4f} mm/s "
-          f"({100 * fast / args.v0:.1f}% of centerline) "
+          f"({100 * fast / vessel.v0:.1f}% of centerline) "
           f"[{time.time() - t0:.0f}s]")
 
     out = Path(args.out)
@@ -80,7 +69,7 @@ def main():
         w = csv.writer(fh)
         w.writerow(["x_mm", "v_true_mm_s", "v_est_mm_s"])
         for i, x in enumerate(xs):
-            if abs(x) > args.radius + 2 * grid.dx:
+            if abs(x) > vessel.radius_r + 2 * grid.dx:
                 continue
             col = vmap.speed[:, i]
             est = float(np.median(col[col > 0])) if (col > 0).any() else 0.0

@@ -8,7 +8,9 @@ without any simulation. Every run appends to a manifest recording each
 stage's wall time, peak memory, seed and config hash, and the artifact
 checksums; identical (config, seed, version) runs reproduce identical
 checksums. A stage that reads the synth stack checks its header against
-the config first.
+the config first. The study scripts and tests run a config in memory
+through `resolve`, `synthesize` and `localize`, the code the synth and
+localize stages run.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -35,7 +37,7 @@ from . import __version__
 from .core import (FrameStack, Grid2D, load_frame_stack, make_fine_grid,
                    make_grid, save_frame_stack, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
-                       positions_by_frame, run_pipeline,
+                       localize_frames, positions_by_frame, run_pipeline,
                        save_localizations_csv, segment_support,
                        velocity_map_from_locs)
 from .metrics import (LeParams, default_le_params, fve, iou,
@@ -223,14 +225,35 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite(text: str) -> float:
+    """text as a finite float, for config numbers and theory flags: json
+    reads NaN, Infinity and overflowing literals such as 1e999, float()
+    reads nan and inf, and they pass every bound the schema and cmd_theory
+    check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    check_config(cfg)
+    return cfg
+
+
+def check_config(cfg: dict) -> None:
+    """Raise a ConfigError at the first place cfg breaks CONFIG_SCHEMA."""
     # jsonschema.validate without its check of CONFIG_SCHEMA against the
     # metaschema, most of the cost of a config load; a test makes that check
     validator_cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
@@ -239,14 +262,13 @@ def load_config(path: str | Path) -> dict:
     if error is not None:
         raise ConfigError(f"config invalid at {error.json_path}: "
                           f"{error.message}") from error
-    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Config -> domain objects, built once per command.
 
 @dataclass(frozen=True)
-class _Resolved:
+class Resolved:
     """The domain objects of one config, shared by every stage it runs.
 
     `flow` is the phantom's band, or its vessels with lengths resolved; it
@@ -284,7 +306,7 @@ def _section(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _resolve(cfg: dict) -> _Resolved:
+def resolve(cfg: dict) -> Resolved:
     """Build every domain object of a schema-valid config.
 
     Domain constraints the schema cannot express (e.g. orbit radius vs band
@@ -321,7 +343,7 @@ def _resolve(cfg: dict) -> _Resolved:
     outputs = cfg.get("outputs", {})
     filter_kw = _given(fb, boundary="boundary")
     localize_kw = {**filter_kw, **_given(det, mode="mode")}
-    return _Resolved(
+    return Resolved(
         psf=p, to=to, grid=grid, fine=fine,
         nt=cfg["motion"]["nt"], dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
@@ -408,7 +430,7 @@ def _bank(fb: dict, p: PsfParams) -> FilterBankSpec:
     return FilterBankSpec(filters=tuple(filters), lateral_to_angle_deg=lat)
 
 
-def _draw_bubbles(r: _Resolved, rng: np.random.Generator) -> BubbleSet:
+def _draw_bubbles(r: Resolved, rng: np.random.Generator) -> BubbleSet:
     """The phantom's bubbles, drawn from rng vessel by vessel."""
     if r.points is not None:
         return r.points
@@ -421,6 +443,37 @@ def _draw_bubbles(r: _Resolved, rng: np.random.Generator) -> BubbleSet:
         next_id += len(part)
         parts.append(part)
     return concat_bubbles(parts)
+
+
+# ---------------------------------------------------------------------------
+# In-memory run of a resolved config: the synth and localize stages without
+# their files, for the study scripts and the tests.
+
+def synthesize(r: Resolved, seed: int
+               ) -> tuple[FrameStack, list[np.ndarray]]:
+    """The config's frames (float64) and per-frame truth points, with the
+    bubbles and the noise drawn from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    # a draw can still fail on the section's values, e.g. a Poisson mean
+    # too large for numpy
+    with _section("phantom"):
+        bubbles = _draw_bubbles(r, rng)
+    return synthesize_frames(
+        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, mode="pre",
+        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
+
+
+def localize(r: Resolved, frames: FrameStack, workers: int = 1,
+             bank: bool = True) -> np.ndarray:
+    """The localization table of frames, rows by frame: the config's bank,
+    detector and TO prefilter, or with bank=False the same detection on the
+    unfiltered frames (the raw baseline, untagged)."""
+    if not bank:
+        return localize_frames(frames, r.psf, cfg=r.detector,
+                               **_given(r.localize_kw, mode="mode"))
+    result = run_pipeline(frames, r.bank, r.psf, cfg=r.detector,
+                          to_params=r.to, workers=workers, **r.localize_kw)
+    return np.concatenate(result.per_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +528,8 @@ def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
 # ---------------------------------------------------------------------------
 # Stage implementations. Each returns the list of artifact paths it wrote.
 
-def _stage_synth(r: _Resolved, out: Path, seed: int) -> list[Path]:
-    rng = np.random.default_rng(seed)
-    # a draw can still fail on the section's values, e.g. a Poisson mean
-    # too large for numpy
-    with _section("phantom"):
-        bubbles = _draw_bubbles(r, rng)
-    frames, point_frames = synthesize_frames(
-        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, mode="pre",
-        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
+def _stage_synth(r: Resolved, out: Path, seed: int) -> list[Path]:
+    frames, point_frames = synthesize(r, seed)
     arts = list(save_frame_stack(frames, out / f"{r.prefix}_frames"))
     arts.append(save_truth_csv(point_frames, out / f"{r.prefix}_truth.csv"))
     if r.save_pgm:
@@ -492,7 +538,7 @@ def _stage_synth(r: _Resolved, out: Path, seed: int) -> list[Path]:
     return arts
 
 
-def _load_frames(r: _Resolved, out: Path) -> FrameStack:
+def _load_frames(r: Resolved, out: Path) -> FrameStack:
     """The synth stack, checked against the config's grid and clock: a
     stack from another config would run and score against the wrong
     geometry."""
@@ -524,21 +570,18 @@ def _load_csv(load, path: Path):
         raise DataError(str(exc)) from exc
 
 
-def _stage_filter(r: _Resolved, out: Path, workers: int) -> list[Path]:
+def _stage_filter(r: Resolved, out: Path, workers: int) -> list[Path]:
     return save_bank_outputs(
         _load_frames(r, out), r.bank, out / f"{r.prefix}_filtered",
         to_params=r.to, workers=workers, **r.filter_kw)
 
 
-def _stage_localize(r: _Resolved, out: Path, workers: int) -> list[Path]:
-    result = run_pipeline(_load_frames(r, out), r.bank, r.psf,
-                          cfg=r.detector, to_params=r.to, workers=workers,
-                          **r.localize_kw)
-    return [save_localizations_csv(np.concatenate(result.per_frame),
+def _stage_localize(r: Resolved, out: Path, workers: int) -> list[Path]:
+    return [save_localizations_csv(localize(r, _load_frames(r, out), workers),
                                    out / f"{r.prefix}_locs.csv")]
 
 
-def _stage_accumulate(r: _Resolved, out: Path) -> list[Path]:
+def _stage_accumulate(r: Resolved, out: Path) -> list[Path]:
     locs_path = out / f"{r.prefix}_locs.csv"
     if not locs_path.exists():
         raise ConfigError(f"missing localizations {locs_path}")
@@ -559,7 +602,7 @@ def _stage_accumulate(r: _Resolved, out: Path) -> list[Path]:
     return arts
 
 
-def _stage_metrics(r: _Resolved, out: Path, fmt: str) -> list[Path]:
+def _stage_metrics(r: Resolved, out: Path, fmt: str) -> list[Path]:
     locs_path = out / f"{r.prefix}_locs.csv"
     truth_path = out / f"{r.prefix}_truth.csv"
     if not locs_path.exists() or not truth_path.exists():
@@ -731,7 +774,7 @@ _STAGES = {
 
 def _run_stage_command(cmd: str, args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    r = _resolve(cfg)
+    r = resolve(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -803,24 +846,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="noise reduction bounds")
     th.add_argument("--acq-time", action="store_true",
                     help="acquisition time lower bound")
-    th.add_argument("--ratio", type=float, default=1.0,
+    th.add_argument("--ratio", type=_finite, default=1.0,
                     help="sigma_r/sigma_t in mm/s")
-    th.add_argument("--sigma-r-mm", type=float, default=0.3)
-    th.add_argument("--wavelength-mm", type=float, default=0.3)
-    th.add_argument("--span-mm-s", type=float, default=3.0)
+    th.add_argument("--sigma-r-mm", type=_finite, default=0.3)
+    th.add_argument("--wavelength-mm", type=_finite, default=0.3)
+    th.add_argument("--span-mm-s", type=_finite, default=3.0)
     th.add_argument("--steps", type=int, default=61)
-    th.add_argument("--vessel-radius-mm", type=float, default=1.0)
-    th.add_argument("--v0-mm-s", type=float, default=10.0)
-    th.add_argument("--c-mb-per-mm3", type=float, default=1000.0)
-    th.add_argument("--v-f-mm-s", type=float, default=2.5)
-    th.add_argument("--lambda-x-mm", type=float, default=0.6)
-    th.add_argument("--sigma-x-mm", type=float, default=0.3)
-    th.add_argument("--v0-max-mm-s", type=float, default=10.0)
-    th.add_argument("--frame-rate-hz", type=float, default=100.0)
-    th.add_argument("--nrf-sigma-t-s", type=float, default=0.5)
-    th.add_argument("--q-mm3-s", type=float, default=1.0)
-    th.add_argument("--d-mm", type=float, default=1.0)
-    th.add_argument("--i-pix-mm", type=float, default=0.03)
+    th.add_argument("--vessel-radius-mm", type=_finite, default=1.0)
+    th.add_argument("--v0-mm-s", type=_finite, default=10.0)
+    th.add_argument("--c-mb-per-mm3", type=_finite, default=1000.0)
+    th.add_argument("--v-f-mm-s", type=_finite, default=2.5)
+    th.add_argument("--lambda-x-mm", type=_finite, default=0.6)
+    th.add_argument("--sigma-x-mm", type=_finite, default=0.3)
+    th.add_argument("--v0-max-mm-s", type=_finite, default=10.0)
+    th.add_argument("--frame-rate-hz", type=_finite, default=100.0)
+    th.add_argument("--nrf-sigma-t-s", type=_finite, default=0.5)
+    th.add_argument("--q-mm3-s", type=_finite, default=1.0)
+    th.add_argument("--d-mm", type=_finite, default=1.0)
+    th.add_argument("--i-pix-mm", type=_finite, default=0.03)
     return parser
 
 

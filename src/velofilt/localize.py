@@ -450,8 +450,9 @@ def _check_mode(mode: str) -> None:
 
 def localize_frames(frames: FrameStack, p: PsfParams,
                     cfg: DetectorConfig | None = None, mode: str = "pre"
-                    ) -> list[np.ndarray]:
-    """Detect on the frames as-is (no velocity filtering, no velocity tags).
+                    ) -> np.ndarray:
+    """Detect on the frames as-is (no velocity filtering, no velocity tags);
+    one table, rows by frame.
 
     The baseline the filter bank is compared against: same template,
     threshold, and refinement, applied to the raw stack.
@@ -460,9 +461,8 @@ def localize_frames(frames: FrameStack, p: PsfParams,
     check_finite(frames.data)
     template = psf_template(frames.grid, p, mode=mode)
     peak = template_autocorr_peak(template, frames.grid)
-    locs = _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
+    return _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
                          template, peak, envelope=mode == "post")
-    return np.split(*_by_frame(locs, frames.nt))
 
 
 def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,

@@ -11,30 +11,32 @@ outcomes of the seeded protocols in scripts/.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from oracles import band_density_quad, filtered_response_quad
+from velofilt.cli import load_config, localize, resolve, synthesize
 from velofilt.core import FrameStack, make_grid
-from velofilt.localize import (DetectorConfig, accumulate, localize_frames,
-                               run_pipeline, segment_support,
+from velofilt.localize import (accumulate, segment_support,
                                velocity_map_from_locs)
 from velofilt.metrics import (default_le_params, fve, iou,
                               localization_error, measure_attenuation)
-from velofilt.phantom import (CircularBandSpec, VesselSpec, concat_bubbles,
-                              default_vessel_length, from_plane,
-                              sample_bubbles, sample_circular_bubbles,
-                              synthesize_frames, truth_maps)
+from velofilt.phantom import (VesselSpec, from_plane, synthesize_frames,
+                              truth_maps)
 from velofilt.psf import PsfParams, ToParams, render_psf
 from velofilt.theory import (apparent_density, attenuation_pre,
                              filtered_density, joint_density, make_noise_spec,
                              nrf_bound, q_post, q_pre, to_attenuation, to_q,
                              velocity_bandwidth)
-from velofilt.vfilter import (FilterBankSpec, VelocityFilterSpec,
-                              apply_filter_direct, apply_filter_fft,
-                              apply_to_filter, tile_speeds)
+from velofilt.vfilter import (VelocityFilterSpec, apply_filter_direct,
+                              apply_filter_fft, apply_to_filter)
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_CONFIGS = ROOT / "src" / "velofilt" / "configs"
+STUDY_CONFIGS = ROOT / "scripts" / "configs"
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
 
@@ -324,17 +326,18 @@ def test_criterion_08_density_identities():
 # ---------------------------------------------------------------------------
 # Desk-scale study reproductions (frozen seeds).
 
-def _crossing_setup(c_mb, grid, nt, dt, noise_std, seed):
-    rng = np.random.default_rng(seed)
-    vessels = [VesselSpec(radius_r=0.1, v0=1.0, c_mb=c_mb,
-                          axis_angle_rad=math.radians(ang),
-                          length=default_vessel_length(grid, P))
-               for ang in (45.0, -45.0)]
-    bubbles = concat_bubbles([sample_bubbles(v, rng, id_start=1000 * i)
-                              for i, v in enumerate(vessels)])
-    frames, _ = synthesize_frames(bubbles, vessels, grid, nt, dt, P,
-                                  noise_std=noise_std, rng=rng)
-    return frames, truth_maps(vessels, grid)[0]
+def _crossing_run(cfg, c_mb):
+    """The crossing study's config with both vessels at c_mb: resolved, its
+    frames at the config's seed, and its truth support."""
+    ph = cfg["phantom"]
+    ph["c_mb_high_per_mm3"] = ph["c_mb_low_per_mm3"] = c_mb
+    r = resolve(cfg)
+    frames, _ = synthesize(r, cfg["seed"])
+    return r, frames, truth_maps(r.flow, r.grid)[0]
+
+
+def _support_iou(locs, r, truth) -> float:
+    return iou(segment_support(accumulate(locs, r.grid)), truth)
 
 
 def test_criterion_09_filtering_beats_concentration_tradeoff():
@@ -342,32 +345,19 @@ def test_criterion_09_filtering_beats_concentration_tradeoff():
     is at least twice the unfiltered IoU, and still exceeds the unfiltered
     IoU at 6x lower concentration (same acquisition time)."""
     t0 = time.perf_counter()
-    grid = make_grid(128, 128, 0.05, 0.05)
-    nt, dt, sigma_t, c_high = 600, 0.02, 1.0, 170.0
-    pb = velocity_bandwidth(P, sigma_t, theta=math.radians(45.0))
-    filters = []
-    for ang in (45.0, -45.0):
-        a = math.radians(ang)
-        for s in tile_speeds(1.0, pb.delta_v):
-            filters.append(VelocityFilterSpec(
-                v_f=(s * math.cos(a), s * math.sin(a)), sigma_t=sigma_t))
-    bank = FilterBankSpec(filters=tuple(filters))
-    cfg = DetectorConfig(threshold_fraction=0.4)
+    cfg = load_config(STUDY_CONFIGS / "crossing.json")
+    c_high = cfg["phantom"]["c_mb_high_per_mm3"]
+    assert cfg["phantom"]["c_mb_low_per_mm3"] == c_high / 6.0
+    assert (cfg["seed"], cfg["motion"]["nt"], c_high) == (7, 600, 170.0)
 
-    frames_hi, truth = _crossing_setup(c_high, grid, nt, dt, 1.5, seed=7)
-    res = run_pipeline(frames_hi, bank, P, cfg=cfg, mode="post")
-    iou_vf = iou(segment_support(accumulate(np.concatenate(res.per_frame),
-                                            grid)), truth)
-    raw_hi = np.concatenate(localize_frames(frames_hi, P, cfg=cfg,
-                                            mode="post"))
-    iou_raw = iou(segment_support(accumulate(raw_hi, grid)), truth)
+    r, frames_hi, truth = _crossing_run(cfg, c_high)
+    iou_vf = _support_iou(localize(r, frames_hi), r, truth)
+    iou_raw = _support_iou(localize(r, frames_hi, bank=False), r, truth)
     del frames_hi
 
-    frames_lo, truth_lo = _crossing_setup(c_high / 6.0, grid, nt, dt, 1.5,
-                                          seed=7)
-    raw_lo = np.concatenate(localize_frames(frames_lo, P, cfg=cfg,
-                                            mode="post"))
-    iou_raw_lo = iou(segment_support(accumulate(raw_lo, grid)), truth_lo)
+    r, frames_lo, truth_lo = _crossing_run(cfg, c_high / 6.0)
+    iou_raw_lo = _support_iou(localize(r, frames_lo, bank=False), r,
+                              truth_lo)
 
     assert iou_vf >= 2.0 * iou_raw
     assert iou_vf > iou_raw_lo
@@ -381,23 +371,17 @@ def test_criterion_10_velocity_map_parabola():
     profile; flow-velocity error on the fastest 5 percent of truth pixels
     stays within 15 percent of the centerline speed."""
     t0 = time.perf_counter()
-    grid = make_grid(96, 96, 0.05, 0.05)
-    nt, dt, sigma_t, v0, radius = 300, 0.02, 0.5, 1.0, 0.45
-    angle = math.pi / 2.0
-    vessel = VesselSpec(radius_r=radius, v0=v0, c_mb=12.0,
-                        axis_angle_rad=angle,
-                        length=default_vessel_length(grid, P))
-    pb = velocity_bandwidth(P, sigma_t, theta=angle)
-    bank = FilterBankSpec(filters=tuple(
-        VelocityFilterSpec(v_f=(0.0, s), sigma_t=sigma_t)
-        for s in tile_speeds(v0, pb.delta_v)))
+    cfg = load_config(BUNDLED_CONFIGS / "phantom_e.json")
+    assert (cfg["seed"], cfg["motion"]["nt"]) == (17, 300)
+    r = resolve(cfg)
+    [vessel] = r.flow
+    v0, radius, grid = vessel.v0, vessel.radius_r, r.grid
+    pb = velocity_bandwidth(r.psf, r.bank.filters[0].sigma_t,
+                            theta=vessel.axis_angle_rad)
 
-    rng = np.random.default_rng(17)
-    bubbles = sample_bubbles(vessel, rng)
-    frames, _ = synthesize_frames(bubbles, [vessel], grid, nt, dt, P)
-    res = run_pipeline(frames, bank, P, cfg=DetectorConfig())
-    vmap = velocity_map_from_locs(np.concatenate(res.per_frame), grid)
-    _, _, t_vx, t_vz = truth_maps([vessel], grid)
+    frames, _ = synthesize(r, cfg["seed"])
+    vmap = velocity_map_from_locs(localize(r, frames), grid)
+    _, _, t_vx, t_vz = truth_maps(r.flow, grid)
 
     fast = fve(t_vx, t_vz, vmap.vx, vmap.vz, fastest_q=0.05)
     assert fast <= 0.15 * v0
@@ -461,26 +445,16 @@ def test_criterion_13_circular_flow_tolerance():
     twelve-heading constant-speed bank at sigma_t = 0.5 s accumulates the
     annulus to IoU >= 0.7."""
     t0 = time.perf_counter()
-    grid = make_grid(128, 128, 0.05, 0.05)
-    nt, dt, sigma_t, v0 = 600, 0.025, 0.5, 1.0
-    band = CircularBandSpec(orbit_radius=2.0, radius_r=0.3, v0=v0, c_mb=8.0)
-    assert v0**2 / band.orbit_radius == pytest.approx(0.5, rel=1e-12)
-    filters = tuple(
-        VelocityFilterSpec(v_f=(v0 * math.cos(2.0 * math.pi * k / 12),
-                                v0 * math.sin(2.0 * math.pi * k / 12)),
-                           sigma_t=sigma_t)
-        for k in range(12))
-    bank = FilterBankSpec(filters=filters)
+    cfg = load_config(BUNDLED_CONFIGS / "phantom_f.json")
+    assert (cfg["seed"], cfg["motion"]["nt"]) == (23, 600)
+    r = resolve(cfg)
+    band = r.flow
+    assert band.v0**2 / band.orbit_radius == pytest.approx(0.5, rel=1e-12)
+    assert len(r.bank.filters) == 12
+    assert {f.sigma_t for f in r.bank.filters} == {0.5}
 
-    rng = np.random.default_rng(23)
-    bubbles = sample_circular_bubbles(band, rng)
-    frames, _ = synthesize_frames(bubbles, band, grid, nt, dt, P)
-    res = run_pipeline(frames, bank, P,
-                       cfg=DetectorConfig(threshold_fraction=0.35),
-                       mode="post")
-    truth = truth_maps(band, grid)[0]
-    val = iou(segment_support(accumulate(np.concatenate(res.per_frame),
-                                         grid)), truth)
+    frames, _ = synthesize(r, cfg["seed"])
+    val = _support_iou(localize(r, frames), r, truth_maps(band, r.grid)[0])
     assert val >= 0.7
     _finish(13, t0, 300.0, f"annulus IoU {val:.3f} after "
-                           f"{nt * dt:.0f} s of orbiting flow")
+                           f"{r.nt * r.dt:.0f} s of orbiting flow")

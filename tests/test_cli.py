@@ -26,8 +26,10 @@ import pytest
 
 import velofilt
 from velofilt import __version__, cli
-from velofilt.cli import CONFIG_SCHEMA, ConfigError, load_config, main
+from velofilt.cli import (CONFIG_SCHEMA, ConfigError, check_config,
+                          load_config, main)
 from velofilt.core import FrameStack, load_frame_stack, save_frame_stack
+from velofilt.localize import save_localizations_csv
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
 
@@ -86,22 +88,24 @@ def test_bundled_configs_load_and_build():
     # the benchmark's workload configs are read, never written
     workloads = sorted((REPO / "perfbench" / "workloads").glob("*.json"))
     assert len(workloads) == 3
+    studies = sorted((REPO / "scripts" / "configs").glob("*.json"))
+    assert len(studies) == 2
     rng = np.random.default_rng(0)
-    for path in paths + workloads:
+    for path in paths + workloads + studies:
         # every section must also survive domain construction
-        r = cli._resolve(load_config(path))
+        r = cli.resolve(load_config(path))
         assert len(r.bank) >= 1
         assert cli._draw_bubbles(r, rng).pos.shape[1] == 3
 
 
 def test_resolve_passes_only_the_bank_and_detection_keys_set(tmp_path):
     # unset keys leave run_pipeline's and save_bank_outputs' defaults in force
-    r = cli._resolve(load_config(write_cfg(tmp_path, base_cfg())))
+    r = cli.resolve(load_config(write_cfg(tmp_path, base_cfg())))
     assert r.filter_kw == {} and r.localize_kw == {}
     cfg = base_cfg()
     cfg["filter_bank"]["boundary"] = "periodic"
     cfg["detector"]["mode"] = "post"
-    r = cli._resolve(load_config(write_cfg(tmp_path, cfg)))
+    r = cli.resolve(load_config(write_cfg(tmp_path, cfg)))
     assert r.filter_kw == {"boundary": "periodic"}
     assert r.localize_kw == {"boundary": "periodic", "mode": "post"}
 
@@ -154,6 +158,57 @@ def test_config_schema_is_valid_under_its_metaschema():
     # load_config skips this check on every command
     validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    ("psf", "sigma_r_mm", "Infinity"),
+    ("filter_bank", "sigma_t_s", "Infinity"),
+    ("psf", "wavelength_mm", "NaN"),
+    ("grid", "dx_mm", "NaN"),
+    ("motion", "dt_s", "NaN"),
+    ("motion", "dt_s", "-Infinity"),
+    ("noise", "std", "1e999"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, section, key,
+                                          literal):
+    # json reads NaN, Infinity and overflowing literals, and no bound of the
+    # schema stops them: Infinity ended in an uncaught OverflowError (exit 1),
+    # and NaN printed "[synth] ok" over a NaN stack before exiting 3
+    cfg = base_cfg()
+    cfg.setdefault(section, {})[key] = 0.125
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace("0.125", literal))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+    assert (f"must be a finite number, got {literal!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_check_config_checks_an_edited_config(tmp_path):
+    # a study edits its loaded config (a sweep value, --nt) and checks it
+    cfg = load_config(write_cfg(tmp_path, base_cfg()))
+    check_config(cfg)
+    cfg["motion"]["nt"] = 0
+    with pytest.raises(ConfigError, match=r"\$\.motion\.nt"):
+        check_config(cfg)
+
+
+def test_in_memory_run_is_the_stages_without_files(tmp_path):
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out",
+                 str(out)]) == 0
+    r = cli.resolve(load_config(cfg_path))
+    frames, point_frames = cli.synthesize(r, 5)
+    stack = load_frame_stack(out / "t_frames")
+    assert np.array_equal(stack.data, frames.data.astype(np.float32))
+    # localize on the stage's float32 stack writes the stage's bytes
+    mem = save_localizations_csv(cli.localize(r, stack), tmp_path / "m.csv")
+    assert mem.read_bytes() == (out / "t_locs.csv").read_bytes()
+    raw = cli.localize(r, frames, bank=False)
+    assert len(raw) > 0 and np.isnan(raw["vx"]).all()
+    assert np.all(np.diff(raw["t"]) >= 0)
 
 
 def _bad_configs():
@@ -589,6 +644,22 @@ def test_theory_bad_inputs_exit_2_before_any_write(tmp_path, capsys, argv):
     out = tmp_path / "theory"
     assert main(["theory", "--out", str(out), *argv]) == 2
     assert "config error: theory:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ratio", "nan"), ("--nrf-sigma-t-s", "inf"), ("--sigma-r-mm", "-inf"),
+    ("--span-mm-s", "1e999"), ("--v0-max-mm-s", "fast"),
+])
+def test_theory_float_flags_must_be_finite(tmp_path, capsys, flag, value):
+    # --ratio nan exited 0 with an all-NaN table, and --nrf-sigma-t-s inf
+    # ended in a traceback (exit 1)
+    out = tmp_path / "theory"
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--out", str(out), "--gamma", "--nrf",
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -421,11 +421,12 @@ def test_localize_frames_on_static_stack():
     frame = render_psf(P, GRID, center=(0.2, 0.1))
     frames = FrameStack(grid=GRID, nt=3, dt=0.01,
                         data=np.repeat(frame[None], 3, axis=0))
-    per_frame = localize_frames(frames, P)
-    assert [len(f) for f in per_frame] == [1, 1, 1]
-    assert per_frame[1]["t"][0] == 1
-    assert np.isnan(per_frame[0]["vx"][0]) and np.isnan(per_frame[0]["vz"][0])
-    assert per_frame[0]["x"][0] == pytest.approx(0.2, abs=2e-3)
+    locs = localize_frames(frames, P)
+    # one table, rows by frame: one row per frame here
+    assert np.bincount(locs["t"], minlength=3).tolist() == [1, 1, 1]
+    assert locs["t"][1] == 1
+    assert np.isnan(locs["vx"][0]) and np.isnan(locs["vz"][0])
+    assert locs["x"][0] == pytest.approx(0.2, abs=2e-3)
     with pytest.raises(ValueError):
         localize_frames(frames, P, mode="to")
 
@@ -434,12 +435,12 @@ def test_post_mode_envelope_detection():
     # carrier stripped: even a tight separation radius finds no replicas
     frame = render_psf(P, GRID, mode="pre", center=(0.0, 0.0))
     frames = FrameStack(grid=GRID, nt=1, dt=0.01, data=frame[None])
-    per_frame = localize_frames(
+    locs = localize_frames(
         frames, P, cfg=DetectorConfig(min_separation=0.05 * P.wavelength),
         mode="post")
-    assert len(per_frame[0]) == 1
-    assert per_frame[0]["x"][0] == pytest.approx(0.0, abs=2e-3)
-    assert per_frame[0]["z"][0] == pytest.approx(0.0, abs=2e-3)
+    assert len(locs) == 1
+    assert locs["x"][0] == pytest.approx(0.0, abs=2e-3)
+    assert locs["z"][0] == pytest.approx(0.0, abs=2e-3)
 
 
 def test_run_pipeline_single_bubble_static():
@@ -658,7 +659,9 @@ def test_block_size_leaves_detection_unchanged(mode, monkeypatch):
         monkeypatch.setattr(localize, "_CORR_BLOCK", samples)
         res = run_pipeline(frames, bank, P, mode=mode)
         raw = localize_frames(frames, P, mode=mode)
-        runs.append([f.tobytes() for f in res.per_frame + raw])
+        assert np.all(np.diff(raw["t"]) >= 0)
+        raw_frames = [raw[raw["t"] == t] for t in range(frames.nt)]
+        runs.append([f.tobytes() for f in res.per_frame + raw_frames])
     assert len(runs[0]) == 2 * frames.nt
     assert runs[0] == runs[1] == runs[2]
 
