@@ -48,7 +48,7 @@ def main():
           f"{math.degrees(4 * sigma_t * band.v0 / band.orbit_radius):.0f} deg "
           f"per 4 sigma_t window")
 
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    seed = r.seed if args.seed is None else args.seed
     frames, _ = synthesize(r, seed)
     truth = truth_maps(band, r.grid)[0]
 

@@ -57,7 +57,6 @@ def main():
     cfg = load_config(args.config)
     if args.nt is not None:
         cfg["motion"]["nt"] = args.nt
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
 
     rows = []
     for gap in args.gaps:
@@ -65,7 +64,8 @@ def main():
         cfg["phantom"]["gap_mm"] = gap
         check_config(cfg)
         r = resolve(cfg)
-        frames, point_frames = synthesize(r, seed)
+        frames, point_frames = synthesize(
+            r, r.seed if args.seed is None else args.seed)
         truth = truth_maps(r.flow, r.grid)[0]
         vf = localize(r, frames)
         raw = localize(r, frames, bank=False)

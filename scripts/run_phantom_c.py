@@ -48,7 +48,6 @@ def main():
     cfg = load_config(args.config)
     if args.nt is not None:
         cfg["motion"]["nt"] = args.nt
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
     ph = cfg["phantom"]
     concentrations = args.c_mb or (ph["c_mb_high_per_mm3"],
                                    ph["c_mb_low_per_mm3"])
@@ -59,7 +58,8 @@ def main():
         check_config(cfg)
         r = resolve(cfg)
         checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
-        frames, _ = synthesize(r, seed)
+        frames, _ = synthesize(
+            r, r.seed if args.seed is None else args.seed)
         truth = truth_maps(r.flow, r.grid)[0]
         t0 = time.time()
         curves[f"vf_{label}"] = iou_curve(localize(r, frames), truth,

@@ -48,7 +48,7 @@ def main():
     speeds = [round(math.hypot(*f.v_f), 3) for f in r.bank.filters]
     print(f"bank speeds (mm/s): {speeds}")
 
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    seed = r.seed if args.seed is None else args.seed
     frames, _ = synthesize(r, seed)
     t0 = time.time()
     locs = localize(r, frames)

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import resource
 import sys
@@ -30,7 +31,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -253,15 +253,94 @@ def load_config(path: str | Path) -> dict:
 
 
 def check_config(cfg: dict) -> None:
-    """Raise a ConfigError at the first place cfg breaks CONFIG_SCHEMA."""
+    """Raise a ConfigError at the first place cfg breaks CONFIG_SCHEMA.
+
+    `_conforms` decides; jsonschema is imported only after a rejection, to
+    word the error with its best_match, so a valid config loads none of it.
+    """
+    if _conforms(cfg, CONFIG_SCHEMA):
+        return
+    import jsonschema
     # jsonschema.validate without its check of CONFIG_SCHEMA against the
-    # metaschema, most of the cost of a config load; a test makes that check
+    # metaschema; a test makes that check
     validator_cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     error = jsonschema.exceptions.best_match(
         validator_cls(CONFIG_SCHEMA).iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config invalid at {error.json_path}: "
-                          f"{error.message}") from error
+    if error is None:
+        raise ConfigError("config invalid: it breaks CONFIG_SCHEMA, but "
+                          "jsonschema names no error")
+    raise ConfigError(f"config invalid at {error.json_path}: "
+                      f"{error.message}") from error
+
+
+# The JSON Schema keywords `_conforms` interprets, with jsonschema's meaning:
+# the ones CONFIG_SCHEMA uses (a test walks the schema). Each bound names
+# the comparison of value against it that fails the check.
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt,
+           "exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minLength", "const", "enum", "oneOf", *_BOUNDS})
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None)}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a bool is no number, 64.0 is an integer."""
+    if name not in ("number", "integer"):
+        return isinstance(value, _JSON_TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _same(a, b) -> bool:
+    """JSON equality, as const and enum test it: 1 equals 1.0, True is not
+    1, and lists and objects compare item by item."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _conforms(value, schema: dict | bool) -> bool:
+    """Whether value is valid under schema, which may use only _KEYWORDS;
+    any other keyword raises, so a schema edit is never skipped silently."""
+    if isinstance(schema, bool):
+        return schema
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(
+            f"_conforms does not interpret the keywords {sorted(unknown)}")
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return False
+    if "const" in schema and not _same(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        return False
+    if "oneOf" in schema and sum(
+            _conforms(value, sub) for sub in schema["oneOf"]) != 1:
+        return False
+    if _is_type(value, "number"):
+        return not any(fails(value, schema[key])
+                       for key, fails in _BOUNDS.items() if key in schema)
+    if isinstance(value, str):
+        return len(value) >= schema.get("minLength", 0)
+    if isinstance(value, list):
+        return (schema.get("minItems", 0) <= len(value)
+                <= schema.get("maxItems", len(value))
+                and all(_conforms(v, schema.get("items", True))
+                        for v in value))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        return (all(key in value for key in schema.get("required", ()))
+                and all(_conforms(v, props.get(key, extra))
+                        for key, v in value.items()))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +354,12 @@ class Resolved:
     is empty for grid_bubbles, whose fixed bubbles are in `points`. The
     other kinds draw their bubbles per seed from the flow. `filter_kw` and
     `localize_kw` hold only the bank and detection options the config
-    sets, so the library's defaults apply to the rest.
+    sets, so the library's defaults apply to the rest. The schema's integers
+    (`seed`, `nx`, `nz`, `nt`, `fine_factor`) are ints here even where the
+    config writes them as 64.0, as JSON Schema allows.
     """
 
+    seed: int
     psf: PsfParams
     to: ToParams | None
     grid: Grid2D
@@ -322,10 +404,11 @@ def resolve(cfg: dict) -> Resolved:
               if "to" in cfg else None)
     with _section("grid"):
         g = cfg["grid"]
-        grid = make_grid(g["nx"], g["nz"], g["dx_mm"], g["dz_mm"])
+        grid = make_grid(int(g["nx"]), int(g["nz"]), g["dx_mm"], g["dz_mm"])
     det = cfg.get("detector", {})
     with _section("detector"):
-        fine = make_fine_grid(grid, **_given(det, factor="fine_factor"))
+        fine = make_fine_grid(grid, **{
+            k: int(v) for k, v in _given(det, factor="fine_factor").items()})
         detector = DetectorConfig(**_given(
             det, threshold_fraction="threshold_fraction",
             min_separation="min_separation_mm", subpixel="subpixel"))
@@ -345,7 +428,8 @@ def resolve(cfg: dict) -> Resolved:
     localize_kw = {**filter_kw, **_given(det, mode="mode")}
     return Resolved(
         psf=p, to=to, grid=grid, fine=fine,
-        nt=cfg["motion"]["nt"], dt=cfg["motion"]["dt_s"],
+        seed=int(cfg.get("seed", 0)),
+        nt=int(cfg["motion"]["nt"]), dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
         points=points, flow=flow,
         bank=bank, filter_kw=filter_kw,
@@ -507,14 +591,28 @@ def _peak_rss_mb() -> float:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
-                     wall_s: float, artifacts: list[Path]) -> None:
+def _read_manifest(out: Path) -> dict:
+    """The manifest in out, or a new one; a manifest that is not JSON, or
+    whose stages or artifacts are not objects, is a data error."""
     man_path = out / "manifest.json"
-    if man_path.exists():
+    if not man_path.exists():
+        return {"tool_version": __version__, "stages": {}, "artifacts": {}}
+    try:
         with open(man_path) as fh:
             manifest = json.load(fh)
-    else:
-        manifest = {"tool_version": __version__, "stages": {}, "artifacts": {}}
+    except ValueError as exc:
+        raise DataError(f"bad manifest {man_path}: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("stages"), dict)
+            and isinstance(manifest.get("artifacts"), dict)):
+        raise DataError(f"bad manifest {man_path}: not an object with "
+                        "'stages' and 'artifacts' objects")
+    return manifest
+
+
+def _update_manifest(manifest: dict, out: Path, cfg: dict, seed: int,
+                     stage: str, wall_s: float, artifacts: list[Path]) -> None:
+    """Record stage and its artifacts in manifest and write it to out."""
     run = {"seed": seed, "config_sha256": _config_hash(cfg)}
     manifest.update(run)
     manifest["stages"][stage] = {"wall_s": round(wall_s, 3),
@@ -522,7 +620,7 @@ def _update_manifest(out: Path, cfg: dict, seed: int, stage: str,
                                  **run}
     for art in artifacts:
         manifest["artifacts"][str(art.relative_to(out))] = _sha256_file(art)
-    _atomic_write_json(manifest, man_path)
+    _atomic_write_json(manifest, out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +873,15 @@ _STAGES = {
 def _run_stage_command(cmd: str, args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     r = resolve(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else r.seed
     out = Path(args.out)
+    manifest = _read_manifest(out)
     out.mkdir(parents=True, exist_ok=True)
     for stage in (_STAGES if cmd == "pipeline" else (cmd,)):
         t0 = time.perf_counter()
         arts = _STAGES[stage](r, out, seed, args)
         wall = time.perf_counter() - t0
-        _update_manifest(out, cfg, seed, stage, wall, arts)
+        _update_manifest(manifest, out, cfg, seed, stage, wall, arts)
         print(f"[{stage}] ok ({wall:.2f} s, {len(arts)} artifacts)")
     return EXIT_OK
 
@@ -799,6 +898,18 @@ def _threads(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    """--seed: a non-negative integer, as the config's seed."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="velofilt",
@@ -810,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", required=True, help="experiment JSON")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="override config seed")
         sp.add_argument("--out", default="runs/out", help="working directory")
         # a string default goes through type at parse time, so a bad

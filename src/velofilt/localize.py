@@ -412,12 +412,14 @@ def _merge_frame(cands: np.ndarray, radius: float) -> np.ndarray:
 def _envelope_z(data: np.ndarray) -> np.ndarray:
     """Magnitude of the analytic signal along axis 1 (z): keep the DC bin
     (and the Nyquist bin for even nz), double the positive frequencies and
-    zero the negative ones."""
+    zero the negative ones. The forward transform is real: pocketfft's
+    rfft gives the first n // 2 + 1 bins of its complex fft bit for bit."""
     import scipy.fft
     n = data.shape[1]
-    spec = scipy.fft.fft(data, axis=1)
+    half = scipy.fft.rfft(data, axis=1)
+    spec = np.zeros(data.shape, dtype=half.dtype)
+    spec[:, :n // 2 + 1] = half
     spec[:, 1:(n + 1) // 2] *= 2.0
-    spec[:, n // 2 + 1:] = 0.0
     return np.abs(scipy.fft.ifft(spec, axis=1, overwrite_x=True))
 
 
@@ -430,17 +432,18 @@ def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
     in blocks of frames of at most _CORR_BLOCK padded samples; one table,
     rows by frame.
 
-    envelope strips the axial carrier first (magnitude of the analytic
-    signal along z), as the post-mode chain does.
+    envelope strips the axial carrier of each block first (magnitude of
+    the analytic signal along z), as the post-mode chain does.
     """
-    if envelope:
-        data = _envelope_z(data)
     _, fshape = _padded_shape(data.shape[1:], template.shape)
     step = max(1, _CORR_BLOCK // math.prod(fshape))
-    return np.concatenate([
-        detect(matched_filter_map(data[t:t + step], grid, template), grid,
-               cfg, peak, t_index=t, v_tag=v_tag, wavelength=p.wavelength)
-        for t in range(0, data.shape[0], step)])
+    tables = []
+    for t in range(0, data.shape[0], step):
+        block = _envelope_z(data[t:t + step]) if envelope else data[t:t + step]
+        tables.append(detect(matched_filter_map(block, grid, template), grid,
+                             cfg, peak, t_index=t, v_tag=v_tag,
+                             wavelength=p.wavelength))
+    return np.concatenate(tables)
 
 
 def _check_mode(mode: str) -> None:

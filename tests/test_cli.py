@@ -23,6 +23,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import velofilt
 from velofilt import __version__, cli
@@ -241,6 +243,128 @@ def test_load_config_reports_what_jsonschema_validate_reports(tmp_path, cfg):
         load_config(write_cfg(tmp_path, cfg))
     assert str(got.value) == (f"config invalid at {want.value.json_path}: "
                               f"{want.value.message}")
+
+
+def _subschemas(schema):
+    """Every schema object in schema, itself first."""
+    if not isinstance(schema, dict):
+        return
+    yield schema
+    for key, sub in schema.items():
+        if key == "properties":
+            for prop in sub.values():
+                yield from _subschemas(prop)
+        elif key == "oneOf":
+            for branch in sub:
+                yield from _subschemas(branch)
+        elif key in ("items", "additionalProperties"):
+            yield from _subschemas(sub)
+
+
+def test_conforms_interprets_every_keyword_the_schema_uses():
+    used = {key for sub in _subschemas(CONFIG_SCHEMA) for key in sub}
+    assert used == cli._KEYWORDS
+    with pytest.raises(NotImplementedError, match="pattern"):
+        cli._conforms("x", {"type": "string", "pattern": "^x$"})
+
+
+def test_conforms_follows_json_schema_types_and_equality():
+    assert cli._conforms(64.0, {"type": "integer"})
+    assert not cli._conforms(64.5, {"type": "integer"})
+    assert not cli._conforms(True, {"type": "number"})
+    assert not cli._conforms(True, {"type": "integer", "minimum": 0})
+    assert cli._conforms(1.0, {"enum": [-1, 1]})
+    assert not cli._conforms(True, {"enum": [-1, 1]})
+    assert not cli._conforms([True], {"const": [1]})
+    assert cli._conforms([1.0], {"const": [1]})
+    assert not cli._conforms("auto", {"oneOf": [{"const": "auto"},
+                                                {"type": "string"}]})
+
+
+def test_check_config_words_a_rejection_jsonschema_cannot_place(
+        tmp_path, monkeypatch):
+    cfg = load_config(write_cfg(tmp_path, base_cfg()))
+    monkeypatch.setattr(cli, "_conforms", lambda value, schema: False)
+    with pytest.raises(ConfigError, match="jsonschema names no error"):
+        check_config(cfg)
+
+
+_CHECKED_CONFIGS = [
+    json.loads(path.read_text()) for path in
+    sorted((Path(cli.__file__).parent / "configs").glob("*.json"))
+    + sorted((REPO / "scripts" / "configs").glob("*.json"))]
+_POOL = (0, -0.0, 64.0, True, None, "auto", [], {}, [0.4])
+_NAMES = sorted({name for sub in _subschemas(CONFIG_SCHEMA)
+                 for name in sub.get("properties", {})} | {"bogus"})
+_JSONSCHEMA = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def _paths(node, path=()):
+    """The path of node and of every value inside it."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled or study config after one to three mutations: a value
+    swapped for one from _POOL, a key or item deleted, or a key or item
+    added."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_CHECKED_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        op = draw(st.sampled_from(["swap", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(_POOL)))
+        node = _at(cfg, path)
+        if op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_NAMES))] = value
+        elif op == "add" and isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), value)
+        elif not path:
+            cfg = value if op == "swap" else cfg
+        elif op == "delete":
+            del _at(cfg, path[:-1])[path[-1]]
+        else:
+            _at(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=2000, deadline=None)
+@given(mutated_configs())
+def test_conforms_agrees_with_jsonschema(cfg):
+    assert cli._conforms(cfg, CONFIG_SCHEMA) == _JSONSCHEMA.is_valid(cfg)
+
+
+@pytest.mark.parametrize("section, key", [("grid", "nx"), ("motion", "nt"),
+                                          ("detector", "fine_factor"),
+                                          (None, "seed")])
+def test_integers_written_as_floats_run_as_their_int_twin(tmp_path, section,
+                                                          key):
+    # JSON Schema counts 64.0 as an integer; each of these passed the check
+    # and then ended in a TypeError traceback (exit 1)
+    cfg = base_cfg()
+    owner = cfg if section is None else cfg[section]
+    owner[key] = float(owner[key])
+    manifests = []
+    for name, run_cfg in (("int", base_cfg()), ("float", cfg)):
+        out = tmp_path / name
+        assert main(["pipeline", "--config",
+                     str(write_cfg(tmp_path, run_cfg, f"{name}.json")),
+                     "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    want, got = manifests
+    assert got["artifacts"] == want["artifacts"]
+    assert got["seed"] == want["seed"] == 5
+    assert got["config_sha256"] != want["config_sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +742,35 @@ def test_manifest_records_seed_of_each_invocation(tmp_path):
     assert m["stages"]["filter"]["config_sha256"] == m["config_sha256"]
 
 
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, command,
+                                                  seed):
+    # -1 exited 4, the numeric-failure code, after creating --out
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(write_cfg(tmp_path, base_cfg())),
+              "--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"stages": {', '[]',
+                                  '{"stages": [], "artifacts": {}}'])
+def test_damaged_manifest_exits_3_before_any_write(tmp_path, capsys, text):
+    # an unparseable manifest exited 4 after the stage wrote its artifacts;
+    # a list, or stages that are no object, ended in a traceback (exit 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["synth", "--config", str(write_cfg(tmp_path, base_cfg())),
+                 "--out", str(out)]) == 3
+    assert f"bad manifest {out / 'manifest.json'}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == text
+
+
 # ---------------------------------------------------------------------------
 # theory subcommand.
 
@@ -787,6 +940,31 @@ def test_commands_without_transforms_load_no_scipy(tmp_path, stage):
             f"); print(rc, {_SCIPY_LOADED})")
     assert _fresh_python(code).splitlines()[-1] == "0 []"
     assert (out / "manifest.json").exists()
+
+
+_JSONSCHEMA_LOADED = (
+    "sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', "
+    "'referencing', 'rpds', 'attr', 'attrs', 'jsonschema_specifications'))")
+
+
+@pytest.mark.parametrize("command", [None, "synth", "filter", "localize",
+                                     "accumulate", "metrics", "pipeline"])
+def test_valid_config_loads_no_jsonschema(tmp_path, command):
+    # jsonschema and its dependencies cost about 60 ms and 4 MB of every
+    # start-up; they load only to word a rejected config's error
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    if command is None:                # the set-up probe
+        code = (f"import sys, velofilt.cli as c; c.load_config({str(cfg)!r})"
+                f"; print(0, {_JSONSCHEMA_LOADED})")
+    else:
+        if command not in ("synth", "pipeline"):
+            assert main(["pipeline", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        code = (f"import sys, velofilt.cli as c; rc = c.main("
+                f"{[command, '--config', str(cfg), '--out', str(out)]}"
+                f"); print(rc, {_JSONSCHEMA_LOADED})")
+    assert _fresh_python(code).splitlines()[-1] == "0 []"
 
 
 def test_version_flag(capsys):
