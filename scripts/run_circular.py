@@ -18,8 +18,8 @@ import time
 from pathlib import Path
 
 import velofilt
-from velofilt.cli import (check_config, load_config, localize, resolve,
-                          synthesize)
+from velofilt.cli import (ConfigError, check_config, load_config, localize,
+                          resolve, seed_arg, synthesize)
 from velofilt.localize import accumulate, segment_support
 from velofilt.metrics import iou
 from velofilt.phantom import truth_maps
@@ -30,7 +30,7 @@ CONFIG = Path(velofilt.__file__).parent / "configs" / "phantom_f.json"
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
     ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--out", default="runs/circular_iou_vs_time.csv")
     args = ap.parse_args()
@@ -38,8 +38,11 @@ def main():
     cfg = load_config(args.config)
     if args.nt is not None:
         cfg["motion"]["nt"] = args.nt
-    check_config(cfg)
-    r = resolve(cfg)
+    try:
+        check_config(cfg)
+        r = resolve(cfg)
+    except ConfigError as exc:
+        ap.error(str(exc))
     band = r.flow
     sigma_t = r.bank.filters[0].sigma_t
     accel = band.v0**2 / band.orbit_radius

@@ -28,8 +28,8 @@ import csv
 import time
 from pathlib import Path
 
-from velofilt.cli import (check_config, load_config, localize, resolve,
-                          synthesize)
+from velofilt.cli import (ConfigError, check_config, load_config, localize,
+                          resolve, seed_arg, synthesize)
 from velofilt.localize import accumulate, positions_by_frame, segment_support
 from velofilt.metrics import iou, localization_error_frames
 from velofilt.phantom import truth_maps
@@ -46,7 +46,7 @@ def frame_le(locs, point_frames, le, grid):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
     ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--gaps", type=float, nargs="+",
                     default=[0.2, 0.3, 0.4, 0.6, 0.8],
@@ -58,12 +58,19 @@ def main():
     if args.nt is not None:
         cfg["motion"]["nt"] = args.nt
 
-    rows = []
+    # every gap is checked before the first one runs
+    resolved = []
     for gap in args.gaps:
-        t0 = time.time()
         cfg["phantom"]["gap_mm"] = gap
-        check_config(cfg)
-        r = resolve(cfg)
+        try:
+            check_config(cfg)
+            resolved.append(resolve(cfg))
+        except ConfigError as exc:
+            ap.error(f"--gaps {gap}: {exc}")
+
+    rows = []
+    for gap, r in zip(args.gaps, resolved):
+        t0 = time.time()
         frames, point_frames = synthesize(
             r, r.seed if args.seed is None else args.seed)
         truth = truth_maps(r.flow, r.grid)[0]

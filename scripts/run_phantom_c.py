@@ -17,8 +17,8 @@ import csv
 import time
 from pathlib import Path
 
-from velofilt.cli import (check_config, load_config, localize, resolve,
-                          synthesize)
+from velofilt.cli import (ConfigError, check_config, load_config, localize,
+                          resolve, seed_arg, synthesize)
 from velofilt.localize import accumulate, segment_support
 from velofilt.metrics import iou
 from velofilt.phantom import truth_maps
@@ -37,7 +37,7 @@ def iou_curve(locs, truth, grid, checkpoints):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
     ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--c-mb", type=float, nargs=2, metavar=("HIGH", "LOW"),
                     help="the two concentrations (per mm^3) to run; default "
@@ -52,11 +52,18 @@ def main():
     concentrations = args.c_mb or (ph["c_mb_high_per_mm3"],
                                    ph["c_mb_low_per_mm3"])
 
-    curves = {}
-    for label, c_mb in zip(("high", "low"), concentrations):
+    # both concentrations are checked before the first one runs
+    resolved = []
+    for c_mb in concentrations:
         ph["c_mb_high_per_mm3"] = ph["c_mb_low_per_mm3"] = c_mb
-        check_config(cfg)
-        r = resolve(cfg)
+        try:
+            check_config(cfg)
+            resolved.append(resolve(cfg))
+        except ConfigError as exc:
+            ap.error(f"--c-mb {c_mb}: {exc}")
+
+    curves = {}
+    for label, c_mb, r in zip(("high", "low"), concentrations, resolved):
         checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
         frames, _ = synthesize(
             r, r.seed if args.seed is None else args.seed)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 import velofilt
-from velofilt.cli import (check_config, load_config, localize, resolve,
-                          synthesize)
+from velofilt.cli import (ConfigError, check_config, load_config, localize,
+                          resolve, seed_arg, synthesize)
 from velofilt.localize import velocity_map_from_locs
 from velofilt.metrics import fve
 from velofilt.phantom import truth_maps
@@ -33,7 +33,7 @@ CONFIG = Path(velofilt.__file__).parent / "configs" / "phantom_e.json"
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=int, help="override the config's seed")
+    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
     ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--out", default="runs/velocity_profile.csv")
     args = ap.parse_args()
@@ -41,8 +41,11 @@ def main():
     cfg = load_config(args.config)
     if args.nt is not None:
         cfg["motion"]["nt"] = args.nt
-    check_config(cfg)
-    r = resolve(cfg)
+    try:
+        check_config(cfg)
+        r = resolve(cfg)
+    except ConfigError as exc:
+        ap.error(str(exc))
     [vessel] = r.flow
     grid = r.grid
     speeds = [round(math.hypot(*f.v_f), 3) for f in r.bank.filters]

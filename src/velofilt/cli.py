@@ -898,8 +898,9 @@ def _threads(value: str) -> int:
     return n
 
 
-def _seed(value: str) -> int:
-    """--seed: a non-negative integer, as the config's seed."""
+def seed_arg(value: str) -> int:
+    """argparse type of --seed, here and in scripts/: a non-negative
+    integer, as the config's seed."""
     try:
         n = int(value)
     except ValueError:
@@ -921,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", required=True, help="experiment JSON")
-        sp.add_argument("--seed", type=_seed, default=None,
+        sp.add_argument("--seed", type=seed_arg, default=None,
                         help="override config seed")
         sp.add_argument("--out", default="runs/out", help="working directory")
         # a string default goes through type at parse time, so a bad

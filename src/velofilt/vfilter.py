@@ -7,17 +7,20 @@ traced out by anything translating at v_f. Two equivalent applications are
 provided: the production 3D-FFT path and a direct shift-and-sum path
 (temporal average along the selected trajectory) used as a cross-check.
 
-The FFT path works on real FFTs. A bank takes one rfftn of each padded
-source stack it needs (raw or TO-prefiltered, per temporal pad) and shares
-that half spectrum between its filters; each filter then costs one gain
-multiply on the (nt_pad, nz, nx//2+1) half lattice and an inverse run one
-axis at a time (core.trimmed_irfftn): the ifft along t, the cut to the nt
-kept frames, then the (z, x) passes on those frames only, so the padded
-inverse is never formed. apply_filter_fft is the one-filter case of the
-same code. On an even axis the Nyquist bin is its own mirror, and there H
-is not even, so the gain on the Nyquist planes is the mean of H at the bin
-and at its mirrored bin: the Hermitian part of H, which is exactly what
-taking the real part of a complex inverse FFT would keep.
+The FFT path works on real FFTs. A bank takes the half spectrum of each
+padded source stack it needs (raw or TO-prefiltered, per temporal pad) once
+and shares it between its filters. Since H is pointwise, each (kz, kx)
+column's inverse along time is independent, so a filter walks the shared
+spectrum in slabs of kz rows of at most _SLAB_ELEMENTS lattice elements:
+per slab it builds that slab's gain, multiplies it into a slab buffer, runs
+the ifft along t and keeps the first nt frames; the (z, x) passes then run
+on those kept frames alone. Neither a padded inverse nor a full-lattice
+gain or product is ever formed, and the output is byte for byte the
+trimmed whole irfftn. apply_filter_fft is the one-filter case of the same
+code. On an even axis the Nyquist bin is its own mirror, and there H is not
+even, so the gain on the Nyquist planes is the mean of H at the bin and at
+its mirrored bin: the Hermitian part of H, which is exactly what taking the
+real part of a complex inverse FFT would keep.
 
 Both paths zero-extend in time; the FFT path pads by 4 sigma_t worth of
 frames before the FFT and trims after, so trajectories do not wrap. The
@@ -27,11 +30,12 @@ temporal pad too, for stationary-statistics measurements).
 
 The input's dtype sets the precision: a float32 stack (as the CLI reads
 from its .f32 files) gives complex64 spectra and float32 outputs, a float64
-stack complex128 and float64. The gains are computed in float64 and cast to
-the spectrum's precision in the multiply. Where the exponent is so negative
-that exp, cast to the spectrum's precision, is exactly 0 (about half of a
-padded lattice in float64, four fifths in float32), the gain is set to 0
-without calling exp, whose underflow path is slow.
+stack complex128 and float64. The gains are computed in float64, one slab
+at a time, and cast to the spectrum's precision in the multiply. Where the
+exponent is so negative that exp, cast to the spectrum's precision, is
+exactly 0 (about half of a padded lattice in float64, four fifths in
+float32), the gain is set to 0 without calling exp, whose underflow path is
+slow.
 
 scipy.fft is imported inside the functions that transform, not with the
 module, so a process that never filters does not pay for its import.
@@ -43,18 +47,20 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
-                   kz_lattice, omega_lattice, save_frame_stack,
-                   trimmed_irfftn)
+                   kz_lattice, omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
 # Hard cap on the padded stack a 3D FFT runs on; it rejects sizes that would
 # exhaust memory or overflow the int32 indexing of some FFT backends.
 _MAX_FFT_ELEMENTS = 2**28
+# Lattice elements a filter's slab of kz rows spans at most (one row if a
+# row alone is larger): the size of its float64 gain and of its product.
+_SLAB_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,43 @@ def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
     return np.exp(gain, out=gain, where=np.logical_not(dead, out=dead))
 
 
+def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
+               dtype) -> Callable[[int, int], np.ndarray]:
+    """rows(z0, z1) = build_filter(grid, nt, dt, spec, dtype)[:, z0:z1],
+    byte for byte, for any z0 < z1: every entry is computed from its own
+    lattice frequencies alone. The lattices, their Nyquist mirrors and the
+    Nyquist-plane means are computed here, once for all slabs."""
+    floor = _exp_floor(dtype)
+    sizes = (nt, grid.nz, grid.nx)
+    axes = (omega_lattice(nt, dt), kz_lattice(grid),
+            kx_lattice(grid)[:grid.nx // 2 + 1])
+    mirror = tuple(a.copy() for a in axes)
+    for m, n in zip(mirror, sizes):
+        if n % 2 == 0:
+            m[n // 2] = -m[n // 2]
+    planes = []
+    for ax, n in enumerate(sizes):
+        if n % 2 == 0:
+            plane = [slice(None)] * 3
+            plane[ax] = slice(n // 2, n // 2 + 1)
+            planes.append((ax, n // 2, 0.5 * (
+                _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
+                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec,
+                        floor))))
+
+    def rows(z0: int, z1: int) -> np.ndarray:
+        gain = _gain(axes[0], axes[1][z0:z1], axes[2], spec, floor)
+        for ax, i, mean in planes:
+            if ax != 1:
+                gain[(slice(None),) * ax + (slice(i, i + 1),)] = \
+                    mean[:, z0:z1]
+            elif z0 <= i < z1:
+                gain[:, i - z0] = mean[:, 0]
+        return gain
+
+    return rows
+
+
 def build_filter(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                  dtype=np.float64) -> np.ndarray:
     """Gain on the rfftn half lattice (nt, nz, nx//2+1) of an (nt, nz, nx)
@@ -160,27 +203,12 @@ def build_filter(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     The gain is float64 whatever dtype is; dtype is the precision it will
     be cast to, and entries that the cast would round to 0 are set to 0
     without calling exp (see _exp_floor). Cast to dtype, the result is
-    that of the default float64 call.
+    that of the default float64 call. This is the whole-lattice case of the
+    slab routine run_filter_bank builds its gains with: all kz rows at once.
     """
     if nt < 1:
         raise ValueError("nt must be >= 1")
-    floor = _exp_floor(dtype)
-    sizes = (nt, grid.nz, grid.nx)
-    axes = (omega_lattice(nt, dt), kz_lattice(grid),
-            kx_lattice(grid)[:grid.nx // 2 + 1])
-    mirror = tuple(a.copy() for a in axes)
-    for m, n in zip(mirror, sizes):
-        if n % 2 == 0:
-            m[n // 2] = -m[n // 2]
-    gain = _gain(*axes, spec, floor)
-    for ax, n in enumerate(sizes):
-        if n % 2 == 0:
-            plane = [slice(None)] * 3
-            plane[ax] = slice(n // 2, n // 2 + 1)
-            gain[tuple(plane)] = 0.5 * (
-                _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
-                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec, floor))
-    return gain
+    return _gain_rows(grid, nt, dt, spec, dtype)(0, grid.nz)
 
 
 def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
@@ -258,6 +286,55 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
+def _half_spectrum(data: np.ndarray, nt_pad: int,
+                   workers: int) -> np.ndarray:
+    """scipy.fft.rfftn(data, s=(nt_pad, nz, nx)) of an (nt, nz, nx) stack,
+    byte for byte, in the pass order pocketfft's rfftn uses: the rfft along
+    x, the fft along t zero-padded to nt_pad, then the fft along z in place.
+    The zero-padded real copy of data that rfftn makes is never formed."""
+    import scipy.fft
+    spec = scipy.fft.rfft(data, axis=2, workers=workers)
+    spec = scipy.fft.fft(spec, nt_pad, axis=0, workers=workers,
+                         overwrite_x=True)
+    return scipy.fft.fft(spec, axis=1, workers=workers, overwrite_x=True)
+
+
+def _filtered_inverse(spectrum: np.ndarray,
+                      gain_rows: Callable[[int, int], np.ndarray],
+                      kept: np.ndarray, nx: int, workers: int) -> np.ndarray:
+    """The first kept.shape[0] frames of irfftn(spectrum * gain), byte for
+    byte as core.trimmed_irfftn gives them, with gain_rows(z0, z1) the gain
+    on kz rows z0:z1 (see _gain_rows).
+
+    The gain, the product and the ifft along t run one slab of kz rows at a
+    time in a buffer of at most _SLAB_ELEMENTS (or one row); each slab's
+    first nt frames go to kept, where the z pass then runs in place, and
+    the irfft along x makes the output. Every pass is unscaled and the
+    output is multiplied once by T(1 / prod(padded shape)), rounded from
+    long double, as trimmed_irfftn does.
+    """
+    import scipy.fft
+    nt_pad, nz, nxh = spectrum.shape
+    nt = kept.shape[0]
+    step = max(1, _SLAB_ELEMENTS // (nt_pad * nxh))
+    buf = np.empty(nt_pad * min(step, nz) * nxh, dtype=spectrum.dtype)
+    for z0 in range(0, nz, step):
+        z1 = min(z0 + step, nz)
+        slab = buf[:nt_pad * (z1 - z0) * nxh].reshape(nt_pad, z1 - z0, nxh)
+        # the float64 gain is cast to the spectrum's precision inside the
+        # multiply
+        np.multiply(spectrum[:, z0:z1], gain_rows(z0, z1), out=slab,
+                    dtype=slab.dtype)
+        slab = scipy.fft.ifft(slab, axis=0, norm="forward", workers=workers,
+                              overwrite_x=True)
+        kept[:, z0:z1] = slab[:nt]
+    out = scipy.fft.ifft(kept, axis=1, norm="forward", workers=workers,
+                         overwrite_x=True)
+    out = scipy.fft.irfft(out, nx, axis=2, norm="forward", workers=workers)
+    out *= out.dtype.type(np.longdouble(1) / (nt_pad * nz * nx))
+    return out
+
+
 def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
                     to_params: ToParams | None = None,
                     boundary: str = "pad", workers: int = 1
@@ -272,18 +349,18 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     the x axis, and nonzero speed) see the TO-filtered stack instead of the
     raw one; used_to tells whether out came from it.
 
-    boundary is as in apply_filter_fft. The bank takes one rfftn per
-    (source stack, temporal pad) pair it needs and keeps those half spectra
-    until it is done. Each filter then costs one gain multiply into a work
-    buffer and an inverse run one axis at a time (core.trimmed_irfftn):
-    the ifft along t in place, the cut to the first nt frames, then the
-    (z, x) passes on those frames alone; the output is byte for byte the
-    trimmed whole irfftn. The 2 * pad zero frames go after the stack, which
-    on the circular time lattice is the symmetric pad shifted by pad
-    frames, so the kept frames are the first nt. The largest padded stack
-    is checked against _MAX_FFT_ELEMENTS before anything is allocated.
+    boundary is as in apply_filter_fft. The bank takes one half spectrum
+    per (source stack, temporal pad) pair it needs (_half_spectrum, the
+    bytes of rfftn) and keeps those until it is done. Each filter then
+    runs over its spectrum in slabs of kz rows (_filtered_inverse), so
+    besides the shared spectra it holds one slab's gain and product, the
+    kept frames' buffer that all filters share, and its output; the output
+    is byte for byte the trimmed whole irfftn of spectrum * build_filter. The
+    2 * pad zero frames go after the stack, which on the circular time
+    lattice is the symmetric pad shifted by pad frames, so the kept frames
+    are the first nt. The largest padded stack is checked against
+    _MAX_FFT_ELEMENTS before anything is allocated.
     """
-    import scipy.fft
     if boundary not in ("pad", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
     grid = frames.grid
@@ -295,34 +372,29 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
                          f"limit of {_MAX_FFT_ELEMENTS} samples")
     sources = {False: frames}
     spectra: dict[tuple[bool, int], np.ndarray] = {}
-    # filtered spectrum, reused while the padded shape stays the same
-    work = np.empty(0, dtype=complex)
+    kept = None  # the kept frames' half spectrum, refilled by each filter
     for i, (fspec, pad) in enumerate(zip(bank.filters, pads)):
         used_to = (to_params is not None and fspec.speed > 0.0
                    and fspec.angle_from_lateral_deg
                    <= bank.lateral_to_angle_deg)
         if used_to not in sources:
             sources[used_to] = apply_to_filter(frames, to_params)
-        shape = (frames.nt + 2 * pad, grid.nz, grid.nx)
+        nt_pad = frames.nt + 2 * pad
         if (used_to, pad) not in spectra:
-            spectra[used_to, pad] = scipy.fft.rfftn(
-                sources[used_to].data, s=shape, axes=(0, 1, 2),
-                workers=workers)
+            spectra[used_to, pad] = _half_spectrum(sources[used_to].data,
+                                                   nt_pad, workers)
         spectrum = spectra[used_to, pad]
-        if work.shape != spectrum.shape or work.dtype != spectrum.dtype:
-            work = np.empty_like(spectrum)
-        # the float64 gain is cast to the spectrum's precision chunk by chunk
-        # inside the multiply, and is not held through the inverse
-        np.multiply(spectrum, build_filter(grid, shape[0], frames.dt, fspec,
-                                           work.real.dtype),
-                    out=work, dtype=work.dtype)
-        # the complex passes run in place in work, which the next filter
-        # refills; only the real pass allocates, and only the kept frames
-        data = trimmed_irfftn(work, shape, (0, 1, 2),
-                              (slice(frames.nt), slice(None), slice(None)),
-                              workers=workers)
-        yield i, fspec, FrameStack(grid=grid, nt=frames.nt, dt=frames.dt,
-                                   data=data), used_to
+        if kept is None:
+            kept = np.empty((frames.nt,) + spectrum.shape[1:],
+                            dtype=spectrum.dtype)
+        gain_rows = _gain_rows(grid, nt_pad, frames.dt, fspec,
+                               spectrum.real.dtype)
+        # the output is not bound to a name here, so once the caller drops
+        # it, it is freed before the next filter's output is made
+        yield i, fspec, FrameStack(
+            grid=grid, nt=frames.nt, dt=frames.dt,
+            data=_filtered_inverse(spectrum, gain_rows, kept, grid.nx,
+                                   workers)), used_to
 
 
 def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,

@@ -38,6 +38,15 @@ def _load(path: Path):
     return module
 
 
+def _env() -> dict:
+    """This environment with the tested package's sources on PYTHONPATH."""
+    src_root = str(Path(velofilt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_root, env.get("PYTHONPATH")]))
+    return env
+
+
 check_golden = _load(SCRIPTS / "check_golden.py")
 
 
@@ -54,15 +63,11 @@ def runs(tmp_path_factory):
 
     def run(name: str) -> Path:
         if name not in done:
-            src_root = str(Path(velofilt.__file__).resolve().parents[1])
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src_root, env.get("PYTHONPATH")]))
             out = tmp_path_factory.mktemp(name) / f"{name}.csv"
             proc = subprocess.run(
                 [sys.executable, str(SCRIPTS / f"{name}.py"), "--out",
                  str(out), *ARGS.get(name, ["--nt", "24"])],
-                capture_output=True, text=True, env=env, timeout=300)
+                capture_output=True, text=True, env=_env(), timeout=300)
             assert proc.returncode == 0, proc.stderr
             done[name] = out
         return done[name]
@@ -85,3 +90,34 @@ def test_script_csv_hash(runs, name):
         pytest.skip(reason)
     got = hashlib.sha256(runs(name).read_bytes()).hexdigest()
     assert got == GOLDEN["csv_sha256"][name], f"{name} CSV sha256 {got}"
+
+
+BAD_FLAGS = [
+    ("run_velocity_map", ["--seed", "-1"], "--seed: must be a non-negative"),
+    ("run_circular", ["--seed", "x"], "--seed: must be a non-negative"),
+    ("run_velocity_map", ["--nt", "0"], "$.motion.nt"),
+    ("run_parallel_gap_sweep", ["--gaps", "0.4", "-0.2"],
+     "--gaps -0.2: config invalid at $.phantom.gap_mm"),
+    ("run_phantom_c", ["--c-mb", "-5", "1"],
+     "--c-mb -5.0: config invalid at $.phantom.c_mb_high_per_mm3"),
+]
+
+
+@pytest.mark.parametrize("name, args, message", BAD_FLAGS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_script_bad_flag_exits_2_before_any_run(tmp_path, name, args,
+                                                message):
+    # a bad flag, or a config it makes invalid, is refused by argparse
+    # (exit 2, one error line after the usage) before any gap or
+    # concentration runs, and nothing is written
+    out = tmp_path / "runs" / f"{name}.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), "--out", str(out),
+         *args], capture_output=True, text=True, env=_env(), timeout=120,
+        cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(f"{name}.py: error: ")
+    assert message in proc.stderr
+    assert list(tmp_path.iterdir()) == []

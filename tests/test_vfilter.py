@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (dft_filter_reference, trimmed_irfftn_ref,
                      velocity_gain_ref)
+from velofilt import vfilter
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
@@ -170,7 +173,9 @@ def test_bank_size_checked_before_allocation(monkeypatch):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr("velofilt.vfilter.apply_to_filter", no_alloc)
-    monkeypatch.setattr("scipy.fft.rfftn", no_alloc)
+    monkeypatch.setattr("velofilt.vfilter._half_spectrum", no_alloc)
+    for name in ("rfftn", "rfft", "fft"):
+        monkeypatch.setattr(f"scipy.fft.{name}", no_alloc)
     with pytest.raises(ValueError,
                        match=r"padded stack \(\d+, 4, 4\) exceeds .* 268435456"):
         next(run_filter_bank(frames, bank, to_params=T))
@@ -369,13 +374,13 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05,
                      lateral_to_angle_deg=10.0)
     calls = []
-    rfftn = scipy.fft.rfftn
+    half_spectrum = vfilter._half_spectrum
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return rfftn(*args, **kwargs)
+        return half_spectrum(*args, **kwargs)
 
-    monkeypatch.setattr("scipy.fft.rfftn", counted)
+    monkeypatch.setattr("velofilt.vfilter._half_spectrum", counted)
     routed = [used_to for *_, used_to in run_filter_bank(frames, bank,
                                                           to_params=T)]
     assert routed.count(True) == 2  # headings 0 and 180 degrees
@@ -383,6 +388,25 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     calls.clear()
     assert len(list(run_filter_bank(frames, bank))) == 12
     assert len(calls) == 1
+
+
+def whole_lattice_outputs(frames, bank, boundary):
+    """Each bank output as the first nt frames of the whole irfftn of the
+    rfftn of its padded source times build_filter's whole-lattice gain,
+    with the TO routing the bank reports."""
+    outs = []
+    for _, fspec, _, used_to in run_filter_bank(frames, bank, to_params=T,
+                                                boundary=boundary):
+        source = apply_to_filter(frames, T) if used_to else frames
+        pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
+        shape = (frames.nt + 2 * pad * (boundary == "pad"),
+                 frames.grid.nz, frames.grid.nx)
+        spectrum = scipy.fft.rfftn(source.data, s=shape)
+        gain = build_filter(frames.grid, shape[0], frames.dt, fspec)
+        outs.append(trimmed_irfftn_ref(
+            spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
+            (slice(frames.nt), slice(None), slice(None))))
+    return outs
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -393,18 +417,71 @@ def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
     frames = noise_stack(nt=14, nz=16, nx=11)
     frames.data = frames.data.astype(dtype)
     bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
-    for _, fspec, out, used_to in run_filter_bank(frames, bank, to_params=T,
-                                                  boundary=boundary):
-        source = apply_to_filter(frames, T) if used_to else frames
-        pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
-        shape = (frames.nt + 2 * pad * (boundary == "pad"), 16, 11)
-        spectrum = scipy.fft.rfftn(source.data, s=shape)
-        gain = build_filter(frames.grid, shape[0], frames.dt, fspec)
-        want = trimmed_irfftn_ref(
-            spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
-            (slice(frames.nt), slice(None), slice(None)))
+    wants = whole_lattice_outputs(frames, bank, boundary)
+    outs = list(run_filter_bank(frames, bank, to_params=T, boundary=boundary))
+    assert outs[0][3] and len(outs) == len(wants) == 3
+    for (*_, out, _), want in zip(outs, wants):
         assert out.data.dtype == dtype
         assert np.array_equal(out.data, want)
+
+
+# (nt, nz, nx): the padded nt has nt's parity (pad and periodic alike)
+@pytest.mark.parametrize("sizes", [(14, 16, 11), (13, 15, 12), (12, 10, 10)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
+                                                 monkeypatch):
+    # slabs of one kz row, slabs whose first and whose last row is the
+    # z-Nyquist row, and one slab for all rows give the whole-lattice bytes,
+    # on one worker and on two (filter 0 is TO-routed)
+    nt, nz, nx = sizes
+    frames = noise_stack(nt=nt, nz=nz, nx=nx)
+    frames.data = frames.data.astype(dtype)
+    bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
+    wants = whole_lattice_outputs(frames, bank, boundary)
+    pad = math.ceil(4.0 * 0.03 / frames.dt) * (boundary == "pad")
+    row = (nt + 2 * pad) * (nx // 2 + 1)
+    for rows in (1, nz // 2, nz // 2 + 1, nz):
+        # the budget's remainder below one more row must not matter
+        monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", rows * row + row - 1)
+        for workers in (1, 2):
+            outs = list(run_filter_bank(frames, bank, to_params=T,
+                                        boundary=boundary, workers=workers))
+            assert outs[0][3] and len(outs) == 3
+            for (*_, out, _), want in zip(outs, wants):
+                assert out.data.dtype == dtype
+                assert np.array_equal(out.data, want), (rows, workers)
+
+
+def test_bank_pass_memory_budget():
+    # axial-pre's geometry in float32: a (350, 96, 49) half lattice. One
+    # pass of a five-filter bank may hold the input, the shared spectrum,
+    # the kept frames' half spectrum, one output and two slab budgets (the
+    # float64 gain and the complex64 product of one slab), plus SLACK for
+    # the gain's mask, its Nyquist planes and small temporaries. A
+    # full-lattice gain or work buffer is far outside it.
+    SLACK = 2**20
+    nt, nz, nx = 150, 96, 96
+    bank = make_bank([0.1, 0.3, 0.5, 0.7, 0.9], [math.pi / 2], 0.5)
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(5)
+        frames = FrameStack(grid=make_grid(nx, nz, 0.05, 0.05), nt=nt,
+                            dt=0.02, data=rng.standard_normal(
+                                (nt, nz, nx), dtype=np.float32))
+        collections.deque(run_filter_bank(frames, bank), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nt_pad = nt + 2 * math.ceil(4.0 * 0.5 / 0.02)
+    assert nt_pad == 350
+    half = nz * (nx // 2 + 1)
+    budget = (4 * nt * nz * nx  # input
+              + 8 * nt_pad * half  # shared spectrum
+              + 8 * nt * half  # kept frames
+              + 4 * nt * nz * nx  # output
+              + 2 * 8 * vfilter._SLAB_ELEMENTS)
+    assert peak <= budget + SLACK, (peak, budget)
 
 
 def test_bank_outputs_do_not_alias_its_work_buffer():
