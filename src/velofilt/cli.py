@@ -766,6 +766,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
         raise ConfigError("ratio, wavelength and sigma_r must be positive")
     if args.steps < 1:
         raise ConfigError("theory: --steps must be at least 1")
+    if (args.gamma or args.to_gamma) and args.span_mm_s <= 0:
+        raise ConfigError("theory: --span-mm-s must be positive")
     # every table is computed before the first write, so an input the
     # closed forms reject is a config error with nothing written
     with _section("theory"):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pocketfft
+
 LAYOUT = "t-major,z-row-major,x-fastest"
 
 # point pairs a pairwise computation takes at once (the LE's Gaussian sum,
@@ -135,8 +137,9 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
                    workers: int = 1) -> np.ndarray:
     """scipy.fft.irfftn(spec, s, axes)[keep along axes], byte for byte,
     without the whole inverse: one axis at a time (complex ifft passes, the
-    real irfft last), each output axis cut to its keep slice right after
-    its own pass, so later passes and the output only span what is kept.
+    real irfft last, through _pocketfft), each output axis cut to its keep
+    slice right after its own pass, so later passes and the output only
+    span what is kept.
 
     The complex passes run in place, so spec is overwritten. Every pass is
     unscaled (norm="forward") and the kept output is then multiplied once
@@ -144,14 +147,13 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
     applies in the last pass of irfftn. The result may be a view of a
     larger array.
     """
-    import scipy.fft
     out = spec
     for ax, n, k in zip(axes[:-1], s, keep):
-        out = scipy.fft.ifft(out, n, axis=ax, norm="forward",
-                             workers=workers, overwrite_x=True)
+        out = _pocketfft.ifft(out, n, axis=ax, norm="forward",
+                              workers=workers, overwrite_x=True)
         out = out[(slice(None),) * (ax % out.ndim) + (k,)]
-    out = scipy.fft.irfft(out, s[-1], axis=axes[-1], norm="forward",
-                          workers=workers)
+    out = _pocketfft.irfft(out, s[-1], axis=axes[-1], norm="forward",
+                           workers=workers)
     out = out[(slice(None),) * (axes[-1] % out.ndim) + (keep[-1],)]
     out *= out.dtype.type(np.longdouble(1) / math.prod(s))
     return out

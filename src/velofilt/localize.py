@@ -16,14 +16,14 @@ envelope template, trading some velocity rejection for artifact-free
 positions when the response is distorted (e.g. accelerating flow).
 
 The 3x3 local maximum and the disk closing of the support mask are done in
-numpy. scipy.fft is imported inside the functions that transform, so
-importing this module (and the CLI) loads no scipy. A stack is detected in
-blocks of a few frames (at most _CORR_BLOCK samples of the padded
-correlation): a block costs one forward real FFT over its frames, an
-inverse whose x pass spans only the frame's nz rows (it keeps them right
-after its z pass), one local-max pass, one candidate sort and one
-suppression pass, and the template's spectrum is cached across blocks. A
-block's output is byte for byte that of its frames detected one at a
+numpy. The transforms are pocketfft's, called through _pocketfft, which
+loads the extension on the first transform and never imports scipy.fft.
+A stack is detected in blocks of a few frames (at most _CORR_BLOCK samples
+of the padded correlation): a block costs one forward real FFT over its
+frames, an inverse whose x pass spans only the frame's nz rows (it keeps
+them right after its z pass), one local-max pass, one candidate sort and
+one suppression pass, and the template's spectrum is cached across blocks.
+A block's output is byte for byte that of its frames detected one at a
 time. The envelope and the correlation run in the stack's own precision
 (float32 on the CLI path, whose stacks come from .f32 files); the
 template is cast to the frame's dtype, and its cached spectrum is keyed by
@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pocketfft
 from .core import (PAIR_BLOCK, FrameStack, Grid2D, check_finite,
                    load_csv_rows, make_grid, trimmed_irfftn)
 from .psf import PsfParams, ToParams, render_psf
@@ -112,9 +113,8 @@ def _template_spectrum(data: bytes, dtype: str, shape: tuple[int, int],
                        fshape: tuple[int, int]) -> np.ndarray:
     """Read-only half spectrum of the flipped template, zero-padded to
     fshape; keyed by the template's bytes so each frame reuses it."""
-    import scipy.fft
     template = np.frombuffer(data, dtype=dtype).reshape(shape)
-    spec = scipy.fft.rfftn(template[::-1, ::-1], fshape)
+    spec = _pocketfft.rfftn(template[::-1, ::-1], fshape)
     spec.flags.writeable = False
     return spec
 
@@ -124,9 +124,9 @@ def _padded_shape(frame_shape: tuple[int, int],
                   ) -> tuple[list[int], tuple[int, int]]:
     """Full linear correlation size of a (nz, nx) frame and a template, and
     the real-FFT-friendly shape it is computed on."""
-    import scipy.fft
     full = [n + m - 1 for n, m in zip(frame_shape, template_shape)]
-    return full, tuple(scipy.fft.next_fast_len(n, real=True) for n in full)
+    return full, tuple(_pocketfft.next_fast_len(n, real=True)
+                       for n in full)
 
 
 def matched_filter_map(frame: np.ndarray, grid: Grid2D,
@@ -144,7 +144,6 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     centred window of the whole irfftn, and each frame's bytes are those
     of the call on that frame alone.
     """
-    import scipy.fft
     shape = frame.shape[-2:]
     if template.shape[0] > shape[0] or template.shape[1] > shape[1]:
         raise ValueError("template larger than frame")
@@ -153,7 +152,7 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
     full, fshape = _padded_shape(shape, template.shape)
     # the template in the frame's precision: float32 for a float32 frame
     template = template.astype(np.result_type(frame, np.float32), copy=False)
-    spec = (scipy.fft.rfftn(frame, fshape, axes=(-2, -1))
+    spec = (_pocketfft.rfftn(frame, fshape, axes=(-2, -1))
             * _template_spectrum(template.tobytes(), template.dtype.str,
                                  template.shape, fshape))
     z0, x0 = ((f - n) // 2 for f, n in zip(full, shape))
@@ -414,13 +413,12 @@ def _envelope_z(data: np.ndarray) -> np.ndarray:
     (and the Nyquist bin for even nz), double the positive frequencies and
     zero the negative ones. The forward transform is real: pocketfft's
     rfft gives the first n // 2 + 1 bins of its complex fft bit for bit."""
-    import scipy.fft
     n = data.shape[1]
-    half = scipy.fft.rfft(data, axis=1)
+    half = _pocketfft.rfft(data, axis=1)
     spec = np.zeros(data.shape, dtype=half.dtype)
     spec[:, :n // 2 + 1] = half
     spec[:, 1:(n + 1) // 2] *= 2.0
-    return np.abs(scipy.fft.ifft(spec, axis=1, overwrite_x=True))
+    return np.abs(_pocketfft.ifft(spec, axis=1, overwrite_x=True))
 
 
 def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,

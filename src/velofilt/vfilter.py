@@ -37,8 +37,8 @@ exactly 0 (about half of a padded lattice in float64, four fifths in
 float32), the gain is set to 0 without calling exp, whose underflow path is
 slow.
 
-scipy.fft is imported inside the functions that transform, not with the
-module, so a process that never filters does not pay for its import.
+The transforms are scipy's pocketfft, called through _pocketfft, which
+loads its extension on the first transform and never imports scipy.fft.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _pocketfft
 from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
                    kz_lattice, omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
@@ -246,10 +247,9 @@ def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
     win = gaussian_window(spec.sigma_t, frames.dt, trunc_sigmas=trunc_sigmas)
     if len(win) > 4 * frames.nt:
         raise ValueError("window truncation far exceeds the stack length")
-    import scipy.fft
     kx = kx_lattice(frames.grid)
     kz = kz_lattice(frames.grid)
-    frames_hat = scipy.fft.fft2(frames.data, axes=(1, 2))
+    frames_hat = _pocketfft.fft2(frames.data, axes=(1, 2))
     out_hat = np.zeros_like(frames_hat)
     vfx, vfz = spec.v_f
     lags = np.arange(-win.half_width, win.half_width + 1)
@@ -264,7 +264,7 @@ def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
             continue
         src = frames_hat[lo_out - j:hi_out - j]
         out_hat[lo_out:hi_out] += (w_j * frames.dt) * src * ramp[None, :, :]
-    out = scipy.fft.ifft2(out_hat, axes=(1, 2)).real
+    out = _pocketfft.ifft2(out_hat, axes=(1, 2)).real
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt,
                       data=np.ascontiguousarray(out))
 
@@ -277,11 +277,10 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     periodic (PSFs decay well inside the grid, making wrap-around negligible
     at the tested sizes).
     """
-    import scipy.fft
     nx = frames.grid.nx
     gain = to_transfer(t, kx_lattice(frames.grid)[:nx // 2 + 1])
-    row_hat = scipy.fft.rfft(frames.data, axis=2)
-    out = scipy.fft.irfft(
+    row_hat = _pocketfft.rfft(frames.data, axis=2)
+    out = _pocketfft.irfft(
         row_hat * gain.astype(row_hat.real.dtype, copy=False), n=nx, axis=2)
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
@@ -292,11 +291,10 @@ def _half_spectrum(data: np.ndarray, nt_pad: int,
     byte for byte, in the pass order pocketfft's rfftn uses: the rfft along
     x, the fft along t zero-padded to nt_pad, then the fft along z in place.
     The zero-padded real copy of data that rfftn makes is never formed."""
-    import scipy.fft
-    spec = scipy.fft.rfft(data, axis=2, workers=workers)
-    spec = scipy.fft.fft(spec, nt_pad, axis=0, workers=workers,
-                         overwrite_x=True)
-    return scipy.fft.fft(spec, axis=1, workers=workers, overwrite_x=True)
+    spec = _pocketfft.rfft(data, axis=2, workers=workers)
+    spec = _pocketfft.fft(spec, nt_pad, axis=0, workers=workers,
+                          overwrite_x=True)
+    return _pocketfft.fft(spec, axis=1, workers=workers, overwrite_x=True)
 
 
 def _filtered_inverse(spectrum: np.ndarray,
@@ -313,7 +311,6 @@ def _filtered_inverse(spectrum: np.ndarray,
     output is multiplied once by T(1 / prod(padded shape)), rounded from
     long double, as trimmed_irfftn does.
     """
-    import scipy.fft
     nt_pad, nz, nxh = spectrum.shape
     nt = kept.shape[0]
     step = max(1, _SLAB_ELEMENTS // (nt_pad * nxh))
@@ -325,12 +322,13 @@ def _filtered_inverse(spectrum: np.ndarray,
         # multiply
         np.multiply(spectrum[:, z0:z1], gain_rows(z0, z1), out=slab,
                     dtype=slab.dtype)
-        slab = scipy.fft.ifft(slab, axis=0, norm="forward", workers=workers,
-                              overwrite_x=True)
+        slab = _pocketfft.ifft(slab, axis=0, norm="forward",
+                               workers=workers, overwrite_x=True)
         kept[:, z0:z1] = slab[:nt]
-    out = scipy.fft.ifft(kept, axis=1, norm="forward", workers=workers,
-                         overwrite_x=True)
-    out = scipy.fft.irfft(out, nx, axis=2, norm="forward", workers=workers)
+    out = _pocketfft.ifft(kept, axis=1, norm="forward", workers=workers,
+                          overwrite_x=True)
+    out = _pocketfft.irfft(out, nx, axis=2, norm="forward",
+                           workers=workers)
     out *= out.dtype.type(np.longdouble(1) / (nt_pad * nz * nx))
     return out
 

@@ -790,9 +790,14 @@ def test_theory_rejects_bad_ratio(tmp_path):
     ["--to-gamma", "--lambda-x-mm", "-1"],
     ["--nrf", "--frame-rate-hz", "0"],
     ["--deltav", "--acq-time", "--d-mm", "0"],
+    ["--gamma", "--span-mm-s", "0"],
+    ["--gamma", "--span-mm-s", "-2"],
+    ["--to-gamma", "--span-mm-s", "0"],
+    ["--to-gamma", "--span-mm-s", "-2"],
 ], ids=" ".join)
 def test_theory_bad_inputs_exit_2_before_any_write(tmp_path, capsys, argv):
-    # --steps 0 used to write a header-only table and exit 0; the domain
+    # --steps 0 used to write a header-only table and exit 0, --span-mm-s 0
+    # a grid of all-zero mismatches and -2 a reversed grid; the domain
     # checks of the closed forms used to exit 4
     out = tmp_path / "theory"
     assert main(["theory", "--out", str(out), *argv]) == 2
@@ -920,11 +925,56 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    # scipy.fft alone costs about 0.3 s of start-up (scipy.signal, with
-    # scipy.stats and scipy.interpolate, about 1 s); the package imports
-    # scipy.fft only in the functions that transform
+    # scipy.fft alone costs about 0.14 s and 20 MB of start-up (scipy.signal,
+    # with scipy.stats and scipy.interpolate, about 1 s); the package loads
+    # only pocketfft's extension, and only on its first transform
     code = f"import sys, velofilt.cli; print({_SCIPY_LOADED})"
     assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("stage", ["filter", "localize", "pipeline"])
+def test_transforming_commands_load_no_scipy_fft(tmp_path, stage):
+    # scipy.fft's array-API layer imports numpy.f2py and scipy.special; the
+    # transforms call pocketfft's extension, loaded on its own
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    if stage != "pipeline":
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    heavy = ("scipy.fft", "scipy.special", "scipy._lib._array_api",
+             "numpy.f2py")
+    code = (f"import sys, velofilt.cli as c; "
+            f"rc = c.main({[stage, '--config', str(cfg), '--out', str(out)]}"
+            f"); print(rc, [m for m in {heavy} if m in sys.modules], "
+            f"'scipy.fft._pocketfft.pypocketfft' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "0 [] True"
+
+
+_TRANSFORM = """
+import hashlib
+import numpy as np
+from velofilt import _pocketfft
+from velofilt.core import FrameStack, make_grid
+from velofilt.vfilter import VelocityFilterSpec, apply_filter_fft
+data = np.random.default_rng(3).normal(size=(16, 12, 10)).astype(np.float32)
+stack = FrameStack(grid=make_grid(10, 12, 0.05, 0.05), nt=16, dt=0.01,
+                   data=data)
+out = apply_filter_fft(stack, VelocityFilterSpec(v_f=(1.0, 0.5),
+                                                 sigma_t=0.05))
+print(hashlib.sha256(out.data.tobytes()).hexdigest())
+"""
+
+
+def test_transform_bytes_do_not_depend_on_import_order():
+    # whichever of velofilt and scipy.fft loads pocketfft's extension
+    # first, the other reuses that module, and the bytes are the same
+    shared = ("import scipy.fft\n"
+              "print(_pocketfft._extension()"
+              " is scipy.fft._pocketfft.basic.pfft)")
+    velofilt_first = _fresh_python(_TRANSFORM + shared).splitlines()
+    scipy_first = _fresh_python("import scipy.fft" + _TRANSFORM
+                                + shared).splitlines()
+    assert velofilt_first == scipy_first
+    assert velofilt_first[-1] == "True"
 
 
 @pytest.mark.parametrize("stage", ["synth", "accumulate", "metrics"])

@@ -1,8 +1,10 @@
-"""Unused-import check over the package, the study scripts and the tests.
+"""Import checks over the package, the study scripts and the tests.
 
 No linter is among the test dependencies, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
-module, or be listed in its `__all__`.
+module, or be listed in its `__all__`; and no module of the package
+imports scipy, whose only use, pocketfft's extension, `_pocketfft` loads
+without an import statement.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = (sorted((ROOT / "src" / "velofilt").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "velofilt").glob("*.py"))
+MODULES = (PACKAGE
            + sorted((ROOT / "scripts").glob("*.py"))
            + sorted((ROOT / "tests").glob("*.py")))
 
@@ -55,3 +58,36 @@ def test_checker_finds_unused_imports():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """'module (line n)' for each import of scipy or a submodule of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] == "scipy"]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_finds_scipy_imports():
+    source = ("import scipyx, os\n"
+              "from . import _pocketfft\n"
+              "def f():\n"
+              "    import scipy.fft\n"
+              "    from scipy import signal\n"
+              "import numpy as np, scipy\n")
+    assert scipy_imports(source) == ["scipy.fft (line 4)",
+                                     "scipy (line 5)", "scipy (line 6)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_scipy(path):
+    # `import scipy.fft` costs about 0.14 s and 20 MB of every process that
+    # transforms; _pocketfft loads pocketfft's extension on its own
+    assert scipy_imports(path.read_text()) == []

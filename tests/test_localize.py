@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
                      suppress_loop, velocity_map_loop)
-from velofilt import localize
+from velofilt import _pocketfft, localize
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                _QUAD_FIT, _envelope_z, _merge_frame,
@@ -699,13 +698,13 @@ def test_template_spectrum_taken_once_per_template(monkeypatch):
             * (grid.dx * grid.dz) for t in (tpl_a, tpl_b) for f in frames]
     _template_spectrum.cache_clear()
     calls = []
-    rfftn = scipy.fft.rfftn
+    rfftn = _pocketfft.rfftn
 
     def counted(x, *args, **kwargs):
         calls.append(x.shape)
         return rfftn(x, *args, **kwargs)
 
-    monkeypatch.setattr("scipy.fft.rfftn", counted)
+    monkeypatch.setattr(_pocketfft, "rfftn", counted)
     # a template of the same shape but other values gets its own spectrum
     got = [matched_filter_map(f, grid, t) for t in (tpl_a, tpl_b)
            for f in frames]

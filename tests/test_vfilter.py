@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (dft_filter_reference, trimmed_irfftn_ref,
                      velocity_gain_ref)
-from velofilt import vfilter
+from velofilt import _pocketfft, vfilter
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
@@ -175,7 +175,7 @@ def test_bank_size_checked_before_allocation(monkeypatch):
     monkeypatch.setattr("velofilt.vfilter.apply_to_filter", no_alloc)
     monkeypatch.setattr("velofilt.vfilter._half_spectrum", no_alloc)
     for name in ("rfftn", "rfft", "fft"):
-        monkeypatch.setattr(f"scipy.fft.{name}", no_alloc)
+        monkeypatch.setattr(_pocketfft, name, no_alloc)
     with pytest.raises(ValueError,
                        match=r"padded stack \(\d+, 4, 4\) exceeds .* 268435456"):
         next(run_filter_bank(frames, bank, to_params=T))
