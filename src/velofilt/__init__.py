@@ -4,7 +4,7 @@ Submodules:
     core      frame-stack containers, Fourier lattices, file formats
     psf       point-spread-function models (plain, envelope, transverse-osc)
     phantom   synthetic vessel/bubble phantoms and frame synthesis
-    vfilter   the velocity filter (FFT and shift-and-sum paths), TO filter
+    vfilter   the velocity filter bank (3D FFT) and the TO filter
     theory    closed-form attenuation, passband, density, and bound formulas
     localize  matched-filter detection, accumulation, velocity maps
     metrics   LE / IoU / FVE / empirical attenuation

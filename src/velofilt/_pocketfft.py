@@ -89,10 +89,6 @@ def _fix_shape(x: np.ndarray, shape, axes) -> tuple[np.ndarray, bool]:
     return out, True
 
 
-def _positive(axes, ndim: int) -> list[int]:
-    return [a + ndim if a < 0 else a for a in axes]
-
-
 def _inorm(norm: str | None, forward: bool) -> int:
     return _INORM[norm] if forward else 2 - _INORM[norm]
 
@@ -122,19 +118,8 @@ def _c2c(forward, x, n=None, axis=-1, norm=None, overwrite_x=False,
                             out, _workers(workers))
 
 
-def _c2cn(forward, x, axes=(-2, -1), norm=None, overwrite_x=False,
-          workers=None) -> np.ndarray:
-    tmp = _asfarray(x)
-    overwrite_x = overwrite_x or _copied(tmp, x)
-    out = tmp if overwrite_x and tmp.dtype.kind == "c" else None
-    return _extension().c2c(tmp, _positive(axes, tmp.ndim), forward,
-                            _inorm(norm, forward), out, _workers(workers))
-
-
 fft = functools.partial(_c2c, True)
 ifft = functools.partial(_c2c, False)
-fft2 = functools.partial(_c2cn, True)
-ifft2 = functools.partial(_c2cn, False)
 
 
 def rfft(x, n=None, axis=-1, norm=None, workers=None) -> np.ndarray:
@@ -149,7 +134,7 @@ def rfftn(x, s, axes=None, norm=None, workers=None) -> np.ndarray:
     tmp = _asfarray(x)
     if axes is None:
         axes = range(tmp.ndim - len(s), tmp.ndim)
-    axes = _positive(axes, tmp.ndim)
+    axes = [a + tmp.ndim if a < 0 else a for a in axes]
     tmp, _ = _fix_shape(tmp, s, axes)
     return _extension().r2c(tmp, axes, True, _inorm(norm, True), None,
                             _workers(workers))

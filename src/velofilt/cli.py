@@ -543,7 +543,7 @@ def synthesize(r: Resolved, seed: int
     with _section("phantom"):
         bubbles = _draw_bubbles(r, rng)
     return synthesize_frames(
-        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, mode="pre",
+        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf,
         noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
 
 

@@ -1,4 +1,4 @@
-"""Grids, frame stacks, file formats and the shared FFT/window conventions.
+"""Grids, frame stacks, file formats and the shared FFT conventions.
 
 Coordinates are millimetres in the image plane (x lateral, z axial) and
 seconds in time. A frame stack is a movie of 2D frames sampled on a regular
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +110,6 @@ class FrameStack:
             raise ValueError(
                 f"data shape {self.data.shape} != (nt, nz, nx) = {expected}")
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt)
-
     def copy(self) -> "FrameStack":
         return FrameStack(self.grid, self.nt, self.dt, self.data.copy())
 
@@ -159,46 +156,6 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
     return out
 
 
-@dataclass(frozen=True)
-class SampledWindow:
-    """Symmetric temporal window sampled on the frame clock.
-
-    weights[half_width + n] is the weight at lag n*dt, n in [-half_width,
-    half_width]; sum(weights)*dt == 1 after construction.
-    """
-
-    sigma_t: float
-    dt: float
-    half_width: int
-    weights: np.ndarray = field(repr=False)
-
-    @property
-    def lags(self) -> np.ndarray:
-        return self.dt * np.arange(-self.half_width, self.half_width + 1)
-
-    def __len__(self) -> int:
-        return 2 * self.half_width + 1
-
-
-def gaussian_window(sigma_t: float, dt: float,
-                    trunc_sigmas: float = 4.0) -> SampledWindow:
-    """Sampled unit-mass Gaussian window, truncated at +-trunc_sigmas.
-
-    Renormalized so sum(w)*dt = 1 exactly; the clipped tail mass at the
-    default 4 sigma is below 1e-4, so renormalization is a sub-1e-4 tweak.
-    """
-    if sigma_t <= 0 or dt <= 0:
-        raise ValueError("sigma_t and dt must be positive")
-    if trunc_sigmas < 3.0:
-        raise ValueError("window truncation must keep at least 3 sigma")
-    half_width = math.ceil(trunc_sigmas * sigma_t / dt)
-    lags = dt * np.arange(-half_width, half_width + 1)
-    w = np.exp(-0.5 * (lags / sigma_t) ** 2) / (math.sqrt(2 * math.pi) * sigma_t)
-    w /= w.sum() * dt
-    return SampledWindow(sigma_t=sigma_t, dt=dt, half_width=half_width,
-                         weights=w)
-
-
 # ---------------------------------------------------------------------------
 # File formats: <name>.json header + <name>.f32 raw little-endian float32,
 # and 8-bit binary PGM previews.
@@ -237,11 +194,25 @@ def check_finite(data: np.ndarray) -> None:
 
 def load_frame_stack(base: str | Path) -> FrameStack:
     """Read a stack written by save_frame_stack; validates header, size and
-    that every sample is finite. The data stay the float32 that was stored."""
+    that every sample is finite (a damaged header or payload raises a
+    ValueError). The data stay the float32 that was stored."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     raw_path = base.with_suffix(".f32")
     header = json.loads(json_path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    # json gives exact types, and a bool is neither a size nor a number
+    for key in ("nx", "nz", "nt", "dx_mm", "dz_mm", "x0_mm", "z0_mm", "dt_s"):
+        value = header.get(key)
+        if key in ("nx", "nz", "nt"):
+            ok, want = type(value) is int and value >= 1, "an integer >= 1"
+        else:
+            ok, want = (type(value) in (int, float)
+                        and math.isfinite(value)), "a finite number"
+        if not ok:
+            raise ValueError(f"header {key} is {value!r}, not {want}"
+                             if key in header else f"header lacks {key}")
     if header.get("version") != 1:
         raise ValueError(f"unsupported frame stack version {header.get('version')!r}")
     if header.get("layout") != LAYOUT:

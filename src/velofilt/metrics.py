@@ -164,15 +164,13 @@ def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
 
 
 def fve(truth_vx: np.ndarray, truth_vz: np.ndarray, est_vx: np.ndarray,
-        est_vz: np.ndarray, fastest_q: float | None = None,
-        speed_only: bool = False) -> float:
+        est_vz: np.ndarray, fastest_q: float | None = None) -> float:
     """Average velocity error per truth pixel (mm/s).
 
-    Per-pixel error is |dvx| + |dvz| (component-wise 1-norm), or the
-    absolute speed difference with speed_only. The normalizer is the count
-    of nonzero-speed truth pixels. fastest_q restricts the average to the
-    truth pixels whose speed reaches the top q fraction (per-pixel speed
-    quantile over the truth support).
+    Per-pixel error is |dvx| + |dvz| (component-wise 1-norm). The
+    normalizer is the count of nonzero-speed truth pixels. fastest_q
+    restricts the average to the truth pixels whose speed reaches the top q
+    fraction (per-pixel speed quantile over the truth support).
     """
     if truth_vx.shape != est_vx.shape or truth_vz.shape != est_vz.shape:
         raise ValueError("map shapes differ")
@@ -185,10 +183,7 @@ def fve(truth_vx: np.ndarray, truth_vz: np.ndarray, est_vx: np.ndarray,
             raise ValueError("fastest_q must be in (0, 1]")
         cut = np.quantile(truth_speed[support], 1.0 - fastest_q)
         support = support & (truth_speed >= cut)
-    if speed_only:
-        err = np.abs(truth_speed - np.hypot(est_vx, est_vz))
-    else:
-        err = np.abs(truth_vx - est_vx) + np.abs(truth_vz - est_vz)
+    err = np.abs(truth_vx - est_vx) + np.abs(truth_vz - est_vz)
     return float(err[support].sum() / np.count_nonzero(support))
 
 

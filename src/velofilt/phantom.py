@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FrameStack, Grid2D, load_csv_rows
-from .psf import PsfParams, ToParams
+from .psf import PsfParams
 
 
 @dataclass(frozen=True)
@@ -341,49 +341,28 @@ def truth_maps(flow: Flow, grid: Grid2D
 # ---------------------------------------------------------------------------
 # Frame synthesis.
 
-def render_frame(bubbles: BubbleSet, grid: Grid2D, p: PsfParams,
-                 mode: str = "pre", to: ToParams | None = None) -> np.ndarray:
-    """Sum of analytic PSFs at the bubbles' image positions, one frame.
+def render_frame(bubbles: BubbleSet, grid: Grid2D,
+                 p: PsfParams) -> np.ndarray:
+    """Sum of pre-envelope PSFs at the bubbles' image positions, one frame.
 
-    Uses the separability of every PSF model in (x, z): per bubble the field
-    is an outer product of a lateral and an axial factor, so the frame is one
+    Uses the separability of the PSF in (x, z): per bubble the field is an
+    outer product of a lateral and an axial factor, so the frame is one
     matrix product instead of a per-bubble 2D evaluation.
     """
-    frame = np.zeros((grid.nz, grid.nx))
-    if len(bubbles) == 0:
-        return frame
-    xg = grid.x_coords()
-    zg = grid.z_coords()
-    bx = bubbles.pos[:, 0]
-    bz = bubbles.pos[:, 2]
-    ux = xg[None, :] - bx[:, None]      # (n, nx)
-    uz = zg[None, :] - bz[:, None]      # (n, nz)
+    ux = grid.x_coords()[None, :] - bubbles.pos[:, 0, None]    # (n, nx)
+    uz = grid.z_coords()[None, :] - bubbles.pos[:, 2, None]    # (n, nz)
     s2 = 2.0 * p.sigma_r**2
-    if mode == "to":
-        if to is None:
-            raise ValueError("mode 'to' needs ToParams")
-        widen = to.lateral_envelope_scale
-        lat = (np.exp(-(ux / widen) ** 2 / s2)
-               * np.cos(2.0 * math.pi * ux / to.lambda_x_tilde))
-        lat *= to.c_to
-    else:
-        lat = np.exp(-(ux**2) / s2)
-    axial = np.exp(-(uz**2) / s2)
-    if mode in ("pre", "to"):
-        axial = axial * np.cos(2.0 * math.pi * uz / p.wavelength)
-    elif mode != "post":
-        raise ValueError(f"unknown PSF mode {mode!r}")
-    frame = axial.T @ lat               # (nz, nx)
-    frame *= p.g_e_peak
-    return frame
+    lat = np.exp(-(ux**2) / s2)
+    axial = np.exp(-(uz**2) / s2) * np.cos(2.0 * math.pi * uz / p.wavelength)
+    # no bubbles: a (nz, 0) @ (0, nx) product, all zeros
+    return (axial.T @ lat) * p.g_e_peak
 
 
 def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
-                      nt: int, dt: float, p: PsfParams, mode: str = "pre",
-                      to: ToParams | None = None, noise_std: float = 0.0,
+                      nt: int, dt: float, p: PsfParams, noise_std: float = 0.0,
                       rng: np.random.Generator | None = None
                       ) -> tuple[FrameStack, list[np.ndarray]]:
-    """Advance bubbles over nt frames and render each frame.
+    """Advance bubbles over nt frames and render each frame (render_frame).
 
     Bubble positions are taken at frame times t = 0, dt, ..., (nt-1)dt. The
     flow sets the motion: a band makes the bubbles orbit its center;
@@ -410,7 +389,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     point_frames = []
     state = bubbles.copy()
     for t in range(nt):
-        data[t] = render_frame(state, grid, p, mode=mode, to=to)
+        data[t] = render_frame(state, grid, p)
         keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
         point_frames.append(np.column_stack([
             state.ids[keep].astype(np.float64),

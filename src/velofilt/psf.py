@@ -170,11 +170,3 @@ def autocorr_theory(p: PsfParams) -> MatchedFilterTheory:
                                c_g=c_g, g_e_peak=p.g_e_peak,
                                wavelength=p.wavelength)
 
-
-def eval_autocorr(p: PsfParams, x, z) -> np.ndarray:
-    """R_g evaluated at lag r = (x, z)."""
-    mf = autocorr_theory(p)
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    hat = mf.g_e_hat_peak * np.exp(-(x**2 + z**2) / (2.0 * mf.sigma_r_hat**2))
-    return hat * (0.5 * np.cos(2.0 * math.pi * z / p.wavelength) + mf.c_g)

@@ -3,9 +3,9 @@
 The filter is a pure gain in 3D Fourier space,
     H(k, Omega) = exp(-sigma_t^2 (Omega + k . v_f)^2 / 2),
 i.e. a Gaussian temporal low-pass re-centered on the plane Omega = -k . v_f
-traced out by anything translating at v_f. Two equivalent applications are
-provided: the production 3D-FFT path and a direct shift-and-sum path
-(temporal average along the selected trajectory) used as a cross-check.
+traced out by anything translating at v_f. It is applied through the 3D
+FFT; the equivalent shift-and-sum form (a temporal average along the
+selected trajectory) is a test oracle.
 
 The FFT path works on real FFTs. A bank takes the half spectrum of each
 padded source stack it needs (raw or TO-prefiltered, per temporal pad) once
@@ -22,8 +22,8 @@ even, so the gain on the Nyquist planes is the mean of H at the bin and at
 its mirrored bin: the Hermitian part of H, which is exactly what taking the
 real part of a complex inverse FFT would keep.
 
-Both paths zero-extend in time; the FFT path pads by 4 sigma_t worth of
-frames before the FFT and trims after, so trajectories do not wrap. The
+Time is zero-extended: the stack is padded by 4 sigma_t worth of frames
+before the FFT and trimmed after, so trajectories do not wrap. The
 spatial axes stay periodic: keep moving targets clear of the lateral edges
 by v_f * 4 sigma_t or accept wrap-around (boundary="periodic" skips the
 temporal pad too, for stationary-statistics measurements).
@@ -52,8 +52,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _pocketfft
-from .core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
-                   kz_lattice, omega_lattice, save_frame_stack)
+from .core import (FrameStack, Grid2D, kx_lattice, kz_lattice,
+                   omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
 # Hard cap on the padded stack a 3D FFT runs on; it rejects sizes that would
@@ -156,10 +156,12 @@ def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
 
 def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                dtype) -> Callable[[int, int], np.ndarray]:
-    """rows(z0, z1) = build_filter(grid, nt, dt, spec, dtype)[:, z0:z1],
-    byte for byte, for any z0 < z1: every entry is computed from its own
-    lattice frequencies alone. The lattices, their Nyquist mirrors and the
-    Nyquist-plane means are computed here, once for all slabs."""
+    """rows(z0, z1): the float64 gain on kz rows z0:z1 of the rfftn half
+    lattice of an (nt, nz, nx) stack. It is H, with the Hermitian mean on
+    the Nyquist planes, and 0 where the cast to dtype would round it to 0
+    (_exp_floor). Each entry depends on its own frequencies alone, so
+    rows(z0, z1) is rows(0, nz)[:, z0:z1] byte for byte; the lattices,
+    their mirrors and the Nyquist-plane means are computed once here."""
     floor = _exp_floor(dtype)
     sizes = (nt, grid.nz, grid.nx)
     axes = (omega_lattice(nt, dt), kz_lattice(grid),
@@ -191,27 +193,6 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     return rows
 
 
-def build_filter(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
-                 dtype=np.float64) -> np.ndarray:
-    """Gain on the rfftn half lattice (nt, nz, nx//2+1) of an (nt, nz, nx)
-    stack; exactly 1 where Omega = -k.v_f.
-
-    Off the Nyquist planes this is H. On the Nyquist plane of an even axis
-    it is the mean of H at the bin and at its mirrored bin (every even
-    axis's Nyquist frequency negated), which makes the gain Hermitian, so
-    the filtered stack is real.
-
-    The gain is float64 whatever dtype is; dtype is the precision it will
-    be cast to, and entries that the cast would round to 0 are set to 0
-    without calling exp (see _exp_floor). Cast to dtype, the result is
-    that of the default float64 call. This is the whole-lattice case of the
-    slab routine run_filter_bank builds its gains with: all kz rows at once.
-    """
-    if nt < 1:
-        raise ValueError("nt must be >= 1")
-    return _gain_rows(grid, nt, dt, spec, dtype)(0, grid.nz)
-
-
 def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
     return int(math.ceil(4.0 * spec.sigma_t / frames.dt))
 
@@ -230,43 +211,6 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
     [(_, _, out, _)] = run_filter_bank(frames, FilterBankSpec(filters=(spec,)),
                                        boundary=boundary, workers=workers)
     return out
-
-
-def apply_filter_direct(frames: FrameStack, spec: VelocityFilterSpec,
-                        trunc_sigmas: float = 4.0) -> FrameStack:
-    """Shift-and-sum oracle: average along the selected trajectory.
-
-    phi(r, t) = sum_j w(j dt) dt * b(r - v_f * (j dt), t - j), with the sum
-    over window lags and b zero outside the recorded frames. Spatial
-    sub-pixel shifts are Fourier phase ramps (band-limited interpolation),
-    so this equals the FFT path up to the temporal boundary treatment and
-    window truncation, provided the frame rate resolves the Doppler band:
-    the time-sampled window aliases the gain with period 2 pi / dt along
-    Omega, so agreement needs sigma_t * (pi/dt - max|k . v_f|) >> 1.
-    """
-    win = gaussian_window(spec.sigma_t, frames.dt, trunc_sigmas=trunc_sigmas)
-    if len(win) > 4 * frames.nt:
-        raise ValueError("window truncation far exceeds the stack length")
-    kx = kx_lattice(frames.grid)
-    kz = kz_lattice(frames.grid)
-    frames_hat = _pocketfft.fft2(frames.data, axes=(1, 2))
-    out_hat = np.zeros_like(frames_hat)
-    vfx, vfz = spec.v_f
-    lags = np.arange(-win.half_width, win.half_width + 1)
-    for j, w_j in zip(lags, win.weights):
-        j = int(j)
-        tau = j * frames.dt
-        ramp = np.exp(-1j * (kx[None, :] * (vfx * tau)
-                             + kz[:, None] * (vfz * tau)))
-        lo_out = max(0, j)
-        hi_out = min(frames.nt, frames.nt + j)
-        if lo_out >= hi_out:
-            continue
-        src = frames_hat[lo_out - j:hi_out - j]
-        out_hat[lo_out:hi_out] += (w_j * frames.dt) * src * ramp[None, :, :]
-    out = _pocketfft.ifft2(out_hat, axes=(1, 2)).real
-    return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt,
-                      data=np.ascontiguousarray(out))
 
 
 def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
@@ -353,8 +297,9 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     runs over its spectrum in slabs of kz rows (_filtered_inverse), so
     besides the shared spectra it holds one slab's gain and product, the
     kept frames' buffer that all filters share, and its output; the output
-    is byte for byte the trimmed whole irfftn of spectrum * build_filter. The
-    2 * pad zero frames go after the stack, which on the circular time
+    is byte for byte the trimmed whole irfftn of the spectrum times the
+    whole-lattice gain (_gain_rows over every kz row). The 2 * pad zero
+    frames go after the stack, which on the circular time
     lattice is the symmetric pad shifted by pad frames, so the kept frames
     are the first nt. The largest padded stack is checked against
     _MAX_FFT_ELEMENTS before anything is allocated.

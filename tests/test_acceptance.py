@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oracles import band_density_quad, filtered_response_quad
+from closed_forms import joint_density, q_post, q_pre, to_q
+from oracles import (apply_filter_direct, band_density_quad,
+                     filtered_response_quad)
 from velofilt.cli import load_config, localize, resolve, synthesize
 from velofilt.core import FrameStack, make_grid
 from velofilt.localize import (accumulate, segment_support,
@@ -28,11 +30,10 @@ from velofilt.phantom import (VesselSpec, from_plane, synthesize_frames,
                               truth_maps)
 from velofilt.psf import PsfParams, ToParams, render_psf
 from velofilt.theory import (apparent_density, attenuation_pre,
-                             filtered_density, joint_density, make_noise_spec,
-                             nrf_bound, q_post, q_pre, to_attenuation, to_q,
-                             velocity_bandwidth)
-from velofilt.vfilter import (VelocityFilterSpec, apply_filter_direct,
-                              apply_filter_fft, apply_to_filter)
+                             filtered_density, make_noise_spec, nrf_bound,
+                             to_attenuation, velocity_bandwidth)
+from velofilt.vfilter import (VelocityFilterSpec, apply_filter_fft,
+                              apply_to_filter)
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_CONFIGS = ROOT / "src" / "velofilt" / "configs"

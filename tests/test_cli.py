@@ -452,6 +452,30 @@ def test_exit_data_error_on_non_finite_stack(tmp_path, capsys):
     assert not (out / "t_locs.csv").exists()
 
 
+def _without_nx(header):
+    del header["nx"]
+    return header
+
+
+@pytest.mark.parametrize("damage", [
+    _without_nx,
+    # the right size, written as a float: the payload size still matches
+    lambda header: {**header, "nx": float(header["nx"])},
+    lambda header: {**header, "dt_s": "0.1"},
+    lambda header: [1, 2]], ids=["no-nx", "float-nx", "string-dt", "list"])
+def test_exit_data_error_on_damaged_stack_header(tmp_path, capsys, damage):
+    # each of these used to end in a traceback and exit 1
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header_path = out / "t_frames.json"
+    header_path.write_text(json.dumps(damage(json.loads(
+        header_path.read_text()))))
+    assert main(["localize", "--config", str(cfg_path), "--out",
+                 str(out)]) == 3
+    assert "bad frame stack" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, edit", [
     ("nx", {"nx": 40}), ("nz", {"nz": 40}), ("nt", {"nt": 8}),
     ("dx_mm", {"dx": 0.1}), ("dz_mm", {"dz": 0.1}), ("x0_mm", {"x0": 1.0}),

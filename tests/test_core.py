@@ -4,11 +4,10 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trimmed_irfftn_ref
-from velofilt.core import (FrameStack, Grid2D, gaussian_window, kx_lattice,
-                           kz_lattice, load_frame_stack, make_grid,
-                           omega_lattice, save_frame_stack, trimmed_irfftn,
-                           write_pgm)
+from oracles import gaussian_window, trimmed_irfftn_ref
+from velofilt.core import (FrameStack, Grid2D, kx_lattice, kz_lattice,
+                           load_frame_stack, make_grid, omega_lattice,
+                           save_frame_stack, trimmed_irfftn, write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):

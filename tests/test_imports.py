@@ -1,10 +1,13 @@
-"""Import checks over the package, the study scripts and the tests.
+"""Import and dead-name checks over the package, the study scripts and
+the tests.
 
 No linter is among the test dependencies, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
-module, or be listed in its `__all__`; and no module of the package
-imports scipy, whose only use, pocketfft's extension, `_pocketfft` loads
-without an import statement.
+module, or be listed in its `__all__`; no module of the package imports
+scipy, whose only use, pocketfft's extension, `_pocketfft` loads without
+an import statement; and every top-level function or class of the package
+is read by the package, a study script or the benchmark's tracer, not by
+the tests alone.
 """
 
 import ast
@@ -14,9 +17,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "velofilt").glob("*.py"))
-MODULES = (PACKAGE
-           + sorted((ROOT / "scripts").glob("*.py"))
-           + sorted((ROOT / "tests").glob("*.py")))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = PACKAGE + SCRIPTS + sorted((ROOT / "tests").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,3 +94,68 @@ def test_package_imports_no_scipy(path):
     # `import scipy.fft` costs about 0.14 s and 20 MB of every process that
     # transforms; _pocketfft loads pocketfft's extension on its own
     assert scipy_imports(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node) -> set[str]:
+    """Names a subtree reads: Name ids, attribute names and the string
+    entries of an `__all__` assignment."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif (isinstance(sub, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in sub.targets)):
+            read |= {e.value for e in sub.value.elts
+                     if isinstance(e, ast.Constant)}
+    return read
+
+
+def dead_names(package: dict[str, str], readers: list[str],
+               strings: list[str]) -> list[str]:
+    """'module.name' for each top-level function or class of the package
+    modules (name -> source) that nothing reads outside its own
+    definition: not the package, not the reader sources, and no string
+    constant of the strings sources."""
+    read = set()
+    for source in readers:
+        read |= _reads(ast.parse(source))
+    for source in strings:
+        read |= {node.value for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Constant)}
+    defined = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, DEFINITIONS) else None
+            if own is not None:
+                defined.append((module, own))
+            read |= _reads(node) - {own}
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read]
+
+
+def test_checker_finds_dead_names():
+    package = {
+        "a": ("__all__ = ['Exported']\n"
+              "class Exported: pass\n"
+              "def used(): return helper()\n"
+              "def helper(): return 1\n"
+              "def recursive(n): return recursive(n - 1) if n else 0\n"
+              "def tested_only(): pass\n"),
+        "b": "import a\ndef traced(): return a.used()\n"}
+    readers = ["from a import used\nused()\n"]
+    strings = ["WRAPPED = [('b', 'traced')]\n"]
+    assert dead_names(package, readers, strings) == ["a.recursive",
+                                                     "a.tested_only"]
+
+
+def test_every_package_name_has_a_production_reader():
+    # code that only the tests call belongs in tests/
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert dead_names(package, [p.read_text() for p in SCRIPTS],
+                      [TRACER.read_text()]) == []

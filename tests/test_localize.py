@@ -25,6 +25,7 @@ from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
+from velofilt.phantom import from_plane, synthesize_frames
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
 from velofilt.vfilter import apply_filter_fft, apply_to_filter, make_bank
 
@@ -643,6 +644,35 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
     assert sum(map(len, want)) >= frames.nt
     for got_t, want_t in zip(res.per_frame, want):
         assert np.array_equal(np.sort(got_t), np.sort(want_t))
+
+
+@pytest.fixture(scope="module")
+def lateral_mover():
+    """One bubble from (-1, 0) mm at (1, 0) mm/s: 60 float32 frames at
+    25 ms on a 64^2 grid at 0.05 mm, and the one filter matched to it."""
+    bubble = from_plane([(-1.0, 0.0)], [(1.0, 0.0)])
+    frames, _ = synthesize_frames(bubble, (), make_grid(64, 64, 0.05, 0.05),
+                                  60, 0.025, P)
+    frames.data = frames.data.astype(np.float32)
+    return frames, make_bank([1.0], [0.0], sigma_t=0.5)
+
+
+@pytest.mark.parametrize("mode, threshold, to", [
+    ("pre", 0.5, None), ("pre", 0.35, None), ("post", 0.35, None),
+    pytest.param("pre", 0.35, ToParams(lambda_x=0.6, sigma_x=0.3,
+                                       sigma_r=P.sigma_r),
+                 marks=pytest.mark.xfail(
+                     strict=True, reason="the TO chain gives two ghosts "
+                     "per bubble (ROADMAP item 7)"))],
+    ids=["pre-0.5", "pre-0.35", "post-0.35", "to-0.35"])
+def test_one_detection_per_bubble_per_chain(lateral_mover, mode, threshold,
+                                            to):
+    # frames 10-49 keep the bubble well inside the grid and the window
+    frames, bank = lateral_mover
+    res = run_pipeline(frames, bank, P,
+                       cfg=DetectorConfig(threshold_fraction=threshold),
+                       mode=mode, to_params=to)
+    assert [len(f) for f in res.per_frame[10:50]] == [1] * 40
 
 
 @pytest.mark.parametrize("mode", ["pre", "post"])

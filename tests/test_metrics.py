@@ -298,13 +298,12 @@ def test_fve_fastest_quantile():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_fve_speed_only_mode():
+def test_fve_sums_component_errors():
     truth_vx = np.array([[3.0]])
     truth_vz = np.array([[4.0]])   # speed 5
     est_vx = np.array([[0.0]])
     est_vz = np.array([[4.0]])     # speed 4
-    assert fve(truth_vx, truth_vz, est_vx, est_vz,
-               speed_only=True) == pytest.approx(1.0)
+    # |dvx| + |dvz| = 3, not the speed difference 1
     assert fve(truth_vx, truth_vz, est_vx, est_vz) == pytest.approx(3.0)
 
 

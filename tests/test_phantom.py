@@ -13,10 +13,9 @@ from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
                               render_frame, respawn_axial, sample_bubbles,
                               sample_circular_bubbles, save_truth_csv,
                               synthesize_frames, truth_maps)
-from velofilt.psf import PsfParams, ToParams, render_psf
+from velofilt.psf import PsfParams, render_psf
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
-T = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=0.3)
 
 
 def test_flow_speed_parabola():
@@ -192,17 +191,11 @@ def test_render_frame_matches_psf_sum():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.6, 0.6, size=(5, 2))
     b = from_plane(pts, np.zeros((5, 2)))
-    for mode in ("pre", "post", "to"):
-        to = T if mode == "to" else None
-        frame = render_frame(b, grid, P, mode=mode, to=to)
-        want = sum(render_psf(P, grid, mode=mode, center=(x, z), to=to)
-                   for x, z in pts)
-        assert np.allclose(frame, want, atol=1e-12)
+    frame = render_frame(b, grid, P)
+    want = sum(render_psf(P, grid, mode="pre", center=(x, z))
+               for x, z in pts)
+    assert np.allclose(frame, want, atol=1e-12)
     assert render_frame(empty_bubbles(), grid, P).max() == 0.0
-    with pytest.raises(ValueError):
-        render_frame(b, grid, P, mode="to")
-    with pytest.raises(ValueError):
-        render_frame(b, grid, P, mode="rf")
 
 
 def test_support_mask_straight_vessel():

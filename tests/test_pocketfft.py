@@ -83,17 +83,6 @@ def test_rfftn_matches_scipy(dtype):
             _same("rfftn", x[0, ::-1, ::-1], s, norm=norm, workers=workers)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("name", ["fft2", "ifft2"])
-def test_fft2_matches_scipy(name, dtype):
-    for shape, complex_, axes, norm, overwrite_x, workers in itertools.product(
-            SHAPES, [False, True], [(1, 2), (-2, -1), (0, 2)], NORMS,
-            [False, True], WORKERS):
-        x = _data(shape, dtype, complex_)
-        _same(name, x, axes=axes, norm=norm, overwrite_x=overwrite_x,
-              workers=workers)
-
-
 def test_next_fast_len_matches_scipy():
     for real in (True, False):
         assert ([_pocketfft.next_fast_len(n, real) for n in range(1, 4097)]

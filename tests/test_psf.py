@@ -6,8 +6,9 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import eval_autocorr
 from velofilt.core import make_grid
-from velofilt.psf import (PsfParams, ToParams, autocorr_theory, eval_autocorr,
+from velofilt.psf import (PsfParams, ToParams, autocorr_theory,
                           eval_post_envelope, eval_pre_envelope,
                           eval_to_envelope, eval_to_psf, render_psf,
                           to_transfer)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import joint_density, mf_peak, q_post, q_pre, to_q
 from oracles import band_density_quad, filtered_response_quad, projected_density_ref
 from velofilt.core import make_grid
 from velofilt.phantom import VesselSpec
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
 from velofilt.theory import (AcqBoundInput, acquisition_time_bound,
                              apparent_density, attenuation_pre,
-                             filtered_density, joint_density, make_noise_spec,
-                             mf_peak, nrf_bound, q_post, q_pre, to_attenuation,
-                             to_q, velocity_bandwidth)
+                             filtered_density, make_noise_spec, nrf_bound,
+                             to_attenuation, velocity_bandwidth)
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
 T = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=0.3)

@@ -9,16 +9,15 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dft_filter_reference, trimmed_irfftn_ref,
-                     velocity_gain_ref)
+from oracles import (apply_filter_direct, dft_filter_reference,
+                     trimmed_irfftn_ref, velocity_gain_ref)
 from velofilt import _pocketfft, vfilter
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
 from velofilt.theory import attenuation_pre
 from velofilt.vfilter import (FilterBankSpec, VelocityFilterSpec,
-                              apply_filter_direct, apply_filter_fft,
-                              apply_to_filter, build_filter, make_bank,
+                              apply_filter_fft, apply_to_filter, make_bank,
                               run_filter_bank, save_bank_outputs, tile_speeds)
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
@@ -43,6 +42,11 @@ def moving_bubble_stack(v_b, nt=64, n=65, dt=0.01, mode="pre"):
     return FrameStack(grid=grid, nt=nt, dt=dt, data=data)
 
 
+def whole_gain(grid, nt, dt, spec, dtype=np.float64):
+    """The gain on every kz row of the rfftn half lattice at once."""
+    return vfilter._gain_rows(grid, nt, dt, spec, dtype)(0, grid.nz)
+
+
 def test_spec_validation_and_geometry():
     with pytest.raises(ValueError):
         VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.0)
@@ -57,13 +61,11 @@ def test_spec_validation_and_geometry():
 def test_build_filter_gain_bounds_and_ridge():
     frames = noise_stack()
     spec = VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.05)
-    gain = build_filter(frames.grid, frames.nt, frames.dt, spec)
+    gain = whole_gain(frames.grid, frames.nt, frames.dt, spec)
     # rfftn half lattice of the (16, 12, 10) stack
     assert gain.shape == (frames.nt, frames.grid.nz, frames.grid.nx // 2 + 1)
     assert np.all(gain <= 1.0) and np.all(gain > 0.0)
     assert gain[0, 0, 0] == 1.0  # DC(k=0, Omega=0) always passes
-    with pytest.raises(ValueError):
-        build_filter(frames.grid, 0, frames.dt, spec)
 
 
 GAIN_SIZES = [(280, 64, 64), (33, 31, 17), (24, 30, 33)]
@@ -79,12 +81,12 @@ GAIN_CASES = [
 @pytest.mark.parametrize("v_f, sigma_t, dt, underflow", GAIN_CASES)
 def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
                                             underflow):
-    # mostly underflowing lattices (exp's slow path, which build_filter
+    # mostly underflowing lattices (exp's slow path, which the gain
     # skips) and lattices with none must give exp's own bytes
     nt, nz, nx = sizes
     grid = make_grid(nx, nz, 0.1, 0.05)
-    gain = build_filter(grid, nt, dt, VelocityFilterSpec(v_f=v_f,
-                                                         sigma_t=sigma_t))
+    gain = whole_gain(grid, nt, dt, VelocityFilterSpec(v_f=v_f,
+                                                       sigma_t=sigma_t))
     want = velocity_gain_ref(nt, dt, nz, 0.05, nx, 0.1, v_f, sigma_t)
     assert np.array_equal(gain, want)
     zeros = np.mean(want == 0.0)
@@ -100,19 +102,19 @@ def test_float32_floor_changes_no_float32_gain(sizes, v_f, sigma_t, dt,
     nt, nz, nx = sizes
     grid = make_grid(nx, nz, 0.1, 0.05)
     spec = VelocityFilterSpec(v_f=v_f, sigma_t=sigma_t)
-    wide = build_filter(grid, nt, dt, spec)
-    narrow = build_filter(grid, nt, dt, spec, np.float32)
+    wide = whole_gain(grid, nt, dt, spec)
+    narrow = whole_gain(grid, nt, dt, spec, np.float32)
     assert narrow.dtype == np.float64
     assert np.array_equal(narrow.astype(np.complex64),
                           wide.astype(np.complex64))
     assert np.mean(narrow == 0.0) >= np.mean(wide == 0.0)
-    assert np.array_equal(build_filter(grid, nt, dt, spec, np.float64), wide)
+    assert np.array_equal(whole_gain(grid, nt, dt, spec, np.float64), wide)
 
 
 def test_zero_velocity_gain_is_purely_temporal():
     frames = noise_stack()
-    gain = build_filter(frames.grid, frames.nt, frames.dt,
-                        VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.05))
+    gain = whole_gain(frames.grid, frames.nt, frames.dt,
+                      VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.05))
     # no spatial dependence at all
     assert np.allclose(gain, gain[:, :1, :1])
 
@@ -392,7 +394,7 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
 
 def whole_lattice_outputs(frames, bank, boundary):
     """Each bank output as the first nt frames of the whole irfftn of the
-    rfftn of its padded source times build_filter's whole-lattice gain,
+    rfftn of its padded source times the whole-lattice gain,
     with the TO routing the bank reports."""
     outs = []
     for _, fspec, _, used_to in run_filter_bank(frames, bank, to_params=T,
@@ -402,7 +404,7 @@ def whole_lattice_outputs(frames, bank, boundary):
         shape = (frames.nt + 2 * pad * (boundary == "pad"),
                  frames.grid.nz, frames.grid.nx)
         spectrum = scipy.fft.rfftn(source.data, s=shape)
-        gain = build_filter(frames.grid, shape[0], frames.dt, fspec)
+        gain = whole_gain(frames.grid, shape[0], frames.dt, fspec)
         outs.append(trimmed_irfftn_ref(
             spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
             (slice(frames.nt), slice(None), slice(None))))
