@@ -18,16 +18,23 @@ positions when the response is distorted (e.g. accelerating flow).
 The 3x3 local maximum and the disk closing of the support mask are done in
 numpy. The transforms are pocketfft's, called through _pocketfft, which
 loads the extension on the first transform and never imports scipy.fft.
+The correlation is circular, on the smallest real-FFT-friendly lattice
+whose kept frame-sized window has no wrap-around: along an axis of n frame
+and m template samples, at least n + m - 1 - (m - 1) // 2 samples (80 for
+a 64-sample axis and a 25-sample template, where the full linear length
+88 would pad to 90). It matches the linear correlation to rounding, about
+1e-15 of its largest magnitude in float64, not byte for byte.
 A stack is detected in blocks of a few frames (at most _CORR_BLOCK samples
 of the padded correlation): a block costs one forward real FFT over its
 frames, an inverse whose x pass spans only the frame's nz rows (it keeps
-them right after its z pass), one local-max pass, one candidate sort and
-one suppression pass, and the template's spectrum is cached across blocks.
-A block's output is byte for byte that of its frames detected one at a
-time. The envelope and the correlation run in the stack's own precision
-(float32 on the CLI path, whose stacks come from .f32 files); the
-template is cast to the frame's dtype, and its cached spectrum is keyed by
-that dtype. Scores and positions are float64 in every case.
+them right after its z pass), one local-max pass, one candidate sort, one
+suppression pass and one sub-pixel fit over all its peaks, and the
+template's spectrum is cached across blocks. A block's output is byte for
+byte that of its frames detected one at a time. The envelope and the
+correlation run in the stack's own precision (float32 on the CLI path,
+whose stacks come from .f32 files); the template is cast to the frame's
+dtype, and its cached spectrum is keyed by that dtype. Scores and
+positions are float64 in every case.
 
 Localizations are rows of one table, a structured array of LOC_DTYPE: frame
 t, position x, z (mm), score, and the selecting filter velocity vx, vz
@@ -121,12 +128,22 @@ def _template_spectrum(data: bytes, dtype: str, shape: tuple[int, int],
 
 def _padded_shape(frame_shape: tuple[int, int],
                   template_shape: tuple[int, int]
-                  ) -> tuple[list[int], tuple[int, int]]:
-    """Full linear correlation size of a (nz, nx) frame and a template, and
-    the real-FFT-friendly shape it is computed on."""
-    full = [n + m - 1 for n, m in zip(frame_shape, template_shape)]
-    return full, tuple(_pocketfft.next_fast_len(n, real=True)
-                       for n in full)
+                  ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Start of the kept window on each axis, and the real-FFT-friendly
+    circular shape the correlation of a (nz, nx) frame and a template is
+    computed on.
+
+    Along an axis of n frame and m template samples the linear correlation
+    spans n + m - 1 samples, and the frame-sized window the matched filter
+    keeps starts at s = (m - 1) // 2 (as in fftconvolve mode="same"). On a
+    circular length L the samples past L fold onto 0 .. n + m - 2 - L, so
+    the window is free of wrap-around once L >= n + m - 1 - s: the shape
+    is next_fast_len of that bound, not of the full n + m - 1.
+    """
+    start = tuple((m - 1) // 2 for m in template_shape)
+    return start, tuple(_pocketfft.next_fast_len(n + m - 1 - s, real=True)
+                        for n, m, s in zip(frame_shape, template_shape,
+                                           start))
 
 
 def matched_filter_map(frame: np.ndarray, grid: Grid2D,
@@ -136,26 +153,26 @@ def matched_filter_map(frame: np.ndarray, grid: Grid2D,
 
     Scaled by the pixel area so values approximate the continuous
     correlation integral and compare directly against the closed-form
-    autocorrelation peak. The template's spectrum is cached across calls
-    (see _template_spectrum), so a call costs one rfftn over every frame it
-    is given and an inverse run one axis at a time (core.trimmed_irfftn):
-    the ifft along z, the cut to the centred nz rows, then the irfft along
-    x, cut to the centred nx columns. The output is byte for byte the
-    centred window of the whole irfftn, and each frame's bytes are those
-    of the call on that frame alone.
+    autocorrelation peak. The correlation is circular on the smallest
+    shape whose kept window is free of wrap-around (see _padded_shape), so
+    it agrees with fftconvolve(mode="same") to rounding, not byte for
+    byte: about 1e-15 of the largest magnitude in float64. The template's
+    spectrum is cached across calls (see _template_spectrum), so a call
+    costs one rfftn over every frame it is given and an inverse run one
+    axis at a time (core.trimmed_irfftn): the ifft along z, the cut to the
+    kept nz rows, then the irfft along x, cut to the kept nx columns. Each
+    frame's bytes are those of the call on that frame alone.
     """
     shape = frame.shape[-2:]
     if template.shape[0] > shape[0] or template.shape[1] > shape[1]:
         raise ValueError("template larger than frame")
-    # full linear correlation on a real-FFT-friendly padded shape, then the
-    # centred frame-sized window (the arithmetic of fftconvolve mode="same")
-    full, fshape = _padded_shape(shape, template.shape)
+    (z0, x0), fshape = _padded_shape(shape, template.shape)
     # the template in the frame's precision: float32 for a float32 frame
     template = template.astype(np.result_type(frame, np.float32), copy=False)
-    spec = (_pocketfft.rfftn(frame, fshape, axes=(-2, -1))
-            * _template_spectrum(template.tobytes(), template.dtype.str,
-                                 template.shape, fshape))
-    z0, x0 = ((f - n) // 2 for f, n in zip(full, shape))
+    # the product in place: one block-sized complex array fewer at the peak
+    spec = _pocketfft.rfftn(frame, fshape, axes=(-2, -1))
+    spec *= _template_spectrum(template.tobytes(), template.dtype.str,
+                               template.shape, fshape)
     corr = trimmed_irfftn(spec, fshape, (-2, -1),
                           (slice(z0, z0 + shape[0]), slice(x0, x0 + shape[1])))
     return corr * (grid.dx * grid.dz)
@@ -174,16 +191,24 @@ _QUAD_FIT = np.array([
     [9, 0, -9, 0, 0, 0, -9, 0, 9]]) / 36.0
 
 
-def _quadratic_offset(patch: np.ndarray) -> tuple[float, float]:
-    """Stationary point of the LS quadratic through a 3x3 patch, in pixels."""
-    _, bx, bz, cxx, czz, cxz = (_QUAD_FIT @ patch.ravel()).tolist()
+def _quadratic_offsets(patches: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary points (dx, dz), in pixels, of the LS quadratics through
+    k raveled 3x3 patches (k, 9), each clipped to +-0.5; (0, 0) where the
+    quadratic has no maximum.
+
+    Each row's coefficients are a sum over its own nine products, so a
+    row's result does not depend on the other rows (a matrix product
+    would hand the batch to BLAS, whose summation order depends on k)."""
+    _, bx, bz, cxx, czz, cxz = (patches[:, None, :] * _QUAD_FIT).sum(axis=2).T
     # solve [[2 cxx, cxz], [cxz, 2 czz]] (dx, dz) = -(bx, bz) in closed form
     det = 4.0 * cxx * czz - cxz * cxz
-    if det <= 0:
-        return 0.0, 0.0
+    peaked = det > 0
+    det = np.where(peaked, det, 1.0)
     dx = (cxz * bz - 2.0 * czz * bx) / det
     dz = (cxz * bx - 2.0 * cxx * bz) / det
-    return min(max(dx, -0.5), 0.5), min(max(dz, -0.5), 0.5)
+    return (np.where(peaked, np.clip(dx, -0.5, 0.5), 0.0),
+            np.where(peaked, np.clip(dz, -0.5, 0.5), 0.0))
 
 
 def _max_3x3(a: np.ndarray) -> np.ndarray:
@@ -266,11 +291,14 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
     thresh = cfg.threshold_fraction * autocorr_peak
     corr = corr.reshape(-1, *corr.shape[-2:])
     is_max = corr == _max_3x3(corr)
-    cand = np.argwhere(is_max & (corr > thresh))
-    scores = corr[tuple(cand.T)]
-    # by frame, then NMS priority: higher score, then row, then column
-    order = np.lexsort((cand[:, 2], cand[:, 1], -scores, cand[:, 0]))
-    ft, iz, ix = cand[order].T
+    # flat indices, in row-major order: np.argwhere on the 3-D mask takes
+    # about ten times as long
+    cand = np.flatnonzero(is_max & (corr > thresh))
+    scores = corr.ravel()[cand]
+    # by frame, then NMS priority: higher score, then row, then column (a
+    # stable sort keeps the row-major order of equal scores)
+    order = np.lexsort((-scores, cand // corr[0].size))
+    ft, iz, ix = np.unravel_index(cand[order], corr.shape)
     scores = scores[order]
     x = grid.x0 + ix * grid.dx
     z = grid.z0 + iz * grid.dz
@@ -278,11 +306,13 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
     ft, iz, ix, x, z = ft[keep], iz[keep], ix[keep], x[keep], z[keep]
     if cfg.subpixel:
         inner = (0 < ix) & (ix < grid.nx - 1) & (0 < iz) & (iz < grid.nz - 1)
-        for k in np.flatnonzero(inner):
-            ox, oz = _quadratic_offset(
-                corr[ft[k], iz[k] - 1:iz[k] + 2, ix[k] - 1:ix[k] + 2])
-            x[k] += ox * grid.dx
-            z[k] += oz * grid.dz
+        step = np.arange(-1, 2)
+        patches = corr[ft[inner, None, None],
+                       iz[inner, None, None] + step[:, None],
+                       ix[inner, None, None] + step]
+        ox, oz = _quadratic_offsets(patches.reshape(-1, 9))
+        x[inner] += ox * grid.dx
+        z[inner] += oz * grid.dz
     out = np.empty(len(x), LOC_DTYPE)
     out["t"], out["x"], out["z"] = t_index + ft, x, z
     out["score"] = scores[keep]

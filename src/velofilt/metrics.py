@@ -45,11 +45,6 @@ class LeParams:
         par, perp = 1.0 / self.sigma_par, 1.0 / self.sigma_perp
         return np.array([[par * c, par * s], [-perp * s, perp * c]])
 
-    @property
-    def m_matrix(self) -> np.ndarray:
-        a = self.a_matrix
-        return a.T @ a
-
 
 def default_le_params(wavelength: float, theta: float = 0.0,
                       n_bubbles_t: int = 1) -> LeParams:

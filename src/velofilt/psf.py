@@ -154,15 +154,6 @@ class MatchedFilterTheory:
     g_e_peak: float
     wavelength: float
 
-    @property
-    def g_e_hat_peak(self) -> float:
-        return 1.0 / (2.0 * math.pi * self.sigma_r_hat**2)
-
-    @property
-    def autocorr_peak(self) -> float:
-        """R_g(0) = (1/2 + c_g) * g_e_hat(0)."""
-        return (0.5 + self.c_g) * self.g_e_hat_peak
-
 
 def autocorr_theory(p: PsfParams) -> MatchedFilterTheory:
     c_g = 0.5 * math.exp(-4.0 * math.pi**2 * p.sigma_r**2 / p.wavelength**2)

@@ -43,24 +43,6 @@ class AttenuationReport:
     psf: PsfParams
     dv: tuple[float, float]
 
-    def eta(self, theta) -> np.ndarray:
-        """Isotropic-envelope shrink factor vs angle(r, dv)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        k2 = self.kappa**2
-        return np.sqrt(1.0 - k2 * np.cos(theta) ** 2 / (1.0 + k2))
-
-    def zeta(self, x, z) -> np.ndarray:
-        """Axial carrier displacement at image point r = (x, z)."""
-        x = np.asarray(x, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        dvx, dvz = self.dv
-        norm = math.hypot(dvx, dvz)
-        if norm == 0.0:
-            return np.zeros(np.broadcast(x, z).shape)
-        k2 = self.kappa**2
-        proj = (x * dvx + z * dvz) / norm
-        return (self.kappa / (1.0 + k2)) * (self.sigma_t * dvz / self.psf.sigma_r) * proj
-
 
 def attenuation_pre(p: PsfParams, sigma_t: float, dv) -> AttenuationReport:
     """Peak attenuation and shape report for the carrier-bearing PSF."""
@@ -103,10 +85,6 @@ class VelocityPassband:
     kappa_delta_v: float
     theta: float
     mode: str
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.v_f - self.delta_v, self.v_f + self.delta_v)
 
 
 def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,

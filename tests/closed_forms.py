@@ -1,19 +1,67 @@
 """Closed forms that only the tests evaluate.
 
-The filtered single-bubble responses, the matched-filter peak, the joint
-speed/offset density and the PSF autocorrelation at a lag. No command,
-table or stage of the package calls them; the tests hold each against the
-quadrature and numeric oracles in oracles.py, and against the package's
-own closed forms that they build on (attenuation_pre, to_attenuation,
-autocorr_theory).
+The filtered single-bubble responses and their shape factors, the
+passband's interval, the matched-filter peak, the PSF autocorrelation at
+its peak and at a lag, the LE's metric matrix and the joint speed/offset
+density. No command, table or stage of the package calls them; the tests
+hold each against the quadrature and numeric oracles in oracles.py, and
+against the package's own closed forms that they build on
+(attenuation_pre, to_attenuation, autocorr_theory, velocity_bandwidth,
+LeParams).
 """
 
 import math
 
 import numpy as np
 
-from velofilt.psf import PsfParams, ToParams, autocorr_theory, eval_to_envelope
-from velofilt.theory import _gamma_hat, attenuation_pre, to_attenuation
+from velofilt.metrics import LeParams
+from velofilt.psf import (MatchedFilterTheory, PsfParams, ToParams,
+                          autocorr_theory, eval_to_envelope)
+from velofilt.theory import (AttenuationReport, VelocityPassband, _gamma_hat,
+                             attenuation_pre, to_attenuation)
+
+
+def eta(rep: AttenuationReport, theta) -> np.ndarray:
+    """Isotropic-envelope shrink factor of a filtered response vs
+    angle(r, dv)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    k2 = rep.kappa**2
+    return np.sqrt(1.0 - k2 * np.cos(theta) ** 2 / (1.0 + k2))
+
+
+def zeta(rep: AttenuationReport, x, z) -> np.ndarray:
+    """Axial carrier displacement of a filtered response at image point
+    r = (x, z)."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    dvx, dvz = rep.dv
+    norm = math.hypot(dvx, dvz)
+    if norm == 0.0:
+        return np.zeros(np.broadcast(x, z).shape)
+    k2 = rep.kappa**2
+    proj = (x * dvx + z * dvz) / norm
+    return (rep.kappa / (1.0 + k2)) * (rep.sigma_t * dvz / rep.psf.sigma_r) * proj
+
+
+def interval(band: VelocityPassband) -> tuple[float, float]:
+    """The speeds the passband admits, v_f -+ delta_v."""
+    return (band.v_f - band.delta_v, band.v_f + band.delta_v)
+
+
+def g_e_hat_peak(mf: MatchedFilterTheory) -> float:
+    """Peak of the unit-mass Gaussian of scale sigma_r_hat."""
+    return 1.0 / (2.0 * math.pi * mf.sigma_r_hat**2)
+
+
+def autocorr_peak(mf: MatchedFilterTheory) -> float:
+    """R_g(0) = (1/2 + c_g) * g_e_hat(0)."""
+    return (0.5 + mf.c_g) * g_e_hat_peak(mf)
+
+
+def m_matrix(le: LeParams) -> np.ndarray:
+    """M = A^T A, the quadratic form of the LE's whitened distance."""
+    a = le.a_matrix
+    return a.T @ a
 
 
 def q_pre(x, z, dv, p: PsfParams, sigma_t: float) -> np.ndarray:
@@ -64,7 +112,7 @@ def mf_peak(dv, p: PsfParams, sigma_t: float) -> float:
     kappa = sigma_t * math.hypot(dvx, dvz) / p.sigma_r
     mf = autocorr_theory(p)
     gh = _gamma_hat(kappa, (sigma_t * dvz / p.wavelength) ** 2)
-    return (gh + 2.0 * mf.c_g / math.sqrt(4.0 + 2.0 * kappa**2)) * mf.g_e_hat_peak
+    return (gh + 2.0 * mf.c_g / math.sqrt(4.0 + 2.0 * kappa**2)) * g_e_hat_peak(mf)
 
 
 def to_q(x, z, dv, p: PsfParams, t: ToParams, sigma_t: float) -> np.ndarray:
@@ -108,5 +156,5 @@ def eval_autocorr(p: PsfParams, x, z) -> np.ndarray:
     mf = autocorr_theory(p)
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    hat = mf.g_e_hat_peak * np.exp(-(x**2 + z**2) / (2.0 * mf.sigma_r_hat**2))
+    hat = g_e_hat_peak(mf) * np.exp(-(x**2 + z**2) / (2.0 * mf.sigma_r_hat**2))
     return hat * (0.5 * np.cos(2.0 * math.pi * z / p.wavelength) + mf.c_g)

@@ -16,6 +16,7 @@ import scipy.integrate
 import scipy.ndimage
 import scipy.signal
 
+from closed_forms import m_matrix
 from velofilt.core import PAIR_BLOCK, FrameStack, kx_lattice, kz_lattice
 from velofilt.psf import (eval_post_envelope, eval_pre_envelope, eval_to_psf)
 
@@ -247,7 +248,7 @@ def localization_error_raster(truth_points, est_points, le, grid):
     X, Z = np.meshgrid(np.arange(-hx, hx + 1) * grid.dx,
                        np.arange(-hz, hz + 1) * grid.dz)
     r = np.stack([X, Z], axis=-1)
-    kernel = np.exp(-0.5 * np.einsum("...i,ij,...j->...", r, le.m_matrix, r))
+    kernel = np.exp(-0.5 * np.einsum("...i,ij,...j->...", r, m_matrix(le), r))
     blurred = scipy.signal.fftconvolve(diff, kernel, mode="full")
     norm_sq = float(np.sum(blurred**2)) * grid.dx * grid.dz
     return 2.0 / (le.sigma_par * le.sigma_perp * math.pi

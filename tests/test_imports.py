@@ -5,9 +5,9 @@ No linter is among the test dependencies, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
 module, or be listed in its `__all__`; no module of the package imports
 scipy, whose only use, pocketfft's extension, `_pocketfft` loads without
-an import statement; and every top-level function or class of the package
-is read by the package, a study script or the benchmark's tracer, not by
-the tests alone.
+an import statement; and every top-level function or class of the package,
+and every method or property of such a class, is read by the package, a
+study script or the benchmark's tracer, not by the tests alone.
 """
 
 import ast
@@ -96,7 +96,8 @@ def test_package_imports_no_scipy(path):
     assert scipy_imports(path.read_text()) == []
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def _reads(node) -> set[str]:
@@ -116,15 +117,26 @@ def _reads(node) -> set[str]:
     return read
 
 
+def _attribute_reads(node) -> set[str]:
+    """Attribute names a subtree reads (loads, not stores)."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)}
+
+
 def dead_names(package: dict[str, str], readers: list[str],
                strings: list[str]) -> list[str]:
     """'module.name' for each top-level function or class of the package
-    modules (name -> source) that nothing reads outside its own
-    definition: not the package, not the reader sources, and no string
-    constant of the strings sources."""
-    read = set()
+    modules (name -> source), and 'module.Class.name' for each method or
+    property of such a class (dunders excepted), that nothing reads
+    outside its own definition: not the package, not the reader sources,
+    and, for a top-level name, no string constant of the strings sources.
+    A member is read only by an attribute read of its name."""
+    read, attrs = set(), set()
     for source in readers:
-        read |= _reads(ast.parse(source))
+        tree = ast.parse(source)
+        read |= _reads(tree)
+        attrs |= _attribute_reads(tree)
     for source in strings:
         read |= {node.value for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.Constant)}
@@ -133,24 +145,41 @@ def dead_names(package: dict[str, str], readers: list[str],
         for node in ast.parse(source).body:
             own = node.name if isinstance(node, DEFINITIONS) else None
             if own is not None:
-                defined.append((module, own))
+                defined.append((f"{module}.{own}", own, read))
             read |= _reads(node) - {own}
-    return [f"{module}.{name}" for module, name in defined
-            if name not in read]
+            units = node.body if isinstance(node, ast.ClassDef) else [node]
+            for unit in units:
+                member = None
+                if (isinstance(node, ast.ClassDef)
+                        and isinstance(unit, FUNCTIONS)
+                        and not unit.name.startswith("__")):
+                    member = unit.name
+                    defined.append((f"{module}.{own}.{member}", member,
+                                    attrs))
+                attrs |= _attribute_reads(unit) - {member}
+    return [label for label, name, seen in defined if name not in seen]
 
 
 def test_checker_finds_dead_names():
     package = {
         "a": ("__all__ = ['Exported']\n"
-              "class Exported: pass\n"
+              "class Exported:\n"
+              "    def __init__(self): self.n = 0\n"
+              "    @property\n"
+              "    def size(self): return self.n\n"
+              "    def unread(self): return self.unread()\n"
               "def used(): return helper()\n"
               "def helper(): return 1\n"
               "def recursive(n): return recursive(n - 1) if n else 0\n"
               "def tested_only(): pass\n"),
-        "b": "import a\ndef traced(): return a.used()\n"}
+        "b": ("import a\n"
+              "def traced(): return a.used() + a.Exported().size\n"
+              "unread = 1\n")}
     readers = ["from a import used\nused()\n"]
-    strings = ["WRAPPED = [('b', 'traced')]\n"]
-    assert dead_names(package, readers, strings) == ["a.recursive",
+    strings = ["WRAPPED = [('b', 'traced'), ('a', 'unread')]\n"]
+    # a Name or a string constant of a member's name is no read of it
+    assert dead_names(package, readers, strings) == ["a.Exported.unread",
+                                                     "a.recursive",
                                                      "a.tested_only"]
 
 

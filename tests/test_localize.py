@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from closed_forms import autocorr_peak
 from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
                      suppress_loop, velocity_map_loop)
@@ -17,7 +18,7 @@ from velofilt import _pocketfft, localize
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                _QUAD_FIT, _envelope_z, _merge_frame,
-                               _padded_shape, _quadratic_offset, _suppress,
+                               _padded_shape, _quadratic_offsets, _suppress,
                                _template_spectrum,
                                accumulate, detect, load_localizations_csv,
                                localize_frames, matched_filter_map,
@@ -70,14 +71,14 @@ def test_template_autocorr_peak_matches_closed_form():
     tpl = psf_template(GRID, P, mode="pre")
     # Riemann sum over the 4 sigma support vs the analytic peak
     assert template_autocorr_peak(tpl, GRID) == pytest.approx(
-        autocorr_theory(P).autocorr_peak, rel=1e-3)
+        autocorr_peak(autocorr_theory(P)), rel=1e-3)
 
 
 def test_matched_filter_map_peak_location_and_size_check():
     corr = one_bubble_corr((0.0, 0.0))
     iz, ix = np.unravel_index(corr.argmax(), corr.shape)
     assert (iz, ix) == (GRID.nz // 2, GRID.nx // 2)
-    assert corr.max() == pytest.approx(autocorr_theory(P).autocorr_peak,
+    assert corr.max() == pytest.approx(autocorr_peak(autocorr_theory(P)),
                                        rel=1e-3)
     with pytest.raises(ValueError):
         matched_filter_map(np.zeros((5, 5)), make_grid(5, 5, 0.05, 0.05),
@@ -103,20 +104,26 @@ def test_quadratic_offset_matches_lstsq_fit():
     design = np.column_stack([np.ones(9), ux, uz, ux**2, uz**2, ux * uz])
     assert np.allclose(_QUAD_FIT, np.linalg.pinv(design), rtol=0,
                        atol=1e-14)
+    truth, patches = [], []
     for _ in range(500):
         # a peaked quadratic with a known stationary point, plus noise ...
         x0, z0 = rng.uniform(-0.45, 0.45, size=2)
         ax, az = rng.uniform(0.2, 3.0, size=2)
         peak = -(ax * (x - x0) ** 2 + az * (z - z0) ** 2)
-        got = _quadratic_offset(peak)
-        assert got == pytest.approx((x0, z0), abs=1e-12)
-        noisy = peak + 0.05 * rng.normal(size=(3, 3))
-        assert _quadratic_offset(noisy) == pytest.approx(
-            quadratic_offset_lstsq(noisy), abs=1e-12)
+        truth.append((x0, z0))
         # ... and arbitrary patches: saddles, minima, clipped offsets
-        patch = rng.normal(size=(3, 3))
-        assert _quadratic_offset(patch) == pytest.approx(
-            quadratic_offset_lstsq(patch), abs=1e-12)
+        patches += [peak, peak + 0.05 * rng.normal(size=(3, 3)),
+                    rng.normal(size=(3, 3))]
+    patches = np.reshape(patches, (-1, 9))
+    dx, dz = _quadratic_offsets(patches)
+    got = np.column_stack([dx, dz])
+    assert np.allclose(got[::3], truth, rtol=0, atol=1e-12)
+    want = [quadratic_offset_lstsq(p.reshape(3, 3)) for p in patches]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # a row's offsets do not depend on the rest of the batch
+    for k, patch in enumerate(patches):
+        alone = np.column_stack(_quadratic_offsets(patch[None]))
+        assert alone.tobytes() == got[k:k + 1].tobytes()
 
 
 def test_detect_without_subpixel_snaps_to_grid():
@@ -706,7 +713,8 @@ def test_matched_filter_map_matches_fftconvolve(shape):
         got = matched_filter_map(frame, grid, tpl)
         want = scipy.signal.fftconvolve(frame, tpl[::-1, ::-1],
                                         mode="same") * (grid.dx * grid.dz)
-        assert np.array_equal(got, want)
+        # the lattice can be smaller than fftconvolve's: rounding only
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # a block of frames: each slice is the call on that frame alone
         frames = np.stack([frame, rng.normal(size=shape), frame[::-1]])
         for dtype in (np.float32, np.float64):
@@ -717,6 +725,30 @@ def test_matched_filter_map_matches_fftconvolve(shape):
             for k, f in enumerate(block):
                 assert np.array_equal(got[k], matched_filter_map(f, grid, tpl))
             assert np.array_equal(nested[0], got[1:])
+
+
+def test_padded_shape_is_the_smallest_wrap_free_lattice():
+    for frame_shape in [(64, 64), (63, 65), (50, 41), (96, 96), (9, 9)]:
+        for template_shape in [(7, 5), (4, 6), (9, 9), (25, 25), (49, 49)]:
+            if any(m > n for n, m in zip(frame_shape, template_shape)):
+                continue
+            start, fshape = _padded_shape(frame_shape, template_shape)
+            for n, m, s, f in zip(frame_shape, template_shape, start,
+                                  fshape):
+                # the kept window starts where fftconvolve(mode="same")
+                # cuts, and no sample past f folds into s .. s + n - 1 ...
+                assert s == (m - 1) // 2
+                assert n + m - 2 - f < s
+                # ... which one sample less than the bound would break
+                bound = n + m - 1 - s
+                assert n + m - 2 - (bound - 1) >= s
+                # f is the first real-FFT-friendly length from the bound
+                assert [k for k in range(bound, f + 1)
+                        if _pocketfft.next_fast_len(k, real=True) == k] == [f]
+    # the benchmark's frames: 64x64 with a 25x25 template and 96x96 with a
+    # 49x49 one, whose full linear lengths 88 and 144 pad to 90 and 144
+    assert _padded_shape((64, 64), (25, 25)) == ((12, 12), (80, 80))
+    assert _padded_shape((96, 96), (49, 49)) == ((24, 24), (120, 120))
 
 
 def test_template_spectrum_taken_once_per_template(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from closed_forms import m_matrix
 from oracles import localization_error_dense, localization_error_raster
 
 from velofilt.core import FrameStack, make_grid
@@ -18,7 +19,7 @@ LE_GRID = make_grid(61, 61, 0.01, 0.01)
 
 def exact_le(d, le: LeParams) -> float:
     """Continuum value for one truth point and one estimate displaced by d."""
-    quad = float(np.asarray(d) @ le.m_matrix @ np.asarray(d))
+    quad = float(np.asarray(d) @ m_matrix(le) @ np.asarray(d))
     return 4.0 / le.n_bubbles_t * (1.0 - math.exp(-quad / 4.0))
 
 
@@ -32,7 +33,7 @@ def test_le_params_validation_and_matrices():
     a = LE.a_matrix
     assert np.allclose(a, np.diag([1 / 0.09, 1 / 0.045]))
     th = LeParams(sigma_par=0.09, sigma_perp=0.045, theta=math.pi / 3)
-    m = th.m_matrix
+    m = m_matrix(th)
     assert np.allclose(m, m.T)
     assert np.all(np.linalg.eigvalsh(m) > 0)
 
@@ -123,7 +124,7 @@ def test_le_frames_overrides_bubble_count():
     truth = [np.array([[0.0, 0.0], [0.2, 0.0]])]
     est = [np.empty((0, 2))]
     # two missed bubbles at T=2 cost 2(1 + overlap of their blur kernels)
-    quad = float(np.array([0.2, 0.0]) @ LE.m_matrix @ np.array([0.2, 0.0]))
+    quad = float(np.array([0.2, 0.0]) @ m_matrix(LE) @ np.array([0.2, 0.0]))
     want = 2.0 * (1.0 + math.exp(-quad / 4.0))
     assert localization_error_frames(truth, est, LE, LE_GRID) == \
         pytest.approx(want, rel=1e-12)
