@@ -185,11 +185,13 @@ def save_frame_stack(stack: FrameStack, base: str | Path) -> tuple[Path, Path]:
 
 
 def check_finite(data: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite (t, z, x) of a stack."""
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        t, z, x = (int(i) for i in bad[0])
-        raise ValueError(f"non-finite sample at (t, z, x) = ({t}, {z}, {x})")
+    """Raise ValueError naming the first non-finite (t, z, x) of a stack.
+    The whole-stack test is one reduction; only a stack that fails it is
+    searched for the index."""
+    if np.isfinite(data).all():
+        return
+    t, z, x = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
+    raise ValueError(f"non-finite sample at (t, z, x) = ({t}, {z}, {x})")
 
 
 def load_frame_stack(base: str | Path) -> FrameStack:

@@ -33,9 +33,15 @@ from its .f32 files) gives complex64 spectra and float32 outputs, a float64
 stack complex128 and float64. The gains are computed in float64, one slab
 at a time, and cast to the spectrum's precision in the multiply. Where the
 exponent is so negative that exp, cast to the spectrum's precision, is
-exactly 0 (about half of a padded lattice in float64, four fifths in
-float32), the gain is set to 0 without calling exp, whose underflow path is
-slow.
+exactly 0, the gain is 0: past |Omega + k . v_f| = sqrt(-2 floor) / sigma_t
+(28.9 rad/s at sigma_t = 0.5 s in float32, floor from _exp_floor). That is
+about half of a padded lattice in float64 and four fifths in float32, and
+it lies in whole omega rows: bounding k . v_f over a slab's kz rows and
+every kx column bounds the omega rows the ridge can reach. So a slab's gain
+and product are built on those rows alone and the other rows are
+zero-filled, which is what the whole-lattice gain puts there; inside them
+an entry below the floor is set to 0 without calling exp, whose underflow
+path is slow.
 
 The transforms are scipy's pocketfft, called through _pocketfft, which
 loads its extension on the first transform and never imports scipy.fft.
@@ -140,12 +146,16 @@ def _exp_floor(dtype) -> float:
 
 
 def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
-          spec: VelocityFilterSpec, floor: float) -> np.ndarray:
+          spec: VelocityFilterSpec, floor: float,
+          out: np.ndarray | None = None) -> np.ndarray:
     """exp(-(sigma_t * doppler)^2 / 2), evaluated in place in one float64
-    buffer; below floor the entry is set to 0 without calling exp."""
+    buffer of shape (om, kz, kx), out or a new one; below floor the entry is
+    set to 0 without calling exp."""
     vfx, vfz = spec.v_f
-    gain = (om[:, None, None] + kx[None, None, :] * vfx
-            + kz[None, :, None] * vfz)
+    if out is None:
+        out = np.empty((om.size, kz.size, kx.size))
+    gain = np.add(om[:, None, None] + kx[None, None, :] * vfx,
+                  kz[None, :, None] * vfz, out=out)
     gain *= spec.sigma_t
     np.square(gain, out=gain)
     gain *= -0.5
@@ -155,13 +165,29 @@ def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
 
 
 def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
-               dtype) -> Callable[[int, int], np.ndarray]:
+               dtype) -> Callable[[int, int], list[tuple[slice, np.ndarray]]]:
     """rows(z0, z1): the float64 gain on kz rows z0:z1 of the rfftn half
-    lattice of an (nt, nz, nx) stack. It is H, with the Hermitian mean on
-    the Nyquist planes, and 0 where the cast to dtype would round it to 0
-    (_exp_floor). Each entry depends on its own frequencies alone, so
-    rows(z0, z1) is rows(0, nz)[:, z0:z1] byte for byte; the lattices,
-    their mirrors and the Nyquist-plane means are computed once here."""
+    lattice of an (nt, nz, nx) stack, as (omega slice, gain on those rows)
+    pairs in DFT order: the rows the passband reaches, one or two slices
+    (none if it reaches no row). Every other omega row of the slab is
+    exactly 0. The gain is H, with the Hermitian mean on the Nyquist
+    planes, and 0 where the cast to dtype would round it to 0
+    (_exp_floor).
+
+    The row bound: H is 0 once sigma_t |Omega + d| > sqrt(-2 floor), with
+    d = kx v_fx + kz v_fz. d is bounded over the slab's kz rows and every
+    kx column, the negated Nyquist frequency of each even axis included,
+    since a Nyquist plane's mean also takes H there. An omega row is live
+    if its frequency, or on an even nt axis the Nyquist row's negation,
+    lies in [-d_max - reach, -d_min + reach], where reach is
+    sqrt(-2 floor) / sigma_t widened by 1e-9 of the largest magnitude
+    in the sum, far above its float64 rounding. A row outside is one where
+    every entry, and the mean on every Nyquist plane, is set to 0 by the
+    floor, so the rows left out are the zeros of the whole-lattice gain.
+
+    Each entry depends on its own frequencies alone, so a row's gain is
+    byte for byte that row of the whole-lattice gain; the lattices, their
+    mirrors and the Nyquist-plane means are computed once here."""
     floor = _exp_floor(dtype)
     sizes = (nt, grid.nz, grid.nx)
     axes = (omega_lattice(nt, dt), kz_lattice(grid),
@@ -179,16 +205,38 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                 _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
                 + _gain(*(m[p] for m, p in zip(mirror, plane)), spec,
                         floor))))
+    # d's kx and kz terms, each with the negated Nyquist bins
+    tx = np.concatenate((axes[2], mirror[2])) * spec.v_f[0]
+    tz = np.stack((axes[1], mirror[1])) * spec.v_f[1]
+    reach = math.sqrt(-2.0 * floor) / spec.sigma_t
+    reach += 1e-9 * (reach + np.abs(axes[0]).max() + np.abs(tx).max()
+                     + np.abs(tz).max())
 
-    def rows(z0: int, z1: int) -> np.ndarray:
-        gain = _gain(axes[0], axes[1][z0:z1], axes[2], spec, floor)
-        for ax, i, mean in planes:
-            if ax != 1:
-                gain[(slice(None),) * ax + (slice(i, i + 1),)] = \
-                    mean[:, z0:z1]
-            elif z0 <= i < z1:
-                gain[:, i - z0] = mean[:, 0]
-        return gain
+    def rows(z0: int, z1: int) -> list[tuple[slice, np.ndarray]]:
+        lo = -(tx.max() + tz[:, z0:z1].max()) - reach
+        hi = -(tx.min() + tz[:, z0:z1].min()) + reach
+        live = np.zeros(nt + 2, dtype=bool)
+        for om in (axes[0], mirror[0]):
+            live[1:-1] |= (om >= lo) & (om <= hi)
+        edges = np.flatnonzero(np.diff(live)).tolist()
+        # the gains are views of one buffer of the whole slab's shape, so
+        # each slab allocates one size, as the whole-lattice gain did; gains
+        # sized to their rows left heap fragments that raised a localize
+        # stage's peak RSS by about 1 MB
+        work = np.empty((nt, z1 - z0, len(axes[2])))
+        out = []
+        for t0, t1 in zip(edges[::2], edges[1::2]):
+            gain = _gain(axes[0][t0:t1], axes[1][z0:z1], axes[2], spec,
+                         floor, work[t0:t1])
+            for ax, i, mean in planes:
+                if ax == 0 and t0 <= i < t1:
+                    gain[i - t0] = mean[0, z0:z1]
+                elif ax == 1 and z0 <= i < z1:
+                    gain[:, i - z0] = mean[t0:t1, 0]
+                elif ax == 2:
+                    gain[:, :, i] = mean[t0:t1, z0:z1, 0]
+            out.append((slice(t0, t1), gain))
+        return out
 
     return rows
 
@@ -241,19 +289,37 @@ def _half_spectrum(data: np.ndarray, nt_pad: int,
     return _pocketfft.fft(spec, axis=1, workers=workers, overwrite_x=True)
 
 
+def _multiply_rows(spectrum: np.ndarray,
+                   gain: list[tuple[slice, np.ndarray]],
+                   out: np.ndarray) -> None:
+    """out = spectrum * the gain given as (omega rows, gain on them) pairs
+    in row order, 0 on every other row. The float64 gain is cast to out's
+    precision inside the multiply."""
+    done = 0
+    for rows, part in gain:
+        out[done:rows.start] = 0
+        np.multiply(spectrum[rows], part, out=out[rows], dtype=out.dtype)
+        done = rows.stop
+    out[done:] = 0
+
+
 def _filtered_inverse(spectrum: np.ndarray,
-                      gain_rows: Callable[[int, int], np.ndarray],
+                      gain_rows: Callable[[int, int],
+                                          list[tuple[slice, np.ndarray]]],
                       kept: np.ndarray, nx: int, workers: int) -> np.ndarray:
     """The first kept.shape[0] frames of irfftn(spectrum * gain), byte for
     byte as core.trimmed_irfftn gives them, with gain_rows(z0, z1) the gain
-    on kz rows z0:z1 (see _gain_rows).
+    on kz rows z0:z1 as the omega rows its passband reaches (see
+    _gain_rows).
 
     The gain, the product and the ifft along t run one slab of kz rows at a
-    time in a buffer of at most _SLAB_ELEMENTS (or one row); each slab's
-    first nt frames go to kept, where the z pass then runs in place, and
-    the irfft along x makes the output. Every pass is unscaled and the
-    output is multiplied once by T(1 / prod(padded shape)), rounded from
-    long double, as trimmed_irfftn does.
+    time in a buffer of at most _SLAB_ELEMENTS (or one row). Only the
+    reached omega rows are multiplied into the slab; the others, where the
+    whole-lattice gain is exactly 0, are zero-filled. Each slab's first nt
+    frames go to kept, where the z pass then runs in place, and the irfft
+    along x makes the output. Every pass is unscaled and the output is
+    multiplied once by T(1 / prod(padded shape)), rounded from long double,
+    as trimmed_irfftn does.
     """
     nt_pad, nz, nxh = spectrum.shape
     nt = kept.shape[0]
@@ -262,10 +328,8 @@ def _filtered_inverse(spectrum: np.ndarray,
     for z0 in range(0, nz, step):
         z1 = min(z0 + step, nz)
         slab = buf[:nt_pad * (z1 - z0) * nxh].reshape(nt_pad, z1 - z0, nxh)
-        # the float64 gain is cast to the spectrum's precision inside the
-        # multiply
-        np.multiply(spectrum[:, z0:z1], gain_rows(z0, z1), out=slab,
-                    dtype=slab.dtype)
+        # no name holds the slab's gain, so it is freed before the ifft
+        _multiply_rows(spectrum[:, z0:z1], gain_rows(z0, z1), slab)
         slab = _pocketfft.ifft(slab, axis=0, norm="forward",
                                workers=workers, overwrite_x=True)
         kept[:, z0:z1] = slab[:nt]

@@ -349,11 +349,13 @@ def suppress_loop(x, z, radius):
     return keep
 
 
-def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t):
+def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t,
+                      floor=-np.inf):
     """H = exp(-(sigma_t (Omega + kx vx + kz vz))^2 / 2) on the rfftn half
     lattice of an (nt, nz, nx) stack, evaluated on the whole lattice at
-    once. On the Nyquist plane of each even axis it is the mean of H at the
-    bin and at the bin with every even axis's Nyquist frequency negated."""
+    once, and 0 where the exponent is below floor. On the Nyquist plane of
+    each even axis it is the mean of H at the bin and at the bin with every
+    even axis's Nyquist frequency negated."""
     def lattice(n, d):
         return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
 
@@ -368,7 +370,8 @@ def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t):
     def h(om, kz, kx):
         doppler = (om[:, None, None] + kx[None, None, :] * v_f[0]
                    + kz[None, :, None] * v_f[1])
-        return np.exp(-0.5 * (sigma_t * doppler) ** 2)
+        exponent = -0.5 * (sigma_t * doppler) ** 2
+        return np.where(exponent < floor, 0.0, np.exp(exponent))
 
     gain = h(*axes)
     gain[nyquist] = (0.5 * (gain + h(*mirror)))[nyquist]

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gaussian_window, trimmed_irfftn_ref
-from velofilt.core import (FrameStack, Grid2D, kx_lattice, kz_lattice,
-                           load_frame_stack, make_grid, omega_lattice,
-                           save_frame_stack, trimmed_irfftn, write_pgm)
+from velofilt.core import (FrameStack, Grid2D, check_finite, kx_lattice,
+                           kz_lattice, load_frame_stack, make_grid,
+                           omega_lattice, save_frame_stack, trimmed_irfftn,
+                           write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -98,6 +99,17 @@ def test_load_rejects_truncated_payload(tmp_path):
     rpath.write_bytes(rpath.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_frame_stack(tmp_path / "demo")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_check_finite_names_the_first_bad_sample(dtype):
+    data = small_stack(nt=5).data.astype(dtype)
+    check_finite(data)
+    data[4, 0, 0] = np.nan
+    data[2, 5, 1] = -np.inf
+    data[2, 3, 4] = np.inf
+    with pytest.raises(ValueError, match=r"\(t, z, x\) = \(2, 3, 4\)$"):
+        check_finite(data)
 
 
 def test_load_rejects_unknown_version(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -236,16 +236,24 @@ def test_detect_ranks_tied_scores_by_row_before_column():
 @given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 4),
                                               st.integers(3, 8),
                                               st.integers(3, 8)),
-                        elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0])),
+                        elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0,
+                                                  0.3, 1.7, 2.9])),
        empty=st.integers(0, 3), copy=st.booleans(),
        min_sep=st.sampled_from([1e-9, 1.0, 1.5, 2.5]),
        subpixel=st.booleans(), dtype=st.sampled_from([np.float32,
                                                       np.float64]))
+# one peak per frame: a frame alone fits one patch, the block two
+@example(block=np.array(2 * [[[1.0, 1.0, 1.0], [1.0, 2.9, 1.3],
+                              [0.3, 1.0, 1.7]]]),
+         empty=1, copy=True, min_sep=1e-9, subpixel=True, dtype=np.float64)
 def test_detect_block_matches_frames(block, empty, copy, min_sep, subpixel,
                                      dtype):
     # few levels: exact score ties within a frame, plateaus and candidates
     # on the border; a copied frame ties across frames, and a zero frame
-    # has no candidate at all
+    # has no candidate at all. A sub-pixel fit's sums are inexact (the
+    # fit's weights are sixths and ninths, and some levels are not binary
+    # fractions either), so a fit whose rows depend on the batch, such as
+    # a BLAS product, fails here
     block[min(empty, len(block) - 1)] = 0.0
     if copy and len(block) > 1:
         block[-1] = block[0]

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import tracemalloc
@@ -42,9 +43,30 @@ def moving_bubble_stack(v_b, nt=64, n=65, dt=0.01, mode="pre"):
     return FrameStack(grid=grid, nt=nt, dt=dt, data=data)
 
 
-def whole_gain(grid, nt, dt, spec, dtype=np.float64):
-    """The gain on every kz row of the rfftn half lattice at once."""
-    return vfilter._gain_rows(grid, nt, dt, spec, dtype)(0, grid.nz)
+def whole_gain(grid, nt, dt, spec, dtype=np.float64, step=None, seen=None):
+    """The gain on the whole rfftn half lattice, put together from the
+    omega rows that _gain_rows gives per slab of step kz rows (all rows at
+    once by default), with 0 on every row it leaves out. seen, a Counter,
+    counts how each slab's rows fell: all, some in one run, some in a run
+    that DFT order splits at 0, or none."""
+    step = step or grid.nz
+    seen = collections.Counter() if seen is None else seen
+    rows = vfilter._gain_rows(grid, nt, dt, spec, dtype)
+    gain = np.zeros((nt, grid.nz, grid.nx // 2 + 1))
+    for z0 in range(0, grid.nz, step):
+        z1 = min(z0 + step, grid.nz)
+        parts = rows(z0, z1)
+        spans = [(r.start, r.stop) for r, _ in parts]
+        assert len(spans) <= 2 and all(a < b for a, b in spans)
+        if len(spans) == 2:
+            assert spans[0][0] == 0 and spans[0][1] < spans[1][0]
+            assert spans[1][1] == nt
+        seen["none" if not spans else "all" if spans == [(0, nt)]
+             else "wrapped" if len(spans) == 2 else "some"] += 1
+        for r, part in parts:
+            assert part.dtype == np.float64
+            gain[r, z0:z1] = part
+    return gain
 
 
 def test_spec_validation_and_geometry():
@@ -109,6 +131,76 @@ def test_float32_floor_changes_no_float32_gain(sizes, v_f, sigma_t, dt,
                           wide.astype(np.complex64))
     assert np.mean(narrow == 0.0) >= np.mean(wide == 0.0)
     assert np.array_equal(whole_gain(grid, nt, dt, spec, np.float64), wide)
+
+
+BOUND_SIZES = [(64, 8, 8), (63, 9, 9), (64, 9, 8), (33, 8, 9)]
+BOUND_V_F = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-2.0, 0.0), (0.0, -2.0),
+             (0.7, -0.4), (-30.0, 45.0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sizes", BOUND_SIZES)
+def test_row_bound_leaves_out_only_zero_rows(sizes, dtype):
+    # odd and even axes, v_f = 0, negative components, fast filters, narrow
+    # and wide windows: every omega row the bound leaves out of a slab is
+    # exactly 0 in the whole-lattice gain with dtype's floor, and the rows
+    # it keeps are that gain's bytes. Even axes put a Nyquist plane's
+    # mirrored half just inside the reach (e.g. v_f = (1, 0) on nx 8,
+    # (-2, 0) on an even nt), where only the mirrored bin keeps the row.
+    nt, nz, nx = sizes
+    grid = make_grid(nx, nz, 0.1, 0.1)
+    floor = vfilter._exp_floor(dtype)
+    seen = collections.Counter()
+    for v_f, sigma_t, dt in itertools.product(
+            BOUND_V_F, [0.02, 0.1, 0.5, 2.0], [0.01, 0.05]):
+        spec = VelocityFilterSpec(v_f=v_f, sigma_t=sigma_t)
+        want = velocity_gain_ref(nt, dt, nz, 0.1, nx, 0.1, v_f, sigma_t,
+                                 floor)
+        for step in (1, 3, nz):
+            got = whole_gain(grid, nt, dt, spec, dtype, step, seen)
+            assert np.array_equal(got, want), (v_f, sigma_t, dt, step)
+    assert set(seen) == {"all", "some", "wrapped", "none"}, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(nt=st.integers(2, 48), nz=st.integers(2, 12), nx=st.integers(2, 12),
+       dz=st.floats(0.02, 0.2), dx=st.floats(0.02, 0.2),
+       dt=st.floats(0.002, 0.1), log_sigma=st.floats(math.log(0.02),
+                                                    math.log(2.0)),
+       v_f=st.tuples(*2 * [st.one_of(st.just(0.0), st.floats(-3.0, 3.0),
+                                     st.floats(-60.0, 60.0))]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       step=st.integers(1, 12))
+def test_row_bound_is_sound_on_random_lattices(nt, nz, nx, dz, dx, dt,
+                                               log_sigma, v_f, dtype, step):
+    sigma_t = math.exp(log_sigma)
+    want = velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t,
+                             vfilter._exp_floor(dtype))
+    got = whole_gain(make_grid(nx, nz, dx, dz), nt, dt,
+                     VelocityFilterSpec(v_f=v_f, sigma_t=sigma_t), dtype,
+                     step)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nt, dt", [(64, 0.01), (63, 0.01), (64, 0.04)])
+def test_row_bound_holds_at_the_exact_reach(nt, dt):
+    # sigma_t within 20 ulps of each value that puts an omega row exactly
+    # at the float32 floor's reach: float64 rounding decides whether that
+    # row's gain is about 5e-46 or 0, so the bound needs its rounding margin
+    floor = vfilter._exp_floor(np.float32)
+    grid = make_grid(2, 2, 0.1, 0.1)
+    for omega in 2.0 * np.pi * np.fft.fftfreq(nt, dt)[1:nt // 2]:
+        low = high = math.sqrt(-2.0 * floor) / omega
+        sigmas = [low]
+        for _ in range(20):
+            low, high = math.nextafter(low, 0.0), math.nextafter(high, 9.0)
+            sigmas += [low, high]
+        for sigma_t in sigmas:
+            spec = VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=sigma_t)
+            want = velocity_gain_ref(nt, dt, 2, 0.1, 2, 0.1, (0.0, 0.0),
+                                     sigma_t, floor)
+            assert np.array_equal(whole_gain(grid, nt, dt, spec, np.float32),
+                                  want), sigma_t
 
 
 def test_zero_velocity_gain_is_purely_temporal():
@@ -394,17 +486,18 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
 
 def whole_lattice_outputs(frames, bank, boundary):
     """Each bank output as the first nt frames of the whole irfftn of the
-    rfftn of its padded source times the whole-lattice gain,
-    with the TO routing the bank reports."""
+    rfftn of its padded source times the whole-lattice gain of the plain
+    formula, with the TO routing the bank reports."""
+    grid = frames.grid
     outs = []
     for _, fspec, _, used_to in run_filter_bank(frames, bank, to_params=T,
                                                 boundary=boundary):
         source = apply_to_filter(frames, T) if used_to else frames
         pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
-        shape = (frames.nt + 2 * pad * (boundary == "pad"),
-                 frames.grid.nz, frames.grid.nx)
+        shape = (frames.nt + 2 * pad * (boundary == "pad"), grid.nz, grid.nx)
         spectrum = scipy.fft.rfftn(source.data, s=shape)
-        gain = whole_gain(frames.grid, shape[0], frames.dt, fspec)
+        gain = velocity_gain_ref(shape[0], frames.dt, grid.nz, grid.dz,
+                                 grid.nx, grid.dx, fspec.v_f, fspec.sigma_t)
         outs.append(trimmed_irfftn_ref(
             spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
             (slice(frames.nt), slice(None), slice(None))))
@@ -425,6 +518,40 @@ def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
     for (*_, out, _), want in zip(outs, wants):
         assert out.data.dtype == dtype
         assert np.array_equal(out.data, want)
+
+
+# v_f = 0; the TO-routed member; negative components; a wide window
+# with few live rows; a fast filter that reaches no row of some slabs;
+# a narrow window with every row live
+BOUND_BANK = FilterBankSpec(filters=(
+    VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.5),
+    VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.1),
+    VelocityFilterSpec(v_f=(-0.6, -0.8), sigma_t=0.3),
+    VelocityFilterSpec(v_f=(0.3, 2.0), sigma_t=2.0),
+    VelocityFilterSpec(v_f=(40.0, -30.0), sigma_t=0.1),
+    VelocityFilterSpec(v_f=(0.5, -0.5), sigma_t=0.02)))
+
+
+@pytest.mark.parametrize("sizes", [(20, 16, 11), (19, 15, 12)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_row_bound_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
+                                                 monkeypatch):
+    # the bank multiplies only the omega rows the bound keeps, in slabs of
+    # one kz row and in one slab, yet each output is the trimmed whole
+    # inverse of the whole-lattice product
+    nt, nz, nx = sizes
+    frames = noise_stack(nt=nt, nz=nz, nx=nx, dt=0.02)
+    frames.data = frames.data.astype(dtype)
+    wants = whole_lattice_outputs(frames, BOUND_BANK, boundary)
+    for budget in (1, vfilter._SLAB_ELEMENTS):
+        monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", budget)
+        outs = list(run_filter_bank(frames, BOUND_BANK, to_params=T,
+                                    boundary=boundary))
+        assert [used_to for *_, used_to in outs] == [False, True] + 4 * [False]
+        for (*_, out, _), want in zip(outs, wants, strict=True):
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, want), budget
 
 
 # (nt, nz, nx): the padded nt has nt's parity (pad and periodic alike)
