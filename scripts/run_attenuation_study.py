@@ -12,12 +12,13 @@ dv_mm_s, direction, gamma_pred, gamma_meas, gamma_to_pred, gamma_to_meas.
 """
 
 import argparse
-import csv
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
+from velofilt.cli import write_csv
 from velofilt.core import make_grid
 from velofilt.metrics import measure_attenuation
 from velofilt.phantom import BubbleSet, synthesize_frames
@@ -36,6 +37,16 @@ def main():
     ap.add_argument("--steps", type=int, default=9)
     ap.add_argument("--out", default="runs/attenuation_sweep.csv")
     args = ap.parse_args()
+    # the peak ratio is averaged over frames mid-5 .. mid+4, and the summary
+    # needs a nonzero mismatch
+    for flag, ok, need in (
+            ("--sigma-t", 0 < args.sigma_t < math.inf, "positive and finite"),
+            ("--dt", 0 < args.dt < math.inf, "positive and finite"),
+            ("--nt", args.nt >= 10, "at least 10"),
+            ("--max-dv", 0 < args.max_dv < math.inf, "positive and finite"),
+            ("--steps", args.steps >= 2, "at least 2")):
+        if not ok:
+            ap.error(f"{flag} must be {need}")
 
     p = PsfParams(sigma_r=0.3, wavelength=0.3)
     t = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=p.sigma_r)
@@ -73,15 +84,11 @@ def main():
     print(f"max lateral suppression advantage of TO: {best:.1f}x "
           f"[{time.time() - t0:.0f}s]")
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dv_mm_s", "direction", "gamma_pred", "gamma_meas",
-                    "gamma_to_pred", "gamma_to_meas"])
-        for dv, d, a, b, c, e in rows:
-            w.writerow([f"{dv:.3f}", d, f"{a:.5f}", f"{b:.5f}",
-                        f"{c:.5f}", f"{e:.5f}"])
+    out = write_csv(
+        Path(args.out), ["dv_mm_s", "direction", "gamma_pred", "gamma_meas",
+                         "gamma_to_pred", "gamma_to_meas"],
+        [(f"{dv:.3f}", d, f"{a:.5f}", f"{b:.5f}", f"{c:.5f}", f"{e:.5f}")
+         for dv, d, a, b, c, e in rows])
     print(f"wrote {out}")
 
 

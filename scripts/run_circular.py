@@ -12,37 +12,19 @@ Writes runs/circular_iou_vs_time.csv: t_s, iou.
 """
 
 import argparse
-import csv
 import math
 import time
 from pathlib import Path
 
 import velofilt
-from velofilt.cli import (ConfigError, check_config, load_config, localize,
-                          resolve, seed_arg, synthesize)
-from velofilt.localize import accumulate, segment_support
-from velofilt.metrics import iou
-from velofilt.phantom import truth_maps
+from velofilt.cli import localize, score, study_runs, synthesize, write_csv
 
 CONFIG = Path(velofilt.__file__).parent / "configs" / "phantom_f.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
-    ap.add_argument("--nt", type=int, help="override the config's frames")
-    ap.add_argument("--out", default="runs/circular_iou_vs_time.csv")
-    args = ap.parse_args()
-
-    cfg = load_config(args.config)
-    if args.nt is not None:
-        cfg["motion"]["nt"] = args.nt
-    try:
-        check_config(cfg)
-        r = resolve(cfg)
-    except ConfigError as exc:
-        ap.error(str(exc))
+    args, [r] = study_runs(ap, CONFIG, "runs/circular_iou_vs_time.csv")
     band = r.flow
     sigma_t = r.bank.filters[0].sigma_t
     accel = band.v0**2 / band.orbit_radius
@@ -51,23 +33,15 @@ def main():
           f"{math.degrees(4 * sigma_t * band.v0 / band.orbit_radius):.0f} deg "
           f"per 4 sigma_t window")
 
-    seed = r.seed if args.seed is None else args.seed
-    frames, _ = synthesize(r, seed)
-    truth = truth_maps(band, r.grid)[0]
-
+    frames, point_frames = synthesize(r, r.seed)
     t0 = time.time()
     locs = localize(r, frames)
-    checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "iou"])
-        for nt in checkpoints:
-            acc = accumulate(locs[locs["t"] < nt], r.grid)
-            val = iou(segment_support(acc), truth)
-            w.writerow([f"{nt * r.dt:.3g}", f"{val:.4f}"])
-            print(f"t={nt * r.dt:5.1f} s  iou={val:.3f}")
+    rows = []
+    for nt in [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]:
+        val = score(r, locs[locs["t"] < nt], point_frames[:nt])["iou"]
+        rows.append((f"{nt * r.dt:.3g}", f"{val:.4f}"))
+        print(f"t={nt * r.dt:5.1f} s  iou={val:.3f}")
+    out = write_csv(Path(args.out), ["t_s", "iou"], rows)
     print(f"n_locs={len(locs)} [{time.time() - t0:.0f}s]; wrote {out}")
 
 

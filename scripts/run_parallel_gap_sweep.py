@@ -13,85 +13,49 @@ grid width) and the line density must stay sparse, since a dense
 compensated counter-stream piles into a quasi-static stripe no velocity
 filter can reject.
 
-Reports IoU and the flow-aligned localization error per chain: the
-config's bank, and as the raw baseline the same detector on the unfiltered
-frames. The LE column penalizes count mismatch, so the multi-member bank
-pays for duplicate detections that the lambda/4 cross-member merge keeps;
-read IoU for support recovery and LE for per-point cleanliness.
+Reports IoU and the flow-aligned localization error over every frame, as
+the metrics stage scores them, per chain: the config's bank, and as the
+raw baseline the same detector on the unfiltered frames. The LE column
+penalizes count mismatch, so the multi-member bank pays for duplicate
+detections that the lambda/4 cross-member merge keeps; read IoU for
+support recovery and LE for per-point cleanliness.
 
 Writes runs/parallel_gap_sweep.csv:
 gap_mm, iou_vf, iou_raw, le_vf, le_raw.
 """
 
 import argparse
-import csv
 import time
 from pathlib import Path
 
-from velofilt.cli import (ConfigError, check_config, load_config, localize,
-                          resolve, seed_arg, synthesize)
-from velofilt.localize import accumulate, positions_by_frame, segment_support
-from velofilt.metrics import iou, localization_error_frames
-from velofilt.phantom import truth_maps
+from velofilt.cli import localize, score, study_runs, synthesize, write_csv
 
 CONFIG = Path(__file__).resolve().parent / "configs" / "parallel_gap.json"
 
 
-def frame_le(locs, point_frames, le, grid):
-    truth = [f[:, 1:3] for f in point_frames]
-    est = positions_by_frame(locs, len(point_frames))
-    return localization_error_frames(truth, est, le, grid, frame_step=4)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
-    ap.add_argument("--nt", type=int, help="override the config's frames")
     ap.add_argument("--gaps", type=float, nargs="+",
                     default=[0.2, 0.3, 0.4, 0.6, 0.8],
                     help="center-to-center gaps (mm) to run")
-    ap.add_argument("--out", default="runs/parallel_gap_sweep.csv")
-    args = ap.parse_args()
-
-    cfg = load_config(args.config)
-    if args.nt is not None:
-        cfg["motion"]["nt"] = args.nt
-
-    # every gap is checked before the first one runs
-    resolved = []
-    for gap in args.gaps:
-        cfg["phantom"]["gap_mm"] = gap
-        try:
-            check_config(cfg)
-            resolved.append(resolve(cfg))
-        except ConfigError as exc:
-            ap.error(f"--gaps {gap}: {exc}")
+    args, runs = study_runs(
+        ap, CONFIG, "runs/parallel_gap_sweep.csv",
+        lambda args, cfg: [(f"--gaps {gap}", {"phantom": {"gap_mm": gap}})
+                           for gap in args.gaps])
 
     rows = []
-    for gap, r in zip(args.gaps, resolved):
+    for gap, r in zip(args.gaps, runs):
         t0 = time.time()
-        frames, point_frames = synthesize(
-            r, r.seed if args.seed is None else args.seed)
-        truth = truth_maps(r.flow, r.grid)[0]
-        vf = localize(r, frames)
-        raw = localize(r, frames, bank=False)
-        i_vf = iou(segment_support(accumulate(vf, r.grid)), truth)
-        i_raw = iou(segment_support(accumulate(raw, r.grid)), truth)
-        le_vf = frame_le(vf, point_frames, r.le, r.grid)
-        le_raw = frame_le(raw, point_frames, r.le, r.grid)
-        rows.append((gap, i_vf, i_raw, le_vf, le_raw))
-        print(f"gap={gap:.2f}: iou vf={i_vf:.3f} raw={i_raw:.3f}  "
-              f"le vf={le_vf:.3f} raw={le_raw:.3f} [{time.time() - t0:.0f}s]")
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gap_mm", "iou_vf", "iou_raw", "le_vf", "le_raw"])
-        for gap, a, b, c, d in rows:
-            w.writerow([f"{gap:.2f}", f"{a:.4f}", f"{b:.4f}",
-                        f"{c:.4f}", f"{d:.4f}"])
+        frames, point_frames = synthesize(r, r.seed)
+        vf = score(r, localize(r, frames), point_frames)
+        raw = score(r, localize(r, frames, bank=False), point_frames)
+        rows.append([f"{gap:.2f}"] + [f"{m[key]:.4f}" for key in ("iou", "le")
+                                      for m in (vf, raw)])
+        print(f"gap={gap:.2f}: iou vf={vf['iou']:.3f} raw={raw['iou']:.3f}  "
+              f"le vf={vf['le']:.3f} raw={raw['le']:.3f} "
+              f"[{time.time() - t0:.0f}s]")
+    out = write_csv(Path(args.out),
+                    ["gap_mm", "iou_vf", "iou_raw", "le_vf", "le_raw"], rows)
     print(f"wrote {out}")
 
 

@@ -122,12 +122,9 @@ fft = functools.partial(_c2c, True)
 ifft = functools.partial(_c2c, False)
 
 
-def rfft(x, n=None, axis=-1, norm=None, workers=None) -> np.ndarray:
-    tmp = _asfarray(x)
-    if n is not None:
-        tmp, _ = _fix_shape(tmp, (n,), (axis,))
-    return _extension().r2c(tmp, (axis,), True, _inorm(norm, True), None,
-                            _workers(workers))
+def rfft(x, axis=-1, workers=None) -> np.ndarray:
+    return _extension().r2c(_asfarray(x), (axis,), True, _inorm(None, True),
+                            None, _workers(workers))
 
 
 def rfftn(x, s, axes=None, norm=None, workers=None) -> np.ndarray:

@@ -9,8 +9,9 @@ stage's wall time, peak memory, seed and config hash, and the artifact
 checksums; identical (config, seed, version) runs reproduce identical
 checksums. A stage that reads the synth stack checks its header against
 the config first. The study scripts and tests run a config in memory
-through `resolve`, `synthesize` and `localize`, the code the synth and
-localize stages run.
+through `resolve`, `synthesize`, `localize` and `score`, the code the
+synth, localize and metrics stages run; `study_runs` gives the study
+scripts their common flags and resolves each run of a sweep.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -560,6 +561,78 @@ def localize(r: Resolved, frames: FrameStack, workers: int = 1,
     return np.concatenate(result.per_frame)
 
 
+def score(r: Resolved, locs: np.ndarray, point_frames: list[np.ndarray]
+          ) -> dict:
+    """The metrics stage's report of locs against the truth points of
+    frames 0..len(point_frames)-1: IoU, FVE (and the fastest-q FVE when the
+    config sets fastest_q) and LE, then the counts, in that order.
+
+    Map metrics are scored at the frame grid; the detector's fine grid is
+    for rendering and stays in the accumulate artifacts. Grid bubbles have
+    no flow, hence no truth maps, IoU or FVE; LE is left out when no frame
+    holds a truth point."""
+    grid = r.grid
+    report: dict = {}
+    if r.flow:
+        truth_mask, _, tvx, tvz = truth_maps(r.flow, grid)
+        report["iou"] = iou(segment_support(accumulate(locs, grid)),
+                            truth_mask)
+        est = velocity_map_from_locs(locs, grid)
+        report["fve_mm_s"] = fve(tvx, tvz, est.vx, est.vz)
+        q = r.fastest_q
+        if q:
+            report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
+                                                    fastest_q=q)
+
+    n_truth = sum(f.shape[0] for f in point_frames)
+    if n_truth:
+        truth_frames = [f[:, 1:3] for f in point_frames]
+        est_frames = positions_by_frame(locs, len(point_frames))
+        report["le"] = localization_error_frames(truth_frames, est_frames,
+                                                 r.le, grid)
+    report["n_localizations"] = len(locs)
+    report["n_truth_points"] = int(n_truth)
+    return report
+
+
+def study_runs(ap: argparse.ArgumentParser, config: Path, out: str,
+               sweep=None) -> tuple[argparse.Namespace, list[Resolved]]:
+    """The command line of a study script and the resolved config of each
+    of its runs.
+
+    Adds --config (default config), --seed, --nt and --out (default out)
+    to the script's parser ap and parses; --seed and --nt are set in the
+    config. sweep(args, cfg), if given, lists the runs as (label, edits)
+    pairs: edits maps config sections to the keys one run sets in them,
+    and label (e.g. "--gaps 0.4") names the run in an error. Every run is
+    checked and resolved before the first one starts, and a ConfigError,
+    of the config file or of any run, goes to ap.error: exit 2 with one
+    error line, nothing run or written."""
+    ap.add_argument("--config", default=str(config))
+    ap.add_argument("--seed", type=seed_arg, help="override the config's seed")
+    ap.add_argument("--nt", type=int, help="override the config's frames")
+    ap.add_argument("--out", default=out)
+    args = ap.parse_args()
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as exc:
+        ap.error(str(exc))
+    if args.nt is not None:
+        cfg["motion"]["nt"] = args.nt
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    runs = []
+    for label, edits in sweep(args, cfg) if sweep else [(None, {})]:
+        run = {**cfg, **{name: {**cfg[name], **keys}
+                         for name, keys in edits.items()}}
+        try:
+            check_config(run)
+            runs.append(resolve(run))
+        except ConfigError as exc:
+            ap.error(f"{label}: {exc}" if label else str(exc))
+    return args, runs
+
+
 # ---------------------------------------------------------------------------
 # Manifest plumbing.
 
@@ -709,49 +782,22 @@ def _stage_metrics(r: Resolved, out: Path, fmt: str) -> list[Path]:
     locs = _load_csv(load_localizations_csv, locs_path)
     if len(locs) == 0:
         raise DataError("no localizations to score")
-    point_frames = _load_csv(load_truth_csv, truth_path)
-    grid = r.grid
-
-    # map metrics are scored at the frame grid; the detector's fine grid is
-    # for rendering and stays in the accumulate artifacts. Grid bubbles have
-    # no flow, hence no truth maps.
-    report: dict = {}
-    if r.flow:
-        truth_mask, _, tvx, tvz = truth_maps(r.flow, grid)
-        report["iou"] = iou(segment_support(accumulate(locs, grid)),
-                            truth_mask)
-        est = velocity_map_from_locs(locs, grid)
-        report["fve_mm_s"] = fve(tvx, tvz, est.vx, est.vz)
-        q = r.fastest_q
-        if q:
-            report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
-                                                    fastest_q=q)
-
-    n_truth = sum(f.shape[0] for f in point_frames)
-    if n_truth:
-        truth_frames = [f[:, 1:3] for f in point_frames]
-        est_frames = positions_by_frame(locs, len(point_frames))
-        report["le"] = localization_error_frames(truth_frames, est_frames,
-                                                 r.le, grid)
-    report["n_localizations"] = len(locs)
-    report["n_truth_points"] = int(n_truth)
-
+    report = score(r, locs, _load_csv(load_truth_csv, truth_path))
     out_path = out / f"{r.prefix}_metrics.{fmt}"
     if fmt == "json":
         _atomic_write_json(report, out_path)
     else:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for key, val in report.items():
-                writer.writerow([key, val])
+        # csv writes a non-string value as its str(), so these are the
+        # bytes csv.writer gives the report's values
+        write_csv(out_path, ["metric", "value"],
+                  [(key, str(val)) for key, val in report.items()])
     return [out_path]
 
 
-# ---------------------------------------------------------------------------
-# theory subcommand: closed-form tables, no simulation.
-
-def _write_csv(path: Path, header: list[str], rows) -> Path:
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a CSV table to path, making its folder; a float cell is
+    written to 9 significant digits, any other cell as str() gives it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -760,6 +806,9 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
                              for v in row])
     return path
 
+
+# ---------------------------------------------------------------------------
+# theory subcommand: closed-form tables, no simulation.
 
 def cmd_theory(args: argparse.Namespace) -> int:
     if args.ratio <= 0 or args.wavelength_mm <= 0 or args.sigma_r_mm <= 0:
@@ -776,11 +825,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
         raise ConfigError("theory: pick at least one of --gamma --deltav "
                           "--density --to-gamma --nrf --acq-time")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for note in notes:
         print(note)
     for name, header, rows in tables:
-        print(f"wrote {_write_csv(out / name, header, rows)}")
+        print(f"wrote {write_csv(out / name, header, rows)}")
     return EXIT_OK
 
 

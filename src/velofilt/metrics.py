@@ -127,7 +127,7 @@ def localization_error(truth_points, est_points, le: LeParams,
 
 
 def localization_error_frames(truth_frames, est_frames, le: LeParams,
-                              grid: Grid2D, frame_step: int = 1) -> float:
+                              grid: Grid2D) -> float:
     """Mean per-frame LE; frames with no truth points are skipped.
 
     Pooling frames into one point set would let kernels from different
@@ -135,7 +135,7 @@ def localization_error_frames(truth_frames, est_frames, le: LeParams,
     le.n_bubbles_t is overridden with each frame's truth count.
     """
     vals = []
-    for t in range(0, min(len(truth_frames), len(est_frames)), frame_step):
+    for t in range(min(len(truth_frames), len(est_frames))):
         truth = np.asarray(truth_frames[t], dtype=np.float64).reshape(-1, 2)
         if truth.shape[0] == 0:
             continue

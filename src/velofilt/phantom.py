@@ -127,7 +127,7 @@ def concat_bubbles(parts: Sequence[BubbleSet]) -> BubbleSet:
                      np.concatenate([q.ids for q in parts]))
 
 
-def from_plane(positions_xz, velocities_xz, ids=None) -> BubbleSet:
+def from_plane(positions_xz, velocities_xz) -> BubbleSet:
     """Lift (x, z) positions/velocities into the 3D set with y = 0."""
     positions_xz = np.atleast_2d(np.asarray(positions_xz, dtype=np.float64))
     velocities_xz = np.atleast_2d(np.asarray(velocities_xz, dtype=np.float64))
@@ -136,9 +136,7 @@ def from_plane(positions_xz, velocities_xz, ids=None) -> BubbleSet:
     vel = np.zeros((n, 3))
     pos[:, 0], pos[:, 2] = positions_xz[:, 0], positions_xz[:, 1]
     vel[:, 0], vel[:, 2] = velocities_xz[:, 0], velocities_xz[:, 1]
-    if ids is None:
-        ids = np.arange(n)
-    return BubbleSet(pos, vel, np.asarray(ids))
+    return BubbleSet(pos, vel, np.arange(n))
 
 
 def _disk_samples(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -189,8 +187,8 @@ def sample_bubbles(vessel: VesselSpec, rng: np.random.Generator,
     return BubbleSet(pos, vel, id_start + np.arange(n))
 
 
-def sample_circular_bubbles(band: CircularBandSpec, rng: np.random.Generator,
-                            id_start: int = 0) -> BubbleSet:
+def sample_circular_bubbles(band: CircularBandSpec, rng: np.random.Generator
+                            ) -> BubbleSet:
     """Uniform draw in the orbital band (torus), tangential velocities."""
     circumference = 2.0 * math.pi * band.orbit_radius
     volume = math.pi * band.radius_r**2 * circumference
@@ -206,7 +204,7 @@ def sample_circular_bubbles(band: CircularBandSpec, rng: np.random.Generator,
     speed = band.v0 * (1.0 - (np.hypot(ab[:, 0], ab[:, 1]) / band.radius_r) ** 2)
     tang = np.column_stack([-np.sin(phi), np.zeros(n), np.cos(phi)]) * band.spin
     vel = speed[:, None] * tang
-    return BubbleSet(pos, vel, id_start + np.arange(n))
+    return BubbleSet(pos, vel, np.arange(n))
 
 
 def advance(bubbles: BubbleSet, dt: float,

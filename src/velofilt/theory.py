@@ -88,8 +88,8 @@ class VelocityPassband:
 
 
 def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
-                       mode: str = "pre", v_f: float = 0.0,
-                       tol: float = 1e-12) -> VelocityPassband:
+                       mode: str = "pre", v_f: float = 0.0
+                       ) -> VelocityPassband:
     """Solve the half-maximum condition for kappa by bisection.
 
     mode 'pre' solves gamma_hat(kappa) = 1/4 + c_g (1/2 - (1+kappa^2/2)^-1/2)
@@ -118,7 +118,7 @@ def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("passband bracket failed")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0.0:
             lo = mid

@@ -246,7 +246,7 @@ def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
 
 
 def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
-                     boundary: str = "pad", workers: int = 1) -> FrameStack:
+                     boundary: str = "pad") -> FrameStack:
     """Filter a stack through the 3D FFT path: run_filter_bank with a
     one-filter bank.
 
@@ -257,7 +257,7 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
     is allocated.
     """
     [(_, _, out, _)] = run_filter_bank(frames, FilterBankSpec(filters=(spec,)),
-                                       boundary=boundary, workers=workers)
+                                       boundary=boundary)
     return out
 
 

@@ -7,10 +7,13 @@ module, or be listed in its `__all__`; no module of the package imports
 scipy, whose only use, pocketfft's extension, `_pocketfft` loads without
 an import statement; and every top-level function or class of the package,
 and every method or property of such a class, is read by the package, a
-study script or the benchmark's tracer, not by the tests alone.
+study script or the benchmark's tracer, not by the tests alone; and each
+defaulted parameter of such a function or method is passed by some call
+in the package, the scripts or the tests.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -188,3 +191,85 @@ def test_every_package_name_has_a_production_reader():
     package = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_names(package, [p.read_text() for p in SCRIPTS],
                       [TRACER.read_text()]) == []
+
+
+# _pocketfft's fft and ifft are partials of _c2c with the direction bound
+# as its first argument
+CALL_ALIASES = {"fft": ("_c2c", 1), "ifft": ("_c2c", 1)}
+
+
+def unpassed_defaults(package: dict[str, str], callers: list[str]
+                      ) -> list[str]:
+    """'module.function(param)' for each defaulted parameter of a top-level
+    function or method of the package modules (name -> source) that no
+    call in the callers sources passes, by keyword or by position.
+
+    A call is matched to every definition of the name it calls (a Name or
+    an attribute's name), and a method's first parameter is taken as bound.
+    A call with **kwargs passes every parameter, one with *args every
+    positional one."""
+    reach: dict[str, int] = {}
+    keywords: dict[str, set] = {}
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            name, bound = CALL_ALIASES.get(name, (name, 0))
+            n = bound + len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n = math.inf
+            reach[name] = max(reach.get(name, 0), n)
+            got = keywords.setdefault(name, set())
+            got |= {k.arg for k in call.keywords}
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS):
+                units = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                units = [(f"{node.name}.{f.name}", f, 1) for f in node.body
+                         if isinstance(f, FUNCTIONS)]
+            else:
+                continue
+            for label, fn, first in units:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                with_default = [
+                    (i, a.arg) for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)]
+                with_default += [(math.inf, a.arg) for a, d in zip(
+                    args.kwonlyargs, args.kw_defaults) if d is not None]
+                seen = keywords.get(fn.name, set())
+                found += [f"{module}.{label}({arg})"
+                          for i, arg in with_default
+                          if None not in seen and arg not in seen
+                          and i - first >= reach.get(fn.name, 0)]
+    return found
+
+
+def test_checker_finds_unpassed_defaults():
+    package = {
+        "a": ("def f(x, y=1, z=2, *, w=3): pass\n"
+              "def g(x, y=1): pass\n"
+              "def h(x=0, y=1): pass\n"
+              "def _c2c(forward, x, n=None): pass\n"
+              "class C:\n"
+              "    def m(self, u=0, v=1): pass\n")}
+    callers = ["f(0, z=1)\n",
+               "import a\na.g(*[1, 2])\n",
+               "h(**{})\n",
+               "fft(x, 4)\n",
+               "C().m(5)\n"]
+    assert unpassed_defaults(package, callers) == [
+        "a.f(y)", "a.f(w)", "a.C.m(v)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no caller overrides is a constant, not a parameter
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert unpassed_defaults(
+        package, [path.read_text() for path in MODULES]) == []

@@ -112,9 +112,6 @@ def test_le_frames_mean_and_skipping():
     # frame 0 skipped; frame 2 perfect; frame 1 has T=1
     per1 = localization_error(truth[1], est[1], LE, LE_GRID)
     assert got == pytest.approx(per1 / 2.0, rel=1e-9)
-    # frame_step=2 visits only frames 0 and 2
-    got2 = localization_error_frames(truth, est, LE, LE_GRID, frame_step=2)
-    assert got2 == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         localization_error_frames([np.empty((0, 2))], [np.empty((0, 2))],
                                   LE, LE_GRID)

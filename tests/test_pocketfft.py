@@ -54,11 +54,9 @@ def test_c2c_matches_scipy(name, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_rfft_matches_scipy(dtype):
-    for shape, axis, norm, workers in itertools.product(
-            SHAPES, [0, 1, 2, -1], NORMS, WORKERS):
-        x = _data(shape, dtype)
-        for n in (None, shape[axis] + 3, shape[axis] - 2):
-            _same("rfft", x, n, axis=axis, norm=norm, workers=workers)
+    for shape, axis, workers in itertools.product(
+            SHAPES, [0, 1, 2, -1], WORKERS):
+        _same("rfft", _data(shape, dtype), axis=axis, workers=workers)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -100,6 +100,24 @@ BAD_FLAGS = [
      "--gaps -0.2: config invalid at $.phantom.gap_mm"),
     ("run_phantom_c", ["--c-mb", "-5", "1"],
      "--c-mb -5.0: config invalid at $.phantom.c_mb_high_per_mm3"),
+    *[(name, ["--config", config], message)
+      for name in ("run_velocity_map", "run_circular", "run_phantom_c",
+                   "run_parallel_gap_sweep")
+      for config, message in (("missing.json", "config not found"),
+                              (str(ROOT / "README.md"),
+                               "config is not valid JSON"))],
+    ("run_attenuation_study", ["--sigma-t", "-1"],
+     "--sigma-t must be positive"),
+    ("run_attenuation_study", ["--sigma-t", "inf"],
+     "--sigma-t must be positive and finite"),
+    ("run_attenuation_study", ["--dt", "0"], "--dt must be positive"),
+    ("run_attenuation_study", ["--max-dv", "0"], "--max-dv must be positive"),
+    ("run_attenuation_study", ["--max-dv", "nan"],
+     "--max-dv must be positive"),
+    ("run_attenuation_study", ["--nt", "0"], "--nt must be at least 10"),
+    ("run_attenuation_study", ["--nt", "9"], "--nt must be at least 10"),
+    ("run_attenuation_study", ["--steps", "0"], "--steps must be at least 2"),
+    ("run_attenuation_study", ["--steps", "1"], "--steps must be at least 2"),
 ]
 
 
@@ -121,3 +139,14 @@ def test_script_bad_flag_exits_2_before_any_run(tmp_path, name, args,
     assert proc.stderr.splitlines()[-1].startswith(f"{name}.py: error: ")
     assert message in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_attenuation_study_runs_at_the_shortest_window(tmp_path):
+    # 10 frames hold the 10-frame window around the middle one
+    out = tmp_path / "att.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_attenuation_study.py"), "--out",
+         str(out), "--nt", "10", "--steps", "2"],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 5
