@@ -65,7 +65,12 @@ def main():
         for dv in np.linspace(0.0, args.max_dv, args.steps):
             spec = VelocityFilterSpec(v_f=(dv * unit[0], dv * unit[1]),
                                       sigma_t=args.sigma_t)
-            flt = apply_filter_fft(frames, spec)
+            try:
+                flt = apply_filter_fft(frames, spec)
+            except ValueError as exc:
+                # every filter pads the stack alike, so the first one
+                # refuses a stack past the in-memory FFT limit
+                ap.error(str(exc))
             meas = 1.0 / measure_attenuation(frames, flt, (0.0, 0.0), win,
                                              frame_range=span)
             pred = attenuation_pre(p, args.sigma_t, spec.v_f).gamma

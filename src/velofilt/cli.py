@@ -664,6 +664,11 @@ def _peak_rss_mb() -> float:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _read_manifest(out: Path) -> dict:
     """The manifest in out, or a new one; a manifest that is not JSON, or
     whose stages or artifacts are not objects, is a data error."""
@@ -684,13 +689,14 @@ def _read_manifest(out: Path) -> dict:
 
 
 def _update_manifest(manifest: dict, out: Path, cfg: dict, seed: int,
-                     stage: str, wall_s: float, artifacts: list[Path]) -> None:
+                     stage: str, wall_s: float, minor_faults: int,
+                     artifacts: list[Path]) -> None:
     """Record stage and its artifacts in manifest and write it to out."""
     run = {"seed": seed, "config_sha256": _config_hash(cfg)}
     manifest.update(run)
     manifest["stages"][stage] = {"wall_s": round(wall_s, 3),
                                  "peak_rss_mb": round(_peak_rss_mb(), 1),
-                                 **run}
+                                 "minor_faults": minor_faults, **run}
     for art in artifacts:
         manifest["artifacts"][str(art.relative_to(out))] = _sha256_file(art)
     _atomic_write_json(manifest, out / "manifest.json")
@@ -928,10 +934,11 @@ def _run_stage_command(cmd: str, args: argparse.Namespace) -> int:
     manifest = _read_manifest(out)
     out.mkdir(parents=True, exist_ok=True)
     for stage in (_STAGES if cmd == "pipeline" else (cmd,)):
-        t0 = time.perf_counter()
+        t0, faults0 = time.perf_counter(), _minor_faults()
         arts = _STAGES[stage](r, out, seed, args)
         wall = time.perf_counter() - t0
-        _update_manifest(manifest, out, cfg, seed, stage, wall, arts)
+        _update_manifest(manifest, out, cfg, seed, stage, wall,
+                         _minor_faults() - faults0, arts)
         print(f"[{stage}] ok ({wall:.2f} s, {len(arts)} artifacts)")
     return EXIT_OK
 

@@ -13,6 +13,10 @@ A phantom's flow is either such a band or a sequence of straight vessels
 (empty for free bubbles moving in straight lines). It is the one input that
 decides how `synthesize_frames` moves and respawns the bubbles and what
 `truth_maps` rasterizes as the truth support and velocity map.
+
+`synthesize_frames` allocates its per-bubble work arrays once per call and
+renders every frame into them in place. Its frames are byte for byte those
+of the allocating per-frame reference, `render_frame` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -339,28 +343,21 @@ def truth_maps(flow: Flow, grid: Grid2D
 # ---------------------------------------------------------------------------
 # Frame synthesis.
 
-def render_frame(bubbles: BubbleSet, grid: Grid2D,
-                 p: PsfParams) -> np.ndarray:
-    """Sum of pre-envelope PSFs at the bubbles' image positions, one frame.
-
-    Uses the separability of the PSF in (x, z): per bubble the field is an
-    outer product of a lateral and an axial factor, so the frame is one
-    matrix product instead of a per-bubble 2D evaluation.
-    """
-    ux = grid.x_coords()[None, :] - bubbles.pos[:, 0, None]    # (n, nx)
-    uz = grid.z_coords()[None, :] - bubbles.pos[:, 2, None]    # (n, nz)
-    s2 = 2.0 * p.sigma_r**2
-    lat = np.exp(-(ux**2) / s2)
-    axial = np.exp(-(uz**2) / s2) * np.cos(2.0 * math.pi * uz / p.wavelength)
-    # no bubbles: a (nz, 0) @ (0, nx) product, all zeros
-    return (axial.T @ lat) * p.g_e_peak
-
-
 def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
                       nt: int, dt: float, p: PsfParams, noise_std: float = 0.0,
                       rng: np.random.Generator | None = None
                       ) -> tuple[FrameStack, list[np.ndarray]]:
-    """Advance bubbles over nt frames and render each frame (render_frame).
+    """Advance bubbles over nt frames and render each frame.
+
+    A frame is the sum of the pre-envelope PSFs at the bubbles' image
+    positions. The PSF is separable in (x, z): per bubble the field is the
+    outer product of a lateral and an axial factor, so a frame is one
+    matrix product instead of a per-bubble 2D evaluation. The lateral
+    factor (n, nx), the axial factor and the carrier (n, nz) are work
+    arrays allocated once per call; each frame is rendered into them in
+    place and its product is written straight into the stack. The frames
+    are byte for byte those of the allocating per-frame reference,
+    `render_frame` in `tests/oracles.py`.
 
     Bubble positions are taken at frame times t = 0, dt, ..., (nt-1)dt. The
     flow sets the motion: a band makes the bubbles orbit its center;
@@ -384,10 +381,13 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     lengths = [v.length if v.length is not None
                else default_vessel_length(grid, p) for v in vessels]
     data = np.empty((nt, grid.nz, grid.nx))
+    n = len(bubbles)
+    work = (np.empty((n, grid.nx)), np.empty((n, grid.nz)),
+            np.empty((n, grid.nz)))
     point_frames = []
     state = bubbles.copy()
     for t in range(nt):
-        data[t] = render_frame(state, grid, p)
+        _render_into(state.pos, grid, p, work, data[t])
         keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
         point_frames.append(np.column_stack([
             state.ids[keep].astype(np.float64),
@@ -400,6 +400,36 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     if noise_std > 0:
         data += rng.normal(0.0, noise_std, size=data.shape)
     return FrameStack(grid=grid, nt=nt, dt=dt, data=data), point_frames
+
+
+def _render_into(pos: np.ndarray, grid: Grid2D, p: PsfParams,
+                 work: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 out: np.ndarray) -> None:
+    """Render one frame of the bubbles at pos (n, 3) into out (nz, nx).
+
+    work holds the lateral factor (n, nx), the axial factor and the
+    carrier (n, nz); every step runs in place on them, in the order of the
+    allocating form, so the frame's bytes do not depend on the buffers.
+    With no bubbles the (nz, 0) @ (0, nx) product is all zeros.
+    """
+    lat, axial, carrier = work
+    s2 = 2.0 * p.sigma_r**2
+    np.subtract(grid.x_coords(), pos[:, 0, None], out=lat)       # ux
+    np.square(lat, out=lat)
+    np.negative(lat, out=lat)
+    np.divide(lat, s2, out=lat)
+    np.exp(lat, out=lat)
+    np.subtract(grid.z_coords(), pos[:, 2, None], out=axial)     # uz
+    np.multiply(2.0 * math.pi, axial, out=carrier)
+    np.divide(carrier, p.wavelength, out=carrier)
+    np.cos(carrier, out=carrier)
+    np.square(axial, out=axial)
+    np.negative(axial, out=axial)
+    np.divide(axial, s2, out=axial)
+    np.exp(axial, out=axial)
+    np.multiply(axial, carrier, out=axial)
+    np.matmul(axial.T, lat, out=out)
+    np.multiply(out, p.g_e_peak, out=out)
 
 
 def _respawn_nearest(bubbles: BubbleSet, vessels: Sequence[VesselSpec],

@@ -384,3 +384,16 @@ def trimmed_irfftn_ref(spec, s, axes, keep):
     for ax, k in zip(axes, keep):
         index[ax] = k
     return scipy.fft.irfftn(spec, s, axes=axes)[tuple(index)]
+
+
+def render_frame(bubbles, grid, p):
+    """Sum of pre-envelope PSFs at the bubbles' image positions, one frame,
+    with fresh intermediates: the allocating form that
+    phantom.synthesize_frames renders in place, byte for byte."""
+    ux = grid.x_coords()[None, :] - bubbles.pos[:, 0, None]    # (n, nx)
+    uz = grid.z_coords()[None, :] - bubbles.pos[:, 2, None]    # (n, nz)
+    s2 = 2.0 * p.sigma_r**2
+    lat = np.exp(-(ux**2) / s2)
+    axial = np.exp(-(uz**2) / s2) * np.cos(2.0 * math.pi * uz / p.wavelength)
+    # no bubbles: a (nz, 0) @ (0, nx) product, all zeros
+    return (axial.T @ lat) * p.g_e_peak

@@ -674,6 +674,9 @@ def test_manifest_records_peak_memory_of_each_stage(tmp_path):
     assert all(peak > 0 for peak in peaks)
     # one process ran every stage, and its high-water mark never falls
     assert peaks == sorted(peaks)
+    # each stage's own minor page faults, a count
+    faults = [stages[name]["minor_faults"] for name in cli._STAGES]
+    assert all(type(n) is int and n >= 0 for n in faults)
 
 
 def test_pipeline_metrics_with_vessel_geometry(tmp_path):

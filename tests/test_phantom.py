@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import render_frame
 from velofilt.core import make_grid
 from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
-                              advance, default_vessel_length, empty_bubbles,
+                              _respawn_nearest, advance, concat_bubbles,
+                              default_vessel_length, empty_bubbles,
                               flow_speed, from_plane, load_truth_csv,
-                              render_frame, respawn_axial, sample_bubbles,
+                              respawn_axial, sample_bubbles,
                               sample_circular_bubbles, save_truth_csv,
                               synthesize_frames, truth_maps)
 from velofilt.psf import PsfParams, render_psf
@@ -196,6 +198,51 @@ def test_render_frame_matches_psf_sum():
                for x, z in pts)
     assert np.allclose(frame, want, atol=1e-12)
     assert render_frame(empty_bubbles(), grid, P).max() == 0.0
+
+
+def _crossing(grid, rng):
+    # two vessels at +-45 degrees, dense enough that each (n, nx or nz) work
+    # array is above glibc's 128 KiB mmap threshold
+    vessels = [VesselSpec(radius_r=0.4, v0=40.0, c_mb=96.0,
+                          axis_angle_rad=math.radians(a)) for a in (45, -45)]
+    length = default_vessel_length(grid, P)
+    first = sample_bubbles(vessels[0], rng, length=length)
+    second = sample_bubbles(vessels[1], rng, length=length,
+                            id_start=len(first))
+    bubbles = concat_bubbles([first, second])
+    assert len(bubbles) * min(grid.nx, grid.nz) * 8 > 128 * 1024
+    return bubbles, vessels
+
+
+def _band(grid, rng):
+    band = CircularBandSpec(orbit_radius=2.0, radius_r=0.4, v0=20.0,
+                            c_mb=20.0, center=(0.1, -0.2))
+    return sample_circular_bubbles(band, rng), band
+
+
+@pytest.mark.parametrize("phantom", [
+    _crossing, _band, lambda grid, rng: (empty_bubbles(), ())],
+    ids=["crossing", "band", "empty"])
+def test_synthesized_frames_equal_the_reference_render(phantom):
+    # replay the motion and render each frame's bubbles with the
+    # allocating oracle: the in-place render must give the same bytes
+    grid = make_grid(64, 48, 0.1, 0.1)
+    bubbles, flow = phantom(grid, np.random.default_rng(3))
+    nt, dt = 8, 0.05
+    stack, _ = synthesize_frames(bubbles, flow, grid, nt, dt, P)
+    center = flow.center if isinstance(flow, CircularBandSpec) else None
+    vessels = () if center is not None else tuple(flow)
+    lengths = [default_vessel_length(grid, P)] * len(vessels)
+    state = bubbles
+    for t in range(nt):
+        assert np.array_equal(stack.data[t], render_frame(state, grid, P))
+        state = advance(state, dt, center)
+        if vessels:
+            state = _respawn_nearest(state, vessels, lengths)
+    if not len(bubbles):
+        assert np.all(stack.data == 0.0)
+    else:
+        assert not np.array_equal(stack.data[0], stack.data[-1])
 
 
 def test_support_mask_straight_vessel():

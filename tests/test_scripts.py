@@ -118,6 +118,9 @@ BAD_FLAGS = [
     ("run_attenuation_study", ["--nt", "9"], "--nt must be at least 10"),
     ("run_attenuation_study", ["--steps", "0"], "--steps must be at least 2"),
     ("run_attenuation_study", ["--steps", "1"], "--steps must be at least 2"),
+    # a 2e9-frame pad per side: past the bank's in-memory FFT limit
+    ("run_attenuation_study", ["--nt", "12", "--steps", "3", "--dt", "1e-9"],
+     "exceeds the in-memory FFT limit"),
 ]
 
 
