@@ -13,6 +13,12 @@ skips them.
     python3 scripts/check_golden.py --config phantom_f  # the 600-frame case
     python3 scripts/check_golden.py --write             # regenerate entries
 
+Each run's line also gives its stages' wall time and peak resident memory
+from manifest.json (`synth 0.15 s 197.0 MB, ...`). They vary from run to
+run, so they are neither compared nor written to the golden file. The
+memory is the process's high-water mark, which the configs run before
+carry over: pass one --config for a config's own figures.
+
 Exits 1 when a compared value differs. tests/test_golden.py runs the same
 check on the seven fast configs.
 """
@@ -37,6 +43,7 @@ GOLDEN = ROOT / "tests" / "golden" / "seed7.json"
 SEED = 7
 METRICS = ("iou", "fve_mm_s", "le", "n_localizations")
 METRIC_RTOL = 1e-6
+STAGES = ("synth", "filter", "localize", "accumulate", "metrics")
 CONFIGS = {
     **{name: ROOT / "perfbench" / "workloads" / f"{name}.json"
        for name in ("orbit-bank", "axial-pre", "cross-staged")},
@@ -70,6 +77,15 @@ def run(name: str, out: Path) -> dict:
     return {"artifacts": manifest["artifacts"],
             "metrics": {k: report[k] for k in METRICS if k in report},
             "environment": environment()}
+
+
+def stage_figures(out: Path) -> str:
+    """Each stage's wall time and peak RSS from the manifest in out, in
+    pipeline order."""
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    return ", ".join(f"{name} {stages[name]['wall_s']:.2f} s "
+                     f"{stages[name]['peak_rss_mb']:.1f} MB"
+                     for name in STAGES)
 
 
 def metric_problems(got: dict, want: dict) -> list[str]:
@@ -115,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     names = args.config or FAST
     with tempfile.TemporaryDirectory() as tmp:
         results = {name: run(name, Path(tmp) / name) for name in names}
+        figures = {name: stage_figures(Path(tmp) / name) for name in names}
     if args.write:
         golden = load_golden() if GOLDEN.exists() else {"seed": SEED,
                                                         "configs": {}}
@@ -122,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True)
                           + "\n")
+        for name in names:
+            print(f"{name}: stages {figures[name]}")
         print(f"wrote {len(results)} entries to {GOLDEN}")
         return 0
     golden = load_golden()
@@ -141,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"{name}: {problem}")
         print(f"{name}: {'FAIL' if problems else 'ok'} {got['metrics']}")
+        print(f"{name}: stages {figures[name]}")
         failed = failed or bool(problems)
     return 1 if failed else 0
 

@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (FrameStack, Grid2D, load_frame_stack, make_fine_grid,
-                   make_grid, save_frame_stack, write_pgm)
+from .core import (FrameStack, FrameStream, Grid2D, load_frame_stack,
+                   make_fine_grid, make_grid, save_frame_stack, to_float32,
+                   write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        localize_frames, positions_by_frame, run_pipeline,
                        save_localizations_csv, segment_support,
@@ -534,10 +535,12 @@ def _draw_bubbles(r: Resolved, rng: np.random.Generator) -> BubbleSet:
 # In-memory run of a resolved config: the synth and localize stages without
 # their files, for the study scripts and the tests.
 
-def synthesize(r: Resolved, seed: int
-               ) -> tuple[FrameStack, list[np.ndarray]]:
+def synthesize(r: Resolved, seed: int, sink=None
+               ) -> tuple[FrameStack | None, list[np.ndarray]]:
     """The config's frames (float64) and per-frame truth points, with the
-    bubbles and the noise drawn from one generator seeded with seed."""
+    bubbles and the noise drawn from one generator seeded with seed. With
+    sink, the frames go to sink block by block and no stack is returned
+    (see synthesize_frames)."""
     rng = np.random.default_rng(seed)
     # a draw can still fail on the section's values, e.g. a Poisson mean
     # too large for numpy
@@ -545,7 +548,8 @@ def synthesize(r: Resolved, seed: int
         bubbles = _draw_bubbles(r, rng)
     return synthesize_frames(
         bubbles, r.flow, r.grid, r.nt, r.dt, r.psf,
-        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
+        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None,
+        sink=sink)
 
 
 def localize(r: Resolved, frames: FrameStack, workers: int = 1,
@@ -706,12 +710,25 @@ def _update_manifest(manifest: dict, out: Path, cfg: dict, seed: int,
 # Stage implementations. Each returns the list of artifact paths it wrote.
 
 def _stage_synth(r: Resolved, out: Path, seed: int) -> list[Path]:
-    frames, point_frames = synthesize(r, seed)
-    arts = list(save_frame_stack(frames, out / f"{r.prefix}_frames"))
+    """Stream the frames to disk block by block (the whole stack is never
+    held), then write the truth and the preview of each pixel's max |x|."""
+    point_frames: list[np.ndarray] = []
+    peak = np.zeros((r.grid.nz, r.grid.nx))
+
+    def fill(append):
+        def write(block: np.ndarray) -> None:
+            append(block)
+            if r.save_pgm:
+                # max |x| is max(max x, -min x) exactly: no |block| copy
+                np.maximum(peak, block.max(axis=0), out=peak)
+                np.maximum(peak, -block.min(axis=0), out=peak)
+        point_frames.extend(synthesize(r, seed, sink=write)[1])
+
+    arts = list(save_frame_stack(FrameStream(r.grid, r.nt, r.dt, fill),
+                                 out / f"{r.prefix}_frames"))
     arts.append(save_truth_csv(point_frames, out / f"{r.prefix}_truth.csv"))
     if r.save_pgm:
-        arts.append(write_pgm(np.abs(frames.data).max(axis=0),
-                              out / f"{r.prefix}_preview.pgm"))
+        arts.append(write_pgm(peak, out / f"{r.prefix}_preview.pgm"))
     return arts
 
 
@@ -766,11 +783,12 @@ def _stage_accumulate(r: Resolved, out: Path) -> list[Path]:
     acc = accumulate(locs, r.fine)
     vmap = velocity_map_from_locs(locs, r.fine)
     mask = segment_support(acc)
-    acc_stack = FrameStack(grid=r.fine, nt=1, dt=1.0,
-                           data=acc.counts.astype(np.float64)[None])
+    # both stacks are cast and checked before either is written
+    acc_stack = FrameStack(grid=r.fine, nt=1, dt=1.0, data=to_float32(
+        acc.counts.astype(np.float64)[None]))
+    vel_stack = FrameStack(grid=r.fine, nt=3, dt=1.0, data=to_float32(
+        np.stack([vmap.speed, vmap.vx, vmap.vz])))
     arts = list(save_frame_stack(acc_stack, out / f"{r.prefix}_accum"))
-    vel_stack = FrameStack(grid=r.fine, nt=3, dt=1.0,
-                           data=np.stack([vmap.speed, vmap.vx, vmap.vz]))
     arts += save_frame_stack(vel_stack, out / f"{r.prefix}_velmap")
     arts.append(write_pgm(acc.counts.astype(np.float64),
                           out / f"{r.prefix}_accum.pgm"))

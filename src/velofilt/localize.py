@@ -78,6 +78,9 @@ class DetectorConfig:
     +- wavelength axially (relative height exp(-lambda^2/(4 sigma_r^2)),
     0.78 for sigma_r = lambda, above the 0.5 threshold), so the radius must
     exceed their spacing; the 2 lambda replica is already sub-threshold.
+    Suppression compares squared distances with min_separation**2, so a
+    min_separation whose square overflows a float is rejected here, before
+    any stage runs.
     """
 
     threshold_fraction: float = 0.5
@@ -87,8 +90,14 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must be in (0, 1)")
-        if self.min_separation is not None and self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
+        if self.min_separation is not None:
+            if self.min_separation <= 0:
+                raise ValueError("min_separation must be positive")
+            try:
+                self.min_separation ** 2
+            except OverflowError:
+                raise ValueError(f"min_separation {self.min_separation!r} "
+                                 "has no finite square") from None
 
 
 def _template_grid(grid: Grid2D, p: PsfParams, mode: str,
@@ -506,7 +515,10 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
     Members the bank routes through the TO prefilter are matched against
     the TO template with no envelope step. Duplicates across members (same
     frame, within lambda/4) keep the higher score. A stack with a
-    non-finite sample is rejected before any filtering.
+    non-finite sample is rejected before any filtering. Each output is
+    detected and dropped before the bank makes the next, so besides the
+    detection tables the pass holds one output at a time (see
+    run_filter_bank).
     """
     _check_mode(mode)
     check_finite(frames.data)
@@ -520,11 +532,14 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
         template = psf_template(grid, p, mode="to", to=to_params)
         chains[True] = (template, template_autocorr_peak(template, grid),
                         False)
-    tables = [_detect_stack(out.data, grid, p, cfg, *chains[used_to],
-                            v_tag=fspec.v_f)
-              for _, fspec, out, used_to in run_filter_bank(
-                  frames, bank, to_params=to_params, boundary=boundary,
-                  workers=workers)]
+    tables = []
+    for _, fspec, out, used_to in run_filter_bank(
+            frames, bank, to_params=to_params, boundary=boundary,
+            workers=workers):
+        tables.append(_detect_stack(out.data, grid, p, cfg, *chains[used_to],
+                                    v_tag=fspec.v_f))
+        # drop the output before the bank makes the next one
+        del out
     # each frame's candidates in bank order, as the merge's tie order
     cands, cuts = _by_frame(np.concatenate(tables), frames.nt)
     return PipelineResult(per_frame=[

@@ -17,6 +17,9 @@ decides how `synthesize_frames` moves and respawns the bubbles and what
 `synthesize_frames` allocates its per-bubble work arrays once per call and
 renders every frame into them in place. Its frames are byte for byte those
 of the allocating per-frame reference, `render_frame` in `tests/oracles.py`.
+It makes the frames in blocks: into the whole stack, or one block at a time
+into a work buffer handed to a sink, which is how the synth stage streams
+its stack to disk without holding it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -343,10 +346,16 @@ def truth_maps(flow: Flow, grid: Grid2D
 # ---------------------------------------------------------------------------
 # Frame synthesis.
 
+# samples of the float64 work buffer a streamed synthesis renders each block
+# of frames into (2 MiB; at least one frame)
+_SYNTH_BLOCK = 1 << 18
+
+
 def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
                       nt: int, dt: float, p: PsfParams, noise_std: float = 0.0,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[FrameStack, list[np.ndarray]]:
+                      rng: np.random.Generator | None = None,
+                      sink: Callable[[np.ndarray], object] | None = None
+                      ) -> tuple[FrameStack | None, list[np.ndarray]]:
     """Advance bubbles over nt frames and render each frame.
 
     A frame is the sum of the pre-envelope PSFs at the bubbles' image
@@ -355,7 +364,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     matrix product instead of a per-bubble 2D evaluation. The lateral
     factor (n, nx), the axial factor and the carrier (n, nz) are work
     arrays allocated once per call; each frame is rendered into them in
-    place and its product is written straight into the stack. The frames
+    place and its product is written straight into its block. The frames
     are byte for byte those of the allocating per-frame reference,
     `render_frame` in `tests/oracles.py`.
 
@@ -365,6 +374,16 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     segment respawns at the inlet (the per-vessel test uses the nearest
     axis); an empty flow moves them in straight lines without respawn.
     White Gaussian noise of standard deviation noise_std is added per sample.
+
+    The frames are made in blocks of at most _SYNTH_BLOCK samples (at
+    least one frame), each block's noise drawn from rng after its frames
+    are rendered. The draws of successive blocks are the values one draw
+    of the whole stack gives, and rendering draws nothing, so the stack
+    does not depend on the block size. Without sink the blocks are views
+    of the whole float64 stack, which is returned. With sink, every block
+    is rendered into one float64 work buffer and sink(block) is called
+    with it, noise added, in frame order; the buffer is reused for the
+    next block, no stack is kept and None is returned in its place.
 
     Returns the stack and the per-frame truth points: point_frames[t] is an
     (n_t, 5) array with columns (id, x_mm, z_mm, vx_mm_s, vz_mm_s), holding
@@ -380,25 +399,32 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
         center, vessels = None, tuple(flow)
     lengths = [v.length if v.length is not None
                else default_vessel_length(grid, p) for v in vessels]
-    data = np.empty((nt, grid.nz, grid.nx))
+    step = max(1, _SYNTH_BLOCK // (grid.nz * grid.nx))
+    data = np.empty((nt if sink is None else min(step, nt), grid.nz, grid.nx))
     n = len(bubbles)
     work = (np.empty((n, grid.nx)), np.empty((n, grid.nz)),
             np.empty((n, grid.nz)))
     point_frames = []
     state = bubbles.copy()
-    for t in range(nt):
-        _render_into(state.pos, grid, p, work, data[t])
-        keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
-        point_frames.append(np.column_stack([
-            state.ids[keep].astype(np.float64),
-            state.pos[keep, 0], state.pos[keep, 2],
-            state.vel[keep, 0], state.vel[keep, 2]]))
-        if t + 1 < nt:
-            state = advance(state, dt, center)
-            if vessels:
-                state = _respawn_nearest(state, vessels, lengths)
-    if noise_std > 0:
-        data += rng.normal(0.0, noise_std, size=data.shape)
+    for t0 in range(0, nt, step):
+        block = data[t0:t0 + step] if sink is None else data[:nt - t0]
+        for k in range(block.shape[0]):
+            _render_into(state.pos, grid, p, work, block[k])
+            keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
+            point_frames.append(np.column_stack([
+                state.ids[keep].astype(np.float64),
+                state.pos[keep, 0], state.pos[keep, 2],
+                state.vel[keep, 0], state.vel[keep, 2]]))
+            if t0 + k + 1 < nt:
+                state = advance(state, dt, center)
+                if vessels:
+                    state = _respawn_nearest(state, vessels, lengths)
+        if noise_std > 0:
+            block += rng.normal(0.0, noise_std, size=block.shape)
+        if sink is not None:
+            sink(block)
+    if sink is not None:
+        return None, point_frames
     return FrameStack(grid=grid, nt=nt, dt=dt, data=data), point_frames
 
 

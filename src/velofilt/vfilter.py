@@ -350,10 +350,14 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
 
     Yields (i, spec, out, used_to) in bank order, each output as soon as it
     is ready; the generator keeps no reference to an output, so memory is
-    bounded by what the caller keeps. When to_params is given, filters
-    selecting near-lateral directions (within bank.lateral_to_angle_deg of
-    the x axis, and nonzero speed) see the TO-filtered stack instead of the
-    raw one; used_to tells whether out came from it.
+    bounded by what the caller keeps. A `for` loop variable or a
+    comprehension still names the last output while the generator makes
+    the next one, so a caller that is to hold one output at a time drops
+    it first, as save_bank_outputs and localize.run_pipeline do (`del`).
+    When to_params is given, filters selecting near-lateral directions
+    (within bank.lateral_to_angle_deg of the x axis, and nonzero speed)
+    see the TO-filtered stack instead of the raw one; used_to tells
+    whether out came from it.
 
     boundary is as in apply_filter_fft. The bank takes one half spectrum
     per (source stack, temporal pad) pair it needs (_half_spectrum, the
@@ -410,7 +414,9 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
                       boundary: str = "pad", workers: int = 1) -> list[Path]:
     """Write each bank output as filtered_<i> plus bank_manifest.json.
 
-    Returns every path written, the manifest last.
+    Each output is written and dropped before the bank makes the next, so
+    the pass holds one output at a time (see run_filter_bank). Returns
+    every path written, the manifest last.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -423,6 +429,8 @@ def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
             header, data = save_frame_stack(out, out_dir / f"filtered_{i:03d}")
         except OSError as exc:
             raise OSError(f"writing filter {i} output failed: {exc}") from exc
+        # drop the output before the bank makes the next one
+        del out
         paths += [header, data]
         entries.append({
             "index": i,

@@ -18,6 +18,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -27,11 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import velofilt
-from velofilt import __version__, cli
+from velofilt import __version__, cli, phantom
 from velofilt.cli import (CONFIG_SCHEMA, ConfigError, check_config,
                           load_config, main)
-from velofilt.core import FrameStack, load_frame_stack, save_frame_stack
+from velofilt.core import (FrameStack, load_frame_stack, save_frame_stack,
+                           write_pgm)
 from velofilt.localize import save_localizations_csv
+from velofilt.phantom import save_truth_csv
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
 
@@ -414,9 +417,14 @@ def test_config_errors_exit_2_before_any_write(tmp_path, capsys):
     orbit["phantom"] = {"kind": "circular", "orbit_radius_mm": 0.3,
                         "radius_mm": 0.3, "v0_mm_s": 1.0,
                         "c_mb_per_mm3": 5.0}
+    # suppression squares the radius: 1e300 used to pass resolve and end in
+    # an OverflowError traceback in localize, after synth and filter wrote
+    separation = base_cfg()
+    separation["detector"]["min_separation_mm"] = 1e300
     for k, (section, cfg) in enumerate([("metrics", le),
                                         ("filter_bank", auto),
-                                        ("phantom", orbit)]):
+                                        ("phantom", orbit),
+                                        ("detector", separation)]):
         cfg_path = write_cfg(tmp_path, cfg, f"c{k}.json")
         for command in ("synth", "pipeline"):
             out = tmp_path / f"out{k}-{command}"
@@ -583,6 +591,56 @@ def test_exit_data_error_on_malformed_csv(localized_run, tmp_path, capsys,
                      str(out)]) == 3, command
         assert f"{path} line 3:" in capsys.readouterr().err
     assert not (out / "t_metrics.json").exists()
+
+
+def test_float32_overflow_exits_4_before_the_write(tmp_path, capsys):
+    # sigma_t 1e-300 makes the "auto" bank speed about 1e297 mm/s, which
+    # the velocity map cannot hold as float32: the run used to say "ok",
+    # exit 0 and write inf after numpy's overflow warning
+    cfg = base_cfg()
+    cfg["filter_bank"].update(sigma_t_s=1e-300, speeds_mm_s="auto",
+                              v_max_mm_s=1.0)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pipeline", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error (pipeline): float32 cast: non-finite "
+                          "sample at (t, z, x) = (")
+    assert err.count("\n") == 1
+    # the accumulate stage checks both of its stacks before writing either
+    assert (out / "t_locs.csv").exists()
+    assert not list(out.glob("t_accum*")) + list(out.glob("t_velmap*"))
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 3, None])
+def test_streamed_synth_is_the_whole_stack_write(tmp_path, monkeypatch,
+                                                 frames_per_block):
+    # the synth stage streams its stack in blocks, each with its own noise
+    # draw and its part of the preview's max |x|; its files are the bytes
+    # of one whole-stack draw written at once, as the stage used to write
+    cfg = base_cfg()
+    cfg["noise"] = {"std": 0.3}
+    cfg["motion"]["nt"] = 10
+    cfg_path = write_cfg(tmp_path, cfg)
+    r = cli.resolve(cfg)
+    monkeypatch.setattr(phantom, "_SYNTH_BLOCK", 10 * 48 * 48)
+    frames, truth = cli.synthesize(r, 5)
+    want = tmp_path / "want"
+    want.mkdir()
+    paths = [*save_frame_stack(frames, want / "t_frames"),
+             save_truth_csv(truth, want / "t_truth.csv"),
+             write_pgm(np.abs(frames.data).max(axis=0),
+                       want / "t_preview.pgm")]
+    monkeypatch.undo()
+    if frames_per_block:
+        monkeypatch.setattr(phantom, "_SYNTH_BLOCK",
+                            frames_per_block * 48 * 48)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for path in paths:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_exit_numeric_and_io_mapping(tmp_path, monkeypatch):

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gaussian_window, trimmed_irfftn_ref
-from velofilt.core import (FrameStack, Grid2D, check_finite, kx_lattice,
-                           kz_lattice, load_frame_stack, make_grid,
-                           omega_lattice, save_frame_stack, trimmed_irfftn,
-                           write_pgm)
+from velofilt.core import (FrameStack, FrameStream, Grid2D, check_finite,
+                           kx_lattice, kz_lattice, load_frame_stack,
+                           make_grid, omega_lattice, save_frame_stack,
+                           trimmed_irfftn, write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -110,6 +110,52 @@ def test_check_finite_names_the_first_bad_sample(dtype):
     data[2, 3, 4] = np.inf
     with pytest.raises(ValueError, match=r"\(t, z, x\) = \(2, 3, 4\)$"):
         check_finite(data)
+
+
+@pytest.mark.parametrize("sizes", [(7,), (3, 4), (1, 2, 4), (7, 0)])
+def test_streamed_stack_is_the_whole_stack_write(tmp_path, sizes):
+    # appended block by block, in blocks of any size, the files are the
+    # bytes of the whole stack's write
+    stack = small_stack(nt=7, seed=4)
+    whole = save_frame_stack(stack, tmp_path / "whole")
+    cuts = np.cumsum((0,) + sizes)
+
+    def fill(append):
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            append(stack.data[t0:t1])
+
+    streamed = save_frame_stack(
+        FrameStream(stack.grid, stack.nt, stack.dt, fill),
+        tmp_path / "streamed")
+    for a, b in zip(whole, streamed, strict=True):
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_save_rejects_a_float32_cast_that_is_not_finite(tmp_path, stream):
+    # a float64 beyond float32's range would be stored as inf; the stack is
+    # refused, with the sample named, and leaves no file
+    stack = small_stack(nt=5)
+    data = stack.data
+    data[3, 2, 1] = 1e300
+    if stream:
+        stack = FrameStream(stack.grid, stack.nt, stack.dt, lambda append: [
+            append(data[t0:t0 + 2]) for t0 in (0, 2, 4)])
+    with pytest.raises(ValueError,
+                       match=r"float32 cast: .*\(t, z, x\) = \(3, 2, 1\)$"):
+        save_frame_stack(stack, tmp_path / "demo")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("frames", [4, 6])
+def test_save_rejects_a_stream_of_other_than_nt_frames(tmp_path, frames):
+    stack = small_stack(nt=5)
+    data = np.resize(stack.data, (frames,) + stack.data.shape[1:])
+    with pytest.raises(ValueError, match=f"gave {frames} frames"):
+        save_frame_stack(FrameStream(stack.grid, 5, stack.dt,
+                                     lambda append: append(data)),
+                         tmp_path / "demo")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_rejects_unknown_version(tmp_path):

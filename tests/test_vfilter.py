@@ -15,6 +15,7 @@ from oracles import (apply_filter_direct, dft_filter_reference,
 from velofilt import _pocketfft, vfilter
 from velofilt.core import (FrameStack, load_frame_stack, make_grid,
                            save_frame_stack)
+from velofilt.localize import run_pipeline
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
 from velofilt.theory import attenuation_pre
 from velofilt.vfilter import (FilterBankSpec, VelocityFilterSpec,
@@ -582,14 +583,13 @@ def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
                 assert np.array_equal(out.data, want), (rows, workers)
 
 
-def test_bank_pass_memory_budget():
-    # axial-pre's geometry in float32: a (350, 96, 49) half lattice. One
-    # pass of a five-filter bank may hold the input, the shared spectrum,
-    # the kept frames' half spectrum, one output and two slab budgets (the
-    # float64 gain and the complex64 product of one slab), plus SLACK for
-    # the gain's mask, its Nyquist planes and small temporaries. A
-    # full-lattice gain or work buffer is far outside it.
-    SLACK = 2**20
+def _bank_pass_peak(consume) -> tuple[int, int]:
+    """(traced peak, budget) of consume(frames, bank) on axial-pre's
+    geometry in float32: a (350, 96, 49) half lattice. One pass of a
+    five-filter bank may hold the input, the shared spectrum, the kept
+    frames' half spectrum, one output and two slab budgets (the float64
+    gain and the complex64 product of one slab). A full-lattice gain or
+    work buffer, or a second output, is far outside it."""
     nt, nz, nx = 150, 96, 96
     bank = make_bank([0.1, 0.3, 0.5, 0.7, 0.9], [math.pi / 2], 0.5)
     tracemalloc.start()
@@ -598,7 +598,7 @@ def test_bank_pass_memory_budget():
         frames = FrameStack(grid=make_grid(nx, nz, 0.05, 0.05), nt=nt,
                             dt=0.02, data=rng.standard_normal(
                                 (nt, nz, nx), dtype=np.float32))
-        collections.deque(run_filter_bank(frames, bank), maxlen=0)
+        consume(frames, bank)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,7 +610,33 @@ def test_bank_pass_memory_budget():
               + 8 * nt * half  # kept frames
               + 4 * nt * nz * nx  # output
               + 2 * 8 * vfilter._SLAB_ELEMENTS)
-    assert peak <= budget + SLACK, (peak, budget)
+    return peak, budget
+
+
+# slack for the gain's mask, its Nyquist planes and small temporaries
+BANK_SLACK = 2**20
+
+
+def test_bank_pass_memory_budget():
+    peak, budget = _bank_pass_peak(lambda frames, bank: collections.deque(
+        run_filter_bank(frames, bank), maxlen=0))
+    assert peak <= budget + BANK_SLACK, (peak, budget)
+
+
+@pytest.mark.parametrize("consumer", ["save_bank_outputs", "run_pipeline"])
+def test_bank_consumers_hold_one_output(consumer, tmp_path):
+    # each consumer drops an output before it asks the bank for the next,
+    # so a pass holds one output, as the bank alone does; a loop variable
+    # that still names the last output while the next one is made holds a
+    # second output (5.5 MB here). run_pipeline's detection runs on one
+    # output after the bank's slab work is freed, so the budget holds it.
+    consume = {
+        "save_bank_outputs": lambda frames, bank: save_bank_outputs(
+            frames, bank, tmp_path),
+        "run_pipeline": lambda frames, bank: run_pipeline(frames, bank, P),
+    }[consumer]
+    peak, budget = _bank_pass_peak(consume)
+    assert peak <= budget + BANK_SLACK, (peak, budget)
 
 
 def test_bank_outputs_do_not_alias_its_work_buffer():
