@@ -9,7 +9,7 @@ FVE and LE to a relative 1e-6. The hashes are compared only where numpy,
 scipy and the machine match the entry; otherwise the script says why it
 skips them.
 
-    python3 scripts/check_golden.py                     # seven fast configs
+    python3 scripts/check_golden.py                     # eight fast configs
     python3 scripts/check_golden.py --config phantom_f  # the 600-frame case
     python3 scripts/check_golden.py --write             # regenerate entries
 
@@ -20,7 +20,7 @@ memory is the process's high-water mark, which the configs run before
 carry over: pass one --config for a config's own figures.
 
 Exits 1 when a compared value differs. tests/test_golden.py runs the same
-check on the seven fast configs.
+check on the eight fast configs.
 """
 
 import argparse
@@ -49,6 +49,9 @@ CONFIGS = {
        for name in ("orbit-bank", "axial-pre", "cross-staged")},
     **{f"phantom_{k}": ROOT / "src" / "velofilt" / "configs"
        / f"phantom_{k}.json" for k in "acdef"},
+    # the one config with a `to` section: its lateral filter is detected
+    # through the TO chain
+    "to_lateral": ROOT / "scripts" / "configs" / "to_lateral.json",
 }
 FAST = [name for name in CONFIGS if name != "phantom_f"]
 
@@ -122,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--config", action="append", choices=sorted(CONFIGS),
-                    help="config to run, repeatable (default: the seven "
+                    help="config to run, repeatable (default: the eight "
                          "fast ones)")
     ap.add_argument("--write", action="store_true",
                     help="record the runs as golden entries, keeping the "

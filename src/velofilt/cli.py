@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (FrameStack, FrameStream, Grid2D, load_frame_stack,
-                   make_fine_grid, make_grid, save_frame_stack, to_float32,
-                   write_pgm)
+from .core import (MAX_ELEMENTS, FrameStack, FrameStream, Grid2D,
+                   load_frame_stack, make_fine_grid, make_grid,
+                   save_frame_stack, to_float32, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        localize_frames, positions_by_frame, run_pipeline,
                        save_localizations_csv, segment_support,
@@ -354,9 +354,9 @@ class Resolved:
 
     `flow` is the phantom's band, or its vessels with lengths resolved; it
     is empty for grid_bubbles, whose fixed bubbles are in `points`. The
-    other kinds draw their bubbles per seed from the flow. `filter_kw` and
-    `localize_kw` hold only the bank and detection options the config
-    sets, so the library's defaults apply to the rest. The schema's integers
+    other kinds draw their bubbles per seed from the flow. `filter_kw`
+    holds only the bank options the config sets, so the library's defaults
+    apply to the rest. The schema's integers
     (`seed`, `nx`, `nz`, `nt`, `fine_factor`) are ints here even where the
     config writes them as 64.0, as JSON Schema allows.
     """
@@ -374,7 +374,6 @@ class Resolved:
     bank: FilterBankSpec
     filter_kw: dict
     detector: DetectorConfig
-    localize_kw: dict
     le: LeParams
     fastest_q: float | None
     prefix: str
@@ -383,10 +382,12 @@ class Resolved:
 
 @contextmanager
 def _section(name: str):
-    """Report a ValueError raised while building `name` as a ConfigError."""
+    """Report a ValueError or an arithmetic error (an overflow, a division
+    by a value that underflowed to zero) raised while building `name` as a
+    ConfigError."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -411,9 +412,13 @@ def resolve(cfg: dict) -> Resolved:
     with _section("detector"):
         fine = make_fine_grid(grid, **{
             k: int(v) for k, v in _given(det, factor="fine_factor").items()})
+        if fine.nz * fine.nx > MAX_ELEMENTS:
+            raise ValueError(f"fine grid {fine.nz} x {fine.nx} exceeds the "
+                             f"limit of {MAX_ELEMENTS} elements")
         detector = DetectorConfig(**_given(
             det, threshold_fraction="threshold_fraction",
-            min_separation="min_separation_mm", subpixel="subpixel"))
+            min_separation="min_separation_mm", subpixel="subpixel",
+            mode="mode"))
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
     fb = cfg["filter_bank"]
@@ -426,16 +431,14 @@ def resolve(cfg: dict) -> Resolved:
         le = replace(le, **_given(mcfg, sigma_par="le_sigma_par_mm",
                                   sigma_perp="le_sigma_perp_mm"))
     outputs = cfg.get("outputs", {})
-    filter_kw = _given(fb, boundary="boundary")
-    localize_kw = {**filter_kw, **_given(det, mode="mode")}
     return Resolved(
         psf=p, to=to, grid=grid, fine=fine,
         seed=int(cfg.get("seed", 0)),
         nt=int(cfg["motion"]["nt"]), dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
         points=points, flow=flow,
-        bank=bank, filter_kw=filter_kw,
-        detector=detector, localize_kw=localize_kw,
+        bank=bank, filter_kw=_given(fb, boundary="boundary"),
+        detector=detector,
         le=le, fastest_q=mcfg.get("fastest_q"),
         prefix=outputs.get("prefix", "run"),
         save_pgm=outputs.get("save_pgm", False))
@@ -558,10 +561,9 @@ def localize(r: Resolved, frames: FrameStack, workers: int = 1,
     detector and TO prefilter, or with bank=False the same detection on the
     unfiltered frames (the raw baseline, untagged)."""
     if not bank:
-        return localize_frames(frames, r.psf, cfg=r.detector,
-                               **_given(r.localize_kw, mode="mode"))
+        return localize_frames(frames, r.psf, cfg=r.detector)
     result = run_pipeline(frames, r.bank, r.psf, cfg=r.detector,
-                          to_params=r.to, workers=workers, **r.localize_kw)
+                          to_params=r.to, workers=workers, **r.filter_kw)
     return np.concatenate(result.per_frame)
 
 

@@ -22,6 +22,12 @@ from . import _pocketfft
 
 LAYOUT = "t-major,z-row-major,x-fastest"
 
+# Hard cap on the elements of the largest arrays a config asks for: the
+# bank's padded stack, which a 3D FFT runs on, and the accumulation's fine
+# grid. It rejects sizes that would exhaust memory or overflow the int32
+# indexing of some FFT backends.
+MAX_ELEMENTS = 2**28
+
 # point pairs a pairwise computation takes at once (the LE's Gaussian sum,
 # the suppression's distance test): each temporary of a block holds at most
 # this many float64s (128 KiB), which bounds memory on dense frames and

@@ -8,12 +8,16 @@ velocity filter attenuates mismatched bubbles below the threshold, each
 detection inherits the selecting filter velocity as its velocity estimate;
 no tracking pass is involved.
 
-Two detection chains: mode "pre" correlates the signed frames against the
-carrier-bearing template (phase distortion of a mismatched bubble lowers its
-peak further, which helps rejection); mode "post" strips the axial carrier
-first (magnitude of the analytic signal along z) and correlates against the
-envelope template, trading some velocity rejection for artifact-free
-positions when the response is distorted (e.g. accelerating flow).
+Three detection chains, each decided once per run in _chain (template,
+autocorrelation peak, envelope step, suppression radius): mode "pre"
+correlates the signed frames against the carrier-bearing template (phase
+distortion of a mismatched bubble lowers its peak further, which helps
+rejection); mode "post" strips the axial carrier first (magnitude of the
+analytic signal along z) and correlates against the envelope template,
+trading some velocity rejection for artifact-free positions when the
+response is distorted (e.g. accelerating flow); a filter the bank routes
+through the transverse-oscillation (TO) prefilter is correlated against the
+TO template, with no envelope step, whatever the mode.
 
 The 3x3 local maximum and the disk closing of the support mask are done in
 numpy. The transforms are pocketfft's, called through _pocketfft, which
@@ -48,6 +52,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,23 +76,31 @@ _CORR_BLOCK = 1 << 16
 class DetectorConfig:
     """threshold_fraction is relative to the template autocorrelation peak;
     min_separation (mm) is the non-max suppression radius; subpixel toggles
-    the quadratic refinement.
+    the quadratic refinement; mode ("pre" or "post") picks the chain of the
+    filters not routed through TO (see the module docstring).
 
-    min_separation=None resolves to 1.05 * wavelength at detection time:
-    the signed correlation of a carrier-bearing PSF has replica maxima at
+    min_separation=None resolves, per chain, to 1.05 times the larger of
+    the wavelength and the distance of the farthest local maximum of the
+    chain's template autocorrelation above the threshold (_chain): a
+    bubble's correlation repeats those replicas around its peak, so the
+    radius must exceed their reach. The pre template has replicas at
     +- wavelength axially (relative height exp(-lambda^2/(4 sigma_r^2)),
-    0.78 for sigma_r = lambda, above the 0.5 threshold), so the radius must
-    exceed their spacing; the 2 lambda replica is already sub-threshold.
-    Suppression compares squared distances with min_separation**2, so a
-    min_separation whose square overflows a float is rejected here, before
-    any stage runs.
+    0.78 for sigma_r = lambda) and at +- 2 wavelengths (exp(-1) = 0.37);
+    the post template has none; the TO template has off-axis ones (0.71 mm
+    away at threshold 0.35 for lambda_x 0.6, sigma_x 0.3 mm and 0.05 mm
+    pixels). Suppression compares squared distances with min_separation**2,
+    so a min_separation whose square overflows a float is rejected here,
+    before any stage runs.
     """
 
     threshold_fraction: float = 0.5
     min_separation: float | None = None
     subpixel: bool = True
+    mode: str = "pre"
 
     def __post_init__(self) -> None:
+        if self.mode not in ("pre", "post"):
+            raise ValueError(f"unsupported detection mode {self.mode!r}")
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must be in (0, 1)")
         if self.min_separation is not None:
@@ -279,10 +292,10 @@ def _suppress(x: np.ndarray, z: np.ndarray, radius: float,
 
 
 def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
-           autocorr_peak: float, t_index: int = 0,
-           v_tag: tuple[float, float] | None = None,
-           wavelength: float | None = None) -> np.ndarray:
-    """Threshold, local-max, greedy NMS, then quadratic refinement.
+           autocorr_peak: float, radius: float, t_index: int = 0,
+           v_tag: tuple[float, float] | None = None) -> np.ndarray:
+    """Threshold, local-max, greedy NMS within radius (mm), then quadratic
+    refinement.
 
     corr is one (nz, nx) correlation map or a block (nb, nz, nx) of them,
     for frames t_index, t_index + 1, ... The table holds each frame's rows
@@ -292,11 +305,6 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
     """
     if autocorr_peak <= 0:
         raise ValueError("autocorr_peak must be positive")
-    min_sep = cfg.min_separation
-    if min_sep is None:
-        if wavelength is None:
-            raise ValueError("min_separation unset: pass wavelength")
-        min_sep = 1.05 * wavelength
     thresh = cfg.threshold_fraction * autocorr_peak
     corr = corr.reshape(-1, *corr.shape[-2:])
     is_max = corr == _max_3x3(corr)
@@ -311,7 +319,7 @@ def detect(corr: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
     scores = scores[order]
     x = grid.x0 + ix * grid.dx
     z = grid.z0 + iz * grid.dz
-    keep = _suppress(x, z, min_sep, group=ft)
+    keep = _suppress(x, z, radius, group=ft)
     ft, iz, ix, x, z = ft[keep], iz[keep], ix[keep], x[keep], z[keep]
     if cfg.subpixel:
         inner = (0 < ix) & (ix < grid.nx - 1) & (0 < iz) & (iz < grid.nz - 1)
@@ -460,83 +468,116 @@ def _envelope_z(data: np.ndarray) -> np.ndarray:
     return np.abs(_pocketfft.ifft(spec, axis=1, overwrite_x=True))
 
 
-def _detect_stack(data: np.ndarray, grid: Grid2D, p: PsfParams,
-                  cfg: DetectorConfig, template: np.ndarray, peak: float,
-                  envelope: bool,
-                  v_tag: tuple[float, float] | None = None
-                  ) -> np.ndarray:
-    """Matched filter and detect on every frame of a (nt, nz, nx) stack,
-    in blocks of frames of at most _CORR_BLOCK padded samples; one table,
-    rows by frame.
+class _Chain(NamedTuple):
+    template: np.ndarray
+    peak: float
+    envelope: bool
+    radius: float
 
-    envelope strips the axial carrier of each block first (magnitude of
-    the analytic signal along z), as the post-mode chain does.
+
+# relative margin within which a replica's reach counts as one wavelength:
+# a replica whole pixels away reads e.g. 6 * 0.05 = 0.30000000000000004
+_REACH_RTOL = 1e-9
+
+
+def _replica_reach(template: np.ndarray, grid: Grid2D, level: float
+                   ) -> float:
+    """Distance (mm) from lag 0 of the farthest local maximum (3x3, as in
+    detect) above level of the template's full linear autocorrelation,
+    Riemann-scaled as template_autocorr_peak is."""
+    full = tuple(2 * m - 1 for m in template.shape)
+    fshape = tuple(_pocketfft.next_fast_len(n, real=True) for n in full)
+    spec = _pocketfft.rfftn(template, fshape)
+    spec *= _pocketfft.rfftn(template[::-1, ::-1], fshape)
+    ac = trimmed_irfftn(spec, fshape, (0, 1), tuple(map(slice, full)))
+    ac *= grid.dx * grid.dz
+    lag = np.argwhere((ac == _max_3x3(ac)) & (ac > level)) - [
+        m - 1 for m in template.shape]
+    return float(np.hypot(lag[:, 0] * grid.dz, lag[:, 1] * grid.dx).max(
+        initial=0.0))
+
+
+def _chain(grid: Grid2D, p: PsfParams, cfg: DetectorConfig,
+           to: ToParams | None = None) -> _Chain:
+    """The detection chain cfg.mode selects, or the TO chain when to is
+    given: its template, the template's autocorrelation peak, whether each
+    block's axial carrier is stripped first (post only), and the
+    suppression radius (mm).
+
+    The radius is cfg.min_separation when set. Otherwise it is 1.05 times
+    the wavelength or the reach of the template's farthest autocorrelation
+    replica above the threshold, whichever is larger, so that no replica
+    of a bubble's own correlation survives suppression.
     """
-    _, fshape = _padded_shape(data.shape[1:], template.shape)
+    mode = cfg.mode if to is None else "to"
+    template = psf_template(grid, p, mode=mode, to=to)
+    peak = template_autocorr_peak(template, grid)
+    radius = cfg.min_separation
+    if radius is None:
+        reach = _replica_reach(template, grid, cfg.threshold_fraction * peak)
+        radius = 1.05 * (reach if reach > p.wavelength * (1 + _REACH_RTOL)
+                         else p.wavelength)
+    return _Chain(template, peak, mode == "post", radius)
+
+
+def _detect_stack(data: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
+                  chain: _Chain, v_tag: tuple[float, float] | None = None
+                  ) -> np.ndarray:
+    """Matched filter and detect on every frame of a (nt, nz, nx) stack
+    through one chain, in blocks of frames of at most _CORR_BLOCK padded
+    samples; one table, rows by frame."""
+    _, fshape = _padded_shape(data.shape[1:], chain.template.shape)
     step = max(1, _CORR_BLOCK // math.prod(fshape))
     tables = []
     for t in range(0, data.shape[0], step):
-        block = _envelope_z(data[t:t + step]) if envelope else data[t:t + step]
-        tables.append(detect(matched_filter_map(block, grid, template), grid,
-                             cfg, peak, t_index=t, v_tag=v_tag,
-                             wavelength=p.wavelength))
+        block = data[t:t + step]
+        if chain.envelope:
+            block = _envelope_z(block)
+        tables.append(detect(matched_filter_map(block, grid, chain.template),
+                             grid, cfg, chain.peak, chain.radius, t_index=t,
+                             v_tag=v_tag))
     return np.concatenate(tables)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("pre", "post"):
-        raise ValueError(f"unsupported detection mode {mode!r}")
-
-
 def localize_frames(frames: FrameStack, p: PsfParams,
-                    cfg: DetectorConfig | None = None, mode: str = "pre"
-                    ) -> np.ndarray:
+                    cfg: DetectorConfig | None = None) -> np.ndarray:
     """Detect on the frames as-is (no velocity filtering, no velocity tags);
     one table, rows by frame.
 
-    The baseline the filter bank is compared against: same template,
-    threshold, and refinement, applied to the raw stack.
+    The baseline the filter bank is compared against: same chain applied
+    to the raw stack.
     """
-    _check_mode(mode)
     check_finite(frames.data)
-    template = psf_template(frames.grid, p, mode=mode)
-    peak = template_autocorr_peak(template, frames.grid)
-    return _detect_stack(frames.data, frames.grid, p, cfg or DetectorConfig(),
-                         template, peak, envelope=mode == "post")
+    cfg = cfg or DetectorConfig()
+    return _detect_stack(frames.data, frames.grid, cfg,
+                         _chain(frames.grid, p, cfg))
 
 
 def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
-                 cfg: DetectorConfig | None = None, mode: str = "pre",
+                 cfg: DetectorConfig | None = None,
                  to_params: ToParams | None = None,
                  boundary: str = "pad", workers: int = 1) -> PipelineResult:
     """Velocity-filter bank -> matched filter -> detect -> merge.
 
     Each bank member's detections carry its v_f as the velocity estimate.
-    Members the bank routes through the TO prefilter are matched against
-    the TO template with no envelope step. Duplicates across members (same
-    frame, within lambda/4) keep the higher score. A stack with a
-    non-finite sample is rejected before any filtering. Each output is
-    detected and dropped before the bank makes the next, so besides the
-    detection tables the pass holds one output at a time (see
-    run_filter_bank).
+    Members the bank routes through the TO prefilter are detected through
+    the TO chain. Duplicates across members (same frame, within lambda/4)
+    keep the higher score. A stack with a non-finite sample is rejected
+    before any filtering. Each output is detected and dropped before the
+    bank makes the next, so besides the detection tables the pass holds
+    one output at a time (see run_filter_bank).
     """
-    _check_mode(mode)
     check_finite(frames.data)
     cfg = cfg or DetectorConfig()
     grid = frames.grid
-    # (template, autocorrelation peak, envelope step) keyed by used_to
-    template = psf_template(grid, p, mode=mode)
-    chains = {False: (template, template_autocorr_peak(template, grid),
-                      mode == "post")}
+    chains = {False: _chain(grid, p, cfg)}
     if to_params is not None:
-        template = psf_template(grid, p, mode="to", to=to_params)
-        chains[True] = (template, template_autocorr_peak(template, grid),
-                        False)
+        chains[True] = _chain(grid, p, cfg, to_params)
     tables = []
     for _, fspec, out, used_to in run_filter_bank(
             frames, bank, to_params=to_params, boundary=boundary,
             workers=workers):
-        tables.append(_detect_stack(out.data, grid, p, cfg, *chains[used_to],
+        tables.append(_detect_stack(out.data, grid, cfg, chains[used_to],
                                     v_tag=fspec.v_f))
         # drop the output before the bank makes the next one
         del out

@@ -58,13 +58,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _pocketfft
-from .core import (FrameStack, Grid2D, kx_lattice, kz_lattice,
-                   omega_lattice, save_frame_stack)
+from .core import (MAX_ELEMENTS, FrameStack, Grid2D, kx_lattice,
+                   kz_lattice, omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
-# Hard cap on the padded stack a 3D FFT runs on; it rejects sizes that would
-# exhaust memory or overflow the int32 indexing of some FFT backends.
-_MAX_FFT_ELEMENTS = 2**28
 # Lattice elements a filter's slab of kz rows spans at most (one row if a
 # row alone is larger): the size of its float64 gain and of its product.
 _SLAB_ELEMENTS = 2**17
@@ -253,7 +250,7 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
     boundary "pad" zero-extends time by ceil(4 sigma_t / dt) frames per side
     and trims afterwards; "periodic" filters the raw stack circularly (all
     axes), appropriate only for statistically stationary content. A padded
-    stack of more than _MAX_FFT_ELEMENTS samples is rejected before anything
+    stack of more than core.MAX_ELEMENTS samples is rejected before anything
     is allocated.
     """
     [(_, _, out, _)] = run_filter_bank(frames, FilterBankSpec(filters=(spec,)),
@@ -370,7 +367,7 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     frames go after the stack, which on the circular time
     lattice is the symmetric pad shifted by pad frames, so the kept frames
     are the first nt. The largest padded stack is checked against
-    _MAX_FFT_ELEMENTS before anything is allocated.
+    core.MAX_ELEMENTS before anything is allocated.
     """
     if boundary not in ("pad", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -378,9 +375,9 @@ def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
     pads = [_pad_frames(f, frames) if boundary == "pad" else 0
             for f in bank.filters]
     largest = (frames.nt + 2 * max(pads), grid.nz, grid.nx)
-    if math.prod(largest) > _MAX_FFT_ELEMENTS:
+    if math.prod(largest) > MAX_ELEMENTS:
         raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
-                         f"limit of {_MAX_FFT_ELEMENTS} samples")
+                         f"limit of {MAX_ELEMENTS} samples")
     sources = {False: frames}
     spectra: dict[tuple[bool, int], np.ndarray] = {}
     kept = None  # the kept frames' half spectrum, refilled by each filter

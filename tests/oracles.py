@@ -215,6 +215,17 @@ def local_max_candidates(corr, thresh):
     return {tuple(ij) for ij in np.argwhere((corr == peak) & (corr > thresh))}
 
 
+def replica_reach_ref(template, dx, dz, level):
+    """Distance from lag 0 of the farthest 3x3 local maximum above level of
+    the template's full linear autocorrelation, scaled by the pixel area,
+    summed directly."""
+    ac = scipy.signal.correlate(template, template, mode="full",
+                                method="direct") * (dx * dz)
+    mz, mx = template.shape
+    return max(math.hypot((i - mz + 1) * dz, (j - mx + 1) * dx)
+               for i, j in local_max_candidates(ac, level))
+
+
 def disk_closing(mask, radius):
     """Morphological closing of a boolean mask by a disk of the radius."""
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]

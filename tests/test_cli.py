@@ -93,8 +93,9 @@ def test_bundled_configs_load_and_build():
     # the benchmark's workload configs are read, never written
     workloads = sorted((REPO / "perfbench" / "workloads").glob("*.json"))
     assert len(workloads) == 3
+    # two study configs and the TO golden config
     studies = sorted((REPO / "scripts" / "configs").glob("*.json"))
-    assert len(studies) == 2
+    assert len(studies) == 3
     rng = np.random.default_rng(0)
     for path in paths + workloads + studies:
         # every section must also survive domain construction
@@ -104,15 +105,16 @@ def test_bundled_configs_load_and_build():
 
 
 def test_resolve_passes_only_the_bank_and_detection_keys_set(tmp_path):
-    # unset keys leave run_pipeline's and save_bank_outputs' defaults in force
+    # unset keys leave run_pipeline's, save_bank_outputs' and
+    # DetectorConfig's defaults in force
     r = cli.resolve(load_config(write_cfg(tmp_path, base_cfg())))
-    assert r.filter_kw == {} and r.localize_kw == {}
+    assert r.filter_kw == {} and r.detector.mode == "pre"
     cfg = base_cfg()
     cfg["filter_bank"]["boundary"] = "periodic"
     cfg["detector"]["mode"] = "post"
     r = cli.resolve(load_config(write_cfg(tmp_path, cfg)))
     assert r.filter_kw == {"boundary": "periodic"}
-    assert r.localize_kw == {"boundary": "periodic", "mode": "post"}
+    assert r.detector.mode == "post"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -433,6 +435,56 @@ def test_config_errors_exit_2_before_any_write(tmp_path, capsys):
             assert f"config error: {section}:" in capsys.readouterr().err
             assert not (out / "manifest.json").exists()
             assert not out.exists()
+
+
+def _phantom_e_at_nt_20(section: str, key: str, value) -> dict:
+    cfg = load_config(Path(cli.__file__).parent / "configs" / "phantom_e.json")
+    cfg["motion"]["nt"] = 20
+    cfg[section][key] = value
+    return cfg
+
+
+def _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg) -> str:
+    """The one stderr line of a pipeline run that must exit 2 at resolve."""
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(write_cfg(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+def test_sigma_r_that_underflows_exits_2(tmp_path, capsys):
+    # its square underflows to 0 in the "auto" speeds' bandwidth: this used
+    # to end in a ZeroDivisionError traceback and exit 1
+    cfg = _phantom_e_at_nt_20("psf", "sigma_r_mm", 1e-300)
+    err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert "filter_bank: " in err
+
+
+def test_wavelength_that_overflows_exits_2(tmp_path, capsys):
+    # the "auto" speeds' bandwidth overflows: this used to end in an
+    # OverflowError traceback and exit 1
+    cfg = _phantom_e_at_nt_20("psf", "wavelength_mm", 1e300)
+    err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert "filter_bank: " in err
+
+
+def test_fine_grid_past_the_element_cap_is_refused_at_resolve():
+    # fine_factor 100000 used to pass every stage up to accumulate, which
+    # then asked numpy for 671 TiB; resolve allocates nothing
+    cfg = _phantom_e_at_nt_20("detector", "fine_factor", 100000)
+    with pytest.raises(ConfigError, match="detector: fine grid 9600000 x "
+                                          "9600000 exceeds the limit"):
+        cli.resolve(cfg)
+    # a 64 x 64 grid at factor 256 is exactly MAX_ELEMENTS = 2**28 elements
+    cfg["grid"].update(nx=64, nz=64)
+    cfg["detector"]["fine_factor"] = 256
+    assert cli.resolve(cfg).fine.nx == 64 * 256
+    cfg["detector"]["fine_factor"] = 257
+    with pytest.raises(ConfigError, match="fine grid"):
+        cli.resolve(cfg)
 
 
 def test_exit_data_error_on_corrupt_stack(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden outputs at seed 7: `pipeline` on the seven fast configs against
+"""Golden outputs at seed 7: `pipeline` on the eight fast configs against
 tests/golden/seed7.json. scripts/check_golden.py holds the comparison and
 regenerates the file (`--write`) when numerics change on purpose.
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from closed_forms import autocorr_peak
 from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
-                     suppress_loop, velocity_map_loop)
+                     replica_reach_ref, suppress_loop, velocity_map_loop)
 from velofilt import _pocketfft, localize
 from velofilt.core import FrameStack, make_fine_grid, make_grid
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
@@ -52,6 +52,10 @@ def test_detector_config_validation():
         DetectorConfig(threshold_fraction=1.0)
     with pytest.raises(ValueError):
         DetectorConfig(min_separation=-0.1)
+    # "to" is the chain of a TO-routed filter, not a mode of its own
+    for mode in ("to", "envelope"):
+        with pytest.raises(ValueError, match="detection mode"):
+            DetectorConfig(mode=mode)
 
 
 def test_template_is_centered_and_odd():
@@ -89,7 +93,7 @@ def test_detect_subpixel_accuracy():
     truth = (0.1037, -0.0713)   # deliberately off-pixel
     corr = one_bubble_corr(truth)
     peak = template_autocorr_peak(psf_template(GRID, P), GRID)
-    locs = detect(corr, GRID, DetectorConfig(), peak, wavelength=P.wavelength)
+    locs = detect(corr, GRID, DetectorConfig(), peak, 1.05 * P.wavelength)
     assert len(locs) == 1
     assert locs["x"][0] == pytest.approx(truth[0], abs=2e-3)
     assert locs["z"][0] == pytest.approx(truth[1], abs=2e-3)
@@ -130,7 +134,7 @@ def test_detect_without_subpixel_snaps_to_grid():
     corr = one_bubble_corr((0.1037, -0.0713))
     peak = template_autocorr_peak(psf_template(GRID, P), GRID)
     locs = detect(corr, GRID, DetectorConfig(subpixel=False), peak,
-                  wavelength=P.wavelength)
+                  1.05 * P.wavelength)
     x, z = locs["x"][0], locs["z"][0]
     assert (x - GRID.x0) / GRID.dx == pytest.approx(round((x - GRID.x0)
                                                           / GRID.dx))
@@ -143,11 +147,12 @@ def test_default_separation_suppresses_carrier_replicas():
     # (relative height exp(-lambda^2 / 4 sigma_r^2) = 0.78 here, above the
     # 0.5 threshold); the default radius removes them
     corr = one_bubble_corr((0.0, 0.0))
-    peak = template_autocorr_peak(psf_template(GRID, P), GRID)
-    locs = detect(corr, GRID, DetectorConfig(), peak, wavelength=P.wavelength)
+    chain = localize._chain(GRID, P, DetectorConfig())
+    assert chain.radius == 1.05 * P.wavelength
+    locs = detect(corr, GRID, DetectorConfig(), chain.peak, chain.radius)
     assert len(locs) == 1
-    tight = detect(corr, GRID, DetectorConfig(min_separation=0.05 * P.wavelength),
-                   peak, wavelength=P.wavelength)
+    tight = detect(corr, GRID, DetectorConfig(), chain.peak,
+                   0.05 * P.wavelength)
     assert len(tight) >= 3
     # the replicas sit one wavelength up and down the axis
     zs = np.sort(tight["z"])
@@ -155,12 +160,49 @@ def test_default_separation_suppresses_carrier_replicas():
     assert zs[-1] == pytest.approx(P.wavelength, abs=0.02)
 
 
+@pytest.mark.parametrize("d", [0.05, 0.1])
+@pytest.mark.parametrize("threshold", [0.3, 0.35, 0.4, 0.5, 0.7])
+@pytest.mark.parametrize("mode, to", [
+    ("pre", None), ("post", None),
+    ("post", ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=P.sigma_r))],
+    ids=["pre", "post", "to"])
+def test_chain_radius_clears_every_replica(d, threshold, mode, to):
+    # 1.05 times the farthest autocorrelation maximum above the threshold,
+    # or the wavelength itself, bit for bit, when no replica reaches past
+    # it; an explicit min_separation wins
+    grid = make_grid(64, 64, d, d)
+    cfg = DetectorConfig(threshold_fraction=threshold, mode=mode)
+    chain = localize._chain(grid, P, cfg, to)
+    reach = replica_reach_ref(chain.template, d, d, threshold * chain.peak)
+    if reach > P.wavelength * (1 + 1e-9):
+        assert chain.radius == pytest.approx(1.05 * reach, rel=1e-12)
+    else:
+        assert chain.radius == 1.05 * P.wavelength
+    fixed = DetectorConfig(threshold_fraction=threshold, mode=mode,
+                           min_separation=0.2)
+    assert localize._chain(grid, P, fixed, to).radius == 0.2
+
+
+def test_chain_radius_at_threshold_0_35():
+    # the TO template's off-axis maxima at threshold 0.35; the pre
+    # template's 2 lambda replica clears 0.35 (exp(-1) = 0.37) but not 0.4
+    to = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=P.sigma_r)
+    for d, reach in [(0.05, 0.711), (0.1, 0.600)]:
+        grid = make_grid(64, 64, d, d)
+        chain = localize._chain(grid, P, DetectorConfig(
+            threshold_fraction=0.35), to)
+        assert chain.radius == pytest.approx(1.05 * reach, abs=1e-3)
+        assert not chain.envelope
+    pre = [localize._chain(GRID, P, DetectorConfig(threshold_fraction=f))
+           for f in (0.35, 0.4)]
+    assert pre[0].radius == pytest.approx(1.05 * 2 * P.wavelength)
+    assert pre[1].radius == 1.05 * P.wavelength
+
+
 def test_detect_validation():
     corr = one_bubble_corr((0.0, 0.0))
     with pytest.raises(ValueError):
-        detect(corr, GRID, DetectorConfig(), 0.0, wavelength=P.wavelength)
-    with pytest.raises(ValueError):
-        detect(corr, GRID, DetectorConfig(), 1.0)   # no separation, no wavelength
+        detect(corr, GRID, DetectorConfig(), 0.0, 1.05 * P.wavelength)
 
 
 def test_detect_two_bubbles():
@@ -168,7 +210,7 @@ def test_detect_two_bubbles():
              + render_psf(P, GRID, center=(0.7, 0.6)))
     corr = matched_filter_map(frame, GRID, psf_template(GRID, P))
     peak = template_autocorr_peak(psf_template(GRID, P), GRID)
-    locs = detect(corr, GRID, DetectorConfig(), peak, wavelength=P.wavelength)
+    locs = detect(corr, GRID, DetectorConfig(), peak, 1.05 * P.wavelength)
     assert len(locs) == 2
     xs = np.sort(locs["x"])
     assert xs[0] == pytest.approx(-0.7, abs=5e-3)
@@ -185,9 +227,8 @@ def test_detect_candidates_match_maximum_filter(corr, peak):
     # put most candidates on an edge; with no NMS radius to speak of and no
     # refinement, every candidate comes back as one localization
     grid = make_grid(corr.shape[1], corr.shape[0], 1.0, 1.0)
-    cfg = DetectorConfig(threshold_fraction=0.5, min_separation=1e-9,
-                         subpixel=False)
-    locs = detect(corr, grid, cfg, peak)
+    cfg = DetectorConfig(threshold_fraction=0.5, subpixel=False)
+    locs = detect(corr, grid, cfg, peak, 1e-9)
     got = {(round((z - grid.z0) / grid.dz), round((x - grid.x0) / grid.dx))
            for x, z in zip(locs["x"].tolist(), locs["z"].tolist())}
     assert got == local_max_candidates(corr, 0.5 * peak)
@@ -198,8 +239,7 @@ def test_detect_keeps_every_plateau_pixel():
     corr[0, :3] = 2.0       # plateau on the top edge
     corr[3, 4] = corr[4, 5] = 1.5   # tied diagonal neighbours in a corner
     grid = make_grid(6, 5, 1.0, 1.0)
-    cfg = DetectorConfig(min_separation=1e-9, subpixel=False)
-    locs = detect(corr, grid, cfg, 2.0)
+    locs = detect(corr, grid, DetectorConfig(subpixel=False), 2.0, 1e-9)
     got = {(round(z - grid.z0), round(x - grid.x0))
            for x, z in zip(locs["x"].tolist(), locs["z"].tolist())}
     assert got == {(0, 0), (0, 1), (0, 2), (3, 4), (4, 5)}
@@ -212,8 +252,7 @@ def test_detect_breaks_score_ties_by_row_then_column():
     corr[0, :3] = 2.0
     corr[3, 4] = corr[4, 5] = 1.5
     grid = make_grid(6, 5, 1.0, 1.0)
-    cfg = DetectorConfig(min_separation=2.5, subpixel=False)
-    locs = detect(corr, grid, cfg, 2.0)
+    locs = detect(corr, grid, DetectorConfig(subpixel=False), 2.0, 2.5)
     got = [(round(z - grid.z0), round(x - grid.x0))
            for x, z in zip(locs["x"].tolist(), locs["z"].tolist())]
     assert got == [(0, 0), (3, 4)]
@@ -225,9 +264,9 @@ def test_detect_ranks_tied_scores_by_row_before_column():
     corr = np.zeros((2, 5, 6))
     corr[1, 1, 4] = corr[1, 2, 0] = 2.0
     grid = make_grid(6, 5, 1.0, 1.0)
-    cfg = DetectorConfig(min_separation=10.0, subpixel=False)
-    for got in (detect(corr, grid, cfg, 2.0), detect(corr[1], grid, cfg, 2.0,
-                                                     t_index=1)):
+    cfg = DetectorConfig(subpixel=False)
+    for got in (detect(corr, grid, cfg, 2.0, 10.0),
+                detect(corr[1], grid, cfg, 2.0, 10.0, t_index=1)):
         assert [(t, round(z - grid.z0), round(x - grid.x0)) for t, x, z
                 in got[["t", "x", "z"]].tolist()] == [(1, 1, 4)]
 
@@ -259,9 +298,9 @@ def test_detect_block_matches_frames(block, empty, copy, min_sep, subpixel,
         block[-1] = block[0]
     block = block.astype(dtype)
     grid = make_grid(block.shape[2], block.shape[1], 0.1, 0.2)
-    cfg = DetectorConfig(min_separation=min_sep, subpixel=subpixel)
-    got = detect(block, grid, cfg, 2.0, t_index=5, v_tag=(1.0, -2.0))
-    want = np.concatenate([detect(f, grid, cfg, 2.0, t_index=5 + k,
+    cfg = DetectorConfig(subpixel=subpixel)
+    got = detect(block, grid, cfg, 2.0, min_sep, t_index=5, v_tag=(1.0, -2.0))
+    want = np.concatenate([detect(f, grid, cfg, 2.0, min_sep, t_index=5 + k,
                                   v_tag=(1.0, -2.0))
                            for k, f in enumerate(block)])
     assert got.tobytes() == want.tobytes()
@@ -442,17 +481,14 @@ def test_localize_frames_on_static_stack():
     assert locs["t"][1] == 1
     assert np.isnan(locs["vx"][0]) and np.isnan(locs["vz"][0])
     assert locs["x"][0] == pytest.approx(0.2, abs=2e-3)
-    with pytest.raises(ValueError):
-        localize_frames(frames, P, mode="to")
 
 
 def test_post_mode_envelope_detection():
     # carrier stripped: even a tight separation radius finds no replicas
     frame = render_psf(P, GRID, mode="pre", center=(0.0, 0.0))
     frames = FrameStack(grid=GRID, nt=1, dt=0.01, data=frame[None])
-    locs = localize_frames(
-        frames, P, cfg=DetectorConfig(min_separation=0.05 * P.wavelength),
-        mode="post")
+    locs = localize_frames(frames, P, cfg=DetectorConfig(
+        min_separation=0.05 * P.wavelength, mode="post"))
     assert len(locs) == 1
     assert locs["x"][0] == pytest.approx(0.0, abs=2e-3)
     assert locs["z"][0] == pytest.approx(0.0, abs=2e-3)
@@ -468,8 +504,6 @@ def test_run_pipeline_single_bubble_static():
     loc = res.per_frame[3][0]
     assert (loc["vx"], loc["vz"]) == (0.0, 0.0)
     assert loc["x"] == pytest.approx(0.15, abs=2e-3)
-    with pytest.raises(ValueError):
-        run_pipeline(frames, bank, P, mode="to")
 
 
 def test_run_pipeline_merges_duplicate_filters():
@@ -640,8 +674,8 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
     to = ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=P.sigma_r)
     bank = make_bank([1.0], [angle], sigma_t=0.02)
     fspec = bank.filters[0]
-    cfg = DetectorConfig()
-    res = run_pipeline(frames, bank, P, cfg=cfg, mode="post", to_params=to)
+    cfg = DetectorConfig(mode="post")
+    res = run_pipeline(frames, bank, P, cfg=cfg, to_params=to)
 
     if routed:
         data = apply_filter_fft(apply_to_filter(frames, to), fspec).data
@@ -651,9 +685,12 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
         data = np.abs(scipy.signal.hilbert(data, axis=1))
         tpl = psf_template(GRID, P, mode="post")
     peak = template_autocorr_peak(tpl, GRID)
+    # the TO template's replicas reach past one wavelength at 0.5
+    reach = replica_reach_ref(tpl, GRID.dx, GRID.dz, 0.5 * peak)
+    assert (reach > P.wavelength) == routed
     want = [detect(matched_filter_map(data[t], GRID, tpl), GRID,
-                   cfg, peak, t_index=t, v_tag=fspec.v_f,
-                   wavelength=P.wavelength)
+                   cfg, peak, 1.05 * max(reach, P.wavelength), t_index=t,
+                   v_tag=fspec.v_f)
             for t in range(frames.nt)]
 
     assert sum(map(len, want)) >= frames.nt
@@ -674,19 +711,14 @@ def lateral_mover():
 
 @pytest.mark.parametrize("mode, threshold, to", [
     ("pre", 0.5, None), ("pre", 0.35, None), ("post", 0.35, None),
-    pytest.param("pre", 0.35, ToParams(lambda_x=0.6, sigma_x=0.3,
-                                       sigma_r=P.sigma_r),
-                 marks=pytest.mark.xfail(
-                     strict=True, reason="the TO chain gives two ghosts "
-                     "per bubble (ROADMAP item 7)"))],
+    ("pre", 0.35, ToParams(lambda_x=0.6, sigma_x=0.3, sigma_r=P.sigma_r))],
     ids=["pre-0.5", "pre-0.35", "post-0.35", "to-0.35"])
 def test_one_detection_per_bubble_per_chain(lateral_mover, mode, threshold,
                                             to):
     # frames 10-49 keep the bubble well inside the grid and the window
     frames, bank = lateral_mover
-    res = run_pipeline(frames, bank, P,
-                       cfg=DetectorConfig(threshold_fraction=threshold),
-                       mode=mode, to_params=to)
+    res = run_pipeline(frames, bank, P, cfg=DetectorConfig(
+        threshold_fraction=threshold, mode=mode), to_params=to)
     assert [len(f) for f in res.per_frame[10:50]] == [1] * 40
 
 
@@ -701,8 +733,9 @@ def test_block_size_leaves_detection_unchanged(mode, monkeypatch):
     runs = []
     for samples in (1, 4 * math.prod(fshape), 2**40):
         monkeypatch.setattr(localize, "_CORR_BLOCK", samples)
-        res = run_pipeline(frames, bank, P, mode=mode)
-        raw = localize_frames(frames, P, mode=mode)
+        cfg = DetectorConfig(mode=mode)
+        res = run_pipeline(frames, bank, P, cfg=cfg)
+        raw = localize_frames(frames, P, cfg=cfg)
         assert np.all(np.diff(raw["t"]) >= 0)
         raw_frames = [raw[raw["t"] == t] for t in range(frames.nt)]
         runs.append([f.tobytes() for f in res.per_frame + raw_frames])
