@@ -53,8 +53,8 @@ from .psf import PsfParams, ToParams
 from .theory import (AcqBoundInput, acquisition_time_bound, apparent_density,
                      attenuation_pre, filtered_density, make_noise_spec,
                      nrf_bound, to_attenuation, velocity_bandwidth)
-from .vfilter import (FilterBankSpec, make_bank, save_bank_outputs,
-                      tile_speeds)
+from .vfilter import (FilterBankSpec, bank_pads, make_bank,
+                      save_bank_outputs, tile_speeds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -424,6 +424,8 @@ def resolve(cfg: dict) -> Resolved:
     fb = cfg["filter_bank"]
     with _section("filter_bank"):
         bank = _bank(fb, p)
+        bank_pads(bank, int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"],
+                  grid, **_given(fb, boundary="boundary"))
     mcfg = cfg.get("metrics", {})
     with _section("metrics"):
         le = default_le_params(
@@ -555,11 +557,12 @@ def synthesize(r: Resolved, seed: int, sink=None
         sink=sink)
 
 
-def localize(r: Resolved, frames: FrameStack, workers: int = 1,
+def localize(r: Resolved, frames: FrameStack | FrameStream, workers: int = 1,
              bank: bool = True) -> np.ndarray:
     """The localization table of frames, rows by frame: the config's bank,
     detector and TO prefilter, or with bank=False the same detection on the
-    unfiltered frames (the raw baseline, untagged)."""
+    unfiltered frames, which must then be a FrameStack (the raw baseline,
+    untagged)."""
     if not bank:
         return localize_frames(frames, r.psf, cfg=r.detector)
     result = run_pipeline(frames, r.bank, r.psf, cfg=r.detector,
@@ -644,8 +647,11 @@ def study_runs(ap: argparse.ArgumentParser, config: Path, out: str,
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
+    # 64 KiB reads stay under glibc's 128 KiB mmap threshold: a 1 MiB read
+    # raises it, and the metrics stage, which hashes its CSVs before it
+    # scores them, then peaked about 1 MB higher
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -734,10 +740,12 @@ def _stage_synth(r: Resolved, out: Path, seed: int) -> list[Path]:
     return arts
 
 
-def _load_frames(r: Resolved, out: Path) -> FrameStack:
-    """The synth stack, checked against the config's grid and clock: a
-    stack from another config would run and score against the wrong
-    geometry."""
+def _load_frames(r: Resolved, out: Path) -> FrameStream:
+    """The synth stack as a stream, its header checked against the config's
+    grid and clock: a stack from another config would run and score against
+    the wrong geometry. A damaged header or payload size is a data error
+    here; a sample the stream finds damaged while the bank reads it is one
+    too, raised from inside the bank, before the stage writes anything."""
     base = out / f"{r.prefix}_frames"
     if not base.with_suffix(".json").exists():
         raise ConfigError(f"missing input stack {base}.json (run synth "
@@ -755,15 +763,35 @@ def _load_frames(r: Resolved, out: Path) -> FrameStack:
         if not math.isclose(got, expected, rel_tol=1e-9):
             raise DataError(f"frame stack {base} has {key} = {got!r}, the "
                             f"config gives {expected!r}")
-    return frames
+
+    def fill(append) -> None:
+        # the bank's append runs only its x pass, which raises no
+        # ValueError of its own
+        try:
+            frames.fill(append)
+        except ValueError as exc:
+            raise DataError(f"bad frame stack {base}: {exc}") from exc
+
+    return FrameStream(frames.grid, frames.nt, frames.dt, fill)
 
 
-def _load_csv(load, path: Path):
-    """load(path), with a malformed file reported as a data error."""
+def _load_csv(load, path: Path, out: Path):
+    """load(path), with a malformed file, or one whose SHA-256 is not the
+    one manifest.json records for it, reported as a data error. The hash
+    is checked after the parse, so a bad row is still named by its line."""
     try:
-        return load(path)
+        rows = load(path)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    name = str(path.relative_to(out))
+    recorded = _read_manifest(out)["artifacts"].get(name)
+    if recorded is None:
+        raise DataError(f"{path}: manifest.json records no SHA-256 for "
+                        f"{name}")
+    if _sha256_file(path) != recorded:
+        raise DataError(f"{path} is not the file its stage wrote: its "
+                        "SHA-256 differs from manifest.json's")
+    return rows
 
 
 def _stage_filter(r: Resolved, out: Path, workers: int) -> list[Path]:
@@ -781,7 +809,7 @@ def _stage_accumulate(r: Resolved, out: Path) -> list[Path]:
     locs_path = out / f"{r.prefix}_locs.csv"
     if not locs_path.exists():
         raise ConfigError(f"missing localizations {locs_path}")
-    locs = _load_csv(load_localizations_csv, locs_path)
+    locs = _load_csv(load_localizations_csv, locs_path, out)
     acc = accumulate(locs, r.fine)
     vmap = velocity_map_from_locs(locs, r.fine)
     mask = segment_support(acc)
@@ -805,10 +833,10 @@ def _stage_metrics(r: Resolved, out: Path, fmt: str) -> list[Path]:
     if not locs_path.exists() or not truth_path.exists():
         raise ConfigError("metrics needs localizations and truth "
                           f"({locs_path.name}, {truth_path.name})")
-    locs = _load_csv(load_localizations_csv, locs_path)
+    locs = _load_csv(load_localizations_csv, locs_path, out)
     if len(locs) == 0:
         raise DataError("no localizations to score")
-    report = score(r, locs, _load_csv(load_truth_csv, truth_path))
+    report = score(r, locs, _load_csv(load_truth_csv, truth_path, out))
     out_path = out / f"{r.prefix}_metrics.{fmt}"
     if fmt == "json":
         _atomic_write_json(report, out_path)

@@ -34,6 +34,10 @@ MAX_ELEMENTS = 2**28
 # keeps a block in cache
 PAIR_BLOCK = 1 << 14
 
+# samples of a block of frames a FrameStream that load_frame_stack or the
+# filter bank makes hands over at once (512 KiB of float32)
+STREAM_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -120,6 +124,11 @@ class FrameStack:
     def copy(self) -> "FrameStack":
         return FrameStack(self.grid, self.nt, self.dt, self.data.copy())
 
+    def fill(self, append: Callable[[np.ndarray], None]) -> None:
+        """append(data): the whole stack as one block, as a FrameStream
+        hands over its blocks."""
+        append(self.data)
+
 
 def kx_lattice(grid: Grid2D) -> np.ndarray:
     """Lateral angular frequencies, rad/mm, in DFT order."""
@@ -168,16 +177,25 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
 # and 8-bit binary PGM previews.
 
 class FrameStream:
-    """The header of a frame stack whose frames are made block by block
-    while save_frame_stack writes them, so that the whole stack never
-    exists: fill(append) calls append(block) with each (n, nz, nx) block
-    of its nt frames, in frame order. A plain class: a dataclass would add
-    0.4 ms to every command's import."""
+    """The header of a frame stack handed over block by block, so that the
+    whole stack never exists: fill(append) calls append(block) with each
+    (n, nz, nx) block of its nt frames, in frame order. The synth stage
+    makes its frames this way, load_frame_stack reads them, and the filter
+    bank hands over its outputs. A block is append's only until append
+    returns: a stream may reuse its buffer. A plain class: a dataclass
+    would add 0.4 ms to every command's import."""
 
     def __init__(self, grid: Grid2D, nt: int, dt: float,
                  fill: Callable[[Callable[[np.ndarray], None]], object]
                  ) -> None:
         self.grid, self.nt, self.dt, self.fill = grid, nt, dt, fill
+
+
+def gather_frames(stack: FrameStack | FrameStream) -> FrameStack:
+    """The frames a stream fills, copied into one FrameStack."""
+    blocks: list[np.ndarray] = []
+    stack.fill(lambda block: blocks.append(block.copy()))
+    return FrameStack(stack.grid, stack.nt, stack.dt, np.concatenate(blocks))
 
 
 def save_frame_stack(stack: FrameStack | FrameStream,
@@ -216,10 +234,7 @@ def save_frame_stack(stack: FrameStack | FrameStream,
 
     try:
         with open(raw_path, "wb") as fh:
-            if isinstance(stack, FrameStack):
-                append(stack.data)
-            else:
-                stack.fill(append)
+            stack.fill(append)
         if written != stack.nt:
             raise ValueError(f"stream gave {written} frames, not nt = "
                              f"{stack.nt}")
@@ -258,10 +273,14 @@ def check_finite(data: np.ndarray, t0: int = 0) -> None:
     raise ValueError(f"non-finite sample at (t, z, x) = ({t0 + t}, {z}, {x})")
 
 
-def load_frame_stack(base: str | Path) -> FrameStack:
-    """Read a stack written by save_frame_stack; validates header, size and
-    that every sample is finite (a damaged header or payload raises a
-    ValueError). The data stay the float32 that was stored."""
+def load_frame_stack(base: str | Path) -> FrameStream:
+    """The stack save_frame_stack wrote, as a FrameStream that reads it.
+
+    The header and the payload's size are checked here, before any sample
+    is read; a damaged one raises ValueError. fill then reads the .f32 in
+    blocks of at most STREAM_BLOCK samples, and a non-finite sample, or a
+    payload that has changed size since, raises ValueError naming its
+    (t, z, x). The data stay the float32 that was stored."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     raw_path = base.with_suffix(".f32")
@@ -288,13 +307,24 @@ def load_frame_stack(base: str | Path) -> FrameStack:
     nx, nz, nt = header["nx"], header["nz"], header["nt"]
     grid = Grid2D(nx=nx, nz=nz, dx=header["dx_mm"], dz=header["dz_mm"],
                   x0=header["x0_mm"], z0=header["z0_mm"])
-    raw = np.fromfile(raw_path, dtype="<f4")
-    if raw.size != nx * nz * nt:
-        raise ValueError(
-            f"raw payload has {raw.size} samples, header implies {nx * nz * nt}")
-    data = raw.reshape(nt, nz, nx)
-    check_finite(data)
-    return FrameStack(grid=grid, nt=nt, dt=header["dt_s"], data=data)
+    size = raw_path.stat().st_size
+    if size != 4 * nx * nz * nt:
+        raise ValueError(f"raw payload has {size} bytes, header implies "
+                         f"{4 * nx * nz * nt}")
+    step = max(1, STREAM_BLOCK // (nz * nx))
+
+    def fill(append: Callable[[np.ndarray], None]) -> None:
+        with open(raw_path, "rb") as fh:
+            for t0 in range(0, nt, step):
+                n = min(step, nt - t0)
+                block = np.fromfile(fh, dtype="<f4", count=n * nz * nx)
+                if block.size != n * nz * nx:
+                    raise ValueError(f"raw payload ends in frame {t0}")
+                block = block.reshape(n, nz, nx)
+                check_finite(block, t0)
+                append(block)
+
+    return FrameStream(grid, nt, header["dt_s"], fill)
 
 
 def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],

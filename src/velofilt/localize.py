@@ -34,7 +34,11 @@ frames, an inverse whose x pass spans only the frame's nz rows (it keeps
 them right after its z pass), one local-max pass, one candidate sort, one
 suppression pass and one sub-pixel fit over all its peaks, and the
 template's spectrum is cached across blocks. A block's output is byte for
-byte that of its frames detected one at a time. The envelope and the
+byte that of its frames detected one at a time. The filter bank hands
+each output over as a stream of frame blocks (core.FrameStream), valid
+only until the bank moves on to the next filter; run_pipeline detects it
+as it arrives, carrying frames over until a detection block is full, so
+it never holds a whole input or output stack. The envelope and the
 correlation run in the stack's own precision (float32 on the CLI path,
 whose stacks come from .f32 files); the template is cast to the frame's
 dtype, and its cached spectrum is keyed by that dtype. Scores and
@@ -57,8 +61,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _pocketfft
-from .core import (PAIR_BLOCK, FrameStack, Grid2D, check_finite,
-                   load_csv_rows, make_grid, trimmed_irfftn)
+from .core import (PAIR_BLOCK, FrameStack, FrameStream, Grid2D,
+                   check_finite, load_csv_rows, make_grid, trimmed_irfftn)
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
@@ -520,22 +524,46 @@ def _chain(grid: Grid2D, p: PsfParams, cfg: DetectorConfig,
     return _Chain(template, peak, mode == "post", radius)
 
 
-def _detect_stack(data: np.ndarray, grid: Grid2D, cfg: DetectorConfig,
-                  chain: _Chain, v_tag: tuple[float, float] | None = None
-                  ) -> np.ndarray:
-    """Matched filter and detect on every frame of a (nt, nz, nx) stack
-    through one chain, in blocks of frames of at most _CORR_BLOCK padded
-    samples; one table, rows by frame."""
-    _, fshape = _padded_shape(data.shape[1:], chain.template.shape)
+def _detect_stack(frames: FrameStack | FrameStream, grid: Grid2D,
+                  cfg: DetectorConfig, chain: _Chain,
+                  v_tag: tuple[float, float] | None = None) -> np.ndarray:
+    """Matched filter and detect on every frame of a stack, or of a stream
+    as its blocks arrive, through one chain, in blocks of frames of at
+    most _CORR_BLOCK padded samples: frames 0 to step - 1, step to
+    2 step - 1, ... whatever the blocks the stream hands over, whose
+    frames are carried to the next block until a detection block is
+    full. One table, rows by frame."""
+    _, fshape = _padded_shape((grid.nz, grid.nx), chain.template.shape)
     step = max(1, _CORR_BLOCK // math.prod(fshape))
     tables = []
-    for t in range(0, data.shape[0], step):
-        block = data[t:t + step]
-        if chain.envelope:
-            block = _envelope_z(block)
-        tables.append(detect(matched_filter_map(block, grid, chain.template),
-                             grid, cfg, chain.peak, chain.radius, t_index=t,
-                             v_tag=v_tag))
+    t = 0  # the first frame of the next detection block
+    rest = None  # frames handed over that fill no detection block yet
+
+    def detect_block(block: np.ndarray) -> None:
+        nonlocal t
+        corr = matched_filter_map(_envelope_z(block) if chain.envelope
+                                  else block, grid, chain.template)
+        tables.append(detect(corr, grid, cfg, chain.peak, chain.radius,
+                             t_index=t, v_tag=v_tag))
+        t += len(block)
+
+    def take(block: np.ndarray) -> None:
+        nonlocal rest
+        if rest is not None:
+            head = step - len(rest)
+            rest, block = np.concatenate((rest, block[:head])), block[head:]
+            if len(rest) < step:
+                return
+            detect_block(rest)
+        full = len(block) - len(block) % step
+        for t0 in range(0, full, step):
+            detect_block(block[t0:t0 + step])
+        # a copy: the stream may reuse its block's buffer
+        rest = block[full:].copy() if full < len(block) else None
+
+    frames.fill(take)
+    if rest is not None:
+        detect_block(rest)
     return np.concatenate(tables)
 
 
@@ -549,12 +577,12 @@ def localize_frames(frames: FrameStack, p: PsfParams,
     """
     check_finite(frames.data)
     cfg = cfg or DetectorConfig()
-    return _detect_stack(frames.data, frames.grid, cfg,
+    return _detect_stack(frames, frames.grid, cfg,
                          _chain(frames.grid, p, cfg))
 
 
-def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
-                 cfg: DetectorConfig | None = None,
+def run_pipeline(frames: FrameStack | FrameStream, bank: FilterBankSpec,
+                 p: PsfParams, cfg: DetectorConfig | None = None,
                  to_params: ToParams | None = None,
                  boundary: str = "pad", workers: int = 1) -> PipelineResult:
     """Velocity-filter bank -> matched filter -> detect -> merge.
@@ -563,24 +591,22 @@ def run_pipeline(frames: FrameStack, bank: FilterBankSpec, p: PsfParams,
     Members the bank routes through the TO prefilter are detected through
     the TO chain. Duplicates across members (same frame, within lambda/4)
     keep the higher score. A stack with a non-finite sample is rejected
-    before any filtering. Each output is detected and dropped before the
-    bank makes the next, so besides the detection tables the pass holds
-    one output at a time (see run_filter_bank).
+    before any filtering; a stream checks its own blocks as it reads them
+    (see core.load_frame_stack). Each output is detected block by block as
+    the bank hands it over, so besides the detection tables the pass holds
+    no whole output (see run_filter_bank).
     """
-    check_finite(frames.data)
+    if isinstance(frames, FrameStack):
+        check_finite(frames.data)
     cfg = cfg or DetectorConfig()
     grid = frames.grid
     chains = {False: _chain(grid, p, cfg)}
     if to_params is not None:
         chains[True] = _chain(grid, p, cfg, to_params)
-    tables = []
-    for _, fspec, out, used_to in run_filter_bank(
-            frames, bank, to_params=to_params, boundary=boundary,
-            workers=workers):
-        tables.append(_detect_stack(out.data, grid, cfg, chains[used_to],
-                                    v_tag=fspec.v_f))
-        # drop the output before the bank makes the next one
-        del out
+    tables = [_detect_stack(out, grid, cfg, chains[used_to], v_tag=fspec.v_f)
+              for _, fspec, out, used_to in run_filter_bank(
+                  frames, bank, to_params=to_params, boundary=boundary,
+                  workers=workers)]
     # each frame's candidates in bank order, as the merge's tie order
     cands, cuts = _by_frame(np.concatenate(tables), frames.nt)
     return PipelineResult(per_frame=[

@@ -16,11 +16,16 @@ per slab it builds that slab's gain, multiplies it into a slab buffer, runs
 the ifft along t and keeps the first nt frames; the (z, x) passes then run
 on those kept frames alone. Neither a padded inverse nor a full-lattice
 gain or product is ever formed, and the output is byte for byte the
-trimmed whole irfftn. apply_filter_fft is the one-filter case of the same
-code. On an even axis the Nyquist bin is its own mirror, and there H is not
-even, so the gain on the Nyquist planes is the mean of H at the bin and at
-its mirrored bin: the Hermitian part of H, which is exactly what taking the
-real part of a complex inverse FFT would keep.
+trimmed whole irfftn. The bank streams at both ends: it reads its input
+in blocks of frames (the rfft along x, the first pass, is per frame) and
+hands each output over as a core.FrameStream whose blocks run the last
+pass, the irfft along x, so no whole input or output stack is held. An
+output used after the bank has moved on to the next filter raises.
+apply_filter_fft is the one-filter case of the same code, its output
+gathered. On an even axis the Nyquist bin is its own mirror, and there H
+is not even, so the gain on the Nyquist planes is the mean of H at the bin
+and at its mirrored bin: the Hermitian part of H, which is exactly what
+taking the real part of a complex inverse FFT would keep.
 
 Time is zero-extended: the stack is padded by 4 sigma_t worth of frames
 before the FFT and trimmed after, so trajectories do not wrap. The
@@ -58,8 +63,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _pocketfft
-from .core import (MAX_ELEMENTS, FrameStack, Grid2D, kx_lattice,
-                   kz_lattice, omega_lattice, save_frame_stack)
+from .core import (MAX_ELEMENTS, STREAM_BLOCK, FrameStack, FrameStream,
+                   Grid2D, gather_frames, kx_lattice, kz_lattice,
+                   omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
 # Lattice elements a filter's slab of kz rows spans at most (one row if a
@@ -238,14 +244,28 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     return rows
 
 
-def _pad_frames(spec: VelocityFilterSpec, frames: FrameStack) -> int:
-    return int(math.ceil(4.0 * spec.sigma_t / frames.dt))
+def bank_pads(bank: FilterBankSpec, nt: int, dt: float, grid: Grid2D,
+              boundary: str = "pad") -> list[int]:
+    """The zero frames each filter's stack is padded with per side:
+    ceil(4 sigma_t / dt) for boundary "pad", 0 for "periodic". A padded
+    stack of more than core.MAX_ELEMENTS samples raises ValueError, so the
+    bank, and resolve before any stage, refuse it before anything is
+    allocated."""
+    if boundary not in ("pad", "periodic"):
+        raise ValueError(f"unknown boundary {boundary!r}")
+    pads = [int(math.ceil(4.0 * f.sigma_t / dt)) if boundary == "pad" else 0
+            for f in bank.filters]
+    largest = (nt + 2 * max(pads), grid.nz, grid.nx)
+    if math.prod(largest) > MAX_ELEMENTS:
+        raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
+                         f"limit of {MAX_ELEMENTS} samples")
+    return pads
 
 
 def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
                      boundary: str = "pad") -> FrameStack:
     """Filter a stack through the 3D FFT path: run_filter_bank with a
-    one-filter bank.
+    one-filter bank, its output gathered into one stack.
 
     boundary "pad" zero-extends time by ceil(4 sigma_t / dt) frames per side
     and trims afterwards; "periodic" filters the raw stack circularly (all
@@ -253,9 +273,9 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
     stack of more than core.MAX_ELEMENTS samples is rejected before anything
     is allocated.
     """
-    [(_, _, out, _)] = run_filter_bank(frames, FilterBankSpec(filters=(spec,)),
-                                       boundary=boundary)
-    return out
+    _, _, out, _ = next(run_filter_bank(
+        frames, FilterBankSpec(filters=(spec,)), boundary=boundary))
+    return gather_frames(out)
 
 
 def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
@@ -274,14 +294,15 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
-def _half_spectrum(data: np.ndarray, nt_pad: int,
+def _half_spectrum(xspec: np.ndarray, nt_pad: int,
                    workers: int) -> np.ndarray:
     """scipy.fft.rfftn(data, s=(nt_pad, nz, nx)) of an (nt, nz, nx) stack,
-    byte for byte, in the pass order pocketfft's rfftn uses: the rfft along
-    x, the fft along t zero-padded to nt_pad, then the fft along z in place.
-    The zero-padded real copy of data that rfftn makes is never formed."""
-    spec = _pocketfft.rfft(data, axis=2, workers=workers)
-    spec = _pocketfft.fft(spec, nt_pad, axis=0, workers=workers,
+    byte for byte, from xspec, the stack's rfft along x: the rest of the
+    pass order pocketfft's rfftn uses, the fft along t zero-padded to
+    nt_pad, then the fft along z in place. The zero-padded real copy of
+    data that rfftn makes is never formed. With nt_pad = nt both passes
+    run in place, so xspec becomes the spectrum."""
+    spec = _pocketfft.fft(xspec, nt_pad, axis=0, workers=workers,
                           overwrite_x=True)
     return _pocketfft.fft(spec, axis=1, workers=workers, overwrite_x=True)
 
@@ -303,20 +324,17 @@ def _multiply_rows(spectrum: np.ndarray,
 def _filtered_inverse(spectrum: np.ndarray,
                       gain_rows: Callable[[int, int],
                                           list[tuple[slice, np.ndarray]]],
-                      kept: np.ndarray, nx: int, workers: int) -> np.ndarray:
-    """The first kept.shape[0] frames of irfftn(spectrum * gain), byte for
-    byte as core.trimmed_irfftn gives them, with gain_rows(z0, z1) the gain
-    on kz rows z0:z1 as the omega rows its passband reaches (see
-    _gain_rows).
+                      kept: np.ndarray, workers: int) -> None:
+    """kept = the first kept.shape[0] frames of irfftn(spectrum * gain)
+    before its last pass, the irfft along x, and its scale, byte for byte
+    as core.trimmed_irfftn makes them, with gain_rows(z0, z1) the gain on
+    kz rows z0:z1 as the omega rows its passband reaches (see _gain_rows).
 
     The gain, the product and the ifft along t run one slab of kz rows at a
     time in a buffer of at most _SLAB_ELEMENTS (or one row). Only the
     reached omega rows are multiplied into the slab; the others, where the
     whole-lattice gain is exactly 0, are zero-filled. Each slab's first nt
-    frames go to kept, where the z pass then runs in place, and the irfft
-    along x makes the output. Every pass is unscaled and the output is
-    multiplied once by T(1 / prod(padded shape)), rounded from long double,
-    as trimmed_irfftn does.
+    frames go to kept, where the z pass then runs in place.
     """
     nt_pad, nz, nxh = spectrum.shape
     nt = kept.shape[0]
@@ -330,104 +348,138 @@ def _filtered_inverse(spectrum: np.ndarray,
         slab = _pocketfft.ifft(slab, axis=0, norm="forward",
                                workers=workers, overwrite_x=True)
         kept[:, z0:z1] = slab[:nt]
-    out = _pocketfft.ifft(kept, axis=1, norm="forward", workers=workers,
-                          overwrite_x=True)
-    out = _pocketfft.irfft(out, nx, axis=2, norm="forward",
-                           workers=workers)
-    out *= out.dtype.type(np.longdouble(1) / (nt_pad * nz * nx))
-    return out
+    _pocketfft.ifft(kept, axis=1, norm="forward", workers=workers,
+                    overwrite_x=True)
 
 
-def run_filter_bank(frames: FrameStack, bank: FilterBankSpec,
+def _x_pass(kept: np.ndarray, nt_pad: int, nx: int, workers: int,
+            live: list[bool]) -> Callable[[Callable[[np.ndarray], None]],
+                                          None]:
+    """fill of a bank output: the irfft along x of the kept frames, unscaled,
+    then one multiply by T(1 / (nt_pad nz nx)), rounded from long double,
+    as trimmed_irfftn does, in blocks of at most STREAM_BLOCK samples. Once
+    live[0] is False the bank has moved on and refilled kept, so fill
+    raises instead of handing over another filter's frames."""
+    nz = kept.shape[1]
+    step = max(1, STREAM_BLOCK // (nz * nx))
+    scale = kept.real.dtype.type(np.longdouble(1) / (nt_pad * nz * nx))
+
+    def fill(append: Callable[[np.ndarray], None]) -> None:
+        for t0 in range(0, kept.shape[0], step):
+            if not live[0]:
+                raise RuntimeError("a bank output was used after the bank "
+                                   "moved on to the next filter")
+            out = _pocketfft.irfft(kept[t0:t0 + step], nx, axis=2,
+                                   norm="forward", workers=workers)
+            out *= scale
+            append(out)
+
+    return fill
+
+
+def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
                     to_params: ToParams | None = None,
                     boundary: str = "pad", workers: int = 1
-                    ) -> Iterator[tuple[int, VelocityFilterSpec, FrameStack,
+                    ) -> Iterator[tuple[int, VelocityFilterSpec, FrameStream,
                                         bool]]:
     """Run every filter in the bank over the same input, one at a time.
 
     Yields (i, spec, out, used_to) in bank order, each output as soon as it
-    is ready; the generator keeps no reference to an output, so memory is
-    bounded by what the caller keeps. A `for` loop variable or a
-    comprehension still names the last output while the generator makes
-    the next one, so a caller that is to hold one output at a time drops
-    it first, as save_bank_outputs and localize.run_pipeline do (`del`).
+    is ready, as a FrameStream: out.fill hands over its frames in blocks.
+    out is valid until the caller asks the bank for the next output; used
+    after that it raises, since the bank has refilled the buffer it reads.
     When to_params is given, filters selecting near-lateral directions
     (within bank.lateral_to_angle_deg of the x axis, and nonzero speed)
     see the TO-filtered stack instead of the raw one; used_to tells
-    whether out came from it.
+    whether out came from it. Each filter's route is decided once, here.
 
-    boundary is as in apply_filter_fft. The bank takes one half spectrum
-    per (source stack, temporal pad) pair it needs (_half_spectrum, the
-    bytes of rfftn) and keeps those until it is done. Each filter then
-    runs over its spectrum in slabs of kz rows (_filtered_inverse), so
-    besides the shared spectra it holds one slab's gain and product, the
-    kept frames' buffer that all filters share, and its output; the output
-    is byte for byte the trimmed whole irfftn of the spectrum times the
-    whole-lattice gain (_gain_rows over every kz row). The 2 * pad zero
-    frames go after the stack, which on the circular time
-    lattice is the symmetric pad shifted by pad frames, so the kept frames
-    are the first nt. The largest padded stack is checked against
-    core.MAX_ELEMENTS before anything is allocated.
+    The bank streams at both ends. It reads its input once, block by block
+    (frames.fill; a FrameStack is one block): each block's rfft along x,
+    after the TO prefilter for the TO route, goes into one (nt, nz,
+    nx // 2 + 1) buffer per route the bank needs. From those it takes one
+    half spectrum per (route, temporal pad) pair (_half_spectrum, the bytes
+    of rfftn) and keeps those until it is done; the x-spectra are dropped
+    before the first filter, one of them kept as the buffer of the kept
+    frames that every filter refills. Each filter runs over its spectrum in
+    slabs of kz rows and then along z (_filtered_inverse), and its output's
+    fill runs the irfft along x block by block (_x_pass). So besides the
+    shared spectra a pass holds one slab's gain and product, the kept
+    frames and a few blocks, never a whole input or output stack; each
+    output is byte for byte the trimmed whole irfftn of the spectrum times
+    the whole-lattice gain (_gain_rows over every kz row).
+
+    boundary is as in apply_filter_fft. The 2 * pad zero frames go after
+    the stack, which on the circular time lattice is the symmetric pad
+    shifted by pad frames, so the kept frames are the first nt. The
+    largest padded stack is checked against core.MAX_ELEMENTS before
+    anything is allocated (bank_pads).
     """
-    if boundary not in ("pad", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    grid = frames.grid
-    pads = [_pad_frames(f, frames) if boundary == "pad" else 0
-            for f in bank.filters]
-    largest = (frames.nt + 2 * max(pads), grid.nz, grid.nx)
-    if math.prod(largest) > MAX_ELEMENTS:
-        raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
-                         f"limit of {MAX_ELEMENTS} samples")
-    sources = {False: frames}
-    spectra: dict[tuple[bool, int], np.ndarray] = {}
-    kept = None  # the kept frames' half spectrum, refilled by each filter
-    for i, (fspec, pad) in enumerate(zip(bank.filters, pads)):
-        used_to = (to_params is not None and fspec.speed > 0.0
-                   and fspec.angle_from_lateral_deg
-                   <= bank.lateral_to_angle_deg)
-        if used_to not in sources:
-            sources[used_to] = apply_to_filter(frames, to_params)
-        nt_pad = frames.nt + 2 * pad
-        if (used_to, pad) not in spectra:
-            spectra[used_to, pad] = _half_spectrum(sources[used_to].data,
-                                                   nt_pad, workers)
+    grid, nt, dt = frames.grid, frames.nt, frames.dt
+    pads = bank_pads(bank, nt, dt, grid, boundary)
+    routes = [to_params is not None and f.speed > 0.0
+              and f.angle_from_lateral_deg <= bank.lateral_to_angle_deg
+              for f in bank.filters]
+    xspec: dict[bool, np.ndarray] = {}
+    done = 0
+
+    def read(block: np.ndarray) -> None:
+        nonlocal done
+        for used_to in dict.fromkeys(routes):
+            source = (apply_to_filter(FrameStack(grid, len(block), dt, block),
+                                      to_params).data if used_to else block)
+            part = _pocketfft.rfft(source, axis=2, workers=workers)
+            if used_to not in xspec:
+                xspec[used_to] = np.empty((nt,) + part.shape[1:], part.dtype)
+            xspec[used_to][done:done + len(block)] = part
+        done += len(block)
+
+    frames.fill(read)
+    if done != nt:
+        raise ValueError(f"stream gave {done} frames, not nt = {nt}")
+    spectra = {key: _half_spectrum(xspec[key[0]], nt + 2 * key[1], workers)
+               for key in dict.fromkeys(zip(routes, pads))}
+    # an x-spectrum that no spectrum took over in place becomes the kept
+    # frames' buffer; with boundary "periodic" each one did, and every
+    # spectrum has the kept frames' shape
+    kept = next((x for x in xspec.values() if not any(
+        np.may_share_memory(x, s) for s in spectra.values())), None)
+    xspec.clear()
+    if kept is None:
+        kept = np.empty_like(next(iter(spectra.values())))
+    for i, (fspec, used_to, pad) in enumerate(zip(bank.filters, routes,
+                                                  pads)):
         spectrum = spectra[used_to, pad]
-        if kept is None:
-            kept = np.empty((frames.nt,) + spectrum.shape[1:],
-                            dtype=spectrum.dtype)
-        gain_rows = _gain_rows(grid, nt_pad, frames.dt, fspec,
-                               spectrum.real.dtype)
-        # the output is not bound to a name here, so once the caller drops
-        # it, it is freed before the next filter's output is made
-        yield i, fspec, FrameStack(
-            grid=grid, nt=frames.nt, dt=frames.dt,
-            data=_filtered_inverse(spectrum, gain_rows, kept, grid.nx,
-                                   workers)), used_to
+        _filtered_inverse(spectrum, _gain_rows(grid, nt + 2 * pad, dt, fspec,
+                                               spectrum.real.dtype),
+                          kept, workers)
+        live = [True]
+        yield i, fspec, FrameStream(grid, nt, dt, _x_pass(
+            kept, nt + 2 * pad, grid.nx, workers, live)), used_to
+        live[0] = False
 
 
-def save_bank_outputs(frames: FrameStack, bank: FilterBankSpec,
+def save_bank_outputs(frames: FrameStack | FrameStream, bank: FilterBankSpec,
                       out_dir: str | Path,
                       to_params: ToParams | None = None,
                       boundary: str = "pad", workers: int = 1) -> list[Path]:
     """Write each bank output as filtered_<i> plus bank_manifest.json.
 
-    Each output is written and dropped before the bank makes the next, so
-    the pass holds one output at a time (see run_filter_bank). Returns
-    every path written, the manifest last.
+    Each output streams from the bank to its file block by block (see
+    run_filter_bank). out_dir is made once the input has been read, so an
+    input that fails to read leaves nothing behind. Returns every path
+    written, the manifest last.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
     entries: list[dict] = []
     for i, fspec, out, used_to in run_filter_bank(
             frames, bank, to_params=to_params, boundary=boundary,
             workers=workers):
+        out_dir.mkdir(parents=True, exist_ok=True)
         try:
             header, data = save_frame_stack(out, out_dir / f"filtered_{i:03d}")
         except OSError as exc:
             raise OSError(f"writing filter {i} output failed: {exc}") from exc
-        # drop the output before the bank makes the next one
-        del out
         paths += [header, data]
         entries.append({
             "index": i,

@@ -18,6 +18,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -28,11 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import velofilt
-from velofilt import __version__, cli, phantom
+from velofilt import __version__, cli, core, phantom, vfilter
 from velofilt.cli import (CONFIG_SCHEMA, ConfigError, check_config,
                           load_config, main)
-from velofilt.core import (FrameStack, load_frame_stack, save_frame_stack,
-                           write_pgm)
+from velofilt.core import (FrameStack, gather_frames, load_frame_stack,
+                           save_frame_stack, write_pgm)
 from velofilt.localize import save_localizations_csv
 from velofilt.phantom import save_truth_csv
 from velofilt.psf import PsfParams
@@ -208,7 +209,7 @@ def test_in_memory_run_is_the_stages_without_files(tmp_path):
                  str(out)]) == 0
     r = cli.resolve(load_config(cfg_path))
     frames, point_frames = cli.synthesize(r, 5)
-    stack = load_frame_stack(out / "t_frames")
+    stack = gather_frames(load_frame_stack(out / "t_frames"))
     assert np.array_equal(stack.data, frames.data.astype(np.float32))
     # localize on the stage's float32 stack writes the stage's bytes
     mem = save_localizations_csv(cli.localize(r, stack), tmp_path / "m.csv")
@@ -460,7 +461,7 @@ def test_sigma_r_that_underflows_exits_2(tmp_path, capsys):
     # to end in a ZeroDivisionError traceback and exit 1
     cfg = _phantom_e_at_nt_20("psf", "sigma_r_mm", 1e-300)
     err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
-    assert "filter_bank: " in err
+    assert "psf: " in err
 
 
 def test_wavelength_that_overflows_exits_2(tmp_path, capsys):
@@ -468,7 +469,7 @@ def test_wavelength_that_overflows_exits_2(tmp_path, capsys):
     # OverflowError traceback and exit 1
     cfg = _phantom_e_at_nt_20("psf", "wavelength_mm", 1e300)
     err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
-    assert "filter_bank: " in err
+    assert "psf: " in err
 
 
 def test_fine_grid_past_the_element_cap_is_refused_at_resolve():
@@ -510,6 +511,58 @@ def test_exit_data_error_on_non_finite_stack(tmp_path, capsys):
                  str(out)]) == 3
     assert "(t, z, x) = (3, 5, 7)" in capsys.readouterr().err
     assert not (out / "t_locs.csv").exists()
+
+
+def _files(out: Path) -> dict:
+    """Every file under out, by path, with its bytes."""
+    return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["filter", "localize"])
+def test_short_payload_exits_3_before_any_sample_is_read(
+        tmp_path, capsys, monkeypatch, command):
+    # the payload's size is checked against the header before the stage
+    # reads a sample; the stage writes nothing
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    raw = out / "t_frames.f32"
+    raw.write_bytes(raw.read_bytes()[:-4])  # the last sample is gone
+    written = _files(out)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a sample was read before the size check")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    assert main([command, "--config", str(cfg_path), "--out",
+                 str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad frame stack ")
+    assert err.count("\n") == 1 and "header implies 147456" in err
+    assert _files(out) == written
+
+
+@pytest.mark.parametrize("command", ["filter", "localize"])
+def test_non_finite_sample_in_the_last_block_exits_3(
+        tmp_path, capsys, monkeypatch, command):
+    # the stack is read in blocks of 3 frames while the bank runs, so the
+    # NaN in frame 15, the last block, is found inside the bank: it is
+    # still a data error, and the stage writes nothing
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    raw = np.fromfile(out / "t_frames.f32", dtype="<f4")
+    raw[(15 * 48 + 5) * 48 + 7] = np.nan
+    raw.tofile(out / "t_frames.f32")
+    written = _files(out)
+    monkeypatch.setattr(core, "STREAM_BLOCK", 3 * 48 * 48)
+    assert main([command, "--config", str(cfg_path), "--out",
+                 str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad frame stack ")
+    assert err.count("\n") == 1 and "(t, z, x) = (15, 5, 7)" in err
+    assert _files(out) == written
+    assert not (out / "t_filtered").exists()
 
 
 def _without_nx(header):
@@ -564,18 +617,37 @@ def test_exit_data_error_on_stack_config_mismatch(tmp_path, capsys, key,
         assert set(json.load(fh)["stages"]) == {"synth"}
 
 
-def test_exit_numeric_on_oversized_fft(tmp_path, capsys):
+def test_oversized_fft_exits_2_at_resolve(tmp_path, capsys):
+    # the bank's padded stack is checked at resolve, so no stage runs: the
+    # synth stage used to write its stack before the filter stage exited 4
     cfg = base_cfg()
     cfg["filter_bank"]["sigma_t_s"] = 1e18
     # filter 1 (1 mm/s along x) is routed through the TO prefilter
     cfg["to"] = {"lambda_x_mm": 0.6, "sigma_x_mm": 0.3}
     cfg_path = write_cfg(tmp_path, cfg)
-    out = str(tmp_path / "out")
-    assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
-    assert main(["filter", "--config", str(cfg_path), "--out", out]) == 4
-    assert "exceeds the in-memory FFT limit" in capsys.readouterr().err
-    # the bank is rejected before its first output is written
-    assert not list((tmp_path / "out" / "t_filtered").glob("filtered_*"))
+    out = tmp_path / "out"
+    for command in ("synth", "filter"):
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: filter_bank: padded stack (")
+        assert "exceeds the in-memory FFT limit" in err
+    assert not out.exists()
+
+
+def test_padded_bank_past_the_element_cap_is_refused_at_resolve():
+    # phantom_e pads its 0.5 s window by 100 frames per side at 0.02 s: on
+    # a 64 x 64 grid, nt 65336 pads to exactly MAX_ELEMENTS = 2**28
+    # samples. One frame more used to pass resolve, and synth wrote 1.07 GB
+    # before the filter stage exited 4; resolve allocates nothing
+    cfg = _phantom_e_at_nt_20("grid", "nx", 64)
+    cfg["grid"]["nz"] = 64
+    cfg["motion"]["nt"] = 65336
+    assert cli.resolve(cfg).nt == 65336
+    cfg["motion"]["nt"] = 65337
+    with pytest.raises(ConfigError, match=r"filter_bank: padded stack "
+                                          r"\(65537, 64, 64\) exceeds"):
+        cli.resolve(cfg)
 
 
 def test_exit_data_error_on_empty_localizations(tmp_path, capsys):
@@ -586,7 +658,7 @@ def test_exit_data_error_on_empty_localizations(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
     # an empty phantom synthesizes an all-zero stack ...
-    frames = load_frame_stack(out / "t_frames")
+    frames = gather_frames(load_frame_stack(out / "t_frames"))
     assert frames.data.shape == (16, 48, 48)
     assert np.all(frames.data == 0.0)
     # ... on which the detector finds nothing (threshold is absolute,
@@ -643,6 +715,75 @@ def test_exit_data_error_on_malformed_csv(localized_run, tmp_path, capsys,
                      str(out)]) == 3, command
         assert f"{path} line 3:" in capsys.readouterr().err
     assert not (out / "t_metrics.json").exists()
+
+
+@pytest.mark.parametrize("name, keep", [
+    ("truth", 0), ("truth", 1), ("locs", 0), ("locs", 1)],
+    ids=["truth-empty", "truth-header-only", "locs-empty",
+         "locs-header-only"])
+def test_altered_csv_exits_3(localized_run, tmp_path, capsys, name, keep):
+    # a 0-byte or header-only truth CSV used to be scored "ok" with exit 0,
+    # and a header-only locs CSV accumulated into empty maps: each CSV a
+    # stage reads must be the one manifest.json records
+    cfg_path, run = localized_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    path = out / f"t_{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep]), newline="")
+    written = _files(out)
+    commands = ["accumulate", "metrics"] if name == "locs" else ["metrics"]
+    for command in commands:
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 3, command
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path} is not the file its stage "
+                       "wrote: its SHA-256 differs from manifest.json's\n")
+    assert _files(out) == written
+
+
+def test_csv_without_a_manifest_record_exits_3(localized_run, tmp_path,
+                                               capsys):
+    cfg_path, run = localized_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["artifacts"]["t_truth.csv"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["metrics", "--config", str(cfg_path), "--out",
+                 str(out)]) == 3
+    assert "manifest.json records no SHA-256 for t_truth.csv" in (
+        capsys.readouterr().err)
+    assert not (out / "t_metrics.json").exists()
+
+
+def test_lone_filter_and_localize_stages_hold_no_whole_stack(tmp_path):
+    # axial-pre's size: a (350, 96, 49) half lattice and five filters. A
+    # stage streams its input from the file into the bank and each output
+    # from the bank to its file or its detection, so it holds the shared
+    # spectrum, the kept frames' half spectrum, one slab's gain and
+    # product and a few blocks; a whole input or output stack (5.5 MB
+    # each) is outside the budget
+    cfg = _phantom_e_at_nt_20("motion", "nt", 150)
+    cfg["phantom"]["c_mb_per_mm3"] = 24.0
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    half = 96 * (96 // 2 + 1)
+    budget = (8 * 350 * half  # shared spectrum
+              + 8 * 150 * half  # kept frames
+              + 2 * 8 * vfilter._SLAB_ELEMENTS
+              + 2 * 4 * core.STREAM_BLOCK  # blocks of frames
+              + 2**20)  # slack: small temporaries and the hash's chunk
+    for command in ("filter", "localize"):
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(cfg_path), "--out",
+                         str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (command, peak, budget)
 
 
 def test_float32_overflow_exits_4_before_the_write(tmp_path, capsys):
@@ -764,7 +905,7 @@ def test_pipeline_artifacts_and_manifest(tmp_path):
     assert report["le"] >= 0.0
     assert "iou" not in report            # grid_bubbles has no geometry
 
-    acc = load_frame_stack(out / "t_accum")
+    acc = gather_frames(load_frame_stack(out / "t_accum"))
     assert acc.nt == 1
     assert acc.grid.nx == cfg["grid"]["nx"] * cfg["detector"]["fine_factor"]
     assert acc.data.sum() == report["n_localizations"]

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import gaussian_window, trimmed_irfftn_ref
 from velofilt.core import (FrameStack, FrameStream, Grid2D, check_finite,
-                           kx_lattice, kz_lattice, load_frame_stack,
-                           make_grid, omega_lattice, save_frame_stack,
-                           trimmed_irfftn, write_pgm)
+                           gather_frames, kx_lattice, kz_lattice,
+                           load_frame_stack, make_grid, omega_lattice,
+                           save_frame_stack, trimmed_irfftn, write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -81,7 +81,7 @@ def test_frame_stack_roundtrip_exact(tmp_path):
     stack = small_stack(seed=3)
     jpath, rpath = save_frame_stack(stack, tmp_path / "demo")
     assert jpath.suffix == ".json" and rpath.suffix == ".f32"
-    back = load_frame_stack(tmp_path / "demo")
+    back = gather_frames(load_frame_stack(tmp_path / "demo"))
     # storage is float32; reloading preserves those values exactly
     assert np.array_equal(back.data, stack.data.astype(np.float32))
     assert back.grid == stack.grid
@@ -90,7 +90,8 @@ def test_frame_stack_roundtrip_exact(tmp_path):
 
 def test_load_keeps_the_stored_float32(tmp_path):
     save_frame_stack(small_stack(), tmp_path / "demo")
-    assert load_frame_stack(tmp_path / "demo").data.dtype == np.float32
+    assert gather_frames(load_frame_stack(
+        tmp_path / "demo")).data.dtype == np.float32
 
 
 def test_load_rejects_truncated_payload(tmp_path):
@@ -190,7 +191,7 @@ def test_save_load_roundtrip_property(tmp_path_factory, nt, nz, nx, seed):
     stack = small_stack(nt=nt, nz=nz, nx=nx, seed=seed)
     base = tmp_path_factory.mktemp("stk") / "s"
     save_frame_stack(stack, base)
-    back = load_frame_stack(base)
+    back = gather_frames(load_frame_stack(base))
     assert np.array_equal(back.data, stack.data.astype(np.float32))
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from oracles import (apply_filter_direct, dft_filter_reference,
                      trimmed_irfftn_ref, velocity_gain_ref)
 from velofilt import _pocketfft, vfilter
-from velofilt.core import (FrameStack, load_frame_stack, make_grid,
-                           save_frame_stack)
+from velofilt.core import (STREAM_BLOCK, FrameStack, gather_frames,
+                           load_frame_stack, make_grid, save_frame_stack)
 from velofilt.localize import run_pipeline
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
 from velofilt.theory import attenuation_pre
@@ -42,6 +42,14 @@ def moving_bubble_stack(v_b, nt=64, n=65, dt=0.01, mode="pre"):
                    center=(v_b[0] * (k * dt - t0), v_b[1] * (k * dt - t0)))
         for k in range(nt)])
     return FrameStack(grid=grid, nt=nt, dt=dt, data=data)
+
+
+def gathered(outputs):
+    """The bank's (i, spec, out, used_to) outputs, each out gathered into
+    a FrameStack as it arrives: a stream is valid only until the bank moves
+    on."""
+    return [(i, spec, gather_frames(out), used_to)
+            for i, spec, out, used_to in outputs]
 
 
 def whole_gain(grid, nt, dt, spec, dtype=np.float64, step=None, seen=None):
@@ -380,7 +388,7 @@ def test_run_filter_bank_to_routing():
     frames = noise_stack(nt=8, nz=16, nx=16)
     bank = make_bank([1.0], [0.0, math.pi / 2], 0.05,
                      lateral_to_angle_deg=10.0)
-    outs = [(out, used_to) for _, _, out, used_to
+    outs = [(gather_frames(out), used_to) for _, _, out, used_to
             in run_filter_bank(frames, bank, to_params=T)]
     lat_spec, ax_spec = bank.filters
     to_frames = apply_to_filter(frames, T)
@@ -421,7 +429,7 @@ def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
                                    spec.sigma_t)
         return out[pad:pad + nt]
 
-    outs = list(run_filter_bank(frames, bank, to_params=T,
+    outs = gathered(run_filter_bank(frames, bank, to_params=T,
                                 boundary=boundary))
     assert [used_to for *_, used_to in outs] == [True, False, False, False]
     for (_, spec, out, used_to) in outs:
@@ -450,9 +458,9 @@ def test_bank_runs_in_the_input_precision(boundary):
     wide = FrameStack(frames.grid, frames.nt, frames.dt,
                       frames.data.astype(np.float64))
     bank = make_bank([1.0], [0.0, math.pi / 2], 0.03)
-    outs = list(run_filter_bank(frames, bank, to_params=T,
+    outs = gathered(run_filter_bank(frames, bank, to_params=T,
                                 boundary=boundary))
-    wants = list(run_filter_bank(wide, bank, to_params=T,
+    wants = gathered(run_filter_bank(wide, bank, to_params=T,
                                  boundary=boundary))
     assert [o[3] for o in outs] == [w[3] for w in wants] == [True, False]
     for (*_, out, _), (*_, want, _) in zip(outs, wants):
@@ -514,7 +522,8 @@ def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
     frames.data = frames.data.astype(dtype)
     bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
     wants = whole_lattice_outputs(frames, bank, boundary)
-    outs = list(run_filter_bank(frames, bank, to_params=T, boundary=boundary))
+    outs = gathered(run_filter_bank(frames, bank, to_params=T,
+                                    boundary=boundary))
     assert outs[0][3] and len(outs) == len(wants) == 3
     for (*_, out, _), want in zip(outs, wants):
         assert out.data.dtype == dtype
@@ -547,7 +556,7 @@ def test_row_bound_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
     wants = whole_lattice_outputs(frames, BOUND_BANK, boundary)
     for budget in (1, vfilter._SLAB_ELEMENTS):
         monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", budget)
-        outs = list(run_filter_bank(frames, BOUND_BANK, to_params=T,
+        outs = gathered(run_filter_bank(frames, BOUND_BANK, to_params=T,
                                     boundary=boundary))
         assert [used_to for *_, used_to in outs] == [False, True] + 4 * [False]
         for (*_, out, _), want in zip(outs, wants, strict=True):
@@ -575,7 +584,7 @@ def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
         # the budget's remainder below one more row must not matter
         monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", rows * row + row - 1)
         for workers in (1, 2):
-            outs = list(run_filter_bank(frames, bank, to_params=T,
+            outs = gathered(run_filter_bank(frames, bank, to_params=T,
                                         boundary=boundary, workers=workers))
             assert outs[0][3] and len(outs) == 3
             for (*_, out, _), want in zip(outs, wants):
@@ -586,10 +595,11 @@ def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
 def _bank_pass_peak(consume) -> tuple[int, int]:
     """(traced peak, budget) of consume(frames, bank) on axial-pre's
     geometry in float32: a (350, 96, 49) half lattice. One pass of a
-    five-filter bank may hold the input, the shared spectrum, the kept
-    frames' half spectrum, one output and two slab budgets (the float64
-    gain and the complex64 product of one slab). A full-lattice gain or
-    work buffer, or a second output, is far outside it."""
+    five-filter bank may hold the input, which an in-memory caller holds,
+    the shared spectrum, the kept frames' half spectrum, two slab budgets
+    (the float64 gain and the complex64 product of one slab) and one
+    block of an output. A full-lattice gain or work buffer, or a whole
+    output, is far outside it."""
     nt, nz, nx = 150, 96, 96
     bank = make_bank([0.1, 0.3, 0.5, 0.7, 0.9], [math.pi / 2], 0.5)
     tracemalloc.start()
@@ -608,8 +618,8 @@ def _bank_pass_peak(consume) -> tuple[int, int]:
     budget = (4 * nt * nz * nx  # input
               + 8 * nt_pad * half  # shared spectrum
               + 8 * nt * half  # kept frames
-              + 4 * nt * nz * nx  # output
-              + 2 * 8 * vfilter._SLAB_ELEMENTS)
+              + 2 * 8 * vfilter._SLAB_ELEMENTS
+              + 4 * STREAM_BLOCK)  # one output block
     return peak, budget
 
 
@@ -617,19 +627,23 @@ def _bank_pass_peak(consume) -> tuple[int, int]:
 BANK_SLACK = 2**20
 
 
+def drain(frames, bank):
+    """Run the bank and fill each output into a sink that drops it."""
+    for *_, out, _ in run_filter_bank(frames, bank):
+        out.fill(lambda block: None)
+
+
 def test_bank_pass_memory_budget():
-    peak, budget = _bank_pass_peak(lambda frames, bank: collections.deque(
-        run_filter_bank(frames, bank), maxlen=0))
+    peak, budget = _bank_pass_peak(drain)
     assert peak <= budget + BANK_SLACK, (peak, budget)
 
 
 @pytest.mark.parametrize("consumer", ["save_bank_outputs", "run_pipeline"])
 def test_bank_consumers_hold_one_output(consumer, tmp_path):
-    # each consumer drops an output before it asks the bank for the next,
-    # so a pass holds one output, as the bank alone does; a loop variable
-    # that still names the last output while the next one is made holds a
-    # second output (5.5 MB here). run_pipeline's detection runs on one
-    # output after the bank's slab work is freed, so the budget holds it.
+    # each consumer takes an output block by block as the bank hands it
+    # over, so a pass holds no whole output (5.5 MB here). run_pipeline's
+    # detection runs on a few frames after the bank's slab work is freed,
+    # so the budget holds it.
     consume = {
         "save_bank_outputs": lambda frames, bank: save_bank_outputs(
             frames, bank, tmp_path),
@@ -641,20 +655,40 @@ def test_bank_consumers_hold_one_output(consumer, tmp_path):
 
 def test_bank_outputs_do_not_alias_its_work_buffer():
     # the complex passes run in place in a buffer the next filter refills:
-    # an output kept while the bank goes on must not change
+    # an output gathered while the bank goes on must not change
     frames = noise_stack(nt=10, nz=12, nx=12)
     frames.data = frames.data.astype(np.float32)
     bank = make_bank([0.5, 1.0], np.radians([0, 90, 200]), 0.03)
-    one_at_a_time = [out.data.copy()
-                     for *_, out, _ in run_filter_bank(frames, bank,
-                                                       to_params=T)]
-    kept = [out.data for *_, out, _ in run_filter_bank(frames, bank,
-                                                        to_params=T)]
+    one_at_a_time = []
+    for *_, out, _ in run_filter_bank(frames, bank, to_params=T):
+        one_at_a_time.append(gather_frames(out).data.copy())
+    kept = [out.data for *_, out, _ in gathered(
+        run_filter_bank(frames, bank, to_params=T))]
     assert len(kept) == len(one_at_a_time) == 6
     for i, data in enumerate(kept):
         assert not any(np.shares_memory(data, later)
                        for later in kept[i + 1:])
         assert np.array_equal(data, one_at_a_time[i])
+
+
+def test_bank_output_used_after_the_bank_moves_on_raises():
+    # an output reads the buffer the next filter refills: once the bank
+    # has moved on, it must raise, not hand over the next filter's frames
+    frames = noise_stack(nt=10, nz=12, nx=12)
+    bank = make_bank([0.5, 1.0], [0.0], 0.03)
+    outputs = run_filter_bank(frames, bank)
+    _, _, first, _ = next(outputs)
+    want = gather_frames(first).data
+    # valid, and the same, as often as it is used before the bank moves on
+    assert np.array_equal(gather_frames(first).data, want)
+    _, _, second, _ = next(outputs)
+    with pytest.raises(RuntimeError, match="after the bank moved on"):
+        gather_frames(first)
+    assert not np.array_equal(gather_frames(second).data, want)
+    # the last output too, once the bank is done
+    assert next(outputs, None) is None
+    with pytest.raises(RuntimeError, match="after the bank moved on"):
+        gather_frames(second)
 
 
 def test_save_bank_outputs_roundtrip(tmp_path):
@@ -672,8 +706,9 @@ def test_save_bank_outputs_roundtrip(tmp_path):
     # stored stacks match a fresh in-memory run at float32 precision
     outs = run_filter_bank(frames, bank, to_params=T)
     for entry, (_, _, want, _) in zip(manifest["outputs"], outs):
-        got = load_frame_stack(tmp_path / f"filtered_{entry['index']:03d}")
-        assert np.allclose(got.data, want.data, atol=1e-6)
+        got = gather_frames(load_frame_stack(
+            tmp_path / f"filtered_{entry['index']:03d}"))
+        assert np.allclose(got.data, gather_frames(want).data, atol=1e-6)
 
 
 def test_save_bank_outputs_names_the_failed_filter(tmp_path, monkeypatch):
