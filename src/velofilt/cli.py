@@ -502,23 +502,32 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
 
 
 def _bank(fb: dict, p: PsfParams) -> FilterBankSpec:
+    """The filter_bank section's bank. A speed past the float32 range, in
+    which the locs CSV and the velocity map hold it, raises ValueError."""
     sigma_t = fb["sigma_t_s"]
     angles = [math.radians(a) for a in fb["angles_deg"]]
     speeds = fb.get("speeds_mm_s", "auto")
     lat = fb.get("lateral_to_angle_deg",
                  FilterBankSpec.lateral_to_angle_deg)
     if speeds != "auto":
-        return make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
-    v_max = fb.get("v_max_mm_s")
-    if v_max is None:
-        raise ValueError("speeds_mm_s='auto' needs v_max_mm_s")
-    filters = []
-    for a in angles:
-        th = abs(a) % math.pi
-        pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
-        filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
-                             sigma_t).filters
-    return FilterBankSpec(filters=tuple(filters), lateral_to_angle_deg=lat)
+        bank = make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
+    else:
+        v_max = fb.get("v_max_mm_s")
+        if v_max is None:
+            raise ValueError("speeds_mm_s='auto' needs v_max_mm_s")
+        filters = []
+        for a in angles:
+            th = abs(a) % math.pi
+            pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
+            filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
+                                 sigma_t).filters
+        bank = FilterBankSpec(filters=tuple(filters),
+                              lateral_to_angle_deg=lat)
+    fastest = max(f.speed for f in bank.filters)
+    if fastest > float(np.finfo(np.float32).max):
+        raise ValueError(f"filter speed {fastest:.3g} mm/s is past the "
+                         "float32 range of the locs CSV and velocity map")
+    return bank
 
 
 def _draw_bubbles(r: Resolved, rng: np.random.Generator) -> BubbleSet:

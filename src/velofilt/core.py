@@ -336,13 +336,7 @@ def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
     not parse or has another field count raises a ValueError that names
     the file and the line.
     """
-    with open(path) as fh:
-        fh.readline()                   # header
-        lines = fh.readlines()
-    if not lines:
-        return np.empty((0, n_cols))
-
-    def parse(text: list[str]) -> np.ndarray:
+    def parse(text) -> np.ndarray:
         rows = np.loadtxt(text, delimiter=",", ndmin=2, comments=None,
                           converters=converters)
         if rows.shape[1] != n_cols:
@@ -354,17 +348,27 @@ def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
             raise ValueError("non-finite field")
         return rows
 
-    try:
-        return parse(lines)
-    except ValueError:
-        # find the first bad line; the bulk parse gives no usable line number
-        for n, line in enumerate(lines, start=2):
-            try:
-                if line.strip():
-                    parse([line])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {n}: {exc}") from None
-        raise
+    with open(path) as fh:
+        fh.readline()                   # header
+        body = fh.tell()
+        if not fh.readline():
+            return np.empty((0, n_cols))
+        # parsed from the open file: a list of its lines took about four
+        # times the file's size
+        fh.seek(body)
+        try:
+            return parse(fh)
+        except ValueError:
+            # find the first bad line; the bulk parse gives no usable line
+            # number
+            fh.seek(body)
+            for n, line in enumerate(fh, start=2):
+                try:
+                    if line.strip():
+                        parse([line])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {n}: {exc}") from None
+            raise
 
 
 def write_pgm(image: np.ndarray, path: str | Path) -> Path:

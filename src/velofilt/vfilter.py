@@ -14,9 +14,12 @@ column's inverse along time is independent, so a filter walks the shared
 spectrum in slabs of kz rows of at most _SLAB_ELEMENTS lattice elements:
 per slab it builds that slab's gain, multiplies it into a slab buffer, runs
 the ifft along t and keeps the first nt frames; the (z, x) passes then run
-on those kept frames alone. Neither a padded inverse nor a full-lattice
-gain or product is ever formed, and the output is byte for byte the
-trimmed whole irfftn. The bank streams at both ends: it reads its input
+on those kept frames alone. The shared spectrum holds, per slab, only the
+omega rows that some filter using it reaches there (below), and the
+forward that makes it runs in blocks of kx columns. Neither a padded
+spectrum or inverse nor a full-lattice gain or product is ever formed, and
+the output is byte for byte the trimmed whole irfftn. The bank streams at
+both ends: it reads its input
 in blocks of frames (the rfft along x, the first pass, is per frame) and
 hands each output over as a core.FrameStream whose blocks run the last
 pass, the irfft along x, so no whole input or output stack is held. An
@@ -42,11 +45,13 @@ exactly 0, the gain is 0: past |Omega + k . v_f| = sqrt(-2 floor) / sigma_t
 (28.9 rad/s at sigma_t = 0.5 s in float32, floor from _exp_floor). That is
 about half of a padded lattice in float64 and four fifths in float32, and
 it lies in whole omega rows: bounding k . v_f over a slab's kz rows and
-every kx column bounds the omega rows the ridge can reach. So a slab's gain
-and product are built on those rows alone and the other rows are
-zero-filled, which is what the whole-lattice gain puts there; inside them
-an entry below the floor is set to 0 without calling exp, whose underflow
-path is slow.
+every kx column bounds the omega rows the ridge can reach (_row_bound,
+from the 1-D lattices alone). So a slab's gain and product are built on
+those rows alone and the other rows are zero-filled, which is what the
+whole-lattice gain puts there; inside them an entry below the floor is set
+to 0 without calling exp, whose underflow path is slow. The shared
+spectrum keeps, per slab, the union of its filters' rows: 30 % of the
+padded spectrum on axial-pre's bank, which has one heading.
 
 The transforms are scipy's pocketfft, called through _pocketfft, which
 loads its extension on the first transform and never imports scipy.fft.
@@ -130,12 +135,17 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
     """Filter speeds whose half-max passbands tile [0, v_max] gaplessly.
 
     Centers at (2i+1) delta_v; the count is the least that covers v_max.
+    A count above core.MAX_ELEMENTS raises ValueError before anything is
+    allocated.
     """
     if delta_v <= 0:
         raise ValueError("delta_v must be positive")
     if v_max <= 0:
         return np.empty(0)
     n = max(1, math.ceil(v_max / (2.0 * delta_v)))
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"tiling [0, {v_max:g}] mm/s takes {n:.3g} filter "
+                         f"speeds, more than the limit of {MAX_ELEMENTS}")
     return (2.0 * np.arange(n) + 1.0) * delta_v
 
 
@@ -167,17 +177,47 @@ def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
     return np.exp(gain, out=gain, where=np.logical_not(dead, out=dead))
 
 
-def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
-               dtype) -> Callable[[int, int], list[tuple[slice, np.ndarray]]]:
-    """rows(z0, z1): the float64 gain on kz rows z0:z1 of the rfftn half
-    lattice of an (nt, nz, nx) stack, as (omega slice, gain on those rows)
-    pairs in DFT order: the rows the passband reaches, one or two slices
-    (none if it reaches no row). Every other omega row of the slab is
-    exactly 0. The gain is H, with the Hermitian mean on the Nyquist
-    planes, and 0 where the cast to dtype would round it to 0
-    (_exp_floor).
+def _lattices(grid: Grid2D, nt: int, dt: float
+              ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(axes, mirror): the omega, kz and kx axes of the rfftn half lattice
+    of an (nt, nz, nx) stack, and the same axes with the Nyquist frequency
+    of each even axis negated."""
+    sizes = (nt, grid.nz, grid.nx)
+    axes = (omega_lattice(nt, dt), kz_lattice(grid),
+            kx_lattice(grid)[:grid.nx // 2 + 1])
+    mirror = tuple(a.copy() for a in axes)
+    for m, n in zip(mirror, sizes):
+        if n % 2 == 0:
+            m[n // 2] = -m[n // 2]
+    return axes, mirror
 
-    The row bound: H is 0 once sigma_t |Omega + d| > sqrt(-2 floor), with
+
+def _runs(live: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of True in the 1-D mask live, in order."""
+    edges = np.zeros(live.size + 2, dtype=bool)
+    edges[1:-1] = live
+    starts = np.flatnonzero(edges[1:] != edges[:-1]).tolist()
+    return list(zip(starts[::2], starts[1::2]))
+
+
+def _slabs(nt: int, nz: int, nxh: int) -> list[tuple[int, int]]:
+    """(z0, z1) of each slab of kz rows of an (nt, nz, nxh) half lattice:
+    as many rows as fit in _SLAB_ELEMENTS elements, or one row if a row
+    alone is larger. The forward, the row bound and every filter share
+    it."""
+    step = max(1, _SLAB_ELEMENTS // (nt * nxh))
+    return [(z0, min(z0 + step, nz)) for z0 in range(0, nz, step)]
+
+
+def _row_bound(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
+               dtype, slabs: list[tuple[int, int]]) -> np.ndarray:
+    """(len(slabs), nt) mask: row s marks the omega rows the passband of
+    spec reaches on kz rows slabs[s] = (z0, z1) of the rfftn half lattice
+    of an (nt, nz, nx) stack, with slabs consecutive from row 0 to nz, as
+    _slabs gives them. On every other row of the slab the gain
+    (_gain_rows) is exactly 0.
+
+    H is 0 once sigma_t |Omega + d| > sqrt(-2 floor), with
     d = kx v_fx + kz v_fz. d is bounded over the slab's kz rows and every
     kx column, the negated Nyquist frequency of each even axis included,
     since a Nyquist plane's mean also takes H there. An omega row is live
@@ -186,19 +226,43 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     sqrt(-2 floor) / sigma_t widened by 1e-9 of the largest magnitude
     in the sum, far above its float64 rounding. A row outside is one where
     every entry, and the mean on every Nyquist plane, is set to 0 by the
-    floor, so the rows left out are the zeros of the whole-lattice gain.
+    floor (_exp_floor of dtype). The bound reads the 1-D lattices alone,
+    so it is cheap to ask for every filter of a bank up front."""
+    floor = _exp_floor(dtype)
+    axes, mirror = _lattices(grid, nt, dt)
+    # d's kx and kz terms, each with the negated Nyquist bins
+    tx = np.concatenate((axes[2], mirror[2])) * spec.v_f[0]
+    tz = np.stack((axes[1], mirror[1])) * spec.v_f[1]
+    reach = math.sqrt(-2.0 * floor) / spec.sigma_t
+    reach += 1e-9 * (reach + np.abs(axes[0]).max() + np.abs(tx).max()
+                     + np.abs(tz).max())
+    starts = [z0 for z0, _ in slabs]
+    lo = -(tx.max() + np.maximum.reduceat(tz.max(axis=0), starts)) - reach
+    hi = -(tx.min() + np.minimum.reduceat(tz.min(axis=0), starts)) + reach
+    lo, hi = lo[:, None], hi[:, None]
+    return (((axes[0] >= lo) & (axes[0] <= hi))
+            | ((mirror[0] >= lo) & (mirror[0] <= hi)))
+
+
+def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
+               dtype) -> Callable[[int, int, np.ndarray],
+                                  list[tuple[slice, np.ndarray]]]:
+    """rows(z0, z1, live): the float64 gain on kz rows z0:z1 of the rfftn
+    half lattice of an (nt, nz, nx) stack, as (omega slice, gain on those
+    rows) pairs in DFT order, one per run of the omega rows the mask live
+    marks. With live the slab's _row_bound, every other omega row of the
+    slab is exactly 0, and the runs are one or two slices (none if the
+    passband reaches no row). The gain is H, with the Hermitian mean on
+    the Nyquist planes, and 0 where the cast to dtype would round it to 0
+    (_exp_floor).
 
     Each entry depends on its own frequencies alone, so a row's gain is
     byte for byte that row of the whole-lattice gain; the lattices, their
-    mirrors and the Nyquist-plane means are computed once here."""
+    mirrors and the Nyquist-plane means are computed once here, for one
+    filter."""
     floor = _exp_floor(dtype)
     sizes = (nt, grid.nz, grid.nx)
-    axes = (omega_lattice(nt, dt), kz_lattice(grid),
-            kx_lattice(grid)[:grid.nx // 2 + 1])
-    mirror = tuple(a.copy() for a in axes)
-    for m, n in zip(mirror, sizes):
-        if n % 2 == 0:
-            m[n // 2] = -m[n // 2]
+    axes, mirror = _lattices(grid, nt, dt)
     planes = []
     for ax, n in enumerate(sizes):
         if n % 2 == 0:
@@ -208,27 +272,16 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                 _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
                 + _gain(*(m[p] for m, p in zip(mirror, plane)), spec,
                         floor))))
-    # d's kx and kz terms, each with the negated Nyquist bins
-    tx = np.concatenate((axes[2], mirror[2])) * spec.v_f[0]
-    tz = np.stack((axes[1], mirror[1])) * spec.v_f[1]
-    reach = math.sqrt(-2.0 * floor) / spec.sigma_t
-    reach += 1e-9 * (reach + np.abs(axes[0]).max() + np.abs(tx).max()
-                     + np.abs(tz).max())
 
-    def rows(z0: int, z1: int) -> list[tuple[slice, np.ndarray]]:
-        lo = -(tx.max() + tz[:, z0:z1].max()) - reach
-        hi = -(tx.min() + tz[:, z0:z1].min()) + reach
-        live = np.zeros(nt + 2, dtype=bool)
-        for om in (axes[0], mirror[0]):
-            live[1:-1] |= (om >= lo) & (om <= hi)
-        edges = np.flatnonzero(np.diff(live)).tolist()
+    def rows(z0: int, z1: int,
+             live: np.ndarray) -> list[tuple[slice, np.ndarray]]:
         # the gains are views of one buffer of the whole slab's shape, so
         # each slab allocates one size, as the whole-lattice gain did; gains
         # sized to their rows left heap fragments that raised a localize
         # stage's peak RSS by about 1 MB
         work = np.empty((nt, z1 - z0, len(axes[2])))
         out = []
-        for t0, t1 in zip(edges[::2], edges[1::2]):
+        for t0, t1 in _runs(live):
             gain = _gain(axes[0][t0:t1], axes[1][z0:z1], axes[2], spec,
                          floor, work[t0:t1])
             for ax, i, mean in planes:
@@ -294,57 +347,94 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
-def _half_spectrum(xspec: np.ndarray, nt_pad: int,
-                   workers: int) -> np.ndarray:
-    """scipy.fft.rfftn(data, s=(nt_pad, nz, nx)) of an (nt, nz, nx) stack,
-    byte for byte, from xspec, the stack's rfft along x: the rest of the
-    pass order pocketfft's rfftn uses, the fft along t zero-padded to
-    nt_pad, then the fft along z in place. The zero-padded real copy of
-    data that rfftn makes is never formed. With nt_pad = nt both passes
-    run in place, so xspec becomes the spectrum."""
-    spec = _pocketfft.fft(xspec, nt_pad, axis=0, workers=workers,
-                          overwrite_x=True)
-    return _pocketfft.fft(spec, axis=1, workers=workers, overwrite_x=True)
+def _compact_spectrum(xspec: np.ndarray, nt_pad: int, lives: np.ndarray,
+                      workers: int) -> list[np.ndarray]:
+    """The omega rows lives[s] of kz slab s (_slabs) of
+    scipy.fft.rfftn(data, s=(nt_pad, nz, nx)) of an (nt, nz, nx) stack,
+    byte for byte, one (rows, slab rows, nx // 2 + 1) array per slab, from
+    xspec, the stack's rfft along x.
+
+    The rest of the pass order pocketfft's rfftn uses runs on blocks of kx
+    columns of at most _SLAB_ELEMENTS padded elements (or one column), in
+    one work buffer: the fft along t of the block zero-padded to nt_pad,
+    then the fft along z on the omega rows some slab keeps, then each
+    slab's kept rows are copied, one run of rows at a time, into its
+    array. The padded spectrum and the zero-padded real copy of data that
+    rfftn makes are never formed, and xspec is left as it was. The slabs'
+    arrays are views of one buffer: many small arrays step the heap."""
+    nt, nz, nxh = xspec.shape
+    slabs = _slabs(nt_pad, nz, nxh)
+    sizes = [int(np.count_nonzero(live)) * (z1 - z0) * nxh
+             for live, (z0, z1) in zip(lives, slabs)]
+    buf = np.empty(sum(sizes), dtype=xspec.dtype)
+    out = [part.reshape(-1, z1 - z0, nxh) for part, (z0, z1) in zip(
+        np.split(buf, np.cumsum(sizes)[:-1]), slabs)]
+    runs = [_runs(live) for live in lives]
+    union = _runs(lives.any(axis=0))
+    step = max(1, _SLAB_ELEMENTS // (nt_pad * nz))
+    work = np.empty((nt_pad, nz, min(step, nxh)), dtype=xspec.dtype)
+    for c0 in range(0, nxh, step):
+        c1 = min(c0 + step, nxh)
+        block = work[:, :, :c1 - c0]
+        block[:nt] = xspec[:, :, c0:c1]
+        block[nt:] = 0
+        _pocketfft.fft(block, axis=0, workers=workers, overwrite_x=True)
+        for t0, t1 in union:
+            _pocketfft.fft(block[t0:t1], axis=1, workers=workers,
+                           overwrite_x=True)
+        for (z0, z1), slab_runs, rows in zip(slabs, runs, out):
+            at = 0
+            for t0, t1 in slab_runs:
+                rows[at:at + t1 - t0, :, c0:c1] = block[t0:t1, z0:z1]
+                at += t1 - t0
+    return out
 
 
-def _multiply_rows(spectrum: np.ndarray,
+def _multiply_rows(rows: np.ndarray, live: np.ndarray,
                    gain: list[tuple[slice, np.ndarray]],
                    out: np.ndarray) -> None:
     """out = spectrum * the gain given as (omega rows, gain on them) pairs
-    in row order, 0 on every other row. The float64 gain is cast to out's
-    precision inside the multiply."""
+    in row order, 0 on every other row, with rows the spectrum's rows where
+    live is True, which hold every row the gain gives. The float64 gain is
+    cast to out's precision inside the multiply."""
     done = 0
-    for rows, part in gain:
-        out[done:rows.start] = 0
-        np.multiply(spectrum[rows], part, out=out[rows], dtype=out.dtype)
-        done = rows.stop
+    for span, part in gain:
+        out[done:span.start] = 0
+        at = int(np.count_nonzero(live[:span.start]))
+        np.multiply(rows[at:at + span.stop - span.start], part,
+                    out=out[span], dtype=out.dtype)
+        done = span.stop
     out[done:] = 0
 
 
-def _filtered_inverse(spectrum: np.ndarray,
-                      gain_rows: Callable[[int, int],
+def _filtered_inverse(spectrum: list[np.ndarray], lives: np.ndarray,
+                      reached: np.ndarray,
+                      gain_rows: Callable[[int, int, np.ndarray],
                                           list[tuple[slice, np.ndarray]]],
                       kept: np.ndarray, workers: int) -> None:
     """kept = the first kept.shape[0] frames of irfftn(spectrum * gain)
     before its last pass, the irfft along x, and its scale, byte for byte
-    as core.trimmed_irfftn makes them, with gain_rows(z0, z1) the gain on
-    kz rows z0:z1 as the omega rows its passband reaches (see _gain_rows).
+    as core.trimmed_irfftn makes them. spectrum is _compact_spectrum's: per
+    slab s of kz rows (_slabs), the omega rows lives[s]. reached[s], the
+    filter's _row_bound, marks the rows its gain reaches there, all of
+    them in lives[s]; gain_rows is the filter's _gain_rows.
 
-    The gain, the product and the ifft along t run one slab of kz rows at a
-    time in a buffer of at most _SLAB_ELEMENTS (or one row). Only the
-    reached omega rows are multiplied into the slab; the others, where the
-    whole-lattice gain is exactly 0, are zero-filled. Each slab's first nt
-    frames go to kept, where the z pass then runs in place.
+    The gain, the product and the ifft along t run one slab at a time in a
+    buffer of the slab's padded size, at most _SLAB_ELEMENTS (or one row).
+    The omega rows the filter reaches are multiplied from the slab's
+    spectrum rows; the others, where the whole-lattice gain is exactly 0,
+    are zero-filled. Each slab's first nt frames go to kept, where the z
+    pass then runs in place.
     """
-    nt_pad, nz, nxh = spectrum.shape
-    nt = kept.shape[0]
-    step = max(1, _SLAB_ELEMENTS // (nt_pad * nxh))
-    buf = np.empty(nt_pad * min(step, nz) * nxh, dtype=spectrum.dtype)
-    for z0 in range(0, nz, step):
-        z1 = min(z0 + step, nz)
+    nt, nz, nxh = kept.shape
+    nt_pad = lives.shape[1]
+    slabs = _slabs(nt_pad, nz, nxh)
+    buf = np.empty(nt_pad * (slabs[0][1] - slabs[0][0]) * nxh,
+                   dtype=kept.dtype)
+    for (z0, z1), live, own, rows in zip(slabs, lives, reached, spectrum):
         slab = buf[:nt_pad * (z1 - z0) * nxh].reshape(nt_pad, z1 - z0, nxh)
         # no name holds the slab's gain, so it is freed before the ifft
-        _multiply_rows(spectrum[:, z0:z1], gain_rows(z0, z1), slab)
+        _multiply_rows(rows, live, gain_rows(z0, z1, own), slab)
         slab = _pocketfft.ifft(slab, axis=0, norm="forward",
                                workers=workers, overwrite_x=True)
         kept[:, z0:z1] = slab[:nt]
@@ -397,16 +487,19 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     (frames.fill; a FrameStack is one block): each block's rfft along x,
     after the TO prefilter for the TO route, goes into one (nt, nz,
     nx // 2 + 1) buffer per route the bank needs. From those it takes one
-    half spectrum per (route, temporal pad) pair (_half_spectrum, the bytes
-    of rfftn) and keeps those until it is done; the x-spectra are dropped
-    before the first filter, one of them kept as the buffer of the kept
-    frames that every filter refills. Each filter runs over its spectrum in
-    slabs of kz rows and then along z (_filtered_inverse), and its output's
-    fill runs the irfft along x block by block (_x_pass). So besides the
-    shared spectra a pass holds one slab's gain and product, the kept
-    frames and a few blocks, never a whole input or output stack; each
-    output is byte for byte the trimmed whole irfftn of the spectrum times
-    the whole-lattice gain (_gain_rows over every kz row).
+    spectrum per (route, temporal pad) pair (_compact_spectrum) and keeps
+    those until it is done. Each holds, per slab of kz rows (_slabs), only
+    the omega rows that some filter of that pair reaches there (the union
+    of their _row_bound masks), byte for byte those rows of rfftn. The
+    x-spectra are dropped once their spectra are built, the last one kept
+    as the buffer of the kept frames that every filter refills. Each
+    filter runs over its spectrum in slabs of kz rows and then along z
+    (_filtered_inverse), and its output's fill runs the irfft along x
+    block by block (_x_pass). So besides the shared spectra a pass holds
+    one slab's gain and product, the kept frames and a few blocks, never a
+    padded spectrum or a whole input or output stack; each output is byte
+    for byte the trimmed whole irfftn of the whole spectrum times the
+    whole-lattice gain (_gain_rows over every kz row).
 
     boundary is as in apply_filter_fft. The 2 * pad zero frames go after
     the stack, which on the circular time lattice is the symmetric pad
@@ -436,25 +529,32 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     frames.fill(read)
     if done != nt:
         raise ValueError(f"stream gave {done} frames, not nt = {nt}")
-    spectra = {key: _half_spectrum(xspec[key[0]], nt + 2 * key[1], workers)
-               for key in dict.fromkeys(zip(routes, pads))}
-    # an x-spectrum that no spectrum took over in place becomes the kept
-    # frames' buffer; with boundary "periodic" each one did, and every
-    # spectrum has the kept frames' shape
-    kept = next((x for x in xspec.values() if not any(
-        np.may_share_memory(x, s) for s in spectra.values())), None)
-    xspec.clear()
-    if kept is None:
-        kept = np.empty_like(next(iter(spectra.values())))
-    for i, (fspec, used_to, pad) in enumerate(zip(bank.filters, routes,
-                                                  pads)):
-        spectrum = spectra[used_to, pad]
-        _filtered_inverse(spectrum, _gain_rows(grid, nt + 2 * pad, dt, fspec,
-                                               spectrum.real.dtype),
-                          kept, workers)
+    keys = list(zip(routes, pads))
+    dtype = next(iter(xspec.values())).real.dtype
+    # every filter's row bound, read from 1-D lattices; the gains, which
+    # hold Nyquist-plane means, are built one filter at a time below
+    reached = [_row_bound(grid, nt + 2 * pad, dt, f, dtype,
+                          _slabs(nt + 2 * pad, grid.nz, grid.nx // 2 + 1))
+               for f, pad in zip(bank.filters, pads)]
+    spectra = {}
+    for used_to in list(xspec):
+        # the last x-spectrum becomes the kept frames' buffer; each one
+        # before it is freed once its spectra are built
+        kept = xspec.pop(used_to)
+        for pad in dict.fromkeys(p for r, p in keys if r == used_to):
+            lives = np.logical_or.reduce([
+                bound for bound, key in zip(reached, keys)
+                if key == (used_to, pad)])
+            spectra[used_to, pad] = lives, _compact_spectrum(
+                kept, nt + 2 * pad, lives, workers)
+    for i, (fspec, key) in enumerate(zip(bank.filters, keys)):
+        lives, spectrum = spectra[key]
+        nt_pad = nt + 2 * key[1]
+        _filtered_inverse(spectrum, lives, reached[i], _gain_rows(
+            grid, nt_pad, dt, fspec, dtype), kept, workers)
         live = [True]
         yield i, fspec, FrameStream(grid, nt, dt, _x_pass(
-            kept, nt + 2 * pad, grid.nx, workers, live)), used_to
+            kept, nt_pad, grid.nx, workers, live)), key[0]
         live[0] = False
 
 

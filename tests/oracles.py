@@ -408,3 +408,17 @@ def render_frame(bubbles, grid, p):
     axial = np.exp(-(uz**2) / s2) * np.cos(2.0 * math.pi * uz / p.wavelength)
     # no bubbles: a (nz, 0) @ (0, nx) product, all zeros
     return (axial.T @ lat) * p.g_e_peak
+
+
+def reached_rows(nt, dt, nz, dz, nx, dx, filters, floor, slabs):
+    """For each slab (z0, z1) of kz rows of the rfftn half lattice of an
+    (nt, nz, nx) stack, the number of omega rows on which the
+    whole-lattice gain (velocity_gain_ref with floor) of some filter in
+    filters is nonzero somewhere in the slab."""
+    reached = np.zeros((len(slabs), nt), dtype=bool)
+    for f in filters:
+        gain = velocity_gain_ref(nt, dt, nz, dz, nx, dx, f.v_f, f.sigma_t,
+                                 floor)
+        for s, (z0, z1) in enumerate(slabs):
+            reached[s] |= gain[:, z0:z1].any(axis=(1, 2))
+    return reached.sum(axis=1).tolist()

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import velofilt
+from oracles import reached_rows
 from velofilt import __version__, cli, core, phantom, vfilter
 from velofilt.cli import (CONFIG_SCHEMA, ConfigError, check_config,
                           load_config, main)
@@ -472,6 +473,17 @@ def test_wavelength_that_overflows_exits_2(tmp_path, capsys):
     assert "psf: " in err
 
 
+def test_filter_count_past_the_element_cap_exits_2(tmp_path, capsys):
+    # sigma_r 1e-155 narrows the "auto" speeds' bandwidth until tiling
+    # [0, v_max] takes about 1e154 filters: the message used to be numpy's
+    # "Maximum allowed size exceeded" alone
+    cfg = _phantom_e_at_nt_20("psf", "sigma_r_mm", 1e-155)
+    err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: filter_bank: tiling [0, 1] mm/s "
+                          "takes 1.02e+154 filter speeds, more than the "
+                          f"limit of {core.MAX_ELEMENTS}")
+
+
 def test_fine_grid_past_the_element_cap_is_refused_at_resolve():
     # fine_factor 100000 used to pass every stage up to accumulate, which
     # then asked numpy for 671 TiB; resolve allocates nothing
@@ -761,16 +773,22 @@ def test_lone_filter_and_localize_stages_hold_no_whole_stack(tmp_path):
     # axial-pre's size: a (350, 96, 49) half lattice and five filters. A
     # stage streams its input from the file into the bank and each output
     # from the bank to its file or its detection, so it holds the shared
-    # spectrum, the kept frames' half spectrum, one slab's gain and
-    # product and a few blocks; a whole input or output stack (5.5 MB
-    # each) is outside the budget
+    # spectrum's rows that some filter reaches in each slab, the kept
+    # frames' half spectrum, one slab's gain and product and a few blocks;
+    # a whole padded spectrum (13.2 MB) or a whole input or output stack
+    # (5.5 MB each) is outside the budget
     cfg = _phantom_e_at_nt_20("motion", "nt", 150)
     cfg["phantom"]["c_mb_per_mm3"] = 24.0
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    r = cli.resolve(cfg)
     half = 96 * (96 // 2 + 1)
-    budget = (8 * 350 * half  # shared spectrum
+    slabs = vfilter._slabs(350, 96, 96 // 2 + 1)
+    rows = reached_rows(350, r.dt, 96, r.grid.dz, 96, r.grid.dx,
+                        r.bank.filters, vfilter._exp_floor(np.float32), slabs)
+    budget = (8 * sum(n * (z1 - z0) for n, (z0, z1) in zip(rows, slabs))
+              * (96 // 2 + 1)  # shared spectrum's reached rows
               + 8 * 150 * half  # kept frames
               + 2 * 8 * vfilter._SLAB_ELEMENTS
               + 2 * 4 * core.STREAM_BLOCK  # blocks of frames
@@ -786,25 +804,21 @@ def test_lone_filter_and_localize_stages_hold_no_whole_stack(tmp_path):
         assert peak <= budget, (command, peak, budget)
 
 
-def test_float32_overflow_exits_4_before_the_write(tmp_path, capsys):
-    # sigma_t 1e-300 makes the "auto" bank speed about 1e297 mm/s, which
-    # the velocity map cannot hold as float32: the run used to say "ok",
-    # exit 0 and write inf after numpy's overflow warning
+def test_float32_overflowing_speed_exits_2_before_any_write(tmp_path,
+                                                           capsys):
+    # sigma_t 1e-300 makes the "auto" bank speed about 1e298 mm/s, which
+    # the locs CSV and the velocity map cannot hold as float32: the run
+    # used to write the synth, filter and localize stages' files and exit
+    # 4 at the accumulate stage's float32 cast (and before that, say "ok",
+    # exit 0 and write inf after numpy's overflow warning)
     cfg = base_cfg()
     cfg["filter_bank"].update(sigma_t_s=1e-300, speeds_mm_s="auto",
                               v_max_mm_s=1.0)
-    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["pipeline", "--config", str(write_cfg(tmp_path, cfg)),
-                     "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error (pipeline): float32 cast: non-finite "
-                          "sample at (t, z, x) = (")
-    assert err.count("\n") == 1
-    # the accumulate stage checks both of its stacks before writing either
-    assert (out / "t_locs.csv").exists()
-    assert not list(out.glob("t_accum*")) + list(out.glob("t_velmap*"))
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: filter_bank: filter speed ")
+    assert "float32 range" in err
 
 
 @pytest.mark.parametrize("frames_per_block", [1, 3, None])

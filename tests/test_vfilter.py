@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (apply_filter_direct, dft_filter_reference,
-                     trimmed_irfftn_ref, velocity_gain_ref)
+                     reached_rows, trimmed_irfftn_ref, velocity_gain_ref)
 from velofilt import _pocketfft, vfilter
 from velofilt.core import (STREAM_BLOCK, FrameStack, gather_frames,
                            load_frame_stack, make_grid, save_frame_stack)
@@ -55,16 +55,19 @@ def gathered(outputs):
 def whole_gain(grid, nt, dt, spec, dtype=np.float64, step=None, seen=None):
     """The gain on the whole rfftn half lattice, put together from the
     omega rows that _gain_rows gives per slab of step kz rows (all rows at
-    once by default), with 0 on every row it leaves out. seen, a Counter,
+    once by default) on the rows _row_bound keeps, with 0 on every row
+    the bound leaves out. seen, a Counter,
     counts how each slab's rows fell: all, some in one run, some in a run
     that DFT order splits at 0, or none."""
     step = step or grid.nz
     seen = collections.Counter() if seen is None else seen
+    slabs = [(z0, min(z0 + step, grid.nz)) for z0 in range(0, grid.nz, step)]
     rows = vfilter._gain_rows(grid, nt, dt, spec, dtype)
+    bound = vfilter._row_bound(grid, nt, dt, spec, dtype, slabs)
+    assert bound.shape == (len(slabs), nt)
     gain = np.zeros((nt, grid.nz, grid.nx // 2 + 1))
-    for z0 in range(0, grid.nz, step):
-        z1 = min(z0 + step, grid.nz)
-        parts = rows(z0, z1)
+    for (z0, z1), live in zip(slabs, bound):
+        parts = rows(z0, z1, live)
         spans = [(r.start, r.stop) for r, _ in parts]
         assert len(spans) <= 2 and all(a < b for a, b in spans)
         if len(spans) == 2:
@@ -276,7 +279,7 @@ def test_bank_size_checked_before_allocation(monkeypatch):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr("velofilt.vfilter.apply_to_filter", no_alloc)
-    monkeypatch.setattr("velofilt.vfilter._half_spectrum", no_alloc)
+    monkeypatch.setattr("velofilt.vfilter._compact_spectrum", no_alloc)
     for name in ("rfftn", "rfft", "fft"):
         monkeypatch.setattr(_pocketfft, name, no_alloc)
     with pytest.raises(ValueError,
@@ -362,6 +365,9 @@ def test_tile_speeds_covers_the_range():
     assert tile_speeds(0.0, 0.1).size == 0
     with pytest.raises(ValueError):
         tile_speeds(1.0, 0.0)
+    # refused before numpy is asked for 5e299 speeds
+    with pytest.raises(ValueError, match=r"takes 5e\+299 filter speeds"):
+        tile_speeds(1.0, 1e-300)
 
 
 @settings(max_examples=50, deadline=None)
@@ -477,13 +483,13 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05,
                      lateral_to_angle_deg=10.0)
     calls = []
-    half_spectrum = vfilter._half_spectrum
+    compact_spectrum = vfilter._compact_spectrum
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return half_spectrum(*args, **kwargs)
+        return compact_spectrum(*args, **kwargs)
 
-    monkeypatch.setattr("velofilt.vfilter._half_spectrum", counted)
+    monkeypatch.setattr("velofilt.vfilter._compact_spectrum", counted)
     routed = [used_to for *_, used_to in run_filter_bank(frames, bank,
                                                           to_params=T)]
     assert routed.count(True) == 2  # headings 0 and 180 degrees
@@ -491,6 +497,38 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     calls.clear()
     assert len(list(run_filter_bank(frames, bank))) == 12
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_compact_spectrum_is_the_rows_of_rfftn(boundary, dtype, monkeypatch):
+    # each slab of the forward's spectrum is its kept omega rows of the
+    # whole padded rfftn, byte for byte, whether the forward runs on kx
+    # blocks of one column, of three (the last one short) or on one block;
+    # the kept rows: none, all, one run, a run split by DFT order, and runs
+    # with gaps
+    nt, nz, nx = 14, 10, 11
+    data = noise_stack(nt=nt, nz=nz, nx=nx).data.astype(dtype)
+    nt_pad = nt + 2 * 7 * (boundary == "pad")
+    nxh = nx // 2 + 1
+    want = scipy.fft.rfftn(data, s=(nt_pad, nz, nx))
+    xspec = _pocketfft.rfft(data, axis=2)
+    before = xspec.copy()
+    rng = np.random.default_rng(11)
+    for columns in (1, 3, nxh):
+        monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", columns * nt_pad * nz)
+        slabs = vfilter._slabs(nt_pad, nz, nxh)
+        lives = rng.random((len(slabs), nt_pad)) < 0.4
+        lives[0] = False
+        lives[-1] = True
+        if len(slabs) > 2:
+            lives[1] = np.abs(np.fft.fftfreq(nt_pad)) < 0.2
+        got = vfilter._compact_spectrum(xspec, nt_pad, lives, workers=1)
+        assert len(got) == len(slabs)
+        for (z0, z1), live, rows in zip(slabs, lives, got):
+            assert rows.dtype == want.dtype
+            assert np.array_equal(rows, want[live, z0:z1]), (columns, z0)
+        assert np.array_equal(xspec, before)
 
 
 def whole_lattice_outputs(frames, bank, boundary):
@@ -540,6 +578,26 @@ BOUND_BANK = FilterBankSpec(filters=(
     VelocityFilterSpec(v_f=(0.3, 2.0), sigma_t=2.0),
     VelocityFilterSpec(v_f=(40.0, -30.0), sigma_t=0.1),
     VelocityFilterSpec(v_f=(0.5, -0.5), sigma_t=0.02)))
+# two filters on one spectrum whose passbands reach disjoint omega rows of
+# the kz rows +-1, so the rows the spectrum keeps there have a gap
+GAP_BANK = FilterBankSpec(filters=(
+    VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=1.0),
+    VelocityFilterSpec(v_f=(0.0, 15.0), sigma_t=1.0)))
+
+
+def assert_outputs_are_whole_inverses(frames, bank, routes, boundary,
+                                      monkeypatch):
+    """The bank's outputs, in slabs of one kz row and in one slab, are each
+    the trimmed whole inverse of the whole-lattice product."""
+    wants = whole_lattice_outputs(frames, bank, boundary)
+    for budget in (1, vfilter._SLAB_ELEMENTS):
+        monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", budget)
+        outs = gathered(run_filter_bank(frames, bank, to_params=T,
+                                        boundary=boundary))
+        assert [used_to for *_, used_to in outs] == routes
+        for (*_, out, _), want in zip(outs, wants, strict=True):
+            assert out.data.dtype == frames.data.dtype
+            assert np.array_equal(out.data, want), budget
 
 
 @pytest.mark.parametrize("sizes", [(20, 16, 11), (19, 15, 12)])
@@ -547,21 +605,35 @@ BOUND_BANK = FilterBankSpec(filters=(
 @pytest.mark.parametrize("boundary", ["pad", "periodic"])
 def test_row_bound_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
                                                  monkeypatch):
-    # the bank multiplies only the omega rows the bound keeps, in slabs of
-    # one kz row and in one slab, yet each output is the trimmed whole
-    # inverse of the whole-lattice product
+    # the bank keeps and multiplies only the omega rows the bound keeps,
+    # yet each output is the trimmed whole inverse of the whole-lattice
+    # product
     nt, nz, nx = sizes
     frames = noise_stack(nt=nt, nz=nz, nx=nx, dt=0.02)
     frames.data = frames.data.astype(dtype)
-    wants = whole_lattice_outputs(frames, BOUND_BANK, boundary)
-    for budget in (1, vfilter._SLAB_ELEMENTS):
-        monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", budget)
-        outs = gathered(run_filter_bank(frames, BOUND_BANK, to_params=T,
-                                    boundary=boundary))
-        assert [used_to for *_, used_to in outs] == [False, True] + 4 * [False]
-        for (*_, out, _), want in zip(outs, wants, strict=True):
-            assert out.data.dtype == dtype
-            assert np.array_equal(out.data, want), budget
+    assert_outputs_are_whole_inverses(frames, BOUND_BANK,
+                                      [False, True] + 4 * [False], boundary,
+                                      monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_kept_rows_with_a_gap_leave_bank_outputs_unchanged(boundary, dtype,
+                                                           monkeypatch):
+    # on kz row 1 each filter of GAP_BANK reaches one run of omega rows in
+    # frequency order and the rows their spectrum keeps fall in two
+    for nt, nz, nx in [(20, 16, 11), (19, 15, 12)]:
+        frames = noise_stack(nt=nt, nz=nz, nx=nx, dt=0.02)
+        frames.data = frames.data.astype(dtype)
+        nt_pad = nt + 2 * 200 * (boundary == "pad")
+        lives = [vfilter._row_bound(frames.grid, nt_pad, frames.dt, f, dtype,
+                                    [(0, 1), (1, 2), (2, nz)])[1]
+                 for f in GAP_BANK.filters]
+        runs = [vfilter._runs(np.fft.fftshift(live))
+                for live in lives + [lives[0] | lives[1]]]
+        assert [len(r) for r in runs] == [1, 1, 2]
+        assert_outputs_are_whole_inverses(frames, GAP_BANK, [False, False],
+                                          boundary, monkeypatch)
 
 
 # (nt, nz, nx): the padded nt has nt's parity (pad and periodic alike)
@@ -592,14 +664,27 @@ def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
                 assert np.array_equal(out.data, want), (rows, workers)
 
 
+def reached_spectrum(bank, nt_pad, dt, grid) -> int:
+    """Elements of the rfftn half lattice of an (nt_pad, nz, nx) stack on
+    the omega rows some filter of the bank reaches in each kz slab, in
+    float32 (reached_rows)."""
+    slabs = vfilter._slabs(nt_pad, grid.nz, grid.nx // 2 + 1)
+    rows = reached_rows(nt_pad, dt, grid.nz, grid.dz, grid.nx, grid.dx,
+                        bank.filters, vfilter._exp_floor(np.float32), slabs)
+    return sum(n * (z1 - z0) for n, (z0, z1) in zip(rows, slabs)) * (
+        grid.nx // 2 + 1)
+
+
 def _bank_pass_peak(consume) -> tuple[int, int]:
     """(traced peak, budget) of consume(frames, bank) on axial-pre's
     geometry in float32: a (350, 96, 49) half lattice. One pass of a
     five-filter bank may hold the input, which an in-memory caller holds,
-    the shared spectrum, the kept frames' half spectrum, two slab budgets
-    (the float64 gain and the complex64 product of one slab) and one
-    block of an output. A full-lattice gain or work buffer, or a whole
-    output, is far outside it."""
+    the shared spectrum's rows that some filter reaches in each slab (the
+    oracle's, 3.8 MB of the whole spectrum's 13.2 MB), the kept frames'
+    half spectrum, two slab budgets (the float64 gain and the complex64
+    product of one slab) and one block of an output. A whole padded
+    spectrum, a full-lattice gain or work buffer, or a whole output, is
+    outside it."""
     nt, nz, nx = 150, 96, 96
     bank = make_bank([0.1, 0.3, 0.5, 0.7, 0.9], [math.pi / 2], 0.5)
     tracemalloc.start()
@@ -616,7 +701,8 @@ def _bank_pass_peak(consume) -> tuple[int, int]:
     assert nt_pad == 350
     half = nz * (nx // 2 + 1)
     budget = (4 * nt * nz * nx  # input
-              + 8 * nt_pad * half  # shared spectrum
+              + 8 * reached_spectrum(bank, nt_pad, 0.02, make_grid(
+                  nx, nz, 0.05, 0.05))  # shared spectrum's reached rows
               + 8 * nt * half  # kept frames
               + 2 * 8 * vfilter._SLAB_ELEMENTS
               + 4 * STREAM_BLOCK)  # one output block
