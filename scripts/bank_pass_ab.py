@@ -9,10 +9,12 @@ Each checkout's package is loaded from its src/velofilt under its own name,
 so both run side by side. For each workload, the config in the change's
 perfbench/workloads is resolved by each side's own cli.resolve, and a
 seeded float32 noise stack of its (nt, nz, nx) goes through one
-run_filter_bank pass per timing, every output drained block by block into
-a sink that drops it. The sides alternate which runs first, pair by pair,
-after one untimed pass each. The script prints both medians, the paired
-median difference and the number of pairs in which the change was faster.
+run_filter_bank(frames, bank) pass per timing, the resolved bank carrying
+its boundary and TO prefilter, every output drained block by block into a
+sink that drops it. Both checkouts must take the bank in that form. The
+sides alternate which runs first, pair by pair, after one untimed pass
+each. The script prints both medians, the paired median difference and
+the number of pairs in which the change was faster.
 """
 
 import argparse
@@ -51,8 +53,7 @@ def bank_pass(name: str, cfg: dict, seed: int):
     frames = core.FrameStack(grid=r.grid, nt=r.nt, dt=r.dt, data=data)
 
     def run() -> None:
-        for *_, out, _ in vfilter.run_filter_bank(
-                frames, r.bank, to_params=r.to, **r.filter_kw):
+        for *_, out, _ in vfilter.run_filter_bank(frames, r.bank):
             out.fill(lambda block: None)
 
     return run

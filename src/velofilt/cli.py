@@ -53,7 +53,7 @@ from .psf import PsfParams, ToParams
 from .theory import (AcqBoundInput, acquisition_time_bound, apparent_density,
                      attenuation_pre, filtered_density, make_noise_spec,
                      nrf_bound, to_attenuation, velocity_bandwidth)
-from .vfilter import (FilterBankSpec, bank_pads, make_bank,
+from .vfilter import (MAX_FILTERS, FilterBankSpec, bank_pads, make_bank,
                       save_bank_outputs, tile_speeds)
 
 EXIT_OK = 0
@@ -354,16 +354,13 @@ class Resolved:
 
     `flow` is the phantom's band, or its vessels with lengths resolved; it
     is empty for grid_bubbles, whose fixed bubbles are in `points`. The
-    other kinds draw their bubbles per seed from the flow. `filter_kw`
-    holds only the bank options the config sets, so the library's defaults
-    apply to the rest. The schema's integers
-    (`seed`, `nx`, `nz`, `nt`, `fine_factor`) are ints here even where the
-    config writes them as 64.0, as JSON Schema allows.
+    other kinds draw their bubbles per seed from the flow. The schema's
+    integers (`seed`, `nx`, `nz`, `nt`, `fine_factor`) are ints here even
+    where the config writes them as 64.0, as JSON Schema allows.
     """
 
     seed: int
     psf: PsfParams
-    to: ToParams | None
     grid: Grid2D
     fine: Grid2D
     nt: int
@@ -372,7 +369,6 @@ class Resolved:
     points: BubbleSet | None
     flow: Flow
     bank: FilterBankSpec
-    filter_kw: dict
     detector: DetectorConfig
     le: LeParams
     fastest_q: float | None
@@ -421,11 +417,10 @@ def resolve(cfg: dict) -> Resolved:
             mode="mode"))
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
-    fb = cfg["filter_bank"]
     with _section("filter_bank"):
-        bank = _bank(fb, p)
+        bank = _bank(cfg["filter_bank"], p, to)
         bank_pads(bank, int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"],
-                  grid, **_given(fb, boundary="boundary"))
+                  grid)
     mcfg = cfg.get("metrics", {})
     with _section("metrics"):
         le = default_le_params(
@@ -434,13 +429,12 @@ def resolve(cfg: dict) -> Resolved:
                                   sigma_perp="le_sigma_perp_mm"))
     outputs = cfg.get("outputs", {})
     return Resolved(
-        psf=p, to=to, grid=grid, fine=fine,
+        psf=p, grid=grid, fine=fine,
         seed=int(cfg.get("seed", 0)),
         nt=int(cfg["motion"]["nt"]), dt=cfg["motion"]["dt_s"],
         noise_std=cfg.get("noise", {}).get("std", 0.0),
         points=points, flow=flow,
-        bank=bank, filter_kw=_given(fb, boundary="boundary"),
-        detector=detector,
+        bank=bank, detector=detector,
         le=le, fastest_q=mcfg.get("fastest_q"),
         prefix=outputs.get("prefix", "run"),
         save_pgm=outputs.get("save_pgm", False))
@@ -501,28 +495,33 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
     return None, vessels
 
 
-def _bank(fb: dict, p: PsfParams) -> FilterBankSpec:
-    """The filter_bank section's bank. A speed past the float32 range, in
-    which the locs CSV and the velocity map hold it, raises ValueError."""
+def _bank(fb: dict, p: PsfParams, to: ToParams | None) -> FilterBankSpec:
+    """The filter_bank section's bank, with the to section's prefilter.
+    ValueError: more than MAX_FILTERS filters (counted before any is
+    built), or a speed past the float32 range of the locs CSV and map."""
     sigma_t = fb["sigma_t_s"]
     angles = [math.radians(a) for a in fb["angles_deg"]]
     speeds = fb.get("speeds_mm_s", "auto")
-    lat = fb.get("lateral_to_angle_deg",
-                 FilterBankSpec.lateral_to_angle_deg)
     if speeds != "auto":
-        bank = make_bank(speeds, angles, sigma_t, lateral_to_angle_deg=lat)
+        filters = make_bank(speeds, angles, sigma_t).filters
     else:
         v_max = fb.get("v_max_mm_s")
         if v_max is None:
             raise ValueError("speeds_mm_s='auto' needs v_max_mm_s")
-        filters = []
+        tilings = []
         for a in angles:
             th = abs(a) % math.pi
             pb = velocity_bandwidth(p, sigma_t, theta=min(th, math.pi - th))
-            filters += make_bank(tile_speeds(v_max, pb.delta_v), [a],
-                                 sigma_t).filters
-        bank = FilterBankSpec(filters=tuple(filters),
-                              lateral_to_angle_deg=lat)
+            tilings.append(tile_speeds(v_max, pb.delta_v))
+            if sum(map(len, tilings)) > MAX_FILTERS:
+                raise ValueError(f"the 'auto' speeds of {len(angles)} "
+                                 "angles make more filters than the limit "
+                                 f"of {MAX_FILTERS}")
+        filters = [f for tiled, a in zip(tilings, angles)
+                   for f in make_bank(tiled, [a], sigma_t).filters]
+    bank = FilterBankSpec(filters=tuple(filters), to=to, **_given(
+        fb, lateral_to_angle_deg="lateral_to_angle_deg",
+        boundary="boundary"))
     fastest = max(f.speed for f in bank.filters)
     if fastest > float(np.finfo(np.float32).max):
         raise ValueError(f"filter speed {fastest:.3g} mm/s is past the "
@@ -575,7 +574,7 @@ def localize(r: Resolved, frames: FrameStack | FrameStream, workers: int = 1,
     if not bank:
         return localize_frames(frames, r.psf, cfg=r.detector)
     result = run_pipeline(frames, r.bank, r.psf, cfg=r.detector,
-                          to_params=r.to, workers=workers, **r.filter_kw)
+                          workers=workers)
     return np.concatenate(result.per_frame)
 
 
@@ -804,9 +803,8 @@ def _load_csv(load, path: Path, out: Path):
 
 
 def _stage_filter(r: Resolved, out: Path, workers: int) -> list[Path]:
-    return save_bank_outputs(
-        _load_frames(r, out), r.bank, out / f"{r.prefix}_filtered",
-        to_params=r.to, workers=workers, **r.filter_kw)
+    return save_bank_outputs(_load_frames(r, out), r.bank,
+                             out / f"{r.prefix}_filtered", workers)
 
 
 def _stage_localize(r: Resolved, out: Path, workers: int) -> list[Path]:

@@ -121,9 +121,6 @@ class FrameStack:
             raise ValueError(
                 f"data shape {self.data.shape} != (nt, nz, nx) = {expected}")
 
-    def copy(self) -> "FrameStack":
-        return FrameStack(self.grid, self.nt, self.dt, self.data.copy())
-
     def fill(self, append: Callable[[np.ndarray], None]) -> None:
         """append(data): the whole stack as one block, as a FrameStream
         hands over its blocks."""
@@ -145,6 +142,12 @@ def omega_lattice(nt: int, dt: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
 
 
+def inverse_scale(dtype: np.dtype, n: int):
+    """dtype's 1 / n, rounded once from long double: the factor pocketfft
+    applies in the last pass of an unnormalized inverse of n samples."""
+    return dtype.type(np.longdouble(1) / n)
+
+
 def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
                    axes: tuple[int, ...], keep: tuple[slice, ...],
                    workers: int = 1) -> np.ndarray:
@@ -156,9 +159,8 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
 
     The complex passes run in place, so spec is overwritten. Every pass is
     unscaled (norm="forward") and the kept output is then multiplied once
-    by T(1 / prod(s)), rounded from long double: the factor pocketfft
-    applies in the last pass of irfftn. The result may be a view of a
-    larger array.
+    by inverse_scale of prod(s). The result may be a view of a larger
+    array.
     """
     out = spec
     for ax, n, k in zip(axes[:-1], s, keep):
@@ -168,7 +170,7 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
     out = _pocketfft.irfft(out, s[-1], axis=axes[-1], norm="forward",
                            workers=workers)
     out = out[(slice(None),) * (axes[-1] % out.ndim) + (keep[-1],)]
-    out *= out.dtype.type(np.longdouble(1) / math.prod(s))
+    out *= inverse_scale(out.dtype, math.prod(s))
     return out
 
 

@@ -583,30 +583,28 @@ def localize_frames(frames: FrameStack, p: PsfParams,
 
 def run_pipeline(frames: FrameStack | FrameStream, bank: FilterBankSpec,
                  p: PsfParams, cfg: DetectorConfig | None = None,
-                 to_params: ToParams | None = None,
-                 boundary: str = "pad", workers: int = 1) -> PipelineResult:
+                 workers: int = 1) -> PipelineResult:
     """Velocity-filter bank -> matched filter -> detect -> merge.
 
     Each bank member's detections carry its v_f as the velocity estimate.
-    Members the bank routes through the TO prefilter are detected through
-    the TO chain. Duplicates across members (same frame, within lambda/4)
-    keep the higher score. A stack with a non-finite sample is rejected
-    before any filtering; a stream checks its own blocks as it reads them
-    (see core.load_frame_stack). Each output is detected block by block as
-    the bank hands it over, so besides the detection tables the pass holds
-    no whole output (see run_filter_bank).
+    Members the bank routes through its TO prefilter (bank.to) are
+    detected through the TO chain. Duplicates across members (same frame,
+    within lambda/4) keep the higher score. A stack with a non-finite
+    sample is rejected before any filtering; a stream checks its own
+    blocks as it reads them (see core.load_frame_stack). Each output is
+    detected block by block as the bank hands it over, so besides the
+    detection tables the pass holds no whole output (see run_filter_bank).
     """
     if isinstance(frames, FrameStack):
         check_finite(frames.data)
     cfg = cfg or DetectorConfig()
     grid = frames.grid
     chains = {False: _chain(grid, p, cfg)}
-    if to_params is not None:
-        chains[True] = _chain(grid, p, cfg, to_params)
+    if bank.to is not None:
+        chains[True] = _chain(grid, p, cfg, bank.to)
     tables = [_detect_stack(out, grid, cfg, chains[used_to], v_tag=fspec.v_f)
-              for _, fspec, out, used_to in run_filter_bank(
-                  frames, bank, to_params=to_params, boundary=boundary,
-                  workers=workers)]
+              for _, fspec, out, used_to in run_filter_bank(frames, bank,
+                                                            workers)]
     # each frame's candidates in bank order, as the merge's tie order
     cands, cuts = _by_frame(np.concatenate(tables), frames.nt)
     return PipelineResult(per_frame=[

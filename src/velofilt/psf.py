@@ -33,15 +33,16 @@ class PsfParams:
     def __post_init__(self) -> None:
         if self.sigma_r <= 0 or self.wavelength <= 0:
             raise ValueError("sigma_r and wavelength must be positive")
-        # the closed forms (g_e_peak, the autocorrelations) divide by
-        # sigma_r**2 and square the wavelength
-        if self.sigma_r**2 == 0.0:
-            raise ValueError(f"sigma_r {self.sigma_r!r} has a square of 0")
-        try:
-            self.wavelength**2
-        except OverflowError:
-            raise ValueError(f"wavelength {self.wavelength!r} has no finite "
-                             "square") from None
+        # the closed forms (g_e_peak, the autocorrelations, the passbands)
+        # square both lengths and divide by the squares
+        for name, value in (("sigma_r", self.sigma_r),
+                            ("wavelength", self.wavelength)):
+            try:
+                if value**2 == 0.0:
+                    raise ValueError(f"{name} {value!r} has a square of 0")
+            except OverflowError:
+                raise ValueError(f"{name} {value!r} has no finite "
+                                 "square") from None
 
     @property
     def g_e_peak(self) -> float:

@@ -19,22 +19,22 @@ omega rows that some filter using it reaches there (below), and the
 forward that makes it runs in blocks of kx columns. Neither a padded
 spectrum or inverse nor a full-lattice gain or product is ever formed, and
 the output is byte for byte the trimmed whole irfftn. The bank streams at
-both ends: it reads its input
-in blocks of frames (the rfft along x, the first pass, is per frame) and
-hands each output over as a core.FrameStream whose blocks run the last
-pass, the irfft along x, so no whole input or output stack is held. An
-output used after the bank has moved on to the next filter raises.
-apply_filter_fft is the one-filter case of the same code, its output
-gathered. On an even axis the Nyquist bin is its own mirror, and there H
-is not even, so the gain on the Nyquist planes is the mean of H at the bin
-and at its mirrored bin: the Hermitian part of H, which is exactly what
-taking the real part of a complex inverse FFT would keep.
+both ends: it reads its input in blocks of frames (the rfft along x, the
+first pass, is per frame) and hands each output over as a core.FrameStream
+whose blocks run the last pass, the irfft along x, so no whole input or
+output stack is held. apply_filter_fft is the one-filter case of the same
+code, its output gathered. On an even axis the Nyquist bin is its own
+mirror, and there H is not even, so the gain on the Nyquist planes is the
+mean of H at the bin and at its mirrored bin: the Hermitian part of H,
+which is exactly what taking the real part of a complex inverse FFT would
+keep.
 
 Time is zero-extended: the stack is padded by 4 sigma_t worth of frames
 before the FFT and trimmed after, so trajectories do not wrap. The
 spatial axes stay periodic: keep moving targets clear of the lateral edges
-by v_f * 4 sigma_t or accept wrap-around (boundary="periodic" skips the
-temporal pad too, for stationary-statistics measurements).
+by v_f * 4 sigma_t or accept wrap-around (a FilterBankSpec's boundary
+"periodic" skips the temporal pad too, for stationary-statistics
+measurements).
 
 The input's dtype sets the precision: a float32 stack (as the CLI reads
 from its .f32 files) gives complex64 spectra and float32 outputs, a float64
@@ -69,13 +69,16 @@ import numpy as np
 
 from . import _pocketfft
 from .core import (MAX_ELEMENTS, STREAM_BLOCK, FrameStack, FrameStream,
-                   Grid2D, gather_frames, kx_lattice, kz_lattice,
-                   omega_lattice, save_frame_stack)
+                   Grid2D, gather_frames, inverse_scale, kx_lattice,
+                   kz_lattice, omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
 # Lattice elements a filter's slab of kz rows spans at most (one row if a
 # row alone is larger): the size of its float64 gain and of its product.
 _SLAB_ELEMENTS = 2**17
+
+# Filters a bank may hold: each one is a whole pass and an output file.
+MAX_FILTERS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,49 +106,56 @@ class VelocityFilterSpec:
 
 @dataclass(frozen=True)
 class FilterBankSpec:
-    """A set of velocity filters run over the same input stack."""
+    """Velocity filters run over one input stack. boundary "pad"
+    zero-extends time by ceil(4 sigma_t / dt) frames per side, then trims;
+    "periodic" filters circularly on every axis. With to, filters of
+    nonzero speed within lateral_to_angle_deg of x see the TO prefilter."""
 
     filters: tuple[VelocityFilterSpec, ...]
     lateral_to_angle_deg: float = 10.0
+    boundary: str = "pad"
+    to: ToParams | None = None
 
     def __post_init__(self) -> None:
         if len(self.filters) == 0:
             raise ValueError("filter bank must be nonempty")
-        if any(f.speed < 0 for f in self.filters):
-            raise ValueError("filter speeds must be nonnegative")
+        if self.boundary not in ("pad", "periodic"):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     def __len__(self) -> int:
         return len(self.filters)
 
 
 def make_bank(speeds: Sequence[float], angles_rad: Sequence[float],
-              sigma_t: float,
-              lateral_to_angle_deg: float = FilterBankSpec.lateral_to_angle_deg
-              ) -> FilterBankSpec:
-    """Speed x direction grid of filters sharing one window width."""
+              sigma_t: float) -> FilterBankSpec:
+    """Speed x direction grid of filters sharing one window width. More
+    than MAX_FILTERS filters raise ValueError before any is built."""
+    n = len(speeds) * len(angles_rad)
+    if n > MAX_FILTERS:
+        raise ValueError(f"{len(speeds)} speeds x {len(angles_rad)} angles "
+                         f"make {n} filters, more than the limit of "
+                         f"{MAX_FILTERS}")
     filters = tuple(
         VelocityFilterSpec(v_f=(s * math.cos(a), s * math.sin(a)),
                            sigma_t=sigma_t)
         for s in speeds for a in angles_rad)
-    return FilterBankSpec(filters=filters,
-                          lateral_to_angle_deg=lateral_to_angle_deg)
+    return FilterBankSpec(filters=filters)
 
 
 def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
     """Filter speeds whose half-max passbands tile [0, v_max] gaplessly.
 
     Centers at (2i+1) delta_v; the count is the least that covers v_max.
-    A count above core.MAX_ELEMENTS raises ValueError before anything is
-    allocated.
+    A count above MAX_FILTERS raises ValueError before anything is allocated.
     """
     if delta_v <= 0:
         raise ValueError("delta_v must be positive")
     if v_max <= 0:
         return np.empty(0)
     n = max(1, math.ceil(v_max / (2.0 * delta_v)))
-    if n > MAX_ELEMENTS:
+    if n > MAX_FILTERS:
         raise ValueError(f"tiling [0, {v_max:g}] mm/s takes {n:.3g} filter "
-                         f"speeds, more than the limit of {MAX_ELEMENTS}")
+                         f"speeds, more than the limit of {MAX_FILTERS}")
     return (2.0 * np.arange(n) + 1.0) * delta_v
 
 
@@ -297,37 +307,38 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     return rows
 
 
-def bank_pads(bank: FilterBankSpec, nt: int, dt: float, grid: Grid2D,
-              boundary: str = "pad") -> list[int]:
+def bank_pads(bank: FilterBankSpec, nt: int, dt: float,
+              grid: Grid2D) -> list[int]:
     """The zero frames each filter's stack is padded with per side:
-    ceil(4 sigma_t / dt) for boundary "pad", 0 for "periodic". A padded
-    stack of more than core.MAX_ELEMENTS samples raises ValueError, so the
-    bank, and resolve before any stage, refuse it before anything is
-    allocated."""
-    if boundary not in ("pad", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    pads = [int(math.ceil(4.0 * f.sigma_t / dt)) if boundary == "pad" else 0
-            for f in bank.filters]
+    ceil(4 sigma_t / dt) for bank.boundary "pad", 0 for "periodic". Raises
+    ValueError, so the bank and resolve refuse it before any allocation,
+    on a padded stack of more than core.MAX_ELEMENTS samples or on a gain
+    argument sigma_t |Omega + k . v_f| <= sigma_t (pi/dt + pi/dx |v_x| +
+    pi/dz |v_z|) whose square is not finite."""
+    pads = [int(math.ceil(4.0 * f.sigma_t / dt))
+            if bank.boundary == "pad" else 0 for f in bank.filters]
     largest = (nt + 2 * max(pads), grid.nz, grid.nx)
     if math.prod(largest) > MAX_ELEMENTS:
         raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
                          f"limit of {MAX_ELEMENTS} samples")
+    for i, f in enumerate(bank.filters):
+        # in Python floats, which overflow to inf without a warning
+        vx, vz = (abs(float(v)) for v in f.v_f)
+        arg = float(f.sigma_t) * (math.pi / float(dt) + math.pi / grid.dx * vx
+                                  + math.pi / grid.dz * vz)
+        if not math.isfinite(arg * arg):
+            raise ValueError(f"filter {i}'s gain argument reaches {arg:.3g} "
+                             "on the lattice, whose square is not finite")
     return pads
 
 
 def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
                      boundary: str = "pad") -> FrameStack:
     """Filter a stack through the 3D FFT path: run_filter_bank with a
-    one-filter bank, its output gathered into one stack.
-
-    boundary "pad" zero-extends time by ceil(4 sigma_t / dt) frames per side
-    and trims afterwards; "periodic" filters the raw stack circularly (all
-    axes), appropriate only for statistically stationary content. A padded
-    stack of more than core.MAX_ELEMENTS samples is rejected before anything
-    is allocated.
-    """
+    one-filter bank of that boundary (see FilterBankSpec; "periodic" suits
+    only statistically stationary content), its output gathered."""
     _, _, out, _ = next(run_filter_bank(
-        frames, FilterBankSpec(filters=(spec,)), boundary=boundary))
+        frames, FilterBankSpec(filters=(spec,), boundary=boundary)))
     return gather_frames(out)
 
 
@@ -347,12 +358,13 @@ def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
     return FrameStack(grid=frames.grid, nt=frames.nt, dt=frames.dt, data=out)
 
 
-def _compact_spectrum(xspec: np.ndarray, nt_pad: int, lives: np.ndarray,
+def _compact_spectrum(xspec: np.ndarray, lives: np.ndarray,
+                      slabs: list[tuple[int, int]],
                       workers: int) -> list[np.ndarray]:
-    """The omega rows lives[s] of kz slab s (_slabs) of
+    """The omega rows lives[s] of kz slab s = slabs[s] (_slabs) of
     scipy.fft.rfftn(data, s=(nt_pad, nz, nx)) of an (nt, nz, nx) stack,
-    byte for byte, one (rows, slab rows, nx // 2 + 1) array per slab, from
-    xspec, the stack's rfft along x.
+    with nt_pad = lives.shape[1], byte for byte, one (rows, slab rows,
+    nx // 2 + 1) array per slab, from xspec, the stack's rfft along x.
 
     The rest of the pass order pocketfft's rfftn uses runs on blocks of kx
     columns of at most _SLAB_ELEMENTS padded elements (or one column), in
@@ -363,7 +375,7 @@ def _compact_spectrum(xspec: np.ndarray, nt_pad: int, lives: np.ndarray,
     rfftn makes are never formed, and xspec is left as it was. The slabs'
     arrays are views of one buffer: many small arrays step the heap."""
     nt, nz, nxh = xspec.shape
-    slabs = _slabs(nt_pad, nz, nxh)
+    nt_pad = lives.shape[1]
     sizes = [int(np.count_nonzero(live)) * (z1 - z0) * nxh
              for live, (z0, z1) in zip(lives, slabs)]
     buf = np.empty(sum(sizes), dtype=xspec.dtype)
@@ -407,7 +419,8 @@ def _multiply_rows(rows: np.ndarray, live: np.ndarray,
     out[done:] = 0
 
 
-def _filtered_inverse(spectrum: list[np.ndarray], lives: np.ndarray,
+def _filtered_inverse(spectrum: list[np.ndarray],
+                      slabs: list[tuple[int, int]], lives: np.ndarray,
                       reached: np.ndarray,
                       gain_rows: Callable[[int, int, np.ndarray],
                                           list[tuple[slice, np.ndarray]]],
@@ -415,9 +428,9 @@ def _filtered_inverse(spectrum: list[np.ndarray], lives: np.ndarray,
     """kept = the first kept.shape[0] frames of irfftn(spectrum * gain)
     before its last pass, the irfft along x, and its scale, byte for byte
     as core.trimmed_irfftn makes them. spectrum is _compact_spectrum's: per
-    slab s of kz rows (_slabs), the omega rows lives[s]. reached[s], the
-    filter's _row_bound, marks the rows its gain reaches there, all of
-    them in lives[s]; gain_rows is the filter's _gain_rows.
+    slab s of kz rows slabs[s] (_slabs), the omega rows lives[s].
+    reached[s], the filter's _row_bound, marks the rows its gain reaches
+    there, all of them in lives[s]; gain_rows is the filter's _gain_rows.
 
     The gain, the product and the ifft along t run one slab at a time in a
     buffer of the slab's padded size, at most _SLAB_ELEMENTS (or one row).
@@ -428,7 +441,6 @@ def _filtered_inverse(spectrum: list[np.ndarray], lives: np.ndarray,
     """
     nt, nz, nxh = kept.shape
     nt_pad = lives.shape[1]
-    slabs = _slabs(nt_pad, nz, nxh)
     buf = np.empty(nt_pad * (slabs[0][1] - slabs[0][0]) * nxh,
                    dtype=kept.dtype)
     for (z0, z1), live, own, rows in zip(slabs, lives, reached, spectrum):
@@ -446,13 +458,13 @@ def _x_pass(kept: np.ndarray, nt_pad: int, nx: int, workers: int,
             live: list[bool]) -> Callable[[Callable[[np.ndarray], None]],
                                           None]:
     """fill of a bank output: the irfft along x of the kept frames, unscaled,
-    then one multiply by T(1 / (nt_pad nz nx)), rounded from long double,
-    as trimmed_irfftn does, in blocks of at most STREAM_BLOCK samples. Once
+    then one multiply by core.inverse_scale of nt_pad nz nx, as
+    trimmed_irfftn does, in blocks of at most STREAM_BLOCK samples. Once
     live[0] is False the bank has moved on and refilled kept, so fill
     raises instead of handing over another filter's frames."""
     nz = kept.shape[1]
     step = max(1, STREAM_BLOCK // (nz * nx))
-    scale = kept.real.dtype.type(np.longdouble(1) / (nt_pad * nz * nx))
+    scale = inverse_scale(kept.real.dtype, nt_pad * nz * nx)
 
     def fill(append: Callable[[np.ndarray], None]) -> None:
         for t0 in range(0, kept.shape[0], step):
@@ -468,8 +480,7 @@ def _x_pass(kept: np.ndarray, nt_pad: int, nx: int, workers: int,
 
 
 def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
-                    to_params: ToParams | None = None,
-                    boundary: str = "pad", workers: int = 1
+                    workers: int = 1
                     ) -> Iterator[tuple[int, VelocityFilterSpec, FrameStream,
                                         bool]]:
     """Run every filter in the bank over the same input, one at a time.
@@ -478,38 +489,28 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     is ready, as a FrameStream: out.fill hands over its frames in blocks.
     out is valid until the caller asks the bank for the next output; used
     after that it raises, since the bank has refilled the buffer it reads.
-    When to_params is given, filters selecting near-lateral directions
-    (within bank.lateral_to_angle_deg of the x axis, and nonzero speed)
-    see the TO-filtered stack instead of the raw one; used_to tells
-    whether out came from it. Each filter's route is decided once, here.
+    used_to tells whether out came from the TO-prefiltered stack (see
+    FilterBankSpec); each filter's route is decided once, here.
 
-    The bank streams at both ends. It reads its input once, block by block
-    (frames.fill; a FrameStack is one block): each block's rfft along x,
-    after the TO prefilter for the TO route, goes into one (nt, nz,
-    nx // 2 + 1) buffer per route the bank needs. From those it takes one
-    spectrum per (route, temporal pad) pair (_compact_spectrum) and keeps
-    those until it is done. Each holds, per slab of kz rows (_slabs), only
-    the omega rows that some filter of that pair reaches there (the union
-    of their _row_bound masks), byte for byte those rows of rfftn. The
-    x-spectra are dropped once their spectra are built, the last one kept
-    as the buffer of the kept frames that every filter refills. Each
-    filter runs over its spectrum in slabs of kz rows and then along z
-    (_filtered_inverse), and its output's fill runs the irfft along x
-    block by block (_x_pass). So besides the shared spectra a pass holds
-    one slab's gain and product, the kept frames and a few blocks, never a
-    padded spectrum or a whole input or output stack; each output is byte
-    for byte the trimmed whole irfftn of the whole spectrum times the
-    whole-lattice gain (_gain_rows over every kz row).
-
-    boundary is as in apply_filter_fft. The 2 * pad zero frames go after
-    the stack, which on the circular time lattice is the symmetric pad
-    shifted by pad frames, so the kept frames are the first nt. The
-    largest padded stack is checked against core.MAX_ELEMENTS before
-    anything is allocated (bank_pads).
+    The input is read once, block by block (frames.fill; a FrameStack is
+    one block), into one x-spectrum (rfft along x) per route. From those
+    the bank takes one spectrum per (route, temporal pad) pair
+    (_compact_spectrum), which keeps per slab of kz rows (_slabs, one
+    partition per pad) the union of its filters' _row_bound rows, and
+    holds them until it is done. The last x-spectrum becomes the kept
+    frames that every filter refills (_filtered_inverse), and each
+    output's fill runs the irfft along x (_x_pass). So besides the shared
+    spectra a pass holds one slab's gain and product, the kept frames and
+    a few blocks; each output is byte for byte the trimmed whole irfftn of
+    the whole spectrum times the whole-lattice gain. The pads, and the
+    checks made before anything is allocated, are bank_pads'. The 2 * pad
+    zero frames go after the stack, which on the circular time lattice is
+    the symmetric pad shifted by pad frames, so the kept frames are the
+    first nt.
     """
     grid, nt, dt = frames.grid, frames.nt, frames.dt
-    pads = bank_pads(bank, nt, dt, grid, boundary)
-    routes = [to_params is not None and f.speed > 0.0
+    pads = bank_pads(bank, nt, dt, grid)
+    routes = [bank.to is not None and f.speed > 0.0
               and f.angle_from_lateral_deg <= bank.lateral_to_angle_deg
               for f in bank.filters]
     xspec: dict[bool, np.ndarray] = {}
@@ -519,7 +520,7 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
         nonlocal done
         for used_to in dict.fromkeys(routes):
             source = (apply_to_filter(FrameStack(grid, len(block), dt, block),
-                                      to_params).data if used_to else block)
+                                      bank.to).data if used_to else block)
             part = _pocketfft.rfft(source, axis=2, workers=workers)
             if used_to not in xspec:
                 xspec[used_to] = np.empty((nt,) + part.shape[1:], part.dtype)
@@ -531,27 +532,29 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
         raise ValueError(f"stream gave {done} frames, not nt = {nt}")
     keys = list(zip(routes, pads))
     dtype = next(iter(xspec.values())).real.dtype
+    slabs = {pad: _slabs(nt + 2 * pad, grid.nz, grid.nx // 2 + 1)
+             for pad in dict.fromkeys(pads)}
     # every filter's row bound, read from 1-D lattices; the gains, which
     # hold Nyquist-plane means, are built one filter at a time below
-    reached = [_row_bound(grid, nt + 2 * pad, dt, f, dtype,
-                          _slabs(nt + 2 * pad, grid.nz, grid.nx // 2 + 1))
+    reached = [_row_bound(grid, nt + 2 * pad, dt, f, dtype, slabs[pad])
                for f, pad in zip(bank.filters, pads)]
+    # each spectrum's rows: the union of its filters' bounds
+    lives: dict[tuple[bool, int], np.ndarray] = {}
+    for bound, key in zip(reached, keys):
+        lives[key] = lives[key] | bound if key in lives else bound
     spectra = {}
     for used_to in list(xspec):
         # the last x-spectrum becomes the kept frames' buffer; each one
         # before it is freed once its spectra are built
         kept = xspec.pop(used_to)
-        for pad in dict.fromkeys(p for r, p in keys if r == used_to):
-            lives = np.logical_or.reduce([
-                bound for bound, key in zip(reached, keys)
-                if key == (used_to, pad)])
-            spectra[used_to, pad] = lives, _compact_spectrum(
-                kept, nt + 2 * pad, lives, workers)
+        spectra.update({key: _compact_spectrum(kept, live, slabs[key[1]],
+                                               workers)
+                        for key, live in lives.items() if key[0] == used_to})
     for i, (fspec, key) in enumerate(zip(bank.filters, keys)):
-        lives, spectrum = spectra[key]
         nt_pad = nt + 2 * key[1]
-        _filtered_inverse(spectrum, lives, reached[i], _gain_rows(
-            grid, nt_pad, dt, fspec, dtype), kept, workers)
+        _filtered_inverse(spectra[key], slabs[key[1]], lives[key],
+                          reached[i], _gain_rows(grid, nt_pad, dt, fspec,
+                                                 dtype), kept, workers)
         live = [True]
         yield i, fspec, FrameStream(grid, nt, dt, _x_pass(
             kept, nt_pad, grid.nx, workers, live)), key[0]
@@ -559,22 +562,18 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
 
 
 def save_bank_outputs(frames: FrameStack | FrameStream, bank: FilterBankSpec,
-                      out_dir: str | Path,
-                      to_params: ToParams | None = None,
-                      boundary: str = "pad", workers: int = 1) -> list[Path]:
+                      out_dir: str | Path, workers: int = 1) -> list[Path]:
     """Write each bank output as filtered_<i> plus bank_manifest.json.
 
-    Each output streams from the bank to its file block by block (see
-    run_filter_bank). out_dir is made once the input has been read, so an
-    input that fails to read leaves nothing behind. Returns every path
-    written, the manifest last.
+    Each output streams from the bank, which carries its boundary and TO
+    prefilter, to its file block by block (see run_filter_bank). out_dir
+    is made once the input has been read, so an input that fails to read
+    leaves nothing behind. Returns every path written, the manifest last.
     """
     out_dir = Path(out_dir)
     paths: list[Path] = []
     entries: list[dict] = []
-    for i, fspec, out, used_to in run_filter_bank(
-            frames, bank, to_params=to_params, boundary=boundary,
-            workers=workers):
+    for i, fspec, out, used_to in run_filter_bank(frames, bank, workers):
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
             header, data = save_frame_stack(out, out_dir / f"filtered_{i:03d}")

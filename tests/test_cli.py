@@ -107,15 +107,16 @@ def test_bundled_configs_load_and_build():
 
 
 def test_resolve_passes_only_the_bank_and_detection_keys_set(tmp_path):
-    # unset keys leave run_pipeline's, save_bank_outputs' and
-    # DetectorConfig's defaults in force
+    # unset keys leave FilterBankSpec's and DetectorConfig's defaults in
+    # force
     r = cli.resolve(load_config(write_cfg(tmp_path, base_cfg())))
-    assert r.filter_kw == {} and r.detector.mode == "pre"
+    assert r.bank.boundary == "pad" and r.detector.mode == "pre"
+    assert r.bank.to is None
     cfg = base_cfg()
     cfg["filter_bank"]["boundary"] = "periodic"
     cfg["detector"]["mode"] = "post"
     r = cli.resolve(load_config(write_cfg(tmp_path, cfg)))
-    assert r.filter_kw == {"boundary": "periodic"}
+    assert r.bank.boundary == "periodic"
     assert r.detector.mode == "post"
 
 
@@ -481,7 +482,59 @@ def test_filter_count_past_the_element_cap_exits_2(tmp_path, capsys):
     err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
     assert err.startswith("config error: filter_bank: tiling [0, 1] mm/s "
                           "takes 1.02e+154 filter speeds, more than the "
-                          f"limit of {core.MAX_ELEMENTS}")
+                          f"limit of {vfilter.MAX_FILTERS}")
+
+
+def test_wavelength_whose_square_is_0_exits_2(tmp_path, capsys):
+    # the "auto" speeds' bandwidth divides by it: the message used to be
+    # "filter_bank: float division by zero", naming the wrong section
+    cfg = _phantom_e_at_nt_20("psf", "wavelength_mm", 1e-300)
+    err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: psf: wavelength 1e-300 has a "
+                          "square of 0")
+
+
+@pytest.mark.parametrize("key", ["dx_mm", "dz_mm"])
+def test_grid_step_whose_gain_overflows_exits_2(tmp_path, capsys, key):
+    # pi / 1e-300 times the filter's speed: the gain's square overflowed
+    # under a numpy warning, four stages said "ok" and metrics exited 3
+    cfg = _phantom_e_at_nt_20("grid", key, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: filter_bank: filter 0's gain "
+                          "argument reaches ")
+    assert "whose square is not finite" in err
+
+
+def test_filter_count_past_max_filters_is_refused_at_resolve(
+        tmp_path, capsys, monkeypatch):
+    # v_max 1e4 mm/s used to resolve to 44364 filters, each a whole bank
+    # pass; the count is refused before any filter is built: listed speeds
+    # by make_bank, one heading's "auto" tiling by tile_speeds, and the
+    # headings' "auto" tilings together by resolve
+    def no_filter(self):
+        raise AssertionError("a filter was built")
+
+    listed = _phantom_e_at_nt_20("filter_bank", "speeds_mm_s",
+                                 [0.5] * 2049)
+    listed["filter_bank"]["angles_deg"] = [0.0, 90.0]
+    two_headings = _phantom_e_at_nt_20("filter_bank", "v_max_mm_s", 500.0)
+    two_headings["filter_bank"]["angles_deg"] = [90.0, 80.0]
+    for cfg, match in [
+            (_phantom_e_at_nt_20("filter_bank", "v_max_mm_s", 1e4),
+             r"tiling .* takes 4.44e\+04 filter speeds"),
+            (listed, "2049 speeds x 2 angles make 4098 filters"),
+            (two_headings, "the 'auto' speeds of 2 angles make more "
+                           "filters")]:
+        with monkeypatch.context() as m:
+            m.setattr(vfilter.VelocityFilterSpec, "__post_init__", no_filter)
+            with pytest.raises(ConfigError, match=f"^filter_bank: {match}.* "
+                                                  "limit of 4096"):
+                cli.resolve(cfg)
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+        assert err.startswith("config error: filter_bank: ")
+    assert vfilter.MAX_FILTERS == 4096
 
 
 def test_fine_grid_past_the_element_cap_is_refused_at_resolve():

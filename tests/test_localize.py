@@ -2,6 +2,7 @@ import csv
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -675,7 +676,7 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
     bank = make_bank([1.0], [angle], sigma_t=0.02)
     fspec = bank.filters[0]
     cfg = DetectorConfig(mode="post")
-    res = run_pipeline(frames, bank, P, cfg=cfg, to_params=to)
+    res = run_pipeline(frames, replace(bank, to=to), P, cfg=cfg)
 
     if routed:
         data = apply_filter_fft(apply_to_filter(frames, to), fspec).data
@@ -717,8 +718,8 @@ def test_one_detection_per_bubble_per_chain(lateral_mover, mode, threshold,
                                             to):
     # frames 10-49 keep the bubble well inside the grid and the window
     frames, bank = lateral_mover
-    res = run_pipeline(frames, bank, P, cfg=DetectorConfig(
-        threshold_fraction=threshold, mode=mode), to_params=to)
+    res = run_pipeline(frames, replace(bank, to=to), P, cfg=DetectorConfig(
+        threshold_fraction=threshold, mode=mode))
     assert [len(f) for f in res.per_frame[10:50]] == [1] * 40
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,10 +252,11 @@ def test_direct_path_rejects_oversized_window():
 
 def test_boundary_validation():
     frames = noise_stack()
+    spec = VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.05)
     with pytest.raises(ValueError):
-        apply_filter_fft(frames, VelocityFilterSpec(v_f=(0.0, 0.0),
-                                                    sigma_t=0.05),
-                         boundary="mirror")
+        apply_filter_fft(frames, spec, boundary="mirror")
+    with pytest.raises(ValueError, match="unknown boundary 'mirror'"):
+        FilterBankSpec(filters=(spec,), boundary="mirror")
 
 
 def test_fft_size_checked_before_allocation():
@@ -284,7 +286,43 @@ def test_bank_size_checked_before_allocation(monkeypatch):
         monkeypatch.setattr(_pocketfft, name, no_alloc)
     with pytest.raises(ValueError,
                        match=r"padded stack \(\d+, 4, 4\) exceeds .* 268435456"):
-        next(run_filter_bank(frames, bank, to_params=T))
+        next(run_filter_bank(frames, replace(bank, to=T)))
+
+
+@pytest.mark.parametrize("boundary", ["pad", "periodic"])
+def test_gain_argument_without_a_finite_square_is_refused(boundary,
+                                                          monkeypatch):
+    # pi / dx = 3e300 times v_x: the gain's square would overflow, so the
+    # bank refuses it before any transform
+    data = noise_stack(nt=4, nz=4, nx=4).data
+    frames = FrameStack(make_grid(4, 4, 1e-300, 0.05), 4, 0.01, data)
+    bank = FilterBankSpec(filters=(
+        VelocityFilterSpec(v_f=(0.0, 1.0), sigma_t=0.02),
+        VelocityFilterSpec(v_f=(1e-10, 0.0), sigma_t=0.02)),
+        boundary=boundary)
+    assert vfilter.bank_pads(FilterBankSpec(filters=bank.filters[:1]), 4,
+                             0.01, frames.grid) == [8]
+    for name in ("rfftn", "rfft", "fft"):
+        monkeypatch.setattr(_pocketfft, name, None)
+    with pytest.raises(ValueError, match=r"filter 1's gain argument "
+                                         r"reaches 6.28e\+288 .* not finite"):
+        next(run_filter_bank(frames, bank))
+
+
+def test_filter_count_is_bounded_before_any_filter_is_built(monkeypatch):
+    assert len(tile_speeds(4096.0, 0.5)) == vfilter.MAX_FILTERS == 4096
+    assert len(make_bank([0.5] * 2048, [0.0, 1.0], 0.1)) == 4096
+
+    def no_filter(self):
+        raise AssertionError("a filter was built")
+
+    monkeypatch.setattr(VelocityFilterSpec, "__post_init__", no_filter)
+    with pytest.raises(ValueError, match=r"takes 4.1e\+03 filter speeds, "
+                                         "more than the limit of 4096"):
+        tile_speeds(4097.0, 0.5)
+    with pytest.raises(ValueError, match="2049 speeds x 2 angles make 4098 "
+                                         "filters, more than the limit"):
+        make_bank([0.5] * 2049, [0.0, 1.0], 0.1)
 
 
 def test_static_content_passes_zero_velocity_filter():
@@ -392,10 +430,9 @@ def test_make_bank_cross_product():
 
 def test_run_filter_bank_to_routing():
     frames = noise_stack(nt=8, nz=16, nx=16)
-    bank = make_bank([1.0], [0.0, math.pi / 2], 0.05,
-                     lateral_to_angle_deg=10.0)
+    bank = replace(make_bank([1.0], [0.0, math.pi / 2], 0.05), to=T)
     outs = [(gather_frames(out), used_to) for _, _, out, used_to
-            in run_filter_bank(frames, bank, to_params=T)]
+            in run_filter_bank(frames, bank)]
     lat_spec, ax_spec = bank.filters
     to_frames = apply_to_filter(frames, T)
     want_lat = apply_filter_fft(to_frames, lat_spec)
@@ -423,7 +460,7 @@ def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
                VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.02),
                VelocityFilterSpec(v_f=(-0.3, 0.8), sigma_t=0.035),
                VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.035))
-    bank = FilterBankSpec(filters=filters)
+    bank = FilterBankSpec(filters=filters, boundary=boundary, to=T)
     to_data = to_reference(frames.data, frames.grid, T)
 
     def reference(data, spec):
@@ -435,8 +472,7 @@ def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
                                    spec.sigma_t)
         return out[pad:pad + nt]
 
-    outs = gathered(run_filter_bank(frames, bank, to_params=T,
-                                boundary=boundary))
+    outs = gathered(run_filter_bank(frames, bank))
     assert [used_to for *_, used_to in outs] == [True, False, False, False]
     for (_, spec, out, used_to) in outs:
         src = to_data if used_to else frames.data
@@ -463,11 +499,10 @@ def test_bank_runs_in_the_input_precision(boundary):
     frames.data = frames.data.astype(np.float32)
     wide = FrameStack(frames.grid, frames.nt, frames.dt,
                       frames.data.astype(np.float64))
-    bank = make_bank([1.0], [0.0, math.pi / 2], 0.03)
-    outs = gathered(run_filter_bank(frames, bank, to_params=T,
-                                boundary=boundary))
-    wants = gathered(run_filter_bank(wide, bank, to_params=T,
-                                 boundary=boundary))
+    bank = replace(make_bank([1.0], [0.0, math.pi / 2], 0.03),
+                   boundary=boundary, to=T)
+    outs = gathered(run_filter_bank(frames, bank))
+    wants = gathered(run_filter_bank(wide, bank))
     assert [o[3] for o in outs] == [w[3] for w in wants] == [True, False]
     for (*_, out, _), (*_, want, _) in zip(outs, wants):
         assert out.data.dtype == np.float32
@@ -480,8 +515,7 @@ def test_bank_runs_in_the_input_precision(boundary):
 
 def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     frames = noise_stack(nt=8, nz=16, nx=16)
-    bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05,
-                     lateral_to_angle_deg=10.0)
+    bank = make_bank([1.0], np.radians(np.arange(0, 360, 30)), 0.05)
     calls = []
     compact_spectrum = vfilter._compact_spectrum
 
@@ -490,8 +524,8 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
         return compact_spectrum(*args, **kwargs)
 
     monkeypatch.setattr("velofilt.vfilter._compact_spectrum", counted)
-    routed = [used_to for *_, used_to in run_filter_bank(frames, bank,
-                                                          to_params=T)]
+    routed = [used_to for *_, used_to in run_filter_bank(
+        frames, replace(bank, to=T))]
     assert routed.count(True) == 2  # headings 0 and 180 degrees
     assert len(calls) == 2  # one raw, one TO
     calls.clear()
@@ -523,7 +557,7 @@ def test_compact_spectrum_is_the_rows_of_rfftn(boundary, dtype, monkeypatch):
         lives[-1] = True
         if len(slabs) > 2:
             lives[1] = np.abs(np.fft.fftfreq(nt_pad)) < 0.2
-        got = vfilter._compact_spectrum(xspec, nt_pad, lives, workers=1)
+        got = vfilter._compact_spectrum(xspec, lives, slabs, workers=1)
         assert len(got) == len(slabs)
         for (z0, z1), live, rows in zip(slabs, lives, got):
             assert rows.dtype == want.dtype
@@ -531,17 +565,17 @@ def test_compact_spectrum_is_the_rows_of_rfftn(boundary, dtype, monkeypatch):
         assert np.array_equal(xspec, before)
 
 
-def whole_lattice_outputs(frames, bank, boundary):
+def whole_lattice_outputs(frames, bank):
     """Each bank output as the first nt frames of the whole irfftn of the
     rfftn of its padded source times the whole-lattice gain of the plain
     formula, with the TO routing the bank reports."""
     grid = frames.grid
     outs = []
-    for _, fspec, _, used_to in run_filter_bank(frames, bank, to_params=T,
-                                                boundary=boundary):
-        source = apply_to_filter(frames, T) if used_to else frames
+    for _, fspec, _, used_to in run_filter_bank(frames, bank):
+        source = apply_to_filter(frames, bank.to) if used_to else frames
         pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
-        shape = (frames.nt + 2 * pad * (boundary == "pad"), grid.nz, grid.nx)
+        shape = (frames.nt + 2 * pad * (bank.boundary == "pad"), grid.nz,
+                 grid.nx)
         spectrum = scipy.fft.rfftn(source.data, s=shape)
         gain = velocity_gain_ref(shape[0], frames.dt, grid.nz, grid.dz,
                                  grid.nx, grid.dx, fspec.v_f, fspec.sigma_t)
@@ -558,10 +592,10 @@ def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
     # irfftn of the filtered padded spectrum (filter 0 is TO-routed)
     frames = noise_stack(nt=14, nz=16, nx=11)
     frames.data = frames.data.astype(dtype)
-    bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
-    wants = whole_lattice_outputs(frames, bank, boundary)
-    outs = gathered(run_filter_bank(frames, bank, to_params=T,
-                                    boundary=boundary))
+    bank = replace(make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03),
+                   boundary=boundary, to=T)
+    wants = whole_lattice_outputs(frames, bank)
+    outs = gathered(run_filter_bank(frames, bank))
     assert outs[0][3] and len(outs) == len(wants) == 3
     for (*_, out, _), want in zip(outs, wants):
         assert out.data.dtype == dtype
@@ -585,15 +619,13 @@ GAP_BANK = FilterBankSpec(filters=(
     VelocityFilterSpec(v_f=(0.0, 15.0), sigma_t=1.0)))
 
 
-def assert_outputs_are_whole_inverses(frames, bank, routes, boundary,
-                                      monkeypatch):
+def assert_outputs_are_whole_inverses(frames, bank, routes, monkeypatch):
     """The bank's outputs, in slabs of one kz row and in one slab, are each
     the trimmed whole inverse of the whole-lattice product."""
-    wants = whole_lattice_outputs(frames, bank, boundary)
+    wants = whole_lattice_outputs(frames, bank)
     for budget in (1, vfilter._SLAB_ELEMENTS):
         monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", budget)
-        outs = gathered(run_filter_bank(frames, bank, to_params=T,
-                                        boundary=boundary))
+        outs = gathered(run_filter_bank(frames, bank))
         assert [used_to for *_, used_to in outs] == routes
         for (*_, out, _), want in zip(outs, wants, strict=True):
             assert out.data.dtype == frames.data.dtype
@@ -611,9 +643,9 @@ def test_row_bound_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
     nt, nz, nx = sizes
     frames = noise_stack(nt=nt, nz=nz, nx=nx, dt=0.02)
     frames.data = frames.data.astype(dtype)
-    assert_outputs_are_whole_inverses(frames, BOUND_BANK,
-                                      [False, True] + 4 * [False], boundary,
-                                      monkeypatch)
+    assert_outputs_are_whole_inverses(
+        frames, replace(BOUND_BANK, boundary=boundary, to=T),
+        [False, True] + 4 * [False], monkeypatch)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -632,8 +664,9 @@ def test_kept_rows_with_a_gap_leave_bank_outputs_unchanged(boundary, dtype,
         runs = [vfilter._runs(np.fft.fftshift(live))
                 for live in lives + [lives[0] | lives[1]]]
         assert [len(r) for r in runs] == [1, 1, 2]
-        assert_outputs_are_whole_inverses(frames, GAP_BANK, [False, False],
-                                          boundary, monkeypatch)
+        assert_outputs_are_whole_inverses(
+            frames, replace(GAP_BANK, boundary=boundary, to=T),
+            [False, False], monkeypatch)
 
 
 # (nt, nz, nx): the padded nt has nt's parity (pad and periodic alike)
@@ -648,16 +681,16 @@ def test_slab_size_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
     nt, nz, nx = sizes
     frames = noise_stack(nt=nt, nz=nz, nx=nx)
     frames.data = frames.data.astype(dtype)
-    bank = make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03)
-    wants = whole_lattice_outputs(frames, bank, boundary)
+    bank = replace(make_bank([1.0], [0.0, math.pi / 2, 2.0], 0.03),
+                   boundary=boundary, to=T)
+    wants = whole_lattice_outputs(frames, bank)
     pad = math.ceil(4.0 * 0.03 / frames.dt) * (boundary == "pad")
     row = (nt + 2 * pad) * (nx // 2 + 1)
     for rows in (1, nz // 2, nz // 2 + 1, nz):
         # the budget's remainder below one more row must not matter
         monkeypatch.setattr(vfilter, "_SLAB_ELEMENTS", rows * row + row - 1)
         for workers in (1, 2):
-            outs = gathered(run_filter_bank(frames, bank, to_params=T,
-                                        boundary=boundary, workers=workers))
+            outs = gathered(run_filter_bank(frames, bank, workers=workers))
             assert outs[0][3] and len(outs) == 3
             for (*_, out, _), want in zip(outs, wants):
                 assert out.data.dtype == dtype
@@ -744,12 +777,13 @@ def test_bank_outputs_do_not_alias_its_work_buffer():
     # an output gathered while the bank goes on must not change
     frames = noise_stack(nt=10, nz=12, nx=12)
     frames.data = frames.data.astype(np.float32)
-    bank = make_bank([0.5, 1.0], np.radians([0, 90, 200]), 0.03)
+    bank = replace(make_bank([0.5, 1.0], np.radians([0, 90, 200]), 0.03),
+                   to=T)
     one_at_a_time = []
-    for *_, out, _ in run_filter_bank(frames, bank, to_params=T):
+    for *_, out, _ in run_filter_bank(frames, bank):
         one_at_a_time.append(gather_frames(out).data.copy())
     kept = [out.data for *_, out, _ in gathered(
-        run_filter_bank(frames, bank, to_params=T))]
+        run_filter_bank(frames, bank))]
     assert len(kept) == len(one_at_a_time) == 6
     for i, data in enumerate(kept):
         assert not any(np.shares_memory(data, later)
@@ -779,8 +813,8 @@ def test_bank_output_used_after_the_bank_moves_on_raises():
 
 def test_save_bank_outputs_roundtrip(tmp_path):
     frames = noise_stack(nt=6, nz=8, nx=8)
-    bank = make_bank([0.5], [0.0, math.pi / 2], 0.03)
-    paths = save_bank_outputs(frames, bank, tmp_path, to_params=T)
+    bank = replace(make_bank([0.5], [0.0, math.pi / 2], 0.03), to=T)
+    paths = save_bank_outputs(frames, bank, tmp_path)
     # every file written is returned, the manifest last
     assert sorted(paths) == sorted(tmp_path.iterdir())
     assert paths[-1] == tmp_path / "bank_manifest.json"
@@ -790,7 +824,7 @@ def test_save_bank_outputs_roundtrip(tmp_path):
     assert manifest["outputs"][0]["to_prefilter"] is True
     assert manifest["outputs"][1]["to_prefilter"] is False
     # stored stacks match a fresh in-memory run at float32 precision
-    outs = run_filter_bank(frames, bank, to_params=T)
+    outs = run_filter_bank(frames, bank)
     for entry, (_, _, want, _) in zip(manifest["outputs"], outs):
         got = gather_frames(load_frame_stack(
             tmp_path / f"filtered_{entry['index']:03d}"))
