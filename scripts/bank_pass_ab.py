@@ -3,15 +3,16 @@
 velofilt against a changed one's, in one interpreter.
 
     python3 scripts/bank_pass_ab.py --parent ../base --change . \
-        --workload axial-pre orbit-bank --pairs 30
+        --workload axial-pre scripts/configs/to_lateral.json --pairs 30
 
 Each checkout's package is loaded from its src/velofilt under its own name,
-so both run side by side. For each workload, the config in the change's
-perfbench/workloads is resolved by each side's own cli.resolve, and a
-seeded float32 noise stack of its (nt, nz, nx) goes through one
-run_filter_bank(frames, bank) pass per timing, the resolved bank carrying
-its boundary and TO prefilter, every output drained block by block into a
-sink that drops it. Both checkouts must take the bank in that form. The
+so both run side by side. For each workload, its config (a name in the
+change's perfbench/workloads, or the path of a config file ending in
+.json) is resolved by each side's own cli.resolve, and a seeded float32
+noise stack of its (nt, nz, nx) goes through one run_filter_bank(frames,
+bank) pass per timing, the resolved bank carrying its boundary and TO
+prefilter, every output drained block by block into a sink that drops
+it. Both checkouts must take the bank in that form. The
 sides alternate which runs first, pair by pair, after one untimed pass
 each. The script prints both medians, the paired median difference and
 the number of pairs in which the change was faster.
@@ -59,6 +60,15 @@ def bank_pass(name: str, cfg: dict, seed: int):
     return run
 
 
+def workload_config(change: Path, workload: str) -> dict:
+    """The config of a workload name in the change's perfbench/workloads,
+    or of the config file at the path workload if it ends in .json."""
+    path = Path(workload)
+    if path.suffix != ".json":
+        path = change / "perfbench" / "workloads" / f"{workload}.json"
+    return json.loads(path.read_text())
+
+
 def timed(run) -> float:
     gc.collect()
     t0 = time.perf_counter()
@@ -73,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", type=Path, required=True,
                     help="root of the changed checkout")
     ap.add_argument("--workload", nargs="+",
-                    default=["axial-pre", "orbit-bank", "cross-staged"])
+                    default=["axial-pre", "orbit-bank", "cross-staged"],
+                    help="workload names or config paths ending in .json")
     ap.add_argument("--pairs", type=int, default=30)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
@@ -81,8 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     for side, name in names.items():
         load(getattr(args, side), name)
     for workload in args.workload:
-        cfg = json.loads((args.change / "perfbench" / "workloads"
-                          / f"{workload}.json").read_text())
+        cfg = workload_config(args.change, workload)
         runs = {side: bank_pass(name, cfg, args.seed)
                 for side, name in names.items()}
         for run in runs.values():

@@ -415,12 +415,22 @@ def resolve(cfg: dict) -> Resolved:
             det, threshold_fraction="threshold_fraction",
             min_separation="min_separation_mm", subpixel="subpixel",
             mode="mode"))
+    with _section("motion"):
+        nt, dt = int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"]
+        span = nt * dt
+        if not math.isfinite(span * span):
+            raise ValueError(f"{nt} frames of {dt:.3g} s span {span:.3g} s, "
+                             "whose square is not finite")
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
+        # the render squares each bubble's offset from a pixel
+        reach = _fastest(points, flow) * span
+        if not math.isfinite(reach * reach):
+            raise ValueError(f"bubbles move up to {reach:.3g} mm over the "
+                             "run, whose square is not finite")
     with _section("filter_bank"):
         bank = _bank(cfg["filter_bank"], p, to)
-        bank_pads(bank, int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"],
-                  grid)
+        bank_pads(bank, nt, dt, grid)
     mcfg = cfg.get("metrics", {})
     with _section("metrics"):
         le = default_le_params(
@@ -431,7 +441,7 @@ def resolve(cfg: dict) -> Resolved:
     return Resolved(
         psf=p, grid=grid, fine=fine,
         seed=int(cfg.get("seed", 0)),
-        nt=int(cfg["motion"]["nt"]), dt=cfg["motion"]["dt_s"],
+        nt=nt, dt=dt,
         noise_std=cfg.get("noise", {}).get("std", 0.0),
         points=points, flow=flow,
         bank=bank, detector=detector,
@@ -493,6 +503,17 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
                               axis_angle_rad=math.radians(ph["angle_deg"]),
                               length=length),)
     return None, vessels
+
+
+def _fastest(points: BubbleSet | None, flow: Flow) -> float:
+    """The phantom's fastest bubble speed, mm/s: its listed bubbles' or
+    its flow's peak speed v0."""
+    if points is not None:
+        return max(map(math.hypot, points.vel[:, 0].tolist(),
+                       points.vel[:, 2].tolist()), default=0.0)
+    if isinstance(flow, CircularBandSpec):
+        return abs(flow.v0)
+    return max(abs(v.v0) for v in flow)
 
 
 def _bank(fb: dict, p: PsfParams, to: ToParams | None) -> FilterBankSpec:
@@ -820,17 +841,18 @@ def _stage_accumulate(r: Resolved, out: Path) -> list[Path]:
     acc = accumulate(locs, r.fine)
     vmap = velocity_map_from_locs(locs, r.fine)
     mask = segment_support(acc)
-    # both stacks are cast and checked before either is written
-    acc_stack = FrameStack(grid=r.fine, nt=1, dt=1.0, data=to_float32(
-        acc.counts.astype(np.float64)[None]))
-    vel_stack = FrameStack(grid=r.fine, nt=3, dt=1.0, data=to_float32(
-        np.stack([vmap.speed, vmap.vx, vmap.vz])))
+    # both stacks are cast straight to float32 and checked, channel c as
+    # frame c, before either is written
+    vel = np.empty((3,) + acc.counts.shape, dtype="<f4")
+    for c, channel in enumerate((vmap.speed, vmap.vx, vmap.vz)):
+        vel[c] = to_float32(channel[None], c)[0]
+    acc_stack = FrameStack(grid=r.fine, nt=1, dt=1.0,
+                           data=to_float32(acc.counts[None]))
+    vel_stack = FrameStack(grid=r.fine, nt=3, dt=1.0, data=vel)
     arts = list(save_frame_stack(acc_stack, out / f"{r.prefix}_accum"))
     arts += save_frame_stack(vel_stack, out / f"{r.prefix}_velmap")
-    arts.append(write_pgm(acc.counts.astype(np.float64),
-                          out / f"{r.prefix}_accum.pgm"))
-    arts.append(write_pgm(mask.astype(np.float64),
-                          out / f"{r.prefix}_support.pgm"))
+    arts.append(write_pgm(acc.counts, out / f"{r.prefix}_accum.pgm"))
+    arts.append(write_pgm(mask, out / f"{r.prefix}_support.pgm"))
     return arts
 
 

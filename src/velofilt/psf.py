@@ -43,6 +43,11 @@ class PsfParams:
             except OverflowError:
                 raise ValueError(f"{name} {value!r} has no finite "
                                  "square") from None
+        # the "auto" speeds' bandwidth squares their ratio
+        ratio = self.sigma_r / self.wavelength
+        if not math.isfinite(ratio * ratio):
+            raise ValueError(f"sigma_r / wavelength = {ratio:.3g} has no "
+                             "finite square")
 
     @property
     def g_e_peak(self) -> float:

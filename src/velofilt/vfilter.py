@@ -7,27 +7,27 @@ traced out by anything translating at v_f. It is applied through the 3D
 FFT; the equivalent shift-and-sum form (a temporal average along the
 selected trajectory) is a test oracle.
 
-The FFT path works on real FFTs. A bank takes the half spectrum of each
-padded source stack it needs (raw or TO-prefiltered, per temporal pad) once
-and shares it between its filters. Since H is pointwise, each (kz, kx)
-column's inverse along time is independent, so a filter walks the shared
-spectrum in slabs of kz rows of at most _SLAB_ELEMENTS lattice elements:
+The FFT path works on real FFTs. A bank's filters share one window width,
+so one temporal pad, and the TO prefilter, a gain on k_x alone, enters a
+routed filter's own gain: the bank takes one half spectrum of its padded
+input and shares it between its filters. Since H is pointwise, each
+(kz, kx) column's inverse along time is independent, so a filter walks the
+shared spectrum in slabs of kz rows of at most _SLAB_ELEMENTS elements:
 per slab it builds that slab's gain, multiplies it into a slab buffer, runs
 the ifft along t and keeps the first nt frames; the (z, x) passes then run
 on those kept frames alone. The shared spectrum holds, per slab, only the
-omega rows that some filter using it reaches there (below), and the
-forward that makes it runs in blocks of kx columns. Neither a padded
-spectrum or inverse nor a full-lattice gain or product is ever formed, and
-the output is byte for byte the trimmed whole irfftn. The bank streams at
-both ends: it reads its input in blocks of frames (the rfft along x, the
-first pass, is per frame) and hands each output over as a core.FrameStream
-whose blocks run the last pass, the irfft along x, so no whole input or
-output stack is held. apply_filter_fft is the one-filter case of the same
-code, its output gathered. On an even axis the Nyquist bin is its own
-mirror, and there H is not even, so the gain on the Nyquist planes is the
-mean of H at the bin and at its mirrored bin: the Hermitian part of H,
-which is exactly what taking the real part of a complex inverse FFT would
-keep.
+omega rows that some filter reaches there (below), and the forward that
+makes it runs in blocks of kx columns. Neither a padded spectrum or
+inverse nor a full-lattice gain or product is ever formed, and the output
+is byte for byte the trimmed whole irfftn. The bank streams at both ends:
+it reads its input in blocks of frames (the rfft along x, the first pass,
+is per frame) and hands each output over as a core.FrameStream whose
+blocks run the last pass, the irfft along x, so no whole input or output
+stack is held. apply_filter_fft is the one-filter case of the same code,
+its output gathered. On an even axis the Nyquist bin is its own mirror,
+and there H is not even, so the gain on the Nyquist planes is the mean of
+H at the bin and at its mirrored bin: the Hermitian part of H, which is
+exactly what taking the real part of a complex inverse FFT would keep.
 
 Time is zero-extended: the stack is padded by 4 sigma_t worth of frames
 before the FFT and trimmed after, so trajectories do not wrap. The
@@ -50,7 +50,7 @@ from the 1-D lattices alone). So a slab's gain and product are built on
 those rows alone and the other rows are zero-filled, which is what the
 whole-lattice gain puts there; inside them an entry below the floor is set
 to 0 without calling exp, whose underflow path is slow. The shared
-spectrum keeps, per slab, the union of its filters' rows: 30 % of the
+spectrum keeps, per slab, the union of every filter's rows: 30 % of the
 padded spectrum on axial-pre's bank, which has one heading.
 
 The transforms are scipy's pocketfft, called through _pocketfft, which
@@ -106,10 +106,11 @@ class VelocityFilterSpec:
 
 @dataclass(frozen=True)
 class FilterBankSpec:
-    """Velocity filters run over one input stack. boundary "pad"
-    zero-extends time by ceil(4 sigma_t / dt) frames per side, then trims;
-    "periodic" filters circularly on every axis. With to, filters of
-    nonzero speed within lateral_to_angle_deg of x see the TO prefilter."""
+    """Velocity filters run over one input stack, all with one window
+    width sigma_t. boundary "pad" zero-extends time by ceil(4 sigma_t / dt)
+    frames per side, then trims; "periodic" filters circularly on every
+    axis. With to, filters of nonzero speed within lateral_to_angle_deg of
+    x see the TO prefilter."""
 
     filters: tuple[VelocityFilterSpec, ...]
     lateral_to_angle_deg: float = 10.0
@@ -121,6 +122,10 @@ class FilterBankSpec:
             raise ValueError("filter bank must be nonempty")
         if self.boundary not in ("pad", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        widths = {f.sigma_t for f in self.filters}
+        if len(widths) > 1:
+            raise ValueError("a bank's filters share one window width, not "
+                             f"sigma_t {sorted(widths)}")
 
     def __len__(self) -> int:
         return len(self.filters)
@@ -255,8 +260,9 @@ def _row_bound(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
 
 
 def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
-               dtype) -> Callable[[int, int, np.ndarray],
-                                  list[tuple[slice, np.ndarray]]]:
+               dtype, to: ToParams | None = None
+               ) -> Callable[[int, int, np.ndarray],
+                             list[tuple[slice, np.ndarray]]]:
     """rows(z0, z1, live): the float64 gain on kz rows z0:z1 of the rfftn
     half lattice of an (nt, nz, nx) stack, as (omega slice, gain on those
     rows) pairs in DFT order, one per run of the omega rows the mask live
@@ -264,12 +270,15 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     slab is exactly 0, and the runs are one or two slices (none if the
     passband reaches no row). The gain is H, with the Hermitian mean on
     the Nyquist planes, and 0 where the cast to dtype would round it to 0
-    (_exp_floor).
+    (_exp_floor). With to, a filter routed through the TO prefilter, it is
+    then multiplied by psf.to_transfer(to, kx), which is even in kx and so
+    the same at a Nyquist bin and its mirror, with 0 where that factor is
+    below the smallest normal number of dtype.
 
     Each entry depends on its own frequencies alone, so a row's gain is
     byte for byte that row of the whole-lattice gain; the lattices, their
-    mirrors and the Nyquist-plane means are computed once here, for one
-    filter."""
+    mirrors, the Nyquist-plane means and the TO factor are computed once
+    here, for one filter."""
     floor = _exp_floor(dtype)
     sizes = (nt, grid.nz, grid.nx)
     axes, mirror = _lattices(grid, nt, dt)
@@ -282,6 +291,11 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                 _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
                 + _gain(*(m[p] for m, p in zip(mirror, plane)), spec,
                         floor))))
+    if to is not None:
+        # a factor subnormal in dtype would put the product and the ifft
+        # along t on subnormals, which run many times slower
+        lateral = to_transfer(to, axes[2])
+        lateral[lateral < np.finfo(dtype).tiny] = 0.0
 
     def rows(z0: int, z1: int,
              live: np.ndarray) -> list[tuple[slice, np.ndarray]]:
@@ -301,6 +315,8 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                     gain[:, i - z0] = mean[t0:t1, 0]
                 elif ax == 2:
                     gain[:, :, i] = mean[t0:t1, z0:z1, 0]
+            if to is not None:
+                gain *= lateral
             out.append((slice(t0, t1), gain))
         return out
 
@@ -308,18 +324,18 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
 
 
 def bank_pads(bank: FilterBankSpec, nt: int, dt: float,
-              grid: Grid2D) -> list[int]:
-    """The zero frames each filter's stack is padded with per side:
+              grid: Grid2D) -> int:
+    """The zero frames the bank's stack is padded with per side:
     ceil(4 sigma_t / dt) for bank.boundary "pad", 0 for "periodic". Raises
     ValueError, so the bank and resolve refuse it before any allocation,
     on a padded stack of more than core.MAX_ELEMENTS samples or on a gain
     argument sigma_t |Omega + k . v_f| <= sigma_t (pi/dt + pi/dx |v_x| +
     pi/dz |v_z|) whose square is not finite."""
-    pads = [int(math.ceil(4.0 * f.sigma_t / dt))
-            if bank.boundary == "pad" else 0 for f in bank.filters]
-    largest = (nt + 2 * max(pads), grid.nz, grid.nx)
-    if math.prod(largest) > MAX_ELEMENTS:
-        raise ValueError(f"padded stack {largest} exceeds the in-memory FFT "
+    pad = (int(math.ceil(4.0 * bank.filters[0].sigma_t / dt))
+           if bank.boundary == "pad" else 0)
+    padded = (nt + 2 * pad, grid.nz, grid.nx)
+    if math.prod(padded) > MAX_ELEMENTS:
+        raise ValueError(f"padded stack {padded} exceeds the in-memory FFT "
                          f"limit of {MAX_ELEMENTS} samples")
     for i, f in enumerate(bank.filters):
         # in Python floats, which overflow to inf without a warning
@@ -329,7 +345,7 @@ def bank_pads(bank: FilterBankSpec, nt: int, dt: float,
         if not math.isfinite(arg * arg):
             raise ValueError(f"filter {i}'s gain argument reaches {arg:.3g} "
                              "on the lattice, whose square is not finite")
-    return pads
+    return pad
 
 
 def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
@@ -343,13 +359,10 @@ def apply_filter_fft(frames: FrameStack, spec: VelocityFilterSpec,
 
 
 def apply_to_filter(frames: FrameStack, t: ToParams) -> FrameStack:
-    """Impose transverse oscillations by lateral k-space filtering.
-
-    The gain depends on k_x only, so each frame is filtered along its rows
-    with real FFTs (the gain is even in k_x); the lateral axis is treated as
-    periodic (PSFs decay well inside the grid, making wrap-around negligible
-    at the tested sizes).
-    """
+    """Impose transverse oscillations by lateral k-space filtering: each
+    frame's rows through real FFTs times psf.to_transfer, which is even in
+    k_x, on a periodic lateral axis (PSFs decay well inside the grid). A
+    bank folds the same gain into its routed filters' gains instead."""
     nx = frames.grid.nx
     gain = to_transfer(t, kx_lattice(frames.grid)[:nx // 2 + 1])
     row_hat = _pocketfft.rfft(frames.data, axis=2)
@@ -489,75 +502,58 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     is ready, as a FrameStream: out.fill hands over its frames in blocks.
     out is valid until the caller asks the bank for the next output; used
     after that it raises, since the bank has refilled the buffer it reads.
-    used_to tells whether out came from the TO-prefiltered stack (see
-    FilterBankSpec); each filter's route is decided once, here.
+    used_to tells whether out passed the TO prefilter (see FilterBankSpec);
+    each filter's route is decided once, here, and carried by its gain
+    (_gain_rows).
 
     The input is read once, block by block (frames.fill; a FrameStack is
-    one block), into one x-spectrum (rfft along x) per route. From those
-    the bank takes one spectrum per (route, temporal pad) pair
-    (_compact_spectrum), which keeps per slab of kz rows (_slabs, one
-    partition per pad) the union of its filters' _row_bound rows, and
-    holds them until it is done. The last x-spectrum becomes the kept
-    frames that every filter refills (_filtered_inverse), and each
-    output's fill runs the irfft along x (_x_pass). So besides the shared
-    spectra a pass holds one slab's gain and product, the kept frames and
-    a few blocks; each output is byte for byte the trimmed whole irfftn of
-    the whole spectrum times the whole-lattice gain. The pads, and the
-    checks made before anything is allocated, are bank_pads'. The 2 * pad
-    zero frames go after the stack, which on the circular time lattice is
-    the symmetric pad shifted by pad frames, so the kept frames are the
-    first nt.
+    one block), into one x-spectrum (rfft along x), and from it the bank
+    takes one spectrum (_compact_spectrum) that keeps per slab of kz rows
+    (_slabs) the union of every filter's _row_bound rows. The x-spectrum
+    then becomes the kept frames that every filter refills
+    (_filtered_inverse), and each output's fill runs the irfft along x
+    (_x_pass). So besides the spectrum a pass holds one slab's gain and
+    product, the kept frames and a few blocks; each output is byte for byte
+    the trimmed whole irfftn of the whole spectrum times the whole-lattice
+    gain. The pad, and the checks made before anything is allocated, are
+    bank_pads'. The 2 * pad zero frames go after the stack, which on the
+    circular time lattice is the symmetric pad shifted by pad frames, so
+    the kept frames are the first nt.
     """
     grid, nt, dt = frames.grid, frames.nt, frames.dt
-    pads = bank_pads(bank, nt, dt, grid)
+    nt_pad = nt + 2 * bank_pads(bank, nt, dt, grid)
     routes = [bank.to is not None and f.speed > 0.0
               and f.angle_from_lateral_deg <= bank.lateral_to_angle_deg
               for f in bank.filters]
-    xspec: dict[bool, np.ndarray] = {}
+    kept = None
     done = 0
 
     def read(block: np.ndarray) -> None:
-        nonlocal done
-        for used_to in dict.fromkeys(routes):
-            source = (apply_to_filter(FrameStack(grid, len(block), dt, block),
-                                      bank.to).data if used_to else block)
-            part = _pocketfft.rfft(source, axis=2, workers=workers)
-            if used_to not in xspec:
-                xspec[used_to] = np.empty((nt,) + part.shape[1:], part.dtype)
-            xspec[used_to][done:done + len(block)] = part
+        nonlocal kept, done
+        part = _pocketfft.rfft(block, axis=2, workers=workers)
+        if kept is None:
+            kept = np.empty((nt,) + part.shape[1:], part.dtype)
+        kept[done:done + len(block)] = part
         done += len(block)
 
     frames.fill(read)
     if done != nt:
         raise ValueError(f"stream gave {done} frames, not nt = {nt}")
-    keys = list(zip(routes, pads))
-    dtype = next(iter(xspec.values())).real.dtype
-    slabs = {pad: _slabs(nt + 2 * pad, grid.nz, grid.nx // 2 + 1)
-             for pad in dict.fromkeys(pads)}
+    dtype = kept.real.dtype
+    slabs = _slabs(nt_pad, grid.nz, grid.nx // 2 + 1)
     # every filter's row bound, read from 1-D lattices; the gains, which
     # hold Nyquist-plane means, are built one filter at a time below
-    reached = [_row_bound(grid, nt + 2 * pad, dt, f, dtype, slabs[pad])
-               for f, pad in zip(bank.filters, pads)]
-    # each spectrum's rows: the union of its filters' bounds
-    lives: dict[tuple[bool, int], np.ndarray] = {}
-    for bound, key in zip(reached, keys):
-        lives[key] = lives[key] | bound if key in lives else bound
-    spectra = {}
-    for used_to in list(xspec):
-        # the last x-spectrum becomes the kept frames' buffer; each one
-        # before it is freed once its spectra are built
-        kept = xspec.pop(used_to)
-        spectra.update({key: _compact_spectrum(kept, live, slabs[key[1]],
-                                               workers)
-                        for key, live in lives.items() if key[0] == used_to})
-    for i, (fspec, key) in enumerate(zip(bank.filters, keys)):
-        nt_pad = nt + 2 * key[1]
-        _filtered_inverse(spectra[key], slabs[key[1]], lives[key],
-                          reached[i], _gain_rows(grid, nt_pad, dt, fspec,
-                                                 dtype), kept, workers)
+    reached = [_row_bound(grid, nt_pad, dt, f, dtype, slabs)
+               for f in bank.filters]
+    lives = np.logical_or.reduce(reached)
+    spectrum = _compact_spectrum(kept, lives, slabs, workers)
+    for i, (fspec, used_to) in enumerate(zip(bank.filters, routes)):
+        _filtered_inverse(spectrum, slabs, lives, reached[i], _gain_rows(
+            grid, nt_pad, dt, fspec, dtype, bank.to if used_to else None),
+            kept, workers)
         live = [True]
         yield i, fspec, FrameStream(grid, nt, dt, _x_pass(
-            kept, nt_pad, grid.nx, workers, live)), key[0]
+            kept, nt_pad, grid.nx, workers, live)), used_to
         live[0] = False
 
 
@@ -588,10 +584,13 @@ def save_bank_outputs(frames: FrameStack | FrameStream, bank: FilterBankSpec,
             "to_prefilter": used_to,
             "frames": header.name,
         })
+    to = None if bank.to is None else {"lambda_x_mm": bank.to.lambda_x,
+                                       "sigma_x_mm": bank.to.sigma_x}
     manifest = out_dir / "bank_manifest.json"
     with open(manifest, "w") as fh:
         json.dump({"version": 1, "n_filters": len(bank),
                    "lateral_to_angle_deg": bank.lateral_to_angle_deg,
+                   "boundary": bank.boundary, "to": to,
                    "outputs": entries}, fh, indent=2)
         fh.write("\n")
     paths.append(manifest)

@@ -494,6 +494,43 @@ def test_wavelength_whose_square_is_0_exits_2(tmp_path, capsys):
                           "square of 0")
 
 
+def test_wavelength_whose_ratio_has_no_finite_square_exits_2(tmp_path,
+                                                             capsys):
+    # its square is nonzero, but the "auto" speeds' bandwidth squares
+    # sigma_r / wavelength = 3e159: the message used to be "filter_bank:
+    # (34, 'Numerical result out of range')", naming the wrong section
+    cfg = _phantom_e_at_nt_20("psf", "wavelength_mm", 1e-160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: psf: sigma_r / wavelength = "
+                          "3e+159 has no finite square")
+
+
+def test_bubble_speed_whose_travel_overflows_exits_2(tmp_path, capsys):
+    # 1e300 mm/s over 20 frames of 20 ms: the render's square of a
+    # bubble's offset overflowed under a numpy warning, four stages said
+    # "ok" and metrics exited 3 with no localizations to score
+    cfg = _phantom_e_at_nt_20("phantom", "v0_mm_s", 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: phantom: bubbles move up to "
+                          "4e+299 mm over the run, whose square")
+
+
+def test_frame_interval_whose_run_span_overflows_exits_2(tmp_path, capsys):
+    # 20 frames of 1e300 s: the render's square overflowed under a numpy
+    # warning and the run exited 0 with every bubble off the grid after
+    # frame 0
+    cfg = _phantom_e_at_nt_20("motion", "dt_s", 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: motion: 20 frames of 1e+300 s "
+                          "span 2e+301 s, whose square is not finite")
+
+
 @pytest.mark.parametrize("key", ["dx_mm", "dz_mm"])
 def test_grid_step_whose_gain_overflows_exits_2(tmp_path, capsys, key):
     # pi / 1e-300 times the filter's speed: the gain's square overflowed
@@ -874,6 +911,33 @@ def test_float32_overflowing_speed_exits_2_before_any_write(tmp_path,
     assert "float32 range" in err
 
 
+def test_accumulate_names_the_velocity_channel_past_float32(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # each velocity channel is cast to float32 on its own, checked as frame
+    # c of the stack, and a value past float32 stops the stage before it
+    # writes either stack
+    cfg_path = write_cfg(tmp_path, base_cfg())
+    out = tmp_path / "out"
+    for command in ("synth", "localize"):
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 0
+    velocity_map = cli.velocity_map_from_locs
+
+    def past_float32(locs, grid):
+        vmap = velocity_map(locs, grid)
+        vmap.vx[1, 2] = 1e300
+        return vmap
+
+    monkeypatch.setattr(cli, "velocity_map_from_locs", past_float32)
+    capsys.readouterr()
+    assert main(["accumulate", "--config", str(cfg_path), "--out",
+                 str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "float32 cast: non-finite sample at (t, z, x) = (1, 1, 2)" in err
+    assert not list(out.glob("t_accum*")) and not list(out.glob("t_vel*"))
+
+
 @pytest.mark.parametrize("frames_per_block", [1, 3, None])
 def test_streamed_synth_is_the_whole_stack_write(tmp_path, monkeypatch,
                                                  frames_per_block):
@@ -961,6 +1025,7 @@ def test_pipeline_artifacts_and_manifest(tmp_path):
     with open(out / "t_filtered" / "bank_manifest.json") as fh:
         bank = json.load(fh)
     assert bank["n_filters"] == 2
+    assert bank["boundary"] == "pad" and bank["to"] is None
     assert [e["to_prefilter"] for e in bank["outputs"]] == [False, False]
     assert {tuple(e["v_f_mm_s"]) for e in bank["outputs"]} == {
         (0.0, 0.0), (1.0, 0.0)}

@@ -16,7 +16,8 @@ from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
                      replica_reach_ref, suppress_loop, velocity_map_loop)
 from velofilt import _pocketfft, localize
-from velofilt.core import FrameStack, make_fine_grid, make_grid
+from velofilt.core import (FrameStack, gather_frames, make_fine_grid,
+                           make_grid)
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                _QUAD_FIT, _envelope_z, _merge_frame,
                                _padded_shape, _quadratic_offsets, _suppress,
@@ -29,7 +30,7 @@ from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                template_autocorr_peak, velocity_map_from_locs)
 from velofilt.phantom import from_plane, synthesize_frames
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
-from velofilt.vfilter import apply_filter_fft, apply_to_filter, make_bank
+from velofilt.vfilter import apply_filter_fft, make_bank, run_filter_bank
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
 GRID = make_grid(65, 65, 0.05, 0.05)
@@ -679,7 +680,11 @@ def test_run_pipeline_to_routing_matches_public_chain(angle, routed):
     res = run_pipeline(frames, replace(bank, to=to), P, cfg=cfg)
 
     if routed:
-        data = apply_filter_fft(apply_to_filter(frames, to), fspec).data
+        # the bank's own output: its gain carries the TO factor
+        _, _, out, used_to = next(run_filter_bank(frames, replace(bank,
+                                                                  to=to)))
+        assert used_to
+        data = gather_frames(out).data
         tpl = psf_template(GRID, P, mode="to", to=to)
     else:
         data = apply_filter_fft(frames, fspec).data

@@ -270,17 +270,15 @@ def test_fft_size_checked_before_allocation():
 
 
 def test_bank_size_checked_before_allocation(monkeypatch):
-    # the first filter's pad fits, the second's does not: the bank must
-    # raise before the TO prefilter, any spectrum or any output
+    # the filter's pad does not fit: the bank must raise before any
+    # transform, any spectrum or any output
     frames = noise_stack(nt=1, nz=4, nx=4, dt=1e-18)
     bank = FilterBankSpec(filters=(
-        VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=1e-18),
-        VelocityFilterSpec(v_f=(0.0, 1.0), sigma_t=1.0)))
+        VelocityFilterSpec(v_f=(0.0, 1.0), sigma_t=1.0),))
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr("velofilt.vfilter.apply_to_filter", no_alloc)
     monkeypatch.setattr("velofilt.vfilter._compact_spectrum", no_alloc)
     for name in ("rfftn", "rfft", "fft"):
         monkeypatch.setattr(_pocketfft, name, no_alloc)
@@ -301,7 +299,7 @@ def test_gain_argument_without_a_finite_square_is_refused(boundary,
         VelocityFilterSpec(v_f=(1e-10, 0.0), sigma_t=0.02)),
         boundary=boundary)
     assert vfilter.bank_pads(FilterBankSpec(filters=bank.filters[:1]), 4,
-                             0.01, frames.grid) == [8]
+                             0.01, frames.grid) == 8
     for name in ("rfftn", "rfft", "fft"):
         monkeypatch.setattr(_pocketfft, name, None)
     with pytest.raises(ValueError, match=r"filter 1's gain argument "
@@ -428,6 +426,18 @@ def test_make_bank_cross_product():
         FilterBankSpec(filters=())
 
 
+def test_bank_refuses_two_window_widths():
+    # one window width is one temporal pad and one forward spectrum
+    filters = (VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.02),
+               VelocityFilterSpec(v_f=(0.0, 1.0), sigma_t=0.035))
+    with pytest.raises(ValueError, match=r"one window width, .*"
+                                         r"sigma_t \[0\.02, 0\.035\]"):
+        FilterBankSpec(filters=filters)
+    # the one pad, an int: ceil(4 * 0.035 / 0.01) = 15
+    assert vfilter.bank_pads(FilterBankSpec(filters=filters[1:]), 12, 0.01,
+                             make_grid(4, 4, 0.05, 0.05)) == 15
+
+
 def test_run_filter_bank_to_routing():
     frames = noise_stack(nt=8, nz=16, nx=16)
     bank = replace(make_bank([1.0], [0.0, math.pi / 2], 0.05), to=T)
@@ -453,14 +463,16 @@ def to_reference(data, grid, t):
 @pytest.mark.parametrize("nt, nz, nx", [(12, 8, 10), (13, 9, 7), (12, 9, 8),
                                         (11, 8, 9)])
 def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
-    # padded nt is nt + 2 ceil(4 sigma_t / dt): same parity as nt; two
-    # window widths give the bank two pads, filter 0 is TO-routed
+    # padded nt is nt + 2 ceil(4 sigma_t / dt): same parity as nt; one bank
+    # per window width, so two pads; filter 0 is TO-routed, and its output
+    # (the TO factor in its gain) is the oracle's prefilter-then-filter
     frames = noise_stack(nt=nt, nz=nz, nx=nx, seed=nt * nz * nx)
     filters = (VelocityFilterSpec(v_f=(0.9, 0.05), sigma_t=0.02),
                VelocityFilterSpec(v_f=(0.7, -0.4), sigma_t=0.02),
                VelocityFilterSpec(v_f=(-0.3, 0.8), sigma_t=0.035),
                VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.035))
-    bank = FilterBankSpec(filters=filters, boundary=boundary, to=T)
+    banks = [FilterBankSpec(filters=filters[:2], boundary=boundary, to=T),
+             FilterBankSpec(filters=filters[2:], boundary=boundary, to=T)]
     to_data = to_reference(frames.data, frames.grid, T)
 
     def reference(data, spec):
@@ -472,7 +484,9 @@ def test_fft_paths_match_dft_oracle(nt, nz, nx, boundary):
                                    spec.sigma_t)
         return out[pad:pad + nt]
 
-    outs = gathered(run_filter_bank(frames, bank))
+    outs = [o for bank in banks for o in gathered(run_filter_bank(frames,
+                                                                  bank))]
+    assert [spec for _, spec, *_ in outs] == list(filters)
     assert [used_to for *_, used_to in outs] == [True, False, False, False]
     for (_, spec, out, used_to) in outs:
         src = to_data if used_to else frames.data
@@ -527,7 +541,7 @@ def test_bank_shares_one_forward_transform_per_source(monkeypatch):
     routed = [used_to for *_, used_to in run_filter_bank(
         frames, replace(bank, to=T))]
     assert routed.count(True) == 2  # headings 0 and 180 degrees
-    assert len(calls) == 2  # one raw, one TO
+    assert len(calls) == 1  # the TO factor is in the routed gains
     calls.clear()
     assert len(list(run_filter_bank(frames, bank))) == 12
     assert len(calls) == 1
@@ -567,18 +581,25 @@ def test_compact_spectrum_is_the_rows_of_rfftn(boundary, dtype, monkeypatch):
 
 def whole_lattice_outputs(frames, bank):
     """Each bank output as the first nt frames of the whole irfftn of the
-    rfftn of its padded source times the whole-lattice gain of the plain
-    formula, with the TO routing the bank reports."""
+    rfftn of the padded stack times the whole-lattice gain of the plain
+    formula, and times to_transfer on kx, 0 below the smallest normal
+    number of the stack's dtype, where the bank reports the filter
+    TO-routed."""
     grid = frames.grid
+    pad = math.ceil(4.0 * bank.filters[0].sigma_t / frames.dt)
+    shape = (frames.nt + 2 * pad * (bank.boundary == "pad"), grid.nz,
+             grid.nx)
+    spectrum = scipy.fft.rfftn(frames.data, s=shape)
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:grid.nx // 2 + 1]
+    lateral = to_transfer(bank.to, kx) if bank.to else None
+    if bank.to:
+        lateral[lateral < np.finfo(frames.data.dtype).tiny] = 0.0
     outs = []
     for _, fspec, _, used_to in run_filter_bank(frames, bank):
-        source = apply_to_filter(frames, bank.to) if used_to else frames
-        pad = math.ceil(4.0 * fspec.sigma_t / frames.dt)
-        shape = (frames.nt + 2 * pad * (bank.boundary == "pad"), grid.nz,
-                 grid.nx)
-        spectrum = scipy.fft.rfftn(source.data, s=shape)
         gain = velocity_gain_ref(shape[0], frames.dt, grid.nz, grid.dz,
                                  grid.nx, grid.dx, fspec.v_f, fspec.sigma_t)
+        if used_to:
+            gain *= lateral
         outs.append(trimmed_irfftn_ref(
             spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
             (slice(frames.nt), slice(None), slice(None))))
@@ -604,14 +625,17 @@ def test_bank_output_is_the_trimmed_whole_inverse(boundary, dtype):
 
 # v_f = 0; the TO-routed member; negative components; a wide window
 # with few live rows; a fast filter that reaches no row of some slabs;
-# a narrow window with every row live
-BOUND_BANK = FilterBankSpec(filters=(
+# a narrow window with every row live. One bank per window width.
+BOUND_FILTERS = (
     VelocityFilterSpec(v_f=(0.0, 0.0), sigma_t=0.5),
     VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=0.1),
     VelocityFilterSpec(v_f=(-0.6, -0.8), sigma_t=0.3),
     VelocityFilterSpec(v_f=(0.3, 2.0), sigma_t=2.0),
     VelocityFilterSpec(v_f=(40.0, -30.0), sigma_t=0.1),
-    VelocityFilterSpec(v_f=(0.5, -0.5), sigma_t=0.02)))
+    VelocityFilterSpec(v_f=(0.5, -0.5), sigma_t=0.02))
+BOUND_BANKS = [FilterBankSpec(filters=tuple(
+    f for f in BOUND_FILTERS if f.sigma_t == width))
+    for width in dict.fromkeys(f.sigma_t for f in BOUND_FILTERS)]
 # two filters on one spectrum whose passbands reach disjoint omega rows of
 # the kz rows +-1, so the rows the spectrum keeps there have a gap
 GAP_BANK = FilterBankSpec(filters=(
@@ -643,9 +667,11 @@ def test_row_bound_leaves_bank_outputs_unchanged(sizes, boundary, dtype,
     nt, nz, nx = sizes
     frames = noise_stack(nt=nt, nz=nz, nx=nx, dt=0.02)
     frames.data = frames.data.astype(dtype)
-    assert_outputs_are_whole_inverses(
-        frames, replace(BOUND_BANK, boundary=boundary, to=T),
-        [False, True] + 4 * [False], monkeypatch)
+    assert sum(len(bank) for bank in BOUND_BANKS) == len(BOUND_FILTERS)
+    for bank in BOUND_BANKS:
+        assert_outputs_are_whole_inverses(
+            frames, replace(bank, boundary=boundary, to=T),
+            [f is BOUND_FILTERS[1] for f in bank.filters], monkeypatch)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -820,6 +846,8 @@ def test_save_bank_outputs_roundtrip(tmp_path):
     assert paths[-1] == tmp_path / "bank_manifest.json"
     manifest = json.loads(paths[-1].read_text())
     assert manifest["n_filters"] == 2
+    assert manifest["boundary"] == "pad"
+    assert manifest["to"] == {"lambda_x_mm": 0.6, "sigma_x_mm": 0.3}
     assert [e["index"] for e in manifest["outputs"]] == [0, 1]
     assert manifest["outputs"][0]["to_prefilter"] is True
     assert manifest["outputs"][1]["to_prefilter"] is False
