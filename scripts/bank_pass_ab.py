@@ -12,10 +12,10 @@ change's perfbench/workloads, or the path of a config file ending in
 noise stack of its (nt, nz, nx) goes through one run_filter_bank(frames,
 bank) pass per timing, the resolved bank carrying its boundary and TO
 prefilter, every output drained block by block into a sink that drops
-it. Both checkouts must take the bank in that form. The
-sides alternate which runs first, pair by pair, after one untimed pass
-each. The script prints both medians, the paired median difference and
-the number of pairs in which the change was faster.
+it. Both checkouts must take the bank in that form. The sides alternate
+which runs first, pair by pair, after one untimed pass each. The script
+prints both medians, the paired median difference and the number of
+pairs in which the change was faster.
 """
 
 import argparse

@@ -591,8 +591,8 @@ def whole_lattice_outputs(frames, bank):
              grid.nx)
     spectrum = scipy.fft.rfftn(frames.data, s=shape)
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:grid.nx // 2 + 1]
-    lateral = to_transfer(bank.to, kx) if bank.to else None
-    if bank.to:
+    if bank.to is not None:
+        lateral = to_transfer(bank.to, kx)
         lateral[lateral < np.finfo(frames.data.dtype).tiny] = 0.0
     outs = []
     for _, fspec, _, used_to in run_filter_bank(frames, bank):
