@@ -11,22 +11,40 @@ change first for the others, so a drift of the host over the session
 weighs on both sides alike. For each metric the script prints every run,
 both medians, the quartiles of each side, and the number of pairs in which
 the change read lower. It runs nothing but perfbench/run.py.
+
+Each run keeps Python's bytecode in a new empty directory of its own
+(PYTHONPYCACHEPREFIX), with writing on: the run's first interpreter
+compiles every module it imports there, and the later ones read it. So
+neither side reads bytecode that its checkout left in __pycache__, which
+would favour it: `import velofilt.cli` took 92 ms with the package's
+__pycache__ and 129 ms without (in-process import time, medians of 12
+alternated probes, 2-core x86_64 VM, Python 3.11). With writing off,
+every interpreter would compile numpy as well: `import velofilt.cli` took
+0.3 s more on that host.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in checkout."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+    """The result line of one perfbench run in checkout, with a bytecode
+    cache of its own (see the module docstring)."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pyc-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, check=True,
+            env=env)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

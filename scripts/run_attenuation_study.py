@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from velofilt.cli import write_csv
-from velofilt.core import make_grid
+from velofilt.core import FrameStream, gather_frames, make_grid
 from velofilt.metrics import measure_attenuation
 from velofilt.phantom import BubbleSet, synthesize_frames
 from velofilt.psf import PsfParams, ToParams
@@ -53,7 +53,9 @@ def main():
     grid = make_grid(64, 64, 0.05, 0.05)
     bubble = BubbleSet(np.array([[0.0, 0.0, 0.0]]),
                        np.zeros((1, 3)), np.array([0]))
-    frames, _ = synthesize_frames(bubble, (), grid, args.nt, args.dt, p)
+    frames = gather_frames(FrameStream(
+        grid, args.nt, args.dt, lambda append: synthesize_frames(
+            bubble, (), grid, args.nt, args.dt, p, append)))
     frames_to = apply_to_filter(frames, t)
     mid = args.nt // 2
     span = (mid - 5, mid + 5)

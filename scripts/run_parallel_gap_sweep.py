@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 from velofilt.cli import localize, score, study_runs, synthesize, write_csv
+from velofilt.localize import localize_frames
 
 CONFIG = Path(__file__).resolve().parent / "configs" / "parallel_gap.json"
 
@@ -48,7 +49,8 @@ def main():
         t0 = time.time()
         frames, point_frames = synthesize(r, r.seed)
         vf = score(r, localize(r, frames), point_frames)
-        raw = score(r, localize(r, frames, bank=False), point_frames)
+        raw = score(r, localize_frames(frames, r.psf, cfg=r.detector),
+                    point_frames)
         rows.append([f"{gap:.2f}"] + [f"{m[key]:.4f}" for key in ("iou", "le")
                                       for m in (vf, raw)])
         print(f"gap={gap:.2f}: iou vf={vf['iou']:.3f} raw={raw['iou']:.3f}  "

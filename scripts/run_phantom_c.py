@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from velofilt.cli import localize, score, study_runs, synthesize, write_csv
+from velofilt.localize import localize_frames
 
 CONFIG = Path(__file__).resolve().parent / "configs" / "crossing.json"
 
@@ -43,8 +44,8 @@ def main():
         checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
         frames, point_frames = synthesize(r, r.seed)
         t0 = time.time()
-        for bank in (True, False):
-            locs = localize(r, frames, bank=bank)
+        for locs in (localize(r, frames),
+                     localize_frames(frames, r.psf, cfg=r.detector)):
             columns.append([
                 score(r, locs[locs["t"] < nt], point_frames[:nt])["iou"]
                 for nt in checkpoints])

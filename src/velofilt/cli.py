@@ -9,9 +9,9 @@ stage's wall time, peak memory, seed and config hash, and the artifact
 checksums; identical (config, seed, version) runs reproduce identical
 checksums. A stage that reads the synth stack checks its header against
 the config first. The study scripts and tests run a config in memory
-through `resolve`, `synthesize`, `localize` and `score`, the code the
-synth, localize and metrics stages run; `study_runs` gives the study
-scripts their common flags and resolves each run of a sweep.
+through `resolve`, `synthesize`, `localize` and `score`, the stages' own
+code, on the float32 frames the synth stage writes. `study_runs` gives the
+study scripts their common flags and resolves each run of a sweep.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -39,7 +39,7 @@ from .core import (MAX_ELEMENTS, FrameStack, FrameStream, Grid2D,
                    load_frame_stack, make_fine_grid, make_grid,
                    save_frame_stack, to_float32, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
-                       localize_frames, positions_by_frame, run_pipeline,
+                       positions_by_frame, run_pipeline,
                        save_localizations_csv, segment_support,
                        velocity_map_from_locs)
 from .metrics import (LeParams, default_le_params, fve, iou,
@@ -423,14 +423,36 @@ def resolve(cfg: dict) -> Resolved:
                              "whose square is not finite")
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
-        # the render squares each bubble's offset from a pixel
-        reach = _fastest(points, flow) * span
+        # the render squares each bubble's offset from a pixel, which
+        # grows with a listed bubble's distance from the origin and with
+        # the travel
+        start = _farthest(points)
+        reach = start + _fastest(points, flow) * span
         if not math.isfinite(reach * reach):
-            raise ValueError(f"bubbles move up to {reach:.3g} mm over the "
-                             "run, whose square is not finite")
+            where = "from the origin " if start else ""
+            raise ValueError(f"bubbles move up to {reach:.3g} mm {where}"
+                             "over the run, whose square is not finite")
     with _section("filter_bank"):
         bank = _bank(cfg["filter_bank"], p, to)
         bank_pads(bank, nt, dt, grid)
+    with _section("psf"):
+        # the render divides each squared offset of a bubble from a pixel
+        # by 2 sigma_r^2: a subnormal divisor, or a quotient past the
+        # float range, would overflow under numpy warnings (and the peak
+        # 1 / (2 pi sigma_r^2) with them). An offset whose square alone is
+        # not finite is the grid's or the phantom's, not sigma_r's.
+        s2 = 2.0 * p.sigma_r**2
+        offset = math.hypot(*grid.extent_mm) + reach
+        square = offset * offset
+        if s2 < sys.float_info.min:
+            raise ValueError(f"sigma_r {p.sigma_r:.3g} mm is too small for "
+                             f"the render: 2 sigma_r^2 = {s2:.3g} is not a "
+                             "normal float")
+        if math.isfinite(square) and not math.isfinite(square / s2):
+            raise ValueError(f"sigma_r {p.sigma_r:.3g} mm is too small for "
+                             "the render: a bubble's offset from a pixel, "
+                             f"up to {offset:.3g} mm, squared over 2 "
+                             "sigma_r^2 is not finite")
     mcfg = cfg.get("metrics", {})
     with _section("metrics"):
         le = default_le_params(
@@ -505,6 +527,15 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
     return None, vessels
 
 
+def _farthest(points: BubbleSet | None) -> float:
+    """The largest distance of a listed bubble from the origin, mm; 0 for
+    a phantom that lists none."""
+    if points is None:
+        return 0.0
+    return max(map(math.hypot, points.pos[:, 0].tolist(),
+                   points.pos[:, 2].tolist()), default=0.0)
+
+
 def _fastest(points: BubbleSet | None, flow: Flow) -> float:
     """The phantom's fastest bubble speed, mm/s: its listed bubbles' or
     its flow's peak speed v0."""
@@ -571,29 +602,35 @@ def _draw_bubbles(r: Resolved, rng: np.random.Generator) -> BubbleSet:
 
 def synthesize(r: Resolved, seed: int, sink=None
                ) -> tuple[FrameStack | None, list[np.ndarray]]:
-    """The config's frames (float64) and per-frame truth points, with the
-    bubbles and the noise drawn from one generator seeded with seed. With
-    sink, the frames go to sink block by block and no stack is returned
-    (see synthesize_frames)."""
+    """The config's frames and per-frame truth points, with the bubbles
+    and the noise drawn from one generator seeded with seed. Each block is
+    cast once to the float32 the synth stage writes (core.to_float32), then
+    goes to sink, and None is returned, or without sink into the stack."""
     rng = np.random.default_rng(seed)
     # a draw can still fail on the section's values, e.g. a Poisson mean
     # too large for numpy
     with _section("phantom"):
         bubbles = _draw_bubbles(r, rng)
-    return synthesize_frames(
-        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf,
-        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None,
-        sink=sink)
+    blocks: list[np.ndarray] = []
+    done = 0
+
+    def cast(block: np.ndarray) -> None:
+        nonlocal done
+        (blocks.append if sink is None else sink)(to_float32(block, done))
+        done += len(block)
+
+    point_frames = synthesize_frames(
+        bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, cast,
+        noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
+    stack = None if sink else FrameStack(r.grid, r.nt, r.dt,
+                                         np.concatenate(blocks))
+    return stack, point_frames
 
 
-def localize(r: Resolved, frames: FrameStack | FrameStream, workers: int = 1,
-             bank: bool = True) -> np.ndarray:
-    """The localization table of frames, rows by frame: the config's bank,
-    detector and TO prefilter, or with bank=False the same detection on the
-    unfiltered frames, which must then be a FrameStack (the raw baseline,
-    untagged)."""
-    if not bank:
-        return localize_frames(frames, r.psf, cfg=r.detector)
+def localize(r: Resolved, frames: FrameStack | FrameStream,
+             workers: int = 1) -> np.ndarray:
+    """The localization table of frames, rows by frame, through the
+    config's bank, detector and TO prefilter."""
     result = run_pipeline(frames, r.bank, r.psf, cfg=r.detector,
                           workers=workers)
     return np.concatenate(result.per_frame)

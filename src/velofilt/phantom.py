@@ -17,9 +17,8 @@ decides how `synthesize_frames` moves and respawns the bubbles and what
 `synthesize_frames` allocates its per-bubble work arrays once per call and
 renders every frame into them in place. Its frames are byte for byte those
 of the allocating per-frame reference, `render_frame` in `tests/oracles.py`.
-It makes the frames in blocks: into the whole stack, or one block at a time
-into a work buffer handed to a sink, which is how the synth stage streams
-its stack to disk without holding it.
+It hands the frames to a sink one block at a time, from one work buffer,
+so no whole stack is held.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FrameStack, Grid2D, load_csv_rows
+from .core import Grid2D, load_csv_rows
 from .psf import PsfParams
 
 
@@ -352,11 +351,12 @@ _SYNTH_BLOCK = 1 << 18
 
 
 def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
-                      nt: int, dt: float, p: PsfParams, noise_std: float = 0.0,
-                      rng: np.random.Generator | None = None,
-                      sink: Callable[[np.ndarray], object] | None = None
-                      ) -> tuple[FrameStack | None, list[np.ndarray]]:
-    """Advance bubbles over nt frames and render each frame.
+                      nt: int, dt: float, p: PsfParams,
+                      sink: Callable[[np.ndarray], object],
+                      noise_std: float = 0.0,
+                      rng: np.random.Generator | None = None
+                      ) -> list[np.ndarray]:
+    """Advance bubbles over nt frames and render each frame to sink.
 
     A frame is the sum of the pre-envelope PSFs at the bubbles' image
     positions. The PSF is separable in (x, z): per bubble the field is the
@@ -376,18 +376,16 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     White Gaussian noise of standard deviation noise_std is added per sample.
 
     The frames are made in blocks of at most _SYNTH_BLOCK samples (at
-    least one frame), each block's noise drawn from rng after its frames
-    are rendered. The draws of successive blocks are the values one draw
-    of the whole stack gives, and rendering draws nothing, so the stack
-    does not depend on the block size. Without sink the blocks are views
-    of the whole float64 stack, which is returned. With sink, every block
-    is rendered into one float64 work buffer and sink(block) is called
-    with it, noise added, in frame order; the buffer is reused for the
-    next block, no stack is kept and None is returned in its place.
+    least one frame), each rendered into one float64 work buffer, its
+    noise drawn from rng after its frames are rendered, and handed to
+    sink(block) in frame order. The buffer is reused for the next block,
+    so sink keeps what it needs by copying. The draws of successive blocks
+    are the values one draw of the whole stack gives, and rendering draws
+    nothing, so the frames do not depend on the block size.
 
-    Returns the stack and the per-frame truth points: point_frames[t] is an
-    (n_t, 5) array with columns (id, x_mm, z_mm, vx_mm_s, vz_mm_s), holding
-    the bubbles whose image position falls inside the grid at that frame.
+    Returns the per-frame truth points: point_frames[t] is an (n_t, 5)
+    array with columns (id, x_mm, z_mm, vx_mm_s, vz_mm_s), holding the
+    bubbles whose image position falls inside the grid at that frame.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
@@ -400,14 +398,14 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     lengths = [v.length if v.length is not None
                else default_vessel_length(grid, p) for v in vessels]
     step = max(1, _SYNTH_BLOCK // (grid.nz * grid.nx))
-    data = np.empty((nt if sink is None else min(step, nt), grid.nz, grid.nx))
+    data = np.empty((min(step, nt), grid.nz, grid.nx))
     n = len(bubbles)
     work = (np.empty((n, grid.nx)), np.empty((n, grid.nz)),
             np.empty((n, grid.nz)))
     point_frames = []
     state = bubbles.copy()
     for t0 in range(0, nt, step):
-        block = data[t0:t0 + step] if sink is None else data[:nt - t0]
+        block = data[:nt - t0]
         for k in range(block.shape[0]):
             _render_into(state.pos, grid, p, work, block[k])
             keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
@@ -421,11 +419,8 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
                     state = _respawn_nearest(state, vessels, lengths)
         if noise_std > 0:
             block += rng.normal(0.0, noise_std, size=block.shape)
-        if sink is not None:
-            sink(block)
-    if sink is not None:
-        return None, point_frames
-    return FrameStack(grid=grid, nt=nt, dt=dt, data=data), point_frames
+        sink(block)
+    return point_frames
 
 
 def _render_into(pos: np.ndarray, grid: Grid2D, p: PsfParams,

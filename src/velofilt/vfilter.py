@@ -36,22 +36,22 @@ by v_f * 4 sigma_t or accept wrap-around (a FilterBankSpec's boundary
 "periodic" skips the temporal pad too, for stationary-statistics
 measurements).
 
-The input's dtype sets the precision: a float32 stack (as the CLI reads
-from its .f32 files) gives complex64 spectra and float32 outputs, a float64
-stack complex128 and float64. The gains are computed in float64, one slab
-at a time, and cast to the spectrum's precision in the multiply. Where the
-exponent is so negative that exp, cast to the spectrum's precision, is
-exactly 0, the gain is 0: past |Omega + k . v_f| = sqrt(-2 floor) / sigma_t
-(28.9 rad/s at sigma_t = 0.5 s in float32, floor from _exp_floor). That is
-about half of a padded lattice in float64 and four fifths in float32, and
-it lies in whole omega rows: bounding k . v_f over a slab's kz rows and
-every kx column bounds the omega rows the ridge can reach (_row_bound,
-from the 1-D lattices alone). So a slab's gain and product are built on
-those rows alone and the other rows are zero-filled, which is what the
-whole-lattice gain puts there; inside them an entry below the floor is set
-to 0 without calling exp, whose underflow path is slow. The shared
-spectrum keeps, per slab, the union of every filter's rows: 30 % of the
-padded spectrum on axial-pre's bank, which has one heading.
+The input's dtype sets the precision: a float32 stack (every production
+run's) gives complex64 spectra and float32 outputs, a float64 stack (a
+library and test path) complex128 and float64. The gains are computed in
+float64, one slab at a time, and cast to the spectrum's precision in the
+multiply. No gain entry is subnormal in that precision, whose slow path the
+product and the ifft would run on: the gain is 0 past |Omega + k . v_f| =
+sqrt(-2 floor) / sigma_t (26.4 rad/s at sigma_t = 0.5 s in float32, floor
+from _exp_floor). That is about half of a padded lattice in float64 and
+four fifths in float32, and it lies in whole omega rows: bounding k . v_f
+over a slab's kz rows and every kx column bounds the omega rows the ridge
+can reach (_row_bound, from the 1-D lattices alone). So a slab's gain and
+product are built on those rows alone and the other rows are zero-filled,
+which is what the whole-lattice gain puts there; inside them an entry below
+the floor is set to 0 without calling exp, whose underflow path is slow.
+The shared spectrum keeps, per slab, the union of every filter's rows: 30 %
+of the padded spectrum on axial-pre's bank, which has one heading.
 
 The transforms are scipy's pocketfft, called through _pocketfft, which
 loads its extension on the first transform and never imports scipy.fft.
@@ -165,12 +165,10 @@ def tile_speeds(v_max: float, delta_v: float) -> np.ndarray:
 
 
 def _exp_floor(dtype) -> float:
-    """Exponent below which exp rounds to exactly 0 in dtype: -104.3 for
-    float32, -745.4 for float64. Below it exp is at most e^-1 times the
-    smallest subnormal of dtype, less than half of it. Float64 exp returns
-    0 there itself, so the float64 floor changes no byte of a gain; the
-    float32 floor skips only values that the cast to float32 makes 0."""
-    return float(np.log(np.finfo(dtype).smallest_subnormal)) - 1.0
+    """The log of the smallest normal number of dtype, -87.3 for float32
+    and -708.4 for float64: a gain whose exponent is below it is 0, and exp
+    of an exponent at or above it is a normal number."""
+    return math.log(np.finfo(dtype).tiny)
 
 
 def _gain(om: np.ndarray, kz: np.ndarray, kx: np.ndarray,
@@ -269,17 +267,18 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
     marks. With live the slab's _row_bound, every other omega row of the
     slab is exactly 0, and the runs are one or two slices (none if the
     passband reaches no row). The gain is H, with the Hermitian mean on
-    the Nyquist planes, and 0 where the cast to dtype would round it to 0
-    (_exp_floor). With to, a filter routed through the TO prefilter, it is
-    then multiplied by psf.to_transfer(to, kx), which is even in kx and so
-    the same at a Nyquist bin and its mirror, with 0 where that factor is
-    below the smallest normal number of dtype.
+    the Nyquist planes, times psf.to_transfer(to, kx) with to, a filter
+    routed through the TO prefilter (even in kx, so the same at a Nyquist
+    bin and its mirror). An entry below e^floor (_exp_floor), the smallest
+    normal number of dtype, is 0: H through its exponent, without exp, and
+    a Nyquist-plane mean or a TO product once it is formed.
 
     Each entry depends on its own frequencies alone, so a row's gain is
     byte for byte that row of the whole-lattice gain; the lattices, their
     mirrors, the Nyquist-plane means and the TO factor are computed once
     here, for one filter."""
     floor = _exp_floor(dtype)
+    least = math.exp(floor)
     sizes = (nt, grid.nz, grid.nx)
     axes, mirror = _lattices(grid, nt, dt)
     planes = []
@@ -287,15 +286,13 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
         if n % 2 == 0:
             plane = [slice(None)] * 3
             plane[ax] = slice(n // 2, n // 2 + 1)
-            planes.append((ax, n // 2, 0.5 * (
+            mean = 0.5 * (
                 _gain(*(a[p] for a, p in zip(axes, plane)), spec, floor)
-                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec,
-                        floor))))
+                + _gain(*(m[p] for m, p in zip(mirror, plane)), spec, floor))
+            mean[mean < least] = 0.0
+            planes.append((ax, n // 2, mean))
     if to is not None:
-        # a factor subnormal in dtype would put the product and the ifft
-        # along t on subnormals, which run many times slower
         lateral = to_transfer(to, axes[2])
-        lateral[lateral < np.finfo(dtype).tiny] = 0.0
 
     def rows(z0: int, z1: int,
              live: np.ndarray) -> list[tuple[slice, np.ndarray]]:
@@ -317,6 +314,7 @@ def _gain_rows(grid: Grid2D, nt: int, dt: float, spec: VelocityFilterSpec,
                     gain[:, :, i] = mean[t0:t1, z0:z1, 0]
             if to is not None:
                 gain *= lateral
+                np.copyto(gain, 0.0, where=gain < least)
             out.append((slice(t0, t1), gain))
         return out
 

@@ -17,7 +17,9 @@ import scipy.ndimage
 import scipy.signal
 
 from closed_forms import m_matrix
-from velofilt.core import PAIR_BLOCK, FrameStack, kx_lattice, kz_lattice
+from velofilt.core import (PAIR_BLOCK, FrameStack, FrameStream,
+                           gather_frames, kx_lattice, kz_lattice)
+from velofilt.phantom import synthesize_frames
 from velofilt.psf import (eval_post_envelope, eval_pre_envelope, eval_to_psf)
 
 
@@ -366,7 +368,8 @@ def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t,
     lattice of an (nt, nz, nx) stack, evaluated on the whole lattice at
     once, and 0 where the exponent is below floor. On the Nyquist plane of
     each even axis it is the mean of H at the bin and at the bin with every
-    even axis's Nyquist frequency negated."""
+    even axis's Nyquist frequency negated, and 0 where that mean is below
+    e^floor."""
     def lattice(n, d):
         return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
 
@@ -386,6 +389,7 @@ def velocity_gain_ref(nt, dt, nz, dz, nx, dx, v_f, sigma_t,
 
     gain = h(*axes)
     gain[nyquist] = (0.5 * (gain + h(*mirror)))[nyquist]
+    gain[nyquist & (gain < math.exp(floor))] = 0.0
     return gain
 
 
@@ -395,6 +399,19 @@ def trimmed_irfftn_ref(spec, s, axes, keep):
     for ax, k in zip(axes, keep):
         index[ax] = k
     return scipy.fft.irfftn(spec, s, axes=axes)[tuple(index)]
+
+
+def synthesize_stack(bubbles, flow, grid, nt, dt, p, **kwargs):
+    """(stack, point_frames): phantom.synthesize_frames' float64 blocks
+    gathered into one FrameStack, and its truth points. kwargs go to
+    synthesize_frames."""
+    points = []
+
+    def fill(append):
+        points.extend(synthesize_frames(bubbles, flow, grid, nt, dt, p,
+                                        append, **kwargs))
+
+    return gather_frames(FrameStream(grid, nt, dt, fill)), points
 
 
 def render_frame(bubbles, grid, p):

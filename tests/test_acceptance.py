@@ -19,15 +19,14 @@ import scipy.integrate
 
 from closed_forms import joint_density, q_post, q_pre, to_q
 from oracles import (apply_filter_direct, band_density_quad,
-                     filtered_response_quad)
+                     filtered_response_quad, synthesize_stack)
 from velofilt.cli import load_config, localize, resolve, synthesize
 from velofilt.core import FrameStack, make_grid
-from velofilt.localize import (accumulate, segment_support,
-                               velocity_map_from_locs)
+from velofilt.localize import (accumulate, localize_frames,
+                               segment_support, velocity_map_from_locs)
 from velofilt.metrics import (default_le_params, fve, iou,
                               localization_error, measure_attenuation)
-from velofilt.phantom import (VesselSpec, from_plane, synthesize_frames,
-                              truth_maps)
+from velofilt.phantom import VesselSpec, from_plane, truth_maps
 from velofilt.psf import PsfParams, ToParams, render_psf
 from velofilt.theory import (apparent_density, attenuation_pre,
                              filtered_density, make_noise_spec, nrf_bound,
@@ -53,7 +52,7 @@ def _moving_bubble(grid, v, nt, dt, p=P):
     tmid = 0.5 * nt * dt
     start = (-v[0] * tmid, -v[1] * tmid)
     bub = from_plane(np.array([start]), np.array([v], dtype=np.float64))
-    frames, _ = synthesize_frames(bub, (), grid, nt, dt, p)
+    frames, _ = synthesize_stack(bub, (), grid, nt, dt, p)
     track = np.array([[start[0] + v[0] * t * dt, start[1] + v[1] * t * dt]
                       for t in range(nt)])
     return frames, track
@@ -208,7 +207,7 @@ def test_criterion_05_attenuation_anisotropy_and_to_gain():
     sigma_t_to = 1.5
     grid_to = make_grid(192, 96, 0.05, 0.05)  # TO envelope is wide laterally
     bub = from_plane(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))
-    frames, _ = synthesize_frames(bub, (), grid_to, 8, 0.05, P)
+    frames, _ = synthesize_stack(bub, (), grid_to, 8, 0.05, P)
     spec_to = VelocityFilterSpec(v_f=(1.0, 0.0), sigma_t=sigma_t_to)
     plain_out = apply_filter_fft(frames, spec_to, boundary="periodic")
     a_plain = measure_attenuation(frames, plain_out, (0.0, 0.0),
@@ -353,12 +352,13 @@ def test_criterion_09_filtering_beats_concentration_tradeoff():
 
     r, frames_hi, truth = _crossing_run(cfg, c_high)
     iou_vf = _support_iou(localize(r, frames_hi), r, truth)
-    iou_raw = _support_iou(localize(r, frames_hi, bank=False), r, truth)
+    iou_raw = _support_iou(localize_frames(frames_hi, r.psf, r.detector),
+                           r, truth)
     del frames_hi
 
     r, frames_lo, truth_lo = _crossing_run(cfg, c_high / 6.0)
-    iou_raw_lo = _support_iou(localize(r, frames_lo, bank=False), r,
-                              truth_lo)
+    iou_raw_lo = _support_iou(localize_frames(frames_lo, r.psf, r.detector),
+                              r, truth_lo)
 
     assert iou_vf >= 2.0 * iou_raw
     assert iou_vf > iou_raw_lo

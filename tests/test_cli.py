@@ -35,7 +35,7 @@ from velofilt.cli import (CONFIG_SCHEMA, ConfigError, check_config,
                           load_config, main)
 from velofilt.core import (FrameStack, gather_frames, load_frame_stack,
                            save_frame_stack, write_pgm)
-from velofilt.localize import save_localizations_csv
+from velofilt.localize import localize_frames, save_localizations_csv
 from velofilt.phantom import save_truth_csv
 from velofilt.psf import PsfParams
 from velofilt.theory import velocity_bandwidth
@@ -212,11 +212,12 @@ def test_in_memory_run_is_the_stages_without_files(tmp_path):
     r = cli.resolve(load_config(cfg_path))
     frames, point_frames = cli.synthesize(r, 5)
     stack = gather_frames(load_frame_stack(out / "t_frames"))
-    assert np.array_equal(stack.data, frames.data.astype(np.float32))
-    # localize on the stage's float32 stack writes the stage's bytes
-    mem = save_localizations_csv(cli.localize(r, stack), tmp_path / "m.csv")
+    assert frames.data.dtype == np.float32
+    assert frames.data.tobytes() == stack.data.tobytes()
+    # localize on the in-memory stack writes the stage's bytes
+    mem = save_localizations_csv(cli.localize(r, frames), tmp_path / "m.csv")
     assert mem.read_bytes() == (out / "t_locs.csv").read_bytes()
-    raw = cli.localize(r, frames, bank=False)
+    raw = localize_frames(frames, r.psf, cfg=r.detector)
     assert len(raw) > 0 and np.isnan(raw["vx"]).all()
     assert np.all(np.diff(raw["t"]) >= 0)
 
@@ -517,6 +518,51 @@ def test_bubble_speed_whose_travel_overflows_exits_2(tmp_path, capsys):
         err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
     assert err.startswith("config error: phantom: bubbles move up to "
                           "4e+299 mm over the run, whose square")
+
+
+def test_listed_bubble_whose_offset_overflows_exits_2(tmp_path, capsys):
+    # a grid_bubbles position 1e300 mm from the origin: the render's square
+    # of its offset from a pixel overflowed under a numpy warning, four
+    # stages said "ok" and metrics exited 3 with no localizations to score
+    cfg = _phantom_e_at_nt_20("motion", "nt", 20)
+    cfg["phantom"] = {"kind": "grid_bubbles", "positions_mm": [[1e300, 0.0]],
+                      "velocities_mm_s": [[0.0, 0.0]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: phantom: bubbles move up to 1e+300 "
+                          "mm from the origin over the run, whose square is "
+                          "not finite")
+
+
+def _small_sigma_r_cases():
+    # 2 sigma_r^2 = 2e-310 is subnormal: the render's divisions overflowed
+    # under two numpy warnings, its peak under an invalid-value one, and
+    # synth exited 4 at the float32 cast
+    cfg = _phantom_e_at_nt_20("psf", "sigma_r_mm", 1e-155)
+    cfg["filter_bank"]["speeds_mm_s"] = [0.5]
+    yield pytest.param(cfg, "2 sigma_r^2 = 2e-310 is not a normal float",
+                       id="subnormal")
+    # a bubble 1e150 mm out squares to 1e300, which 2 sigma_r^2 = 2e-16
+    # takes past the float range: the render overflowed under a numpy
+    # warning and metrics exited 3 with no localizations to score
+    cfg = _phantom_e_at_nt_20("psf", "sigma_r_mm", 1e-8)
+    cfg["filter_bank"]["speeds_mm_s"] = [0.5]
+    cfg["phantom"] = {"kind": "grid_bubbles", "positions_mm": [[1e150, 0.0]],
+                      "velocities_mm_s": [[0.0, 0.0]]}
+    yield pytest.param(cfg, "a bubble's offset from a pixel, up to 1e+150 "
+                       "mm, squared over 2 sigma_r^2 is not finite",
+                       id="quotient")
+
+
+@pytest.mark.parametrize("cfg, reason", _small_sigma_r_cases())
+def test_sigma_r_too_small_for_the_render_exits_2(tmp_path, capsys, cfg,
+                                                  reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err.startswith("config error: psf: sigma_r ")
+    assert f"mm is too small for the render: {reason}\n" in err
 
 
 def test_frame_interval_whose_run_span_overflows_exits_2(tmp_path, capsys):

@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 from closed_forms import autocorr_peak
 from oracles import (accumulate_loop, disk_closing, local_max_candidates,
                      merge_frame_loop, quadratic_offset_lstsq,
-                     replica_reach_ref, suppress_loop, velocity_map_loop)
+                     replica_reach_ref, suppress_loop, synthesize_stack,
+                     velocity_map_loop)
 from velofilt import _pocketfft, localize
 from velofilt.core import (FrameStack, gather_frames, make_fine_grid,
                            make_grid)
@@ -28,7 +29,7 @@ from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
                                psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
-from velofilt.phantom import from_plane, synthesize_frames
+from velofilt.phantom import from_plane
 from velofilt.psf import PsfParams, ToParams, autocorr_theory, render_psf
 from velofilt.vfilter import apply_filter_fft, make_bank, run_filter_bank
 
@@ -709,8 +710,8 @@ def lateral_mover():
     """One bubble from (-1, 0) mm at (1, 0) mm/s: 60 float32 frames at
     25 ms on a 64^2 grid at 0.05 mm, and the one filter matched to it."""
     bubble = from_plane([(-1.0, 0.0)], [(1.0, 0.0)])
-    frames, _ = synthesize_frames(bubble, (), make_grid(64, 64, 0.05, 0.05),
-                                  60, 0.025, P)
+    frames, _ = synthesize_stack(bubble, (), make_grid(64, 64, 0.05, 0.05),
+                                 60, 0.025, P)
     frames.data = frames.data.astype(np.float32)
     return frames, make_bank([1.0], [0.0], sigma_t=0.5)
 

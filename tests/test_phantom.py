@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import render_frame
+from oracles import render_frame, synthesize_stack
 from velofilt.core import make_grid
 from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
                               _respawn_nearest, advance, concat_bubbles,
@@ -14,7 +14,7 @@ from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
                               flow_speed, from_plane, load_truth_csv,
                               respawn_axial, sample_bubbles,
                               sample_circular_bubbles, save_truth_csv,
-                              synthesize_frames, truth_maps)
+                              truth_maps)
 from velofilt.psf import PsfParams, render_psf
 
 P = PsfParams(sigma_r=0.3, wavelength=0.3)
@@ -229,7 +229,7 @@ def test_synthesized_frames_equal_the_reference_render(phantom):
     grid = make_grid(64, 48, 0.1, 0.1)
     bubbles, flow = phantom(grid, np.random.default_rng(3))
     nt, dt = 8, 0.05
-    stack, _ = synthesize_frames(bubbles, flow, grid, nt, dt, P)
+    stack, _ = synthesize_stack(bubbles, flow, grid, nt, dt, P)
     center = flow.center if isinstance(flow, CircularBandSpec) else None
     vessels = () if center is not None else tuple(flow)
     lengths = [default_vessel_length(grid, P)] * len(vessels)
@@ -297,7 +297,7 @@ def test_truth_maps_crossing_vessels():
 def test_synthesize_static_bubble_equals_rendered_psf():
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(0.12, -0.08)], [(0.0, 0.0)])
-    stack, truth = synthesize_frames(b, (), grid, nt=3, dt=0.01, p=P)
+    stack, truth = synthesize_stack(b, (), grid, nt=3, dt=0.01, p=P)
     want = render_psf(P, grid, mode="pre", center=(0.12, -0.08))
     for t in range(3):
         assert np.allclose(stack.data[t], want, atol=1e-12)
@@ -309,7 +309,7 @@ def test_synthesize_static_bubble_equals_rendered_psf():
 def test_synthesize_moving_bubble_truth_tracks_position():
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(-0.3, 0.0)], [(2.0, 1.0)])
-    stack, truth = synthesize_frames(b, (), grid, nt=5, dt=0.05, p=P)
+    stack, truth = synthesize_stack(b, (), grid, nt=5, dt=0.05, p=P)
     for t, pts in enumerate(truth):
         assert pts[0, 1] == pytest.approx(-0.3 + 2.0 * t * 0.05)
         assert pts[0, 2] == pytest.approx(1.0 * t * 0.05)
@@ -319,22 +319,22 @@ def test_synthesize_moving_bubble_truth_tracks_position():
 def test_synthesize_truth_drops_out_of_grid_points():
     grid = make_grid(21, 21, 0.05, 0.05)   # extent +-0.5
     b = from_plane([(0.45, 0.0)], [(3.0, 0.0)])
-    stack, truth = synthesize_frames(b, (), grid, nt=4, dt=0.05, p=P)
+    stack, truth = synthesize_stack(b, (), grid, nt=4, dt=0.05, p=P)
     assert truth[0].shape[0] == 1
     assert truth[1].shape[0] == 0   # at x = 0.6, outside
 
 
 def test_synthesize_zero_bubbles_and_validation():
     grid = make_grid(17, 17, 0.05, 0.05)
-    stack, _ = synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
-                                 p=P)
+    stack, _ = synthesize_stack(empty_bubbles(), (), grid, nt=2, dt=0.01,
+                                p=P)
     assert np.all(stack.data == 0.0)
     with pytest.raises(ValueError):
-        synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
-                          p=P, noise_std=-1.0)
+        synthesize_stack(empty_bubbles(), (), grid, nt=2, dt=0.01,
+                         p=P, noise_std=-1.0)
     with pytest.raises(ValueError):
-        synthesize_frames(empty_bubbles(), (), grid, nt=2, dt=0.01,
-                          p=P, noise_std=0.5)   # noise needs an rng
+        synthesize_stack(empty_bubbles(), (), grid, nt=2, dt=0.01,
+                         p=P, noise_std=0.5)   # noise needs an rng
 
 
 def test_synthesize_flow_sets_respawn_and_orbit():
@@ -346,18 +346,18 @@ def test_synthesize_flow_sets_respawn_and_orbit():
                        axis_angle_rad=math.pi / 2, center=(0.3, 0.0),
                        length=1.0)
     b = from_plane([(0.45, 0.02), (0.3, 0.45)], [(1.0, 0.0), (0.0, 1.0)])
-    _, truth = synthesize_frames(b, [lateral, axial], grid, nt=2, dt=0.1,
-                                 p=P)
+    _, truth = synthesize_stack(b, [lateral, axial], grid, nt=2, dt=0.1,
+                                p=P)
     assert truth[1][:, 1:3] == pytest.approx(
         np.array([[-0.45, 0.02], [0.3, -0.45]]))
-    _, free = synthesize_frames(b, (), grid, nt=2, dt=0.1, p=P)
+    _, free = synthesize_stack(b, (), grid, nt=2, dt=0.1, p=P)
     assert free[1][:, 1:3] == pytest.approx(
         np.array([[0.55, 0.02], [0.3, 0.55]]))
     # a band keeps its bubbles on their orbit about its center
     band = CircularBandSpec(orbit_radius=0.9, radius_r=0.2, v0=1.0, c_mb=1.0,
                             center=(0.1, -0.1))
     b = from_plane([(1.0, -0.1)], [(0.0, 1.0)])
-    _, truth = synthesize_frames(b, band, grid, nt=20, dt=0.05, p=P)
+    _, truth = synthesize_stack(b, band, grid, nt=20, dt=0.05, p=P)
     pts = np.vstack(truth)
     radius = np.hypot(pts[:, 1] - 0.1, pts[:, 2] + 0.1)
     assert radius == pytest.approx(np.full(20, 0.9), abs=1e-12)
@@ -367,7 +367,7 @@ def test_synthesize_flow_sets_respawn_and_orbit():
 def test_truth_csv_roundtrip(tmp_path):
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(0.1, 0.2), (-0.3, 0.0)], [(1.0, 0.5), (0.0, -2.0)])
-    _, truth = synthesize_frames(b, (), grid, nt=3, dt=0.02, p=P)
+    _, truth = synthesize_stack(b, (), grid, nt=3, dt=0.02, p=P)
     path = save_truth_csv(truth, tmp_path / "truth.csv")
     back = load_truth_csv(path)
     assert len(back) == 3

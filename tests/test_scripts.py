@@ -10,6 +10,7 @@ moves on purpose gets its entry replaced by the hash the failing test
 prints.
 """
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -22,6 +23,9 @@ from pathlib import Path
 import pytest
 
 import velofilt
+from velofilt import cli
+from velofilt.localize import load_localizations_csv, save_localizations_csv
+from velofilt.phantom import load_truth_csv, save_truth_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -153,3 +157,64 @@ def test_attenuation_study_runs_at_the_shortest_window(tmp_path):
         capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 5
+
+
+def test_study_run_is_the_pipeline_run(tmp_path, monkeypatch):
+    # run_velocity_map's run at --nt 24, made in memory through study_runs,
+    # synthesize and localize, is the run `velofilt pipeline` makes on the
+    # same edited config: the same locs and truth CSV bytes, and, scored
+    # from those CSVs as the metrics stage reads them, the same metrics.
+    # (score of the unrounded in-memory tables can differ: a sub-pixel
+    # offset clipped to half a pixel sits on a bin edge, where the CSV's
+    # 9 digits can move it to the next pixel.)
+    study = _load(SCRIPTS / "run_velocity_map.py")
+    monkeypatch.setattr(sys, "argv", ["run_velocity_map.py", "--nt", "24"])
+    _, [r] = cli.study_runs(argparse.ArgumentParser(), study.CONFIG,
+                            str(tmp_path / "unused.csv"))
+    frames, point_frames = cli.synthesize(r, r.seed)
+    locs = save_localizations_csv(cli.localize(r, frames),
+                                  tmp_path / "mem_locs.csv")
+    truth = save_truth_csv(point_frames, tmp_path / "mem_truth.csv")
+    report = cli.score(r, load_localizations_csv(locs), load_truth_csv(truth))
+
+    cfg = cli.load_config(study.CONFIG)
+    cfg["motion"]["nt"] = 24
+    cfg_path = tmp_path / "edited.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out",
+                     str(out)]) == 0
+    assert locs.read_bytes() == (out / f"{r.prefix}_locs.csv").read_bytes()
+    assert truth.read_bytes() == (out / f"{r.prefix}_truth.csv").read_bytes()
+    metrics = json.loads((out / f"{r.prefix}_metrics.json").read_text())
+    assert metrics == report and report["n_localizations"] > 0
+
+
+def test_bench_pairs_gives_each_run_an_empty_bytecode_cache(tmp_path,
+                                                           monkeypatch):
+    # every perfbench run, on either side, compiles its imports into a new
+    # empty directory and reads no checkout's __pycache__
+    bench_pairs = _load(SCRIPTS / "bench_pairs.py")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((Path(cwd), cache, list(cache.iterdir())))
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["BENCH_PAIRS_PROBE"] == "kept"
+        line = {"correct": True, "metrics": {
+            "wall_s": {"value": 1.0, "unit": "s"}}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(line), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert bench_pairs.main(["--parent", str(parent), "--change",
+                             str(change), "--workload", "orbit-bank",
+                             "--seeds", "1", "2"]) == 0
+    assert [cwd for cwd, _, _ in seen] == [parent, change, change, parent]
+    caches = [cache for _, cache, _ in seen]
+    assert all(files == [] for _, _, files in seen)
+    assert len(set(caches)) == 4
+    assert not any(cache.exists() for cache in caches)

@@ -117,13 +117,16 @@ GAIN_CASES = [
 def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
                                             underflow):
     # mostly underflowing lattices (exp's slow path, which the gain
-    # skips) and lattices with none must give exp's own bytes
+    # skips) and lattices with none must give exp's own bytes at and above
+    # the smallest normal float64, and 0 below it: no entry is subnormal
     nt, nz, nx = sizes
     grid = make_grid(nx, nz, 0.1, 0.05)
     gain = whole_gain(grid, nt, dt, VelocityFilterSpec(v_f=v_f,
                                                        sigma_t=sigma_t))
-    want = velocity_gain_ref(nt, dt, nz, 0.05, nx, 0.1, v_f, sigma_t)
+    want = velocity_gain_ref(nt, dt, nz, 0.05, nx, 0.1, v_f, sigma_t,
+                             math.log(np.finfo(np.float64).tiny))
     assert np.array_equal(gain, want)
+    assert not np.any((gain > 0.0) & (gain < np.finfo(np.float64).tiny))
     zeros = np.mean(want == 0.0)
     assert zeros > 0.5 if underflow else zeros == 0.0
 
@@ -132,16 +135,22 @@ def test_build_filter_matches_plain_formula(sizes, v_f, sigma_t, dt,
 @pytest.mark.parametrize("v_f, sigma_t, dt, underflow", GAIN_CASES)
 def test_float32_floor_changes_no_float32_gain(sizes, v_f, sigma_t, dt,
                                                underflow):
-    # the float32 floor skips exp where the float64 gain would round to 0
-    # in float32 anyway, so the multiply sees the same complex64 gain
+    # no float32 gain entry is subnormal: where the exponent is at or
+    # above the float32 floor, the gain is the float64 gain's float32
+    # cast, and below it the gain is 0
     nt, nz, nx = sizes
     grid = make_grid(nx, nz, 0.1, 0.05)
     spec = VelocityFilterSpec(v_f=v_f, sigma_t=sigma_t)
+    floor = math.log(np.finfo(np.float32).tiny)
     wide = whole_gain(grid, nt, dt, spec)
     narrow = whole_gain(grid, nt, dt, spec, np.float32)
     assert narrow.dtype == np.float64
-    assert np.array_equal(narrow.astype(np.complex64),
-                          wide.astype(np.complex64))
+    assert np.array_equal(narrow, velocity_gain_ref(
+        nt, dt, nz, 0.05, nx, 0.1, v_f, sigma_t, floor))
+    cast = narrow.astype(np.float32)
+    assert not np.any((cast > 0.0) & (cast < np.finfo(np.float32).tiny))
+    assert np.array_equal(cast, np.where(wide >= math.exp(floor), wide,
+                                         0.0).astype(np.float32))
     assert np.mean(narrow == 0.0) >= np.mean(wide == 0.0)
     assert np.array_equal(whole_gain(grid, nt, dt, spec, np.float64), wide)
 
@@ -199,7 +208,8 @@ def test_row_bound_is_sound_on_random_lattices(nt, nz, nx, dz, dx, dt,
 def test_row_bound_holds_at_the_exact_reach(nt, dt):
     # sigma_t within 20 ulps of each value that puts an omega row exactly
     # at the float32 floor's reach: float64 rounding decides whether that
-    # row's gain is about 5e-46 or 0, so the bound needs its rounding margin
+    # row's gain is about 1.2e-38 or 0, so the bound needs its rounding
+    # margin
     floor = vfilter._exp_floor(np.float32)
     grid = make_grid(2, 2, 0.1, 0.1)
     for omega in 2.0 * np.pi * np.fft.fftfreq(nt, dt)[1:nt // 2]:
@@ -582,24 +592,24 @@ def test_compact_spectrum_is_the_rows_of_rfftn(boundary, dtype, monkeypatch):
 def whole_lattice_outputs(frames, bank):
     """Each bank output as the first nt frames of the whole irfftn of the
     rfftn of the padded stack times the whole-lattice gain of the plain
-    formula, and times to_transfer on kx, 0 below the smallest normal
-    number of the stack's dtype, where the bank reports the filter
-    TO-routed."""
+    formula, times to_transfer on kx where the bank reports the filter
+    TO-routed, each entry 0 below the smallest normal number of the
+    stack's dtype."""
     grid = frames.grid
     pad = math.ceil(4.0 * bank.filters[0].sigma_t / frames.dt)
     shape = (frames.nt + 2 * pad * (bank.boundary == "pad"), grid.nz,
              grid.nx)
     spectrum = scipy.fft.rfftn(frames.data, s=shape)
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:grid.nx // 2 + 1]
-    if bank.to is not None:
-        lateral = to_transfer(bank.to, kx)
-        lateral[lateral < np.finfo(frames.data.dtype).tiny] = 0.0
+    tiny = np.finfo(frames.data.dtype).tiny
     outs = []
     for _, fspec, _, used_to in run_filter_bank(frames, bank):
         gain = velocity_gain_ref(shape[0], frames.dt, grid.nz, grid.dz,
-                                 grid.nx, grid.dx, fspec.v_f, fspec.sigma_t)
+                                 grid.nx, grid.dx, fspec.v_f, fspec.sigma_t,
+                                 math.log(tiny))
         if used_to:
-            gain *= lateral
+            gain *= to_transfer(bank.to, kx)
+            gain[gain < tiny] = 0.0
         outs.append(trimmed_irfftn_ref(
             spectrum * gain.astype(spectrum.real.dtype), shape, (0, 1, 2),
             (slice(frames.nt), slice(None), slice(None))))
