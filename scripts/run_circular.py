@@ -33,12 +33,12 @@ def main():
           f"{math.degrees(4 * sigma_t * band.v0 / band.orbit_radius):.0f} deg "
           f"per 4 sigma_t window")
 
-    frames, point_frames = synthesize(r, r.seed)
+    frames, truth = synthesize(r, r.seed)
     t0 = time.time()
     locs = localize(r, frames)
     rows = []
     for nt in [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]:
-        val = score(r, locs[locs["t"] < nt], point_frames[:nt])["iou"]
+        val = score(r, locs[locs["t"] < nt], truth[truth["t"] < nt])["iou"]
         rows.append((f"{nt * r.dt:.3g}", f"{val:.4f}"))
         print(f"t={nt * r.dt:5.1f} s  iou={val:.3f}")
     out = write_csv(Path(args.out), ["t_s", "iou"], rows)

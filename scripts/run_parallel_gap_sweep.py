@@ -47,10 +47,10 @@ def main():
     rows = []
     for gap, r in zip(args.gaps, runs):
         t0 = time.time()
-        frames, point_frames = synthesize(r, r.seed)
-        vf = score(r, localize(r, frames), point_frames)
+        frames, truth = synthesize(r, r.seed)
+        vf = score(r, localize(r, frames), truth)
         raw = score(r, localize_frames(frames, r.psf, cfg=r.detector),
-                    point_frames)
+                    truth)
         rows.append([f"{gap:.2f}"] + [f"{m[key]:.4f}" for key in ("iou", "le")
                                       for m in (vf, raw)])
         print(f"gap={gap:.2f}: iou vf={vf['iou']:.3f} raw={raw['iou']:.3f}  "

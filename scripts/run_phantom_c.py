@@ -42,12 +42,12 @@ def main():
     columns = []
     for r in runs:
         checkpoints = [int(k * r.nt) for k in (0.25, 0.5, 0.75, 1.0)]
-        frames, point_frames = synthesize(r, r.seed)
+        frames, truth = synthesize(r, r.seed)
         t0 = time.time()
         for locs in (localize(r, frames),
                      localize_frames(frames, r.psf, cfg=r.detector)):
             columns.append([
-                score(r, locs[locs["t"] < nt], point_frames[:nt])["iou"]
+                score(r, locs[locs["t"] < nt], truth[truth["t"] < nt])["iou"]
                 for nt in checkpoints])
         print(f"c_mb={r.flow[0].c_mb:.1f}: vf={columns[-2][-1]:.3f} "
               f"raw={columns[-1][-1]:.3f} [{time.time() - t0:.0f}s]")

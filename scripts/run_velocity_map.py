@@ -36,10 +36,10 @@ def main():
     speeds = [round(math.hypot(*f.v_f), 3) for f in r.bank.filters]
     print(f"bank speeds (mm/s): {speeds}")
 
-    frames, point_frames = synthesize(r, r.seed)
+    frames, truth = synthesize(r, r.seed)
     t0 = time.time()
     locs = localize(r, frames)
-    fves = {key: val for key, val in score(r, locs, point_frames).items()
+    fves = {key: val for key, val in score(r, locs, truth).items()
             if key.startswith("fve")}
     print(f"n_locs={len(locs)} " + " ".join(
         f"{key}={val:.4f} ({100 * val / vessel.v0:.1f}% of centerline)"

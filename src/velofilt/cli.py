@@ -39,8 +39,7 @@ from .core import (MAX_ELEMENTS, FrameStack, FrameStream, Grid2D,
                    load_frame_stack, make_fine_grid, make_grid,
                    save_frame_stack, to_float32, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
-                       positions_by_frame, run_pipeline,
-                       save_localizations_csv, segment_support,
+                       run_pipeline, save_localizations_csv, segment_support,
                        velocity_map_from_locs)
 from .metrics import (LeParams, default_le_params, fve, iou,
                       localization_error_frames)
@@ -435,6 +434,19 @@ def resolve(cfg: dict) -> Resolved:
     with _section("filter_bank"):
         bank = _bank(cfg["filter_bank"], p, to)
         bank_pads(bank, nt, dt, grid)
+    with _section("grid"):
+        # after the bank, whose own check names a step too fine for its
+        # gain: the render squares offsets across the grid, and the
+        # correlation scales by the pixel area in the stack's float32
+        wx, wz = grid.extent_mm
+        if not (math.isfinite(wx * wx) and math.isfinite(wz * wz)):
+            raise ValueError(f"extent {wx:.3g} x {wz:.3g} mm has no finite "
+                             "square")
+        f32 = np.finfo(np.float32)
+        area = grid.dx * grid.dz
+        if not float(f32.tiny) <= area <= float(f32.max):
+            raise ValueError(f"pixel area {area:.3g} mm^2 is not a normal "
+                             "float32")
     with _section("psf"):
         # the render divides each squared offset of a bubble from a pixel
         # by 2 sigma_r^2: a subnormal divisor, or a quotient past the
@@ -601,10 +613,10 @@ def _draw_bubbles(r: Resolved, rng: np.random.Generator) -> BubbleSet:
 # their files, for the study scripts and the tests.
 
 def synthesize(r: Resolved, seed: int, sink=None
-               ) -> tuple[FrameStack | None, list[np.ndarray]]:
-    """The config's frames and per-frame truth points, with the bubbles
-    and the noise drawn from one generator seeded with seed. Each block is
-    cast once to the float32 the synth stage writes (core.to_float32), then
+               ) -> tuple[FrameStack | None, np.ndarray]:
+    """The config's frames and truth table, with the bubbles and the
+    noise drawn from one generator seeded with seed. Each block is cast
+    once to the float32 the synth stage writes (core.to_float32), then
     goes to sink, and None is returned, or without sink into the stack."""
     rng = np.random.default_rng(seed)
     # a draw can still fail on the section's values, e.g. a Poisson mean
@@ -619,12 +631,12 @@ def synthesize(r: Resolved, seed: int, sink=None
         (blocks.append if sink is None else sink)(to_float32(block, done))
         done += len(block)
 
-    point_frames = synthesize_frames(
+    truth = synthesize_frames(
         bubbles, r.flow, r.grid, r.nt, r.dt, r.psf, cast,
         noise_std=r.noise_std, rng=rng if r.noise_std > 0 else None)
     stack = None if sink else FrameStack(r.grid, r.nt, r.dt,
                                          np.concatenate(blocks))
-    return stack, point_frames
+    return stack, truth
 
 
 def localize(r: Resolved, frames: FrameStack | FrameStream,
@@ -636,11 +648,10 @@ def localize(r: Resolved, frames: FrameStack | FrameStream,
     return np.concatenate(result.per_frame)
 
 
-def score(r: Resolved, locs: np.ndarray, point_frames: list[np.ndarray]
-          ) -> dict:
-    """The metrics stage's report of locs against the truth points of
-    frames 0..len(point_frames)-1: IoU, FVE (and the fastest-q FVE when the
-    config sets fastest_q) and LE, then the counts, in that order.
+def score(r: Resolved, locs: np.ndarray, truth: np.ndarray) -> dict:
+    """The metrics stage's report of the table locs against the truth
+    table: IoU, FVE (and the fastest-q FVE when the config sets fastest_q)
+    and LE, then the counts, in that order.
 
     Map metrics are scored at the frame grid; the detector's fine grid is
     for rendering and stays in the accumulate artifacts. Grid bubbles have
@@ -659,14 +670,10 @@ def score(r: Resolved, locs: np.ndarray, point_frames: list[np.ndarray]
             report[f"fve_fastest_{q:g}_mm_s"] = fve(tvx, tvz, est.vx, est.vz,
                                                     fastest_q=q)
 
-    n_truth = sum(f.shape[0] for f in point_frames)
-    if n_truth:
-        truth_frames = [f[:, 1:3] for f in point_frames]
-        est_frames = positions_by_frame(locs, len(point_frames))
-        report["le"] = localization_error_frames(truth_frames, est_frames,
-                                                 r.le, grid)
+    if len(truth):
+        report["le"] = localization_error_frames(truth, locs, r.le, grid)
     report["n_localizations"] = len(locs)
-    report["n_truth_points"] = int(n_truth)
+    report["n_truth_points"] = len(truth)
     return report
 
 
@@ -786,7 +793,7 @@ def _update_manifest(manifest: dict, out: Path, cfg: dict, seed: int,
 def _stage_synth(r: Resolved, out: Path, seed: int) -> list[Path]:
     """Stream the frames to disk block by block (the whole stack is never
     held), then write the truth and the preview of each pixel's max |x|."""
-    point_frames: list[np.ndarray] = []
+    truth: list[np.ndarray] = []
     peak = np.zeros((r.grid.nz, r.grid.nx))
 
     def fill(append):
@@ -796,11 +803,11 @@ def _stage_synth(r: Resolved, out: Path, seed: int) -> list[Path]:
                 # max |x| is max(max x, -min x) exactly: no |block| copy
                 np.maximum(peak, block.max(axis=0), out=peak)
                 np.maximum(peak, -block.min(axis=0), out=peak)
-        point_frames.extend(synthesize(r, seed, sink=write)[1])
+        truth.append(synthesize(r, seed, sink=write)[1])
 
     arts = list(save_frame_stack(FrameStream(r.grid, r.nt, r.dt, fill),
                                  out / f"{r.prefix}_frames"))
-    arts.append(save_truth_csv(point_frames, out / f"{r.prefix}_truth.csv"))
+    arts.append(save_truth_csv(truth[0], out / f"{r.prefix}_truth.csv"))
     if r.save_pgm:
         arts.append(write_pgm(peak, out / f"{r.prefix}_preview.pgm"))
     return arts
@@ -810,8 +817,9 @@ def _load_frames(r: Resolved, out: Path) -> FrameStream:
     """The synth stack as a stream, its header checked against the config's
     grid and clock: a stack from another config would run and score against
     the wrong geometry. A damaged header or payload size is a data error
-    here; a sample the stream finds damaged while the bank reads it is one
-    too, raised from inside the bank, before the stage writes anything."""
+    here; a short payload or a non-finite sample that the bank finds as it
+    reads the stream is one too, raised from inside the bank, before the
+    stage writes anything."""
     base = out / f"{r.prefix}_frames"
     if not base.with_suffix(".json").exists():
         raise ConfigError(f"missing input stack {base}.json (run synth "
@@ -831,8 +839,8 @@ def _load_frames(r: Resolved, out: Path) -> FrameStream:
                             f"config gives {expected!r}")
 
     def fill(append) -> None:
-        # the bank's append runs only its x pass, which raises no
-        # ValueError of its own
+        # the bank's append checks each block's samples before its x pass:
+        # the ValueError it raises names a sample of the stack
         try:
             frames.fill(append)
         except ValueError as exc:

@@ -38,6 +38,10 @@ PAIR_BLOCK = 1 << 14
 # filter bank makes hands over at once (512 KiB of float32)
 STREAM_BLOCK = 1 << 17
 
+# rows save_table_csv formats at once: a block stays under glibc's 128 KiB
+# mmap threshold, which freeing a larger buffer raises for good
+CSV_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -176,7 +180,7 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
 
 # ---------------------------------------------------------------------------
 # File formats: <name>.json header + <name>.f32 raw little-endian float32,
-# and 8-bit binary PGM previews.
+# point tables as CSV, and 8-bit binary PGM previews.
 
 class FrameStream:
     """The header of a frame stack handed over block by block, so that the
@@ -280,9 +284,10 @@ def load_frame_stack(base: str | Path) -> FrameStream:
 
     The header and the payload's size are checked here, before any sample
     is read; a damaged one raises ValueError. fill then reads the .f32 in
-    blocks of at most STREAM_BLOCK samples, and a non-finite sample, or a
-    payload that has changed size since, raises ValueError naming its
-    (t, z, x). The data stay the float32 that was stored."""
+    blocks of at most STREAM_BLOCK samples, and a payload that has changed
+    size since raises ValueError naming the frame. The data stay the
+    float32 that was stored, unchecked: the filter bank checks each block
+    it reads (see vfilter.run_filter_bank)."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     raw_path = base.with_suffix(".f32")
@@ -322,31 +327,45 @@ def load_frame_stack(base: str | Path) -> FrameStream:
                 block = np.fromfile(fh, dtype="<f4", count=n * nz * nx)
                 if block.size != n * nz * nx:
                     raise ValueError(f"raw payload ends in frame {t0}")
-                block = block.reshape(n, nz, nx)
-                check_finite(block, t0)
-                append(block)
+                append(block.reshape(n, nz, nx))
 
     return FrameStream(grid, nt, header["dt_s"], fill)
 
 
-def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
-                  converters=None) -> np.ndarray:
-    """The rows under a CSV's header line as an (n, n_cols) float array.
+def save_table_csv(table: np.ndarray, path: str | Path, header: str,
+                   row: str) -> Path:
+    """Write a table as CSV: the header line, then each row's fields in
+    dtype order through the format row, CRLF line ends. Field 0 is the
+    frame index; a NaN field after it is written empty."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for lo in range(0, len(table), CSV_ROWS):
+            values = np.column_stack([table[name][lo:lo + CSV_ROWS]
+                                      for name in table.dtype.names])
+            fh.write((((row + "\r\n") * len(values))
+                      % tuple(values.ravel().tolist())).replace(",nan", ","))
+    return Path(path)
 
-    Column 0 is a frame index and must be a non-negative integer; the
-    columns in finite must be finite. A row that breaks either rule, does
-    not parse or has another field count raises a ValueError that names
-    the file and the line.
-    """
+
+def load_table_csv(path: str | Path, dtype: np.dtype,
+                   blank: tuple[str, ...] = ()) -> np.ndarray:
+    """The table of dtype that save_table_csv wrote, a column per field.
+    Field 0 is a frame index and must be a non-negative integer; an empty
+    field of a blank column reads as NaN, and every other field must be
+    finite. A row that breaks either rule, does not parse or has another
+    field count raises a ValueError that names the file and the line."""
+    blank_cols = [dtype.names.index(name) for name in blank]
+    converters = dict.fromkeys(blank_cols, lambda f: float(f or "nan")) or None
+
     def parse(text) -> np.ndarray:
         rows = np.loadtxt(text, delimiter=",", ndmin=2, comments=None,
                           converters=converters)
-        if rows.shape[1] != n_cols:
-            raise ValueError(f"{rows.shape[1]} fields, expected {n_cols}")
+        if rows.shape[1] != len(dtype.names):
+            raise ValueError(f"{rows.shape[1]} fields, not {len(dtype.names)}")
         t = rows[:, 0]
         if not np.all((t >= 0) & (t == np.floor(t))):
             raise ValueError("t_index is not a non-negative integer")
-        if not np.isfinite(rows[:, finite]).all():
+        if not np.isfinite(np.delete(rows, blank_cols, axis=1)).all():
             raise ValueError("non-finite field")
         return rows
 
@@ -354,12 +373,12 @@ def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
         fh.readline()                   # header
         body = fh.tell()
         if not fh.readline():
-            return np.empty((0, n_cols))
+            return np.empty(0, dtype)
         # parsed from the open file: a list of its lines took about four
         # times the file's size
         fh.seek(body)
         try:
-            return parse(fh)
+            rows = parse(fh)
         except ValueError:
             # find the first bad line; the bulk parse gives no usable line
             # number
@@ -371,6 +390,10 @@ def load_csv_rows(path: str | Path, n_cols: int, finite: tuple[int, ...],
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: {exc}") from None
             raise
+    table = np.empty(len(rows), dtype)
+    for i, name in enumerate(dtype.names):
+        table[name] = rows[:, i]
+    return table
 
 
 def write_pgm(image: np.ndarray, path: str | Path) -> Path:

@@ -47,7 +47,8 @@ positions are float64 in every case.
 Localizations are rows of one table, a structured array of LOC_DTYPE: frame
 t, position x, z (mm), score, and the selecting filter velocity vx, vz
 (mm/s; NaN when untagged, as from localize_frames). Every step after
-detect works on whole tables.
+detect works on whole tables, the truth (phantom.TRUTH_DTYPE) too; a rule
+that needs frames (the cross-filter merge, the LE) groups a table by t.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ import numpy as np
 
 from . import _pocketfft
 from .core import (PAIR_BLOCK, FrameStack, FrameStream, Grid2D,
-                   check_finite, load_csv_rows, make_grid, trimmed_irfftn)
+                   check_finite, load_table_csv, make_grid, save_table_csv,
+                   trimmed_irfftn)
 from .psf import PsfParams, ToParams, render_psf
 from .vfilter import FilterBankSpec, run_filter_bank
 
@@ -404,21 +406,6 @@ def velocity_map_from_locs(locs: np.ndarray, fine_grid: Grid2D
     return VelocityMap(grid=fine_grid, speed=speed, vx=vx, vz=vz)
 
 
-def _by_frame(locs: np.ndarray, nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of frames 0..nt-1, stably sorted by frame, and the indices
-    that split them into one run per frame (np.split)."""
-    locs = locs[(locs["t"] >= 0) & (locs["t"] < nt)]
-    locs = locs[np.argsort(locs["t"], kind="stable")]
-    return locs, np.cumsum(np.bincount(locs["t"], minlength=nt))[:-1]
-
-
-def positions_by_frame(locs: np.ndarray, nt: int) -> list[np.ndarray]:
-    """(n_t, 2) arrays of (x, z) for frames 0..nt-1, rows in table order;
-    rows of other frames are dropped."""
-    locs, cuts = _by_frame(locs, nt)
-    return np.split(np.column_stack([locs["x"], locs["z"]]), cuts)
-
-
 def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
                     ) -> np.ndarray:
     """Occupied-pixel mask smoothed by morphological closing (disk)."""
@@ -453,10 +440,13 @@ class PipelineResult:
     per_frame: list[np.ndarray]
 
 
-def _merge_frame(cands: np.ndarray, radius: float) -> np.ndarray:
-    """Cross-filter duplicate removal: keep the higher score within radius."""
-    cands = cands[np.lexsort((cands["z"], cands["x"], -cands["score"]))]
-    return cands[_suppress(cands["x"], cands["z"], radius)]
+def merge_candidates(cands: np.ndarray, radius: float) -> np.ndarray:
+    """Cross-filter duplicate removal, one suppression pass grouped by
+    frame: keep the higher score within radius. A stable sort by frame,
+    score (descending), x, z lets table (bank) order break exact ties."""
+    order = np.lexsort((cands["z"], cands["x"], -cands["score"], cands["t"]))
+    x, z, t = (cands[name][order] for name in ("x", "z", "t"))
+    return cands[order[_suppress(x, z, radius, group=t)]]
 
 
 def _envelope_z(data: np.ndarray) -> np.ndarray:
@@ -589,14 +579,12 @@ def run_pipeline(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     Each bank member's detections carry its v_f as the velocity estimate.
     Members the bank routes through its TO prefilter (bank.to) are
     detected through the TO chain. Duplicates across members (same frame,
-    within lambda/4) keep the higher score. A stack with a non-finite
-    sample is rejected before any filtering; a stream checks its own
-    blocks as it reads them (see core.load_frame_stack). Each output is
-    detected block by block as the bank hands it over, so besides the
-    detection tables the pass holds no whole output (see run_filter_bank).
+    within lambda/4) keep the higher score (merge_candidates). The bank
+    rejects an input block with a non-finite sample before any filtering.
+    Each output is detected block by block as the bank hands it over, so
+    besides the detection tables the pass holds no whole output (see
+    run_filter_bank).
     """
-    if isinstance(frames, FrameStack):
-        check_finite(frames.data)
     cfg = cfg or DetectorConfig()
     grid = frames.grid
     chains = {False: _chain(grid, p, cfg)}
@@ -605,36 +593,26 @@ def run_pipeline(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     tables = [_detect_stack(out, grid, cfg, chains[used_to], v_tag=fspec.v_f)
               for _, fspec, out, used_to in run_filter_bank(frames, bank,
                                                             workers)]
-    # each frame's candidates in bank order, as the merge's tie order
-    cands, cuts = _by_frame(np.concatenate(tables), frames.nt)
-    return PipelineResult(per_frame=[
-        _merge_frame(c, p.wavelength / 4.0) for c in np.split(cands, cuts)])
+    # the candidates in bank order, as the merge's tie order
+    locs = merge_candidates(np.concatenate(tables), p.wavelength / 4.0)
+    return PipelineResult(per_frame=np.split(
+        locs, np.cumsum(np.bincount(locs["t"], minlength=frames.nt))[:-1]))
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip.
 
 def save_localizations_csv(locs: np.ndarray, path: str | Path) -> Path:
-    """Write a localization table as CSV: CRLF line ends, "%.9g" fields,
-    and empty velocity fields for untagged rows."""
-    path = Path(path)
-    values = np.column_stack([locs[name] for name in LOC_DTYPE.names])
-    rows = (("%d,%.9g,%.9g,%.9g,%.9g,%.9g\r\n" * len(locs))
-            % tuple(values.ravel().tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("t_index,x_mm,z_mm,score,vf_x_mm_s,vf_z_mm_s\r\n")
-        fh.write(rows.replace(",nan,nan\r\n", ",,\r\n"))
-    return path
+    """Write a localization table as CSV (core.save_table_csv): "%.9g"
+    fields, and empty velocity fields for untagged rows."""
+    return save_table_csv(locs, path,
+                          "t_index,x_mm,z_mm,score,vf_x_mm_s,vf_z_mm_s",
+                          "%d,%.9g,%.9g,%.9g,%.9g,%.9g")
 
 
 def load_localizations_csv(path: str | Path) -> np.ndarray:
     """The localization table save_localizations_csv wrote; empty velocity
     fields read as NaN. A malformed row, a negative t_index or a non-finite
-    x, z or score raises a ValueError naming the line (see load_csv_rows)."""
-    rows = load_csv_rows(path, len(LOC_DTYPE.names), finite=(0, 1, 2, 3),
-                         converters=dict.fromkeys(
-                             (4, 5), lambda f: float(f or "nan")))
-    locs = np.empty(len(rows), LOC_DTYPE)
-    for i, name in enumerate(LOC_DTYPE.names):
-        locs[name] = rows[:, i]
-    return locs
+    x, z or score raises a ValueError naming the line (see
+    core.load_table_csv)."""
+    return load_table_csv(path, LOC_DTYPE, blank=("vx", "vz"))

@@ -1,7 +1,9 @@
 """Evaluation metrics for localization and velocity mapping.
 
 The localization error (LE) compares truth and estimated point sets without
-any pairing step: both sets are taken as point impulses, the difference is
+any pairing step, frame by frame: the truth and localization tables
+(phantom.TRUTH_DTYPE, localize.LOC_DTYPE) are grouped by their frame t
+once. Both sets are taken as point impulses, the difference is
 blurred with an anisotropic Gaussian aligned to the flow direction, and the
 squared L2 norm is scaled so a single bubble displaced by a small d scores
 ||A d||^2 with A = Sigma^{-1/2} R(theta). Perpendicular-to-flow errors are
@@ -126,24 +128,29 @@ def localization_error(truth_points, est_points, le: LeParams,
     return 2.0 / le.n_bubbles_t * pair_sum
 
 
-def localization_error_frames(truth_frames, est_frames, le: LeParams,
-                              grid: Grid2D) -> float:
-    """Mean per-frame LE; frames with no truth points are skipped.
+def localization_error_frames(truth: np.ndarray, est: np.ndarray,
+                              le: LeParams, grid: Grid2D) -> float:
+    """Mean per-frame LE of two tables' (x, z) positions, grouped by t with
+    rows in table order, over the frames that hold a truth point.
 
     Pooling frames into one point set would let kernels from different
     times stack quadratically; the metric is only meaningful frame by frame.
-    le.n_bubbles_t is overridden with each frame's truth count.
-    """
-    vals = []
-    for t in range(min(len(truth_frames), len(est_frames))):
-        truth = np.asarray(truth_frames[t], dtype=np.float64).reshape(-1, 2)
-        if truth.shape[0] == 0:
-            continue
-        le_t = replace(le, n_bubbles_t=truth.shape[0])
-        vals.append(localization_error(truth, est_frames[t], le_t, grid))
-    if not vals:
+    le.n_bubbles_t is overridden with each frame's truth count."""
+    # a table in frame order, as every writer makes it, is not copied
+    truth, est = (a if np.all(a["t"][1:] >= a["t"][:-1])
+                  else a[np.argsort(a["t"], kind="stable")]
+                  for a in (truth, est))
+    if not len(truth):
         raise ValueError("no frames with truth points")
-    return float(np.mean(vals))
+    t = truth["t"]
+    cuts = np.append(np.flatnonzero(np.diff(t, prepend=t[0] - 1)), len(t))
+    lo, hi = (est["t"].searchsorted(t[cuts[:-1]], side)
+              for side in ("left", "right"))
+    return float(np.mean([localization_error(
+        np.column_stack([truth["x"][a:b], truth["z"][a:b]]),
+        np.column_stack([est["x"][c:d], est["z"][c:d]]),
+        replace(le, n_bubbles_t=int(b - a)), grid)
+        for a, b, c, d in zip(cuts[:-1], cuts[1:], lo, hi)]))
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

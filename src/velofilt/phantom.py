@@ -19,6 +19,9 @@ renders every frame into them in place. Its frames are byte for byte those
 of the allocating per-frame reference, `render_frame` in `tests/oracles.py`.
 It hands the frames to a sink one block at a time, from one work buffer,
 so no whole stack is held.
+
+The ground truth is one table, as the localizations are: TRUTH_DTYPE rows
+(frame t, bubble id, x, z in mm, vx, vz in mm/s), by frame.
 """
 
 from __future__ import annotations
@@ -30,8 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Grid2D, load_csv_rows
+from .core import Grid2D, load_table_csv, save_table_csv
 from .psf import PsfParams
+
+TRUTH_DTYPE = np.dtype([("t", np.int64), ("id", np.int64),
+                        ("x", np.float64), ("z", np.float64),
+                        ("vx", np.float64), ("vz", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -268,32 +275,19 @@ def respawn_axial(bubbles: BubbleSet, vessel: VesselSpec,
 
 
 # ---------------------------------------------------------------------------
-# Ground truth: per-frame points on disk, rasterized maps from the flow.
+# Ground truth: the point table on disk, rasterized maps from the flow.
 
-def save_truth_csv(point_frames: Sequence[np.ndarray],
-                   path: str | Path) -> Path:
-    """Write per-frame truth rows (id, x_mm, z_mm, vx_mm_s, vz_mm_s) as CSV
-    with CRLF line ends, formatting each frame's rows in one operation."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("t_index,id,x_mm,z_mm,vx_mm_s,vz_mm_s\r\n")
-        for t, pts in enumerate(point_frames):
-            values = np.asarray(pts, dtype=np.float64).ravel().tolist()
-            row = f"{t},%d,%.9g,%.9g,%.9g,%.9g\r\n"
-            fh.write((row * (len(values) // 5)) % tuple(values))
-    return path
+def save_truth_csv(truth: np.ndarray, path: str | Path) -> Path:
+    """Write a truth table as CSV (core.save_table_csv): "%.9g" fields."""
+    return save_table_csv(truth, path, "t_index,id,x_mm,z_mm,vx_mm_s,vz_mm_s",
+                          "%d,%d,%.9g,%.9g,%.9g,%.9g")
 
 
-def load_truth_csv(path: str | Path) -> list[np.ndarray]:
-    """Per-frame (n_t, 5) truth arrays, as save_truth_csv wrote them. A
+def load_truth_csv(path: str | Path) -> np.ndarray:
+    """The truth table save_truth_csv wrote, rows in file order. A
     malformed row, a negative t_index or a non-finite field raises a
-    ValueError naming the line (see load_csv_rows)."""
-    rows = load_csv_rows(path, 6, finite=tuple(range(6)))
-    if not len(rows):
-        return []
-    t = rows[:, 0].astype(np.int64)
-    order = np.argsort(t, kind="stable")
-    return np.split(rows[order, 1:], np.cumsum(np.bincount(t))[:-1])
+    ValueError naming the line (see core.load_table_csv)."""
+    return load_table_csv(path, TRUTH_DTYPE)
 
 
 def truth_maps(flow: Flow, grid: Grid2D
@@ -355,7 +349,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
                       sink: Callable[[np.ndarray], object],
                       noise_std: float = 0.0,
                       rng: np.random.Generator | None = None
-                      ) -> list[np.ndarray]:
+                      ) -> np.ndarray:
     """Advance bubbles over nt frames and render each frame to sink.
 
     A frame is the sum of the pre-envelope PSFs at the bubbles' image
@@ -383,9 +377,8 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     are the values one draw of the whole stack gives, and rendering draws
     nothing, so the frames do not depend on the block size.
 
-    Returns the per-frame truth points: point_frames[t] is an (n_t, 5)
-    array with columns (id, x_mm, z_mm, vx_mm_s, vz_mm_s), holding the
-    bubbles whose image position falls inside the grid at that frame.
+    Returns the truth table (TRUTH_DTYPE), rows by frame: a row per bubble
+    whose image position falls inside the grid at that frame.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
@@ -402,17 +395,18 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     n = len(bubbles)
     work = (np.empty((n, grid.nx)), np.empty((n, grid.nz)),
             np.empty((n, grid.nz)))
-    point_frames = []
+    truth = [np.empty(0, TRUTH_DTYPE)]
     state = bubbles.copy()
     for t0 in range(0, nt, step):
         block = data[:nt - t0]
         for k in range(block.shape[0]):
             _render_into(state.pos, grid, p, work, block[k])
             keep = grid.contains(state.pos[:, 0], state.pos[:, 2])
-            point_frames.append(np.column_stack([
-                state.ids[keep].astype(np.float64),
-                state.pos[keep, 0], state.pos[keep, 2],
-                state.vel[keep, 0], state.vel[keep, 2]]))
+            rows = np.empty(np.count_nonzero(keep), TRUTH_DTYPE)
+            rows["t"], rows["id"] = t0 + k, state.ids[keep]
+            rows["x"], rows["z"] = state.pos[keep, 0], state.pos[keep, 2]
+            rows["vx"], rows["vz"] = state.vel[keep, 0], state.vel[keep, 2]
+            truth.append(rows)
             if t0 + k + 1 < nt:
                 state = advance(state, dt, center)
                 if vessels:
@@ -420,7 +414,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
         if noise_std > 0:
             block += rng.normal(0.0, noise_std, size=block.shape)
         sink(block)
-    return point_frames
+    return np.concatenate(truth)
 
 
 def _render_into(pos: np.ndarray, grid: Grid2D, p: PsfParams,

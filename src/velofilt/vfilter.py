@@ -69,8 +69,8 @@ import numpy as np
 
 from . import _pocketfft
 from .core import (MAX_ELEMENTS, STREAM_BLOCK, FrameStack, FrameStream,
-                   Grid2D, gather_frames, inverse_scale, kx_lattice,
-                   kz_lattice, omega_lattice, save_frame_stack)
+                   Grid2D, check_finite, gather_frames, inverse_scale,
+                   kx_lattice, kz_lattice, omega_lattice, save_frame_stack)
 from .psf import ToParams, to_transfer
 
 # Lattice elements a filter's slab of kz rows spans at most (one row if a
@@ -505,9 +505,12 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     (_gain_rows).
 
     The input is read once, block by block (frames.fill; a FrameStack is
-    one block), into one x-spectrum (rfft along x), and from it the bank
-    takes one spectrum (_compact_spectrum) that keeps per slab of kz rows
-    (_slabs) the union of every filter's _row_bound rows. The x-spectrum
+    one block), into one x-spectrum (rfft along x). A block with a
+    non-finite sample raises ValueError naming its (t, z, x) before any
+    output is made: through the transforms a NaN would spread over every
+    output. From the x-spectrum the bank takes one spectrum
+    (_compact_spectrum) that keeps per slab of kz rows (_slabs) the union
+    of every filter's _row_bound rows. The x-spectrum
     then becomes the kept frames that every filter refills
     (_filtered_inverse), and each output's fill runs the irfft along x
     (_x_pass). So besides the spectrum a pass holds one slab's gain and
@@ -528,6 +531,7 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
 
     def read(block: np.ndarray) -> None:
         nonlocal kept, done
+        check_finite(block, done)
         part = _pocketfft.rfft(block, axis=2, workers=workers)
         if kept is None:
             kept = np.empty((nt,) + part.shape[1:], part.dtype)
@@ -561,8 +565,9 @@ def save_bank_outputs(frames: FrameStack | FrameStream, bank: FilterBankSpec,
 
     Each output streams from the bank, which carries its boundary and TO
     prefilter, to its file block by block (see run_filter_bank). out_dir
-    is made once the input has been read, so an input that fails to read
-    leaves nothing behind. Returns every path written, the manifest last.
+    is made once the input has been read, so an input that fails to read,
+    or holds a non-finite sample, leaves nothing behind. Returns every
+    path written, the manifest last.
     """
     out_dir = Path(out_dir)
     paths: list[Path] = []

@@ -402,16 +402,16 @@ def trimmed_irfftn_ref(spec, s, axes, keep):
 
 
 def synthesize_stack(bubbles, flow, grid, nt, dt, p, **kwargs):
-    """(stack, point_frames): phantom.synthesize_frames' float64 blocks
-    gathered into one FrameStack, and its truth points. kwargs go to
+    """(stack, truth): phantom.synthesize_frames' float64 blocks gathered
+    into one FrameStack, and its truth table. kwargs go to
     synthesize_frames."""
-    points = []
+    truth = []
 
     def fill(append):
-        points.extend(synthesize_frames(bubbles, flow, grid, nt, dt, p,
-                                        append, **kwargs))
+        truth.append(synthesize_frames(bubbles, flow, grid, nt, dt, p,
+                                       append, **kwargs))
 
-    return gather_frames(FrameStream(grid, nt, dt, fill)), points
+    return gather_frames(FrameStream(grid, nt, dt, fill)), truth[0]
 
 
 def render_frame(bubbles, grid, p):

@@ -210,7 +210,7 @@ def test_in_memory_run_is_the_stages_without_files(tmp_path):
     assert main(["pipeline", "--config", str(cfg_path), "--out",
                  str(out)]) == 0
     r = cli.resolve(load_config(cfg_path))
-    frames, point_frames = cli.synthesize(r, 5)
+    frames, _ = cli.synthesize(r, 5)
     stack = gather_frames(load_frame_stack(out / "t_frames"))
     assert frames.data.dtype == np.float32
     assert frames.data.tobytes() == stack.data.tobytes()
@@ -588,6 +588,35 @@ def test_grid_step_whose_gain_overflows_exits_2(tmp_path, capsys, key):
     assert err.startswith("config error: filter_bank: filter 0's gain "
                           "argument reaches ")
     assert "whose square is not finite" in err
+
+
+def _grid_size_cases():
+    # each passed resolve: four stages said "ok" and metrics exited 3 with
+    # no localizations to score
+    for name, grid, position, reason in (
+            # the render's squares overflowed under numpy warnings, and so
+            # did the correlation's float32 pixel-area scale
+            ("extent", {"dx_mm": 1e300}, [0.1, 0.0],
+             "extent 9.6e+301 x 4.8 mm has no finite square"),
+            # the correlation's float32 scale overflowed under warnings
+            ("area-over", {"dx_mm": 1e20, "dz_mm": 1e20}, [0.0, 0.0],
+             "pixel area 1e+40 mm^2 is not a normal float32"),
+            # the scale is subnormal in float32
+            ("area-under", {"dx_mm": 1e-37}, [0.0, 0.1],
+             "pixel area 5e-39 mm^2 is not a normal float32")):
+        cfg = _phantom_e_at_nt_20("filter_bank", "speeds_mm_s", [0.5])
+        cfg["grid"].update(grid)
+        cfg["phantom"] = {"kind": "grid_bubbles", "positions_mm": [position],
+                          "velocities_mm_s": [[0.0, 0.0]]}
+        yield pytest.param(cfg, reason, id=name)
+
+
+@pytest.mark.parametrize("cfg, reason", _grid_size_cases())
+def test_grid_whose_size_overflows_exits_2(tmp_path, capsys, cfg, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err == f"config error: grid: {reason}\n"
 
 
 def test_filter_count_past_max_filters_is_refused_at_resolve(

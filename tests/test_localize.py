@@ -20,13 +20,12 @@ from velofilt import _pocketfft, localize
 from velofilt.core import (FrameStack, gather_frames, make_fine_grid,
                            make_grid)
 from velofilt.localize import (LOC_DTYPE, AccumulatedMap, DetectorConfig,
-                               _QUAD_FIT, _envelope_z, _merge_frame,
-                               _padded_shape, _quadratic_offsets, _suppress,
+                               _QUAD_FIT, _envelope_z, _padded_shape,
+                               _quadratic_offsets, _suppress,
                                _template_spectrum,
                                accumulate, detect, load_localizations_csv,
                                localize_frames, matched_filter_map,
-                               positions_by_frame,
-                               psf_template, run_pipeline,
+                               merge_candidates, psf_template, run_pipeline,
                                save_localizations_csv, segment_support,
                                template_autocorr_peak, velocity_map_from_locs)
 from velofilt.phantom import from_plane
@@ -578,17 +577,6 @@ def test_localizations_csv_without_rows(tmp_path):
     assert back.dtype == LOC_DTYPE and back.shape == (0,)
 
 
-def test_positions_by_frame_keeps_row_order():
-    locs = table([(2, 0.1, 0.2, 1.0, NAN, NAN), (0, 0.3, 0.4, 1.0, 1.0, 0.0),
-                  (5, 9.0, 9.0, 1.0, NAN, NAN), (2, 0.5, 0.6, 3.0, NAN, NAN),
-                  (-1, 9.0, 9.0, 1.0, NAN, NAN)])
-    got = positions_by_frame(locs, 4)
-    assert [f.shape for f in got] == [(1, 2), (0, 2), (2, 2), (0, 2)]
-    assert np.array_equal(got[0], [[0.3, 0.4]])
-    assert np.array_equal(got[2], [[0.1, 0.2], [0.5, 0.6]])
-    assert [f.shape for f in positions_by_frame(table([]), 2)] == [(0, 2)] * 2
-
-
 # Equally fast headings (speed 5), zero and slower ones, and untagged;
 # -0.0 next to 0.0 shows which of two equal headings a pixel kept, and
 # whether a zero speed was written.
@@ -603,6 +591,12 @@ ROWS = st.lists(st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(rows=ROWS, radius=st.sampled_from([0.25, 0.5, 1.0]))
+# exact score ties at one spot in frames 0 and 1, which table order breaks,
+# and one spot in three frames, which each frame keeps for itself
+@example(rows=[(1, 0.0, 0.0, 2.0, 3.0, 4.0), (0, 0.0, 0.0, 2.0, 4.0, 3.0),
+               (1, 0.0, 0.0, 2.0, 5.0, 0.0), (0, 0.0, 0.0, 2.0, 0.0, -5.0),
+               (2, 0.0, 0.0, 1.0, NAN, NAN), (1, 1.0, 0.0, 3.0, 1.0, 0.0)],
+         radius=0.5)
 def test_table_steps_match_row_loops(rows, radius):
     # positions on a quarter-pixel lattice: half-pixel ties in the binning,
     # rows off the grid, and distances equal to the merge radius
@@ -614,9 +608,12 @@ def test_table_steps_match_row_loops(rows, radius):
     for got, want in zip((vmap.speed, vmap.vx, vmap.vz),
                          velocity_map_loop(rows, grid)):
         assert got.tobytes() == want.tobytes()
-    got = np.array(_merge_frame(locs, radius).tolist()).reshape(-1, 6)
-    want = np.array(merge_frame_loop(rows, radius)).reshape(-1, 6)
-    assert np.array_equal(got, want, equal_nan=True)
+    # the merge is the frame loop applied to each frame's rows
+    got = np.array(merge_candidates(locs, radius).tolist()).reshape(-1, 6)
+    want = [row for t in sorted({row[0] for row in rows})
+            for row in merge_frame_loop([r for r in rows if r[0] == t],
+                                        radius)]
+    assert np.array_equal(got, np.array(want).reshape(-1, 6), equal_nan=True)
 
 
 def test_velocity_map_without_moving_rows():
@@ -883,10 +880,11 @@ def test_non_finite_stack_rejected_before_filtering(bad, monkeypatch):
     frames.data[4, 6, 2] = bad
     bank = make_bank([1.0], [0.0], sigma_t=0.02)
 
-    def no_bank(*args, **kwargs):
-        raise AssertionError("filter bank ran on a non-finite stack")
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("filter bank filtered a non-finite stack")
 
-    monkeypatch.setattr("velofilt.localize.run_filter_bank", no_bank)
+    # the bank checks each block as it reads it, before any filtering
+    monkeypatch.setattr("velofilt.vfilter._compact_spectrum", no_spectrum)
     with pytest.raises(ValueError, match=r"\(t, z, x\) = \(4, 6, 2\)"):
         run_pipeline(frames, bank, P)
     with pytest.raises(ValueError, match=r"\(t, z, x\) = \(4, 6, 2\)"):

@@ -7,14 +7,25 @@ from hypothesis import strategies as st
 from closed_forms import m_matrix
 from oracles import localization_error_dense, localization_error_raster
 
+from velofilt import metrics
 from velofilt.core import FrameStack, make_grid
+from velofilt.localize import LOC_DTYPE
 from velofilt.metrics import (_REACH, LeParams, _gauss_sum, default_le_params,
                               fve, iou, localization_error,
                               localization_error_frames, measure_attenuation)
+from velofilt.phantom import TRUTH_DTYPE
 from velofilt.psf import PsfParams, render_psf
 
 LE = default_le_params(0.3)            # sigma_par 0.09, sigma_perp 0.045
 LE_GRID = make_grid(61, 61, 0.01, 0.01)
+
+
+def points(rows, dtype=TRUTH_DTYPE) -> np.ndarray:
+    """A table of dtype holding (t, x, z) rows; its other fields are 0."""
+    out = np.zeros(len(rows), dtype)
+    if rows:
+        out["t"], out["x"], out["z"] = np.array(rows, dtype=float).T
+    return out
 
 
 def exact_le(d, le: LeParams) -> float:
@@ -104,22 +115,52 @@ def test_le_scores_only_points_inside_the_grid():
 
 
 def test_le_frames_mean_and_skipping():
-    truth = [np.empty((0, 2)), np.array([[0.0, 0.0]]),
-             np.array([[0.0, 0.0], [0.1, 0.1]])]
-    est = [np.empty((0, 2)), np.array([[0.004, 0.0]]),
-           np.array([[0.0, 0.0], [0.1, 0.1]])]
+    truth = points([(1, 0.0, 0.0), (2, 0.0, 0.0), (2, 0.1, 0.1)])
+    est = points([(1, 0.004, 0.0), (2, 0.0, 0.0), (2, 0.1, 0.1)], LOC_DTYPE)
     got = localization_error_frames(truth, est, LE, LE_GRID)
     # frame 0 skipped; frame 2 perfect; frame 1 has T=1
-    per1 = localization_error(truth[1], est[1], LE, LE_GRID)
+    per1 = localization_error([[0.0, 0.0]], [[0.004, 0.0]], LE, LE_GRID)
     assert got == pytest.approx(per1 / 2.0, rel=1e-9)
     with pytest.raises(ValueError):
-        localization_error_frames([np.empty((0, 2))], [np.empty((0, 2))],
-                                  LE, LE_GRID)
+        localization_error_frames(points([]), points([], LOC_DTYPE), LE,
+                                  LE_GRID)
+
+
+def test_le_frames_keeps_row_order_within_a_frame(monkeypatch):
+    # each frame's rows reach localization_error in table order, as a
+    # per-frame loop selects them; est rows of frames without a truth
+    # point (0, 5 and -1) are ignored, and a frame without est rows scores
+    # against an empty set
+    truth = points([(2, 0.1, 0.2), (3, 0.0, 0.1), (2, 0.5, 0.6),
+                    (2, -0.2, 0.0), (4, 0.1, 0.1)])
+    est = points([(2, 0.1, 0.2), (0, 0.3, 0.4), (5, 9.0, 9.0),
+                  (2, 0.5, 0.6), (-1, 9.0, 9.0), (3, 0.3, 0.0),
+                  (2, 0.0, -0.1)], LOC_DTYPE)
+    calls = []
+
+    def record(truth_points, est_points, le, grid):
+        calls.append((truth_points.tolist(), est_points.tolist(),
+                      le.n_bubbles_t))
+        return float(len(calls))
+
+    def xz(table):
+        return [[x, z] for x, z in zip(table["x"].tolist(),
+                                       table["z"].tolist())]
+
+    monkeypatch.setattr(metrics, "localization_error", record)
+    got = localization_error_frames(truth, est, LE, LE_GRID)
+    want = [(xz(truth[truth["t"] == t]), xz(est[est["t"] == t]),
+             int(np.count_nonzero(truth["t"] == t))) for t in (2, 3, 4)]
+    assert calls == want
+    assert want[0][0] == [[0.1, 0.2], [0.5, 0.6], [-0.2, 0.0]]
+    assert want[0][1] == [[0.1, 0.2], [0.5, 0.6], [0.0, -0.1]]
+    assert want[2][1] == []
+    assert got == 2.0
 
 
 def test_le_frames_overrides_bubble_count():
-    truth = [np.array([[0.0, 0.0], [0.2, 0.0]])]
-    est = [np.empty((0, 2))]
+    truth = points([(0, 0.0, 0.0), (0, 0.2, 0.0)])
+    est = points([], LOC_DTYPE)
     # two missed bubbles at T=2 cost 2(1 + overlap of their blur kernels)
     quad = float(np.array([0.2, 0.0]) @ m_matrix(LE) @ np.array([0.2, 0.0]))
     want = 2.0 * (1.0 + math.exp(-quad / 4.0))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import render_frame, synthesize_stack
 from velofilt.core import make_grid
-from velofilt.phantom import (BubbleSet, CircularBandSpec, VesselSpec,
-                              _respawn_nearest, advance, concat_bubbles,
+from velofilt.phantom import (TRUTH_DTYPE, BubbleSet, CircularBandSpec,
+                              VesselSpec, _respawn_nearest, advance,
+                              concat_bubbles,
                               default_vessel_length, empty_bubbles,
                               flow_speed, from_plane, load_truth_csv,
                               respawn_axial, sample_bubbles,
@@ -301,27 +302,27 @@ def test_synthesize_static_bubble_equals_rendered_psf():
     want = render_psf(P, grid, mode="pre", center=(0.12, -0.08))
     for t in range(3):
         assert np.allclose(stack.data[t], want, atol=1e-12)
-    assert len(truth) == 3
-    assert truth[0].shape == (1, 5)
-    assert truth[0][0, 1] == pytest.approx(0.12)
+    assert truth.dtype == TRUTH_DTYPE
+    assert truth["t"].tolist() == [0, 1, 2]     # one point per frame
+    assert truth["x"][0] == pytest.approx(0.12)
 
 
 def test_synthesize_moving_bubble_truth_tracks_position():
     grid = make_grid(33, 33, 0.05, 0.05)
     b = from_plane([(-0.3, 0.0)], [(2.0, 1.0)])
     stack, truth = synthesize_stack(b, (), grid, nt=5, dt=0.05, p=P)
-    for t, pts in enumerate(truth):
-        assert pts[0, 1] == pytest.approx(-0.3 + 2.0 * t * 0.05)
-        assert pts[0, 2] == pytest.approx(1.0 * t * 0.05)
-        assert pts[0, 3] == pytest.approx(2.0)
+    assert truth["t"].tolist() == list(range(5))
+    for t, _, x, z, vx, _ in truth.tolist():
+        assert x == pytest.approx(-0.3 + 2.0 * t * 0.05)
+        assert z == pytest.approx(1.0 * t * 0.05)
+        assert vx == pytest.approx(2.0)
 
 
 def test_synthesize_truth_drops_out_of_grid_points():
     grid = make_grid(21, 21, 0.05, 0.05)   # extent +-0.5
     b = from_plane([(0.45, 0.0)], [(3.0, 0.0)])
     stack, truth = synthesize_stack(b, (), grid, nt=4, dt=0.05, p=P)
-    assert truth[0].shape[0] == 1
-    assert truth[1].shape[0] == 0   # at x = 0.6, outside
+    assert truth["t"].tolist() == [0]   # from frame 1 at x >= 0.6, outside
 
 
 def test_synthesize_zero_bubbles_and_validation():
@@ -348,20 +349,25 @@ def test_synthesize_flow_sets_respawn_and_orbit():
     b = from_plane([(0.45, 0.02), (0.3, 0.45)], [(1.0, 0.0), (0.0, 1.0)])
     _, truth = synthesize_stack(b, [lateral, axial], grid, nt=2, dt=0.1,
                                 p=P)
-    assert truth[1][:, 1:3] == pytest.approx(
+    assert xz_of_frame(truth, 1) == pytest.approx(
         np.array([[-0.45, 0.02], [0.3, -0.45]]))
     _, free = synthesize_stack(b, (), grid, nt=2, dt=0.1, p=P)
-    assert free[1][:, 1:3] == pytest.approx(
+    assert xz_of_frame(free, 1) == pytest.approx(
         np.array([[0.55, 0.02], [0.3, 0.55]]))
     # a band keeps its bubbles on their orbit about its center
     band = CircularBandSpec(orbit_radius=0.9, radius_r=0.2, v0=1.0, c_mb=1.0,
                             center=(0.1, -0.1))
     b = from_plane([(1.0, -0.1)], [(0.0, 1.0)])
     _, truth = synthesize_stack(b, band, grid, nt=20, dt=0.05, p=P)
-    pts = np.vstack(truth)
-    radius = np.hypot(pts[:, 1] - 0.1, pts[:, 2] + 0.1)
+    radius = np.hypot(truth["x"] - 0.1, truth["z"] + 0.1)
     assert radius == pytest.approx(np.full(20, 0.9), abs=1e-12)
-    assert pts[-1, 2] > 0.5                  # the bubble did move
+    assert truth["z"][-1] > 0.5              # the bubble did move
+
+
+def xz_of_frame(truth, t):
+    """(n, 2) positions of the truth table's rows of frame t."""
+    rows = truth[truth["t"] == t]
+    return np.column_stack([rows["x"], rows["z"]])
 
 
 def test_truth_csv_roundtrip(tmp_path):
@@ -370,10 +376,11 @@ def test_truth_csv_roundtrip(tmp_path):
     _, truth = synthesize_stack(b, (), grid, nt=3, dt=0.02, p=P)
     path = save_truth_csv(truth, tmp_path / "truth.csv")
     back = load_truth_csv(path)
-    assert len(back) == 3
-    assert {int(i) for f in back for i in f[:, 0]} == {0, 1}
-    for a, c in zip(truth, back):
-        assert np.allclose(a, c, rtol=1e-8)
+    assert back.dtype == TRUTH_DTYPE
+    assert back["t"].tolist() == truth["t"].tolist() == [0, 0, 1, 1, 2, 2]
+    assert set(back["id"].tolist()) == {0, 1}
+    for name in TRUTH_DTYPE.names:
+        assert np.allclose(back[name], truth[name], rtol=1e-8)
 
 
 def test_truth_csv_bytes_and_values(tmp_path):
@@ -383,6 +390,10 @@ def test_truth_csv_bytes_and_values(tmp_path):
     frames = [np.column_stack([np.arange(n), rng.normal(scale=s, size=(n, 4))])
               for n, s in ((3, 1.0), (0, 1.0), (2, 1e-7), (4, 1e5))]
     frames[2][0, 1:] = [-0.0, 1.0, np.pi, 2.0**-40]
+    truth = np.empty(sum(map(len, frames)), TRUTH_DTYPE)
+    truth["t"] = np.repeat(np.arange(4), [len(f) for f in frames])
+    for name, column in zip(TRUTH_DTYPE.names[1:], np.vstack(frames).T):
+        truth[name] = column
     want = tmp_path / "want.csv"
     with open(want, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -392,21 +403,23 @@ def test_truth_csv_bytes_and_values(tmp_path):
             for row in pts:
                 writer.writerow([t, int(row[0])]
                                 + [f"{v:.9g}" for v in row[1:]])
-    path = save_truth_csv(frames, tmp_path / "truth.csv")
+    path = save_truth_csv(truth, tmp_path / "truth.csv")
     assert path.read_bytes() == want.read_bytes()
     back = load_truth_csv(path)
     with open(want, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    assert [len(f) for f in back] == [3, 0, 2, 4]
-    assert all(f.shape[1:] == (5,) and f.dtype == np.float64 for f in back)
-    parsed = np.array([[float(v) for v in row[1:]] for row in rows])
-    assert np.array_equal(np.vstack(back), parsed)
+    assert back.dtype == TRUTH_DTYPE
+    assert np.bincount(back["t"]).tolist() == [3, 0, 2, 4]
+    parsed = np.array([[float(v) for v in row] for row in rows])
+    assert np.array_equal(
+        np.column_stack([back[name] for name in TRUTH_DTYPE.names]), parsed)
 
 
 def test_truth_csv_without_points(tmp_path):
-    path = save_truth_csv([np.empty((0, 5))] * 3, tmp_path / "truth.csv")
+    path = save_truth_csv(np.empty(0, TRUTH_DTYPE), tmp_path / "truth.csv")
     assert path.read_bytes() == b"t_index,id,x_mm,z_mm,vx_mm_s,vz_mm_s\r\n"
-    assert load_truth_csv(path) == []
+    back = load_truth_csv(path)
+    assert back.dtype == TRUTH_DTYPE and back.shape == (0,)
 
 
 def test_default_vessel_length_covers_grid():

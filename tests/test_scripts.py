@@ -87,6 +87,22 @@ def test_script_runs_short(runs, name):
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
+def test_velocity_map_default_run_reproduces_its_committed_csv(tmp_path):
+    # the full default run (about 1 s), not a short one: its CSV is the
+    # bytes committed under runs/, where the environment matches the one
+    # the golden hashes were recorded in
+    reason = check_golden.hash_skip_reason(GOLDEN)
+    if reason:
+        pytest.skip(reason)
+    out = tmp_path / "velocity_profile.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_velocity_map.py"), "--out",
+         str(out)], capture_output=True, text=True, env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (ROOT / "runs" / "velocity_profile.csv"
+                                ).read_bytes()
+
+
 @pytest.mark.parametrize("name", STUDIES)
 def test_script_csv_hash(runs, name):
     reason = check_golden.hash_skip_reason(GOLDEN)
@@ -171,10 +187,10 @@ def test_study_run_is_the_pipeline_run(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_velocity_map.py", "--nt", "24"])
     _, [r] = cli.study_runs(argparse.ArgumentParser(), study.CONFIG,
                             str(tmp_path / "unused.csv"))
-    frames, point_frames = cli.synthesize(r, r.seed)
+    frames, table = cli.synthesize(r, r.seed)
     locs = save_localizations_csv(cli.localize(r, frames),
                                   tmp_path / "mem_locs.csv")
-    truth = save_truth_csv(point_frames, tmp_path / "mem_truth.csv")
+    truth = save_truth_csv(table, tmp_path / "mem_truth.csv")
     report = cli.score(r, load_localizations_csv(locs), load_truth_csv(truth))
 
     cfg = cli.load_config(study.CONFIG)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from oracles import (apply_filter_direct, dft_filter_reference,
                      reached_rows, trimmed_irfftn_ref, velocity_gain_ref)
 from velofilt import _pocketfft, vfilter
-from velofilt.core import (STREAM_BLOCK, FrameStack, gather_frames,
-                           load_frame_stack, make_grid, save_frame_stack)
+from velofilt.core import (STREAM_BLOCK, FrameStack, FrameStream,
+                           gather_frames, load_frame_stack, make_grid,
+                           save_frame_stack)
 from velofilt.localize import run_pipeline
 from velofilt.psf import PsfParams, ToParams, render_psf, to_transfer
 from velofilt.theory import attenuation_pre
@@ -880,6 +881,28 @@ def test_save_bank_outputs_names_the_failed_filter(tmp_path, monkeypatch):
     monkeypatch.setattr("velofilt.vfilter.save_frame_stack", save_once)
     with pytest.raises(OSError, match="filter 1 .*disk full"):
         save_bank_outputs(frames, bank, tmp_path)
+
+
+@pytest.mark.parametrize("source", ["stack", "stream"])
+def test_bank_refuses_a_non_finite_input_block(tmp_path, source):
+    # an in-memory float32 stack with one NaN used to be filtered into
+    # all-NaN outputs and a bank_manifest.json, with no error: the bank
+    # checks each block it reads, whatever its source, and names the sample
+    frames = noise_stack(nt=6, nz=8, nx=8)
+    frames.data = frames.data.astype(np.float32)
+    frames.data[3, 5, 7] = np.nan
+    if source == "stream":
+        # blocks of two frames: the sample sits in the second block
+        data = frames.data
+        frames = FrameStream(frames.grid, 6, frames.dt, lambda append: [
+            append(data[t:t + 2]) for t in range(0, 6, 2)])
+    bank = make_bank([0.5], [0.0, math.pi / 2], 0.03)
+    where = r"\(t, z, x\) = \(3, 5, 7\)"
+    with pytest.raises(ValueError, match=where):
+        save_bank_outputs(frames, bank, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match=where):
+        next(run_filter_bank(frames, bank))
 
 
 @settings(max_examples=20, deadline=None)
