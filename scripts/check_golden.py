@@ -20,7 +20,7 @@ memory is the process's high-water mark, which the configs run before
 carry over: pass one --config for a config's own figures.
 
 Exits 1 when a compared value differs. tests/test_golden.py runs the same
-check on the eight fast configs.
+check on every config, phantom_f included.
 """
 
 import argparse

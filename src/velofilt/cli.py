@@ -29,7 +29,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,6 @@ _PHANTOM_SCHEMAS = {
             "c_mb_high_per_mm3": _NONNEG, "c_mb_low_per_mm3": _NONNEG,
             "angles_deg": {"type": "array", "minItems": 2, "maxItems": 2,
                            "items": {"type": "number"}},
-            "length_mm": _POS,
         },
     },
     "parallel_vessels": {
@@ -115,7 +114,6 @@ _PHANTOM_SCHEMAS = {
             "angle_deg": {"type": "number"},
             "gap_mm": _POS,
             "opposite_directions": {"type": "boolean"},
-            "length_mm": _POS,
         },
     },
     "single_vessel": {
@@ -126,7 +124,6 @@ _PHANTOM_SCHEMAS = {
             "kind": {"const": "single_vessel"},
             "radius_mm": _POS, "v0_mm_s": _POS, "c_mb_per_mm3": _NONNEG,
             "angle_deg": {"type": "number"},
-            "length_mm": _POS,
         },
     },
     "circular": {
@@ -189,8 +186,6 @@ CONFIG_SCHEMA = {
                 "v_max_mm_s": _POS,
                 "angles_deg": {"type": "array", "minItems": 1,
                                "items": {"type": "number"}},
-                "lateral_to_angle_deg": _NONNEG,
-                "boundary": {"enum": ["pad", "periodic"]},
             },
         },
         "detector": {
@@ -199,7 +194,6 @@ CONFIG_SCHEMA = {
                 "threshold_fraction": {"type": "number",
                                        "exclusiveMinimum": 0,
                                        "exclusiveMaximum": 1},
-                "min_separation_mm": {"oneOf": [{"type": "null"}, _POS]},
                 "subpixel": {"type": "boolean"},
                 "fine_factor": {"type": "integer", "minimum": 1},
                 "mode": {"enum": ["pre", "post"]},
@@ -208,8 +202,6 @@ CONFIG_SCHEMA = {
         "metrics": {
             "type": "object", "additionalProperties": False,
             "properties": {
-                "le_sigma_par_mm": _POS,
-                "le_sigma_perp_mm": _POS,
                 "flow_angle_deg": {"type": "number"},
                 "fastest_q": {"type": "number", "exclusiveMinimum": 0,
                               "maximum": 1},
@@ -390,8 +382,8 @@ def resolve(cfg: dict) -> Resolved:
     """Build every domain object of a schema-valid config.
 
     Domain constraints the schema cannot express (e.g. orbit radius vs band
-    radius, LE widths out of order) surface here as ConfigError naming the
-    config section, before any stage runs.
+    radius, a bubble count past the render's limit) surface here as
+    ConfigError naming the config section, before any stage runs.
     """
     with _section("psf"):
         p = PsfParams(sigma_r=cfg["psf"]["sigma_r_mm"],
@@ -408,20 +400,20 @@ def resolve(cfg: dict) -> Resolved:
         fine = make_fine_grid(grid, **{
             k: int(v) for k, v in _given(det, factor="fine_factor").items()})
         if fine.nz * fine.nx > MAX_ELEMENTS:
-            raise ValueError(f"fine grid {fine.nz} x {fine.nx} exceeds the "
-                             f"limit of {MAX_ELEMENTS} elements")
+            raise ValueError(f"fine grid {fine.nz:.3g} x {fine.nx:.3g} "
+                             f"exceeds the limit of {MAX_ELEMENTS} elements")
         detector = DetectorConfig(**_given(
             det, threshold_fraction="threshold_fraction",
-            min_separation="min_separation_mm", subpixel="subpixel",
-            mode="mode"))
+            subpixel="subpixel", mode="mode"))
     with _section("motion"):
         nt, dt = int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"]
         span = nt * dt
         if not math.isfinite(span * span):
-            raise ValueError(f"{nt} frames of {dt:.3g} s span {span:.3g} s, "
-                             "whose square is not finite")
+            raise ValueError(f"{nt:.3g} frames of {dt:.3g} s span "
+                             f"{span:.3g} s, whose square is not finite")
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
+        _check_bubble_count(flow, grid)
         # the render squares each bubble's offset from a pixel, which
         # grows with a listed bubble's distance from the origin and with
         # the travel
@@ -466,11 +458,8 @@ def resolve(cfg: dict) -> Resolved:
                              f"up to {offset:.3g} mm, squared over 2 "
                              "sigma_r^2 is not finite")
     mcfg = cfg.get("metrics", {})
-    with _section("metrics"):
-        le = default_le_params(
-            p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
-        le = replace(le, **_given(mcfg, sigma_par="le_sigma_par_mm",
-                                  sigma_perp="le_sigma_perp_mm"))
+    le = default_le_params(
+        p.wavelength, theta=math.radians(mcfg.get("flow_angle_deg", 0.0)))
     outputs = cfg.get("outputs", {})
     return Resolved(
         psf=p, grid=grid, fine=fine,
@@ -507,7 +496,7 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
         return None, CircularBandSpec(
             orbit_radius=ph["orbit_radius_mm"], radius_r=ph["radius_mm"],
             v0=ph["v0_mm_s"], c_mb=ph["c_mb_per_mm3"], spin=ph.get("spin", 1))
-    length = ph.get("length_mm", default_vessel_length(grid, p))
+    length = default_vessel_length(grid, p)
     if kind == "crossing_vessels":
         vessels = tuple(
             VesselSpec(radius_r=ph["radius_mm"], v0=ph["v0_mm_s"], c_mb=c_mb,
@@ -537,6 +526,36 @@ def _phantom(ph: dict, grid: Grid2D, p: PsfParams
                               axis_angle_rad=math.radians(ph["angle_deg"]),
                               length=length),)
     return None, vessels
+
+
+def _check_bubble_count(flow: Flow, grid: Grid2D) -> None:
+    """Refuse a flow whose expected bubble count, c_mb pi R^2 L summed over
+    its vessels (L = 2 pi orbit_radius for a band), the render cannot hold:
+    its (n, nx) and (n, nz) work arrays are its largest per-bubble
+    allocation, so count * max(nx, nz) may not pass MAX_ELEMENTS. The
+    sums run in Python floats, which overflow to inf without raising; the
+    samplers' Poisson draw would fail on such a count, or on a radius
+    whose square overflows, with a message that names neither."""
+    if isinstance(flow, CircularBandSpec):
+        tubes = [(flow.radius_r, 2.0 * math.pi * flow.orbit_radius,
+                  flow.c_mb)]
+        what, why = "band", "2 pi orbit_radius"
+    else:
+        tubes = [(v.radius_r, v.length, v.c_mb) for v in flow]
+        what, why = "vessel", "the grid diagonal plus 8 sigma_r"
+    count = 0.0
+    for radius, length, c_mb in tubes:
+        volume = math.pi * radius * radius * length
+        if not math.isfinite(volume):
+            raise ValueError(f"a {what} of radius {radius:.3g} mm and "
+                             f"length {length:.3g} mm has no finite volume")
+        count += c_mb * volume
+    width = max(grid.nx, grid.nz)
+    if count * width > MAX_ELEMENTS:
+        raise ValueError(f"{count:.3g} bubbles expected over a {what} length "
+                         f"of {length:.3g} mm ({why}): the render's "
+                         f"{count:.3g} x {width} work array exceeds the "
+                         f"limit of {MAX_ELEMENTS} elements")
 
 
 def _farthest(points: BubbleSet | None) -> float:
@@ -583,9 +602,7 @@ def _bank(fb: dict, p: PsfParams, to: ToParams | None) -> FilterBankSpec:
                                  f"of {MAX_FILTERS}")
         filters = [f for tiled, a in zip(tilings, angles)
                    for f in make_bank(tiled, [a], sigma_t).filters]
-    bank = FilterBankSpec(filters=tuple(filters), to=to, **_given(
-        fb, lateral_to_angle_deg="lateral_to_angle_deg",
-        boundary="boundary"))
+    bank = FilterBankSpec(filters=tuple(filters), to=to)
     fastest = max(f.speed for f in bank.filters)
     if fastest > float(np.finfo(np.float32).max):
         raise ValueError(f"filter speed {fastest:.3g} mm/s is past the "

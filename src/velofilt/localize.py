@@ -81,26 +81,23 @@ _CORR_BLOCK = 1 << 16
 @dataclass(frozen=True)
 class DetectorConfig:
     """threshold_fraction is relative to the template autocorrelation peak;
-    min_separation (mm) is the non-max suppression radius; subpixel toggles
-    the quadratic refinement; mode ("pre" or "post") picks the chain of the
-    filters not routed through TO (see the module docstring).
+    subpixel toggles the quadratic refinement; mode ("pre" or "post") picks
+    the chain of the filters not routed through TO (see the module
+    docstring).
 
-    min_separation=None resolves, per chain, to 1.05 times the larger of
-    the wavelength and the distance of the farthest local maximum of the
-    chain's template autocorrelation above the threshold (_chain): a
-    bubble's correlation repeats those replicas around its peak, so the
-    radius must exceed their reach. The pre template has replicas at
-    +- wavelength axially (relative height exp(-lambda^2/(4 sigma_r^2)),
-    0.78 for sigma_r = lambda) and at +- 2 wavelengths (exp(-1) = 0.37);
-    the post template has none; the TO template has off-axis ones (0.71 mm
-    away at threshold 0.35 for lambda_x 0.6, sigma_x 0.3 mm and 0.05 mm
-    pixels). Suppression compares squared distances with min_separation**2,
-    so a min_separation whose square overflows a float is rejected here,
-    before any stage runs.
+    Each chain works out its own non-max suppression radius (_chain): 1.05
+    times the larger of the wavelength and the distance of the farthest
+    local maximum of the chain's template autocorrelation above the
+    threshold. A bubble's correlation repeats those replicas around its
+    peak, so the radius must exceed their reach. The pre template has
+    replicas at +- wavelength axially (relative height
+    exp(-lambda^2/(4 sigma_r^2)), 0.78 for sigma_r = lambda) and at +- 2
+    wavelengths (exp(-1) = 0.37); the post template has none; the TO
+    template has off-axis ones (0.71 mm away at threshold 0.35 for
+    lambda_x 0.6, sigma_x 0.3 mm and 0.05 mm pixels).
     """
 
     threshold_fraction: float = 0.5
-    min_separation: float | None = None
     subpixel: bool = True
     mode: str = "pre"
 
@@ -109,14 +106,6 @@ class DetectorConfig:
             raise ValueError(f"unsupported detection mode {self.mode!r}")
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must be in (0, 1)")
-        if self.min_separation is not None:
-            if self.min_separation <= 0:
-                raise ValueError("min_separation must be positive")
-            try:
-                self.min_separation ** 2
-            except OverflowError:
-                raise ValueError(f"min_separation {self.min_separation!r} "
-                                 "has no finite square") from None
 
 
 def _template_grid(grid: Grid2D, p: PsfParams, mode: str,
@@ -498,19 +487,17 @@ def _chain(grid: Grid2D, p: PsfParams, cfg: DetectorConfig,
     block's axial carrier is stripped first (post only), and the
     suppression radius (mm).
 
-    The radius is cfg.min_separation when set. Otherwise it is 1.05 times
-    the wavelength or the reach of the template's farthest autocorrelation
-    replica above the threshold, whichever is larger, so that no replica
-    of a bubble's own correlation survives suppression.
+    The radius is 1.05 times the wavelength or the reach of the template's
+    farthest autocorrelation replica above the threshold, whichever is
+    larger, so that no replica of a bubble's own correlation survives
+    suppression.
     """
     mode = cfg.mode if to is None else "to"
     template = psf_template(grid, p, mode=mode, to=to)
     peak = template_autocorr_peak(template, grid)
-    radius = cfg.min_separation
-    if radius is None:
-        reach = _replica_reach(template, grid, cfg.threshold_fraction * peak)
-        radius = 1.05 * (reach if reach > p.wavelength * (1 + _REACH_RTOL)
-                         else p.wavelength)
+    reach = _replica_reach(template, grid, cfg.threshold_fraction * peak)
+    radius = 1.05 * (reach if reach > p.wavelength * (1 + _REACH_RTOL)
+                     else p.wavelength)
     return _Chain(template, peak, mode == "post", radius)
 
 

@@ -80,6 +80,10 @@ _SLAB_ELEMENTS = 2**17
 # Filters a bank may hold: each one is a whole pass and an output file.
 MAX_FILTERS = 4096
 
+# With a TO prefilter, the filters of nonzero speed within this angle of
+# the lateral axis see it (FilterBankSpec).
+TO_ANGLE_DEG = 10.0
+
 
 @dataclass(frozen=True)
 class VelocityFilterSpec:
@@ -109,11 +113,10 @@ class FilterBankSpec:
     """Velocity filters run over one input stack, all with one window
     width sigma_t. boundary "pad" zero-extends time by ceil(4 sigma_t / dt)
     frames per side, then trims; "periodic" filters circularly on every
-    axis. With to, filters of nonzero speed within lateral_to_angle_deg of
-    x see the TO prefilter."""
+    axis. With to, filters of nonzero speed within TO_ANGLE_DEG of x see
+    the TO prefilter."""
 
     filters: tuple[VelocityFilterSpec, ...]
-    lateral_to_angle_deg: float = 10.0
     boundary: str = "pad"
     to: ToParams | None = None
 
@@ -333,7 +336,8 @@ def bank_pads(bank: FilterBankSpec, nt: int, dt: float,
            if bank.boundary == "pad" else 0)
     padded = (nt + 2 * pad, grid.nz, grid.nx)
     if math.prod(padded) > MAX_ELEMENTS:
-        raise ValueError(f"padded stack {padded} exceeds the in-memory FFT "
+        shape = ", ".join(f"{n:.3g}" for n in padded)
+        raise ValueError(f"padded stack ({shape}) exceeds the in-memory FFT "
                          f"limit of {MAX_ELEMENTS} samples")
     for i, f in enumerate(bank.filters):
         # in Python floats, which overflow to inf without a warning
@@ -524,7 +528,7 @@ def run_filter_bank(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     grid, nt, dt = frames.grid, frames.nt, frames.dt
     nt_pad = nt + 2 * bank_pads(bank, nt, dt, grid)
     routes = [bank.to is not None and f.speed > 0.0
-              and f.angle_from_lateral_deg <= bank.lateral_to_angle_deg
+              and f.angle_from_lateral_deg <= TO_ANGLE_DEG
               for f in bank.filters]
     kept = None
     done = 0
@@ -592,7 +596,7 @@ def save_bank_outputs(frames: FrameStack | FrameStream, bank: FilterBankSpec,
     manifest = out_dir / "bank_manifest.json"
     with open(manifest, "w") as fh:
         json.dump({"version": 1, "n_filters": len(bank),
-                   "lateral_to_angle_deg": bank.lateral_to_angle_deg,
+                   "lateral_to_angle_deg": TO_ANGLE_DEG,
                    "boundary": bank.boundary, "to": to,
                    "outputs": entries}, fh, indent=2)
         fh.write("\n")

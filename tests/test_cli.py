@@ -108,16 +108,61 @@ def test_bundled_configs_load_and_build():
 
 def test_resolve_passes_only_the_bank_and_detection_keys_set(tmp_path):
     # unset keys leave FilterBankSpec's and DetectorConfig's defaults in
-    # force
+    # force; no config key sets the bank's boundary
     r = cli.resolve(load_config(write_cfg(tmp_path, base_cfg())))
     assert r.bank.boundary == "pad" and r.detector.mode == "pre"
     assert r.bank.to is None
     cfg = base_cfg()
-    cfg["filter_bank"]["boundary"] = "periodic"
     cfg["detector"]["mode"] = "post"
     r = cli.resolve(load_config(write_cfg(tmp_path, cfg)))
-    assert r.bank.boundary == "periodic"
+    assert r.bank.boundary == "pad"
     assert r.detector.mode == "post"
+
+
+_LEAF_FILES = sorted(
+    [*(Path(cli.__file__).parent / "configs").glob("*.json"),
+     *(REPO / "scripts" / "configs").glob("*.json"),
+     *(REPO / "perfbench" / "workloads").glob("*.json")])
+
+
+def _schema_leaves(schema, path=()):
+    """The path of every leaf of a config section's schema: a key whose
+    schema holds no properties of its own. Each phantom kind's keys are
+    its own leaves, under ("phantom", kind)."""
+    for key, sub in schema["properties"].items():
+        if key == "phantom":
+            for branch in sub["oneOf"]:
+                kind = branch["properties"]["kind"]["const"]
+                yield from (("phantom", kind) + leaf[1:]
+                            for leaf in _schema_leaves(branch, ("phantom",)))
+        elif "properties" in sub:
+            yield from _schema_leaves(sub, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _sets(cfg: dict, leaf: tuple) -> bool:
+    if leaf[0] == "phantom":
+        return cfg["phantom"]["kind"] == leaf[1] and leaf[2] in cfg["phantom"]
+    node = cfg
+    for key in leaf:
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
+def test_every_config_leaf_is_set_by_a_bundled_config():
+    # a key no experiment sets is carried by every test and fuzz of the
+    # schema for nothing: a new leaf lands with the config that sets it
+    assert len(_LEAF_FILES) == 11
+    cfgs = [json.loads(path.read_text()) for path in _LEAF_FILES]
+    leaves = list(_schema_leaves(CONFIG_SCHEMA))
+    assert {("seed",), ("detector", "fine_factor"),
+            ("phantom", "circular", "spin")} <= set(leaves)
+    unset = [".".join(leaf) for leaf in leaves
+             if not any(_sets(cfg, leaf) for cfg in cfgs)]
+    assert unset == [], f"no bundled config sets {unset}"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -413,30 +458,44 @@ def test_exit_config_auto_speeds_need_vmax(tmp_path):
 
 
 def test_config_errors_exit_2_before_any_write(tmp_path, capsys):
-    # each error is one the schema cannot see; the LE widths one used to
-    # run four stages and then exit 4 from metrics
-    le = base_cfg()
-    le["metrics"] = {"le_sigma_par_mm": 0.02, "le_sigma_perp_mm": 0.05}
+    # the domain errors are ones the schema cannot see. The keys that no
+    # config set are gone from it: the LE widths (whose wrong order used
+    # to run four stages and exit 4 from metrics), the suppression radius
+    # (whose 1e300 used to end in an OverflowError traceback in localize),
+    # the vessel length, the TO angle and the time boundary
     auto = base_cfg()
     auto["filter_bank"]["speeds_mm_s"] = "auto"    # no v_max_mm_s given
     orbit = base_cfg()
     orbit["phantom"] = {"kind": "circular", "orbit_radius_mm": 0.3,
                         "radius_mm": 0.3, "v0_mm_s": 1.0,
                         "c_mb_per_mm3": 5.0}
-    # suppression squares the radius: 1e300 used to pass resolve and end in
-    # an OverflowError traceback in localize, after synth and filter wrote
-    separation = base_cfg()
-    separation["detector"]["min_separation_mm"] = 1e300
-    for k, (section, cfg) in enumerate([("metrics", le),
-                                        ("filter_bank", auto),
-                                        ("phantom", orbit),
-                                        ("detector", separation)]):
+    cases = [(("filter_bank:",), auto), (("phantom:",), orbit)]
+    for section, key, value in [("metrics", "le_sigma_par_mm", 0.09),
+                                ("metrics", "le_sigma_perp_mm", 0.045),
+                                ("detector", "min_separation_mm", 1e300),
+                                ("filter_bank", "lateral_to_angle_deg", 10.0),
+                                ("filter_bank", "boundary", "periodic")]:
+        cfg = base_cfg()
+        cfg.setdefault(section, {})[key] = value
+        reasons = (f"config invalid at $.{section}: ", f"'{key}'")
+        cases.append((reasons, cfg))
+    # the crossing, parallel and single vessels of phantom_c, d and e
+    for name in "cde":
+        cfg = base_cfg()
+        cfg["phantom"] = load_config(Path(cli.__file__).parent / "configs"
+                                     / f"phantom_{name}.json")["phantom"]
+        cfg["phantom"]["length_mm"] = 5.0
+        cases.append((("config invalid at $.phantom: ", "'length_mm': 5.0"),
+                      cfg))
+    for k, (reasons, cfg) in enumerate(cases):
         cfg_path = write_cfg(tmp_path, cfg, f"c{k}.json")
         for command in ("synth", "pipeline"):
             out = tmp_path / f"out{k}-{command}"
             assert main([command, "--config", str(cfg_path),
-                         "--out", str(out)]) == 2, (section, command)
-            assert f"config error: {section}:" in capsys.readouterr().err
+                         "--out", str(out)]) == 2, (reasons, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {reasons[0]}")
+            assert all(reason in err for reason in reasons[1:])
             assert not (out / "manifest.json").exists()
             assert not out.exists()
 
@@ -520,6 +579,58 @@ def test_bubble_speed_whose_travel_overflows_exits_2(tmp_path, capsys):
                           "4e+299 mm over the run, whose square")
 
 
+def _bubble_count_cases():
+    # the first two lengthen the vessel, the grid diagonal plus 8 sigma_r:
+    # numpy's Poisson draw refused the count in synth, whose message,
+    # "phantom: lam value too large", named neither leaf
+    for section, key, value, reason in (
+            ("psf", "sigma_r_mm", 2.0**62,
+             "2.82e+20 bubbles expected over a vessel length of 3.69e+19 "
+             "mm (the grid diagonal plus 8 sigma_r): the render's 2.82e+20 "
+             "x 96 work array exceeds the limit of 268435456 elements"),
+            ("grid", "dx_mm", 2.0**62,
+             "3.38e+21 bubbles expected over a vessel length of 4.43e+20 "
+             "mm (the grid diagonal plus 8 sigma_r): the render's 3.38e+21 "
+             "x 96 work array exceeds the limit of 268435456 elements"),
+            # the sampler squared the radius: "phantom: (34, 'Numerical
+            # result out of range')"
+            ("phantom", "radius_mm", 1e300,
+             "a vessel of radius 1e+300 mm and length 9.19 mm has no "
+             "finite volume")):
+        yield pytest.param(_phantom_e_at_nt_20(section, key, value), reason,
+                           id=key)
+    cfg = _phantom_e_at_nt_20("motion", "nt", 20)
+    cfg["phantom"] = {"kind": "circular", "orbit_radius_mm": 2.0,
+                      "radius_mm": 0.3, "v0_mm_s": 1.0, "c_mb_per_mm3": 1e300}
+    yield pytest.param(cfg, "3.55e+300 bubbles expected over a band length "
+                       "of 12.6 mm (2 pi orbit_radius): the render's "
+                       "3.55e+300 x 96 work array exceeds the limit of "
+                       "268435456 elements", id="band")
+
+
+@pytest.mark.parametrize("cfg, reason", _bubble_count_cases())
+def test_bubble_count_past_the_render_limit_exits_2(tmp_path, capsys, cfg,
+                                                    reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err == f"config error: phantom: {reason}\n"
+
+
+def test_bubble_count_limit_is_the_render_work_array():
+    # count * max(nx, nz) may reach MAX_ELEMENTS, with count the expected
+    # c_mb pi R^2 L over phantom_e's one vessel
+    cfg = _phantom_e_at_nt_20("motion", "nt", 20)
+    r = cli.resolve(cfg)
+    [vessel] = r.flow
+    per_c_mb = math.pi * vessel.radius_r**2 * vessel.length * 96
+    cfg["phantom"]["c_mb_per_mm3"] = 0.999 * core.MAX_ELEMENTS / per_c_mb
+    cli.resolve(cfg)
+    cfg["phantom"]["c_mb_per_mm3"] = 1.001 * core.MAX_ELEMENTS / per_c_mb
+    with pytest.raises(ConfigError, match=r"^phantom: 2\.8e\+06 bubbles "):
+        cli.resolve(cfg)
+
+
 def test_listed_bubble_whose_offset_overflows_exits_2(tmp_path, capsys):
     # a grid_bubbles position 1e300 mm from the origin: the render's square
     # of its offset from a pixel overflowed under a numpy warning, four
@@ -575,6 +686,13 @@ def test_frame_interval_whose_run_span_overflows_exits_2(tmp_path, capsys):
         err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
     assert err.startswith("config error: motion: 20 frames of 1e+300 s "
                           "span 2e+301 s, whose square is not finite")
+    # 10^300 frames used to print as a 301-digit integer
+    cfg = _phantom_e_at_nt_20("motion", "nt", 10**300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err == ("config error: motion: 1e+300 frames of 0.02 s span "
+                   "2e+298 s, whose square is not finite\n")
 
 
 @pytest.mark.parametrize("key", ["dx_mm", "dz_mm"])
@@ -653,8 +771,15 @@ def test_fine_grid_past_the_element_cap_is_refused_at_resolve():
     # fine_factor 100000 used to pass every stage up to accumulate, which
     # then asked numpy for 671 TiB; resolve allocates nothing
     cfg = _phantom_e_at_nt_20("detector", "fine_factor", 100000)
-    with pytest.raises(ConfigError, match="detector: fine grid 9600000 x "
-                                          "9600000 exceeds the limit"):
+    with pytest.raises(ConfigError, match=r"detector: fine grid 9\.6e\+06 x "
+                                          r"9\.6e\+06 exceeds the limit"):
+        cli.resolve(cfg)
+    # the sizes print in short form: a factor of 10^300 used to print
+    # 300-digit integers
+    cfg["detector"]["fine_factor"] = 10**300
+    with pytest.raises(ConfigError, match=r"^detector: fine grid 9\.6e\+301 "
+                                          r"x 9\.6e\+301 exceeds the limit of "
+                                          r"268435456 elements$"):
         cli.resolve(cfg)
     # a 64 x 64 grid at factor 256 is exactly MAX_ELEMENTS = 2**28 elements
     cfg["grid"].update(nx=64, nz=64)
@@ -823,7 +948,15 @@ def test_padded_bank_past_the_element_cap_is_refused_at_resolve():
     assert cli.resolve(cfg).nt == 65336
     cfg["motion"]["nt"] = 65337
     with pytest.raises(ConfigError, match=r"filter_bank: padded stack "
-                                          r"\(65537, 64, 64\) exceeds"):
+                                          r"\(6\.55e\+04, 64, 64\) exceeds"):
+        cli.resolve(cfg)
+    # a frame interval of 1e-300 s pads by 2e300 frames per side, which
+    # used to print as a 301-digit integer
+    cfg = _phantom_e_at_nt_20("motion", "dt_s", 1e-300)
+    with pytest.raises(ConfigError, match=r"^filter_bank: padded stack "
+                                          r"\(4e\+300, 96, 96\) exceeds the "
+                                          r"in-memory FFT limit of 268435456 "
+                                          r"samples$"):
         cli.resolve(cfg)
 
 

@@ -1,6 +1,7 @@
-"""Golden outputs at seed 7: `pipeline` on the eight fast configs against
-tests/golden/seed7.json. scripts/check_golden.py holds the comparison and
-regenerates the file (`--write`) when numerics change on purpose.
+"""Golden outputs at seed 7: `pipeline` on every golden config, the
+600-frame phantom_f (about 8 s) included, against tests/golden/seed7.json.
+scripts/check_golden.py holds the comparison and regenerates the file
+(`--write`) when numerics change on purpose.
 
 The metrics are always checked. The artifact hashes are checked only where
 numpy, scipy and the machine match the recorded ones.
@@ -32,13 +33,13 @@ def runs(tmp_path_factory):
     return run
 
 
-@pytest.mark.parametrize("name", golden.FAST)
+@pytest.mark.parametrize("name", list(golden.CONFIGS))
 def test_golden_metrics(runs, name):
     assert golden.metric_problems(runs(name)["metrics"],
                                   RECORD[name]["metrics"]) == []
 
 
-@pytest.mark.parametrize("name", golden.FAST)
+@pytest.mark.parametrize("name", list(golden.CONFIGS))
 def test_golden_hashes(runs, name):
     reason = golden.hash_skip_reason(RECORD[name])
     if reason:

@@ -52,8 +52,6 @@ def test_detector_config_validation():
         DetectorConfig(threshold_fraction=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(threshold_fraction=1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(min_separation=-0.1)
     # "to" is the chain of a TO-routed filter, not a mode of its own
     for mode in ("to", "envelope"):
         with pytest.raises(ValueError, match="detection mode"):
@@ -171,7 +169,7 @@ def test_default_separation_suppresses_carrier_replicas():
 def test_chain_radius_clears_every_replica(d, threshold, mode, to):
     # 1.05 times the farthest autocorrelation maximum above the threshold,
     # or the wavelength itself, bit for bit, when no replica reaches past
-    # it; an explicit min_separation wins
+    # it
     grid = make_grid(64, 64, d, d)
     cfg = DetectorConfig(threshold_fraction=threshold, mode=mode)
     chain = localize._chain(grid, P, cfg, to)
@@ -180,9 +178,6 @@ def test_chain_radius_clears_every_replica(d, threshold, mode, to):
         assert chain.radius == pytest.approx(1.05 * reach, rel=1e-12)
     else:
         assert chain.radius == 1.05 * P.wavelength
-    fixed = DetectorConfig(threshold_fraction=threshold, mode=mode,
-                           min_separation=0.2)
-    assert localize._chain(grid, P, fixed, to).radius == 0.2
 
 
 def test_chain_radius_at_threshold_0_35():
@@ -488,9 +483,11 @@ def test_localize_frames_on_static_stack():
 def test_post_mode_envelope_detection():
     # carrier stripped: even a tight separation radius finds no replicas
     frame = render_psf(P, GRID, mode="pre", center=(0.0, 0.0))
-    frames = FrameStack(grid=GRID, nt=1, dt=0.01, data=frame[None])
-    locs = localize_frames(frames, P, cfg=DetectorConfig(
-        min_separation=0.05 * P.wavelength, mode="post"))
+    cfg = DetectorConfig(mode="post")
+    chain = localize._chain(GRID, P, cfg)
+    assert chain.envelope
+    corr = matched_filter_map(_envelope_z(frame[None]), GRID, chain.template)
+    locs = detect(corr, GRID, cfg, chain.peak, 0.05 * P.wavelength)
     assert len(locs) == 1
     assert locs["x"][0] == pytest.approx(0.0, abs=2e-3)
     assert locs["z"][0] == pytest.approx(0.0, abs=2e-3)

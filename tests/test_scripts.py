@@ -87,20 +87,33 @@ def test_script_runs_short(runs, name):
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
-def test_velocity_map_default_run_reproduces_its_committed_csv(tmp_path):
-    # the full default run (about 1 s), not a short one: its CSV is the
-    # bytes committed under runs/, where the environment matches the one
-    # the golden hashes were recorded in
+def _default_run_reproduces(tmp_path, name: str, csv_name: str) -> None:
+    """A full default run of a study, not a short one, writes the bytes
+    committed under runs/, where the environment matches the one the
+    golden hashes were recorded in."""
     reason = check_golden.hash_skip_reason(GOLDEN)
     if reason:
         pytest.skip(reason)
-    out = tmp_path / "velocity_profile.csv"
+    out = tmp_path / csv_name
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_velocity_map.py"), "--out",
-         str(out)], capture_output=True, text=True, env=_env(), timeout=300)
+        [sys.executable, str(SCRIPTS / f"{name}.py"), "--out", str(out)],
+        capture_output=True, text=True, env=_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (ROOT / "runs" / "velocity_profile.csv"
-                                ).read_bytes()
+    assert out.read_bytes() == (ROOT / "runs" / csv_name).read_bytes()
+
+
+def test_velocity_map_default_run_reproduces_its_committed_csv(tmp_path):
+    # about 1 s
+    _default_run_reproduces(tmp_path, "run_velocity_map",
+                            "velocity_profile.csv")
+
+
+@pytest.mark.parametrize("name, csv_name", [
+    ("run_circular", "circular_iou_vs_time.csv"),          # about 6 s
+    ("run_phantom_c", "phantom_c_iou_vs_time.csv")])      # about 13 s
+def test_study_default_run_reproduces_its_committed_csv(tmp_path, name,
+                                                        csv_name):
+    _default_run_reproduces(tmp_path, name, csv_name)
 
 
 @pytest.mark.parametrize("name", STUDIES)
