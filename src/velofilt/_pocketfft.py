@@ -127,14 +127,13 @@ def rfft(x, axis=-1, workers=None) -> np.ndarray:
                             None, _workers(workers))
 
 
-def rfftn(x, s, axes=None, norm=None, workers=None) -> np.ndarray:
+def rfftn(x, s, axes=None) -> np.ndarray:
     tmp = _asfarray(x)
     if axes is None:
         axes = range(tmp.ndim - len(s), tmp.ndim)
     axes = [a + tmp.ndim if a < 0 else a for a in axes]
     tmp, _ = _fix_shape(tmp, s, axes)
-    return _extension().r2c(tmp, axes, True, _inorm(norm, True), None,
-                            _workers(workers))
+    return _extension().r2c(tmp, axes, True, _inorm(None, True), None, 1)
 
 
 def irfft(x, n=None, axis=-1, norm=None, workers=None) -> np.ndarray:

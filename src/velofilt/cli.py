@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .core import (MAX_ELEMENTS, FrameStack, FrameStream, Grid2D,
                    load_frame_stack, make_fine_grid, make_grid,
-                   save_frame_stack, to_float32, write_pgm)
+                   save_frame_stack, short_int, to_float32, write_pgm)
 from .localize import (DetectorConfig, accumulate, load_localizations_csv,
                        run_pipeline, save_localizations_csv, segment_support,
                        velocity_map_from_locs)
@@ -233,10 +233,22 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """text as an int, for config integers: int() refuses a literal of more
+    digits than sys.get_int_max_str_digits() with a plain ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"an integer literal of {len(text.lstrip('-'))} digits is past "
+            f"the limit of {sys.get_int_max_str_digits()} digits") from None
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            parse_int=_integer)
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
     except (json.JSONDecodeError, argparse.ArgumentTypeError) as exc:
@@ -392,24 +404,27 @@ def resolve(cfg: dict) -> Resolved:
         to = (ToParams(lambda_x=cfg["to"]["lambda_x_mm"],
                        sigma_x=cfg["to"]["sigma_x_mm"], sigma_r=p.sigma_r)
               if "to" in cfg else None)
+    # the schema's integers are sized as ints, before any float meets
+    # them: past the float range, that conversion raises without a size
     with _section("grid"):
         g = cfg["grid"]
-        grid = make_grid(int(g["nx"]), int(g["nz"]), g["dx_mm"], g["dz_mm"])
+        nx, nz = int(g["nx"]), int(g["nz"])
+        if nz * nx > MAX_ELEMENTS:
+            raise ValueError(f"grid {short_int(nz)} x {short_int(nx)} "
+                             f"exceeds the limit of {MAX_ELEMENTS} elements")
+        grid = make_grid(nx, nz, g["dx_mm"], g["dz_mm"])
     det = cfg.get("detector", {})
     with _section("detector"):
         fine = make_fine_grid(grid, **{
             k: int(v) for k, v in _given(det, factor="fine_factor").items()})
-        if fine.nz * fine.nx > MAX_ELEMENTS:
-            raise ValueError(f"fine grid {fine.nz:.3g} x {fine.nx:.3g} "
-                             f"exceeds the limit of {MAX_ELEMENTS} elements")
         detector = DetectorConfig(**_given(
             det, threshold_fraction="threshold_fraction",
             subpixel="subpixel", mode="mode"))
     with _section("motion"):
         nt, dt = int(cfg["motion"]["nt"]), cfg["motion"]["dt_s"]
-        span = nt * dt
+        span = nt * dt if nt <= sys.float_info.max else math.inf
         if not math.isfinite(span * span):
-            raise ValueError(f"{nt:.3g} frames of {dt:.3g} s span "
+            raise ValueError(f"{short_int(nt)} frames of {dt:.3g} s span "
                              f"{span:.3g} s, whose square is not finite")
     with _section("phantom"):
         points, flow = _phantom(cfg["phantom"], grid, p)
@@ -423,6 +438,13 @@ def resolve(cfg: dict) -> Resolved:
             where = "from the origin " if start else ""
             raise ValueError(f"bubbles move up to {reach:.3g} mm {where}"
                              "over the run, whose square is not finite")
+        # a bubble that crosses the grid in one frame leaves no track
+        step = _fastest(points, flow) * dt
+        diagonal = math.hypot(*grid.extent_mm)
+        if step > diagonal:
+            raise ValueError(f"bubbles move up to {step:.3g} mm in one "
+                             f"frame, past the grid diagonal of "
+                             f"{diagonal:.3g} mm")
     with _section("filter_bank"):
         bank = _bank(cfg["filter_bank"], p, to)
         bank_pads(bank, nt, dt, grid)
@@ -918,7 +940,7 @@ def _stage_accumulate(r: Resolved, out: Path) -> list[Path]:
     return arts
 
 
-def _stage_metrics(r: Resolved, out: Path, fmt: str) -> list[Path]:
+def _stage_metrics(r: Resolved, out: Path) -> list[Path]:
     locs_path = out / f"{r.prefix}_locs.csv"
     truth_path = out / f"{r.prefix}_truth.csv"
     if not locs_path.exists() or not truth_path.exists():
@@ -928,14 +950,8 @@ def _stage_metrics(r: Resolved, out: Path, fmt: str) -> list[Path]:
     if len(locs) == 0:
         raise DataError("no localizations to score")
     report = score(r, locs, _load_csv(load_truth_csv, truth_path, out))
-    out_path = out / f"{r.prefix}_metrics.{fmt}"
-    if fmt == "json":
-        _atomic_write_json(report, out_path)
-    else:
-        # csv writes a non-string value as its str(), so these are the
-        # bytes csv.writer gives the report's values
-        write_csv(out_path, ["metric", "value"],
-                  [(key, str(val)) for key, val in report.items()])
+    out_path = out / f"{r.prefix}_metrics.json"
+    _atomic_write_json(report, out_path)
     return [out_path]
 
 
@@ -1061,7 +1077,7 @@ _STAGES = {
     "filter": lambda r, out, seed, a: _stage_filter(r, out, a.threads),
     "localize": lambda r, out, seed, a: _stage_localize(r, out, a.threads),
     "accumulate": lambda r, out, seed, a: _stage_accumulate(r, out),
-    "metrics": lambda r, out, seed, a: _stage_metrics(r, out, a.format),
+    "metrics": lambda r, out, seed, a: _stage_metrics(r, out),
 }
 
 
@@ -1127,8 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("VELOFILT_THREADS", "1"),
                         help="worker threads of the filter bank's 3D FFTs, "
                              "a positive integer (env VELOFILT_THREADS)")
-        sp.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="metrics report format")
 
     for name, help_text in (
             ("synth", "synthesize phantom frames and ground truth"),

@@ -43,6 +43,17 @@ STREAM_BLOCK = 1 << 17
 CSV_ROWS = 1024
 
 
+def short_int(n: int) -> str:
+    """n as f"{n:.3g}" writes it, also past the float range, where that
+    conversion raises OverflowError."""
+    try:
+        return f"{n:.3g}"
+    except OverflowError:
+        import decimal
+        mantissa, exponent = f"{decimal.Decimal(n):.2e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Regular image-plane sampling grid.
@@ -96,12 +107,18 @@ def make_grid(nx: int, nz: int, dx: float, dz: float) -> Grid2D:
 
 
 def make_fine_grid(grid: Grid2D, factor: int = 4) -> Grid2D:
-    """Subdivide each pixel factor x factor, covering the same extent."""
+    """Subdivide each pixel factor x factor, covering the same extent.
+    The fine grid's size is checked against MAX_ELEMENTS in ints, before
+    the factor divides a float."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
+    nx, nz = grid.nx * factor, grid.nz * factor
+    if nz * nx > MAX_ELEMENTS:
+        raise ValueError(f"fine grid {short_int(nz)} x {short_int(nx)} "
+                         f"exceeds the limit of {MAX_ELEMENTS} elements")
     dxf = grid.dx / factor
     dzf = grid.dz / factor
-    return Grid2D(nx=grid.nx * factor, nz=grid.nz * factor, dx=dxf, dz=dzf,
+    return Grid2D(nx=nx, nz=nz, dx=dxf, dz=dzf,
                   x0=grid.x0 - grid.dx / 2.0 + dxf / 2.0,
                   z0=grid.z0 - grid.dz / 2.0 + dzf / 2.0)
 
@@ -153,8 +170,8 @@ def inverse_scale(dtype: np.dtype, n: int):
 
 
 def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
-                   axes: tuple[int, ...], keep: tuple[slice, ...],
-                   workers: int = 1) -> np.ndarray:
+                   axes: tuple[int, ...], keep: tuple[slice, ...]
+                   ) -> np.ndarray:
     """scipy.fft.irfftn(spec, s, axes)[keep along axes], byte for byte,
     without the whole inverse: one axis at a time (complex ifft passes, the
     real irfft last, through _pocketfft), each output axis cut to its keep
@@ -169,10 +186,9 @@ def trimmed_irfftn(spec: np.ndarray, s: tuple[int, ...],
     out = spec
     for ax, n, k in zip(axes[:-1], s, keep):
         out = _pocketfft.ifft(out, n, axis=ax, norm="forward",
-                              workers=workers, overwrite_x=True)
+                              overwrite_x=True)
         out = out[(slice(None),) * (ax % out.ndim) + (k,)]
-    out = _pocketfft.irfft(out, s[-1], axis=axes[-1], norm="forward",
-                           workers=workers)
+    out = _pocketfft.irfft(out, s[-1], axis=axes[-1], norm="forward")
     out = out[(slice(None),) * (axes[-1] % out.ndim) + (keep[-1],)]
     out *= inverse_scale(out.dtype, math.prod(s))
     return out

@@ -395,13 +395,13 @@ def velocity_map_from_locs(locs: np.ndarray, fine_grid: Grid2D
     return VelocityMap(grid=fine_grid, speed=speed, vx=vx, vz=vz)
 
 
-def segment_support(acc: AccumulatedMap, closing_radius_px: int = 2
-                    ) -> np.ndarray:
-    """Occupied-pixel mask smoothed by morphological closing (disk)."""
+def segment_support(acc: AccumulatedMap) -> np.ndarray:
+    """Occupied-pixel mask smoothed by morphological closing with a disk
+    of radius 2 pixels."""
     mask = acc.counts > 0
-    if not mask.any() or closing_radius_px < 1:
+    if not mask.any():
         return mask
-    r = closing_radius_px
+    r = 2
     yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
     offsets = np.argwhere((xx**2 + yy**2) <= r**2)
     nz, nx = mask.shape

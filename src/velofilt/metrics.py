@@ -19,7 +19,7 @@ are below e^-37 of a diagonal term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,11 @@ from .core import PAIR_BLOCK, FrameStack, Grid2D
 
 @dataclass(frozen=True)
 class LeParams:
-    """Blur widths along/across the flow (mm), flow angle, and the
-    normalizing bubble count T."""
+    """Blur widths along/across the flow (mm) and flow angle."""
 
     sigma_par: float
     sigma_perp: float
     theta: float = 0.0
-    n_bubbles_t: int = 1
 
     def __post_init__(self) -> None:
         if not self.sigma_par >= self.sigma_perp > 0:
@@ -48,10 +46,9 @@ class LeParams:
         return np.array([[par * c, par * s], [-perp * s, perp * c]])
 
 
-def default_le_params(wavelength: float, theta: float = 0.0,
-                      n_bubbles_t: int = 1) -> LeParams:
+def default_le_params(wavelength: float, theta: float = 0.0) -> LeParams:
     return LeParams(sigma_par=0.3 * wavelength, sigma_perp=0.15 * wavelength,
-                    theta=theta, n_bubbles_t=n_bubbles_t)
+                    theta=theta)
 
 
 # A pair further apart than _REACH in the first whitened coordinate has a
@@ -93,10 +90,11 @@ def localization_error(truth_points, est_points, le: LeParams,
     """Pairing-free localization error of an estimated point set.
 
     Zero iff the sets coincide; a lone bubble displaced by d scores
-    (4/T)(1 - exp(-d^T M d / 4)) ~= ||A d||^2 / T, so small errors are read
-    in units of the blur widths. Mismatched counts are penalized
-    automatically (an unmatched point contributes 2/T). Points outside grid
-    are not scored.
+    (4/T)(1 - exp(-d^T M d / 4)) ~= ||A d||^2 / T, where T is the number of
+    truth points given, so small errors are read in units of the blur
+    widths. Mismatched counts are penalized automatically (an unmatched
+    point contributes 2/T). Points outside grid are not scored, but count
+    in T.
 
     With K(r) = exp(-r^T M r / 2), the squared norm of K * (est impulses
     - truth impulses) is pi sigma_par sigma_perp [S(t, t) + S(e, e)
@@ -110,22 +108,20 @@ def localization_error(truth_points, est_points, le: LeParams,
     full sum. Identical sets run the same arithmetic in all three sums and
     score exactly 0.
     """
-    if le.n_bubbles_t <= 0:
-        raise ValueError("n_bubbles_t must be positive")
+    truth_points, est_points = (np.asarray(p, dtype=np.float64).reshape(-1, 2)
+                                for p in (truth_points, est_points))
+    if not len(truth_points):
+        raise ValueError("no truth points")
     a_t = le.a_matrix.T
-
-    def whitened(points) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        return p[grid.contains(p[:, 0], p[:, 1])] @ a_t
-
-    u, v = whitened(truth_points), whitened(est_points)
+    u, v = (p[grid.contains(p[:, 0], p[:, 1])] @ a_t
+            for p in (truth_points, est_points))
     if max(len(u), len(v)) ** 2 > PAIR_BLOCK:
         # some sum takes more than one row block, which _gauss_sum windows
         # on sets sorted by their first coordinate (ties in input order); a
         # frame whose sums are one block each is left unsorted
         u, v = (w[np.argsort(w[:, 0], kind="stable")] for w in (u, v))
     pair_sum = _gauss_sum(u, u) + _gauss_sum(v, v) - 2.0 * _gauss_sum(u, v)
-    return 2.0 / le.n_bubbles_t * pair_sum
+    return 2.0 / len(truth_points) * pair_sum
 
 
 def localization_error_frames(truth: np.ndarray, est: np.ndarray,
@@ -135,7 +131,7 @@ def localization_error_frames(truth: np.ndarray, est: np.ndarray,
 
     Pooling frames into one point set would let kernels from different
     times stack quadratically; the metric is only meaningful frame by frame.
-    le.n_bubbles_t is overridden with each frame's truth count."""
+    Each frame's LE is normalized by that frame's truth count."""
     # a table in frame order, as every writer makes it, is not copied
     truth, est = (a if np.all(a["t"][1:] >= a["t"][:-1])
                   else a[np.argsort(a["t"], kind="stable")]
@@ -148,8 +144,7 @@ def localization_error_frames(truth: np.ndarray, est: np.ndarray,
               for side in ("left", "right"))
     return float(np.mean([localization_error(
         np.column_stack([truth["x"][a:b], truth["z"][a:b]]),
-        np.column_stack([est["x"][c:d], est["z"][c:d]]),
-        replace(le, n_bubbles_t=int(b - a)), grid)
+        np.column_stack([est["x"][c:d], est["z"][c:d]]), le, grid)
         for a, b, c, d in zip(cuts[:-1], cuts[1:], lo, hi)]))
 
 

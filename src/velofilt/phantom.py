@@ -7,7 +7,7 @@ the image records the (x, z) projection, so the apparent line density across
 a vessel is proportional to sqrt(R^2 - rho^2).
 
 A circular band phantom puts the same cross-sectional profile on a ring:
-bubbles orbit a common in-plane center at constant speed.
+bubbles orbit the origin at constant speed.
 
 A phantom's flow is either such a band or a sequence of straight vessels
 (empty for free bubbles moving in straight lines). It is the one input that
@@ -47,7 +47,8 @@ class VesselSpec:
 
     axis_angle_rad is measured from the lateral (x) axis in the image plane;
     center is the (x, z) point the axis passes through; length (mm) bounds
-    the simulated segment (None: pick from the grid at sampling time).
+    the simulated segment, which sampling, synthesis and truth_maps need
+    (None only where nothing is sampled).
     """
 
     radius_r: float
@@ -78,13 +79,12 @@ class VesselSpec:
 
 @dataclass(frozen=True)
 class CircularBandSpec:
-    """Ring of flow: bubbles orbit `center` at orbit_radius +- radius_r."""
+    """Ring of flow: bubbles orbit the origin at orbit_radius +- radius_r."""
 
     orbit_radius: float
     radius_r: float
     v0: float
     c_mb: float
-    center: tuple[float, float] = (0.0, 0.0)
     spin: int = 1
 
     def __post_init__(self) -> None:
@@ -172,7 +172,6 @@ def default_vessel_length(grid: Grid2D, p: PsfParams) -> float:
 
 
 def sample_bubbles(vessel: VesselSpec, rng: np.random.Generator,
-                   length: float | None = None,
                    id_start: int = 0) -> BubbleSet:
     """Poisson-count uniform draw inside the vessel cylinder.
 
@@ -180,10 +179,9 @@ def sample_bubbles(vessel: VesselSpec, rng: np.random.Generator,
     the segment, cross-section uniform in the disk, velocity along the axis
     with the parabolic speed at the bubble's 3D axis distance.
     """
-    if length is None:
-        length = vessel.length
+    length = vessel.length
     if length is None or length <= 0:
-        raise ValueError("vessel length must be set (or pass length=...)")
+        raise ValueError("vessel length must be set")
     volume = math.pi * vessel.radius_r**2 * length
     n = int(rng.poisson(vessel.c_mb * volume))
     if n == 0:
@@ -211,9 +209,8 @@ def sample_circular_bubbles(band: CircularBandSpec, rng: np.random.Generator
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     ab = _disk_samples(n, band.radius_r, rng)
     r_orb = band.orbit_radius + ab[:, 0]
-    cx, cz = band.center
-    pos = np.column_stack([cx + r_orb * np.cos(phi), ab[:, 1],
-                           cz + r_orb * np.sin(phi)])
+    pos = np.column_stack([r_orb * np.cos(phi), ab[:, 1],
+                           r_orb * np.sin(phi)])
     speed = band.v0 * (1.0 - (np.hypot(ab[:, 0], ab[:, 1]) / band.radius_r) ** 2)
     tang = np.column_stack([-np.sin(phi), np.zeros(n), np.cos(phi)]) * band.spin
     vel = speed[:, None] * tang
@@ -254,15 +251,15 @@ def advance(bubbles: BubbleSet, dt: float,
     return out
 
 
-def respawn_axial(bubbles: BubbleSet, vessel: VesselSpec,
-                  length: float) -> BubbleSet:
-    """Wrap bubbles leaving the segment back to the inlet.
+def respawn_axial(bubbles: BubbleSet, vessel: VesselSpec) -> BubbleSet:
+    """Wrap bubbles leaving the vessel's segment back to the inlet.
 
     Shifting by the segment length along the axis preserves the cross-section
     offset and the speed, so the steady-state density is stationary.
     """
     if len(bubbles) == 0:
         return bubbles
+    length = vessel.length
     u = vessel.axis_dir
     c3 = np.array([vessel.center[0], 0.0, vessel.center[1]])
     s = (bubbles.pos - c3) @ u
@@ -295,7 +292,7 @@ def truth_maps(flow: Flow, grid: Grid2D
     """Truth support mask and peak-speed velocity map of a flow on grid.
 
     The mask holds the pixels inside the band's ring or within any vessel's
-    radius of its axis (and, for a vessel of set length, within its segment).
+    radius of its axis and within its segment.
     The projection of the parabolic profile puts speeds [0, vmax(rho)] at
     in-plane offset rho; the map records vmax(rho) (the value a max-speed
     accumulation rule estimates) along the local flow direction. Crossing
@@ -304,16 +301,14 @@ def truth_maps(flow: Flow, grid: Grid2D
     """
     X, Z = grid.meshgrid()
     if isinstance(flow, CircularBandSpec):
-        rx = X - flow.center[0]
-        rz = Z - flow.center[1]
-        r = np.hypot(rx, rz)
+        r = np.hypot(X, Z)
         rho = r - flow.orbit_radius
         mask = np.abs(rho) <= flow.radius_r
         speed = np.where(mask, flow.v0 * (1.0 - (rho / flow.radius_r) ** 2),
                          0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            tx = np.where(r > 0, -rz / r, 0.0) * flow.spin
-            tz = np.where(r > 0, rx / r, 0.0) * flow.spin
+            tx = np.where(r > 0, -Z / r, 0.0) * flow.spin
+            tz = np.where(r > 0, X / r, 0.0) * flow.spin
         return mask, speed, speed * tx, speed * tz
     mask = np.zeros((grid.nz, grid.nx), dtype=bool)
     speed = np.zeros((grid.nz, grid.nx))
@@ -325,8 +320,7 @@ def truth_maps(flow: Flow, grid: Grid2D
         dz = Z - v.center[1]
         perp = -sin * dx + cos * dz
         inside = np.abs(perp) <= v.radius_r
-        if v.length is not None:
-            inside &= np.abs(cos * dx + sin * dz) <= v.length / 2.0
+        inside &= np.abs(cos * dx + sin * dz) <= v.length / 2.0
         mask |= inside
         vmax = np.where(inside, v.v0 * (1.0 - (perp / v.radius_r) ** 2), 0.0)
         take = vmax > speed
@@ -363,7 +357,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     `render_frame` in `tests/oracles.py`.
 
     Bubble positions are taken at frame times t = 0, dt, ..., (nt-1)dt. The
-    flow sets the motion: a band makes the bubbles orbit its center;
+    flow sets the motion: a band makes the bubbles orbit the origin;
     vessels move them in straight lines, and a bubble leaving its simulated
     segment respawns at the inlet (the per-vessel test uses the nearest
     axis); an empty flow moves them in straight lines without respawn.
@@ -385,11 +379,9 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
     if noise_std > 0 and rng is None:
         raise ValueError("noise requires an rng for reproducibility")
     if isinstance(flow, CircularBandSpec):
-        center, vessels = flow.center, ()
+        center, vessels = (0.0, 0.0), ()
     else:
         center, vessels = None, tuple(flow)
-    lengths = [v.length if v.length is not None
-               else default_vessel_length(grid, p) for v in vessels]
     step = max(1, _SYNTH_BLOCK // (grid.nz * grid.nx))
     data = np.empty((min(step, nt), grid.nz, grid.nx))
     n = len(bubbles)
@@ -410,7 +402,7 @@ def synthesize_frames(bubbles: BubbleSet, flow: Flow, grid: Grid2D,
             if t0 + k + 1 < nt:
                 state = advance(state, dt, center)
                 if vessels:
-                    state = _respawn_nearest(state, vessels, lengths)
+                    state = _respawn_nearest(state, vessels)
         if noise_std > 0:
             block += rng.normal(0.0, noise_std, size=block.shape)
         sink(block)
@@ -447,11 +439,11 @@ def _render_into(pos: np.ndarray, grid: Grid2D, p: PsfParams,
     np.multiply(out, p.g_e_peak, out=out)
 
 
-def _respawn_nearest(bubbles: BubbleSet, vessels: Sequence[VesselSpec],
-                     lengths: Sequence[float]) -> BubbleSet:
+def _respawn_nearest(bubbles: BubbleSet, vessels: Sequence[VesselSpec]
+                     ) -> BubbleSet:
     """Respawn against the vessel whose axis each bubble is closest to."""
     if len(vessels) == 1:
-        return respawn_axial(bubbles, vessels[0], lengths[0])
+        return respawn_axial(bubbles, vessels[0])
     dist = np.empty((len(vessels), len(bubbles)))
     for i, v in enumerate(vessels):
         rel = bubbles.pos - np.array([v.center[0], 0.0, v.center[1]])
@@ -465,6 +457,6 @@ def _respawn_nearest(bubbles: BubbleSet, vessels: Sequence[VesselSpec],
         if not np.any(sel):
             continue
         sub = BubbleSet(out.pos[sel], out.vel[sel], out.ids[sel])
-        sub = respawn_axial(sub, v, lengths[i])
+        sub = respawn_axial(sub, v)
         out.pos[sel] = sub.pos
     return out

@@ -77,29 +77,24 @@ class VelocityPassband:
     """Half-maximum speed passband of a velocity filter + matched detection.
 
     delta_v is the half-width: bubbles moving along direction theta (angle
-    from lateral) at speed v pass when |v - v_f| <= delta_v.
+    from lateral) at speed v pass a filter at speed v_f when
+    |v - v_f| <= delta_v.
     """
 
-    v_f: float
     delta_v: float
     kappa_delta_v: float
     theta: float
-    mode: str
 
 
-def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
-                       mode: str = "pre", v_f: float = 0.0
+def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0
                        ) -> VelocityPassband:
     """Solve the half-maximum condition for kappa by bisection.
 
-    mode 'pre' solves gamma_hat(kappa) = 1/4 + c_g (1/2 - (1+kappa^2/2)^-1/2)
-    on the matched-filter peak; the lateral root (theta = 0) is exactly
-    sqrt(6) for any sigma_r / wavelength because the c_g terms cancel there.
-    mode 'post' is the envelope-detected condition (1+kappa^2/2)^-1/2 = 1/2,
-    direction independent with the same sqrt(6) root.
+    Solves gamma_hat(kappa) = 1/4 + c_g (1/2 - (1+kappa^2/2)^-1/2) on the
+    matched-filter peak of the pre-envelope chain; the lateral root
+    (theta = 0) is exactly sqrt(6) for any sigma_r / wavelength because the
+    c_g terms cancel there.
     """
-    if mode not in ("pre", "post"):
-        raise ValueError(f"unknown mode {mode!r}")
     if sigma_t <= 0:
         raise ValueError("sigma_t must be positive")
     mf = autocorr_theory(p)
@@ -108,8 +103,6 @@ def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
 
     def resid(kappa: float) -> float:
         k2 = kappa**2
-        if mode == "post":
-            return 1.0 / math.sqrt(1.0 + k2 / 2.0) - 0.5
         gh = _gamma_hat(kappa, k2 * ratio2 * sin2)
         return gh - (0.25 + mf.c_g * (0.5 - 1.0 / math.sqrt(1.0 + k2 / 2.0)))
 
@@ -125,8 +118,8 @@ def velocity_bandwidth(p: PsfParams, sigma_t: float, theta: float = 0.0,
         else:
             hi = mid
     kappa = 0.5 * (lo + hi)
-    return VelocityPassband(v_f=v_f, delta_v=kappa * p.sigma_r / sigma_t,
-                            kappa_delta_v=kappa, theta=theta, mode=mode)
+    return VelocityPassband(delta_v=kappa * p.sigma_r / sigma_t,
+                            kappa_delta_v=kappa, theta=theta)
 
 
 # ---------------------------------------------------------------------------

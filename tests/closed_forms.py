@@ -1,13 +1,11 @@
 """Closed forms that only the tests evaluate.
 
 The filtered single-bubble responses and their shape factors, the
-passband's interval, the matched-filter peak, the PSF autocorrelation at
-its peak and at a lag, the LE's metric matrix and the joint speed/offset
-density. No command, table or stage of the package calls them; the tests
+matched-filter peak, the PSF autocorrelation at its peak and at a lag, the
+LE's metric matrix and the joint speed/offset density. No command, table or stage of the package calls them; the tests
 hold each against the quadrature and numeric oracles in oracles.py, and
 against the package's own closed forms that they build on
-(attenuation_pre, to_attenuation, autocorr_theory, velocity_bandwidth,
-LeParams).
+(attenuation_pre, to_attenuation, autocorr_theory, LeParams).
 """
 
 import math
@@ -17,8 +15,8 @@ import numpy as np
 from velofilt.metrics import LeParams
 from velofilt.psf import (MatchedFilterTheory, PsfParams, ToParams,
                           autocorr_theory, eval_to_envelope)
-from velofilt.theory import (AttenuationReport, VelocityPassband, _gamma_hat,
-                             attenuation_pre, to_attenuation)
+from velofilt.theory import (AttenuationReport, _gamma_hat, attenuation_pre,
+                             to_attenuation)
 
 
 def eta(rep: AttenuationReport, theta) -> np.ndarray:
@@ -41,11 +39,6 @@ def zeta(rep: AttenuationReport, x, z) -> np.ndarray:
     k2 = rep.kappa**2
     proj = (x * dvx + z * dvz) / norm
     return (rep.kappa / (1.0 + k2)) * (rep.sigma_t * dvz / rep.psf.sigma_r) * proj
-
-
-def interval(band: VelocityPassband) -> tuple[float, float]:
-    """The speeds the passband admits, v_f -+ delta_v."""
-    return (band.v_f - band.delta_v, band.v_f + band.delta_v)
 
 
 def g_e_hat_peak(mf: MatchedFilterTheory) -> float:

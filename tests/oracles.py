@@ -264,8 +264,8 @@ def localization_error_raster(truth_points, est_points, le, grid):
     kernel = np.exp(-0.5 * np.einsum("...i,ij,...j->...", r, m_matrix(le), r))
     blurred = scipy.signal.fftconvolve(diff, kernel, mode="full")
     norm_sq = float(np.sum(blurred**2)) * grid.dx * grid.dz
-    return 2.0 / (le.sigma_par * le.sigma_perp * math.pi
-                  * le.n_bubbles_t) * norm_sq
+    n_truth = len(np.asarray(truth_points).reshape(-1, 2))
+    return 2.0 / (le.sigma_par * le.sigma_perp * math.pi * n_truth) * norm_sq
 
 
 def gauss_sum_dense(u, v):
@@ -294,7 +294,7 @@ def localization_error_dense(truth_points, est_points, le, grid):
     u, v = whitened(truth_points), whitened(est_points)
     pair_sum = (gauss_sum_dense(u, u) + gauss_sum_dense(v, v)
                 - 2.0 * gauss_sum_dense(u, v))
-    return 2.0 / le.n_bubbles_t * pair_sum
+    return 2.0 / len(np.asarray(truth_points).reshape(-1, 2)) * pair_sum
 
 
 def _bin_index_loop(x, z, grid):

@@ -695,6 +695,66 @@ def test_frame_interval_whose_run_span_overflows_exits_2(tmp_path, capsys):
                    "2e+298 s, whose square is not finite\n")
 
 
+_INTEGER_LEAVES = [("detector", "fine_factor"), ("motion", "nt"),
+                   ("grid", "nx"), ("grid", "nz")]
+
+
+@pytest.mark.parametrize("section, key, reason", [
+    ("detector", "fine_factor", "detector: fine grid 9.6e+401 x 9.6e+401 "
+     "exceeds the limit of 268435456 elements"),
+    ("motion", "nt", "motion: 1e+400 frames of 0.02 s span inf s, whose "
+     "square is not finite"),
+    ("grid", "nx", "grid: grid 96 x 1e+400 exceeds the limit of 268435456 "
+     "elements"),
+    ("grid", "nz", "grid: grid 1e+400 x 96 exceeds the limit of 268435456 "
+     "elements")], ids=[key for _, key in _INTEGER_LEAVES])
+def test_integer_leaf_past_the_float_range_exits_2(tmp_path, capsys, section,
+                                                   key, reason):
+    # 10^400 used to exit 2 with "int too large to convert to float", which
+    # names no size: the leaf met a float before any check sized it
+    cfg = _phantom_e_at_nt_20(section, key, 10**400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err == f"config error: {reason}\n"
+
+
+@pytest.mark.parametrize("section, key", _INTEGER_LEAVES,
+                         ids=[key for _, key in _INTEGER_LEAVES])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys,
+                                                      section, key):
+    # json.load's int() refused the 5001-digit literal with a plain
+    # ValueError, which load_config did not catch: exit 4
+    cfg = _phantom_e_at_nt_20(section, key, "@")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@"', "1" + "0" * 5000))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pipeline", "--config", str(path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config is not valid JSON: an integer literal of 5001 "
+        f"digits is past the limit of {sys.get_int_max_str_digits()} "
+        "digits\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, step", [
+    ("motion", "dt_s", "4.61e+18"), ("phantom", "v0_mm_s", "9.22e+16")],
+    ids=["dt_s", "v0_mm_s"])
+def test_bubble_that_crosses_the_grid_in_one_frame_exits_2(
+        tmp_path, capsys, section, key, step):
+    # 2^62: dt_s ran to exit 0 with every truth row in frame 0; v0_mm_s
+    # ran four "ok" stages and exited 3 at metrics
+    cfg = _phantom_e_at_nt_20(section, key, 2.0**62)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _pipeline_exits_2_before_any_write(tmp_path, capsys, cfg)
+    assert err == (f"config error: phantom: bubbles move up to {step} mm in "
+                   "one frame, past the grid diagonal of 6.79 mm\n")
+
+
 @pytest.mark.parametrize("key", ["dx_mm", "dz_mm"])
 def test_grid_step_whose_gain_overflows_exits_2(tmp_path, capsys, key):
     # pi / 1e-300 times the filter's speed: the gain's square overflowed
@@ -1289,13 +1349,13 @@ def test_pipeline_metrics_with_vessel_geometry(tmp_path):
     assert report["fve_fastest_0.25_mm_s"] >= 0.0
     assert report["n_truth_points"] > 0
 
-    # same report in csv form
-    assert main(["metrics", "--config", str(cfg_path), "--out", str(out),
-                 "--format", "csv"]) == 0
-    header, rows = read_table(out / "t_metrics.csv")
-    assert header == ["metric", "value"]
-    assert {r[0] for r in rows} >= {"iou", "fve_mm_s", "le",
-                                    "n_localizations"}
+    # the metrics stage re-run alone writes the same report, as JSON only
+    first = (out / "t_metrics.json").read_bytes()
+    assert main(["metrics", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert (out / "t_metrics.json").read_bytes() == first
+    assert {"iou", "fve_mm_s", "le", "n_localizations"} <= set(report)
+    assert not (out / "t_metrics.csv").exists()
 
 
 def test_metrics_on_anisotropic_grid(tmp_path):

@@ -8,7 +8,8 @@ from oracles import gaussian_window, trimmed_irfftn_ref
 from velofilt.core import (FrameStack, FrameStream, Grid2D, check_finite,
                            gather_frames, kx_lattice, kz_lattice,
                            load_frame_stack, make_grid, omega_lattice,
-                           save_frame_stack, trimmed_irfftn, write_pgm)
+                           save_frame_stack, short_int, trimmed_irfftn,
+                           write_pgm)
 
 
 def small_stack(nt=4, nz=6, nx=5, seed=0, dt=0.01):
@@ -229,10 +230,12 @@ def test_trimmed_irfftn_matches_whole_inverse(shape, axes, keep, dtype):
     assert np.array_equal(got, want)
 
 
-def test_trimmed_irfftn_with_two_workers():
-    rng = np.random.default_rng(5)
-    spec = scipy.fft.rfftn(rng.normal(size=(131, 24, 20)).astype(np.float32))
-    keep = (slice(40), slice(None), slice(None))
-    want = trimmed_irfftn_ref(spec, (131, 24, 20), (0, 1, 2), keep)
-    got = trimmed_irfftn(spec, (131, 24, 20), (0, 1, 2), keep, workers=2)
-    assert np.array_equal(got, want)
+def test_short_int_past_the_float_range():
+    # f"{n:.3g}" converts n to a float, which raises past 1.8e308
+    for n in (0, 7, -65337, 96 * 10**300):
+        assert short_int(n) == f"{n:.3g}"
+    with pytest.raises(OverflowError):
+        f"{10**400:.3g}"
+    assert short_int(10**400) == "1e+400"
+    assert short_int(-96 * 10**400) == "-9.6e+401"
+    assert short_int(123456 * 10**5000) == "1.23e+5005"

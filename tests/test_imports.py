@@ -8,8 +8,9 @@ scipy, whose only use, pocketfft's extension, `_pocketfft` loads without
 an import statement; and every top-level function or class of the package,
 and every method or property of such a class, is read by the package, a
 study script or the benchmark's tracer, not by the tests alone; and each
-defaulted parameter of such a function or method is passed by some call
-in the package, the scripts or the tests.
+defaulted parameter of such a function or method, and each defaulted field
+of a dataclass, is passed or set by some call in the package, the scripts
+or the tracer, save the listed exemptions.
 """
 
 import ast
@@ -198,17 +199,11 @@ def test_every_package_name_has_a_production_reader():
 CALL_ALIASES = {"fft": ("_c2c", 1), "ifft": ("_c2c", 1)}
 
 
-def unpassed_defaults(package: dict[str, str], callers: list[str]
-                      ) -> list[str]:
-    """'module.function(param)' for each defaulted parameter of a top-level
-    function or method of the package modules (name -> source) that no
-    call in the callers sources passes, by keyword or by position.
-
-    A call is matched to every definition of the name it calls (a Name or
-    an attribute's name), and a method's first parameter is taken as bound.
-    A call with **kwargs passes every parameter, one with *args every
-    positional one."""
-    reach: dict[str, int] = {}
+def _calls(callers: list[str]) -> tuple[dict[str, float], dict[str, set]]:
+    """For each called name (a Name or an attribute's name): the most
+    positional arguments a call passes (inf with *args), and the keywords
+    calls pass (None for a call with **kwargs)."""
+    reach: dict[str, float] = {}
     keywords: dict[str, set] = {}
     for source in callers:
         for call in ast.walk(ast.parse(source)):
@@ -225,6 +220,20 @@ def unpassed_defaults(package: dict[str, str], callers: list[str]
             reach[name] = max(reach.get(name, 0), n)
             got = keywords.setdefault(name, set())
             got |= {k.arg for k in call.keywords}
+    return reach, keywords
+
+
+def unpassed_defaults(package: dict[str, str], callers: list[str]
+                      ) -> list[str]:
+    """'module.function(param)' for each defaulted parameter of a top-level
+    function or method of the package modules (name -> source) that no
+    call in the callers sources passes, by keyword or by position.
+
+    A call is matched to every definition of the name it calls (a Name or
+    an attribute's name), and a method's first parameter is taken as bound.
+    A call with **kwargs passes every parameter, one with *args every
+    positional one."""
+    reach, keywords = _calls(callers)
     found = []
     for module, source in package.items():
         for node in ast.parse(source).body:
@@ -251,25 +260,112 @@ def unpassed_defaults(package: dict[str, str], callers: list[str]
     return found
 
 
+def _defaulted_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """(position, name) of each defaulted field of a dataclass, [] for
+    another class. The package's dataclasses declare every field as an
+    annotated class attribute, with no field() or ClassVar."""
+    decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                  for d in node.decorator_list}
+    if not decorators & {"dataclass", "dataclasses.dataclass"}:
+        return []
+    fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    return [(i, stmt.target.id) for i, stmt in enumerate(fields)
+            if stmt.value is not None]
+
+
+def unset_fields(package: dict[str, str], callers: list[str]) -> list[str]:
+    """'module.Class.field' for each defaulted field of a top-level
+    dataclass of the package modules that no call in the callers sources
+    sets: not a call of the class by keyword, by position, with **mapping
+    or *args, and no `replace` call (dataclasses.replace) by that keyword
+    or with **mapping."""
+    reach, keywords = _calls(callers)
+    replaced = keywords.get("replace", set())
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            seen = keywords.get(node.name, set()) | replaced
+            found += [f"{module}.{node.name}.{name}"
+                      for i, name in _defaulted_fields(node)
+                      if None not in seen and name not in seen
+                      and i >= reach.get(node.name, 0)]
+    return found
+
+
+def stale_or_unexempt(found: list[str], exemptions: dict[str, str]
+                      ) -> list[str]:
+    """Each found knob the exemptions do not list, and each exemption that
+    is no longer found: its knob is gone or production now sets it."""
+    return ([f"{name}: no production caller" for name in found
+             if name not in exemptions]
+            + [f"{name}: stale exemption" for name in exemptions
+               if name not in found])
+
+
 def test_checker_finds_unpassed_defaults():
     package = {
-        "a": ("def f(x, y=1, z=2, *, w=3): pass\n"
+        "a": ("from dataclasses import dataclass\n"
+              "def f(x, y=1, z=2, *, w=3): pass\n"
               "def g(x, y=1): pass\n"
               "def h(x=0, y=1): pass\n"
+              "def k(x, y=1): pass\n"
               "def _c2c(forward, x, n=None): pass\n"
               "class C:\n"
-              "    def m(self, u=0, v=1): pass\n")}
-    callers = ["f(0, z=1)\n",
-               "import a\na.g(*[1, 2])\n",
-               "h(**{})\n",
-               "fft(x, 4)\n",
-               "C().m(5)\n"]
-    assert unpassed_defaults(package, callers) == [
+              "    def m(self, u=0, v=1): pass\n"
+              "@dataclass(frozen=True)\n"
+              "class P:\n"
+              "    a: int\n"
+              "    b: int = 0\n"
+              "    c: int = 1\n"
+              "    d: int = 2\n"
+              "@dataclass\n"
+              "class Q:\n"
+              "    a: int = 0\n"
+              "    b: int = 1\n"
+              "class R:\n"
+              "    a: int = 0\n")}
+    production = ["f(0, z=1)\n",
+                  "import a\na.g(*[1, 2])\n",
+                  "h(**{})\n",
+                  "fft(x, 4)\n",
+                  "C().m(5)\n",
+                  "p = P(0, 1)\n"
+                  "from dataclasses import replace\nreplace(p, d=3)\n",
+                  "Q(**{})\n"]
+    tests = ["k(0, y=2)\nP(0, 1, c=2)\n"]
+    # a default or a field that only a test sets is named; a call with
+    # **mapping and a replace call set fields; R is no dataclass
+    assert unpassed_defaults(package, production) == [
+        "a.f(y)", "a.f(w)", "a.k(y)", "a.C.m(v)"]
+    assert unset_fields(package, production) == ["a.P.c"]
+    assert unpassed_defaults(package, production + tests) == [
         "a.f(y)", "a.f(w)", "a.C.m(v)"]
+    assert unset_fields(package, production + tests) == []
+    # an exemption fails once its knob is gone or production sets it
+    assert stale_or_unexempt(["a.k(y)", "a.P.c"], {"a.k(y)": "why"}) == [
+        "a.P.c: no production caller"]
+    assert stale_or_unexempt(["a.P.c"], {"a.k(y)": "why", "a.P.c": "why"}
+                             ) == ["a.k(y): stale exemption"]
+
+
+# Defaults only the tests pass, each with the reason it stays
+EXEMPT = {
+    "vfilter.apply_filter_fft(boundary)":
+        '"periodic" (FilterBankSpec.boundary) is the tests\' exact-DFT '
+        "reference for the padded bank",
+    "psf.render_psf(center)":
+        "the tests' analytic off-center scatterer, at about 12 call sites; "
+        "moving the renderer into tests/ would not reduce the code",
+}
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default no caller overrides is a constant, not a parameter
+    # a default or dataclass field no production call overrides is a
+    # constant, not a parameter
     package = {path.stem: path.read_text() for path in PACKAGE}
-    assert unpassed_defaults(
-        package, [path.read_text() for path in MODULES]) == []
+    callers = [path.read_text() for path in PACKAGE + SCRIPTS + [TRACER]]
+    found = (unpassed_defaults(package, callers)
+             + unset_fields(package, callers))
+    assert stale_or_unexempt(found, EXEMPT) == []

@@ -430,23 +430,22 @@ def test_segment_support_closing():
                    NAN) for i in range(5, 28) if i != 16 for j in range(14, 19)])
     acc = accumulate(locs, fine)
     occupied = acc.counts > 0
-    mask = segment_support(acc, closing_radius_px=2)
+    mask = segment_support(acc)
     assert mask[16, 16]                       # slit filled
     assert np.all(mask[occupied])             # closing never removes pixels
-    # radius < 1 and empty masks pass through untouched
-    assert np.array_equal(segment_support(acc, closing_radius_px=0), occupied)
+    # an empty mask passes through untouched
     empty = accumulate(table([]), fine)
     assert not segment_support(empty).any()
 
 
-def _support(mask, radius):
+def _support(mask):
     grid = make_grid(mask.shape[1], mask.shape[0], 0.05, 0.05)
     counts = mask.astype(np.int64)
-    return segment_support(AccumulatedMap(grid, counts, int(counts.sum())),
-                           closing_radius_px=radius)
+    return segment_support(AccumulatedMap(grid, counts, int(counts.sum())))
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
+# the radius of segment_support's closing disk, in pixels
+@pytest.mark.parametrize("radius", [2])
 def test_segment_support_matches_binary_closing_at_the_border(radius):
     # blobs and gaps against every edge and corner: binary_closing erodes
     # with zeros outside the mask, so closing can clear occupied edge pixels
@@ -455,17 +454,17 @@ def test_segment_support_matches_binary_closing_at_the_border(radius):
     mask[4:8, 4:7] = True
     mask[6, 5] = False
     want = disk_closing(mask, radius)
-    assert np.array_equal(_support(mask, radius), want)
+    assert np.array_equal(_support(mask), want)
     assert not np.array_equal(want, mask)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
-                                               max_side=16)),
-       radius=st.integers(1, 3))
-def test_segment_support_matches_binary_closing(mask, radius):
-    want = disk_closing(mask, radius) if mask.any() else mask
-    assert np.array_equal(_support(mask, radius), want)
+                                               max_side=16)))
+def test_segment_support_matches_binary_closing(mask):
+    # the closing disk has a radius of 2 pixels
+    want = disk_closing(mask, 2) if mask.any() else mask
+    assert np.array_equal(_support(mask), want)
 
 
 def test_localize_frames_on_static_stack():

@@ -31,7 +31,7 @@ def points(rows, dtype=TRUTH_DTYPE) -> np.ndarray:
 def exact_le(d, le: LeParams) -> float:
     """Continuum value for one truth point and one estimate displaced by d."""
     quad = float(np.asarray(d) @ m_matrix(le) @ np.asarray(d))
-    return 4.0 / le.n_bubbles_t * (1.0 - math.exp(-quad / 4.0))
+    return 4.0 * (1.0 - math.exp(-quad / 4.0))
 
 
 def test_le_params_validation_and_matrices():
@@ -89,15 +89,15 @@ def test_le_swap_symmetry_and_t_normalization():
     b = [[0.01, 0.005]]
     assert localization_error(a, b, LE, LE_GRID) == pytest.approx(
         localization_error(b, a, LE, LE_GRID), rel=1e-12)
-    le2 = LeParams(sigma_par=0.09, sigma_perp=0.045, n_bubbles_t=2)
-    assert localization_error(a, b, le2, LE_GRID) == pytest.approx(
-        localization_error(a, b, LE, LE_GRID) / 2.0, rel=1e-12)
+    # T is the truth count: each pair sum of the doubled sets is 4 times
+    # the single one, over T = 2
+    assert localization_error(a * 2, b * 2, LE, LE_GRID) == pytest.approx(
+        2.0 * localization_error(a, b, LE, LE_GRID), rel=1e-12)
 
 
 def test_le_validation():
-    with pytest.raises(ValueError):
-        localization_error([[0.0, 0.0]], [[0.0, 0.0]],
-                           LeParams(0.09, 0.045, n_bubbles_t=0), LE_GRID)
+    with pytest.raises(ValueError, match="no truth points"):
+        localization_error(np.empty((0, 2)), [[0.0, 0.0]], LE, LE_GRID)
 
 
 def test_le_scores_only_points_inside_the_grid():
@@ -106,8 +106,9 @@ def test_le_scores_only_points_inside_the_grid():
     base = localization_error(truth, est, LE, grid)
     # half a pixel past an edge, far outside, and not a number
     outside = [[0.405, 0.0], [0.0, -0.405], [2.0, 2.0], [np.nan, 0.0]]
+    # truth points outside count in T = 5 but add no term
     assert localization_error(truth + outside, est + outside[::-1], LE,
-                              grid) == base
+                              grid) == 2.0 / 5 * (base / 2.0)
     assert localization_error(truth, est + outside, LE, grid) == base
     # a corner sample is inside: an unmatched point there costs 2/T
     corner = localization_error(truth, est + [[0.4, 0.4]], LE, grid)
@@ -139,8 +140,8 @@ def test_le_frames_keeps_row_order_within_a_frame(monkeypatch):
     calls = []
 
     def record(truth_points, est_points, le, grid):
-        calls.append((truth_points.tolist(), est_points.tolist(),
-                      le.n_bubbles_t))
+        assert le is LE and grid is LE_GRID
+        calls.append((truth_points.tolist(), est_points.tolist()))
         return float(len(calls))
 
     def xz(table):
@@ -149,8 +150,8 @@ def test_le_frames_keeps_row_order_within_a_frame(monkeypatch):
 
     monkeypatch.setattr(metrics, "localization_error", record)
     got = localization_error_frames(truth, est, LE, LE_GRID)
-    want = [(xz(truth[truth["t"] == t]), xz(est[est["t"] == t]),
-             int(np.count_nonzero(truth["t"] == t))) for t in (2, 3, 4)]
+    want = [(xz(truth[truth["t"] == t]), xz(est[est["t"] == t]))
+            for t in (2, 3, 4)]
     assert calls == want
     assert want[0][0] == [[0.1, 0.2], [0.5, 0.6], [-0.2, 0.0]]
     assert want[0][1] == [[0.1, 0.2], [0.5, 0.6], [0.0, -0.1]]
@@ -180,8 +181,8 @@ def test_le_matches_spatial_raster_oracle():
     grid_a = make_grid(121, 121, 0.005, 0.005)
     grid_b = make_grid(112, 131, 0.0048, 0.0045)
     cases = [(LE, grid_a),
-             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), grid_a),
-             (LeParams(0.09, 0.045, theta=0.6, n_bubbles_t=3), grid_b),
+             (LeParams(0.09, 0.045, theta=0.6), grid_a),
+             (LeParams(0.09, 0.045, theta=0.6), grid_b),
              (LeParams(0.08, 0.044, theta=-1.1), grid_b)]
     rng = np.random.default_rng(20)
     for _ in range(3):
@@ -216,11 +217,12 @@ def point_sets(draw):
     """(truth, est, LeParams) on DENSE_GRID: spread points, clusters further
     apart than _REACH along the flow, or points on a coarse lattice with
     repeats, so that first whitened coordinates tie."""
-    n, m = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    # LE takes at least one truth point
+    n, m = draw(st.integers(1, 300)), draw(st.integers(0, 300))
     theta = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
     layout = draw(st.sampled_from(["spread", "clusters", "lattice"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    le = LeParams(0.03, 0.015, theta=theta, n_bubbles_t=max(n, 1))
+    le = LeParams(0.03, 0.015, theta=theta)
     if layout == "spread":
         pts = rng.uniform(-1.6, 1.6, size=(n + m, 2))
     elif layout == "clusters":
@@ -254,7 +256,7 @@ def test_le_matches_dense_pair_sum(case):
 def test_le_identical_sets_score_exactly_zero():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.5, 1.5, size=(500, 2))
-    le = LeParams(0.03, 0.015, theta=0.4, n_bubbles_t=500)
+    le = LeParams(0.03, 0.015, theta=0.4)
     assert localization_error(pts, pts, le, DENSE_GRID) == 0.0
     # distinct x: the sorted sets, and so the sums, are the same
     assert localization_error(pts, pts[rng.permutation(500)], le,
@@ -274,7 +276,7 @@ def test_gauss_sum_keeps_pairs_exactly_reach_apart():
 def test_le_dense_frame_matches_dense_pair_sum():
     # 4000 points on 64 x 64 pixels of 0.1 mm, one estimate per truth point
     grid = make_grid(64, 64, 0.1, 0.1)
-    le = default_le_params(0.3, n_bubbles_t=4000)
+    le = default_le_params(0.3)
     rng = np.random.default_rng(11)
     truth = rng.uniform(-3.15, 3.15, size=(4000, 2))
     est = truth + rng.normal(scale=0.02, size=truth.shape)

@@ -70,9 +70,9 @@ def test_from_plane_lifts_into_elevation_zero():
 
 def test_sample_bubbles_geometry_and_profile():
     v = VesselSpec(radius_r=0.4, v0=2.0, c_mb=200.0, axis_angle_rad=0.6,
-                   center=(0.2, -0.1))
+                   center=(0.2, -0.1), length=3.0)
     rng = np.random.default_rng(12)
-    b = sample_bubbles(v, rng, length=3.0, id_start=100)
+    b = sample_bubbles(v, rng, id_start=100)
     assert len(b) > 50
     c3 = np.array([0.2, 0.0, -0.1])
     rel = b.pos - c3
@@ -92,30 +92,31 @@ def test_sample_bubbles_needs_length():
     v = VesselSpec(radius_r=0.1, v0=1.0, c_mb=1.0)
     with pytest.raises(ValueError):
         sample_bubbles(v, np.random.default_rng(0))
-    # length can come from the spec itself
+    # the length comes from the spec
     v2 = VesselSpec(radius_r=0.1, v0=1.0, c_mb=50.0, length=2.0)
     assert len(sample_bubbles(v2, np.random.default_rng(0))) > 0
 
 
 def test_sample_bubbles_poisson_mean():
-    v = VesselSpec(radius_r=0.5, v0=1.0, c_mb=100.0)
     length = 4.0
+    v = VesselSpec(radius_r=0.5, v0=1.0, c_mb=100.0, length=length)
     mean = v.c_mb * math.pi * v.radius_r**2 * length
     rng = np.random.default_rng(5)
-    counts = [len(sample_bubbles(v, rng, length=length)) for _ in range(200)]
+    counts = [len(sample_bubbles(v, rng)) for _ in range(200)]
     assert np.mean(counts) == pytest.approx(mean, rel=0.05)
 
 
 def test_sample_circular_bubbles_torus_and_tangential():
+    # the band orbits the origin
     band = CircularBandSpec(orbit_radius=1.5, radius_r=0.3, v0=2.0,
-                            c_mb=100.0, center=(0.5, -0.2), spin=-1)
+                            c_mb=100.0, spin=-1)
     b = sample_circular_bubbles(band, np.random.default_rng(9))
     assert len(b) > 100
-    r_in_plane = np.hypot(b.pos[:, 0] - 0.5, b.pos[:, 2] + 0.2)
+    r_in_plane = np.hypot(b.pos[:, 0], b.pos[:, 2])
     rho = np.hypot(r_in_plane - band.orbit_radius, b.pos[:, 1])
     assert np.all(rho <= band.radius_r + 1e-12)
     # tangential: no radial velocity component
-    radial = np.column_stack([b.pos[:, 0] - 0.5, b.pos[:, 2] + 0.2])
+    radial = np.column_stack([b.pos[:, 0], b.pos[:, 2]])
     radial /= np.linalg.norm(radial, axis=1, keepdims=True)
     v_plane = b.vel[:, [0, 2]]
     assert np.max(np.abs(np.einsum("ij,ij->i", radial, v_plane))) < 1e-10
@@ -160,13 +161,13 @@ def test_advance_circular_small_step_is_linear():
 
 def test_respawn_axial_wraps_with_offset_preserved():
     v = VesselSpec(radius_r=0.2, v0=1.0, c_mb=1.0, axis_angle_rad=0.3,
-                   center=(0.1, 0.2))
+                   center=(0.1, 0.2), length=2.0)
     c3 = np.array([0.1, 0.0, 0.2])
     u = v.axis_dir
     w = v.perp_dir
     pos = c3 + 1.3 * u + 0.15 * w       # past the +L/2 = 1.0 outlet
     b = BubbleSet(pos[None, :], (0.7 * u)[None, :], np.array([4]))
-    out = respawn_axial(b, v, 2.0)
+    out = respawn_axial(b, v)
     rel = out.pos[0] - c3
     assert rel @ u == pytest.approx(-0.7)           # shifted by one length
     assert rel @ w == pytest.approx(0.15)           # cross offset kept
@@ -177,13 +178,14 @@ def test_respawn_axial_wraps_with_offset_preserved():
 @given(seed=st.integers(0, 10_000), angle=st.floats(0.0, math.pi),
        steps=st.integers(1, 40))
 def test_respawn_keeps_bubbles_in_segment(seed, angle, steps):
-    v = VesselSpec(radius_r=0.3, v0=3.0, c_mb=30.0, axis_angle_rad=angle)
-    rng = np.random.default_rng(seed)
     length = 2.0
-    b = sample_bubbles(v, rng, length=length)
+    v = VesselSpec(radius_r=0.3, v0=3.0, c_mb=30.0, axis_angle_rad=angle,
+                   length=length)
+    rng = np.random.default_rng(seed)
+    b = sample_bubbles(v, rng)
     for _ in range(steps):
         b = advance(b, 0.05)
-        b = respawn_axial(b, v, length)
+        b = respawn_axial(b, v)
     if len(b):
         s = (b.pos - np.array([0.0, 0.0, 0.0])) @ v.axis_dir
         assert np.all(np.abs(s) <= length / 2.0 + 1e-9)
@@ -204,12 +206,12 @@ def test_render_frame_matches_psf_sum():
 def _crossing(grid, rng):
     # two vessels at +-45 degrees, dense enough that each (n, nx or nz) work
     # array is above glibc's 128 KiB mmap threshold
-    vessels = [VesselSpec(radius_r=0.4, v0=40.0, c_mb=96.0,
-                          axis_angle_rad=math.radians(a)) for a in (45, -45)]
     length = default_vessel_length(grid, P)
-    first = sample_bubbles(vessels[0], rng, length=length)
-    second = sample_bubbles(vessels[1], rng, length=length,
-                            id_start=len(first))
+    vessels = [VesselSpec(radius_r=0.4, v0=40.0, c_mb=96.0,
+                          axis_angle_rad=math.radians(a), length=length)
+               for a in (45, -45)]
+    first = sample_bubbles(vessels[0], rng)
+    second = sample_bubbles(vessels[1], rng, id_start=len(first))
     bubbles = concat_bubbles([first, second])
     assert len(bubbles) * min(grid.nx, grid.nz) * 8 > 128 * 1024
     return bubbles, vessels
@@ -217,7 +219,7 @@ def _crossing(grid, rng):
 
 def _band(grid, rng):
     band = CircularBandSpec(orbit_radius=2.0, radius_r=0.4, v0=20.0,
-                            c_mb=20.0, center=(0.1, -0.2))
+                            c_mb=20.0)
     return sample_circular_bubbles(band, rng), band
 
 
@@ -231,15 +233,15 @@ def test_synthesized_frames_equal_the_reference_render(phantom):
     bubbles, flow = phantom(grid, np.random.default_rng(3))
     nt, dt = 8, 0.05
     stack, _ = synthesize_stack(bubbles, flow, grid, nt, dt, P)
-    center = flow.center if isinstance(flow, CircularBandSpec) else None
+    # a band orbits the origin; vessels respawn at their own lengths
+    center = (0.0, 0.0) if isinstance(flow, CircularBandSpec) else None
     vessels = () if center is not None else tuple(flow)
-    lengths = [default_vessel_length(grid, P)] * len(vessels)
     state = bubbles
     for t in range(nt):
         assert np.array_equal(stack.data[t], render_frame(state, grid, P))
         state = advance(state, dt, center)
         if vessels:
-            state = _respawn_nearest(state, vessels, lengths)
+            state = _respawn_nearest(state, vessels)
     if not len(bubbles):
         assert np.all(stack.data == 0.0)
     else:
@@ -248,7 +250,8 @@ def test_synthesized_frames_equal_the_reference_render(phantom):
 
 def test_support_mask_straight_vessel():
     grid = make_grid(41, 41, 0.05, 0.05)
-    v = VesselSpec(radius_r=0.22, v0=1.0, c_mb=1.0)   # lateral through origin
+    # lateral through the origin, longer than the grid
+    v = VesselSpec(radius_r=0.22, v0=1.0, c_mb=1.0, length=10.0)
     mask = truth_maps([v], grid)[0]
     Z = grid.meshgrid()[1]
     assert np.array_equal(mask, np.abs(Z) <= 0.22)
@@ -278,9 +281,9 @@ def test_circular_masks_and_maps():
 
 def test_truth_maps_crossing_vessels():
     grid = make_grid(61, 61, 0.05, 0.05)
-    fast = VesselSpec(radius_r=0.3, v0=2.0, c_mb=1.0)
+    fast = VesselSpec(radius_r=0.3, v0=2.0, c_mb=1.0, length=10.0)
     slow = VesselSpec(radius_r=0.3, v0=1.0, c_mb=1.0,
-                      axis_angle_rad=math.pi / 2)
+                      axis_angle_rad=math.pi / 2, length=10.0)
     mask, speed, vx, vz = truth_maps([fast, slow], grid)
     assert np.array_equal(mask, truth_maps([fast], grid)[0]
                           | truth_maps([slow], grid)[0])
@@ -354,12 +357,11 @@ def test_synthesize_flow_sets_respawn_and_orbit():
     _, free = synthesize_stack(b, (), grid, nt=2, dt=0.1, p=P)
     assert xz_of_frame(free, 1) == pytest.approx(
         np.array([[0.55, 0.02], [0.3, 0.55]]))
-    # a band keeps its bubbles on their orbit about its center
-    band = CircularBandSpec(orbit_radius=0.9, radius_r=0.2, v0=1.0, c_mb=1.0,
-                            center=(0.1, -0.1))
-    b = from_plane([(1.0, -0.1)], [(0.0, 1.0)])
+    # a band keeps its bubbles on their orbit about the origin
+    band = CircularBandSpec(orbit_radius=0.9, radius_r=0.2, v0=1.0, c_mb=1.0)
+    b = from_plane([(0.9, 0.0)], [(0.0, 1.0)])
     _, truth = synthesize_stack(b, band, grid, nt=20, dt=0.05, p=P)
-    radius = np.hypot(truth["x"] - 0.1, truth["z"] + 0.1)
+    radius = np.hypot(truth["x"], truth["z"])
     assert radius == pytest.approx(np.full(20, 0.9), abs=1e-12)
     assert truth["z"][-1] > 0.5              # the bubble did move
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import (autocorr_peak, eta, interval, joint_density, mf_peak,
-                          q_post, q_pre, to_q, zeta)
+from closed_forms import (autocorr_peak, eta, joint_density, mf_peak, q_post,
+                          q_pre, to_q, zeta)
 from oracles import band_density_quad, filtered_response_quad, projected_density_ref
 from velofilt.core import make_grid
 from velofilt.phantom import VesselSpec
@@ -100,12 +100,6 @@ def test_passband_lateral_root_is_sqrt6():
                 math.sqrt(6.0) * p.sigma_r / sigma_t, rel=1e-9)
 
 
-def test_passband_post_mode_direction_independent():
-    for theta in (0.0, 0.7, math.pi / 2):
-        band = velocity_bandwidth(P, 0.5, theta=theta, mode="post")
-        assert band.kappa_delta_v == pytest.approx(math.sqrt(6.0), abs=1e-9)
-
-
 def test_passband_axial_root_value():
     band = velocity_bandwidth(P, 0.5, theta=math.pi / 2)
     assert band.kappa_delta_v == pytest.approx(0.18784, abs=1e-4)
@@ -127,12 +121,9 @@ def test_passband_edge_is_half_maximum():
 
 
 def test_passband_interval_and_validation():
-    band = velocity_bandwidth(P, 0.5, v_f=2.0)
-    lo, hi = interval(band)
-    assert lo == pytest.approx(2.0 - band.delta_v)
-    assert hi == pytest.approx(2.0 + band.delta_v)
-    with pytest.raises(ValueError):
-        velocity_bandwidth(P, 0.5, mode="bandpass")
+    # a filter at v_f passes v_f -+ delta_v, delta_v = kappa sigma_r / sigma_t
+    band = velocity_bandwidth(P, 0.5)
+    assert band.delta_v == band.kappa_delta_v * P.sigma_r / 0.5
     with pytest.raises(ValueError):
         velocity_bandwidth(P, -1.0)
 
